@@ -15,9 +15,11 @@ committed baseline:
         --check-against BENCH_headline.json
 
 The check fails (exit 1) when the single-client update latency of the
-batched disk service regresses more than 5% against the baseline.
-The simulation is deterministic, so any drift is a real code change,
-not noise.
+batched disk service regresses more than 5% against the baseline, or
+when its 8-writer throughput drops more than 5% (the group-commit
+convoy, if it ever comes back, halves it while leaving the latency
+untouched). The simulation is deterministic, so any drift is a real
+code change, not noise.
 """
 
 import argparse
@@ -26,6 +28,10 @@ import pathlib
 import sys
 
 from repro.bench import lookup_throughput, update_latency, update_throughput
+
+# --check-against fails when the 8-writer batched throughput falls below
+# this share of the committed baseline.
+MIN_THROUGHPUT_RATIO = 0.95
 
 
 def run_headline(measure_ms=15_000.0):
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-against", default=None,
-        help="baseline JSON to gate single-client update latency against",
+        help="baseline JSON to gate update latency and throughput against",
     )
     parser.add_argument("--max-latency-regression", type=float, default=0.05)
     args = parser.parse_args(argv)
@@ -139,16 +145,25 @@ def main(argv=None) -> int:
     status = 0
     if args.check_against:
         baseline = json.loads(pathlib.Path(args.check_against).read_text())
-        allowed = 1.0 + args.max_latency_regression
-        old = baseline["group_commit"]["single_client_latency_ms"]["batched"]
-        new = result["group_commit"]["single_client_latency_ms"]["batched"]
-        verdict = "ok" if new <= old * allowed else "REGRESSED"
-        print(
-            f"single-client update latency: {new:.1f} ms "
-            f"(baseline {old:.1f} ms, limit {old * allowed:.1f} ms) {verdict}"
+        old, new = baseline["group_commit"], result["group_commit"]
+        old_ms = old["single_client_latency_ms"]["batched"]
+        new_ms = new["single_client_latency_ms"]["batched"]
+        max_ms = old_ms * (1.0 + args.max_latency_regression)
+        old_tput = old["pairs_per_s"]["batched"]["8"]
+        new_tput = new["pairs_per_s"]["batched"]["8"]
+        min_tput = old_tput * MIN_THROUGHPUT_RATIO
+        checks = (
+            (new_ms <= max_ms,
+             f"single-client update latency: {new_ms:.1f} ms "
+             f"(baseline {old_ms:.1f} ms, limit {max_ms:.1f} ms)"),
+            (new_tput >= min_tput,
+             f"8-writer batched throughput: {new_tput:.2f} pairs/s "
+             f"(baseline {old_tput:.2f}, floor {min_tput:.2f})"),
         )
-        if verdict != "ok":
-            status = 1
+        for ok, line in checks:
+            print(line, "ok" if ok else "REGRESSED")
+            if not ok:
+                status = 1
 
     out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

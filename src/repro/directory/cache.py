@@ -106,6 +106,15 @@ class LookupCache:
         """Drop one entry (e.g. its replica's lease expired)."""
         self._entries.pop(key, None)
 
+    def drop_server(self, server) -> int:
+        """Drop every entry filled under *server*'s lease (it lapsed:
+        that replica stopped pushing their invalidations). Returns the
+        number of entries dropped."""
+        doomed = [k for k, (_, s) in self._entries.items() if s == server]
+        for key in doomed:
+            del self._entries[key]
+        return len(doomed)
+
     def flush(self) -> int:
         """Drop everything (lease lapse, connection loss). Returns the
         number of entries dropped."""

@@ -269,7 +269,15 @@ class DirectoryClient:
         results = reply["results"]
         server = reply["server"]
         expiry = sent_at + reply["lease_ms"]
-        if expiry > self._server_leases.get(server, 0.0):
+        held = self._server_leases.get(server, 0.0)
+        if sim.now >= held:
+            # The previous lease from this replica lapsed before the
+            # renewal arrived: the replica may have written us off and
+            # stopped pushing invalidations in between, so entries
+            # filled under the old lease must not become servable again
+            # under the new one.
+            self.cache.drop_server(server)
+        if expiry > held:
             self._server_leases[server] = expiry
         if reply["epoch"] >= self._inval_floor:
             # Fill guard: a reply computed at an older epoch than an

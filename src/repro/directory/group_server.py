@@ -31,6 +31,7 @@ Request handling follows Fig. 5:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from repro.amoeba.capability import new_check
@@ -68,15 +69,22 @@ from repro.storage.bullet import BulletClient
 
 
 @dataclasses.dataclass
-class _BatchItem:
-    """One applied-but-unpersisted record in a group-commit batch,
-    with the state-machine counters captured at its apply point (the
-    values the singleton path would have persisted)."""
+class _Applied:
+    """One applied-but-unflushed record of the batch being built, with
+    the state-machine counters captured at its apply point (the values
+    its persisted artifacts must carry). *effects* is None when the op
+    failed deterministically: nothing to persist, only a reply owed."""
 
-    op: DirectoryOp
-    effects: object
-    seqno: int
-    next_object: int
+    record: object
+    result: object
+    dedup: bool
+    effects: object = None
+    seqno: int = 0
+    next_object: int = 0
+
+    @property
+    def op(self) -> DirectoryOp:
+        return self.record.payload
 
 
 class GroupDirectoryServer:
@@ -85,6 +93,10 @@ class GroupDirectoryServer:
     #: Storage class charged for _persist_effects (trace attribution);
     #: the NVRAM variant overrides this with "nvram".
     PERSIST_PHASE = "disk"
+    #: Keep topping the batch up while records are applied? Pays where
+    #: a flush has a fixed cost to share (the disk's seek + commit
+    #: write); the NVRAM variant's per-record programmed I/O has none.
+    TOP_UP = True
 
     def __init__(
         self,
@@ -168,7 +180,7 @@ class GroupDirectoryServer:
         self._c_cache_hits = registry.counter(node, "session.cache_hits")
         self._c_cache_misses = registry.counter(node, "session.cache_misses")
         # Apply-stage accounting for the capacity sampler: sim-time the
-        # group thread spent inside _apply_span (state machine + CPU +
+        # group thread spent inside _apply_loop (state machine + CPU +
         # persistence) and records applied — the per-replica service
         # stage behind the sequencer pipeline (docs/OBSERVABILITY.md §10).
         self._c_apply_busy = registry.counter(node, "dir.apply_busy_ms")
@@ -459,28 +471,14 @@ class GroupDirectoryServer:
 
     def _group_thread(self):
         yield from self._recover()
-        batch_max = max(1, self.config.batch_max)
         while self.alive:
             try:
                 record = yield from self.member.receive()
             except GroupFailure:
                 yield from self._handle_group_failure()
                 continue
-            batch = [record]
-            if batch_max > 1:
-                # Group commit: grab everything else that is already
-                # deliverable (zero-cost) and persist it as one batch.
-                batch.extend(self.member.receive_ready(batch_max - 1))
-            batch = [r for r in batch if r.seqno > self._applied_kernel]
-            if not batch:
-                continue  # replayed after a view change; already applied
-            if batch_max > 1:
-                self._note_batch(batch)
-            apply_started = self.sim.now
             try:
-                yield from self._apply_span(batch)
-                self._c_apply_busy.inc(self.sim.now - apply_started)
-                self._c_applied.inc(len(batch))
+                yield from self._apply_loop(record)
             except (RpcError, LocateError, StorageError) as exc:
                 # Our Bullet server or disk is gone: this replica
                 # cannot persist anything, so by fail-stop semantics it
@@ -488,33 +486,48 @@ class GroupDirectoryServer:
                 self._self_destruct(f"storage subsystem failed: {exc!r}")
                 return
 
-    def _apply_span(self, batch):
-        """Apply a drained batch, splitting at control records.
+    def _apply_loop(self, first):
+        """Group commit (the Fig. 9 amortization): apply *first* and
+        every record deliverable behind it strictly in sequence order,
+        then persist their net effect in one flush.
 
-        Membership-control markers (ResilienceChange) occupy a seqno
-        but never touch the state machine or the disk; the directory
-        ops around them still coalesce into group-commit batches.
+        Each pass drains the kernel (zero-cost) and applies what it
+        holds. Every backend gets the first drain; only one that shares
+        a fixed flush cost (TOP_UP) drains again after the applies, so
+        requests sequenced meanwhile join this flush instead of
+        waiting out a whole one of their own. The batch is
+        cut when the kernel runs dry, at ``batch_max``, or at a control
+        record (ResilienceChange markers occupy a seqno but touch
+        neither state machine nor disk).
         """
-        start = 0
-        for i, record in enumerate(batch):
-            if not isinstance(record.payload, ResilienceChange):
-                continue
-            yield from self._apply_ops(batch[start:i])
-            self._apply_resilience_change(record)
-            start = i + 1
-        yield from self._apply_ops(batch[start:])
-
-    def _apply_ops(self, records):
-        if not records:
-            return
-        if len(records) == 1:
-            # Singleton batches take the classic one-record path: with
-            # batch_max=1 this is bit-for-bit the old behavior, and
-            # under light load it keeps the single-client latency
-            # identical to unbatched.
-            yield from self._apply_record(records[0])
-        else:
-            yield from self._apply_batch(records)
+        batch_max = max(1, self.config.batch_max)
+        started = self.sim.now
+        pending = collections.deque([first])
+        batch: list[_Applied] = []
+        horizon = self._applied_kernel
+        handled = 0
+        drain = batch_max > 1
+        while True:
+            room = batch_max - len(batch) - len(pending)
+            if drain and room > 0:
+                pending.extend(self.member.receive_ready(room))
+                drain = self.TOP_UP
+            if not pending:
+                break
+            while pending:
+                record = pending.popleft()
+                if record.seqno <= horizon:  # replayed after a view change
+                    continue
+                horizon = record.seqno
+                handled += 1
+                if isinstance(record.payload, ResilienceChange):
+                    yield from self._cut(batch)
+                    self._apply_resilience_change(record)
+                else:
+                    batch.append((yield from self._apply_one(record)))
+        yield from self._cut(batch)
+        self._c_apply_busy.inc(self.sim.now - started)
+        self._c_applied.inc(handled)
 
     def _apply_resilience_change(self, record) -> None:
         """An ordered ResilienceChange marker reached the apply point.
@@ -560,13 +573,14 @@ class GroupDirectoryServer:
         )
 
     def _note_batch(self, batch) -> None:
+        """Record a batch's size at the cut (what its flush carries)."""
         self._h_batch_size.observe(len(batch))
         if self._obs.tracer.enabled:
+            first, last = batch[0].record, batch[-1].record
             self._obs.tracer.emit(
                 str(self.me), "dir", "dir.batch",
-                lineage=batch[0].msg_id,
-                size=len(batch),
-                first=batch[0].seqno, last=batch[-1].seqno,
+                lineage=first.msg_id,
+                size=len(batch), first=first.seqno, last=last.seqno,
             )
 
     def _self_destruct(self, reason: str) -> None:
@@ -589,11 +603,12 @@ class GroupDirectoryServer:
 
         self.sim.call_soon(do_crash)
 
-    def _apply_record(self, record):
+    def _apply_one(self, record):
+        """Charge the CPU and run one record through the state
+        machine; persistence and the reply wait for the cut."""
         op = record.payload
-        tracer = self._obs.tracer
-        if tracer.enabled:
-            tracer.emit(
+        if self._obs.tracer.enabled:
+            self._obs.tracer.emit(
                 str(self.me), "dir", "dir.apply.start",
                 lineage=record.msg_id, seqno=record.seqno,
                 op=type(op).__name__, **_session_args(op),
@@ -608,21 +623,49 @@ class GroupDirectoryServer:
             # counters aligned.
             self.state.update_seqno += 1
             self._note_coherent_apply(record, ())  # changed nothing
-            self._finish_apply(record, exc, dedup=self.state.dedup_hits > hits_before)
-            return
+            return _Applied(record, exc, self.state.dedup_hits > hits_before)
         self._note_coherent_apply(record, invalidation_keys(op))
-        if tracer.enabled:
-            tracer.emit(
-                str(self.me), "dir", "dir.persist.start",
-                lineage=record.msg_id, storage=self.PERSIST_PHASE,
-            )
-        yield from self._persist_effects(op, effects, lineage=record.msg_id)
-        if tracer.enabled:
-            tracer.emit(
-                str(self.me), "dir", "dir.persist.end",
-                lineage=record.msg_id, storage=self.PERSIST_PHASE,
-            )
-        self._finish_apply(record, result, dedup=self.state.dedup_hits > hits_before)
+        return _Applied(
+            record, result, self.state.dedup_hits > hits_before,
+            effects, self.state.update_seqno, self.state.next_object,
+        )
+
+    def _cut(self, batch):
+        """Flush *batch* and release its replies in order, leaving it
+        empty. One record takes the classic two-write commit — with
+        ``batch_max=1`` bit-for-bit the unbatched server, and under
+        light load the paper's single-client latency; two or more are
+        persisted as one unit. Replies (via _finish_apply) go out only
+        after the flush, so the per-client guarantee is exactly the
+        unbatched one."""
+        if not batch:
+            return
+        if self.config.batch_max > 1:
+            self._note_batch(batch)
+        items = [applied for applied in batch if applied.effects is not None]
+        if items:
+            tracer = self._obs.tracer
+            lineage = batch[0].record.msg_id
+            args = {"batch": len(items)} if len(batch) > 1 else {}
+            if tracer.enabled:
+                tracer.emit(
+                    str(self.me), "dir", "dir.persist.start",
+                    lineage=lineage, storage=self.PERSIST_PHASE, **args,
+                )
+            if len(batch) == 1:
+                yield from self._persist_effects(
+                    items[0].op, items[0].effects, lineage=lineage
+                )
+            else:
+                yield from self._persist_batch(items, lineage=lineage)
+            if tracer.enabled:
+                tracer.emit(
+                    str(self.me), "dir", "dir.persist.end",
+                    lineage=lineage, storage=self.PERSIST_PHASE, **args,
+                )
+        for applied in batch:
+            self._finish_apply(applied.record, applied.result, applied.dedup)
+        batch.clear()
 
     def _persist_effects(self, op, effects, lineage=None):
         """Storage follow-up: a new Bullet file per touched directory,
@@ -659,76 +702,14 @@ class GroupDirectoryServer:
                     client_id, entry, lineage=lineage
                 )
 
-    def _apply_batch(self, batch):
-        """Group commit (the Fig. 9 amortization): apply every record
-        of *batch* to the state machine strictly in sequence order,
-        then persist the whole batch's net effect in one flush —
-        pipelined Bullet creates for the final contents of each
-        touched directory, followed by a single multi-block
-        object-table/commit-block write. Replies (via _finish_apply)
-        go out only after the batch is durable, so the per-client
-        guarantee is exactly the unbatched one."""
-        tracer = self._obs.tracer
-        cpu = self.transport.cpu
-        write_ms = self._latency().cpu.write_processing_ms
-        items: list[_BatchItem] = []
-        finishes: list[tuple] = []
-        for record in batch:
-            op = record.payload
-            if tracer.enabled:
-                tracer.emit(
-                    str(self.me), "dir", "dir.apply.start",
-                    lineage=record.msg_id, seqno=record.seqno,
-                    op=type(op).__name__, **_session_args(op),
-                )
-            yield from cpu.use(write_ms)
-            hits_before = self.state.dedup_hits
-            try:
-                result, effects = self.state.apply(op)
-            except (DirectoryError, CapabilityError) as exc:
-                # Same deterministic-failure rule as the singleton
-                # path: the update seqno advances whatever the outcome.
-                self.state.update_seqno += 1
-                self._note_coherent_apply(record, ())
-                finishes.append(
-                    (record, exc, self.state.dedup_hits > hits_before)
-                )
-                continue
-            self._note_coherent_apply(record, invalidation_keys(op))
-            items.append(
-                _BatchItem(
-                    op=op,
-                    effects=effects,
-                    seqno=self.state.update_seqno,
-                    next_object=self.state.next_object,
-                )
-            )
-            finishes.append((record, result, self.state.dedup_hits > hits_before))
-        if items:
-            if tracer.enabled:
-                tracer.emit(
-                    str(self.me), "dir", "dir.persist.start",
-                    lineage=batch[0].msg_id, storage=self.PERSIST_PHASE,
-                    batch=len(items),
-                )
-            yield from self._persist_batch(items, lineage=batch[0].msg_id)
-            if tracer.enabled:
-                tracer.emit(
-                    str(self.me), "dir", "dir.persist.end",
-                    lineage=batch[0].msg_id, storage=self.PERSIST_PHASE,
-                    batch=len(items),
-                )
-        for record, result, dedup in finishes:
-            self._finish_apply(record, result, dedup=dedup)
-
     def _persist_batch(self, items, lineage=None):
         """Disk variant of the batched commit: coalesce the batch down
         to each object's final image, create the Bullet files in
         parallel, then commit the object table in one arm operation.
         The NVRAM variant overrides this with batched log appends."""
         touched: dict[int, int] = {}  # obj -> seqno of its last change
-        deleted: dict[int, _BatchItem] = {}
-        last_delete: _BatchItem | None = None
+        deleted: dict[int, _Applied] = {}
+        last_delete: _Applied | None = None
         for item in items:
             for obj in item.effects.touched:
                 touched[obj] = item.seqno
@@ -838,7 +819,7 @@ class GroupDirectoryServer:
         if self._apply_results.pop(seqno, None) is None:
             self._abandoned_results.add(seqno)
 
-    def _finish_apply(self, record, result, dedup: bool = False) -> None:
+    def _finish_apply(self, record, result, dedup: bool) -> None:
         self._applied_kernel = record.seqno
         self._g_sessions.set(len(self.state.sessions))
         if self._obs.tracer.enabled:

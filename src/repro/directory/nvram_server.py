@@ -55,6 +55,10 @@ class NvramDirectoryServer(GroupDirectoryServer):
     """Group directory server whose commit path is an NVRAM append."""
 
     PERSIST_PHASE = "nvram"
+    #: The commit is per-record programmed I/O — no fixed flush cost to
+    #: share — so holding replies back to top a batch up only delays
+    #: them: one drain per blocking receive, as before.
+    TOP_UP = False
 
     def __init__(self, config, index, transport, bullet_port, admin, nvram: Nvram):
         super().__init__(config, index, transport, bullet_port, admin)

@@ -200,8 +200,14 @@ class GroupMember:
         batching hook: after a blocking :meth:`receive` returns the
         head of a burst, the application grabs the rest of the burst
         here and persists the whole batch in one storage operation.
-        *limit* bounds the drain (``None`` = everything deliverable).
-        Costs zero simulated time and never raises.
+        It may be called any number of times per :meth:`receive` (the
+        directory server tops its batch up until this returns
+        nothing); control records and seqnos replayed after a view
+        change are handed over like any other, for the caller to
+        split on or skip. *limit* bounds the drain (``None`` =
+        everything deliverable). Costs zero simulated time and never
+        raises — on a failed group it returns nothing, and the next
+        ``receive`` reports the failure.
         """
         batch: list[BcRecord] = []
         while limit is None or len(batch) < limit:

@@ -36,6 +36,16 @@ class TestStaleReadHunt:
         )
         assert server_reads >= 1  # misses still go remote under faults
 
+    def test_lapsed_lease_seed_stays_linearizable(self):
+        """Seed 14 lets a reader's lease lapse with its invalidation
+        lost, then renews it through another key: entries filled under
+        the old lease used to become servable again (a stale read)."""
+        verdict = run_scenario(
+            scenario_by_name("stale_read_hunt"), seed=14, smoke=True
+        )
+        assert verdict.ok, verdict.problems
+        assert verdict.report.linearizability_violations == []
+
     def test_same_seed_is_deterministic(self):
         scenario = scenario_by_name("stale_read_hunt")
         first = run_scenario(scenario, seed=3, smoke=True)

@@ -17,9 +17,10 @@ noise.
 
 import pytest
 
-from repro.cluster import GroupServiceCluster
+from repro.cluster import GroupServiceCluster, NvramServiceCluster
 from repro.directory.admin import COMMIT_BLOCK
 from repro.directory.config import ServiceConfig
+from tests.helpers import pin_to_server
 
 
 def run_workload(batch_max, seed=11, trace=False, retry_safe=False):
@@ -57,9 +58,15 @@ def run_workload(batch_max, seed=11, trace=False, retry_safe=False):
     for i in range(6):
         c = add_client(f"w{i}")
         ops.append(lambda c=c, i=i: c.append_row(root, f"row{i}", (subs[0],)))
+    # The initiator mints a new directory's check field from its own
+    # RNG stream, so which replica serves a CreateDir is part of the
+    # outcome: pin both creators to one replica instead of leaving it
+    # to a locate race that batch timing can tip either way.
     c6 = add_client("w6")
+    pin_to_server(c6, cluster, 0)
     ops.append(lambda: c6.create_dir())
     c7 = add_client("w7")
+    pin_to_server(c7, cluster, 0)
     ops.append(lambda: c7.create_dir())
     c8 = add_client("w8")
     ops.append(lambda: c8.delete_dir(subs[1]))
@@ -135,6 +142,7 @@ class TestBatchedUnbatchedEquivalence:
         assert sizes and max(sizes) >= 2, "no multi-record batch ever formed"
 
     def test_batch_max_bounds_batch_size(self, runs):
+        # dir.batch_size is observed at the cut: one sample per flush.
         for server in runs[4].servers:
             hist = runs[4].sim.obs.registry.histogram(
                 str(server.me), "dir.batch_size"
@@ -202,6 +210,201 @@ class TestBatchTracing:
         first = run_workload(16, trace=True)
         second = run_workload(16, trace=True)
         assert trace_tuple(first) == trace_tuple(second)
+
+
+def run_pair_writers(cluster, n_writers, run_ms, extra=None):
+    """*n_writers* closed-loop clients doing append+delete pairs on
+    unique names for *run_ms*, plus an optional *extra* process."""
+    sim = cluster.sim
+    root = cluster.root_capability
+    until = sim.now + run_ms
+
+    def writer(client, i):
+        k = 0
+        while sim.now < until:
+            yield from client.append_row(root, f"w{i}.{k}", ())
+            yield from client.delete_row(root, f"w{i}.{k}")
+            k += 1
+
+    procs = [
+        sim.spawn(writer(cluster.add_client(f"w{i}"), i), f"w{i}")
+        for i in range(n_writers)
+    ]
+    if extra is not None:
+        procs.append(sim.spawn(extra(), "extra"))
+
+    def waiter():
+        for proc in procs:
+            yield proc
+        yield sim.sleep(500.0)
+
+    cluster.run_process(waiter())
+
+
+def traced_cluster(kind=GroupServiceCluster, **kwargs):
+    cluster = kind(seed=5, name="tu", server_threads=8, **kwargs)
+    cluster.start()
+    cluster.wait_operational()
+    cluster.sim.obs.tracer.enable()
+    return cluster
+
+
+def events_by_node(cluster, *names):
+    out = {str(server.me): [] for server in cluster.servers}
+    for e in cluster.sim.obs.tracer.events():
+        if e.name in names and e.node in out:
+            out[e.node].append(e)
+    return out
+
+
+class TestTopUp:
+    """The apply loop keeps draining the kernel while it applies, so
+    requests sequenced behind a convoy leader join its flush."""
+
+    def test_eight_writers_fill_every_flush(self):
+        """Closed loop, 8 writers: all eight requests of a round are
+        sequenced within ~3 ms of each other, well inside the leader's
+        7 ms apply — every flush must carry all eight (the drain-once
+        loop alternated 1-record and 7-record flushes)."""
+        cluster = traced_cluster()
+        started = cluster.sim.now
+        run_pair_writers(cluster, 8, 4_000.0)
+        assert cluster.replicas_consistent()
+        warm = started + 500.0
+        by_node = events_by_node(cluster, "dir.batch", "dir.persist.start")
+        for node, events in by_node.items():
+            sizes = [
+                e.args["size"] for e in events
+                if e.name == "dir.batch" and e.ts > warm
+            ]
+            assert len(sizes) >= 20, node
+            assert set(sizes) == {8}, (node, sorted(set(sizes)))
+            # None took the singleton path: every flush is a batched
+            # persist (the classic commit carries no batch argument).
+            assert all(
+                "batch" in e.args for e in events
+                if e.name == "dir.persist.start" and e.ts > warm
+            ), node
+
+    def test_single_client_is_identical_to_unbatched(self):
+        """A solo op never finds anything to top up: at the default
+        ``batch_max`` every simulated latency, every disk operation
+        and every frame is the ``batch_max=1`` run's — the traces
+        differ only in the dir.batch instants."""
+
+        def solo(**kwargs):
+            cluster = traced_cluster(**kwargs)
+            client = cluster.add_client("solo")
+            root = cluster.root_capability
+            latencies = []
+
+            def work():
+                for k in range(4):
+                    began = cluster.sim.now
+                    yield from client.append_row(root, f"n{k}", ())
+                    yield from client.delete_row(root, f"n{k}")
+                    latencies.append(cluster.sim.now - began)
+                yield cluster.sim.sleep(500.0)
+
+            cluster.run_process(work())
+            trace = [
+                (e.ts, e.node, e.cat, e.name, e.ph, e.dur, e.lineage,
+                 tuple(sorted(e.args.items())))
+                for e in cluster.sim.obs.tracer.events()
+                if e.name != "dir.batch"
+            ]
+            return latencies, trace, cluster.network.stats.full_snapshot()
+
+        default, unbatched = solo(), solo(batch_max=1)
+        assert default[0] == unbatched[0]  # per-op simulated latency
+        assert [t for t in default[1] if t[2] == "disk"] == [
+            t for t in unbatched[1] if t[2] == "disk"
+        ]
+        assert default[2] == unbatched[2]  # frames and bytes by kind
+        assert default[1] == unbatched[1]
+
+    def test_resilience_marker_in_a_top_up_splits_the_batch(self):
+        """A ResilienceChange issued while a batch is being built
+        arrives through a top-up: the batch is cut in front of it, the
+        marker is applied at its own seqno, the next batch starts
+        behind it, and the replicas stay identical."""
+        cluster = traced_cluster()
+        sim = cluster.sim
+        issuer = cluster.servers[1]
+        out = {}
+
+        def marker():
+            yield sim.sleep(1_500.0)
+            # Wait until the group thread is mid-batch (records taken
+            # from the kernel but not yet flushed), then submit.
+            while issuer.member.info().taken - issuer._applied_kernel < 2:
+                yield sim.sleep(1.0)
+            out["seqno"] = yield from issuer.change_resilience(1)
+
+        run_pair_writers(cluster, 8, 3_000.0, extra=marker)
+        seqno = out["seqno"]
+        assert cluster.replicas_consistent()
+        assert cluster.config.resilience == 1
+        by_node = events_by_node(
+            cluster, "dir.batch", "dir.resilience", "grp.deliver",
+            "dir.apply.start",
+        )
+        for node, events in by_node.items():
+            [applied] = [e for e in events if e.name == "dir.resilience"]
+            assert applied.args["seqno"] == seqno, node
+            batches = [e for e in events if e.name == "dir.batch"]
+            assert not [
+                b for b in batches
+                if b.args["first"] <= seqno <= b.args["last"]
+            ], node
+            [before] = [b for b in batches if b.args["last"] == seqno - 1]
+            assert [b for b in batches if b.args["first"] == seqno + 1], node
+            # Delivered by a top-up, not the up-front drain: after the
+            # batch in front of it had started applying, and that
+            # batch was cut the instant the marker turned up.
+            [delivered] = [
+                e for e in events
+                if e.name == "grp.deliver" and e.args["seqno"] == seqno
+            ]
+            [leader] = [
+                e for e in events
+                if e.name == "dir.apply.start"
+                and e.args["seqno"] == before.args["first"]
+            ]
+            assert leader.ts < delivered.ts == before.ts, node
+
+    def test_nvram_backend_drains_once_per_receive(self, monkeypatch):
+        """The NVRAM commit is per-record programmed I/O with no fixed
+        cost to share, so that backend opts out of topping up: at most
+        one receive_ready per blocking receive, as before."""
+        from repro.group.member import GroupMember
+
+        drains = {}  # member -> receive_ready calls since its last receive
+        worst = {"calls": 0}
+        receive, receive_ready = GroupMember.receive, GroupMember.receive_ready
+
+        def counted_receive(member):
+            record = yield from receive(member)
+            drains[member] = 0
+            return record
+
+        def counted_receive_ready(member, limit=None):
+            drains[member] = drains.get(member, 0) + 1
+            worst["calls"] = max(worst["calls"], drains[member])
+            return receive_ready(member, limit)
+
+        monkeypatch.setattr(GroupMember, "receive", counted_receive)
+        monkeypatch.setattr(GroupMember, "receive_ready", counted_receive_ready)
+        cluster = traced_cluster(kind=NvramServiceCluster)
+        run_pair_writers(cluster, 7, 1_500.0)
+        assert cluster.replicas_consistent()
+        sizes = [
+            e.args["size"]
+            for events in events_by_node(cluster, "dir.batch").values()
+            for e in events
+        ]
+        assert max(sizes) >= 2  # it still batches what one drain finds
+        assert worst["calls"] == 1
 
 
 class TestDefaults:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import GroupServiceCluster
 from repro.directory.operations import AppendRow, CreateDir
 from repro.errors import CapabilityError, GroupFailure, NoMajority, ServiceDown
+from repro.group.kernel import BcRecord, ResilienceChange
 
 
 @pytest.fixture
@@ -75,6 +76,53 @@ class TestApplyResultBookkeeping:
         cluster.run_process(work())
         applied = {s._applied_kernel for s in cluster.servers}
         assert applied == {5}  # 6 updates, kernel seqnos 0..5
+
+
+class TestApplyLoopCuts:
+    def test_top_up_splits_at_marker_and_skips_replays(self, cluster):
+        """Scripted top-ups: a control marker in the middle of one and
+        a replayed seqno at the head of the next. The loop must cut in
+        front of the marker, apply it at its own seqno, start a fresh
+        batch behind it and apply the replayed record only once."""
+        server = cluster.servers[0]
+        cluster.sim.obs.tracer.enable()
+        root = cluster.root_capability
+        base = server._applied_kernel
+
+        def record(offset, payload):
+            return BcRecord(base + offset, ("unit", offset), "peer", payload, 64)
+
+        ops = [AppendRow(root, f"n{i}", ()) for i in range(4)]
+        script = [
+            [],  # the up-front drain finds nothing behind the leader
+            [record(2, ops[1]), record(3, ResilienceChange(2)), record(4, ops[2])],
+            [record(4, ops[2]), record(5, ops[3])],
+        ]
+        server.member.receive_ready = (
+            lambda limit=None: script.pop(0) if script else []
+        )
+        cluster.run_process(server._apply_loop(record(1, ops[0])))
+
+        assert server._applied_kernel == base + 5
+        events = [
+            e for e in cluster.sim.obs.tracer.events()
+            if e.node == str(server.me)
+        ]
+        cuts = [
+            (e.name, e.args.get("first", e.args.get("seqno")), e.args.get("last"))
+            for e in events
+            if e.name in ("dir.batch", "dir.resilience")
+        ]
+        assert cuts == [
+            ("dir.batch", base + 1, base + 2),
+            ("dir.resilience", base + 3, None),
+            ("dir.batch", base + 4, base + 5),
+        ]
+        applied = [e for e in events if e.name == "dir.apply.end"]
+        assert [e.args["seqno"] for e in applied] == [
+            base + 1, base + 2, base + 4, base + 5
+        ]
+        assert not any(e.args["failed"] for e in applied)
 
 
 class _FakeHandle:

@@ -46,3 +46,11 @@ class TestBed:
 
     def run_until(self, process):
         return self.sim.run_until_complete(process)
+
+
+def pin_to_server(client, cluster, index):
+    """Pin a directory *client*'s port cache to one replica of
+    *cluster* (no locate race; pinned entries never age)."""
+    client.rpc._kernel.port_cache[cluster.config.port] = [
+        cluster.config.server_addresses[index]
+    ]

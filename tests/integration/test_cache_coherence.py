@@ -11,6 +11,8 @@ pre-cache wire behaviour byte for byte.
 import pytest
 
 from repro.cluster import GroupServiceCluster, NvramServiceCluster
+from repro.net.policy import Drop, LinkFilter
+from tests.helpers import pin_to_server
 
 
 def make_cluster(seed=11, coherence=True, kind=GroupServiceCluster):
@@ -90,6 +92,44 @@ class TestCachedReads:
         cluster.run_process(work())
         assert not out["from_cache_after_lapse"]
         assert out["value_ok"]
+
+    def test_renewed_lease_does_not_resurrect_entries_of_a_lapsed_one(self):
+        """An entry filled under a lease that lapsed stays dead when the
+        same replica grants a new lease: in the gap the replica had
+        written the client off (expiry counts as the ack) and pushed
+        nothing, so the entry may be arbitrarily stale."""
+        cluster = make_cluster()
+        root = cluster.root_capability
+        reader = cluster.add_client("r", cache_size=32)
+        pin_to_server(reader, cluster, 0)  # every lease comes from replica 0
+        lost = cluster.network.add_policy(
+            Drop(
+                "lose-inval",
+                LinkFilter(dst=reader.transport.address, kind="cache.inval"),
+            )
+        )
+        out = {}
+
+        def work():
+            writer = cluster.add_client("w")
+            target = yield from writer.create_dir()
+            yield from writer.append_row(root, "old", (target,))
+            yield from writer.append_row(root, "other", (target,))
+            yield from reader.lookup(root, "old")  # filled under lease A
+            granted = cluster.sim.now
+            # The invalidation never arrives, so the delete's barrier
+            # is released by lease A running out — on both sides.
+            yield from writer.delete_row(root, "old")
+            out["lapsed"] = cluster.sim.now - granted >= cluster.config.cache_lease_ms
+            yield from reader.lookup(root, "other")  # lease B, same replica
+            out["old"] = yield from reader.lookup(root, "old")
+            out["old_from_cache"] = reader.last_lookup_from_cache
+
+        cluster.run_process(work())
+        assert lost.dropped >= 1
+        assert out["lapsed"]
+        assert not out["old_from_cache"]
+        assert out["old"] is None
 
     def test_cached_client_against_plain_deployment_downgrades(self):
         """A cache-enabled client talking to servers without coherence

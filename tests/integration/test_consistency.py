@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import GroupServiceCluster
 from repro.errors import AlreadyExists, NotFound, ReproError
+from tests.helpers import pin_to_server
 
 
 @pytest.fixture
@@ -18,12 +19,6 @@ def cluster():
     c.start()
     c.wait_operational()
     return c
-
-
-def pin_to_server(client, cluster, index):
-    client.rpc._kernel.port_cache[cluster.config.port] = [
-        cluster.config.server_addresses[index]
-    ]
 
 
 class TestConflictingWrites:
