@@ -1,18 +1,24 @@
-"""Raw simulator speed — sim-events/s the host chews through.
+"""Raw simulator speed — what the host pays per completed operation.
 
 Every scale-out item on the roadmap (namespace sharding, pipelined
 dissemination, 5k-client reads) multiplies simulated event counts;
-this benchmark is the committed record of how fast the event loop is
-and the CI gate that keeps it that way. Running the file as a script
-regenerates ``BENCH_sim.json`` and can gate on a committed baseline:
+this benchmark is the committed record of how fast the simulator runs
+a fixed workload and the CI gate that keeps it that way. Running the
+file as a script regenerates ``BENCH_sim.json`` and can gate on a
+committed baseline:
 
     PYTHONPATH=src python benchmarks/bench_sim.py \
         --out BENCH_sim.json --check-against BENCH_sim.json
 
-Absolute sim-events/s depends on the host, so the gate compares
-*normalized* throughput: events/s divided by a pure-Python calibration
-loop measured in the same process. The ratio cancels host speed; a
->10% drop in it is a real event-loop regression, not a slower runner.
+The gate is host time per completed operation, not events/s: a change
+that stops scheduling events nobody needed makes the run cheaper while
+events/s *falls* (the events it removes are the cheapest ones), and a
+change that adds cheap events does the opposite. sim-events/s and the
+scheduled-event count stay in the file as reported fields. Absolute
+host time depends on the host, so the gate compares *normalized* cost:
+host time per op measured in iterations of a pure-Python calibration
+loop run in the same process. The ratio cancels host speed; a >10%
+rise in it is a real regression, not a slower runner.
 
 Scenarios come from :mod:`repro.bench.simbench` (the same ones
 ``python -m repro perf`` profiles); the timed runs here attach **no**
@@ -104,6 +110,11 @@ def measure_cell(
     }
 
 
+def normalized_host_per_op(cell: dict, calibration_loops_per_s: float) -> float:
+    """Host cost of one completed op, in calibration-loop iterations."""
+    return cell["wall_ms"] / 1e3 / cell["ops"] * calibration_loops_per_s
+
+
 def run_matrix(scales, seed: int = 0, repeats: int = 2) -> dict:
     cells: dict = {}
     for scale in scales:
@@ -148,14 +159,14 @@ def test_sim_speed_matches_committed_baseline():
     baseline = json.loads(baseline_path.read_text())
     cal = _calibration_loops_per_s()
     cell = measure_cell("small", obs_on=False, repeats=2)
-    old = (
-        baseline["scales"]["small"]["obs_off"]["events_per_s"]
-        / baseline["calibration_loops_per_s"]
+    old = normalized_host_per_op(
+        baseline["scales"]["small"]["obs_off"],
+        baseline["calibration_loops_per_s"],
     )
-    new = cell["events_per_s"] / cal
-    assert new >= old * 0.65, (
-        f"normalized sim-events/s {new:.4f} regressed >35% against "
-        f"committed {old:.4f}"
+    new = normalized_host_per_op(cell, cal)
+    assert new <= old * 1.35, (
+        f"normalized host time per op {new:.0f} regressed >35% against "
+        f"committed {old:.0f}"
     )
 
 
@@ -172,7 +183,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-against", default=None,
-        help="baseline JSON to gate normalized sim-events/s against",
+        help="baseline JSON to gate normalized host time per op against",
     )
     parser.add_argument("--max-regression", type=float, default=0.10)
     parser.add_argument("--seed", type=int, default=0)
@@ -197,26 +208,26 @@ def main(argv=None) -> int:
         cell["obs_overhead_pct"] = round(
             (off["events_per_s"] / on["events_per_s"] - 1.0) * 100, 1
         )
-        cell["normalized_events_per_s"] = round(
-            off["events_per_s"] / calibration, 4
+        cell["normalized_host_per_op"] = round(
+            normalized_host_per_op(off, calibration), 1
         )
 
     status = 0
     if args.check_against:
         baseline = json.loads(pathlib.Path(args.check_against).read_text())
         old_cal = baseline["calibration_loops_per_s"]
-        floor = 1.0 - args.max_regression
+        ceiling = 1.0 + args.max_regression
         for scale in scales:
             if scale not in baseline.get("scales", {}):
                 continue
-            old = (
-                baseline["scales"][scale]["obs_off"]["events_per_s"] / old_cal
+            old = normalized_host_per_op(
+                baseline["scales"][scale]["obs_off"], old_cal
             )
-            new = cells[scale]["obs_off"]["events_per_s"] / calibration
-            verdict = "ok" if new >= old * floor else "REGRESSED"
+            new = normalized_host_per_op(cells[scale]["obs_off"], calibration)
+            verdict = "ok" if new <= old * ceiling else "REGRESSED"
             print(
-                f"{scale}: normalized events/s {new:.4f} "
-                f"(baseline {old:.4f}, floor {old * floor:.4f}) {verdict}"
+                f"{scale}: normalized host time per op {new:.0f} "
+                f"(baseline {old:.0f}, ceiling {old * ceiling:.0f}) {verdict}"
             )
             if verdict != "ok":
                 status = 1

@@ -3,8 +3,14 @@
 Every simulated machine attaches one :class:`Nic`. Sending costs
 simulated time per the :class:`~repro.sim.latency.NetworkLatency`
 model; a multicast is *one* frame on the wire (as with Ethernet
-hardware multicast, which Amoeba's FLIP exploits) delivered to every
-reachable NIC.
+hardware multicast, which Amoeba's FLIP exploits) taken only by the
+NICs that listen for its kind. The frame kind plays the role of the
+multicast address: ``grp.<group>.*`` kinds are a FLIP group address,
+``rpc.locate`` is the address every machine with a server endpoint
+listens on. A NIC that does not listen costs the sender, the wire and
+the simulator nothing — no delivery event, no link meter, no policy
+draw. A raw :class:`Nic` nobody has put a demultiplexer on is
+promiscuous and takes every multicast.
 
 Failure model, mirroring the paper's assumptions:
 
@@ -25,7 +31,8 @@ forms while a frame is in flight drops the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
+from functools import partial
+from typing import Any, Container, Hashable, Iterable
 
 from repro.errors import NetworkError
 from repro.net.policy import LinkContext, LinkDecision, LinkPolicy
@@ -131,6 +138,11 @@ class Network:
         # Ethernet segment serializes frames, so delivery between a
         # given pair is FIFO even with per-packet jitter.
         self._last_arrival: dict[tuple[Address, Address], float] = {}
+        # Per sender: latest arrival time of any multicast it put on
+        # the wire. A multicast occupies the cable whether or not a
+        # given NIC takes it, so a later frame from the same sender is
+        # FIFO behind it even at a NIC that ignored it.
+        self._multicast_horizon: dict[Address, float] = {}
 
     # -- topology --------------------------------------------------------
 
@@ -226,9 +238,15 @@ class Network:
         wire_ms = self.latency.network.transmit_time(size)
         self._c_wire.inc(wire_ms)
         delay = wire_ms + self._jitter()
+        horizon = self._multicast_horizon.get(src, 0.0)
         if dst == BROADCAST:
-            receivers: Iterable[Address] = [a for a in self._nics if a != src]
+            receivers: Iterable[Address] = [
+                address
+                for address, nic in self._nics.items()
+                if nic is not src_nic and nic.listens(kind)
+            ]
             multicast = True
+            self._multicast_horizon[src] = max(horizon, self.sim.now + delay)
         else:
             receivers = [dst]
             multicast = False
@@ -262,7 +280,6 @@ class Network:
                 self.stats.frames_duplicated += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
-            packet = Packet(src, receiver, kind, payload, size, multicast)
             pair = (src, receiver)
             link = self._link_meters.get(pair)
             if link is None:
@@ -274,7 +291,7 @@ class Network:
                 self._link_meters[pair] = link
             link[0].inc(size)
             link[1].inc(wire_ms)
-            previous = self._last_arrival.get(pair, 0.0)
+            previous = max(self._last_arrival.get(pair, 0.0), horizon)
             if decision is not None and decision.allow_reorder:
                 # Exempt from per-pair FIFO: this delivery may be
                 # overtaken by later frames (bounded by the policy's
@@ -286,10 +303,14 @@ class Network:
                 if arrival < previous:
                     arrival = previous  # keep per-pair delivery FIFO
                 self._last_arrival[pair] = arrival
+            # A delivery is never cancelled (crash and partition are
+            # judged at arrival), so it needs no Timer handle.
+            deliver = partial(
+                self._deliver,
+                Packet(src, receiver, kind, payload, size, multicast),
+            )
             for _ in range(copies):
-                self.sim.schedule(
-                    arrival - self.sim.now, lambda p=packet: self._deliver(p)
-                )
+                self.sim._post_in(arrival - self.sim.now, deliver)
 
     def _deliver(self, packet: Packet) -> None:
         tracer = self._obs.tracer
@@ -384,6 +405,8 @@ class Nic:
     Frames arrive on :attr:`inbox` (a :class:`Channel` of
     :class:`Packet`); protocol layers either drain it themselves or
     spawn a demultiplexer process (see :mod:`repro.rpc.transport`).
+    Unicast frames addressed to the NIC always arrive; multicast
+    frames arrive only for the kinds in :attr:`interest`.
     """
 
     def __init__(self, network: Network, address: Address):
@@ -391,6 +414,12 @@ class Nic:
         self.address = address
         self.up = True
         self.inbox = Channel(f"nic({address}).inbox")
+        #: The frame kinds this NIC takes off the wire when they are
+        #: multicast — its multicast address filter. ``None`` (a raw
+        #: NIC) is promiscuous. A demultiplexer installs its *live*
+        #: handler table here, so registering a handler is what joins
+        #: the multicast address.
+        self.interest: Container[str] | None = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -411,10 +440,14 @@ class Nic:
         self.network.transmit(self.address, dst, kind, payload, size)
 
     def broadcast(self, kind: str, payload: Any, size: int = 128) -> None:
-        """Multicast one frame to every other attached NIC."""
+        """Multicast one frame to every other NIC listening for *kind*."""
         self.network.transmit(self.address, BROADCAST, kind, payload, size)
 
     # -- receiving ---------------------------------------------------------
+
+    def listens(self, kind: str) -> bool:
+        """Whether a multicast frame of *kind* is taken by this NIC."""
+        return self.interest is None or kind in self.interest
 
     def recv(self):
         """Future resolving with the next delivered :class:`Packet`."""

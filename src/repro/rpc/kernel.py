@@ -74,7 +74,6 @@ class RpcKernel:
         self._next_txid = 0
         self._next_locate = 0
         for kind, handler in [
-            (KIND_LOCATE, self._on_locate),
             (KIND_HEREIS, self._on_hereis),
             (KIND_REQUEST, self._on_request),
             (KIND_REPLY, self._on_reply),
@@ -87,6 +86,9 @@ class RpcKernel:
     # -- server registry ---------------------------------------------------
 
     def register_server(self, port: Port, endpoint: "ServerEndpoint") -> None:
+        # Only a machine that serves some port listens on the locate
+        # multicast address; pure clients never see locate broadcasts.
+        self.transport.register(KIND_LOCATE, self._on_locate)
         self._servers[port] = endpoint
 
     def unregister_server(self, port: Port) -> None:

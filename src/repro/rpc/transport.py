@@ -6,6 +6,12 @@ to the handler registered for the packet's ``kind``. The RPC client,
 RPC server, and group-communication kernel all register handlers on
 the same transport, exactly as they share one FLIP instance inside an
 Amoeba kernel.
+
+The handler table is also the NIC's multicast address filter
+(:attr:`repro.net.network.Nic.interest`): a multicast frame reaches
+this machine only if some handler is registered for its kind, so
+``dropped_unroutable`` counts unicast frames (and multicasts whose
+handler was withdrawn while they were in flight).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ class Transport:
         self.nic = nic
         self.cpu = cpu or Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
         self._handlers: dict[str, Callable[[Packet], None]] = {}
+        nic.interest = self._handlers  # live: see the module docstring
         self._pump = None
         self.dropped_unroutable = 0
         self.start()
@@ -43,11 +50,14 @@ class Transport:
     # -- handler registry ---------------------------------------------------
 
     def register(self, kind: str, handler: Callable[[Packet], None]) -> None:
-        """Route packets of *kind* to *handler* (replacing any previous)."""
+        """Route packets of *kind* to *handler* (replacing any previous).
+
+        This also makes the NIC take multicast frames of *kind* — for a
+        ``grp.<group>.*`` kind, joining the group's FLIP address."""
         self._handlers[kind] = handler
 
     def unregister(self, kind: str) -> None:
-        """Stop routing packets of *kind*."""
+        """Stop routing packets of *kind* (and taking its multicasts)."""
         self._handlers.pop(kind, None)
 
     # -- lifecycle ------------------------------------------------------------
@@ -69,7 +79,7 @@ class Transport:
     def restart(self) -> None:
         """Bring the stack back up after a crash. Handlers must be
         re-registered by the restarted services."""
-        self._handlers = {}
+        self._handlers.clear()
         kernel = getattr(self, "_rpc_kernel", None)
         if kernel is not None:
             kernel.attached = False  # force a fresh RPC kernel after reboot

@@ -41,15 +41,18 @@ _new_sim_hooks: list[Callable[["Simulator"], None]] = []
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("when", "cancelled")
+    __slots__ = ("when", "cancelled", "_sim")
 
-    def __init__(self, when: float):
+    def __init__(self, when: float, sim: "Simulator"):
         self.when = when
         self.cancelled = False
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if already ran)."""
-        self.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
+            self._sim._note_cancelled()
 
 
 class Simulator:
@@ -64,7 +67,11 @@ class Simulator:
         # per-event Timer allocation entirely.
         self._heap: list[tuple[float, int, Timer | None, Callable[[], None]]] = []
         self._sequence = 0
-        self._processes: list[Process] = []
+        # Upper bound on the cancelled entries still in the heap: the
+        # cancel() calls since the heap was last purged of them.
+        self._cancelled = 0
+        # Insertion-ordered set of the processes still running.
+        self._processes: dict[Process, None] = {}
         self.trace: list[tuple[float, str]] | None = None
         #: Metrics registry + causal trace recorder (see repro.obs).
         self.obs = Observability(self)
@@ -80,10 +87,28 @@ class Simulator:
         """Run ``fn()`` after *delay* simulated milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
-        timer = Timer(self.now + delay)
+        timer = Timer(self.now + delay, self)
         heapq.heappush(self._heap, (timer.when, self._sequence, timer, fn))
         self._sequence += 1
         return timer
+
+    def _note_cancelled(self) -> None:
+        """Purge cancelled entries once they are most of the heap.
+
+        A cancelled entry otherwise stays (with its callback and
+        everything the callback references) until its deadline comes
+        up — every settled 4 s RPC timeout would sit there for 4 s.
+        Pop order is fixed by ``(when, seq)``, so purging never changes
+        a schedule. In place: the run loops hold the list.
+        """
+        self._cancelled += 1
+        if self._cancelled * 2 > len(self._heap):
+            self._heap[:] = [
+                entry for entry in self._heap
+                if entry[2] is None or not entry[2].cancelled
+            ]
+            heapq.heapify(self._heap)
+            self._cancelled = 0
 
     def call_soon(self, fn: Callable[[], None]) -> Timer:
         """Run ``fn()`` at the current instant, after pending same-time events."""
@@ -149,7 +174,8 @@ class Simulator:
         settles with the generator's return value.
         """
         process = Process(self, gen, name)
-        self._processes.append(process)
+        self._processes[process] = None
+        process.add_callback(self._processes.pop)
         self._post(process._step_initial)
         return process
 
@@ -306,4 +332,4 @@ class Simulator:
 
     def alive_processes(self) -> Iterable[Process]:
         """Processes that have not yet finished."""
-        return [p for p in self._processes if not p.resolved]
+        return list(self._processes)

@@ -40,6 +40,57 @@ class TestScheduling:
         sim.run()
         assert fired == []
 
+    def test_settled_timeouts_leave_a_bounded_heap(self):
+        """Regression: every settled ``sim.timeout`` left its cancelled
+        Timer (closure and wrapped future attached) in the heap until
+        the deadline; 10k RPCs with a 4 s reply timeout kept 10k dead
+        entries."""
+        sim = Simulator()
+
+        def caller():
+            for _ in range(10_000):
+                yield sim.timeout(sim.sleep(0.1), 4_000.0)
+                assert len(sim._heap) <= 4
+
+        sim.run_until_complete(sim.spawn(caller()))
+        assert sim.now < 4_000.0  # none of the deadlines has come up
+        assert sim.pending_events() == 0
+
+    def test_purging_cancelled_timers_keeps_the_schedule(self):
+        """Cancelling most of the heap rebuilds it mid-run; what is
+        left still fires in (when, scheduling order)."""
+
+        def run(cancel):
+            sim = Simulator()
+            order = []
+            timers = [
+                sim.schedule(1.0 + i % 7, lambda i=i: order.append(i))
+                for i in range(100)
+            ]
+            # From inside an event, so the run loop is mid-iteration.
+            sim.call_soon(
+                lambda: [timers[i].cancel() for i in range(100) if i % 4]
+                if cancel else None
+            )
+            sim.run()
+            return order
+
+        kept = [i for i in run(cancel=False) if i % 4 == 0]
+        assert run(cancel=True) == kept
+
+    def test_cancel_after_firing_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        timers = [sim.schedule(1.0, lambda: fired.append(1)) for _ in range(3)]
+        keeper = sim.schedule(5.0, lambda: fired.append(2))
+        sim.run(until=2.0)
+        for timer in timers:
+            timer.cancel()
+            timer.cancel()
+        sim.run()
+        assert fired == [1, 1, 1, 2]
+        assert not keeper.cancelled
+
     def test_run_until_stops_clock_at_bound(self):
         sim = Simulator()
         fired = []
@@ -245,6 +296,44 @@ class TestProcesses:
         assert process in sim.alive_processes()
         sim.run()
         assert process not in sim.alive_processes()
+
+    def test_finished_processes_are_dropped(self):
+        """The simulator holds live processes only: resolved, failed
+        and killed ones all leave, so a long run does not keep every
+        per-flush helper process it ever spawned."""
+        sim = Simulator()
+
+        def short():
+            yield sim.sleep(1.0)
+
+        def failing():
+            yield sim.sleep(1.0)
+            raise ValueError("boom")
+
+        def forever():
+            while True:
+                yield sim.sleep(1.0)
+
+        for _ in range(1_000):
+            sim.spawn(short())
+        sim.spawn(failing())
+        victim = sim.spawn(forever(), "victim")
+        survivor = sim.spawn(forever(), "survivor")
+        sim.run(until=5.0)
+        victim.kill()
+        assert sim.alive_processes() == [survivor]
+        assert len(sim._processes) == 1
+
+    def test_alive_processes_keep_spawn_order(self):
+        sim = Simulator()
+
+        def proc(ms):
+            yield sim.sleep(ms)
+
+        a, b, c = (sim.spawn(proc(ms)) for ms in (30.0, 10.0, 20.0))
+        assert sim.alive_processes() == [a, b, c]
+        sim.run(until=15.0)
+        assert sim.alive_processes() == [a, c]
 
 
 class TestDeterminism:
