@@ -329,7 +329,12 @@ class GroupServiceCluster(BaseCluster):
             site.dir_transport,
             site.bullet.port,
             admin,
+            nvram=self._board(site),
         )
+
+    def _board(self, site: Site):
+        """The site's NVRAM board, for deployments that have one."""
+        return None
 
     @property
     def service_port(self):
@@ -543,33 +548,17 @@ class NvramServiceCluster(GroupServiceCluster):
         self._nvram_bytes = nvram_bytes
         super().__init__(*args, **kwargs)
 
-    def _make_server(self, site: Site):
-        from repro.directory.nvram_server import NvramDirectoryServer
+    def _board(self, site: Site):
         from repro.storage.nvram import PAPER_NVRAM_BYTES, Nvram
 
-        nvram = getattr(site, "nvram", None)
-        if nvram is None:
-            nvram = Nvram(
+        if getattr(site, "nvram", None) is None:
+            site.nvram = Nvram(  # the board survives server restarts
                 self.sim,
                 capacity_bytes=self._nvram_bytes or PAPER_NVRAM_BYTES,
                 name=f"{self.name}.nvram{site.index}",
                 integrity=self.integrity,
             )
-            site.nvram = nvram  # the board survives server restarts
-        admin = AdminPartition(
-            site.partition,
-            site.index,
-            self.config.n_servers,
-            session_blocks=self.config.session_blocks,
-        )
-        return NvramDirectoryServer(
-            self.config,
-            site.index,
-            site.dir_transport,
-            site.bullet.port,
-            admin,
-            nvram,
-        )
+        return site.nvram
 
 
 class RpcServiceCluster(BaseCluster):
@@ -603,15 +592,18 @@ class RpcServiceCluster(BaseCluster):
                 **config_overrides,
             )
         self.config = config
+        for site in self.sites:
+            site.server = self._make_server(site)
+
+    def _make_server(self, site: Site):
         from repro.directory.rpc_server import RpcDirectoryServer
 
-        for site in self.sites:
-            admin = AdminPartition(
+        admin = AdminPartition(
             site.partition, site.index, 2, session_blocks=self.config.session_blocks
         )
-            site.server = RpcDirectoryServer(
-                self.config, site.index, site.dir_transport, site.bullet.port, admin
-            )
+        return RpcDirectoryServer(
+            self.config, site.index, site.dir_transport, site.bullet.port, admin
+        )
 
     @property
     def service_port(self):
@@ -643,16 +635,9 @@ class RpcServiceCluster(BaseCluster):
     def restart_server(self, index: int):
         """Reboot one RPC directory server; it refreshes from its peer
         (or its own disk when the peer is unreachable)."""
-        from repro.directory.rpc_server import RpcDirectoryServer
-
         site = self.sites[index]
         site.dir_transport.restart()
-        admin = AdminPartition(
-            site.partition, site.index, 2, session_blocks=self.config.session_blocks
-        )
-        site.server = RpcDirectoryServer(
-            self.config, site.index, site.dir_transport, site.bullet.port, admin
-        )
+        site.server = self._make_server(site)
         site.server.start()
         return site.server
 

@@ -10,11 +10,14 @@ service (the operations of the paper's Fig. 2):
 * :class:`~repro.directory.rpc_server.RpcDirectoryServer` — the
   previous Amoeba implementation: duplicated, intentions lists over
   RPC, lazy replication, no partition tolerance;
-* :class:`~repro.directory.nvram_server.NvramDirectoryServer` — the
-  group implementation with the 24 KB NVRAM write log replacing disk
-  writes in the critical path;
+* the same ``GroupDirectoryServer`` built with an NVRAM board: its
+  store is then a :class:`~repro.directory.store.NvramLog` — the 24 KB
+  write log replacing disk writes in the critical path;
 * :class:`~repro.directory.nfs_server.NfsDirectoryServer` — a
   single-copy SunOS/NFS-like baseline with no fault tolerance.
+
+The group and RPC servers make directories durable through one
+:class:`~repro.directory.store.DirectoryStore` each.
 
 Clients use :class:`~repro.directory.client.DirectoryClient` against
 any of them. Whole deployments (servers + Bullet servers + disks +

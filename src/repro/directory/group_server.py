@@ -47,9 +47,9 @@ from repro.directory.operations import (
 )
 from repro.directory.recovery import RecoveryOutcome, run_recovery
 from repro.directory.state import DirectoryState
+from repro.directory.store import Change, DirectoryStore, NvramLog
 from repro.errors import (
     CapabilityError,
-    CorruptBlock,
     DirectoryError,
     GroupFailure,
     GroupResetFailed,
@@ -66,37 +66,24 @@ from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import Transport
 from repro.storage.bullet import BulletClient
+from repro.storage.nvram import Nvram
 
 
 @dataclasses.dataclass
 class _Applied:
-    """One applied-but-unflushed record of the batch being built, with
-    the state-machine counters captured at its apply point (the values
-    its persisted artifacts must carry). *effects* is None when the op
-    failed deterministically: nothing to persist, only a reply owed."""
+    """One applied-but-unflushed record of the batch being built: the
+    reply owed, and what the store must make durable first."""
 
     record: object
     result: object
     dedup: bool
-    effects: object = None
-    seqno: int = 0
-    next_object: int = 0
-
-    @property
-    def op(self) -> DirectoryOp:
-        return self.record.payload
+    change: Change
 
 
 class GroupDirectoryServer:
-    """One replica of the triplicated group directory service."""
-
-    #: Storage class charged for _persist_effects (trace attribution);
-    #: the NVRAM variant overrides this with "nvram".
-    PERSIST_PHASE = "disk"
-    #: Keep topping the batch up while records are applied? Pays where
-    #: a flush has a fixed cost to share (the disk's seek + commit
-    #: write); the NVRAM variant's per-record programmed I/O has none.
-    TOP_UP = True
+    """One replica of the triplicated group directory service. With an
+    *nvram* board its store is the board's log in front of the disk
+    (the paper's section 4.1 variant); nothing else differs."""
 
     def __init__(
         self,
@@ -105,6 +92,7 @@ class GroupDirectoryServer:
         transport: Transport,
         bullet_port,
         admin: AdminPartition,
+        nvram: Nvram | None = None,
     ):
         self.config = config
         self.index = index
@@ -126,8 +114,6 @@ class GroupDirectoryServer:
         self.rpc_client = RpcClient(
             transport, RpcTimings(reply_timeout_ms=2_000.0, max_attempts=3)
         )
-        self.bullet = BulletClient(self.rpc_client, bullet_port)
-
         #: Serving requests? False during boot and recovery.
         self.operational = False
         #: Sequence number derivable from the disk as it was at boot
@@ -189,7 +175,15 @@ class GroupDirectoryServer:
         #: Synthetic per-read lineage counter (reads never enter the
         #: group, so they mint their own trace correlation ids).
         self._read_seq = 0
+        #: Set to make an NVRAM log flush at its next poll whatever the
+        #: load (tests crash replicas mid-flush with this).
+        self._flush_requested = False
         self._configure_state(self.state)
+        disk = DirectoryStore(
+            self, admin, BulletClient(self.rpc_client, bullet_port), f"dir.{index}"
+        )
+        #: Where applied updates become durable.
+        self.store = disk if nvram is None else NvramLog(disk, nvram)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -210,10 +204,7 @@ class GroupDirectoryServer:
             self._processes.append(
                 spawn(self.coherence.sweeper(), f"dir.{self.index}.coherence")
             )
-        if self.config.integrity and self.config.scrub_interval_ms > 0:
-            self._processes.append(
-                spawn(self._scrubber(), f"dir.{self.index}.scrub")
-            )
+        self._processes.extend(self.store.spawn_background())
 
     def crash(self) -> None:
         """Fail-stop crash of this server's machine-resident state.
@@ -227,6 +218,15 @@ class GroupDirectoryServer:
         for process in self._processes:
             process.kill(f"dir.{self.index} crash")
         self._processes = []
+
+    def scrub_now(self) -> None:
+        """Kick one immediate scrub pass (the remediation hook)."""
+        if self.alive:
+            self._processes.append(
+                self.sim.spawn(
+                    self.store.scrub_once(), f"dir.{self.index}.scrub-now"
+                )
+            )
 
     # ------------------------------------------------------------------
     # majority rule
@@ -456,7 +456,7 @@ class GroupDirectoryServer:
         self._c_dedup_hits.inc()
         self._c_cache_hits.inc()
 
-    def _adopt_state(self, state: DirectoryState) -> None:
+    def adopt_state(self, state: DirectoryState) -> None:
         """Install *state* (from a recovery snapshot or a disk
         rebuild) as this replica's live state."""
         self._configure_state(state)
@@ -492,8 +492,8 @@ class GroupDirectoryServer:
         then persist their net effect in one flush.
 
         Each pass drains the kernel (zero-cost) and applies what it
-        holds. Every backend gets the first drain; only one that shares
-        a fixed flush cost (TOP_UP) drains again after the applies, so
+        holds. Every store gets the first drain; only one whose commit
+        has a fixed cost to share drains again after the applies, so
         requests sequenced meanwhile join this flush instead of
         waiting out a whole one of their own. The batch is
         cut when the kernel runs dry, at ``batch_max``, or at a control
@@ -511,7 +511,7 @@ class GroupDirectoryServer:
             room = batch_max - len(batch) - len(pending)
             if drain and room > 0:
                 pending.extend(self.member.receive_ready(room))
-                drain = self.TOP_UP
+                drain = self.store.SHARED_COMMIT_COST
             if not pending:
                 break
             while pending:
@@ -623,180 +623,47 @@ class GroupDirectoryServer:
             # counters aligned.
             self.state.update_seqno += 1
             self._note_coherent_apply(record, ())  # changed nothing
-            return _Applied(record, exc, self.state.dedup_hits > hits_before)
+            return _Applied(
+                record, exc, self.state.dedup_hits > hits_before, Change(op, None)
+            )
         self._note_coherent_apply(record, invalidation_keys(op))
         return _Applied(
             record, result, self.state.dedup_hits > hits_before,
-            effects, self.state.update_seqno, self.state.next_object,
+            Change(op, effects, self.state.update_seqno, self.state.next_object),
         )
 
     def _cut(self, batch):
         """Flush *batch* and release its replies in order, leaving it
-        empty. One record takes the classic two-write commit — with
-        ``batch_max=1`` bit-for-bit the unbatched server, and under
-        light load the paper's single-client latency; two or more are
-        persisted as one unit. Replies (via _finish_apply) go out only
-        after the flush, so the per-client guarantee is exactly the
-        unbatched one."""
+        empty. The store commits it as one unit (a single record the
+        classic way — with ``batch_max=1`` bit-for-bit the unbatched
+        server, and under light load the paper's single-client
+        latency). Replies (via _finish_apply) go out only after the
+        flush, so the per-client guarantee is exactly the unbatched
+        one."""
         if not batch:
             return
         if self.config.batch_max > 1:
             self._note_batch(batch)
-        items = [applied for applied in batch if applied.effects is not None]
-        if items:
+        cut = [applied.change for applied in batch]
+        persisted = sum(1 for change in cut if change.effects is not None)
+        if persisted:
             tracer = self._obs.tracer
             lineage = batch[0].record.msg_id
-            args = {"batch": len(items)} if len(batch) > 1 else {}
+            args = {"batch": persisted} if len(batch) > 1 else {}
             if tracer.enabled:
                 tracer.emit(
                     str(self.me), "dir", "dir.persist.start",
-                    lineage=lineage, storage=self.PERSIST_PHASE, **args,
+                    lineage=lineage, storage=self.store.MEDIUM, **args,
                 )
-            if len(batch) == 1:
-                yield from self._persist_effects(
-                    items[0].op, items[0].effects, lineage=lineage
-                )
-            else:
-                yield from self._persist_batch(items, lineage=lineage)
+            yield from self.store.commit(cut, lineage=lineage)
             if tracer.enabled:
                 tracer.emit(
                     str(self.me), "dir", "dir.persist.end",
-                    lineage=lineage, storage=self.PERSIST_PHASE, **args,
+                    lineage=lineage, storage=self.store.MEDIUM, **args,
                 )
         for applied in batch:
             self._finish_apply(applied.record, applied.result, applied.dedup)
         batch.clear()
-
-    def _persist_effects(self, op, effects, lineage=None):
-        """Storage follow-up: a new Bullet file per touched directory,
-        then the object-table entry (the commit); the old file is
-        removed off the critical path. The NVRAM variant overrides
-        this with a log append. *lineage* stamps every storage-layer
-        trace event with the originating group message id."""
-        for obj in effects.touched:
-            data = self.state.directories[obj].to_bytes()
-            old_entry = self.admin.entries.get(obj)
-            new_cap = yield from self.bullet.create(data, lineage=lineage)
-            yield from self.admin.store_entry(
-                obj, new_cap, self.state.update_seqno, self.state.checks[obj],
-                lineage=lineage,
-            )
-            if old_entry is not None:
-                self._remove_bullet_file_later(old_entry[0])
-        for obj in effects.deleted:
-            old_entry = self.admin.entries.get(obj)
-            yield from self.admin.remove_entry(
-                obj, self.state.update_seqno, self.state.next_object,
-                lineage=lineage,
-            )
-            if old_entry is not None:
-                self._remove_bullet_file_later(old_entry[0])
-        # Session records go last: if the crash hits between the data
-        # write and the session write, a retry re-executes (visible,
-        # at worst, as a deterministic AlreadyExists) — the reverse
-        # order could silently drop an acknowledged update.
-        for client_id in effects.sessions:
-            entry = self.state.sessions.get(client_id)
-            if entry is not None:
-                yield from self.admin.store_session(
-                    client_id, entry, lineage=lineage
-                )
-
-    def _persist_batch(self, items, lineage=None):
-        """Disk variant of the batched commit: coalesce the batch down
-        to each object's final image, create the Bullet files in
-        parallel, then commit the object table in one arm operation.
-        The NVRAM variant overrides this with batched log appends."""
-        touched: dict[int, int] = {}  # obj -> seqno of its last change
-        deleted: dict[int, _Applied] = {}
-        last_delete: _Applied | None = None
-        for item in items:
-            for obj in item.effects.touched:
-                touched[obj] = item.seqno
-                deleted.pop(obj, None)
-            for obj in item.effects.deleted:
-                # Deleted later in the same batch: intermediate images
-                # are never written (object numbers are not reused, so
-                # delete-then-recreate cannot occur).
-                touched.pop(obj, None)
-                deleted[obj] = item
-                last_delete = item
-        store_objs = sorted(touched)
-        removal_objs = sorted(deleted)
-        old_caps = [
-            self.admin.entries[obj][0]
-            for obj in store_objs + removal_objs
-            if obj in self.admin.entries
-        ]
-        caps = yield from self._create_bullet_files(store_objs, lineage=lineage)
-        stores = [
-            (obj, caps[obj], touched[obj], self.state.checks[obj])
-            for obj in store_objs
-        ]
-        yield from self.admin.commit_batch(
-            stores,
-            removal_objs,
-            commit_seqno=last_delete.seqno if last_delete else None,
-            commit_next_object=last_delete.next_object if last_delete else None,
-            session_stores=self._batch_session_stores(items),
-            lineage=lineage,
-        )
-        for cap in old_caps:
-            self._remove_bullet_file_later(cap)
-
-    def _batch_session_stores(self, items):
-        """The batch's final session record per client (first-touch
-        order, matching block allocation in the singleton path).
-        Clients LRU-evicted by a later op in the same batch are
-        skipped — their disk blocks get reclaimed on demand."""
-        stores: dict[str, object] = {}
-        for item in items:
-            for client_id in item.effects.sessions:
-                entry = self.state.sessions.get(client_id)
-                if entry is not None:
-                    stores[client_id] = entry
-                else:
-                    stores.pop(client_id, None)
-        return list(stores.items())
-
-    def _create_bullet_files(self, objs, lineage=None):
-        """One Bullet create per touched directory, pipelined: the
-        creates are spawned together so their RPCs and the Bullet
-        server's threads overlap, and the batch pays roughly one
-        disk pass instead of one per directory."""
-        caps: dict[int, object] = {}
-        if not objs:
-            return caps
-        if len(objs) == 1:
-            obj = objs[0]
-            data = self.state.directories[obj].to_bytes()
-            caps[obj] = yield from self.bullet.create(data, lineage=lineage)
-            return caps
-        procs = [
-            (
-                obj,
-                self.sim.spawn(
-                    self._create_one_bullet_file(obj, lineage),
-                    f"dir.{self.index}.bcreate.{obj}",
-                ),
-            )
-            for obj in objs
-        ]
-        first_error: Exception | None = None
-        for obj, proc in procs:
-            try:
-                caps[obj] = yield proc
-            except (RpcError, LocateError, StorageError) as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return caps
-
-    def _create_one_bullet_file(self, obj, lineage=None):
-        data = self.state.directories[obj].to_bytes()
-        cap = yield from self.bullet.create(data, lineage=lineage)
-        return cap
 
     def _note_coherent_apply(self, record, keys) -> None:
         """Coherence hooks at one record's apply point: push the
@@ -838,18 +705,6 @@ class GroupDirectoryServer:
                 s for s in self._abandoned_results if s > record.seqno
             }
         self.member.notify_progress()
-
-    def _remove_bullet_file_later(self, cap) -> None:
-        """Fig. 5's 'remove old Bullet files' — after the reply path."""
-
-        def cleanup():
-            try:
-                yield from self.bullet.delete(cap, lineage=("gc", str(self.me)))
-            except (RpcError, Exception):
-                pass  # orphaned files are garbage-collected off-line
-
-        if self.alive:
-            self.sim.spawn(cleanup(), f"dir.{self.index}.gc")
 
     # ------------------------------------------------------------------
     # failure handling and recovery
@@ -911,111 +766,6 @@ class GroupDirectoryServer:
         self.member.notify_progress()
 
     # ------------------------------------------------------------------
-    # background scrubber (docs/PROTOCOL.md "Storage integrity")
-    # ------------------------------------------------------------------
-
-    def scrub_now(self) -> None:
-        """Kick one immediate scrub pass (the remediation hook)."""
-        if self.alive:
-            self._processes.append(
-                self.sim.spawn(self._scrub_once(), f"dir.{self.index}.scrub-now")
-            )
-
-    def _scrub_once(self):
-        try:
-            yield from self._scrub_pass()
-        except (RpcError, LocateError, StorageError):
-            pass  # the periodic pass (or recovery) gets another shot
-
-    def _scrubber(self):
-        """Periodic audit of this server's durable state against the
-        RAM mirrors; anything that disagrees is rewritten in place.
-        A pass never fences the replica — storage failures here are
-        left for the group thread's fail-stop rule to observe."""
-        interval = self.config.scrub_interval_ms
-        while self.alive:
-            yield self.sim.sleep(interval)
-            try:
-                yield from self._scrub_pass()
-            except (RpcError, LocateError, StorageError):
-                continue
-
-    def _scrub_pass(self):
-        """One scrub: audit every admin-partition block against the
-        mirrors (re-scanning until a scan comes back clean, since a
-        commit batch can land while repair writes sleep), then read
-        every directory's Bullet file and re-create any that fail
-        their checksum from the live RAM image."""
-        if not (self.operational and self._state_loaded):
-            return
-        admin = self.admin
-        partition = admin.partition
-        lineage = ("scrub", str(self.me))
-        repairs = 0
-        for _scan in range(8):
-            expected = admin.expected_blocks()
-            damaged = []
-            for index in range(partition.length):
-                want = expected.get(index)
-                if want is not None:
-                    if not admin.verify_block(index, want):
-                        damaged.append(index)
-                else:
-                    # Unmapped block (free space or the shadow
-                    # journal): only detected rot is blanked; stale-
-                    # but-valid leftovers are the pre-existing free-
-                    # block regime and stay untouched.
-                    try:
-                        partition.peek_block(index)
-                    except CorruptBlock:
-                        damaged.append(index)
-            if not damaged:
-                break
-            for index in damaged:
-                if not (self.alive and self.operational):
-                    return
-                # Recompute right before writing: the mirror may have
-                # moved on while an earlier repair slept in the queue.
-                want = admin.expected_blocks().get(index, b"")
-                yield from partition.write_block(index, want, lineage=lineage)
-                partition.disk.note_scrub_repairs()
-                repairs += 1
-        for obj in sorted(admin.entries):
-            if not (self.alive and self.operational):
-                return
-            entry = admin.entries.get(obj)
-            if entry is None:
-                continue  # deleted while we scrubbed
-            cap = entry[0]
-            try:
-                yield from self.bullet.read(cap, lineage=lineage)
-            except CorruptBlock:
-                directory = self.state.directories.get(obj)
-                if directory is None:
-                    continue  # deletion in flight; its file goes too
-                new_cap = yield from self.bullet.create(
-                    directory.to_bytes(), lineage=lineage
-                )
-                current = admin.entries.get(obj)
-                if current is None or current[0] != cap:
-                    # The entry moved on while the replacement was
-                    # being created; our repair is the stale copy now.
-                    self._remove_bullet_file_later(new_cap)
-                    continue
-                yield from admin.store_entry(
-                    obj, new_cap, current[1],
-                    admin.entry_checks.get(obj, 0), lineage=lineage,
-                )
-                self._remove_bullet_file_later(cap)
-                partition.disk.note_scrub_repairs()
-                repairs += 1
-        if repairs and self._obs.tracer.enabled:
-            self._obs.tracer.emit(
-                str(self.me), "dir", "dir.scrub",
-                lineage=lineage, repairs=repairs,
-            )
-
-    # ------------------------------------------------------------------
     # recovery-exchange service (answers peers, Fig. 6's RPCs)
     # ------------------------------------------------------------------
 
@@ -1055,12 +805,16 @@ class GroupDirectoryServer:
         if self.admin.quarantined_blocks:
             # Corruption was detected this boot (admin blocks at load,
             # or a Bullet file at rebuild): this disk cannot certify
-            # completeness, so it must never win the donor election.
-            # Recovery clears the quarantine at its final seal.
+            # completeness, so it must never win the donor election —
+            # not even on the strength of an NVRAM log, which holds
+            # only the unflushed tail. Recovery clears the quarantine
+            # at its final seal.
             return 0
         if self.operational or self._state_loaded:
-            return self.state.update_seqno
-        return self.boot_seqno
+            base = self.state.update_seqno
+        else:
+            base = self.boot_seqno
+        return max(base, self.store.logged_seqno())
 
     def _serve_state_transfer(self, request, handle):
         min_kernel = request.get("min_kernel", -1)
@@ -1071,7 +825,7 @@ class GroupDirectoryServer:
                 while self.alive and not self._state_loaded:
                     yield self.sim.sleep(20.0)
             else:
-                yield from self.rebuild_state_from_disk()
+                yield from self.store.load()
         if self.operational and min_kernel > self._applied_kernel:
             try:
                 yield from self.member.wait_applied(
@@ -1096,45 +850,6 @@ class GroupDirectoryServer:
             },
             size=self.state.snapshot_size(),
         )
-
-    # ------------------------------------------------------------------
-    # disk state reconstruction
-    # ------------------------------------------------------------------
-
-    def rebuild_state_from_disk(self):
-        """Reload the full service state from this server's own disk
-        (admin entries + Bullet files)."""
-        from repro.directory.model import Directory
-
-        yield from self.admin.load(lineage=("recover", str(self.me)))
-        state = DirectoryState(self.config.port, self.config.root_check)
-        next_object = state.next_object
-        for obj, (cap, _seqno) in sorted(self.admin.entries.items()):
-            try:
-                data = yield from self.bullet.read(
-                    cap, lineage=("recover", str(self.me))
-                )
-            except CorruptBlock:
-                # The directory's Bullet file is damaged on this disk:
-                # quarantine the object (we then claim seqno zero, so
-                # a donor transfer rewrites it) and rebuild without it.
-                self.admin.quarantine_object(obj)
-                continue
-            state.directories[obj] = Directory.from_bytes(data)
-            state.checks[obj] = self.admin.entry_checks.get(obj, 0)
-            next_object = max(next_object, obj + 1)
-        # The root directory has no object-table entry until first
-        # modified; the bootstrap root (deterministic check) covers it.
-        state.next_object = max(next_object, self.admin.commit.next_object)
-        # Our in-RAM reconstruction is coherent even while our own
-        # recovering flag is set (it covers the on-disk mixture only).
-        state.update_seqno = self.admin.highest_seqno(ignore_recovering=True)
-        # Session records survive on the partition's reserved blocks;
-        # _adopt_state trims the restored table back to the RAM bound.
-        state.sessions = {
-            cid: entry for cid, entry in self.admin.session_entries.items()
-        }
-        self._adopt_state(state)
 
     def _latency(self):
         return self.transport.nic.network.latency

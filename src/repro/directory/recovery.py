@@ -208,7 +208,7 @@ def run_recovery(server):
         applied_kernel = member.info().taken
         if donor == server.me:
             if not server._state_loaded:
-                yield from server.rebuild_state_from_disk()
+                yield from server.store.load()
         else:
             try:
                 reply = yield from server.rpc_client.trans(
@@ -227,10 +227,14 @@ def run_recovery(server):
             # Installing mixes old and new directories on our disk:
             # mark the commit block so a crash here is detected at the
             # next boot (the paper's recovering flag).
+            new_state = DirectoryState.from_snapshot(cfg.port, reply["snapshot"])
             server._installing = True
             try:
                 yield from server.admin.write_commit_block(recovering=True)
-                transferred = yield from _install_snapshot(server, reply)
+                transferred = yield from server.store.install(
+                    new_state, reply["entry_seqnos"]
+                )
+                server.adopt_state(new_state)
             finally:
                 server._installing = False
             if reply.get("operational"):
@@ -244,16 +248,7 @@ def run_recovery(server):
             # redelivery (session-deduplicated) close the overlap.
 
         # -- Seal: final commit block, back to normal operation ---------
-        yield from server.admin.write_commit_block(
-            config_vector=server.config_vector(),
-            recovering=False,
-            seqno=max(server.admin.commit.seqno, server.state.update_seqno),
-            next_object=server.state.next_object,
-        )
-        # Everything quarantined at boot has been rewritten (by the
-        # donor transfer, or from our own rebuilt image when we were
-        # the freshest copy): the disk certifies completeness again.
-        server.admin.clear_quarantine()
+        yield from server.store.seal(server.config_vector())
         return RecoveryOutcome(
             rounds=rounds,
             donor=donor,
@@ -274,49 +269,3 @@ def _leave_quietly(server):
         kernel.announce_leave()
         yield server.sim.sleep(10.0)
     kernel.state = STATE_IDLE
-
-
-def _install_snapshot(server, reply):
-    """Adopt a donor's snapshot; bring our disk up to date.
-
-    Only directories whose entry sequence number differs from the
-    donor's are rewritten (a mostly-current server transfers little).
-    Returns the number of directories written.
-    """
-    cfg = server.config
-    snapshot = reply["snapshot"]
-    entry_seqnos = reply["entry_seqnos"]
-    new_state = DirectoryState.from_snapshot(cfg.port, snapshot)
-    transferred = 0
-    for obj in sorted(new_state.directories):
-        donor_seq = entry_seqnos.get(obj)
-        if donor_seq is None:
-            continue  # e.g. the never-modified bootstrap root
-        mine = server.admin.entries.get(obj)
-        if mine is not None and mine[1] == donor_seq:
-            continue  # our copy is already current
-        data = new_state.directories[obj].to_bytes()
-        old_cap = mine[0] if mine is not None else None
-        new_cap = yield from server.bullet.create(data)
-        yield from server.admin.store_entry(
-            obj, new_cap, donor_seq, new_state.checks[obj]
-        )
-        if old_cap is not None:
-            server._remove_bullet_file_later(old_cap)
-        transferred += 1
-    for obj in list(server.admin.entries):
-        if obj not in new_state.directories:
-            old_cap = server.admin.entries[obj][0]
-            yield from server.admin.remove_entry(
-                obj, new_state.update_seqno, new_state.next_object
-            )
-            server._remove_bullet_file_later(old_cap)
-    # The session table rides the snapshot; persist the donor's
-    # entries so exactly-once survives a crash right after recovery.
-    for client_id, entry in new_state.sessions.items():
-        mine = server.admin.session_entries.get(client_id)
-        if mine is not None and mine.last_seqno == entry.last_seqno:
-            continue
-        yield from server.admin.store_session(client_id, entry)
-    server._adopt_state(new_state)
-    return transferred

@@ -40,6 +40,7 @@ from repro.directory.admin import AdminPartition
 from repro.directory.config import ServiceConfig
 from repro.directory.operations import CreateDir, DirectoryOp, SessionOp
 from repro.directory.state import DirectoryState
+from repro.directory.store import Change, DirectoryStore
 from repro.errors import (
     CapabilityError,
     DirectoryError,
@@ -86,7 +87,9 @@ class RpcDirectoryServer:
         self.private_rpc = RpcServer(transport, config.recovery_port(index))
         self.peer_port = config.recovery_port(1 - index)
         self.rpc_client = RpcClient(transport, RpcTimings(reply_timeout_ms=500.0))
-        self.bullet = BulletClient(self.rpc_client, bullet_port)
+        self.store = DirectoryStore(
+            self, admin, BulletClient(self.rpc_client, bullet_port), f"rpcdir.{index}"
+        )
 
         self.operational = False
         self.alive = True
@@ -134,12 +137,13 @@ class RpcDirectoryServer:
                 self.config.port, reply["snapshot"]
             )
             if peer_state.update_seqno >= self.admin.highest_seqno():
-                yield from self._install_state(peer_state, reply["entry_seqnos"])
+                yield from self.store.install(peer_state, reply["entry_seqnos"])
+                self.adopt_state(peer_state)
             else:
-                yield from self._rebuild_from_disk()
+                yield from self.store.read_directories()
         except (RpcError, LocateError):
             self.peer_reachable = False
-            yield from self._rebuild_from_disk()
+            yield from self.store.read_directories()
         self._next_alloc = max(
             self._next_alloc,
             _next_in_class(self.state.next_object, self.index),
@@ -150,45 +154,8 @@ class RpcDirectoryServer:
         state.session_cache_size = self.config.session_cache_size
         state.dedup_enabled = self.config.dedup_enabled
 
-    def _install_state(self, new_state: DirectoryState, entry_seqnos: dict):
-        for obj in sorted(new_state.directories):
-            donor_seq = entry_seqnos.get(obj)
-            if donor_seq is None:
-                continue
-            mine = self.admin.entries.get(obj)
-            if mine is not None and mine[1] == donor_seq:
-                continue
-            data = new_state.directories[obj].to_bytes()
-            cap = yield from self.bullet.create(data)
-            yield from self.admin.store_entry(
-                obj, cap, donor_seq, new_state.checks[obj]
-            )
-        for obj in list(self.admin.entries):
-            if obj not in new_state.directories:
-                yield from self.admin.remove_entry(
-                    obj, new_state.update_seqno, new_state.next_object
-                )
-        for client_id, entry in new_state.sessions.items():
-            mine = self.admin.session_entries.get(client_id)
-            if mine is None or mine.last_seqno != entry.last_seqno:
-                yield from self.admin.store_session(client_id, entry)
-        self._configure_state(new_state)
-        new_state.trim_sessions()
-        self.state = new_state
-
-    def _rebuild_from_disk(self):
-        from repro.directory.model import Directory
-
-        state = DirectoryState(self.config.port, self.config.root_check)
-        next_object = state.next_object
-        for obj, (cap, _seqno) in sorted(self.admin.entries.items()):
-            data = yield from self.bullet.read(cap)
-            state.directories[obj] = Directory.from_bytes(data)
-            state.checks[obj] = self.admin.entry_checks.get(obj, 0)
-            next_object = max(next_object, obj + 1)
-        state.next_object = max(next_object, self.admin.commit.next_object)
-        state.update_seqno = self.admin.highest_seqno()
-        state.sessions = dict(self.admin.session_entries)
+    def adopt_state(self, state: DirectoryState) -> None:
+        """Make *state* (a peer's snapshot or a disk rebuild) live."""
         self._configure_state(state)
         state.trim_sessions()
         self.state = state
@@ -261,12 +228,13 @@ class RpcDirectoryServer:
                 self.state.update_seqno += 1
                 handle.error(exc)
                 return
+            change = self._change(op, effects)
             # The RPC design's extra bookkeeping write: record that our
             # intentions are now committed locally (write-behind, so it
             # costs little latency — but it is one more disk op, which
             # bench E4 counts).
             yield from self.admin.partition.write_block(1, b"intent", kind="cached")
-            yield from self._persist_effects(effects)
+            yield from self.store.commit([change])
             self.writes_served += 1
             self._c_writes.inc()
             if tracer.enabled:
@@ -338,7 +306,10 @@ class RpcDirectoryServer:
             kind = request["op"]
             if kind == "ping":
                 handle.reply({"seqno": self.state.update_seqno}, size=32)
-                if request["seqno"] > self.state.update_seqno:
+                # Not while booting: the boot fetches the peer's state
+                # itself, and a second install beside it would replace
+                # — and orphan — the same Bullet files.
+                if self.operational and request["seqno"] > self.state.update_seqno:
                     self.sim.spawn(
                         self._refresh_from_peer(),
                         f"rpcdir.{self.index}.resync",
@@ -408,7 +379,8 @@ class RpcDirectoryServer:
             self.config.port, reply["snapshot"]
         )
         if peer_state.update_seqno >= self.state.update_seqno:
-            yield from self._install_state(peer_state, reply["entry_seqnos"])
+            yield from self.store.install(peer_state, reply["entry_seqnos"])
+            self.adopt_state(peer_state)
 
     def _lazy_applier(self):
         """Applies acknowledged intentions in the background (lazy
@@ -426,47 +398,15 @@ class RpcDirectoryServer:
                 _, effects = self.state.apply(op)
             except (DirectoryError, CapabilityError):
                 self.state.update_seqno += 1
-                effects = None
-            if effects is not None:
-                yield from self._persist_effects(effects)
+            else:
+                yield from self.store.commit([self._change(op, effects)])
             self._lazy_queue.popleft()
             self._c_lazy_applied.inc()
 
-    # ------------------------------------------------------------------
-    # storage
-    # ------------------------------------------------------------------
-
-    def _persist_effects(self, effects):
-        for obj in effects.touched:
-            data = self.state.directories[obj].to_bytes()
-            old_entry = self.admin.entries.get(obj)
-            new_cap = yield from self.bullet.create(data)
-            yield from self.admin.store_entry(
-                obj, new_cap, self.state.update_seqno, self.state.checks[obj]
-            )
-            if old_entry is not None:
-                self._cleanup_later(old_entry[0])
-        for obj in effects.deleted:
-            old_entry = self.admin.entries.get(obj)
-            yield from self.admin.remove_entry(
-                obj, self.state.update_seqno, self.state.next_object
-            )
-            if old_entry is not None:
-                self._cleanup_later(old_entry[0])
-        for client_id in effects.sessions:
-            entry = self.state.sessions.get(client_id)
-            if entry is not None:
-                yield from self.admin.store_session(client_id, entry)
-
-    def _cleanup_later(self, cap) -> None:
-        def cleanup():
-            try:
-                yield from self.bullet.delete(cap)
-            except Exception:
-                pass
-
-        if self.alive:
-            self.sim.spawn(cleanup(), f"rpcdir.{self.index}.gc")
+    def _change(self, op, effects) -> Change:
+        """What the store commits for *op*, stamped with the state
+        counters as of its apply (call before the next yield)."""
+        return Change(op, effects, self.state.update_seqno, self.state.next_object)
 
     def _latency(self):
         return self.transport.nic.network.latency

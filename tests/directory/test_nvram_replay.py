@@ -112,7 +112,7 @@ class TestReplayEquivalence:
         """Replaying a suffix TWICE (disk already had some effects —
         the crash-during-flush case) must leave directory contents
         identical; duplicate appends/deletes fail validation and are
-        skipped, as in NvramDirectoryServer.rebuild_state_from_disk."""
+        skipped, as in repro.directory.store.NvramLog.load."""
         ops = random_ops(seed, count)
         eager = eager_state(ops)
         twice = eager_state(ops)

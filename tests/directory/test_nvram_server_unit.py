@@ -98,6 +98,41 @@ class TestAnnihilationRules:
         assert ((1, "old"), "DeleteRow") in keys_ops
         assert all(key != (1, "fresh") for key, _ in keys_ops)
 
+    @pytest.mark.parametrize("delay_ms", [210, 230, 250, 270, 300, 320])
+    def test_delete_during_flush_is_not_undone_by_a_restart(
+        self, cluster, delay_ms
+    ):
+        """A delete that arrives while the idle flush is writing out
+        its append finds the record still on the board — but the flush
+        has already imaged the row, so cancelling the pair would leave
+        the row on disk with nothing logged to remove it. The delete
+        must be logged (and the directory flushed again)."""
+        client = cluster.add_client("c")
+        root = cluster.root_capability
+
+        def work():
+            target = yield from client.create_dir()
+            yield cluster.sim.sleep(2_000.0)  # flush the set-up
+            yield from client.append_row(root, "ghost", (target,))
+            yield cluster.sim.sleep(delay_ms)
+            yield from client.delete_row(root, "ghost")
+            yield cluster.sim.sleep(2_000.0)  # every flush finishes
+
+        cluster.run_process(work())
+        for i in range(3):
+            cluster.crash_server(i)
+        cluster.run(until=cluster.sim.now + 500.0)
+        for i in range(3):
+            cluster.restart_server(i)
+        cluster.wait_operational(timeout_ms=60_000.0)
+        reader = cluster.add_client("reader")
+
+        def after():
+            return (yield from reader.lookup(root, "ghost"))
+
+        assert cluster.run_process(after()) is None
+        assert cluster.replicas_consistent()
+
 
 class TestFlushAccounting:
     def test_flush_stats_separate_from_annihilations(self, cluster):

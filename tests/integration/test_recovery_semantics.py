@@ -121,3 +121,7 @@ class TestRepeatedCycles:
         assert cluster.replicas_consistent()
         names = cluster.servers[0].state.directories[1].names()
         assert len(names) == 12
+        # Every state transfer deleted the Bullet files it replaced.
+        cluster.run(until=cluster.sim.now + 2_000.0)
+        for site in cluster.sites:
+            assert site.bullet.file_count == len(site.server.admin.entries)

@@ -90,3 +90,33 @@ class TestRpcRestart:
         names1 = cluster.servers[1].state.directories[1].names()
         assert "solo-write" in names1
         assert "duo-write" in names1
+
+    def test_restart_leaves_no_orphan_bullet_files(self, cluster):
+        """The boot refresh replaces every directory the peer changed
+        while we were down; each replaced Bullet file must be deleted,
+        so the file count ends equal to the object table's size."""
+        client = cluster.add_client("c")
+        root = cluster.root_capability
+
+        def before():
+            sub = yield from client.create_dir()
+            yield from client.append_row(root, "pre", (sub,))
+            return sub
+
+        sub = cluster.run_process(before())
+        cluster.settle(2_000.0)
+        cluster.crash_server(1)
+
+        def during():
+            for k in range(7):
+                target = root if k % 2 else sub
+                yield from client.append_row(target, f"while-down{k}", (sub,))
+
+        cluster.run_process(during())
+        server = cluster.restart_server(1)
+        cluster.wait_operational()
+        cluster.settle(2_000.0)
+        assert cluster.replicas_content_consistent()
+        for site in cluster.sites:
+            assert site.bullet.file_count == len(site.server.admin.entries)
+        assert len(server.admin.entries) == 2

@@ -7,6 +7,7 @@ downstream, so this sweep fails the build instead.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,6 +17,11 @@ SWEEP_DIRS = ("src", "tests", "benchmarks", "examples")
 #: here whenever an alias is retired so it can never quietly return.
 DEPRECATED_NAMES = (
     "DiskFailure_",  # pre-1.0 alias of repro.faults.DiskFailure
+    # The NVRAM variant was a server subclass selected by two class
+    # flags; it is a log in front of repro.directory.store now.
+    "NvramDirectoryServer",
+    "PERSIST_PHASE",
+    "TOP_UP",
 )
 
 
@@ -35,5 +41,44 @@ def test_deprecated_names_do_not_resurface():
                     offenders.append(f"{path.relative_to(ROOT)}: {name}")
     assert not offenders, (
         "deprecated names resurfaced (see tests/test_lint.py): "
+        + ", ".join(offenders)
+    )
+
+
+#: AdminPartition's mutators: how an object-table change is committed.
+TABLE_WRITES = {"store_entry", "remove_entry", "commit_batch", "store_session"}
+
+
+def test_directories_become_durable_in_one_module():
+    """"Bullet file, then object-table commit, then delete the file it
+    replaced" is written once, in repro/directory/store.py, where its
+    ordering contract is stated. A second copy anywhere under
+    src/repro — a server committing table entries itself, or creating
+    and deleting directory files on its own — drifts, and the drift
+    has lost acknowledged updates before."""
+    package = ROOT / "src" / "repro"
+    store = package / "directory" / "store.py"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == store:
+            continue
+        in_directory = path.parent == store.parent
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            called = node.func.attr
+            receiver = node.func.value  # x.bullet.create(...) or bullet.create(...)
+            on_bullet = "bullet" in (
+                getattr(receiver, "attr", None), getattr(receiver, "id", None)
+            )
+            if called in TABLE_WRITES or (
+                in_directory and on_bullet and called in ("create", "delete")
+            ):
+                offenders.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} calls {called}()"
+                )
+    assert not offenders, (
+        "durable directory writes outside repro/directory/store.py: "
         + ", ".join(offenders)
     )
