@@ -1,0 +1,142 @@
+"""Recorded outputs of every seeded driver, at sizes tier-1 can afford.
+
+``tests/golden/driver_outputs.json`` holds what each experiment driver
+printed the last time somebody looked: the Fig. 7 cells, one Fig. 8 and
+one Fig. 9 point per implementation, the ``perf`` fingerprints, and
+digests of the ``capacity``, ``profile`` and ``trace`` reports. The
+simulation is deterministic, so any difference is a code change — a PR
+that means to move a number regenerates the file and its diff of the
+file *is* the statement of what moved; a refactor that means to move
+nothing leaves the file alone. To regenerate::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+Floats are stored by ``repr`` (every digit); whole reports by sha256 of
+their sorted-key JSON (the point is "did anything move", the CLI shows
+what).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.bench.harness import (
+    IMPLEMENTATIONS,
+    fig7_cell,
+    lookup_throughput,
+    update_throughput,
+)
+from repro.bench.simbench import SCENARIOS as PERF_SCENARIOS
+from repro.bench.simbench import run_perf_scenario
+from repro.obs import breakdown, capacity, spans
+
+GOLDEN = Path(__file__).parent / "golden" / "driver_outputs.json"
+
+FIG7_TESTS = ("append_delete", "tmp_file", "lookup")
+#: The Fig. 8/9 curves leave the single-copy NFS baseline out.
+REPLICATED = ("group", "rpc", "nvram")
+TRACED = ("update", "nvram-update", "lookup")
+
+
+def _sha(report) -> str:
+    text = report if isinstance(report, str) else json.dumps(report, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _fig7() -> dict:
+    return {
+        f"{test}/{impl}": repr(fig7_cell(impl, test, 4, 0))
+        for test in FIG7_TESTS
+        for impl in IMPLEMENTATIONS
+    }
+
+
+def _fig8() -> dict:
+    return {
+        impl: repr(lookup_throughput(impl, 3, 0, 300.0, 1_000.0))
+        for impl in REPLICATED
+    }
+
+
+def _fig9() -> dict:
+    out = {
+        impl: repr(update_throughput(impl, 2, 0, 300.0, 1_500.0))
+        for impl in REPLICATED
+    }
+    out["group/batch_max=1"] = repr(
+        update_throughput("group", 3, 0, 300.0, 1_500.0, batch_max=1)
+    )
+    out["group/server_threads=8"] = repr(
+        update_throughput("group", 6, 0, 300.0, 1_500.0, server_threads=8)
+    )
+    return out
+
+
+def _perf() -> dict:
+    return {
+        scenario: run_perf_scenario(
+            scenario, "small", seed=0, profile=False
+        ).fingerprint()
+        for scenario in PERF_SCENARIOS
+    }
+
+
+def _capacity() -> dict:
+    out = {}
+    for scenario in capacity.SCENARIOS:
+        report = capacity.run_point(
+            scenario, 2, seed=0, warmup_ms=300.0, measure_ms=1_000.0
+        )
+        report.pop("sampler_events")  # as `capacity --json` prints it
+        out[scenario] = _sha(report)
+    return out
+
+
+def _profile() -> dict:
+    return {
+        scenario: _sha(spans.profile_run(scenario, iterations=3)["report"])
+        for scenario in TRACED
+    }
+
+
+def _phase_tables() -> dict:
+    out = {}
+    for scenario in TRACED:
+        run = breakdown.record_update_trace(scenario, iterations=3)
+        summary = breakdown.aggregate(run.breakdowns)
+        out[scenario] = _sha(breakdown.format_table(summary, run.scenario, run.impl))
+    return out
+
+
+SECTIONS = {
+    "fig7": _fig7,
+    "fig8": _fig8,
+    "fig9": _fig9,
+    "perf": _perf,
+    "capacity": _capacity,
+    "profile": _profile,
+    "phase_tables": _phase_tables,
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_driver_outputs_match_the_recorded_ones(section):
+    recorded = json.loads(GOLDEN.read_text())
+    assert SECTIONS[section]() == recorded[section], (
+        f"{section} moved; if it was meant to, regenerate with "
+        "`PYTHONPATH=src python tests/test_golden_outputs.py` and say why "
+        "in the PR"
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps({name: fn() for name, fn in SECTIONS.items()}, indent=2,
+                   sort_keys=True) + "\n"
+    )
+    print(f"wrote {GOLDEN}")
