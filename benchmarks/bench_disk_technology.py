@@ -12,9 +12,8 @@ protocol overhead.
 
 from dataclasses import replace
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import fig7_cell
 from repro.sim.latency import DiskLatency, LatencyModel
-from repro.workloads.generators import append_delete_once
 
 from conftest import write_result
 
@@ -30,23 +29,7 @@ DISK_GENERATIONS = {
 def pair_latency(impl: str, disk: DiskLatency, seed: int = 0) -> float:
     latency = LatencyModel.paper_testbed()
     latency = replace(latency, disk=disk)
-    deployment = build_deployment(impl, seed=seed, latency=latency)
-    client = deployment.add_client("bench")
-    sim = deployment.sim
-    root = deployment.root
-    out = {}
-
-    def run():
-        target = yield from client.create_dir()
-        samples = []
-        for i in range(8):
-            start = sim.now
-            yield from append_delete_once(client, root, f"t{i}", target)
-            samples.append(sim.now - start)
-        out["mean"] = sum(samples) / len(samples)
-
-    deployment.cluster.run_process(run())
-    return out["mean"]
+    return fig7_cell(impl, "append_delete", 8, seed, latency=latency)
 
 
 def test_disk_technology_sweep(benchmark, results_dir):

@@ -15,7 +15,7 @@ while single-client latency is unchanged (a singleton batch takes the
 classic path).
 """
 
-from repro.bench import update_latency, update_throughput
+from repro.bench import fig7_cell, update_throughput
 from repro.bench.tables import format_throughput_curve
 
 from conftest import write_result
@@ -49,9 +49,11 @@ def run_group_commit_scaling():
         out["unbatched"][n] = update_throughput(
             "group", n, seed=0, measure_ms=15_000.0, server_threads=8, batch_max=1
         )
-    out["latency_batched_ms"] = update_latency("group", seed=0, server_threads=8)
-    out["latency_unbatched_ms"] = update_latency(
-        "group", seed=0, server_threads=8, batch_max=1
+    out["latency_batched_ms"] = fig7_cell(
+        "group", "append_delete", 20, seed=0, server_threads=8
+    )
+    out["latency_unbatched_ms"] = fig7_cell(
+        "group", "append_delete", 20, seed=0, server_threads=8, batch_max=1
     )
     return out
 

@@ -27,7 +27,7 @@ import json
 import pathlib
 import sys
 
-from repro.bench import lookup_throughput, update_latency, update_throughput
+from repro.bench import fig7_cell, lookup_throughput, update_throughput
 
 # --check-against fails when the 8-writer batched throughput falls below
 # this share of the committed baseline.
@@ -47,9 +47,11 @@ def run_group_commit(measure_ms=15_000.0):
     group service (``server_threads=8`` so requests can queue)."""
     out = {
         "single_client_latency_ms": {
-            "batched": update_latency("group", seed=0, server_threads=8),
-            "batch_max_1": update_latency(
-                "group", seed=0, server_threads=8, batch_max=1
+            "batched": fig7_cell(
+                "group", "append_delete", 20, seed=0, server_threads=8
+            ),
+            "batch_max_1": fig7_cell(
+                "group", "append_delete", 20, seed=0, server_threads=8, batch_max=1
             ),
         },
         "pairs_per_s": {"batched": {}, "batch_max_1": {}},
@@ -90,7 +92,7 @@ def test_headline_matches_committed_baseline():
     """The committed BENCH_headline.json must describe THIS code."""
     baseline_path = pathlib.Path(__file__).parent.parent / "BENCH_headline.json"
     baseline = json.loads(baseline_path.read_text())
-    measured = update_latency("group", seed=0, server_threads=8)
+    measured = fig7_cell("group", "append_delete", 20, seed=0, server_threads=8)
     committed = baseline["group_commit"]["single_client_latency_ms"]["batched"]
     assert measured <= committed * 1.05, (
         f"single-client update latency {measured:.1f} ms regressed >5% "

@@ -144,22 +144,31 @@ def cmd_chaos(args) -> int:
     return 0
 
 
+def _traced_run(args, command: str):
+    """The traced Fig. 7 run `trace` and `profile` both start from."""
+    from repro.obs import spans
+
+    scenario = args.target or "update"
+    if scenario not in spans.SCENARIOS:
+        print(f"error: unknown {command} scenario {scenario!r}")
+        print(f"known scenarios: {', '.join(sorted(spans.SCENARIOS))}")
+        return None
+    return spans.record_update_trace(
+        scenario, iterations=args.iterations, seed=args.seed
+    )
+
+
 def cmd_trace(args) -> int:
     import pathlib
 
-    from repro.obs import breakdown
+    from repro.obs import spans
     from repro.obs.export import write_trace
 
-    scenario = args.target or "update"
-    if scenario not in breakdown.SCENARIOS:
-        print(f"error: unknown trace scenario {scenario!r}")
-        print(f"known scenarios: {', '.join(sorted(breakdown.SCENARIOS))}")
+    run = _traced_run(args, "trace")
+    if run is None:
         return 2
-    run = breakdown.record_update_trace(
-        scenario, iterations=args.iterations, seed=args.seed
-    )
-    summary = breakdown.aggregate(run.breakdowns)
-    print(breakdown.format_table(summary, run.scenario, run.impl))
+    summary = spans.aggregate(run.spans)
+    print(spans.format_table(summary, run.scenario, run.impl))
     if run.dropped:
         print(f"(ring buffer dropped {run.dropped} early events)")
 
@@ -177,16 +186,19 @@ def cmd_trace(args) -> int:
         note = "  (open in https://ui.perfetto.dev)" if fmt == "chrome" else ""
         print(f"wrote {path}{note}")
 
-    check = breakdown.check_against_benchmark(run)
+    check = spans.check_against_benchmark(run)
     print(
         f"\nphase sums vs untraced benchmark: traced="
         f"{check['traced_ms']:.3f} ms, benchmark={check['benchmark_ms']:.3f} "
         f"ms, error={check['relative_error'] * 100:.2f}%"
     )
     if not check["ok"]:
-        print("FAIL: phase decomposition drifted more than 5% from Fig. 7")
+        print(
+            "FAIL: the traced run differs from the untraced Fig. 7 run of "
+            f"the same seed (relative error {check['relative_error']:.3e})"
+        )
         return 1
-    print("OK: the breakdown reproduces the Fig. 7 latency within 5%.")
+    print("OK: the phase sums equal the untraced Fig. 7 latency.")
     return 0
 
 
@@ -194,60 +206,30 @@ def cmd_profile(args) -> int:
     import json
     import pathlib
 
-    from repro.obs import breakdown, spans
+    from repro.obs import spans
     from repro.obs.export import write_trace
 
-    scenario = args.target or "update"
-    if scenario not in breakdown.SCENARIOS:
-        print(f"error: unknown profile scenario {scenario!r}")
-        print(f"known scenarios: {', '.join(sorted(breakdown.SCENARIOS))}")
+    run = _traced_run(args, "profile")
+    if run is None:
         return 2
-    run = breakdown.record_update_trace(
-        scenario, iterations=args.iterations, seed=args.seed
-    )
-    span_list = spans.stitch(run.events, run.windows)
-    report = spans.budget(span_list, top=args.top)
-    recon = spans.reconcile(span_list, run.breakdowns)
+    result = spans.profile_run(top=args.top, run=run)
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"{run.scenario}-seed{run.seed}-profile.trace.json"
     write_trace(
-        run.events + spans.span_track_events(span_list), trace_path, "chrome"
+        run.events + spans.span_track_events(run.spans), trace_path, "chrome"
     )
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "scenario": run.scenario,
-                    "impl": run.impl,
-                    "seed": run.seed,
-                    "iterations": run.iterations,
-                    "events": len(run.events),
-                    "report": report,
-                    "reconciliation": recon,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        print(spans.format_report(report, run.scenario, run.impl))
+        print(spans.format_report(result["report"], run.scenario, run.impl))
         print()
         print(
             f"wrote {trace_path}  (open in https://ui.perfetto.dev — one "
             "track per operation under the 'profile' process)"
         )
-        print(
-            f"reconciliation vs Fig. 7 breakdown: max diff "
-            f"{recon['max_abs_diff_ms']:.9f} ms over "
-            f"{recon['phase_values_compared']} phase values"
-        )
-    if not recon["ok"]:
-        if not args.json:
-            print("FAIL: span segments disagree with the phase breakdown")
-        return 1
     return 0
 
 

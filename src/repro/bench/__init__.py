@@ -14,7 +14,6 @@ from repro.bench.harness import (
     fig7_cell,
     fig7_table,
     lookup_throughput,
-    update_latency,
     update_throughput,
 )
 from repro.bench.tables import format_fig7, format_throughput_curve
@@ -27,6 +26,5 @@ __all__ = [
     "format_fig7",
     "format_throughput_curve",
     "lookup_throughput",
-    "update_latency",
     "update_throughput",
 ]

@@ -1,5 +1,14 @@
 """Experiment runners for the paper's evaluation (section 4).
 
+The evaluation has two experiment shapes and this module has one
+function for each: :func:`solo_run`, one unloaded client timing a fixed
+operation sequence (Fig. 7), and :func:`closed_loop`, N clients that
+each wait for their reply before sending again (Figs. 8 and 9). Every
+other driver in the repository — the figure functions below, ``perf``
+(:mod:`repro.bench.simbench`), ``capacity`` (:mod:`repro.obs.capacity`),
+``trace``/``profile`` (:mod:`repro.obs.spans`) — builds a deployment and
+calls one of the two.
+
 Implementations are addressed by name:
 
 * ``"group"`` — the triplicated group-communication service;
@@ -11,6 +20,7 @@ Implementations are addressed by name:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster import (
     GroupServiceCluster,
@@ -19,6 +29,7 @@ from repro.cluster import (
     RpcServiceCluster,
 )
 from repro.directory.nfs_server import NfsFileClient
+from repro.obs.spans import OpWindow
 from repro.storage.bullet import BulletClient
 from repro.workloads.clients import ClosedLoopClient, run_closed_loop
 from repro.workloads.generators import (
@@ -89,16 +100,33 @@ def build_deployment(impl: str, seed: int = 0, **kwargs) -> Deployment:
 
 
 # ----------------------------------------------------------------------
-# Fig. 7: single-client latency
+# The solo run (Fig. 7's shape)
 # ----------------------------------------------------------------------
 
-def fig7_cell(impl: str, test: str, iterations: int = 15, seed: int = 0) -> float:
-    """Mean latency (ms) of one Fig. 7 cell."""
-    deployment = build_deployment(impl, seed=seed)
+SOLO_TESTS = tuple(PAPER_FIG7)
+
+
+def solo_run(deployment, test: str, iterations: int, trace_capacity=False) -> list:
+    """One unloaded client runs *test* *iterations* times; returns one
+    :class:`~repro.obs.spans.OpWindow` per client operation.
+
+    An append-delete iteration is two windows sharing a pair index; the
+    tmp-file sequence, which also talks to the file service, is one.
+    Unless *trace_capacity* is False the flight recorder is switched on
+    (ring of that many events, None for unbounded) once set-up is done,
+    so a trace holds the measured operations only.
+    """
+    if test not in SOLO_TESTS:
+        raise ValueError(f"unknown test {test!r}")
     client = deployment.add_client("bench")
     sim = deployment.sim
     root = deployment.root
-    out = {}
+    windows: list = []
+
+    def timed(op, pair, call):
+        start = sim.now
+        yield from call
+        windows.append(OpWindow(op, start, sim.now, pair))
 
     def driver():
         target = yield from client.create_dir()  # warm locate + a capability
@@ -109,28 +137,48 @@ def fig7_cell(impl: str, test: str, iterations: int = 15, seed: int = 0) -> floa
             # Warm the file service's port cache outside the window.
             warm = yield from file_service.create(b"warm")
             yield from file_service.read(warm)
-        samples = []
+        if trace_capacity is not False:
+            deployment.cluster.enable_tracing(trace_capacity)
         for i in range(iterations):
-            start = sim.now
             if test == "append_delete":
-                yield from append_delete_once(client, root, f"t{i}", target)
+                yield from timed(
+                    "append", i, client.append_row(root, f"t{i}", (target,)))
+                yield from timed("delete", i, client.delete_row(root, f"t{i}"))
             elif test == "tmp_file":
-                yield from tmp_file_once(client, root, file_service, f"f{i}")
-            elif test == "lookup":
-                yield from lookup_once(client, root, "bench-name")
+                yield from timed(
+                    "tmp_file", i,
+                    tmp_file_once(client, root, file_service, f"f{i}"))
             else:
-                raise ValueError(f"unknown test {test!r}")
-            samples.append(sim.now - start)
-        out["mean"] = sum(samples) / len(samples)
+                yield from timed(
+                    "lookup", i, lookup_once(client, root, "bench-name"))
 
     deployment.cluster.run_process(driver())
-    return out["mean"]
+    return windows
+
+
+def fig7_cell(
+    impl: str, test: str, iterations: int = 15, seed: int = 0, **deploy_kwargs
+) -> float:
+    """Mean latency (ms) of one Fig. 7 cell.
+
+    Deployment overrides let the group-commit bench compare
+    ``batch_max=1`` against the batched default, and the disk ablation
+    swap the latency model, on otherwise identical deployments.
+    """
+    deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
+    first: dict = {}
+    last: dict = {}
+    for window in solo_run(deployment, test, iterations):
+        first.setdefault(window.pair, window.start)
+        last[window.pair] = window.end
+    samples = [last[pair] - start for pair, start in first.items()]
+    return sum(samples) / len(samples)
 
 
 def fig7_table(iterations: int = 15, seed: int = 0) -> dict:
     """The whole Fig. 7: {test: {impl: measured_ms}}."""
     table: dict = {}
-    for test in ("append_delete", "tmp_file", "lookup"):
+    for test in SOLO_TESTS:
         table[test] = {}
         for impl in IMPLEMENTATIONS:
             table[test][impl] = fig7_cell(impl, test, iterations, seed)
@@ -138,8 +186,92 @@ def fig7_table(iterations: int = 15, seed: int = 0) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Figs. 8 and 9: multi-client throughput
+# The closed loop (Figs. 8 and 9's shape)
 # ----------------------------------------------------------------------
+
+def _lookup(client, root, target, tag):
+    return lambda _n: lookup_once(client, root, "hot-name")
+
+
+def _update(client, root, target, tag):
+    return lambda n: append_delete_once(client, root, f"w{tag}-{n}", target)
+
+
+def _mixed(client, root, target, tag):
+    def iteration(n):
+        if n % 10 == 0:  # 1 iteration in 10 is an append/delete pair
+            return append_delete_once(client, root, f"m{tag}-{n}", target)
+        return lookup_once(client, root, "hot-name")
+
+    return iteration
+
+
+#: workload -> (set-up installs the ``hot-name`` row the lookups read,
+#: factory of one client's iteration: ``(client, root, target, tag) ->
+#: (n -> generator)``).
+WORKLOADS = {
+    "lookup": (True, _lookup),
+    "update": (False, _update),
+    "mixed": (True, _mixed),
+}
+
+
+class LoopResult(NamedTuple):
+    """What one :func:`closed_loop` run measured."""
+
+    per_second: float  # iterations completed inside the window, per sim-second
+    ops: int  # every completed iteration, warm-up and drain included
+    errors: int
+
+
+def closed_loop(
+    deployment,
+    workload: str,
+    n_clients: int,
+    warmup_ms: float,
+    measure_ms: float,
+    window=None,
+) -> LoopResult:
+    """*n_clients* closed-loop clients run *workload* against a booted
+    deployment: set-up, warm-up, a measurement window, drain.
+
+    *window* is handed to
+    :func:`~repro.workloads.clients.run_closed_loop`: a context manager
+    that brackets the measurement window.
+    """
+    if workload not in WORKLOADS:
+        raise ValueError(
+            f"unknown workload {workload!r}; pick from {sorted(WORKLOADS)}")
+    needs_hot_name, make_iteration = WORKLOADS[workload]
+    sim = deployment.sim
+    root = deployment.root
+    setup_client = deployment.add_client("setup")
+
+    def setup():
+        target = yield from setup_client.create_dir()
+        if needs_hot_name:
+            yield from setup_client.append_row(root, "hot-name", (target,))
+        return target
+
+    target = deployment.cluster.run_process(setup())
+    metrics = Metrics()
+    clients = [
+        ClosedLoopClient(
+            sim,
+            f"load{i}",
+            make_iteration(deployment.add_client(f"load{i}"), root, target, i),
+            metrics,
+            "op",
+        )
+        for i in range(n_clients)
+    ]
+    run_closed_loop(sim, clients, warmup_ms, measure_ms, window)
+    return LoopResult(
+        metrics.throughput_per_second("op", measure_ms),
+        sum(c.iterations for c in clients),
+        sum(c.errors for c in clients),
+    )
+
 
 def lookup_throughput(
     impl: str,
@@ -151,61 +283,8 @@ def lookup_throughput(
 ) -> float:
     """One Fig. 8 point: total lookups/second with *n_clients*."""
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
-
-    setup_client = deployment.add_client("setup")
-
-    def setup():
-        target = yield from setup_client.create_dir()
-        yield from setup_client.append_row(root, "hot-name", (target,))
-
-    deployment.cluster.run_process(setup())
-
-    clients = []
-    for i in range(n_clients):
-        directory_client = deployment.add_client(f"load{i}")
-
-        def iteration(_n, c=directory_client):
-            yield from lookup_once(c, root, "hot-name")
-
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, "lookup")
-        )
-    window = run_closed_loop(sim, clients, warmup_ms, measure_ms)
-    return metrics.throughput_per_second("lookup", window)
-
-
-def update_latency(
-    impl: str,
-    iterations: int = 20,
-    seed: int = 0,
-    **deploy_kwargs,
-) -> float:
-    """Mean single-client append-delete pair latency (ms).
-
-    Unlike :func:`fig7_cell` this accepts deployment overrides, so the
-    group-commit bench can compare ``batch_max=1`` against the batched
-    default on otherwise identical deployments.
-    """
-    deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    client = deployment.add_client("bench")
-    sim = deployment.sim
-    root = deployment.root
-    out = {}
-
-    def driver():
-        target = yield from client.create_dir()
-        samples = []
-        for i in range(iterations):
-            start = sim.now
-            yield from append_delete_once(client, root, f"t{i}", target)
-            samples.append(sim.now - start)
-        out["mean"] = sum(samples) / len(samples)
-
-    deployment.cluster.run_process(driver())
-    return out["mean"]
+    return closed_loop(
+        deployment, "lookup", n_clients, warmup_ms, measure_ms).per_second
 
 
 def update_throughput(
@@ -218,28 +297,5 @@ def update_throughput(
 ) -> float:
     """One Fig. 9 point: append-delete PAIRS/second with *n_clients*."""
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
-
-    setup_client = deployment.add_client("setup")
-    target_holder = {}
-
-    def setup():
-        target_holder["cap"] = yield from setup_client.create_dir()
-
-    deployment.cluster.run_process(setup())
-    target = target_holder["cap"]
-
-    clients = []
-    for i in range(n_clients):
-        directory_client = deployment.add_client(f"load{i}")
-
-        def iteration(n, c=directory_client, tag=i):
-            yield from append_delete_once(c, root, f"w{tag}-{n}", target)
-
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, "pair")
-        )
-    window = run_closed_loop(sim, clients, warmup_ms, measure_ms)
-    return metrics.throughput_per_second("pair", window)
+    return closed_loop(
+        deployment, "update", n_clients, warmup_ms, measure_ms).per_second

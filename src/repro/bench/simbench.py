@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Any
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import WORKLOADS, build_deployment, closed_loop
 from repro.obs import hostprof
-from repro.workloads.clients import ClosedLoopClient, run_closed_loop
-from repro.workloads.generators import append_delete_once, lookup_once
-from repro.workloads.metrics import Metrics
 
 #: Workload sizes. Clients are closed-loop (one outstanding op each);
 #: the measure window is simulated milliseconds.
@@ -36,10 +33,7 @@ SCALES: dict[str, dict[str, float]] = {
     "large": {"clients": 24, "warmup_ms": 1_000.0, "measure_ms": 15_000.0},
 }
 
-SCENARIOS = ("lookup", "update", "mixed")
-
-#: In the mixed workload, 1 iteration in 10 is an append/delete pair.
-MIXED_UPDATE_EVERY = 10
+SCENARIOS = tuple(WORKLOADS)
 
 
 @dataclass
@@ -87,49 +81,6 @@ class PerfRun:
         }
 
 
-def _make_clients(scenario: str, deployment, root, metrics: Metrics, n: int):
-    """Closed-loop clients for *scenario* against a booted deployment."""
-    sim = deployment.sim
-    setup_client = deployment.add_client("setup")
-    holder: dict[str, Any] = {}
-
-    def setup():
-        holder["target"] = yield from setup_client.create_dir()
-        yield from setup_client.append_row(root, "hot-name", (holder["target"],))
-
-    deployment.cluster.run_process(setup())
-    target = holder["target"]
-
-    clients = []
-    for i in range(n):
-        directory_client = deployment.add_client(f"load{i}")
-
-        if scenario == "lookup":
-
-            def iteration(_n, c=directory_client):
-                yield from lookup_once(c, root, "hot-name")
-
-        elif scenario == "update":
-
-            def iteration(n_, c=directory_client, tag=i):
-                yield from append_delete_once(c, root, f"w{tag}-{n_}", target)
-
-        elif scenario == "mixed":
-
-            def iteration(n_, c=directory_client, tag=i):
-                if n_ % MIXED_UPDATE_EVERY == 0:
-                    yield from append_delete_once(c, root, f"m{tag}-{n_}", target)
-                else:
-                    yield from lookup_once(c, root, "hot-name")
-
-        else:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; pick from {SCENARIOS}"
-            )
-        clients.append(ClosedLoopClient(sim, f"load{i}", iteration, metrics, "op"))
-    return clients
-
-
 def _registry_digest(sim) -> str:
     snapshot = sim.obs.registry.snapshot()
     payload = json.dumps(snapshot, sort_keys=True, default=repr)
@@ -170,31 +121,31 @@ def run_perf_scenario(
             from repro.obs.monitor import HealthMonitor
 
             mon = HealthMonitor(sim).start()
-        metrics = Metrics()
-        clients = _make_clients(
-            scenario, deployment, deployment.root, metrics, int(params["clients"])
+        loop = closed_loop(
+            deployment,
+            scenario,
+            int(params["clients"]),
+            params["warmup_ms"],
+            params["measure_ms"],
         )
-        run_closed_loop(
-            sim, clients, params["warmup_ms"], params["measure_ms"]
-        )
-        return deployment, sim, mon, clients
+        return sim, mon, loop
 
     if profile:
         with hostprof.capture(sample=sample, keep_slices=keep_slices) as cap:
-            deployment, sim, mon, clients = body()
+            sim, mon, loop = body()
         wall_ns = cap.wall_ns
     else:
         cap = None
         t0 = perf_counter_ns()
-        deployment, sim, mon, clients = body()
+        sim, mon, loop = body()
         wall_ns = perf_counter_ns() - t0
 
     return PerfRun(
         scenario=scenario,
         scale=scale,
         seed=seed,
-        ops=sum(c.iterations for c in clients),
-        errors=sum(c.errors for c in clients),
+        ops=loop.ops,
+        errors=loop.errors,
         sim_ms=sim.now,
         scheduled_events=sim._sequence,
         wall_ns=wall_ns,

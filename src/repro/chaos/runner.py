@@ -786,23 +786,37 @@ def _run(
         return False
 
     def shared_client_loop(index, tag):
-        # Aggressive reply timeout: under the storm's >timeout request
-        # lag, many first attempts commit after the client has already
-        # given up and resent — exactly the duplicate window the
-        # session layer must close.
+        # Every client contends on four hot names. The reply timeout
+        # is aggressive: under the storm's >timeout request lag, many
+        # first attempts commit after the client has already given up
+        # and resent — exactly the duplicate window the session layer
+        # must close. A scenario with a cache_size runs the same loop
+        # read-heavy and cache-enabled: two more lookups for every
+        # write, every lookup recording whether the client's coherent
+        # cache or a server answered it. The verdict runs both through
+        # the same register model — a cache-served read is held to
+        # exactly the server-read bar.
+        cached = bool(scenario.cache_size)
         client = cluster.add_client(
             tag,
             rpc_timings=RpcTimings(
-                reply_timeout_ms=1_000.0, max_attempts=4, locate_attempts=10
+                reply_timeout_ms=4_000.0 if cached else 1_000.0,
+                max_attempts=8 if cached else 4,
+                locate_attempts=10,
             ),
             retry_safe=scenario.retry_safe,
+            cache_size=scenario.cache_size,
+            cache_nocoherence=scenario.cache_nocoherence,
         )
+        kinds = ["append", "delete", "lookup", "lookup"]
+        if cached:
+            kinds += ["lookup", "lookup"]
         crng = sim.rng.stream(f"chaos.client.{tag}")
         counter = 0
         while sim.now < deadline:
             name = f"shared-{crng.randrange(4)}"
             key = (1, name)
-            kind = crng.choice(["append", "delete", "lookup", "lookup"])
+            kind = crng.choice(kinds)
             t0 = sim.now
             counter += 1
             try:
@@ -810,61 +824,6 @@ def _run(
                     # A unique capability per attempt: reads can then
                     # attribute every observed value to one recorded
                     # write (or to nothing — the violation).
-                    value = dataclasses.replace(
-                        root, check=(index + 1) * 1_000_000 + counter
-                    )
-                    yield from client.append_row(root, name, (value,))
-                    history.record(tag, "append", key, value, t0, sim.now)
-                elif kind == "delete":
-                    yield from client.delete_row(root, name)
-                    history.record(tag, "delete", key, None, t0, sim.now)
-                else:
-                    got = yield from client.lookup(root, name)
-                    history.record(tag, "lookup", key, got, t0, sim.now)
-            except DirectoryError as exc:
-                # Definitive server answer (AlreadyExists, NotFound):
-                # the write did not take effect. With dedup disabled a
-                # committed-then-retried update lands here too — the
-                # unexplained value is what the checker then flags.
-                # Recorded with a "!" suffix (ignored by the checkers)
-                # so violation dumps show what the client was told.
-                history.record(tag, kind + "!", key, repr(exc), t0, sim.now)
-            except ReproError:
-                if kind in ("append", "delete"):
-                    # Retry rounds exhausted: the effect is unknown and
-                    # may still land later. Optional write, open end.
-                    ambiguous = value if kind == "append" else None
-                    history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
-                yield sim.sleep(500.0)
-        return tag
-
-    def cached_client_loop(index, tag):
-        # The shared-key loop, read-heavy and cache-enabled: four hot
-        # names, two lookups for every write, every lookup recording
-        # whether the client's coherent cache or a server answered it.
-        # The verdict runs both through the same register model — a
-        # cache-served read is held to exactly the server-read bar.
-        client = cluster.add_client(
-            tag,
-            rpc_timings=RpcTimings(
-                reply_timeout_ms=4_000.0, max_attempts=8, locate_attempts=10
-            ),
-            retry_safe=scenario.retry_safe,
-            cache_size=scenario.cache_size,
-            cache_nocoherence=scenario.cache_nocoherence,
-        )
-        crng = sim.rng.stream(f"chaos.client.{tag}")
-        counter = 0
-        while sim.now < deadline:
-            name = f"shared-{crng.randrange(4)}"
-            key = (1, name)
-            kind = crng.choice(
-                ["append", "delete", "lookup", "lookup", "lookup", "lookup"]
-            )
-            t0 = sim.now
-            counter += 1
-            try:
-                if kind == "append":
                     value = dataclasses.replace(
                         root, check=(index + 1) * 1_000_000 + counter
                     )
@@ -889,20 +848,23 @@ def _run(
                         ),
                     )
             except DirectoryError as exc:
+                # Definitive server answer (AlreadyExists, NotFound):
+                # the write did not take effect. With dedup disabled a
+                # committed-then-retried update lands here too — the
+                # unexplained value is what the checker then flags.
+                # Recorded with a "!" suffix (ignored by the checkers)
+                # so violation dumps show what the client was told.
                 history.record(tag, kind + "!", key, repr(exc), t0, sim.now)
             except ReproError:
                 if kind in ("append", "delete"):
+                    # Retry rounds exhausted: the effect is unknown and
+                    # may still land later. Optional write, open end.
                     ambiguous = value if kind == "append" else None
                     history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
                 yield sim.sleep(500.0)
         return tag
 
-    if scenario.cache_size:
-        processes = [
-            sim.spawn(cached_client_loop(i, f"c{i}"), f"chaos-client-{i}")
-            for i in range(n_clients)
-        ]
-    elif scenario.shared_keys:
+    if scenario.shared_keys:
         processes = [
             sim.spawn(shared_client_loop(i, f"c{i}"), f"chaos-client-{i}")
             for i in range(n_clients)

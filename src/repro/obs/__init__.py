@@ -13,8 +13,11 @@ The subsystem has three parts (ISSUE 2 tentpole):
 Two consumers sit on top (ISSUE 5 tentpole):
 
 * :mod:`repro.obs.spans` — stitches lineage-stamped trace events into
-  per-operation causal span trees and a deterministic latency-budget
-  report (``python -m repro profile``);
+  per-operation causal span trees, a deterministic latency-budget
+  report (``python -m repro profile``) and, from the same segments,
+  the wire/sequencer/compute/disk attribution of a Fig. 7 run
+  (``python -m repro trace``); imported lazily by the CLI, not here,
+  to keep this package import-cycle-free;
 * :mod:`repro.obs.monitor` — an in-sim health watchdog that samples
   the registry on a cadence and raises/clears hysteresis alerts
   (started on every chaos scenario).
@@ -23,10 +26,6 @@ Every :class:`~repro.sim.scheduler.Simulator` owns one
 :class:`Observability` bundle as ``sim.obs``. Tracing is **off** by
 default and costs one attribute check per instrumented call site; the
 registry is always on (plain integer/float bumps).
-
-:mod:`repro.obs.breakdown` (imported lazily by the CLI, not here, to
-keep this package import-cycle-free) turns a trace of one Fig. 7
-update run into a wire/sequencer/compute/disk latency attribution.
 
 The *host-time* layer (ISSUE 7 tentpole) sits beside the sim-time one:
 

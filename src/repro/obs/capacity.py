@@ -29,19 +29,18 @@ wall-clock, no host ordering), so same-seed reports are byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import build_deployment, closed_loop
 from repro.obs.saturation import DEFAULT_INTERVAL_MS, SaturationSampler
-from repro.workloads.clients import ClosedLoopClient
-from repro.workloads.generators import append_delete_once, lookup_once
-from repro.workloads.metrics import Metrics
 
-#: scenario -> (implementation, operation kind)
+#: scenario -> (implementation, harness workload, what one operation
+#: of it is called in the report)
 SCENARIOS = {
-    "update": ("group", "pair"),
-    "nvram-update": ("nvram", "pair"),
-    "lookup": ("group", "lookup"),
+    "update": ("group", "update", "pair"),
+    "nvram-update": ("nvram", "update", "pair"),
+    "lookup": ("group", "lookup", "lookup"),
 }
 
 #: Below this activity (queue depth / expected depth) the Little
@@ -209,61 +208,32 @@ def run_point(
 ) -> dict:
     """One closed-loop run: throughput + ranked resource stats.
 
-    Mirrors :func:`repro.bench.harness.update_throughput` (same client
-    loop, same warmup/measure phasing) but captures registry marks at
-    the window edges and runs the saturation sampler inside it.
+    The run is :func:`repro.bench.harness.closed_loop` (the Fig. 8/9
+    loop, same warmup/measure phasing) with registry marks captured at
+    the window edges and the saturation sampler running inside it.
     """
     if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {scenario!r} (have {sorted(SCENARIOS)})")
-    impl, op_kind = SCENARIOS[scenario]
+    impl, workload, op_kind = SCENARIOS[scenario]
     deploy_kwargs = {} if batch_max is None else {"batch_max": batch_max}
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
     sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
+    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms)
+    marks = []
 
-    setup_client = deployment.add_client("setup")
-    target_holder: dict = {}
+    @contextmanager
+    def window():
+        sampler.start()
+        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        yield
+        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        sampler.stop()
 
-    def setup():
-        target_holder["cap"] = yield from setup_client.create_dir()
-        if op_kind == "lookup":
-            yield from setup_client.append_row(
-                root, "hot-name", (target_holder["cap"],))
-
-    deployment.cluster.run_process(setup())
-    target = target_holder["cap"]
-
-    clients = []
-    for i in range(writers):
-        directory_client = deployment.add_client(f"load{i}")
-        if op_kind == "lookup":
-            def iteration(_n, c=directory_client):
-                yield from lookup_once(c, root, "hot-name")
-        else:
-            def iteration(n, c=directory_client, tag=i):
-                yield from append_delete_once(c, root, f"w{tag}-{n}", target)
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, op_kind))
-
-    window_start = sim.now + warmup_ms
-    for client in clients:
-        client.metrics.window_start = window_start
-        client.metrics.window_end = window_start + measure_ms
-        client.start()
-    sim.run(until=window_start)
-    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms).start()
-    marks0 = RegistryMarks.capture(sim.obs.registry, sim.now)
-    sim.run(until=window_start + measure_ms)
-    marks1 = RegistryMarks.capture(sim.obs.registry, sim.now)
-    sampler.stop()
-    for client in clients:
-        client.stop()
-    sim.run(until=sim.now + 2_000.0)  # drain in-flight operations
-
-    throughput = metrics.throughput_per_second(op_kind, measure_ms)
-    resources = window_stats(marks0, marks1)
+    throughput = closed_loop(
+        deployment, workload, writers, warmup_ms, measure_ms, window=window()
+    ).per_second
+    resources = window_stats(*marks)
     top = resources[0] if resources else None
     return {
         "scenario": scenario,

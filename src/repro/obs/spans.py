@@ -1,9 +1,10 @@
-"""Per-operation span trees + the latency-budget profiler.
+"""Per-operation span trees, the latency-budget profiler and the
+Fig. 7 phase table — one stitcher for all three.
 
-:mod:`repro.obs.breakdown` answers "where did the mean latency go"
-with four coarse phases. This module answers the finer question —
-*for each individual operation*, what happened, in causal order, on
-which node, and how long did every hop take:
+Given the flight-recorder trace of a run and one :class:`OpWindow` per
+client-observed operation, this module answers *for each individual
+operation* what happened, in causal order, on which node, and how long
+every hop took:
 
 * :func:`stitch` groups the flight recorder's lineage-stamped
   :class:`~repro.obs.trace.TraceEvent`\\ s into one :class:`OpSpan`
@@ -17,9 +18,11 @@ which node, and how long did every hop take:
   report: p50/p95/p99 per segment, the top-K slowest operations with
   their full trees, and stragglers whose segment *mix* deviates from
   their kind's profile (not merely slow — differently shaped);
-* :func:`reconcile` recomputes :mod:`repro.obs.breakdown`'s four
-  phases from the span segments and diffs them per operation — the
-  two decompositions must agree to rounding, by construction;
+* :func:`phases_from_span` folds the segments into the paper's four
+  cost components (section 4, discussion of Fig. 7) and
+  :func:`aggregate` / :func:`format_table` average them per operation
+  kind and per benchmark iteration — the ``python -m repro trace``
+  table;
 * :func:`span_track_events` renders the spans as synthetic trace
   events on a ``profile`` pseudo-node, one Chrome-trace track per
   operation lineage (open next to the raw events in Perfetto).
@@ -30,22 +33,21 @@ persist interval and carry ``fan_in = batch size``. Dedup
 short-circuits (PR 4) yield degenerate spans flagged ``dedup`` whose
 persist segment is ~0 — the reply came from the session cache.
 
-Like :mod:`repro.obs.breakdown` this module is imported lazily by the
-CLI and never pulls the simulator in at import time.
+:func:`record_update_trace` and :func:`profile_run` drive a traced
+Fig. 7 run through :func:`repro.bench.harness.solo_run`. The harness is
+imported inside those functions only: it imports :class:`OpWindow`
+from here, and :mod:`repro.obs` stays free of simulator imports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.obs.breakdown import (
-    _EPS,
-    AttributionError,
-    OpWindow,
-    _first,
-)
 from repro.obs.trace import TraceEvent
+
+_EPS = 1e-9
 
 #: The write path's ten adjacent segments, in causal order. Measured
 #: between consecutive critical-path markers, so they telescope: their
@@ -72,6 +74,20 @@ STRAGGLER_SHARE_DELTA = 0.25
 #: ... provided the segment is at least this big (absolute floor so a
 #: 0.2 ms op cannot be a straggler by jitter alone).
 STRAGGLER_MIN_MS = 1.0
+
+
+@dataclass
+class OpWindow:
+    """One client-observed operation: its kind and [start, end] ms."""
+
+    op: str
+    start: float
+    end: float
+    pair: int  # iteration index; append+delete of one pair share it
+
+
+class AttributionError(ValueError):
+    """The trace lacks the markers an operation window needs."""
 
 
 @dataclass
@@ -167,6 +183,13 @@ def _json_safe(value):
 # ----------------------------------------------------------------------
 # stitching
 # ----------------------------------------------------------------------
+
+
+def _first(events, predicate):
+    for event in events:
+        if predicate(event):
+            return event
+    return None
 
 
 def stitch_window(events, window: OpWindow) -> OpSpan:
@@ -433,55 +456,100 @@ def budget(spans, top: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# reconciliation with the Fig. 7 breakdown
+# the Fig. 7 phase table
 # ----------------------------------------------------------------------
 
-#: Span segments -> repro.obs.breakdown phase, for the write path.
-#: ``persist`` maps to the span's storage kind; everything unnamed
-#: here is the breakdown's residual ``compute``.
-_PHASE_OF = {
-    "wire_request": "wire",
-    "wire_reply": "wire",
-    "sequencer": "sequencer",
-}
+#: Column order for tables and JSON output.
+PHASE_ORDER = ("wire", "sequencer", "compute", "disk", "nvram")
 
 
 def phases_from_span(span: OpSpan) -> dict:
-    """Recompute the four Fig. 7 phases from a span's ten segments."""
-    if "sequencer" not in span.segments:  # read: wire + compute only
-        wire = span.segments["wire_request"] + span.segments["wire_reply"]
-        return {"wire": wire, "compute": span.total - wire}
-    phases: dict = {}
-    for name, value in span.segments.items():
-        if name == "persist":
-            key = span.storage or "disk"
-        else:
-            key = _PHASE_OF.get(name, "compute")
-        phases[key] = phases.get(key, 0.0) + value
+    """One operation's latency as the paper's cost components.
+
+    * **wire** — request and reply transit between the client and the
+      server that handled the operation (including FLIP locate costs);
+    * **sequencer** — from handing the update to the group kernel until
+      the kernel reports it committed (broadcast to the sequencer, the
+      sequenced broadcast back, commit propagation);
+    * **disk** / **nvram** — the persistence stage of the apply pipeline
+      (two Bullet+object-table disk subsystems, or the board append);
+    * **compute** — everything else on the server's critical path
+      (marshalling, state application, scheduling gaps).
+
+    ``compute`` is the residual, so the phases sum to the
+    client-observed latency exactly and nothing is silently dropped.
+    """
+    segments = span.segments
+    phases = {"wire": segments["wire_request"] + segments["wire_reply"]}
+    if "sequencer" in segments:  # reads never enter the kernel or touch storage
+        phases["sequencer"] = segments["sequencer"]
+        phases[span.storage] = segments["persist"]
+    phases["compute"] = span.total - sum(phases.values())
     return phases
 
 
-def reconcile(spans, breakdowns) -> dict:
-    """Diff span-derived phases against :func:`repro.obs.breakdown.attribute`.
+def aggregate(spans) -> dict:
+    """Mean per-phase costs, per op kind and for the full iteration.
 
-    Both decompositions measure between the same markers, so they must
-    agree per operation to floating-point rounding; any larger drift
-    means the span stitcher lost or double-counted time.
+    Returns ``{"ops": {op: {"count", "total_ms", phases...}},
+    "iteration": {...}}`` where *iteration* sums every op of one
+    benchmark iteration (e.g. append + delete of one pair), matching
+    what :func:`repro.bench.harness.fig7_cell` measures.
     """
-    worst = 0.0
-    compared = 0
-    for span, b in zip(spans, breakdowns):
-        mine = phases_from_span(span)
-        for key in set(mine) | set(b.phases):
-            worst = max(worst, abs(mine.get(key, 0.0) - b.phases.get(key, 0.0)))
-            compared += 1
-        worst = max(worst, abs(span.total - b.total))
+    by_op: dict = {}
+    by_pair: dict = {}
+    for span in spans:
+        item = (span.total, phases_from_span(span))
+        by_op.setdefault(span.op, []).append(item)
+        by_pair.setdefault(span.pair, []).append(item)
+
+    def mean_block(items) -> dict:
+        n = len(items)
+        block = {"count": n, "total_ms": sum(total for total, _ in items) / n}
+        for key in sorted({k for _, phases in items for k in phases}):
+            block[key] = sum(phases.get(key, 0.0) for _, phases in items) / n
+        return block
+
+    iterations = []
+    for _pair, items in sorted(by_pair.items()):
+        summed: dict = {}
+        for _, phases in items:
+            for key, value in phases.items():
+                summed[key] = summed.get(key, 0.0) + value
+        iterations.append((sum(total for total, _ in items), summed))
     return {
-        "operations": len(spans),
-        "phase_values_compared": compared,
-        "max_abs_diff_ms": round(worst, 9),
-        "ok": worst <= 1e-6,
+        "ops": {op: mean_block(items) for op, items in sorted(by_op.items())},
+        "iteration": mean_block(iterations),
     }
+
+
+def format_table(summary: dict, scenario: str, impl: str) -> str:
+    """Render :func:`aggregate`'s output as a fixed-width table."""
+    rows = dict(summary["ops"])
+    if len(rows) > 1:
+        rows["iteration"] = summary["iteration"]
+    keys = [
+        k
+        for k in PHASE_ORDER
+        if any(k in block for block in rows.values())
+    ]
+    lines = [
+        f"Per-phase latency breakdown — scenario={scenario} impl={impl}",
+        "(simulated ms, mean over iterations; phases sum to total)",
+        "",
+    ]
+    header = f"{'op':<12} {'n':>3} {'total':>9}" + "".join(
+        f" {k:>10}" for k in keys
+    )
+    lines.append(header)
+    lines.append("-" * len(header))
+    for op, block in rows.items():
+        line = f"{op:<12} {block['count']:>3} {block['total_ms']:>9.3f}"
+        for key in keys:
+            value = block.get(key)
+            line += f" {value:>10.3f}" if value is not None else f" {'-':>10}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -618,8 +686,96 @@ def _render_tree_dict(tree: dict, indent: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# the profiler driver
+# the traced Fig. 7 run
 # ----------------------------------------------------------------------
+
+#: scenario name -> (implementation, fig7 test it mirrors)
+SCENARIOS = {
+    "update": ("group", "append_delete"),
+    "nvram-update": ("nvram", "append_delete"),
+    "lookup": ("group", "lookup"),
+}
+
+#: Tracing is passive, so a traced run and an untraced one of the same
+#: seed follow the same schedule: their totals may differ by float
+#: rounding of the per-operation sums and by nothing else.
+TRACED_VS_UNTRACED_TOLERANCE = 1e-9
+
+
+@dataclass
+class TraceRun:
+    """Everything one traced benchmark run produced."""
+
+    scenario: str
+    impl: str
+    seed: int
+    iterations: int
+    events: list
+    windows: list
+    dropped: int
+
+    @cached_property
+    def spans(self) -> list:
+        return stitch(self.events, self.windows)
+
+
+def record_update_trace(
+    scenario: str = "update",
+    iterations: int = 15,
+    seed: int = 0,
+    capacity: int | None = None,
+) -> TraceRun:
+    """Run one Fig. 7 scenario with the flight recorder on.
+
+    This is :func:`repro.bench.harness.fig7_cell`'s own run (same
+    set-up, same operations, same seed) with the recorder switched on
+    after set-up, so the traced totals equal the benchmark's.
+    """
+    from repro.bench.harness import build_deployment, solo_run
+
+    if scenario not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; expected one of "
+            f"{sorted(SCENARIOS)}"
+        )
+    impl, test = SCENARIOS[scenario]
+    deployment = build_deployment(impl, seed=seed)
+    windows = solo_run(deployment, test, iterations, trace_capacity=capacity)
+    tracer = deployment.cluster.obs.tracer
+    return TraceRun(
+        scenario=scenario,
+        impl=impl,
+        seed=seed,
+        iterations=iterations,
+        events=list(tracer.events()),
+        windows=windows,
+        dropped=tracer.dropped,
+    )
+
+
+def check_against_benchmark(run: TraceRun) -> dict:
+    """Compare the traced per-iteration phase sums against an
+    untraced :func:`fig7_cell` run of the same cell.
+
+    Returns ``{"benchmark_ms", "traced_ms", "relative_error", "ok"}``.
+    The benchmark runs fresh (same seed/iterations), so this verifies
+    both that tracing does not perturb the simulation and that the
+    phase decomposition accounts for the full latency.
+    """
+    from repro.bench.harness import fig7_cell
+
+    benchmark = fig7_cell(
+        run.impl, SCENARIOS[run.scenario][1],
+        iterations=run.iterations, seed=run.seed,
+    )
+    traced = aggregate(run.spans)["iteration"]["total_ms"]
+    error = abs(traced - benchmark) / benchmark if benchmark else 0.0
+    return {
+        "benchmark_ms": round(benchmark, 6),
+        "traced_ms": round(traced, 6),
+        "relative_error": error,
+        "ok": error <= TRACED_VS_UNTRACED_TOLERANCE,
+    }
 
 
 def profile_run(
@@ -627,24 +783,23 @@ def profile_run(
     iterations: int = 15,
     seed: int = 0,
     top: int = 3,
+    run: TraceRun | None = None,
 ) -> dict:
     """Run one traced Fig. 7 scenario and return the full profile.
 
-    The returned dict is JSON-safe, fully rounded, and byte-stable for
-    identical (scenario, iterations, seed, top) — the determinism test
-    and the CI smoke job diff it directly.
+    A caller that already holds the :class:`TraceRun` (the CLI, which
+    also exports its events) passes it as *run* and no second run is
+    made. The returned dict is JSON-safe, fully rounded, and
+    byte-stable for identical (scenario, iterations, seed, top) — the
+    determinism test and the CI smoke job diff it directly.
     """
-    from repro.obs import breakdown
-
-    run = breakdown.record_update_trace(scenario, iterations=iterations, seed=seed)
-    spans = stitch(run.events, run.windows)
-    report = budget(spans, top=top)
+    if run is None:
+        run = record_update_trace(scenario, iterations=iterations, seed=seed)
     return {
         "scenario": run.scenario,
         "impl": run.impl,
         "seed": run.seed,
         "iterations": run.iterations,
         "events": len(run.events),
-        "report": report,
-        "reconciliation": reconcile(spans, run.breakdowns),
+        "report": budget(run.spans, top=top),
     }

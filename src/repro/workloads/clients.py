@@ -8,6 +8,7 @@ outstanding request.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 from repro.errors import ReproError
@@ -64,18 +65,26 @@ def run_closed_loop(
     clients: list[ClosedLoopClient],
     warmup_ms: float,
     measure_ms: float,
+    window=None,
 ) -> float:
     """Start *clients*, run warmup + measurement, stop them.
 
     Sets each client's shared metrics window to the measurement span
     and returns the measurement duration (for throughput math).
+    *window* is a context manager entered at the instant the
+    measurement window opens and left at the instant it closes, for a
+    caller that reads the registry at the window's edges. Stopping
+    ``sim.run`` at the window's start and resuming does not change the
+    schedule, so every caller takes that path.
     """
     window_start = sim.now + warmup_ms
     for client in clients:
         client.metrics.window_start = window_start
         client.metrics.window_end = window_start + measure_ms
         client.start()
-    sim.run(until=window_start + measure_ms)
+    sim.run(until=window_start)
+    with window if window is not None else nullcontext():
+        sim.run(until=window_start + measure_ms)
     for client in clients:
         client.stop()
     # Let in-flight operations drain so processes exit cleanly.

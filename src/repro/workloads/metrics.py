@@ -28,84 +28,17 @@ class Metrics:
     def record_error(self, kind: str) -> None:
         self.errors[kind] = self.errors.get(kind, 0) + 1
 
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold *other*'s samples and errors into this collector.
-
-        Used to combine per-shard or per-client collectors into one
-        summary; the merged window spans both inputs. Returns self so
-        merges chain: ``total.merge(a).merge(b)``.
-        """
-        for kind, values in other.samples.items():
-            self.samples.setdefault(kind, []).extend(values)
-        for kind, count in other.errors.items():
-            self.errors[kind] = self.errors.get(kind, 0) + count
-        self.window_start = min(self.window_start, other.window_start)
-        self.window_end = max(self.window_end, other.window_end)
-        return self
-
     # -- summaries ---------------------------------------------------------
 
     def count(self, kind: str) -> int:
         return len(self.samples.get(kind, []))
 
-    def total_count(self) -> int:
-        return sum(len(values) for values in self.samples.values())
-
     def mean(self, kind: str) -> float:
         values = self.samples.get(kind, [])
         return sum(values) / len(values) if values else math.nan
-
-    def percentile(self, kind: str, p: float, method: str = "linear") -> float:
-        """The *p*-th percentile of *kind*'s samples.
-
-        ``method="linear"`` interpolates between the two nearest order
-        statistics (numpy's default definition), so percentiles vary
-        smoothly with p even for small sample counts.
-        ``method="nearest"`` keeps the historical nearest-rank answer
-        (always an observed sample).
-        """
-        values = sorted(self.samples.get(kind, []))
-        if not values:
-            return math.nan
-        position = p / 100.0 * (len(values) - 1)
-        if method == "nearest":
-            rank = min(len(values) - 1, max(0, int(round(position))))
-            return values[rank]
-        if method != "linear":
-            raise ValueError(f"unknown percentile method {method!r}")
-        position = min(len(values) - 1.0, max(0.0, position))
-        low = int(math.floor(position))
-        high = int(math.ceil(position))
-        if low == high:
-            return values[low]
-        fraction = position - low
-        return values[low] + (values[high] - values[low]) * fraction
-
-    def stddev(self, kind: str) -> float:
-        values = self.samples.get(kind, [])
-        if len(values) < 2:
-            return 0.0
-        mu = self.mean(kind)
-        return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
     def throughput_per_second(self, kind: str, window_ms: float) -> float:
         """Completed ops of *kind* per (simulated) second of window."""
         if window_ms <= 0:
             return 0.0
         return self.count(kind) * 1000.0 / window_ms
-
-    def summary(self, window_ms: float | None = None) -> dict:
-        """One dict per kind: count/mean/p50/p95 (+ throughput)."""
-        out = {}
-        for kind in sorted(self.samples):
-            entry = {
-                "count": self.count(kind),
-                "mean_ms": self.mean(kind),
-                "p50_ms": self.percentile(kind, 50),
-                "p95_ms": self.percentile(kind, 95),
-                "stddev_ms": self.stddev(kind),
-            }
-            if window_ms:
-                entry["per_second"] = self.throughput_per_second(kind, window_ms)
-            out[kind] = entry
-        return out

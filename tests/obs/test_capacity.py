@@ -164,3 +164,9 @@ class TestRunPoint:
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError):
             run_point("fizzbuzz", 1)
+
+    def test_no_writers_reports_zero_throughput(self):
+        report = run_point(
+            "update", 0, seed=0, warmup_ms=100.0, measure_ms=500.0
+        )
+        assert report["throughput_per_s"] == 0.0

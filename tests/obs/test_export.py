@@ -111,10 +111,9 @@ class TestChromeTraceSchema:
     REQUIRED_KEYS = {"name", "ph", "pid", "tid"}
 
     def document(self):
-        from repro.obs import breakdown
-        from repro.obs.spans import span_track_events, stitch
+        from repro.obs.spans import record_update_trace, span_track_events, stitch
 
-        run = breakdown.record_update_trace("update", iterations=3, seed=0)
+        run = record_update_trace("update", iterations=3, seed=0)
         spans = stitch(run.events, run.windows)
         return to_chrome_trace(run.events + span_track_events(spans))
 

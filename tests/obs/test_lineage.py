@@ -9,14 +9,14 @@ exception — the transport is lineage-agnostic by design.)
 
 import pytest
 
-from repro.obs import breakdown
+from repro.obs import spans
 
 AUDITED_CATEGORIES = ("dir", "group", "disk", "nvram", "bullet")
 
 
 @pytest.mark.parametrize("scenario", ["update", "nvram-update"])
 def test_every_update_path_event_carries_lineage(scenario):
-    run = breakdown.record_update_trace(scenario, iterations=4, seed=0)
+    run = spans.record_update_trace(scenario, iterations=4, seed=0)
     assert run.events, "expected a non-empty trace"
     anonymous = [
         (e.cat, e.name)
@@ -27,6 +27,6 @@ def test_every_update_path_event_carries_lineage(scenario):
 
 
 def test_audited_categories_actually_present():
-    run = breakdown.record_update_trace("update", iterations=4, seed=0)
+    run = spans.record_update_trace("update", iterations=4, seed=0)
     seen = {e.cat for e in run.events}
     assert {"dir", "group", "disk"} <= seen

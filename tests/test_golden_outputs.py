@@ -32,7 +32,7 @@ from repro.bench.harness import (
 )
 from repro.bench.simbench import SCENARIOS as PERF_SCENARIOS
 from repro.bench.simbench import run_perf_scenario
-from repro.obs import breakdown, capacity, spans
+from repro.obs import capacity, spans
 
 GOLDEN = Path(__file__).parent / "golden" / "driver_outputs.json"
 
@@ -106,9 +106,9 @@ def _profile() -> dict:
 def _phase_tables() -> dict:
     out = {}
     for scenario in TRACED:
-        run = breakdown.record_update_trace(scenario, iterations=3)
-        summary = breakdown.aggregate(run.breakdowns)
-        out[scenario] = _sha(breakdown.format_table(summary, run.scenario, run.impl))
+        run = spans.record_update_trace(scenario, iterations=3)
+        summary = spans.aggregate(run.spans)
+        out[scenario] = _sha(spans.format_table(summary, run.scenario, run.impl))
     return out
 
 

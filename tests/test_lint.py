@@ -22,6 +22,14 @@ DEPRECATED_NAMES = (
     "NvramDirectoryServer",
     "PERSIST_PHASE",
     "TOP_UP",
+    # The second attribution engine and the hand-copied drivers; the
+    # phase table comes from repro.obs.spans, the runs from
+    # repro.bench.harness. (Substrings, so not bare "breakdown" — the
+    # word — nor "update_latency", which a test name contains.)
+    "obs.breakdown",
+    "obs import breakdown",
+    "update_latency(",
+    "_make_clients",
 )
 
 
@@ -80,5 +88,34 @@ def test_directories_become_durable_in_one_module():
                 )
     assert not offenders, (
         "durable directory writes outside repro/directory/store.py: "
+        + ", ".join(offenders)
+    )
+
+
+def test_the_closed_loop_is_driven_from_one_module():
+    """The paper has one closed-loop experiment shape (Figs. 8/9), and
+    repro/bench/harness.py's closed_loop is it: set-up, clients,
+    warm-up, window, drain. A second driver under src/repro that
+    builds its own ClosedLoopClients or calls run_closed_loop is a
+    copy, and the copies have drifted before (a set-up row nothing
+    read; a window re-inlined to reach its edges)."""
+    package = ROOT / "src" / "repro"
+    harness = package / "bench" / "harness.py"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == harness:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "attr", None) or getattr(
+                node.func, "id", None
+            )
+            if called in ("run_closed_loop", "ClosedLoopClient"):
+                offenders.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} calls {called}()"
+                )
+    assert not offenders, (
+        "closed-loop drivers outside repro/bench/harness.py: "
         + ", ".join(offenders)
     )

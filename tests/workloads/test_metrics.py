@@ -33,35 +33,10 @@ class TestRecording:
         assert m.errors == {"op": 2}
         assert m.count("op") == 0
 
-    def test_total_count_spans_kinds(self):
-        m = Metrics()
-        m.record("a", 0, 1)
-        m.record("b", 0, 1)
-        assert m.total_count() == 2
-
 
 class TestStatistics:
     def test_mean_of_empty_is_nan(self):
         assert math.isnan(Metrics().mean("ghost"))
-
-    def test_percentiles(self):
-        m = Metrics()
-        for i in range(1, 101):
-            m.record("op", 0.0, float(i))
-        assert m.percentile("op", 50) == pytest.approx(50.0, abs=1.0)
-        assert m.percentile("op", 95) == pytest.approx(95.0, abs=1.0)
-        assert math.isnan(m.percentile("ghost", 50))
-
-    def test_stddev(self):
-        m = Metrics()
-        for v in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            m.record("op", 0.0, v)
-        assert m.stddev("op") == pytest.approx(2.138, abs=0.01)
-
-    def test_stddev_single_sample_is_zero(self):
-        m = Metrics()
-        m.record("op", 0.0, 1.0)
-        assert m.stddev("op") == 0.0
 
     def test_throughput(self):
         m = Metrics()
@@ -69,70 +44,3 @@ class TestStatistics:
             m.record("op", i * 10.0, i * 10.0 + 1.0)
         assert m.throughput_per_second("op", 1_000.0) == pytest.approx(50.0)
         assert m.throughput_per_second("op", 0.0) == 0.0
-
-    def test_summary_shape(self):
-        m = Metrics()
-        m.record("op", 0.0, 4.0)
-        summary = m.summary(window_ms=1_000.0)
-        assert summary["op"]["count"] == 1
-        assert summary["op"]["mean_ms"] == 4.0
-        assert summary["op"]["per_second"] == pytest.approx(1.0)
-
-
-class TestMerge:
-    def test_merge_folds_samples_errors_and_window(self):
-        import math
-
-        a = Metrics(window_start=100.0, window_end=500.0)
-        b = Metrics(window_start=50.0, window_end=900.0)
-        a.record("op", 100.0, 110.0)
-        b.record("op", 60.0, 90.0)
-        b.record("other", 70.0, 75.0)
-        a.record_error("op")
-        b.record_error("op")
-        merged = a.merge(b)
-        assert merged is a  # merges chain
-        assert sorted(a.samples["op"]) == [10.0, 30.0]
-        assert a.samples["other"] == [5.0]
-        assert a.errors == {"op": 2}
-        assert a.window_start == 50.0 and a.window_end == 900.0
-        assert math.isclose(a.mean("op"), 20.0)
-
-    def test_merged_percentiles_match_pooled_samples(self):
-        shards = []
-        pooled = Metrics()
-        for shard_no in range(3):
-            m = Metrics()
-            for i in range(10):
-                latency = shard_no * 10.0 + i
-                m.record("op", 0.0, latency)
-                pooled.record("op", 0.0, latency)
-            shards.append(m)
-        total = Metrics()
-        for m in shards:
-            total.merge(m)
-        for p in (0, 25, 50, 75, 95, 100):
-            assert total.percentile("op", p) == pooled.percentile("op", p)
-
-
-class TestInterpolatedPercentile:
-    def test_linear_interpolates_between_order_statistics(self):
-        m = Metrics()
-        for v in (10.0, 20.0, 30.0, 40.0):
-            m.record("op", 0.0, v)
-        # position for p50 over 4 samples is 1.5: halfway 20 -> 30.
-        assert m.percentile("op", 50) == pytest.approx(25.0)
-        assert m.percentile("op", 50, method="nearest") in (20.0, 30.0)
-
-    def test_extremes_clamp_to_min_and_max(self):
-        m = Metrics()
-        for v in (3.0, 1.0, 2.0):
-            m.record("op", 0.0, v)
-        assert m.percentile("op", 0) == 1.0
-        assert m.percentile("op", 100) == 3.0
-
-    def test_unknown_method_rejected(self):
-        m = Metrics()
-        m.record("op", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            m.percentile("op", 50, method="midpoint")
