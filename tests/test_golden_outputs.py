@@ -2,8 +2,9 @@
 
 ``tests/golden/driver_outputs.json`` holds what each experiment driver
 printed the last time somebody looked: the Fig. 7 cells, one Fig. 8 and
-one Fig. 9 point per implementation, the ``perf`` fingerprints, and
-digests of the ``capacity``, ``profile`` and ``trace`` reports. The
+one Fig. 9 point per implementation, the ``perf`` fingerprints,
+digests of the ``capacity``, ``profile`` and ``trace`` reports, and
+digests of the chaos verdicts of six smoke runs. The
 simulation is deterministic, so any difference is a code change — a PR
 that means to move a number regenerates the file and its diff of the
 file *is* the statement of what moved; a refactor that means to move
@@ -32,6 +33,7 @@ from repro.bench.harness import (
 )
 from repro.bench.simbench import SCENARIOS as PERF_SCENARIOS
 from repro.bench.simbench import run_perf_scenario
+from repro.chaos import run_scenario, scenario_by_name
 from repro.obs import capacity, spans
 
 GOLDEN = Path(__file__).parent / "golden" / "driver_outputs.json"
@@ -40,6 +42,15 @@ FIG7_TESTS = ("append_delete", "tmp_file", "lookup")
 #: The Fig. 8/9 curves leave the single-copy NFS baseline out.
 REPLICATED = ("group", "rpc", "nvram")
 TRACED = ("update", "nvram-update", "lookup")
+#: (scenario, seed) smoke runs that tests/chaos already pays for by name.
+CHAOS_RUNS = (
+    ("sequencer_crash", 3),
+    ("duplication", 3),
+    ("grand_tour", 1),
+    ("rpc_dup_reorder", 1),
+    ("delay_spikes", 2),
+    ("rolling_faults", 0),
+)
 
 
 def _sha(report) -> str:
@@ -112,6 +123,15 @@ def _phase_tables() -> dict:
     return out
 
 
+def _chaos() -> dict:
+    out = {}
+    for name, seed in CHAOS_RUNS:
+        verdict = run_scenario(scenario_by_name(name), seed, smoke=True).as_dict()
+        del verdict["host_ms"], verdict["trace_path"]  # the host's, not the run's
+        out[f"{name}/{seed}"] = _sha(verdict)
+    return out
+
+
 SECTIONS = {
     "fig7": _fig7,
     "fig8": _fig8,
@@ -120,6 +140,7 @@ SECTIONS = {
     "capacity": _capacity,
     "profile": _profile,
     "phase_tables": _phase_tables,
+    "chaos": _chaos,
 }
 
 
