@@ -9,7 +9,7 @@ other driver in the repository — the figure functions below, ``perf``
 ``trace``/``profile`` (:mod:`repro.obs.spans`) — builds a deployment and
 calls one of the two.
 
-Implementations are addressed by name:
+Implementations are addressed by name (:data:`IMPLEMENTATIONS`):
 
 * ``"group"`` — the triplicated group-communication service;
 * ``"rpc"`` — the duplicated RPC service (previous design);
@@ -39,7 +39,15 @@ from repro.workloads.generators import (
 )
 from repro.workloads.metrics import Metrics
 
-IMPLEMENTATIONS = ("group", "rpc", "nfs", "nvram")
+#: impl -> (cluster class, default deployment name). The one place a
+#: deployment is picked by name: :func:`build_deployment` is how every
+#: driver, the ledger and the chaos runner get a booted cluster.
+IMPLEMENTATIONS = {
+    "group": (GroupServiceCluster, "grp"),
+    "rpc": (RpcServiceCluster, "rpc"),
+    "nfs": (NfsServiceCluster, "nfs"),
+    "nvram": (NvramServiceCluster, "nvr"),
+}
 
 #: Fig. 7 of the paper, msec (columns: implementation).
 PAPER_FIG7 = {
@@ -84,16 +92,11 @@ class Deployment:
 
 def build_deployment(impl: str, seed: int = 0, **kwargs) -> Deployment:
     """Boot one implementation and wait until it serves."""
-    if impl == "group":
-        cluster = GroupServiceCluster(seed=seed, name="grp", **kwargs)
-    elif impl == "rpc":
-        cluster = RpcServiceCluster(seed=seed, name="rpc", **kwargs)
-    elif impl == "nfs":
-        cluster = NfsServiceCluster(seed=seed, name="nfs", **kwargs)
-    elif impl == "nvram":
-        cluster = NvramServiceCluster(seed=seed, name="nvr", **kwargs)
-    else:
+    if impl not in IMPLEMENTATIONS:
         raise ValueError(f"unknown implementation {impl!r}")
+    cluster_class, default_name = IMPLEMENTATIONS[impl]
+    kwargs.setdefault("name", default_name)
+    cluster = cluster_class(seed=seed, **kwargs)
     cluster.start()
     cluster.wait_operational()
     return Deployment(impl, cluster)

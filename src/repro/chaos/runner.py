@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Callable
 
+from repro.bench.harness import build_deployment
 from repro.chaos.nemesis import build_nemesis
 from repro.errors import DirectoryError, ReproError, SimulationError
 from repro.faults.plan import FaultPlan
@@ -48,9 +49,14 @@ from repro.verify import HistoryRecorder, InvariantReport, check_cluster
 SETTLE_MS = 30_000.0
 #: Faults begin this long after the cluster reports operational.
 WARMUP_MS = 2_000.0
+#: Every scenario runs a triplicated service (the RPC pair aside).
+N_SERVERS = 3
 #: Ring-buffer size of the always-on flight recorder: enough for the
 #: last few seconds of cluster activity without unbounded growth.
 FLIGHT_RECORDER_CAPACITY = 2048
+#: Shared-key scenarios need the whole window's apply events so the
+#: duplicate-apply scan sees both halves of a duplicate pair.
+SHARED_KEYS_RECORDER_CAPACITY = 65_536
 #: Where failing seeds leave their flight-recorder dumps.
 DEFAULT_TRACE_DIR = "chaos-traces"
 
@@ -63,37 +69,33 @@ class Scenario:
     description: str
     #: (cluster, rng, start_ms, window_ms) -> FaultPlan (unarmed).
     build: Callable
-    #: "group" | "rpc" — which directory service to deploy.
+    #: "group" | "rpc" — which directory service to deploy (a key of
+    #: repro.bench.harness.IMPLEMENTATIONS).
     cluster_kind: str = "group"
     #: Whether the service must end the run serving (majority up).
     expect_available: bool = True
     window_ms: float = 30_000.0
-    n_servers: int = 3
     n_clients: int = 3
     #: Scenarios excluded from the default seed rotation (negative
     #: tests that deliberately destroy the majority).
     in_rotation: bool = True
-    #: Clients use the exactly-once session layer (retry-safe mode)
-    #: and blindly resend mutations on RPC failure.
-    retry_safe: bool = False
     #: Clients contend on a small set of shared keys; the verdict then
     #: uses the shared-key linearizability checker instead of the
-    #: private-key session-guarantee checks.
+    #: private-key session-guarantee checks. These clients use the
+    #: exactly-once session layer (retry-safe mode) and blindly resend
+    #: mutations on RPC failure, and the flight recorder holds
+    #: SHARED_KEYS_RECORDER_CAPACITY events.
     shared_keys: bool = False
     #: Server-side session dedup. Disable to demonstrate the checker
     #: is not vacuous: retried-but-committed updates then surface as
     #: linearizability violations / duplicate applies.
     dedup: bool = True
-    #: Override the flight-recorder ring size (None = default).
-    #: Shared-key scenarios need the whole window's apply events so
-    #: the duplicate-apply scan sees both halves of a duplicate pair.
-    flight_recorder_capacity: int | None = None
     #: Health-monitor contract. True: at least one alert must fire
     #: inside the fault window AND every alert must clear by the end
     #: of the settle tail. False: the monitor must stay silent for the
     #: whole run (fault-free controls). None: record, don't assert.
     expect_alerts: bool | None = None
-    #: Initial resilience degree (None = n_servers - 1, the maximum).
+    #: Initial resilience degree (None = N_SERVERS - 1, the maximum).
     resilience: int | None = None
     #: Cold spare sites available to remediation (group clusters only).
     spares: int = 0
@@ -104,10 +106,9 @@ class Scenario:
     #: cluster must be back at its declared server count and
     #: resilience degree with every operational member agreeing.
     expect_resilience_restored: bool = False
-    #: Health-monitor overrides: a thresholds tuple (see
-    #: repro.obs.thresholds_with) and/or a sampling cadence.
+    #: Health-monitor override: a thresholds tuple (see
+    #: repro.obs.thresholds_with).
     monitor_thresholds: tuple | None = None
-    monitor_interval_ms: float | None = None
     #: Per-client lookup-cache capacity (0 = no cache). >0 also turns
     #: on ``cache_coherence`` in the deployment config and switches the
     #: shared-key workload to the cached loop, which records whether
@@ -456,10 +457,8 @@ SCENARIOS: list[Scenario] = [
         "reply loss + >timeout request lag against retry-safe clients "
         "contending on shared keys: exactly-once or bust",
         build_retry_storm,
-        retry_safe=True,
         shared_keys=True,
         n_clients=4,
-        flight_recorder_capacity=65_536,
         expect_alerts=True,
     ),
     Scenario(
@@ -467,11 +466,9 @@ SCENARIOS: list[Scenario] = [
         "NEGATIVE: the same storm with server-side dedup disabled — "
         "the linearizability checker must catch the duplicates",
         build_retry_storm,
-        retry_safe=True,
         shared_keys=True,
         dedup=False,
         n_clients=4,
-        flight_recorder_capacity=65_536,
         in_rotation=False,
     ),
     Scenario(
@@ -501,7 +498,6 @@ SCENARIOS: list[Scenario] = [
         "self-driving gauntlet: crash left down, flapping link, "
         "sustained loss — remediation must restore declared resilience",
         _nemesis_builder("rolling_faults"),
-        retry_safe=True,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -509,7 +505,6 @@ SCENARIOS: list[Scenario] = [
         spares=1,
         remediation=True,
         expect_resilience_restored=True,
-        flight_recorder_capacity=65_536,
         expect_alerts=True,
         # A lower retransmission trip point makes the scale-up policy
         # engage reliably under the 12% sustained-loss phase.
@@ -520,7 +515,6 @@ SCENARIOS: list[Scenario] = [
         "NEGATIVE: the same gauntlet with the controller disabled — "
         "check_resilience_restored must flag the crippled cluster",
         _nemesis_builder("rolling_faults"),
-        retry_safe=True,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -528,7 +522,6 @@ SCENARIOS: list[Scenario] = [
         spares=0,
         remediation=False,
         expect_resilience_restored=True,
-        flight_recorder_capacity=65_536,
         in_rotation=False,
     ),
     Scenario(
@@ -537,11 +530,9 @@ SCENARIOS: list[Scenario] = [
         "sequencer crashes against cached clients on hot shared keys — "
         "any stale cache-served read fails the linearizability checker",
         build_stale_read_hunt,
-        retry_safe=True,
         shared_keys=True,
         n_clients=4,
         cache_size=64,
-        flight_recorder_capacity=65_536,
         # Out of rotation (run explicitly by the cache-smoke CI job):
         # inserting it would remap which seed runs which rotation
         # scenario and invalidate the pinned chaos-smoke baselines.
@@ -552,12 +543,10 @@ SCENARIOS: list[Scenario] = [
         "NEGATIVE: the same gauntlet with invalidations acknowledged "
         "but ignored — the checker must catch the stale cached reads",
         build_stale_read_hunt,
-        retry_safe=True,
         shared_keys=True,
         n_clients=4,
         cache_size=64,
         cache_nocoherence=True,
-        flight_recorder_capacity=65_536,
         in_rotation=False,
     ),
     Scenario(
@@ -567,7 +556,6 @@ SCENARIOS: list[Scenario] = [
         "— checksummed envelopes + scrub-and-repair must keep every "
         "acknowledged block durable",
         _nemesis_builder("bitrot_gauntlet"),
-        retry_safe=True,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -576,7 +564,6 @@ SCENARIOS: list[Scenario] = [
         resilience=1,
         spares=1,
         remediation=True,
-        flight_recorder_capacity=65_536,
         expect_alerts=True,
         # Out of rotation (run explicitly by the bitrot-smoke CI job):
         # inserting it would remap which seed runs which rotation
@@ -589,7 +576,6 @@ SCENARIOS: list[Scenario] = [
         "layout with no scrubber or remediation — check_durability "
         "must catch the silently-served corruption",
         _nemesis_builder("bitrot_gauntlet"),
-        retry_safe=True,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -598,7 +584,6 @@ SCENARIOS: list[Scenario] = [
         resilience=1,
         spares=0,
         remediation=False,
-        flight_recorder_capacity=65_536,
         in_rotation=False,
     ),
     Scenario(
@@ -630,23 +615,16 @@ def rotation() -> list[Scenario]:
 # ----------------------------------------------------------------------
 
 
-def _build_cluster(scenario: Scenario, seed: int):
+def _deployment_kwargs(scenario: Scenario) -> dict:
     if scenario.cluster_kind == "rpc":
-        from repro.cluster import RpcServiceCluster
-
-        return RpcServiceCluster(name=f"chaos{seed}", seed=seed)
-    from repro.cluster import GroupServiceCluster
-
-    resilience = (
-        scenario.resilience
-        if scenario.resilience is not None
-        else scenario.n_servers - 1
-    )
-    return GroupServiceCluster(
-        name=f"chaos{seed}",
-        seed=seed,
-        n_servers=scenario.n_servers,
-        resilience=resilience,
+        return {}
+    return dict(
+        n_servers=N_SERVERS,
+        resilience=(
+            scenario.resilience
+            if scenario.resilience is not None
+            else N_SERVERS - 1
+        ),
         spares=scenario.spares,
         dedup_enabled=scenario.dedup,
         # Only cache scenarios flip the coherence machinery on, so
@@ -702,13 +680,18 @@ def _run(
     holder: dict | None = None,
 ):
     host_t0 = perf_counter_ns()
-    cluster = _build_cluster(scenario, seed)
+    cluster = build_deployment(
+        scenario.cluster_kind,
+        seed,
+        name=f"chaos{seed}",
+        **_deployment_kwargs(scenario),
+    ).cluster
     if holder is not None:
         holder["cluster"] = cluster
-    cluster.start()
-    cluster.wait_operational()
     cluster.enable_tracing(
-        scenario.flight_recorder_capacity or FLIGHT_RECORDER_CAPACITY
+        SHARED_KEYS_RECORDER_CAPACITY
+        if scenario.shared_keys
+        else FLIGHT_RECORDER_CAPACITY
     )
     sim = cluster.sim
     # The watchdog starts with the cluster healthy: its baseline
@@ -716,8 +699,6 @@ def _run(
     monitor_kwargs: dict = {}
     if scenario.monitor_thresholds is not None:
         monitor_kwargs["thresholds"] = scenario.monitor_thresholds
-    if scenario.monitor_interval_ms is not None:
-        monitor_kwargs["interval_ms"] = scenario.monitor_interval_ms
     monitor = HealthMonitor(sim, **monitor_kwargs).start()
     controller = None
     if scenario.remediation:
@@ -804,7 +785,7 @@ def _run(
                 max_attempts=8 if cached else 4,
                 locate_attempts=10,
             ),
-            retry_safe=scenario.retry_safe,
+            retry_safe=True,
             cache_size=scenario.cache_size,
             cache_nocoherence=scenario.cache_nocoherence,
         )

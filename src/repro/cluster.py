@@ -32,23 +32,45 @@ ADMIN_PARTITION_START = 2048
 ADMIN_PARTITION_BLOCKS = 1024
 
 
-class Site:
+class Machine:
+    """One server machine and its disk. The network stack and the disk
+    outlive reboots; the server object is replaced by each one."""
+
+    def __init__(self, cluster: "BaseCluster", index: int, address: str, disk: Disk):
+        self.cluster = cluster
+        self.index = index
+        self.disk = disk
+        self.dir_address = address
+        self.dir_transport = Transport(cluster.sim, cluster.network.attach(address))
+        self.server = None  # set by the cluster
+
+    def crash_directory_server(self) -> None:
+        """Fail-stop crash of the directory-server machine only."""
+        if self.server is not None:
+            self.server.crash()
+        self.dir_transport.shutdown()
+
+    def report(self) -> dict:
+        return {
+            "disk_ops": dict(self.disk.ops),
+            "dir_cpu_busy_ms": self.dir_transport.cpu.busy_ms,
+        }
+
+
+class Site(Machine):
     """One replica site: directory machine + Bullet machine + disk."""
 
     def __init__(self, cluster: "BaseCluster", index: int):
-        self.cluster = cluster
-        self.index = index
         sim, network = cluster.sim, cluster.network
-        self.dir_address = f"{cluster.name}.dir{index}"
         self.bullet_address = f"{cluster.name}.bullet{index}"
-        self.disk = Disk(
+        disk = Disk(
             sim,
             f"{cluster.name}.disk{index}",
             latency=cluster.latency.disk,
             blocks=ADMIN_PARTITION_START + ADMIN_PARTITION_BLOCKS,
-            integrity=getattr(cluster, "integrity", False),
+            integrity=cluster.integrity,
         )
-        self.dir_transport = Transport(sim, network.attach(self.dir_address))
+        super().__init__(cluster, index, f"{cluster.name}.dir{index}", disk)
         self.bullet_transport = Transport(sim, network.attach(self.bullet_address))
         self.bullet = BulletServer(
             self.bullet_transport, self.disk, f"{cluster.name}.{index}"
@@ -56,15 +78,8 @@ class Site:
         self.partition = RawPartition(
             self.disk, ADMIN_PARTITION_START, ADMIN_PARTITION_BLOCKS
         )
-        self.server = None  # set by the cluster
 
     # -- failure injection --------------------------------------------------
-
-    def crash_directory_server(self) -> None:
-        """Fail-stop crash of the directory-server machine only."""
-        if self.server is not None:
-            self.server.crash()
-        self.dir_transport.shutdown()
 
     def crash_bullet_server(self) -> None:
         """Fail-stop crash of the Bullet machine (files survive on disk)."""
@@ -82,9 +97,19 @@ class Site:
             self.bullet_transport, self.disk, f"{self.cluster.name}.{self.index}"
         )
 
+    def report(self) -> dict:
+        return {
+            **super().report(),
+            "bullet_cpu_busy_ms": self.bullet_transport.cpu.busy_ms,
+        }
+
 
 class BaseCluster:
-    """Common scaffolding: simulator, network, client factory."""
+    """The deployment surface, written once: simulator, network, client
+    factory, and the lifecycle of the server machines — boot, wait,
+    crash, reboot. The ``*Cluster`` classes say what they are made of
+    (``_make_server`` builds one machine's server object) and add only
+    what is theirs."""
 
     def __init__(
         self,
@@ -115,6 +140,28 @@ class BaseCluster:
         #: The simulator's observability bundle (repro.obs).
         self.obs = self.sim.obs
         self.clients: dict[str, DirectoryClient] = {}
+        #: Checksummed storage envelopes on every site disk.
+        self.integrity = False
+        #: The server machines, by server index (none on the
+        #: single-copy NFS baseline, which nothing crashes or reboots).
+        self.sites: list[Machine] = []
+
+    def _build_sites(self, n_servers: int, config, config_overrides) -> None:
+        """The Fig. 3 sites and the ServiceConfig that names them."""
+        # Must be known before the sites — and their disks — are built.
+        self.integrity = (
+            config.integrity
+            if config is not None
+            else bool(config_overrides.get("integrity", False))
+        )
+        self.sites = [Site(self, i) for i in range(n_servers)]
+        if config is None:
+            config = ServiceConfig(
+                name=self.name,
+                server_addresses=tuple(site.dir_address for site in self.sites),
+                **config_overrides,
+            )
+        self.config = config
 
     def enable_tracing(self, capacity: int | None = None):
         """Turn on the causal trace recorder (see docs/OBSERVABILITY.md).
@@ -188,7 +235,69 @@ class BaseCluster:
 
     @property
     def service_port(self):
-        raise NotImplementedError
+        return self.config.port
+
+    @property
+    def root_capability(self):
+        """The service's root directory capability (deterministic)."""
+        return owner_capability(
+            self.config.port, ROOT_OBJECT, self.config.root_check
+        )
+
+    @property
+    def servers(self) -> list:
+        return [site.server for site in self.sites]
+
+    def operational_servers(self) -> list:
+        return [s for s in self.servers if s is not None and s.operational]
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def start(self) -> None:
+        """Boot every server (each begins with its recovery)."""
+        for server in self.servers:
+            server.start()
+
+    def wait_operational(self, timeout_ms: float = 30_000.0, quorum: int | None = None):
+        """Run the simulation until the servers are serving.
+
+        *quorum* defaults to all currently-alive servers: with a
+        replica down, the deployment is operational once the survivors
+        serve.
+        """
+        needed = quorum if quorum is not None else sum(
+            1 for s in self.servers if s is not None and s.alive
+        )
+        deadline = self.sim.now + timeout_ms
+        while self.sim.now < deadline:
+            if len(self.operational_servers()) >= needed:
+                return
+            self.sim.run(until=min(self.sim.now + 20.0, deadline))
+        raise SimulationError(
+            f"service not operational after {timeout_ms} ms "
+            f"({[s is not None and s.operational for s in self.servers]})"
+        )
+
+    # -- failure injection --------------------------------------------------------
+
+    def crash_server(self, index: int) -> None:
+        """Crash server *index* (its disk, and a site's Bullet, survive)."""
+        self.sites[index].crash_directory_server()
+
+    def restart_server(self, index: int):
+        """Reboot server *index*; it re-runs its recovery.
+
+        A restart is a reboot whoever calls it: an incumbent that is
+        still running is fail-stopped first, never left serving beside
+        its successor on a second transport pump.
+        """
+        site = self.sites[index]
+        if site.server is not None and site.server.alive:
+            site.crash_directory_server()
+        site.dir_transport.restart()
+        site.server = self._make_server(site)
+        site.server.start()
+        return site.server
 
     def run(self, until: float | None = None) -> float:
         return self.sim.run(until=until)
@@ -200,8 +309,8 @@ class BaseCluster:
     def report(self) -> dict:
         """Deployment-wide observability snapshot.
 
-        Wire totals, per-kind frame counts, and (when the deployment
-        has sites) per-site disk and CPU figures. Benches and examples
+        Wire totals, per-kind frame counts, per-site disk and CPU
+        figures and per-server request counts. Benches and examples
         print this to explain *where* the costs went.
         """
         out = {
@@ -211,31 +320,18 @@ class BaseCluster:
             "frames_dropped": self.network.stats.frames_dropped,
             "frames_by_kind": self.network.stats.snapshot(),
         }
-        sites = getattr(self, "sites", None)
-        if sites:
-            out["sites"] = [
-                {
-                    "disk_ops": dict(site.disk.ops),
-                    "dir_cpu_busy_ms": site.dir_transport.cpu.busy_ms,
-                    "bullet_cpu_busy_ms": site.bullet_transport.cpu.busy_ms,
-                }
-                for site in sites
-            ]
-        servers = getattr(self, "servers", None)
-        if servers:
-            out["servers"] = [
-                {
-                    "reads": getattr(s, "reads_served", None),
-                    "writes": getattr(s, "writes_served", None),
-                    "refused": getattr(s, "requests_refused", None),
-                    "operational": getattr(s, "operational", None),
-                }
-                for s in servers
-                if s is not None
-            ]
-        view_history = getattr(self, "view_history", None)
-        if view_history is not None:
-            out["view_changes"] = view_history()
+        if self.sites:
+            out["sites"] = [site.report() for site in self.sites]
+        out["servers"] = [
+            {
+                "reads": getattr(s, "reads_served", None),
+                "writes": getattr(s, "writes_served", None),
+                "refused": getattr(s, "requests_refused", None),
+                "operational": s.operational,
+            }
+            for s in self.servers
+            if s is not None
+        ]
         out["metrics"] = self.obs.registry.snapshot()
         return out
 
@@ -258,7 +354,7 @@ class BaseCluster:
                 f"  site {i}: disk {site['disk_ops']}, "
                 f"dir-cpu {site['dir_cpu_busy_ms']:.0f} ms busy"
             )
-        for i, server in enumerate(report.get("servers", [])):
+        for i, server in enumerate(report["servers"]):
             lines.append(
                 f"  server {i}: reads={server['reads']} "
                 f"writes={server['writes']} refused={server['refused']} "
@@ -287,21 +383,7 @@ class GroupServiceCluster(BaseCluster):
         super().__init__(
             name, seed, latency, sim, network, loss_probability, link_policies
         )
-        #: Checksummed storage envelopes on every site disk (must be
-        #: known before the sites — and their disks — are built).
-        self.integrity = (
-            config.integrity
-            if config is not None
-            else bool(config_overrides.get("integrity", False))
-        )
-        self.sites = [Site(self, i) for i in range(n_servers)]
-        if config is None:
-            config = ServiceConfig(
-                name=name,
-                server_addresses=tuple(site.dir_address for site in self.sites),
-                **config_overrides,
-            )
-        self.config = config
+        self._build_sites(n_servers, config, config_overrides)
         #: Pre-built standby sites: full machine + disk, attached to
         #: the network but NOT in the server set until activated by
         #: :meth:`add_server` (or the remediation controller).
@@ -336,61 +418,9 @@ class GroupServiceCluster(BaseCluster):
         """The site's NVRAM board, for deployments that have one."""
         return None
 
-    @property
-    def service_port(self):
-        return self.config.port
-
-    @property
-    def servers(self) -> list[GroupDirectoryServer]:
-        return [site.server for site in self.sites]
-
-    @property
-    def root_capability(self):
-        """The service's root directory capability (deterministic)."""
-        return owner_capability(
-            self.config.port, ROOT_OBJECT, self.config.root_check
-        )
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        """Boot every directory server (each begins with recovery)."""
-        for site in self.sites:
-            site.server.start()
-
-    def wait_operational(self, timeout_ms: float = 30_000.0, quorum: int | None = None):
-        """Run the simulation until the servers are serving.
-
-        *quorum* defaults to all currently-alive servers.
-        """
-        needed = quorum if quorum is not None else sum(
-            1 for s in self.servers if s is not None and s.alive
-        )
-        deadline = self.sim.now + timeout_ms
-        while self.sim.now < deadline:
-            up = sum(1 for s in self.servers if s is not None and s.operational)
-            if up >= needed:
-                return
-            self.sim.run(until=min(self.sim.now + 20.0, deadline))
-        raise SimulationError(
-            f"service not operational after {timeout_ms} ms "
-            f"({[s.operational for s in self.servers]})"
-        )
-
-    # -- failure injection --------------------------------------------------------
-
-    def crash_server(self, index: int) -> None:
-        """Crash directory server *index* (its disk and Bullet survive)."""
-        self.sites[index].crash_directory_server()
-
     def restart_server(self, index: int) -> GroupDirectoryServer:
-        """Reboot directory server *index*; it re-runs recovery."""
-        site = self.sites[index]
-        self._archive_view_log(site)
-        site.dir_transport.restart()
-        site.server = self._make_server(site)
-        site.server.start()
-        return site.server
+        self._archive_view_log(self.sites[index])
+        return super().restart_server(index)
 
     # -- elastic membership ----------------------------------------------------
 
@@ -495,6 +525,11 @@ class GroupServiceCluster(BaseCluster):
             for entry in server.member.kernel.view_log
         )
 
+    def report(self) -> dict:
+        out = super().report()
+        out["view_changes"] = self.view_history()
+        return out
+
     def view_history(self) -> list[dict]:
         """Every view change any replica adopted — epoch, members,
         sequencer, resilience, trigger — across restarts and
@@ -530,9 +565,6 @@ class GroupServiceCluster(BaseCluster):
 
     # -- verification ---------------------------------------------------------------
 
-    def operational_servers(self) -> list[GroupDirectoryServer]:
-        return [s for s in self.servers if s is not None and s.operational]
-
     def replicas_consistent(self) -> bool:
         """All operational replicas hold identical state."""
         fingerprints = {
@@ -562,7 +594,9 @@ class NvramServiceCluster(GroupServiceCluster):
 
 
 class RpcServiceCluster(BaseCluster):
-    """The duplicated RPC directory service (the previous design)."""
+    """The duplicated RPC directory service (the previous design). A
+    rebooted server refreshes from its peer (or its own disk when the
+    peer is unreachable)."""
 
     def __init__(
         self,
@@ -579,19 +613,7 @@ class RpcServiceCluster(BaseCluster):
         super().__init__(
             name, seed, latency, sim, network, loss_probability, link_policies
         )
-        self.integrity = (
-            config.integrity
-            if config is not None
-            else bool(config_overrides.get("integrity", False))
-        )
-        self.sites = [Site(self, i) for i in range(2)]
-        if config is None:
-            config = ServiceConfig(
-                name=name,
-                server_addresses=tuple(site.dir_address for site in self.sites),
-                **config_overrides,
-            )
-        self.config = config
+        self._build_sites(2, config, config_overrides)
         for site in self.sites:
             site.server = self._make_server(site)
 
@@ -605,42 +627,6 @@ class RpcServiceCluster(BaseCluster):
             self.config, site.index, site.dir_transport, site.bullet.port, admin
         )
 
-    @property
-    def service_port(self):
-        return self.config.port
-
-    @property
-    def servers(self):
-        return [site.server for site in self.sites]
-
-    @property
-    def root_capability(self):
-        return owner_capability(self.config.port, ROOT_OBJECT, self.config.root_check)
-
-    def start(self) -> None:
-        for site in self.sites:
-            site.server.start()
-
-    def wait_operational(self, timeout_ms: float = 30_000.0):
-        deadline = self.sim.now + timeout_ms
-        while self.sim.now < deadline:
-            if all(s.operational for s in self.servers):
-                return
-            self.sim.run(until=min(self.sim.now + 20.0, deadline))
-        raise SimulationError("RPC directory service did not come up")
-
-    def crash_server(self, index: int) -> None:
-        self.sites[index].crash_directory_server()
-
-    def restart_server(self, index: int):
-        """Reboot one RPC directory server; it refreshes from its peer
-        (or its own disk when the peer is unreachable)."""
-        site = self.sites[index]
-        site.dir_transport.restart()
-        site.server = self._make_server(site)
-        site.server.start()
-        return site.server
-
     def settle(self, ms: float = 1000.0) -> None:
         """Let lazy replication drain."""
         self.sim.run(until=self.sim.now + ms)
@@ -649,17 +635,12 @@ class RpcServiceCluster(BaseCluster):
         """Directory contents equal on both replicas (the RPC design's
         counters legitimately differ — lazy replication)."""
         fingerprints = {
-            s.state.content_fingerprint()
-            for s in self.servers
-            if s is not None and s.operational
+            s.state.content_fingerprint() for s in self.operational_servers()
         }
         return len(fingerprints) <= 1
 
     # Uniform verification surface (repro.verify / repro.chaos): for
     # the RPC design "consistent" can only mean content-consistent.
-    def operational_servers(self):
-        return [s for s in self.servers if s is not None and s.operational]
-
     def replicas_consistent(self) -> bool:
         return self.replicas_content_consistent()
 
@@ -684,30 +665,25 @@ class ReplicatedBulletCluster(BaseCluster):
             name, seed, latency, sim, network, loss_probability, link_policies
         )
         from repro.storage.nvram import Nvram
-        from repro.storage.replicated_bullet import (
-            ReplicatedBulletConfig,
-            ReplicatedBulletServer,
-        )
+        from repro.storage.replicated_bullet import ReplicatedBulletConfig
 
         self.addresses = tuple(f"{name}.srv{i}" for i in range(n_servers))
         self.config = ReplicatedBulletConfig(name, self.addresses)
-        self.disks = []
-        self.nvrams = []
-        self.servers = []
         for i, address in enumerate(self.addresses):
-            transport = Transport(self.sim, self.network.attach(address))
             disk = Disk(self.sim, f"{name}.disk{i}", latency=self.latency.disk)
-            board = Nvram(self.sim, name=f"{name}.nvram{i}") if nvram else None
-            self.disks.append(disk)
-            self.nvrams.append(board)
-            self.servers.append(
-                ReplicatedBulletServer(self.config, i, transport, disk, board)
-            )
-        self._transports = {a: self.network.nic(a) for a in self.addresses}
+            site = Machine(self, i, address, disk)
+            site.nvram = Nvram(self.sim, name=f"{name}.nvram{i}") if nvram else None
+            site.server = self._make_server(site)
+            self.sites.append(site)
+        self.disks = [site.disk for site in self.sites]
+        self.nvrams = [site.nvram for site in self.sites]
 
-    @property
-    def service_port(self):
-        return self.config.port
+    def _make_server(self, site: Machine):
+        from repro.storage.replicated_bullet import ReplicatedBulletServer
+
+        return ReplicatedBulletServer(
+            self.config, site.index, site.dir_transport, site.disk, site.nvram
+        )
 
     def add_file_client(self, client_name: str):
         """A BulletClient talking to the replicated service."""
@@ -720,44 +696,9 @@ class ReplicatedBulletCluster(BaseCluster):
         )
         return BulletClient(rpc, self.config.port)
 
-    def start(self) -> None:
-        for server in self.servers:
-            server.start()
-
-    def wait_operational(self, timeout_ms: float = 30_000.0):
-        deadline = self.sim.now + timeout_ms
-        while self.sim.now < deadline:
-            if all(s.operational for s in self.servers if s.alive):
-                return
-            self.sim.run(until=min(self.sim.now + 20.0, deadline))
-        raise SimulationError("replicated bullet service did not come up")
-
-    def crash_server(self, index: int) -> None:
-        server = self.servers[index]
-        server.crash()
-        server.transport.shutdown()
-
-    def restart_server(self, index: int):
-        from repro.storage.replicated_bullet import ReplicatedBulletServer
-
-        old = self.servers[index]
-        old.transport.restart()
-        replacement = ReplicatedBulletServer(
-            self.config,
-            index,
-            old.transport,
-            self.disks[index],
-            self.nvrams[index],
-        )
-        replacement.start()
-        self.servers[index] = replacement
-        return replacement
-
     def tables_consistent(self) -> bool:
         tables = {
-            tuple(sorted(s.table.items()))
-            for s in self.servers
-            if s.alive and s.operational
+            tuple(sorted(s.table.items())) for s in self.operational_servers()
         }
         return len(tables) <= 1
 
@@ -790,15 +731,8 @@ class NfsServiceCluster(BaseCluster):
         self.file_server = NfsFileServer(transport, f"{name}.files")
 
     @property
-    def service_port(self):
-        return self.config.port
-
-    @property
-    def root_capability(self):
-        return owner_capability(self.config.port, ROOT_OBJECT, self.config.root_check)
+    def servers(self) -> list:
+        return [self.server]
 
     def start(self) -> None:
         pass  # constructed running
-
-    def wait_operational(self, timeout_ms: float = 0.0):
-        return

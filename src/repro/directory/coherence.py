@@ -13,7 +13,7 @@ client, and tracks the outstanding acknowledgements. A replica's
 invalidation at or below it has been acknowledged (or the lease of
 the unresponsive client has expired). Replicas exchange clean seqnos
 (``cache.clean``, pushed eagerly on advance and re-sent every
-``cache_clean_exchange_ms`` in case of loss), and the initiator of a
+``CLEAN_EXCHANGE_MS`` in case of loss), and the initiator of a
 write holds the client's reply until every replica in the current
 view reports clean ≥ the write's seqno — the *write barrier*.
 
@@ -26,7 +26,7 @@ Once W's initiator replies, every lease-holding client has evicted.
 View changes: a replica that drops out of the view can no longer
 invalidate its leased clients, and its clean seqno leaves the
 barrier. Writes are therefore *fenced* for ``cache_lease_ms +
-cache_fence_slack_ms`` after a membership loss is observed — by then
+FENCE_SLACK_MS`` after a membership loss is observed — by then
 every lease the departed replica could have granted has expired (the
 slack covers failure-detection lag, the same residual window as the
 paper's §3.1 minority-read argument; clients recompute expiry from
@@ -46,6 +46,15 @@ KIND_CLEAN = "cache.clean"
 #: Poll interval of the write barrier (simulated ms). Acks and clean
 #: exchanges arrive as ordinary frames; the barrier just re-checks.
 BARRIER_POLL_MS = 1.0
+#: Period of the coherence housekeeping sweep: lease expiry and
+#: clean-seqno exchange between replicas (simulated ms).
+CLEAN_EXCHANGE_MS = 50.0
+#: Extra margin added to the view-change write fence beyond
+#: ``cache_lease_ms``, covering the failure-detection lag during
+#: which a replica outside the new view may still have been
+#: granting leases (same residual window as the paper's §3.1
+#: minority-read argument).
+FENCE_SLACK_MS = 500.0
 
 
 class CoherenceManager:
@@ -208,7 +217,7 @@ class CoherenceManager:
                 fence = (
                     self.sim.now
                     + self.config.cache_lease_ms
-                    + self.config.cache_fence_slack_ms
+                    + FENCE_SLACK_MS
                 )
                 if fence > self.fence_until:
                     self.fence_until = fence
@@ -266,9 +275,8 @@ class CoherenceManager:
 
     def sweeper(self):
         """Periodic lease expiry + clean re-broadcast (loss repair)."""
-        interval = self.config.cache_clean_exchange_ms
         while self.server.alive:
-            yield self.sim.sleep(interval)
+            yield self.sim.sleep(CLEAN_EXCHANGE_MS)
             if not self.server.operational:
                 continue
             self._expire_leases()

@@ -9,25 +9,6 @@ from repro.group.timings import GroupTimings
 
 
 @dataclass
-class RecoveryTimings:
-    """Timeouts of the Fig. 6 recovery protocol (simulated ms)."""
-
-    #: Poll interval while waiting for a majority to assemble.
-    poll_ms: float = 20.0
-    #: How long to wait for a majority before leaving and retrying.
-    majority_wait_ms: float = 400.0
-    #: Backoff bounds between recovery attempts.
-    backoff_min_ms: float = 40.0
-    backoff_max_ms: float = 120.0
-    #: RPC timeout for the mourned-set/seqno exchange.
-    exchange_timeout_ms: float = 200.0
-    #: RPC timeout for the state transfer (snapshots can be big).
-    transfer_timeout_ms: float = 30_000.0
-    #: Give up after this many recovery rounds (None = keep trying).
-    max_rounds: int | None = None
-
-
-@dataclass
 class ServiceConfig:
     """Static facts every server of one directory service shares."""
 
@@ -47,7 +28,6 @@ class ServiceConfig:
     #: of more threads.
     server_threads: int = 1
     group_timings: GroupTimings = field(default_factory=GroupTimings)
-    recovery: RecoveryTimings = field(default_factory=RecoveryTimings)
     #: Group-commit batching: after a blocking ReceiveFromGroup, the
     #: group thread drains up to this many deliverable records in one
     #: batch and coalesces their object-table/commit-block updates into
@@ -83,15 +63,6 @@ class ServiceConfig:
     #: last coherent reply it received (simulated ms). Bounds how long
     #: a write can stall on a crashed/vanished client or replica.
     cache_lease_ms: float = 2_000.0
-    #: Period of the coherence housekeeping sweep: lease expiry and
-    #: clean-seqno exchange between replicas (simulated ms).
-    cache_clean_exchange_ms: float = 50.0
-    #: Extra margin added to the view-change write fence beyond
-    #: ``cache_lease_ms``, covering the failure-detection lag during
-    #: which a replica outside the new view may still have been
-    #: granting leases (same residual window as the paper's §3.1
-    #: minority-read argument).
-    cache_fence_slack_ms: float = 500.0
     #: Storage integrity (docs/PROTOCOL.md "Storage integrity"). Off by
     #: default: blocks are stored raw and the on-disk layout stays
     #: byte-identical to the paper-era code for the Fig. 7/9

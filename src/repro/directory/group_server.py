@@ -593,7 +593,6 @@ class GroupDirectoryServer:
                 str(self.me), "dir", "dir.fence",
                 lineage=("life", str(self.me)), reason=reason,
             )
-        self.sim.log(f"dir.{self.index} self-fencing: {reason}")
 
         def do_crash():
             if self.alive:

@@ -318,7 +318,6 @@ class FaultPlan:
     def _fire(self, cluster, event: FaultEvent) -> None:
         description = event.apply(cluster)
         self.log.append((cluster.sim.now, description))
-        cluster.sim.log(f"fault: {description}")
 
     @property
     def fired(self) -> int:

@@ -72,7 +72,6 @@ class Simulator:
         self._cancelled = 0
         # Insertion-ordered set of the processes still running.
         self._processes: dict[Process, None] = {}
-        self.trace: list[tuple[float, str]] | None = None
         #: Metrics registry + causal trace recorder (see repro.obs).
         self.obs = Observability(self)
         #: Host-clock profiler (repro.obs.hostprof), attached explicitly
@@ -317,11 +316,6 @@ class Simulator:
             prof._stride_pos = k
 
     # -- introspection ----------------------------------------------------
-
-    def log(self, message: str) -> None:
-        """Record a trace line if tracing is enabled (``sim.trace = []``)."""
-        if self.trace is not None:
-            self.trace.append((self.now, message))
 
     def pending_events(self) -> int:
         """Number of scheduled, uncancelled events."""

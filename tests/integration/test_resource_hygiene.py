@@ -7,7 +7,12 @@ board must never grow without bound either.
 
 import pytest
 
-from repro.cluster import GroupServiceCluster, NvramServiceCluster
+from repro.cluster import (
+    GroupServiceCluster,
+    NvramServiceCluster,
+    ReplicatedBulletCluster,
+    RpcServiceCluster,
+)
 
 
 class TestBulletGarbageCollection:
@@ -76,3 +81,66 @@ class TestNvramBounds:
         for site in cluster.sites:
             assert site.nvram.used_bytes <= site.nvram.capacity_bytes
             assert site.nvram.stats.flushes >= 2  # pressure flushes ran
+
+
+def _five_appends(cluster):
+    client = cluster.add_client("c")
+    root = cluster.root_capability
+
+    def work():
+        target = yield from client.create_dir()
+        for i in range(5):
+            yield from client.append_row(root, f"after{i}", (target,))
+
+    cluster.run_process(work())
+    cluster.run(until=cluster.sim.now + 1_000.0)  # the RPC pair replicates lazily
+    return cluster.replicas_consistent()
+
+
+def _five_files(cluster):
+    client = cluster.add_file_client("c")
+
+    def work():
+        for i in range(5):
+            yield from client.create(b"after%d" % i)
+
+    cluster.run_process(work())
+    return cluster.tables_consistent()
+
+
+class TestRestartIsAReboot:
+    """``restart_server`` on a replica nobody crashed first used to
+    leave the replaced server object running beside its successor: its
+    threads, and a second transport pump on the same NIC."""
+
+    #: (cluster class, replica, its process-name prefix, threads that
+    #: outlive boot besides the ``server_threads`` listeners, workload +
+    #: check). The replicated Bullet case reboots a non-sequencer: its
+    #: boot has no Fig. 6 retry loop, so a sequencer that returns before
+    #: the survivors noticed it gone never rejoins (so at the parent
+    #: commit too, with an explicit crash first).
+    CASES = {
+        "group": (GroupServiceCluster, 0, "dir.0.", 2, _five_appends),
+        "rpc": (RpcServiceCluster, 0, "rpcdir.0.", 3, _five_appends),
+        "rbullet": (ReplicatedBulletCluster, 1, "rbullet.1.", 2, _five_files),
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_restart_without_a_crash_leaves_no_zombie(self, kind):
+        cluster_class, index, prefix, long_lived, work_and_check = self.CASES[kind]
+        cluster = cluster_class(seed=1)
+        cluster.start()
+        cluster.wait_operational()
+        replaced = cluster.servers[index]
+        cluster.restart_server(index)
+        cluster.wait_operational()
+        assert work_and_check(cluster)
+        assert replaced.alive is False
+        assert cluster.servers[index] is not replaced
+        names = [p.name for p in cluster.sim.alive_processes()]
+        assert (
+            sum(name.startswith(prefix) for name in names)
+            == long_lived + cluster.config.server_threads
+        )
+        pump = f"transport({cluster.sites[index].dir_address})"
+        assert names.count(pump) == 1

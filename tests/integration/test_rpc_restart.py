@@ -38,6 +38,26 @@ class TestRpcRestart:
         assert sorted(names) == ["pre", "while-down"]
         assert cluster.replicas_content_consistent()
 
+    def test_the_pair_soldiers_on_alone_and_the_cluster_says_so(self, cluster):
+        """With one replica down the survivor serves reads and writes,
+        so ``wait_operational`` must not demand the dead one."""
+        client = cluster.add_client("c")
+        root = cluster.root_capability
+        cluster.crash_server(1)
+        cluster.wait_operational()
+
+        def alone():
+            sub = yield from client.create_dir()
+            yield from client.append_row(root, "alone", (sub,))
+            found = yield from client.lookup(root, "alone")
+            return found == sub
+
+        assert cluster.run_process(alone()) is True
+        cluster.restart_server(1)
+        cluster.wait_operational()
+        cluster.settle()
+        assert cluster.replicas_content_consistent()
+
     def test_restart_with_dead_peer_uses_own_disk(self, cluster):
         client = cluster.add_client("c")
         root = cluster.root_capability

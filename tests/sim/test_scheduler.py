@@ -340,18 +340,18 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_traces(self):
         def build_and_run(seed):
             sim = Simulator(seed=seed)
-            sim.trace = []
+            trace = []
             rng = sim.rng.stream("worker")
 
             def worker(i):
                 for _ in range(5):
                     yield sim.sleep(rng.uniform(0.1, 2.0))
-                    sim.log(f"worker {i} tick")
+                    trace.append((sim.now, f"worker {i} tick"))
 
             for i in range(4):
                 sim.spawn(worker(i), f"w{i}")
             sim.run()
-            return sim.trace
+            return trace
 
         assert build_and_run(7) == build_and_run(7)
 

@@ -1,47 +1,15 @@
-"""Tests for the simulator's trace facility."""
+"""Tests for the simulator's introspection surface."""
 
 from repro.sim import Simulator
 
 
 class TestTracing:
-    def test_disabled_by_default(self):
-        sim = Simulator()
-        sim.log("nobody hears this")
-        assert sim.trace is None
-
-    def test_enabled_trace_collects_timestamped_lines(self):
-        sim = Simulator()
-        sim.trace = []
-
-        def proc():
-            yield sim.sleep(5.0)
-            sim.log("after five")
-            yield sim.sleep(5.0)
-            sim.log("after ten")
-
-        sim.run_until_complete(sim.spawn(proc()))
-        assert sim.trace == [(5.0, "after five"), (10.0, "after ten")]
-
-    def test_fault_plans_write_to_the_trace(self):
-        from repro.cluster import GroupServiceCluster
-        from repro.faults import FaultPlan
-
-        cluster = GroupServiceCluster(seed=1)
-        cluster.start()
-        cluster.wait_operational()
-        cluster.sim.trace = []
-        plan = FaultPlan().crash(cluster.sim.now + 10.0, 2)
-        plan.arm(cluster)
-        cluster.run(until=cluster.sim.now + 50.0)
-        assert any("crash server 2" in line for _, line in cluster.sim.trace)
-
     def test_self_fencing_logged(self):
         from repro.cluster import GroupServiceCluster
 
         cluster = GroupServiceCluster(seed=2)
         cluster.start()
         cluster.wait_operational()
-        cluster.sim.trace = []
         client = cluster.add_client("c")
         root = cluster.root_capability
         cluster.sites[1].crash_bullet_server()
@@ -52,7 +20,8 @@ class TestTracing:
 
         cluster.run_process(work())
         cluster.run(until=cluster.sim.now + 30_000.0)
-        assert any("self-fencing" in line for _, line in cluster.sim.trace)
+        counters = cluster.report()["metrics"]["grp.dir1"]["counters"]
+        assert counters["dir.fenced"] == 1
 
     def test_pending_events_counter(self):
         sim = Simulator()

@@ -30,6 +30,17 @@ DEPRECATED_NAMES = (
     "obs import breakdown",
     "update_latency(",
     "_make_clients",
+    # The legacy string log; fault plans keep plan.log, a self-fencing
+    # server emits dir.fence and bumps dir.fenced.
+    "sim.trace",
+    "sim.log(",
+    # Options that took one value in the whole repository: constants in
+    # directory/recovery.py, directory/coherence.py and chaos/runner.py.
+    "RecoveryTimings",
+    "cache_clean_exchange_ms",
+    "cache_fence_slack_ms",
+    "monitor_interval_ms",
+    "flight_recorder_capacity",
 )
 
 
@@ -117,5 +128,70 @@ def test_the_closed_loop_is_driven_from_one_module():
                 )
     assert not offenders, (
         "closed-loop drivers outside repro/bench/harness.py: "
+        + ", ".join(offenders)
+    )
+
+
+#: The deployment surface: BaseCluster owns each of these outright.
+LIFECYCLE = (
+    "start", "wait_operational", "crash_server", "restart_server",
+    "operational_servers", "service_port", "root_capability",
+)
+
+
+def _calls_super(function: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == function.name
+        and isinstance(node.func.value, ast.Call)
+        and getattr(node.func.value.func, "id", None) == "super"
+        for node in ast.walk(function)
+    )
+
+
+def test_a_deployment_is_built_and_driven_from_one_place():
+    """Boot, wait, crash, reboot and the service's identity are written
+    once, on BaseCluster: the five hand-copied lifecycles drifted into
+    behaviour (an RPC pair that "did not come up" while its survivor
+    served; a restart that left the replaced server running). And a
+    deployment is picked by name in one registry,
+    repro/bench/harness.py's IMPLEMENTATIONS, so "construct, start,
+    wait" is not re-written by whoever needs a cluster next."""
+    package = ROOT / "src" / "repro"
+    cluster_py = package / "cluster.py"
+    offenders = []
+    defined: dict[str, list[str]] = {name: [] for name in LIFECYCLE}
+    for node in ast.parse(cluster_py.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef) and item.name in LIFECYCLE):
+                continue
+            if item.name == "restart_server" and _calls_super(item):
+                continue  # extends the one reboot, does not copy it
+            if (node.name, item.name) == ("NfsServiceCluster", "start") and all(
+                isinstance(statement, ast.Pass) for statement in item.body
+            ):
+                continue  # a no-op: its servers are constructed running
+            defined[item.name].append(node.name)
+    for name, classes in defined.items():
+        if classes != ["BaseCluster"]:
+            offenders.append(f"cluster.py: {name} defined by {classes}")
+    for path in sorted(package.rglob("*.py")):
+        if path in (cluster_py, package / "bench" / "harness.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "attr", None) or getattr(
+                node.func, "id", None
+            )
+            if called and called.endswith("Cluster"):
+                offenders.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} calls {called}()"
+                )
+    assert not offenders, (
+        "deployment lifecycle or construction outside its one place: "
         + ", ".join(offenders)
     )
