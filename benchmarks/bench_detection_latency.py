@@ -1,10 +1,16 @@
 """Experiment E13 (ablation) — the failure-detection trade-off.
 
 The group protocol's heartbeat timeout decides how quickly a crash is
-detected, and therefore how long the service refuses requests before
-the survivors reset and resume. Shorter timeouts shrink the outage but
-raise the false-positive risk (and the heartbeat overhead). The paper
-fixes one setting; this ablation sweeps it.
+detected, and therefore how long a write is held before the survivors
+reset and resume. Shorter timeouts shrink the outage but raise the
+false-positive risk (and the heartbeat overhead). The paper fixes one
+setting; this ablation sweeps it.
+
+The replica *holds* the probe's request across the reset, so the
+window ends on the first acknowledged append and no error reaches the
+client — as long as the failure detector fires before the sender's
+own watchdog (3 x 60 ms of unanswered SendToGroup) gives up. At a
+480 ms timeout it does not: that row is still an error path.
 """
 
 from repro.cluster import GroupServiceCluster
@@ -13,9 +19,10 @@ from repro.group import GroupTimings
 from conftest import write_result
 
 
-def outage_window(heartbeat_timeout_ms: float, seed: int = 0) -> float:
+def outage_window(heartbeat_timeout_ms: float, seed: int = 0) -> tuple[float, int]:
     """Simulated ms from a member crash until the surviving majority
-    serves again."""
+    acknowledges a write again, and the errors the client was handed
+    on the way."""
     timings = GroupTimings(
         heartbeat_interval_ms=max(10.0, heartbeat_timeout_ms / 5.0),
         heartbeat_timeout_ms=heartbeat_timeout_ms,
@@ -42,24 +49,29 @@ def outage_window(heartbeat_timeout_ms: float, seed: int = 0) -> float:
         ]
         # Crash a member, then immediately try the next update. With
         # r = 2 it cannot commit until the failure is detected and the
-        # survivors reset; attempts in between fail and the client
-        # retries — time-to-first-success IS the outage window.
+        # survivors reset; the replica holds it until then, so
+        # time-to-first-success IS the outage window. An attempt the
+        # replica does bounce (its send watchdog expired before the
+        # detector fired) is retried, as a client would.
         from repro.errors import AlreadyExists, ReproError
 
         cluster.crash_server(2)
         start = cluster.sim.now
+        out["errors"] = 0
         while True:
             try:
                 yield from client.append_row(root, "after-crash", (sub,))
                 break
             except AlreadyExists:
+                out["errors"] += 1
                 break  # an errored earlier attempt actually executed
             except ReproError:
+                out["errors"] += 1
                 yield cluster.sim.sleep(10.0)
         out["window"] = cluster.sim.now - start
 
     cluster.run_process(probe())
-    return out["window"]
+    return out["window"], out["errors"]
 
 
 def heartbeat_overhead(heartbeat_timeout_ms: float, seed: int = 0) -> float:
@@ -95,26 +107,34 @@ def test_detection_latency_tradeoff(benchmark, results_dir):
 
     def run():
         return {
-            t: (outage_window(t), heartbeat_overhead(t)) for t in timeouts
+            t: (*outage_window(t), heartbeat_overhead(t)) for t in timeouts
         }
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [
         "E13 — write outage vs heartbeat timeout (one member crash)",
-        f"{'hb timeout':<12}{'write blocked':>14}{'idle frames/s':>16}",
+        f"{'hb timeout':<12}{'write blocked':>14}{'client errors':>15}"
+        f"{'idle frames/s':>16}",
     ]
-    for timeout, (outage, overhead) in sorted(table.items()):
-        lines.append(f"{timeout:<12.0f}{outage:>12.0f} ms{overhead:>16.1f}")
+    for timeout, (outage, errors, overhead) in sorted(table.items()):
+        lines.append(
+            f"{timeout:<12.0f}{outage:>12.0f} ms{errors:>15d}{overhead:>16.1f}"
+        )
     lines.append(
         "(with r=2 a write cannot commit until the crash is detected\n"
-        " and the survivors reset: detection latency IS the outage;\n"
+        " and the survivors reset: detection latency IS the outage,\n"
+        " and the replica holds the write through it — unless its send\n"
+        " watchdog, 3 x 60 ms, gives up before the detector fires;\n"
         " faster detection costs proportionally more idle traffic)"
     )
     write_result(results_dir, "e13_detection_latency.txt", "\n".join(lines))
     outages = [table[t][0] for t in timeouts]
+    # Held, not bounced, whenever detection beats the send watchdog.
+    assert [table[t][1] for t in timeouts[:2]] == [0, 0]
+    assert table[480.0][1] > 0
     assert outages == sorted(outages)  # longer timeout, longer outage
     # Outage tracks the timeout: the reset tail is small and fixed.
     assert outages[-1] - outages[0] > (timeouts[-1] - timeouts[0]) * 0.5
     # Faster detection costs more idle traffic.
-    overheads = [table[t][1] for t in timeouts]
+    overheads = [table[t][2] for t in timeouts]
     assert overheads[0] > overheads[-1]

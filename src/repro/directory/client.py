@@ -148,9 +148,11 @@ class DirectoryClient:
         answers from its reply cache instead of applying it twice.
         Definitive directory errors (AlreadyExists, NotFound, ...)
         propagate immediately; ServiceDown and NoMajority do *not*
-        count as definitive — "group failure during update" is replied
-        for updates that may already be r-safe, so they are retried
-        like any lost reply.
+        count as definitive — a replica whose group reset ends without
+        a majority answers ServiceDown for updates that may already be
+        r-safe — so they are retried like any lost reply. (A reset
+        that *keeps* the majority surfaces nothing: the replica holds
+        the request and carries on with it.)
 
         Round accounting (made explicit after the historical
         off-by-one): the RPC layer is asked ``1 + retry_rounds`` times

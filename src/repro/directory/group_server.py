@@ -26,7 +26,13 @@ Request handling follows Fig. 5:
   ``ResetGroup``; if the rebuilt group keeps a majority it writes the
   new configuration vector to the commit block and carries on,
   otherwise it enters the recovery protocol of Fig. 6
-  (:mod:`repro.directory.recovery`).
+  (:mod:`repro.directory.recovery`);
+* a request caught by such a reset is *held*, not bounced: the server
+  thread waits for the reset's verdict and, if the majority survived,
+  carries on where it was — resubmitting a write whose send died under
+  its old message id — so the client never learns there was a crash.
+  Only a reset that ends without a majority refuses. While Fig. 6
+  runs the service port is shut (clients fail over silently).
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from repro.errors import (
     ServiceDown,
     StorageError,
 )
-from repro.group.kernel import ResilienceChange
+from repro.group.kernel import STATE_FAILED, ResilienceChange
 from repro.group.member import GroupMember
 from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.server import RpcServer
@@ -116,6 +122,9 @@ class GroupDirectoryServer:
         )
         #: Serving requests? False during boot and recovery.
         self.operational = False
+        #: True while the group thread is inside Fig. 5's failure
+        #: branch and the reset's verdict (majority or not) is open.
+        self._resetting = False
         #: Sequence number derivable from the disk as it was at boot
         #: (with the crashed-during-recovery rule applied). This is
         #: what recovery exchanges advertise until the state is live.
@@ -287,7 +296,7 @@ class GroupDirectoryServer:
                 handle.error(ServiceDown(f"internal error: {exc!r}"))
 
     def _handle_request(self, op: DirectoryOp, handle):
-        if not self.has_majority():
+        if not self.has_majority() and not (yield from self._rides_out_reset()):
             self.requests_refused += 1
             self._c_refused.inc()
             if self._obs.tracer.enabled:
@@ -308,6 +317,39 @@ class GroupDirectoryServer:
         else:
             yield from self._handle_write(op, handle)
 
+    def _reset_open(self) -> bool:
+        """A group reset is under way, or due: the kernel has failed
+        and the group thread (busy applying) has yet to notice."""
+        return self.alive and (
+            self._resetting
+            or (self.operational and self.member.kernel.state == STATE_FAILED)
+        )
+
+    def _rides_out_reset(self):
+        """Hold a request across a group reset (``yield from``).
+
+        True when a reset was open and left this replica in a view
+        with a majority: the caller carries on with the request as if
+        nothing had happened. False when there was no reset to wait
+        for, when it ended without a majority, or when the replica
+        went into recovery — the caller refuses, as Fig. 5 says. The
+        majority rule is why this lives here and not in the kernel: a
+        pending send that survived ``fail_group`` would be committed
+        by a rebuilt view of one, which needs no acknowledgements.
+        """
+        if not self._reset_open():
+            return False
+        # Counted on first use: a run no reset touches keeps the
+        # registry it had (recorded registry digests stay put).
+        self._obs.registry.counter(str(self.me), "dir.held").inc()
+        if self._obs.tracer.enabled:
+            self._obs.tracer.emit(
+                str(self.me), "dir", "dir.hold", lineage=("life", str(self.me)),
+            )
+        while self._reset_open():
+            yield self.member.kernel.wakeup.wait()
+        return self.has_majority()
+
     def _handle_read(self, op: DirectoryOp, handle):
         # Reads never enter the group, so they carry a synthetic
         # per-server lineage pairing their recv/reply markers.
@@ -321,13 +363,17 @@ class GroupDirectoryServer:
         # Fig. 5: before reading, make sure every message this kernel
         # has buffered is applied — otherwise a client could delete a
         # directory (via any server) and then still read it back here.
-        target = self.member.info().received
-        if target > self._applied_kernel:
+        # A reset merges the survivors' histories, so the target is
+        # read afresh after one.
+        while (target := self.member.info().received) > self._applied_kernel:
             try:
                 yield from self.member.wait_applied(
                     target, lambda: self._applied_kernel
                 )
+                break
             except GroupFailure:
+                if (yield from self._rides_out_reset()):
+                    continue
                 self.requests_refused += 1
                 self._c_refused.inc()
                 handle.error(NoMajority("group failed while read was waiting"))
@@ -377,27 +423,47 @@ class GroupDirectoryServer:
                 lineage=msg_id, op=type(op).__name__,
             )
         op = self._inject_check_fields(op)
-        try:
-            seqno = yield from self.member.send_to_group(
-                op, size=op.wire_size(), msg_id=msg_id
-            )
-        except GroupFailure:
-            self.requests_refused += 1
-            self._c_refused.inc()
-            handle.error(ServiceDown("group failure during update"))
-            return
-        try:
-            yield from self.member.wait_applied(seqno, lambda: self._applied_kernel)
-        except GroupFailure:
-            # The update is r-safe (send_to_group returned), but we lost
-            # the group before applying locally; the client must retry
-            # and may observe a duplicate — the paper's semantics do not
-            # promise failure-free client operations. We abandon the
-            # reply, so the apply result must not linger in
-            # _apply_results (it leaked there across repeated resets).
-            self._discard_apply_result(seqno)
-            handle.error(ServiceDown("group failure before update applied"))
-            return
+        seqno = None
+        while True:
+            try:
+                if seqno is None:
+                    seqno = yield from self.member.send_to_group(
+                        op, size=op.wire_size(), msg_id=msg_id
+                    )
+                yield from self.member.wait_applied(
+                    seqno, lambda: self._applied_kernel
+                )
+                break
+            except GroupFailure:
+                if (yield from self._rides_out_reset()):
+                    # A majority survived. A send that died is made
+                    # again under the same msg_id: if the survivors'
+                    # merged history holds the message, the kernel
+                    # answers with the seqno it already has; if not, it
+                    # is sequenced now — once either way. An r-safe
+                    # update keeps its seqno (a reset recommits the
+                    # union of what the survivors hold) and only has to
+                    # be waited for again.
+                    if seqno is None:
+                        self._obs.registry.counter(
+                            str(self.me), "dir.resubmitted"
+                        ).inc()
+                    continue
+                if seqno is None:
+                    self.requests_refused += 1
+                    self._c_refused.inc()
+                    handle.error(ServiceDown("group failure during update"))
+                else:
+                    # The update is r-safe, but this replica lost the
+                    # majority before applying it; the client must
+                    # retry and may observe a duplicate. We abandon the
+                    # reply, so the apply result must not linger in
+                    # _apply_results (it leaked there across resets).
+                    self._discard_apply_result(seqno)
+                    handle.error(
+                        ServiceDown("group failure before update applied")
+                    )
+                return
         result = self._apply_results.pop(seqno, None)
         useqno = self._apply_useqnos.pop(seqno, None)
         if self.coherence is not None:
@@ -712,6 +778,7 @@ class GroupDirectoryServer:
     def _handle_group_failure(self):
         """Fig. 5's failure branch: rebuild, else recover."""
         self.operational = False
+        self._resetting = True
         self._c_resets.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
@@ -724,7 +791,8 @@ class GroupDirectoryServer:
         except GroupResetFailed:
             view = []
         present = sum(1 for a in self.config.server_addresses if a in view)
-        if present >= self.config.majority:
+        majority = present >= self.config.majority
+        if majority:
             # Majority rebuilt: persist the new configuration vector
             # and return to normal operation.
             yield from self.admin.write_commit_block(
@@ -737,11 +805,18 @@ class GroupDirectoryServer:
                     str(self.me), "dir", "dir.reset.done",
                     lineage=("life", str(self.me)), present=present,
                 )
-            self.member.notify_progress()
-        else:
+        # The verdict is in: held requests carry on, or are refused.
+        self._resetting = False
+        self.member.notify_progress()
+        if not majority:
             yield from self._recover()
 
     def _recover(self):
+        # Fig. 6 runs with the service port shut. The server threads
+        # sit in getreq all the same (spawned at boot, like every
+        # other thread), and would answer HEREIS and take requests for
+        # the second or so this lasts only to refuse each of them.
+        self.rpc_server.open = False
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "dir", "dir.recover.start",
@@ -751,6 +826,7 @@ class GroupDirectoryServer:
         self._applied_kernel = outcome.applied_kernel
         self._state_loaded = True
         self.operational = True
+        self.rpc_server.open = True
         self.stayed_up = True
         self._c_recoveries.inc()
         if self._obs.tracer.enabled:

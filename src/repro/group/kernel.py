@@ -404,6 +404,17 @@ class GroupKernel:
             return fut
         if msg_id is None:
             msg_id = self.new_msg_id()
+        else:
+            # A sender that resubmits under its old id (its first send
+            # died with the previous view) may find the rebuilt view
+            # has already recommitted the message: the sequencer's
+            # dedup entry survived the vote merge, so answer from it.
+            # Re-requesting would only re-announce a record whose
+            # commit no later advance will ever report to us.
+            seqno = self.sequenced_ids.get(msg_id)
+            if seqno is not None and seqno <= self.committed:
+                fut.resolve(seqno)
+                return fut
         self._c_submitted.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(

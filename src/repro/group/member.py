@@ -255,27 +255,44 @@ class GroupMember:
             if kernel.state == STATE_MEMBER:
                 return list(kernel.view)  # someone else's reset included us
             key = kernel.begin_reset_round(cand_inc)
-            if key is None:
-                # A stronger candidate holds our promise; wait for its view.
-                yield self.sim.sleep(
-                    self.timings.reset_vote_window_ms
-                    + rng.uniform(
-                        self.timings.reset_backoff_min_ms,
-                        self.timings.reset_backoff_max_ms,
-                    )
+            if key is not None:
+                yield self.sim.sleep(self.timings.reset_vote_window_ms)
+                if kernel.state == STATE_MEMBER:
+                    return list(kernel.view)
+                view = kernel.conclude_reset(key)
+                if view is not None:
+                    return view
+            # A stronger candidate holds our promise — from the start,
+            # or it pre-empted us inside our vote window. Its window is
+            # still open: out-bidding it now would land a probe on it
+            # just as it concludes. Wait for its view instead; only if
+            # none comes (it died too) do we bid again, higher.
+            yield from self._await_winner(
+                self.timings.reset_vote_window_ms
+                + rng.uniform(
+                    self.timings.reset_backoff_min_ms,
+                    self.timings.reset_backoff_max_ms,
                 )
-                cand_inc = max(cand_inc, kernel._promise[0]) + 1
-                continue
-            yield self.sim.sleep(self.timings.reset_vote_window_ms)
-            if kernel.state == STATE_MEMBER:
-                return list(kernel.view)
-            view = kernel.conclude_reset(key)
-            if view is not None:
-                return view
+            )
             cand_inc = max(cand_inc, kernel._promise[0]) + 1
+        if kernel.state == STATE_MEMBER:
+            return list(kernel.view)
         raise GroupResetFailed(
             f"reset of group {self.group!r} failed after {max_rounds} rounds"
         )
+
+    def _await_winner(self, bound_ms: float):
+        """Sleep until the kernel is a member again (the winning
+        coordinator's view arrived), at most *bound_ms*."""
+        kernel = self.kernel
+        deadline = self.sim.now + bound_ms
+        while kernel.state != STATE_MEMBER and self.sim.now < deadline:
+            try:
+                yield self.sim.timeout(
+                    kernel.wakeup.wait(), deadline - self.sim.now, "reset backoff"
+                )
+            except SimTimeout:
+                return
 
     # -- waiting helpers (used by the directory server's read path) -----------
 

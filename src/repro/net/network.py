@@ -333,14 +333,15 @@ class Network:
         self._nics[packet.dst].inbox.send(packet)
 
     def _maybe_refuse(self, packet: Packet) -> None:
-        """Connection refused: an RPC request whose destination NIC is
-        down (machine crashed or shut off) earns an immediate
-        ``rpc.unreach`` control frame back to the sender, modelling a
-        link-layer refusal. Only NIC-down counts — a *partitioned*
-        destination stays a silent timeout (the sender cannot tell a
-        cut cable from a dead host), and multicast is never refused.
+        """Connection refused: an RPC request — or an enquiry about
+        one — whose destination NIC is down (machine crashed or shut
+        off) earns an immediate ``rpc.unreach`` control frame back to
+        the sender, modelling a link-layer refusal. Only NIC-down
+        counts — a *partitioned* destination stays a silent timeout
+        (the sender cannot tell a cut cable from a dead host), and
+        multicast is never refused.
         """
-        if packet.kind != "rpc.request" or packet.multicast:
+        if packet.kind not in ("rpc.request", "rpc.enquiry") or packet.multicast:
             return
         dst_nic = self._nics.get(packet.dst)
         if dst_nic is not None and dst_nic.up:

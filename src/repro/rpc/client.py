@@ -4,7 +4,9 @@
 ``yield from``). It implements the fail-over heuristic the paper
 describes: send to the first server in the port cache; on NOTHERE or
 timeout drop that server from the cache and try the next one,
-re-locating when the cache runs dry.
+re-locating when the cache runs dry. A reply that is overdue is not
+simply waited for: the client asks the server's kernel whether it
+still holds the transaction (see :meth:`RpcClient._await_reply`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from repro.errors import (
     RpcError,
     TimeoutError as SimTimeout,
 )
-from repro.rpc.kernel import NotHereBounce, rpc_kernel
+from repro.rpc.kernel import (
+    ENQUIRY_MS,
+    ENQUIRY_SHARE,
+    NotHereBounce,
+    TransactionLost,
+    rpc_kernel,
+)
 from repro.rpc.transport import Transport
 
 
@@ -31,7 +39,8 @@ class RpcTimings:
     locate_timeout_ms: float = 30.0
     #: Locate rounds before giving up with LocateError.
     locate_attempts: int = 5
-    #: How long to wait for a reply before assuming the server died.
+    #: How long to wait for a reply whatever the server's kernel says
+    #: when asked (a crash is noticed sooner: RpcClient._await_reply).
     reply_timeout_ms: float = 4000.0
     #: Distinct servers tried (via NOTHERE/timeout fail-over) per trans.
     max_attempts: int = 8
@@ -72,11 +81,12 @@ class RpcClient:
         self._kernel = rpc_kernel(transport)
         self.transactions = 0
         self.bounces = 0  # NOTHERE responses seen (for Fig. 8 analysis)
-        #: Every retried attempt (bounce, refusal, or reply timeout) —
-        #: the health monitor's per-client retry-rate signal.
-        self._c_retries = self.sim.obs.registry.counter(
-            str(transport.address), "rpc.retries"
-        )
+        #: Every retried attempt (bounce, refusal, reply timeout, or an
+        #: enquiry that ended the wait) — the health monitor's
+        #: per-client retry-rate signal.
+        self._registry = self.sim.obs.registry
+        self._node = str(transport.address)
+        self._c_retries = self._registry.counter(self._node, "rpc.retries")
 
     # -- public API -------------------------------------------------------
 
@@ -110,7 +120,7 @@ class RpcClient:
             txid = self._kernel.new_txid()
             fut = self._kernel.send_request(server, port, txid, body, size)
             try:
-                reply = yield self.sim.timeout(fut, timeout, f"rpc to {server}")
+                reply = yield from self._await_reply(fut, server, txid, timeout)
             except NotHereBounce as bounce:
                 self.bounces += 1
                 self._c_retries.inc()
@@ -128,7 +138,7 @@ class RpcClient:
                 last_error = refused
                 yield self.sim.sleep(self._backoff_ms(attempt))
                 continue
-            except SimTimeout as timed_out:
+            except (SimTimeout, TransactionLost) as timed_out:
                 self._c_retries.inc()
                 self._kernel.forget_transaction(txid)
                 self._kernel.drop_cached_server(port, server)
@@ -141,6 +151,45 @@ class RpcClient:
             f"trans to port {port} failed after "
             f"{self.timings.max_attempts} attempts: {last_error!r}"
         )
+
+    def _await_reply(self, fut, server, txid, timeout: float):
+        """The reply to *txid*, or the exception that ends the attempt.
+
+        Every ENQUIRY_MS of silence (or ENQUIRY_SHARE of a longer
+        *timeout*) the kernel asks *server*'s kernel about the
+        transaction. ``rpc.alive`` keeps us waiting (a slow
+        server — say a write held by the cache fence — is not a dead
+        one); a down NIC refuses the enquiry (HostUnreachable, as for
+        a refused request); a kernel that rebooted since answers that
+        it does not know the id (TransactionLost); a partition answers
+        nothing, and after ENQUIRY_LIMIT silent enquiries we stop
+        waiting. *timeout* (``reply_timeout_ms``) stays the outer
+        bound whatever the server says.
+        """
+        # The two counters below are made on first use: a run in which
+        # no reply is ever overdue keeps the registry (and the recorded
+        # digests of it) as it was.
+        period = max(ENQUIRY_MS, timeout * ENQUIRY_SHARE)
+        asked = False
+        left = timeout
+        while True:
+            wait = min(period, left)
+            left -= wait
+            try:
+                reply = yield self.sim.timeout(fut, wait, f"rpc to {server}")
+                return reply
+            except SimTimeout:
+                if left <= 0.0 or fut.resolved:
+                    raise
+                if not self._kernel.enquire(server, txid):
+                    self._registry.counter(self._node, "rpc.enquiry_failed").inc()
+                    raise
+                self._registry.counter(self._node, "rpc.enquiries").inc()
+                asked = True
+            except (HostUnreachable, TransactionLost):
+                if asked:
+                    self._registry.counter(self._node, "rpc.enquiry_failed").inc()
+                raise
 
     def _backoff_ms(self, attempt: int) -> float:
         """Capped exponential backoff with deterministic jitter."""

@@ -11,7 +11,12 @@ Amoeba's kernel plays in the paper's section 4.2:
 * delivers incoming requests to a listening server thread, or bounces
   them with **NOTHERE** when no thread is blocked in ``getreq`` —
   which is what makes clients fail over and (imperfectly) balance
-  load across replicas.
+  load across replicas;
+* remembers every request it delivered until the reply leaves, and
+  answers a client kernel's **ENQUIRY** about one with **ALIVE** — so
+  a client whose reply is overdue can tell a slow server (wait) from
+  a dead or rebooted one (give up now) instead of sitting out its
+  whole reply timeout.
 """
 
 from __future__ import annotations
@@ -30,12 +35,34 @@ KIND_REQUEST = "rpc.request"
 KIND_REPLY = "rpc.reply"
 KIND_NOTHERE = "rpc.nothere"
 KIND_ACK = "rpc.ack"
-#: Synthesized by the network when a request's destination NIC is
-#: down (the simulation's connection-refused signal).
+#: Synthesized by the network when a request's or an enquiry's
+#: destination NIC is down (the simulation's connection-refused signal).
 KIND_UNREACH = "rpc.unreach"
+#: "Are you still working on this transaction?" — client kernel to
+#: server kernel, once the reply is overdue — and the answer.
+KIND_ENQUIRY = "rpc.enquiry"
+KIND_ALIVE = "rpc.alive"
 
 #: Wire sizes (bytes) for the small fixed-format control packets.
 CONTROL_PACKET_SIZE = 64
+
+#: How overdue a reply must be before the client's kernel enquires, and
+#: the period of further enquiries while the server answers "alive".
+#: Not a tunable: it must exceed the longest healthy single wait of the
+#: deployments we run, or fault-free runs would put enquiry frames on
+#: the wire (and shift every later draw of the shared jitter stream).
+#: Ordinary requests stay far below it.
+ENQUIRY_MS = 1_000.0
+#: A caller that allows a transaction far longer than that has said it
+#: expects a slow server; it is asked this share of its own reply
+#: timeout in, when that is later. The one such caller is the Fig. 6
+#: state transfer (30 s allowed): a healthy boot-time ``get_state``
+#: takes 0.9 s, and 1.7 s on the third of the seeds where the donor is
+#: loading its own disk image at the same moment.
+ENQUIRY_SHARE = 0.1
+#: Enquiries in a row that may go unanswered (a partition answers
+#: nothing) before the transaction is given up.
+ENQUIRY_LIMIT = 3
 
 
 class NotHereBounce(Exception):
@@ -43,6 +70,16 @@ class NotHereBounce(Exception):
 
     def __init__(self, server):
         super().__init__(f"server {server!r} not listening")
+        self.server = server
+
+
+class TransactionLost(Exception):
+    """Internal signal: the server's kernel does not know the
+    transaction we enquired about (it rebooted since, or the request
+    never arrived)."""
+
+    def __init__(self, server):
+        super().__init__(f"server {server!r} does not hold the transaction")
         self.server = server
 
 
@@ -70,6 +107,12 @@ class RpcKernel:
         self.port_expiry: dict[Port, float] = {}
         self._servers: dict[Port, "ServerEndpoint"] = {}
         self._pending: dict[tuple, Future] = {}
+        #: Client half of the enquiry: per overdue transaction, how
+        #: many enquiries have gone out since the last ``rpc.alive``.
+        self._unanswered: dict[tuple, int] = {}
+        #: Server half: transactions delivered to a local server
+        #: thread whose reply has not left yet.
+        self._in_progress: set[tuple] = set()
         self._locate_waiters: dict[int, Future] = {}
         self._next_txid = 0
         self._next_locate = 0
@@ -80,6 +123,8 @@ class RpcKernel:
             (KIND_NOTHERE, self._on_nothere),
             (KIND_ACK, self._on_ack),
             (KIND_UNREACH, self._on_unreach),
+            (KIND_ENQUIRY, self._on_enquiry),
+            (KIND_ALIVE, self._on_alive),
         ]:
             transport.register(kind, handler)
 
@@ -115,7 +160,30 @@ class RpcKernel:
 
     def forget_transaction(self, txid) -> None:
         """Drop a pending transaction (after a timeout)."""
-        self._pending.pop(txid, None)
+        self._settle(txid)
+
+    def _settle(self, txid) -> Future | None:
+        """Take a transaction out of the pending table."""
+        self._unanswered.pop(txid, None)
+        return self._pending.pop(txid, None)
+
+    def enquire(self, server, txid) -> bool:
+        """Ask *server*'s kernel whether it still holds *txid*.
+
+        False — and nothing is sent — once ENQUIRY_LIMIT enquiries in
+        a row have gone unanswered. A down NIC refuses the frame
+        (``rpc.unreach``), a kernel that does not know the id fails
+        the transaction with :class:`TransactionLost`; both settle the
+        pending future, so the caller just keeps waiting on it.
+        """
+        silent = self._unanswered.get(txid, 0)
+        if silent >= ENQUIRY_LIMIT:
+            return False
+        self._unanswered[txid] = silent + 1
+        self.transport.send(
+            server, KIND_ENQUIRY, {"txid": txid}, CONTROL_PACKET_SIZE
+        )
+        return True
 
     def start_locate(self, port: Port) -> tuple[int, Future]:
         """Broadcast one locate round; future resolves at first HEREIS."""
@@ -181,10 +249,38 @@ class RpcKernel:
             )
             return
         endpoint.deliver(payload["body"], packet.src, payload["txid"])
+        self._in_progress.add(payload["txid"])
+
+    def _on_enquiry(self, packet: Packet) -> None:
+        txid = packet.payload["txid"]
+        self.transport.send(
+            packet.src,
+            KIND_ALIVE,
+            {"txid": txid, "known": txid in self._in_progress},
+            CONTROL_PACKET_SIZE,
+        )
+
+    def _on_alive(self, packet: Packet) -> None:
+        payload = packet.payload
+        txid = payload["txid"]
+        if payload["known"]:
+            if txid in self._unanswered:
+                self._unanswered[txid] = 0
+            return
+        # The reply cannot be behind this frame (links are FIFO per
+        # pair): if the transaction is still pending here, its server
+        # will never answer it. When the enquiry merely crossed the
+        # reply on the wire, the transaction is settled already and
+        # nothing happens. (Under a Reorder link policy the reply *can*
+        # be behind; the attempt is then retried like one that timed
+        # out, which trans() has always been free to do.)
+        fut = self._settle(txid)
+        if fut is not None:
+            fut.fail_if_pending(TransactionLost(packet.src))
 
     def _on_reply(self, packet: Packet) -> None:
         payload = packet.payload
-        fut = self._pending.pop(payload["txid"], None)
+        fut = self._settle(payload["txid"])
         # Acknowledge regardless: the server's kernel frees the
         # transaction state (third packet of the Amoeba 3-packet RPC).
         self.transport.send(
@@ -200,7 +296,7 @@ class RpcKernel:
 
     def _on_nothere(self, packet: Packet) -> None:
         payload = packet.payload
-        fut = self._pending.pop(payload["txid"], None)
+        fut = self._settle(payload["txid"])
         if fut is not None:
             fut.fail_if_pending(NotHereBounce(packet.src))
 
@@ -208,8 +304,9 @@ class RpcKernel:
         pass  # transaction state is implicit in the simulation
 
     def _on_unreach(self, packet: Packet) -> None:
-        """Connection refused: the request's destination NIC is down."""
-        fut = self._pending.pop(packet.payload["txid"], None)
+        """Connection refused: the destination NIC of the request (or
+        of an enquiry about it) is down."""
+        fut = self._settle(packet.payload["txid"])
         if fut is not None:
             fut.fail_if_pending(
                 HostUnreachable(f"server {packet.src!r} unreachable")
@@ -217,6 +314,7 @@ class RpcKernel:
 
     def send_reply(self, client, txid, body, error, size: int) -> None:
         """Server half: transmit a reply packet."""
+        self._in_progress.discard(txid)
         self.transport.send(
             client,
             KIND_REPLY,

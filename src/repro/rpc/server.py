@@ -53,6 +53,12 @@ class RpcServer:
         self.name = name or f"server({port})"
         self._kernel = rpc_kernel(transport)
         self._waiting: Deque[Future] = deque()
+        #: Cleared while the service behind the port cannot take
+        #: requests whatever its threads are doing (a replica inside
+        #: its recovery): the port then looks like one nobody listens
+        #: on — no HEREIS, requests bounce NOTHERE — and clients fail
+        #: over instead of being handed an error.
+        self.open = True
         self.requests_served = 0
         self._kernel.register_server(port, self)
 
@@ -60,8 +66,9 @@ class RpcServer:
 
     @property
     def listening(self) -> bool:
-        """True while at least one thread is blocked in getreq()."""
-        return any(not fut.resolved for fut in self._waiting)
+        """True while the port is open and at least one thread is
+        blocked in getreq()."""
+        return self.open and any(not fut.resolved for fut in self._waiting)
 
     def deliver(self, body, client, txid) -> None:
         while self._waiting:

@@ -54,3 +54,12 @@ def pin_to_server(client, cluster, index):
     client.rpc._kernel.port_cache[cluster.config.port] = [
         cluster.config.server_addresses[index]
     ]
+
+
+def counter_total(sim, name):
+    """Registry counter *name* summed over every node (0 when no node
+    ever made it — some counters exist from first use only)."""
+    return sum(
+        node.get("counters", {}).get(name, 0)
+        for node in sim.obs.registry.snapshot().values()
+    )

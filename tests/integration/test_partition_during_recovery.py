@@ -8,6 +8,7 @@ neither minority may proceed until connectivity (or servers) return.
 import pytest
 
 from repro.cluster import GroupServiceCluster
+from repro.errors import ReproError
 
 
 def populate(cluster, n, tag="d"):
@@ -105,4 +106,53 @@ class TestPartitionDuringRecovery:
         cluster.run(until=cluster.sim.now + 30_000.0)
         assert reader.resolved and reader.exception is None
         assert cluster.servers[1].operational
+        assert cluster.replicas_consistent()
+
+    def test_a_rejoining_replica_hands_no_client_an_error(self):
+        """While Fig. 6 runs the service port is shut: a client that
+        locates during the rejoin gets no HEREIS from the rebooting
+        replica and so is never handed its "no majority" — it used to
+        be, whenever the idle newcomer won the HEREIS race."""
+        cluster = GroupServiceCluster(seed=89)
+        cluster.start()
+        cluster.wait_operational()
+        populate(cluster, 20, "bulk")
+        cluster.crash_server(1)
+        cluster.run(until=cluster.sim.now + 2_500.0)
+        sim, root = cluster.sim, cluster.root_capability
+        rejoining = str(cluster.sites[1].dir_address)
+        tracer = cluster.enable_tracing()
+        server = cluster.restart_server(1)
+        errors, served = [], []
+
+        def fresh_reader(i):
+            client = cluster.add_client(f"fresh{i}")  # empty port cache
+            try:
+                served.append((yield from client.lookup(root, "bulk0")))
+            except ReproError as exc:
+                errors.append(exc)
+
+        readers = []
+        while not server.operational:
+            readers.append(sim.spawn(fresh_reader(len(readers)), "fresh"))
+            cluster.run(until=sim.now + 40.0)
+        operational_at = sim.now
+        for reader in readers:
+            sim.run_until_complete(reader)
+
+        assert len(readers) > 20  # the rejoin took its second or so
+        assert errors == []
+        assert len(served) == len(readers) and None not in served
+        # Not one frame from the rejoining replica's service port to a
+        # client: no HEREIS, no reply. (Its recovery port answers its
+        # peers all along; a stale port cache would earn a NOTHERE.)
+        to_clients = {
+            event.args["kind"]
+            for event in tracer.events()
+            if event.name == "net.send"
+            and event.node == rejoining
+            and event.ts < operational_at - 40.0
+            and ".client." in event.args["dst"]
+        }
+        assert to_clients <= {"rpc.nothere"}
         assert cluster.replicas_consistent()

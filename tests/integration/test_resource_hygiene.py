@@ -13,6 +13,10 @@ from repro.cluster import (
     ReplicatedBulletCluster,
     RpcServiceCluster,
 )
+from repro.errors import NoMajority, ReproError, ServiceDown
+from repro.group import GroupTimings
+
+from tests.helpers import counter_total, pin_to_server
 
 
 class TestBulletGarbageCollection:
@@ -144,3 +148,64 @@ class TestRestartIsAReboot:
         )
         pump = f"transport({cluster.sites[index].dir_address})"
         assert names.count(pump) == 1
+
+
+class TestHeldRequestsLeaveNothingBehind:
+    """Two of three replicas die: the survivor holds its requests for
+    the reset's verdict, which is "no majority"."""
+
+    def test_held_requests_are_refused_within_the_resets_bound(self):
+        cluster = GroupServiceCluster(seed=5, server_threads=4)
+        cluster.start()
+        cluster.wait_operational()
+        sim, root = cluster.sim, cluster.root_capability
+        survivor = cluster.servers[0]
+        outcomes = []
+
+        def writer(i):
+            client = cluster.add_client(f"w{i}")
+            pin_to_server(client, cluster, 0)
+            started = sim.now
+            try:
+                yield from client.append_row(root, f"doomed{i}", (root,))
+            except ReproError as exc:
+                outcomes.append((exc, sim.now - started))
+            else:
+                outcomes.append((None, sim.now - started))
+
+        crashed_at = sim.now
+        cluster.crash_server(1)
+        cluster.crash_server(2)
+        writers = [sim.spawn(writer(i), f"w{i}") for i in range(3)]
+        for process in writers:
+            sim.run_until_complete(process)
+
+        # Refused, as Fig. 5 says — and by the reset's verdict, not by
+        # a client-side timeout: detection plus at most the eight
+        # arbitration rounds a reset may take.
+        timings = GroupTimings()
+        bound = timings.echo_timeout_ms + timings.heartbeat_interval_ms + 8 * (
+            2 * timings.reset_vote_window_ms + timings.reset_backoff_max_ms
+        )
+        assert len(outcomes) == 3
+        for exc, took in outcomes:
+            assert isinstance(exc, (ServiceDown, NoMajority)), exc
+            assert took < bound
+        assert sim.now - crashed_at < bound + 50.0
+        assert counter_total(sim, "dir.held") == 3
+
+        # Nothing is left behind: every server thread is back in
+        # getreq (none parked on the reset), no apply result waits for
+        # a writer that is gone, no send is pending in the kernel.
+        cluster.run(until=sim.now + 3_000.0)
+        assert not survivor.operational
+        assert survivor._apply_results == {}
+        assert survivor._apply_useqnos == {}
+        assert survivor.member.kernel.pending_sends == {}
+        assert not survivor._resetting
+        waiting = [f for f in survivor.rpc_server._waiting if not f.resolved]
+        assert len(waiting) == cluster.config.server_threads
+        threads = [
+            p for p in sim.alive_processes() if p.name.startswith("dir.0.srv")
+        ]
+        assert len(threads) == cluster.config.server_threads

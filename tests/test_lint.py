@@ -195,3 +195,45 @@ def test_a_deployment_is_built_and_driven_from_one_place():
         "deployment lifecycle or construction outside its one place: "
         + ", ".join(offenders)
     )
+
+
+def _registered_metric_names() -> dict[str, str]:
+    """Every literal name handed to ``registry.counter/gauge/histogram``
+    under src/repro, with one place it is registered."""
+    package = ROOT / "src" / "repro"
+    names: dict[str, str] = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                continue
+            names.setdefault(
+                node.args[1].value, f"{path.relative_to(ROOT)}:{node.lineno}"
+            )
+    return names
+
+
+def test_every_registered_metric_is_documented():
+    """docs/OBSERVABILITY.md lists the metric names the registry
+    carries; a counter added without a line there is a number nobody
+    can interpret (``dir.sessions`` and ``micro.ops`` sat undocumented
+    for a dozen PRs). Names built at run time (the resource meters'
+    ``<prefix>.busy_ms`` family) are listed there by hand."""
+    documented = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    names = _registered_metric_names()
+    assert len(names) > 60  # the walk still finds the registrations
+    missing = [
+        f"{name} ({where})"
+        for name, where in sorted(names.items())
+        if f"`{name}`" not in documented
+    ]
+    assert not missing, (
+        "metrics registered but not in docs/OBSERVABILITY.md: "
+        + ", ".join(missing)
+    )
