@@ -33,7 +33,7 @@ def main() -> None:
           f"{len(files.servers)} file replicas (NVRAM)")
 
     dir_client = directories.add_client("app")
-    file_client = files.add_file_client("app")
+    file_client = files.add_client("app")
     root = directories.root_capability
 
     def publish():

@@ -16,15 +16,16 @@ from repro.directory.admin import AdminPartition
 from repro.directory.client import DirectoryClient
 from repro.directory.config import ServiceConfig
 from repro.directory.group_server import GroupDirectoryServer
-from repro.directory.state import ROOT_OBJECT
+from repro.directory.state import ROOT_OBJECT, DirectoryState
 from repro.errors import SimulationError
 from repro.net.network import Network
-from repro.rpc.client import RpcClient, RpcTimings
+from repro.rpc.client import RpcTimings
 from repro.rpc.transport import Transport
 from repro.sim.latency import LatencyModel
 from repro.sim.scheduler import Simulator
 from repro.storage.bullet import BulletServer
 from repro.storage.disk import Disk, RawPartition
+from repro.storage.replicated_bullet import FileState, ReplicatedBulletClient
 
 #: Disk layout: Bullet extents use the disk at large; the directory
 #: server's raw partition sits at this block offset.
@@ -32,45 +33,26 @@ ADMIN_PARTITION_START = 2048
 ADMIN_PARTITION_BLOCKS = 1024
 
 
-class Machine:
-    """One server machine and its disk. The network stack and the disk
-    outlive reboots; the server object is replaced by each one."""
-
-    def __init__(self, cluster: "BaseCluster", index: int, address: str, disk: Disk):
-        self.cluster = cluster
-        self.index = index
-        self.disk = disk
-        self.dir_address = address
-        self.dir_transport = Transport(cluster.sim, cluster.network.attach(address))
-        self.server = None  # set by the cluster
-
-    def crash_directory_server(self) -> None:
-        """Fail-stop crash of the directory-server machine only."""
-        if self.server is not None:
-            self.server.crash()
-        self.dir_transport.shutdown()
-
-    def report(self) -> dict:
-        return {
-            "disk_ops": dict(self.disk.ops),
-            "dir_cpu_busy_ms": self.dir_transport.cpu.busy_ms,
-        }
-
-
-class Site(Machine):
-    """One replica site: directory machine + Bullet machine + disk."""
+class Site:
+    """One replica site: directory machine + Bullet machine + disk.
+    The network stacks and the disk outlive reboots; the server object
+    is replaced by each one."""
 
     def __init__(self, cluster: "BaseCluster", index: int):
         sim, network = cluster.sim, cluster.network
+        self.cluster = cluster
+        self.index = index
+        self.server = None  # set by the cluster
+        self.dir_address = f"{cluster.name}.dir{index}"
         self.bullet_address = f"{cluster.name}.bullet{index}"
-        disk = Disk(
+        self.disk = Disk(
             sim,
             f"{cluster.name}.disk{index}",
             latency=cluster.latency.disk,
             blocks=ADMIN_PARTITION_START + ADMIN_PARTITION_BLOCKS,
             integrity=cluster.integrity,
         )
-        super().__init__(cluster, index, f"{cluster.name}.dir{index}", disk)
+        self.dir_transport = Transport(sim, network.attach(self.dir_address))
         self.bullet_transport = Transport(sim, network.attach(self.bullet_address))
         self.bullet = BulletServer(
             self.bullet_transport, self.disk, f"{cluster.name}.{index}"
@@ -80,6 +62,12 @@ class Site(Machine):
         )
 
     # -- failure injection --------------------------------------------------
+
+    def crash_directory_server(self) -> None:
+        """Fail-stop crash of the directory-server machine only."""
+        if self.server is not None:
+            self.server.crash()
+        self.dir_transport.shutdown()
 
     def crash_bullet_server(self) -> None:
         """Fail-stop crash of the Bullet machine (files survive on disk)."""
@@ -99,7 +87,8 @@ class Site(Machine):
 
     def report(self) -> dict:
         return {
-            **super().report(),
+            "disk_ops": dict(self.disk.ops),
+            "dir_cpu_busy_ms": self.dir_transport.cpu.busy_ms,
             "bullet_cpu_busy_ms": self.bullet_transport.cpu.busy_ms,
         }
 
@@ -110,6 +99,9 @@ class BaseCluster:
     crash, reboot. The ``*Cluster`` classes say what they are made of
     (``_make_server`` builds one machine's server object) and add only
     what is theirs."""
+
+    #: What :meth:`add_client` hands out.
+    CLIENT = DirectoryClient
 
     def __init__(
         self,
@@ -144,7 +136,7 @@ class BaseCluster:
         self.integrity = False
         #: The server machines, by server index (none on the
         #: single-copy NFS baseline, which nothing crashes or reboots).
-        self.sites: list[Machine] = []
+        self.sites: list[Site] = []
 
     def _build_sites(self, n_servers: int, config, config_overrides) -> None:
         """The Fig. 3 sites and the ServiceConfig that names them."""
@@ -195,7 +187,7 @@ class BaseCluster:
         cache_size: int = 0,
         cache_nocoherence: bool = False,
     ) -> DirectoryClient:
-        """Attach a new client machine and return its DirectoryClient.
+        """Attach a new client machine and return its client object.
 
         ``retry_safe=True`` turns on the exactly-once session layer:
         mutating operations are stamped with (client_id, seqno) and
@@ -213,7 +205,7 @@ class BaseCluster:
         # Amoeba's trans() keeps retrying until it finds a server, so
         # the default client is persistent in the face of NOTHERE
         # bounces and locate misses.
-        client = DirectoryClient(
+        client = self.CLIENT(
             transport,
             self.service_port,
             rpc_timings
@@ -366,6 +358,9 @@ class BaseCluster:
 class GroupServiceCluster(BaseCluster):
     """The triplicated group directory service of the paper."""
 
+    #: The state machine its servers replicate.
+    STATE = DirectoryState
+
     def __init__(
         self,
         n_servers: int = 3,
@@ -412,6 +407,7 @@ class GroupServiceCluster(BaseCluster):
             site.bullet.port,
             admin,
             nvram=self._board(site),
+            state_class=self.STATE,
         )
 
     def _board(self, site: Site):
@@ -645,9 +641,13 @@ class RpcServiceCluster(BaseCluster):
         return self.replicas_content_consistent()
 
 
-class ReplicatedBulletCluster(BaseCluster):
+class ReplicatedBulletCluster(NvramServiceCluster):
     """The section-5 extension: the Bullet file service itself
-    replicated over group communication (optionally with NVRAM)."""
+    replicated over group communication (optionally with NVRAM) — the
+    group service's sites and servers, holding files."""
+
+    STATE = FileState
+    CLIENT = ReplicatedBulletClient
 
     def __init__(
         self,
@@ -655,52 +655,13 @@ class ReplicatedBulletCluster(BaseCluster):
         seed: int = 0,
         n_servers: int = 3,
         nvram: bool = False,
-        latency: LatencyModel | None = None,
-        sim: Simulator | None = None,
-        network: Network | None = None,
-        loss_probability: float = 0.0,
-        link_policies=None,
+        **kwargs,
     ):
-        super().__init__(
-            name, seed, latency, sim, network, loss_probability, link_policies
-        )
-        from repro.storage.nvram import Nvram
-        from repro.storage.replicated_bullet import ReplicatedBulletConfig
+        self._nvram = nvram
+        super().__init__(n_servers, name, seed, **kwargs)
 
-        self.addresses = tuple(f"{name}.srv{i}" for i in range(n_servers))
-        self.config = ReplicatedBulletConfig(name, self.addresses)
-        for i, address in enumerate(self.addresses):
-            disk = Disk(self.sim, f"{name}.disk{i}", latency=self.latency.disk)
-            site = Machine(self, i, address, disk)
-            site.nvram = Nvram(self.sim, name=f"{name}.nvram{i}") if nvram else None
-            site.server = self._make_server(site)
-            self.sites.append(site)
-        self.disks = [site.disk for site in self.sites]
-        self.nvrams = [site.nvram for site in self.sites]
-
-    def _make_server(self, site: Machine):
-        from repro.storage.replicated_bullet import ReplicatedBulletServer
-
-        return ReplicatedBulletServer(
-            self.config, site.index, site.dir_transport, site.disk, site.nvram
-        )
-
-    def add_file_client(self, client_name: str):
-        """A BulletClient talking to the replicated service."""
-        from repro.storage.bullet import BulletClient
-
-        address = f"{self.name}.client.{client_name}"
-        transport = Transport(self.sim, self.network.attach(address))
-        rpc = RpcClient(
-            transport, RpcTimings(reply_timeout_ms=10_000.0, max_attempts=20)
-        )
-        return BulletClient(rpc, self.config.port)
-
-    def tables_consistent(self) -> bool:
-        tables = {
-            tuple(sorted(s.table.items())) for s in self.operational_servers()
-        }
-        return len(tables) <= 1
+    def _board(self, site: Site):
+        return super()._board(site) if self._nvram else None
 
 
 class NfsServiceCluster(BaseCluster):

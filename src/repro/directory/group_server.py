@@ -99,6 +99,7 @@ class GroupDirectoryServer:
         bullet_port,
         admin: AdminPartition,
         nvram: Nvram | None = None,
+        state_class=DirectoryState,
     ):
         self.config = config
         self.index = index
@@ -107,7 +108,10 @@ class GroupDirectoryServer:
         self.me = transport.address
         self.admin = admin
 
-        self.state = DirectoryState(config.port, config.root_check)
+        #: The replicated state machine. Store and recovery rebuild it
+        #: as ``type(self.state)``: the skeleton is not told what an
+        #: object of the service is.
+        self.state = state_class(config.port, config.root_check)
         self.member = GroupMember(
             transport, f"dirsvc.{config.name}", config.group_timings
         )
@@ -933,6 +937,8 @@ class GroupDirectoryServer:
 def _result_size(result) -> int:
     if isinstance(result, list):
         return 64 + 48 * len(result)
+    if isinstance(result, bytes):  # an object's image (a file read)
+        return 48 + len(result)
     return 96
 
 

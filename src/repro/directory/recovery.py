@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.directory.state import DirectoryState
 from repro.errors import (
     GroupFailure,
     GroupResetFailed,
@@ -238,7 +237,7 @@ def run_recovery(server):
             # Installing mixes old and new directories on our disk:
             # mark the commit block so a crash here is detected at the
             # next boot (the paper's recovering flag).
-            new_state = DirectoryState.from_snapshot(cfg.port, reply["snapshot"])
+            new_state = type(server.state).from_snapshot(cfg.port, reply["snapshot"])
             server._installing = True
             try:
                 yield from server.admin.write_commit_block(recovering=True)

@@ -64,9 +64,14 @@ class ApplyEffects:
 class DirectoryState:
     """All directories of one service replica."""
 
+    #: What one object of the service is. The store and the recovery
+    #: need only its image: ``to_bytes``/``from_bytes``/
+    #: ``serialized_size`` (a subclass may keep another kind of object).
+    OBJECT = Directory
+
     def __init__(self, port: Port, root_check: int):
         self.port = port
-        self.directories: dict[int, Directory] = {ROOT_OBJECT: Directory()}
+        self.directories: dict[int, Directory] = {ROOT_OBJECT: self.OBJECT()}
         self.checks: dict[int, int] = {ROOT_OBJECT: root_check}
         self.next_object = ROOT_OBJECT + 1
         #: Global update sequence number (the one recovery compares);
@@ -223,7 +228,7 @@ class DirectoryState:
         else:
             obj = self.next_object
             self.next_object += 1
-        self.directories[obj] = Directory(op.columns)
+        self.directories[obj] = self._new_object(op)
         self.checks[obj] = op.check
         self._bump()
         return (
@@ -231,11 +236,14 @@ class DirectoryState:
             ApplyEffects(created=[obj]),
         )
 
+    def _new_object(self, op: CreateDir):
+        return Directory(op.columns)
+
     def _apply_delete_dir(self, op: DeleteDir):
         obj = self._resolve(op.cap, Rights.DESTROY)
         if obj == ROOT_OBJECT:
             raise DirectoryError("the root directory cannot be deleted")
-        if not self.directories[obj].empty and not op.force:
+        if not op.force and not self.directories[obj].empty:
             raise NotEmpty(f"directory {obj} is not empty")
         del self.directories[obj]
         del self.checks[obj]
@@ -297,7 +305,7 @@ class DirectoryState:
         """Rebuild a state from :meth:`to_snapshot` output."""
         state = cls(port, root_check=snapshot["checks"][ROOT_OBJECT])
         state.directories = {
-            obj: Directory.from_bytes(raw)
+            obj: cls.OBJECT.from_bytes(raw)
             for obj, raw in snapshot["directories"].items()
         }
         state.checks = dict(snapshot["checks"])

@@ -28,6 +28,9 @@ The write-out contract, which recovery relies on:
 * A logged record a flush may have imaged — running or finished — can
   no longer be annihilated: its delete is logged like any other
   update, so the directory is dirty again for the next flush.
+* A flush whose write-out fails has committed nothing and forgets
+  nothing: what it set out to write is dirty again, because the next
+  flush clears the board up to its own floor, written out or not.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.directory.admin import AdminPartition
-from repro.directory.model import Directory
 from repro.directory.operations import (
     AppendRow,
     ChmodRow,
@@ -55,7 +57,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.sim.primitives import Mutex
-from repro.storage.bullet import BulletClient
+from repro.storage.bullet import SERVER_THREADS, BulletClient
 from repro.storage.nvram import Nvram, NvramRecord
 
 #: Flush when the server has seen no update for this long.
@@ -212,33 +214,36 @@ class DirectoryStore:
 
     def _create_files(self, images, lineage=None):
         """One Bullet create per image, pipelined: the creates are
-        spawned together so their RPCs and the Bullet server's threads
-        overlap, and the write-out pays roughly one disk pass instead
-        of one per directory."""
+        spawned together — as many at a time as the Bullet server has
+        threads to take them; one more would be bounced NOTHERE — so
+        their RPCs and the server's threads overlap, and the write-out
+        pays roughly one disk pass instead of one per directory."""
         caps: dict[int, object] = {}
         if len(images) == 1:
             [(obj, data)] = images.items()
             caps[obj] = yield from self.bullet.create(data, lineage=lineage)
             return caps
-        procs = [
-            (
-                obj,
-                self.sim.spawn(
-                    self.bullet.create(data, lineage=lineage),
-                    f"{self._label}.bcreate.{obj}",
-                ),
-            )
-            for obj, data in images.items()
-        ]
-        first_error: Exception | None = None
-        for obj, proc in procs:
-            try:
-                caps[obj] = yield proc
-            except (RpcError, LocateError, StorageError) as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+        items = list(images.items())
+        for at in range(0, len(items), SERVER_THREADS):
+            procs = [
+                (
+                    obj,
+                    self.sim.spawn(
+                        self.bullet.create(data, lineage=lineage),
+                        f"{self._label}.bcreate.{obj}",
+                    ),
+                )
+                for obj, data in items[at:at + SERVER_THREADS]
+            ]
+            first_error: Exception | None = None
+            for obj, proc in procs:
+                try:
+                    caps[obj] = yield proc
+                except (RpcError, LocateError, StorageError) as exc:
+                    if first_error is None:
+                        first_error = exc
+            if first_error is not None:
+                raise first_error
         return caps
 
     def _replace(self, obj, data, seqno, check, lineage=None):
@@ -287,7 +292,7 @@ class DirectoryStore:
         """The second half of :meth:`load`, for a caller that has just
         loaded the object table itself."""
         config = self.server.config
-        state = DirectoryState(config.port, config.root_check)
+        state = type(self.server.state)(config.port, config.root_check)
         next_object = state.next_object
         for obj, (cap, _seqno) in sorted(self.admin.entries.items()):
             try:
@@ -298,7 +303,7 @@ class DirectoryStore:
                 # a donor transfer rewrites it) and rebuild without it.
                 self.admin.quarantine_object(obj)
                 continue
-            state.directories[obj] = Directory.from_bytes(data)
+            state.directories[obj] = state.OBJECT.from_bytes(data)
             state.checks[obj] = self.admin.entry_checks.get(obj, 0)
             next_object = max(next_object, obj + 1)
         # The root directory has no object-table entry until first
@@ -600,7 +605,7 @@ class NvramLog:
         if isinstance(op, DeleteDir):
             obj = op.cap.object_number
             pending = self.nvram.pending_for_key((obj, None))
-            if pending and pending[0].op == "CreateDir" \
+            if pending and isinstance(pending[0].payload[0], CreateDir) \
                     and pending[0].payload[1] > self._imaged_upto:
                 # Directory created and deleted between flushes: drop
                 # every record touching it. (It may stay in the dirty
@@ -630,7 +635,13 @@ class NvramLog:
             pressure = self.nvram.free_bytes < self.nvram.capacity_bytes // 4
             if idle or pressure or server._flush_requested:
                 server._flush_requested = False
-                yield from self.flush()
+                try:
+                    yield from self.flush()
+                except (RpcError, LocateError, StorageError):
+                    # Still dirty, still logged: the next poll tries
+                    # again. Fencing a replica whose storage is gone is
+                    # the group thread's call (its pressure flush).
+                    pass
 
     def flush(self):
         """Apply the log to disk: one atomic write-out of every dirty
@@ -672,10 +683,17 @@ class NvramLog:
                 and state.sessions[client_id].last_active <= floor
             ]
             if stores or removals or sessions:
-                yield from self.disk.write_out(
-                    stores, removals, sessions, commit_seqno=floor,
-                    commit_next_object=state.next_object, lineage=lineage,
-                )
+                try:
+                    yield from self.disk.write_out(
+                        stores, removals, sessions, commit_seqno=floor,
+                        commit_next_object=state.next_object, lineage=lineage,
+                    )
+                except (RpcError, LocateError, StorageError):
+                    # Nothing was committed, so nothing may be forgotten:
+                    # the next flush clears the board up to *its* floor.
+                    self._dirty |= dirty
+                    self._dirty_sessions |= dirty_sessions
+                    raise
             # Everything up to the floor is now on disk: those records
             # may leave the board. (Later records stay for the next
             # flush.)

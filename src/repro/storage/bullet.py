@@ -34,6 +34,9 @@ from repro.rpc.transport import Transport
 
 #: Bytes of a Bullet inode (capability + extent descriptor).
 INODE_SIZE = 64
+#: Listening threads of one Bullet server: the requests it takes at
+#: once (the kernel bounces the next one NOTHERE).
+SERVER_THREADS = 4
 
 
 class BulletServer:
@@ -44,7 +47,7 @@ class BulletServer:
         transport: Transport,
         disk,
         instance: str,
-        server_threads: int = 4,
+        server_threads: int = SERVER_THREADS,
         cache_files: bool = True,
     ):
         self.transport = transport

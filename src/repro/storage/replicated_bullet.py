@@ -2,26 +2,29 @@
 
 Section 5 ends: "A reimplementation of Amoeba's Bullet file service
 using group communication as well as NVRAM is certainly feasible."
-This module implements it, reusing the same machinery as the directory
-service:
+It is, and it needs no server of its own. The directory server
+(:mod:`repro.directory.group_server`) is a replicated-state-machine
+skeleton — total order, majority rule, requests held across a reset,
+Fig. 6 recovery, group commit, the durable store and the NVRAM log in
+front of it — that knows an object only by its image
+(``to_bytes``/``from_bytes``/``serialized_size``). This module is the
+file service as a *state* on that skeleton (docs/PROTOCOL.md §6):
 
-* three replicas form a group with resilience degree r = 2;
-* a **create** is broadcast via ``SendToGroup``; every replica stores
-  the file on its own disk (or, in NVRAM mode, logs it and defers the
-  disk writes), so all copies appear at about the same time — no
-  unreplicated window, unlike the lazy directory-RPC design;
-* the initiating replica generates the object's check field and ships
-  it in the message, so all replicas mint the same capability;
-* **reads** go to any replica: RAM cache first, own disk second;
-* a **delete** is likewise broadcast; in NVRAM mode a delete that
-  catches its create still in the log annihilates it (a temporary
+* a file is an object whose image is its bytes (:class:`File`);
+* a **create** is a ``CreateDir`` that carries the data: the
+  initiating replica mints the check field, so all replicas mint the
+  same capability, and every replica commits the bytes to its own
+  site's Bullet server (or logs them on its NVRAM board) before the
+  client hears back — no unreplicated window, unlike the lazy
+  directory-RPC design;
+* a **delete** is a forced ``DeleteDir``; with NVRAM a delete that
+  catches its create still on the board annihilates it (a temporary
   file never touches a disk — the /tmp optimization again);
-* a crashed replica rejoins by fetching the file table and any missing
-  file contents from a live peer over a private port.
+* **read** and **size** are answered by any replica from its own
+  state, after the Fig. 5 drain.
 
-The client API is exactly :class:`repro.storage.bullet.BulletClient`:
-the replicated service answers the same four operations on its public
-port, so applications cannot tell the difference — except when a
+The client API is :class:`repro.storage.bullet.BulletClient`'s four
+methods, so applications cannot tell the difference — except when a
 server dies.
 """
 
@@ -29,448 +32,109 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.amoeba.capability import (
-    Capability,
-    Port,
-    Rights,
-    new_check,
-    owner_capability,
-    validate,
+from repro.amoeba.capability import Capability, Rights
+from repro.directory.client import DirectoryClient
+from repro.directory.operations import (
+    CreateDir,
+    DeleteDir,
+    DirectoryOp,
+    SessionOp,
 )
-from repro.errors import (
-    CapabilityError,
-    GroupFailure,
-    GroupResetFailed,
-    Interrupted,
-    LocateError,
-    NoSuchFile,
-    NvramFull,
-    RpcError,
-    ServiceDown,
-)
-from repro.group.member import GroupMember
-from repro.rpc.client import RpcClient, RpcTimings
-from repro.rpc.server import RpcServer
-from repro.rpc.transport import Transport
-from repro.storage.nvram import Nvram, NvramRecord
-
-INODE_SIZE = 64
+from repro.directory.state import DirectoryState
+from repro.errors import DirectoryError, NoSuchFile, NotFound
 
 
-@dataclass
-class ReplicatedBulletConfig:
-    """Static facts shared by all replicas of one file service."""
+class File:
+    """An immutable file: the object whose image is its bytes."""
 
-    name: str
-    server_addresses: tuple
-    resilience: int = 2
-    server_threads: int = 2
+    def __init__(self, data: bytes = b""):
+        self.data = bytes(data)
+
+    def to_bytes(self) -> bytes:
+        return self.data
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "File":
+        return cls(raw)
+
+    def serialized_size(self) -> int:
+        return len(self.data)
+
+
+@dataclass(frozen=True)
+class CreateFile(CreateDir):
+    """Store an immutable file; returns its owner capability."""
+
+    data: bytes = b""
+
+    def wire_size(self) -> int:
+        return 64 + len(self.data)
+
+
+@dataclass(frozen=True)
+class ReadFile(DirectoryOp):
+    """Fetch a whole file. Requires READ rights."""
+
+    cap: Capability
 
     @property
-    def port(self) -> Port:
-        return Port.for_service(f"rbullet.{self.name}")
-
-    def peer_port(self, index: int) -> Port:
-        return Port.for_service(f"rbullet.{self.name}.peer.{index}")
-
-    @property
-    def majority(self) -> int:
-        return len(self.server_addresses) // 2 + 1
-
-
-class ReplicatedBulletServer:
-    """One replica of the group-replicated immutable-file service."""
-
-    def __init__(
-        self,
-        config: ReplicatedBulletConfig,
-        index: int,
-        transport: Transport,
-        disk,
-        nvram: Nvram | None = None,
-    ):
-        self.config = config
-        self.index = index
-        self.transport = transport
-        self.sim = transport.sim
-        self.me = transport.address
-        self.disk = disk
-        self.nvram = nvram
-
-        self.member = GroupMember(transport, f"rbullet.{config.name}")
-        self.rpc_server = RpcServer(transport, config.port, f"rbullet.{index}")
-        self.peer_rpc = RpcServer(transport, config.peer_port(index))
-        self.rpc_client = RpcClient(transport, RpcTimings(reply_timeout_ms=5_000.0))
-
-        # Replicated state: object -> (check, size); file data in the
-        # RAM cache and (unless still in the NVRAM log) on our disk.
-        self.table: dict[int, tuple[int, int]] = {}
-        self.cache: dict[int, bytes] = {}
-        self.next_object = 1
-        self._applied = -1
-        self._results: dict[int, object] = {}
-        self._logged: set[int] = set()  # objects still only in NVRAM
-
-        self.operational = False
-        self.alive = True
-        self._processes = []
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        spawn = self.sim.spawn
-        self._processes = [
-            spawn(self._boot(), f"rbullet.{self.index}.boot"),
-            spawn(self._group_thread(), f"rbullet.{self.index}.group"),
-            spawn(self._peer_service(), f"rbullet.{self.index}.peer"),
-        ]
-        for t in range(self.config.server_threads):
-            self._processes.append(
-                spawn(self._server_thread(), f"rbullet.{self.index}.srv{t}")
-            )
-        if self.nvram is not None:
-            self._processes.append(
-                spawn(self._flusher(), f"rbullet.{self.index}.flush")
-            )
-
-    def crash(self) -> None:
-        self.alive = False
-        self.operational = False
-        self.member.crash()
-        for process in self._processes:
-            process.kill(f"rbullet.{self.index} crash")
-        self._processes = []
-
-    def _extent_key(self, obj: int) -> tuple:
-        return ("rbullet", self.config.name, self.index, obj)
-
-    def _boot(self):
-        """Join the service group (or create it) and catch up."""
-        # Load what our own disk has.
-        for key in self.disk.extent_keys():
-            if not (isinstance(key, tuple) and key[0] == "rbullet"):
-                continue
-            _, name, index, obj = key
-            if name != self.config.name or index != self.index:
-                continue
-            check, data = self.disk.peek_extent(key)
-            self.table[obj] = (check, len(data))
-            self.cache[obj] = data
-            self.next_object = max(self.next_object, obj + 1)
-        if self.nvram is not None:
-            for record in self.nvram.snapshot():
-                obj, check, data = record.payload
-                if record.op == "create":
-                    self.table[obj] = (check, len(data))
-                    self.cache[obj] = data
-                    self._logged.add(obj)
-                    self.next_object = max(self.next_object, obj + 1)
-                elif record.op == "delete":
-                    self.table.pop(obj, None)
-                    self.cache.pop(obj, None)
-        while self.alive:
-            try:
-                yield from self.member.join()
-                yield from self._catch_up()
-                break
-            except GroupFailure:
-                if self.index == 0:
-                    # Deterministic creator: avoids the race where every
-                    # replica's initial join times out at once and three
-                    # disjoint singleton groups form.
-                    self.member.create(self.config.resilience)
-                    break
-                yield self.sim.sleep(
-                    self.sim.rng.uniform(
-                        f"rbullet.boot.{self.index}", 20.0, 80.0
-                    )
-                )
-        # Serve only once a majority is assembled (the same rule the
-        # directory service enforces).
-        while self.alive and not self._has_majority():
-            yield self.sim.sleep(20.0)
-        self.operational = True
-
-    def _catch_up(self):
-        """Fetch the table and missing files from any live peer."""
-        for peer_index, address in enumerate(self.config.server_addresses):
-            if peer_index == self.index:
-                continue
-            try:
-                reply = yield from self.rpc_client.trans(
-                    self.config.peer_port(peer_index),
-                    {"op": "snapshot"},
-                    reply_timeout_ms=5_000.0,
-                )
-            except (RpcError, LocateError):
-                continue
-            self.next_object = max(self.next_object, reply["next_object"])
-            self._applied = max(self._applied, reply["applied"])
-            self.member.kernel.taken = max(
-                self.member.kernel.taken, reply["applied"]
-            )
-            for obj, (check, size) in reply["table"].items():
-                if obj in self.table:
-                    continue
-                try:
-                    data = yield from self.rpc_client.trans(
-                        self.config.peer_port(peer_index),
-                        {"op": "fetch", "obj": obj},
-                        reply_timeout_ms=5_000.0,
-                    )
-                except (RpcError, LocateError, NoSuchFile):
-                    continue
-                yield from self.disk.write_extent(
-                    self._extent_key(obj), (check, data), len(data)
-                )
-                self.table[obj] = (check, size)
-                self.cache[obj] = data
-            for obj in [o for o in self.table if o not in reply["table"]]:
-                yield from self._discard(obj)
-            return
-        # No peer reachable: we are first up; serve from our own disk.
-
-    # ------------------------------------------------------------------
-    # client-facing threads
-    # ------------------------------------------------------------------
-
-    def _server_thread(self):
-        while self.alive:
-            try:
-                request, handle = yield self.rpc_server.getreq()
-            except Interrupted:
-                return
-            if not self.operational or not self._has_majority():
-                handle.error(ServiceDown(f"rbullet.{self.index} unavailable"))
-                continue
-            try:
-                yield from self._handle(request, handle)
-            except Interrupted:
-                raise
-            except Exception as exc:
-                handle.error(ServiceDown(f"internal error: {exc!r}"))
-
-    def _has_majority(self) -> bool:
-        view = self.member.info().view
-        present = sum(1 for a in self.config.server_addresses if a in view)
-        return self.member.is_member and present >= self.config.majority
-
-    def _handle(self, request, handle):
-        op = request["op"]
-        try:
-            if op == "read":
-                yield from self._read(request["cap"], handle)
-            elif op == "size":
-                yield from self._size(request["cap"], handle)
-            elif op in ("create", "delete"):
-                yield from self._write_through_group(op, request, handle)
-            else:
-                handle.error(NoSuchFile(f"unknown rbullet op {op!r}"))
-        except (CapabilityError, NoSuchFile) as exc:
-            handle.error(exc)
-
-    def _drain_reads(self):
-        """Fig. 5's read rule, applied to files: before answering a
-        read, apply everything this kernel has received — otherwise a
-        client could miss the file it just created via another replica."""
-        target = self.member.info().received
-        if target > self._applied:
-            yield from self.member.wait_applied(target, lambda: self._applied)
-
-    def _read(self, cap: Capability, handle):
-        yield from self._drain_reads()
-        obj = self._validated(cap, Rights.READ)
-        yield from self.transport.cpu.use(0.5)
-        data = self.cache.get(obj)
-        if data is None:
-            stored = yield from self.disk.read_extent(self._extent_key(obj), 1024)
-            data = stored[1]
-            self.cache[obj] = data
-        handle.reply(data, size=48 + len(data))
-
-    def _size(self, cap: Capability, handle):
-        yield from self._drain_reads()
-        obj = self._validated(cap, Rights.READ)
-        yield from self.transport.cpu.use(0.3)
-        handle.reply(self.table[obj][1])
-
-    def _validated(self, cap: Capability, rights: Rights) -> int:
-        if cap.port != self.config.port:
-            raise CapabilityError(f"{cap} is not for rbullet.{self.config.name}")
-        entry = self.table.get(cap.object_number)
-        if entry is None:
-            raise NoSuchFile(f"no file {cap.object_number}")
-        if not validate(cap, entry[0]):
-            raise CapabilityError(f"bad check in {cap}")
-        if not cap.has_rights(rights):
-            raise CapabilityError(f"{cap} lacks {rights!r}")
-        return cap.object_number
-
-    def _write_through_group(self, op, request, handle):
-        message = dict(request)
-        if op == "create":
-            rng = self.sim.rng.stream(f"rbullet.{self.config.name}.{self.index}")
-            message["check"] = new_check(rng)
-        elif op == "delete":
-            # Validate locally first (deterministic revalidation happens
-            # at apply time on every replica).
-            self._validated(request["cap"], Rights.DESTROY)
-        size = 64 + len(message.get("data", b""))
-        try:
-            seqno = yield from self.member.send_to_group(message, size=size)
-            yield from self.member.wait_applied(seqno, lambda: self._applied)
-        except GroupFailure:
-            handle.error(ServiceDown("file-service group failure"))
-            return
-        result = self._results.pop(seqno, None)
-        if isinstance(result, Exception):
-            handle.error(result)
-        else:
-            handle.reply(result, size=96)
-
-    # ------------------------------------------------------------------
-    # group thread (active replication)
-    # ------------------------------------------------------------------
-
-    def _group_thread(self):
-        while self.alive:
-            try:
-                record = yield from self.member.receive()
-            except GroupFailure:
-                try:
-                    yield from self.member.reset()
-                except GroupResetFailed:
-                    yield self.sim.sleep(500.0)
-                continue
-            if record.seqno <= self._applied:
-                continue
-            yield from self._apply(record)
-
-    def _apply(self, record):
-        message = record.payload
-        yield from self.transport.cpu.use(1.0)
-        try:
-            if message["op"] == "create":
-                result = yield from self._apply_create(message)
-            else:
-                result = yield from self._apply_delete(message)
-        except (CapabilityError, NoSuchFile) as exc:
-            result = exc
-        self._applied = record.seqno
-        if record.sender == self.me:
-            self._results[record.seqno] = result
-        self.member.notify_progress()
-
-    def _apply_create(self, message):
-        obj = self.next_object
-        self.next_object += 1
-        check = message["check"]
-        data = message["data"]
-        self.table[obj] = (check, len(data))
-        self.cache[obj] = data
-        if self.nvram is not None:
-            yield from self._log("create", obj, check, data)
-        else:
-            yield from self.disk.write_extent(
-                self._extent_key(obj), (check, bytes(data)), len(data)
-            )
-            yield from self.disk.write_block(0, b"", kind="sequential")
-        return owner_capability(self.config.port, obj, check)
-
-    def _apply_delete(self, message):
-        obj = self._validated(message["cap"], Rights.DESTROY)
-        self.table.pop(obj, None)
-        self.cache.pop(obj, None)
-        if self.nvram is not None:
-            if obj in self._logged:
-                # The /tmp optimization at the file level: create and
-                # delete cancel inside the board.
-                self.nvram.annihilate(
-                    lambda r: r.payload[0] == obj
-                )
-                self._logged.discard(obj)
-                yield from self.transport.cpu.use(0.5)
-                return True
-            yield from self._log("delete", obj, 0, b"")
-        else:
-            yield from self._discard(obj)
+    def is_read(self) -> bool:
         return True
 
-    def _discard(self, obj):
-        yield from self.disk.delete_extent(self._extent_key(obj))
-        self.cache.pop(obj, None)
-        self.table.pop(obj, None)
 
-    # ------------------------------------------------------------------
-    # NVRAM log + flusher
-    # ------------------------------------------------------------------
+class FileSize(ReadFile):
+    """File length in bytes. Requires READ rights."""
 
-    def _log(self, op, obj, check, data):
-        record = NvramRecord(
-            key=("rbullet", obj), op=op, payload=(obj, check, bytes(data)),
-            size=len(data) + 16,
-        )
-        while True:
-            try:
-                yield from self.transport.cpu.use(self.nvram.write_ms)
-                yield from self.nvram.append(record, charge_time=False)
-                break
-            except NvramFull:
-                yield from self._flush()
-        if op == "create":
-            self._logged.add(obj)
 
-    def _flusher(self):
-        while self.alive:
-            yield self.sim.sleep(100.0)
-            if self.nvram is not None and len(self.nvram) > 0:
-                yield from self._flush()
+class FileState(DirectoryState):
+    """All files of one service replica (object 1, the root every
+    state starts with, is an empty file nobody is handed)."""
 
-    def _flush(self):
-        # Write first, clear the board after: a crash mid-flush must
-        # leave every unwritten record on the (battery-backed) board.
-        records = self.nvram.snapshot()
-        if not records:
-            return
-        flushed_through = max(record.seqno for record in records)
-        for record in records:
-            obj, check, data = record.payload
-            if record.op == "create" and obj in self.table:
-                yield from self.disk.write_extent(
-                    self._extent_key(obj), (check, data), len(data)
-                )
-            elif record.op == "delete":
-                yield from self.disk.delete_extent(self._extent_key(obj))
-            self._logged.discard(obj)
-        self.nvram.remove_flushed(lambda r: r.seqno <= flushed_through)
+    OBJECT = File
 
-    # ------------------------------------------------------------------
-    # peer service (snapshots for rejoining replicas)
-    # ------------------------------------------------------------------
+    def query(self, op: DirectoryOp):
+        if not isinstance(op, ReadFile):
+            raise DirectoryError(f"{type(op).__name__} is not a file read")
+        data = self.directories[self._resolve(op.cap, Rights.READ)].data
+        return len(data) if isinstance(op, FileSize) else data
 
-    def _peer_service(self):
-        while self.alive:
-            try:
-                request, handle = yield self.peer_rpc.getreq()
-            except Interrupted:
-                return
-            if request["op"] == "snapshot":
-                handle.reply(
-                    {
-                        "table": dict(self.table),
-                        "next_object": self.next_object,
-                        "applied": self._applied,
-                    },
-                    size=64 + 24 * len(self.table),
-                )
-            elif request["op"] == "fetch":
-                obj = request["obj"]
-                data = self.cache.get(obj)
-                if data is None:
-                    handle.error(NoSuchFile(f"no cached file {obj}"))
-                else:
-                    handle.reply(data, size=48 + len(data))
-            else:
-                handle.error(NoSuchFile(f"unknown peer op {request['op']!r}"))
+    def apply(self, op: DirectoryOp):
+        # Row operations would find no rows to work on: refuse them
+        # here, deterministically, as every invalid write is refused.
+        if not isinstance(op, (SessionOp, CreateFile, DeleteDir)):
+            raise DirectoryError(f"{type(op).__name__} is not a file write")
+        return super().apply(op)
+
+    def _new_object(self, op: CreateFile) -> File:
+        return File(op.data)
+
+
+class ReplicatedBulletClient(DirectoryClient):
+    """``BulletClient``'s four methods on the replicated service."""
+
+    def _file_request(self, op: DirectoryOp):
+        try:
+            result = yield from self.request(op)
+        except NotFound:
+            raise NoSuchFile(f"no file {op.cap.object_number}") from None
+        return result
+
+    def create(self, data: bytes):
+        """Store an immutable file; returns its owner capability."""
+        cap = yield from self.request(CreateFile(data=bytes(data)))
+        return cap
+
+    def read(self, cap: Capability):
+        """Fetch a whole file by capability."""
+        data = yield from self._file_request(ReadFile(cap))
+        return data
+
+    def size(self, cap: Capability):
+        """File length in bytes."""
+        result = yield from self._file_request(FileSize(cap))
+        return result
+
+    def delete(self, cap: Capability):
+        """Remove a file (requires DESTROY rights)."""
+        result = yield from self._file_request(DeleteDir(cap, force=True))
+        return result

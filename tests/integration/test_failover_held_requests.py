@@ -13,7 +13,7 @@ test_resource_hygiene.py checks that one, and what it leaves behind).
 
 import pytest
 
-from repro.cluster import GroupServiceCluster
+from repro.cluster import GroupServiceCluster, ReplicatedBulletCluster
 from repro.group import GroupTimings
 
 from tests.helpers import counter_total, pin_to_server
@@ -39,13 +39,45 @@ def row_names(server, obj):
     return list(server.state.directories[obj].names())
 
 
+def append_rows(cluster):
+    """Directory writers: ``(write one name, the names a replica holds)``."""
+    root = cluster.root_capability
+
+    def write(client, name):
+        yield from client.append_row(root, name, (root,))
+
+    return write, lambda server: row_names(server, 1)
+
+
+def create_files(cluster):
+    """The same for the file service: one file per name, holding it."""
+
+    def write(client, name):
+        yield from client.create(name.encode())
+
+    def names(server):
+        files = server.state.directories
+        return [files[obj].data.decode() for obj in sorted(files) if obj != 1]
+
+    return write, names
+
+
 class TestSequencerCrashUnderWriters:
-    @pytest.mark.parametrize("seed", [0, 3, 17])
-    def test_no_client_sees_the_crash(self, seed):
-        cluster = GroupServiceCluster(seed=seed, server_threads=8)
+    @pytest.mark.parametrize(
+        "cluster_class, n_writers, workload, seed",
+        [
+            pytest.param(GroupServiceCluster, 8, append_rows, 0, id="0"),
+            pytest.param(GroupServiceCluster, 8, append_rows, 3, id="3"),
+            pytest.param(GroupServiceCluster, 8, append_rows, 17, id="17"),
+            pytest.param(ReplicatedBulletCluster, 4, create_files, 0, id="files"),
+        ],
+    )
+    def test_no_client_sees_the_crash(self, cluster_class, n_writers, workload, seed):
+        cluster = cluster_class(seed=seed, server_threads=8)
         cluster.start()
         cluster.wait_operational()
-        sim, root = cluster.sim, cluster.root_capability
+        sim = cluster.sim
+        write, names_held = workload(cluster)
         acked, durations, surfaced = [], [], []
         stop = {"at": None}
 
@@ -56,12 +88,12 @@ class TestSequencerCrashUnderWriters:
             while stop["at"] is None or sim.now < stop["at"]:
                 name = f"w{i}-{n}"
                 started = sim.now
-                yield from client.append_row(root, name, (root,))
+                yield from write(client, name)
                 durations.append(sim.now - started)
                 acked.append(name)
                 n += 1
 
-        writers = [sim.spawn(writer(i), f"w{i}") for i in range(8)]
+        writers = [sim.spawn(writer(i), f"w{i}") for i in range(n_writers)]
         cluster.run(until=sim.now + 1_500.0)
         [victim] = [
             i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
@@ -80,12 +112,12 @@ class TestSequencerCrashUnderWriters:
         assert counter_total(cluster.sim, "dir.refused") == 0
         # The writers inside the dead machine found out by asking.
         assert counter_total(cluster.sim, "rpc.enquiry_failed") >= 1
-        # Every acknowledged append exactly once, on every survivor.
-        assert len(acked) == len(set(acked)) > 8 * 10
+        # Every acknowledged write exactly once, on every survivor.
+        assert len(acked) == len(set(acked)) > n_writers * 10
         survivors = [s for s in cluster.servers if s.alive]
         assert len(survivors) == 2
         for server in survivors:
-            names = row_names(server, 1)
+            names = names_held(server)
             assert len(names) == len(set(names))
             assert set(acked) <= set(names)
             # A row nobody was told about may exist (its writer's

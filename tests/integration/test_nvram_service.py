@@ -171,6 +171,61 @@ class TestNvramRecovery:
         assert cluster.run_process(after()) == [True] * 4
         assert cluster.replicas_consistent()
 
+    def test_failed_flush_forgets_nothing(self):
+        """A flush whose write-out fails (its Bullet server is away for
+        a moment) has committed nothing, so what it set out to write
+        must stay dirty: the next flush claims the whole floor and
+        clears every record at or below it off the board — written
+        out or not. And the flusher must outlive the failure."""
+        cluster = NvramServiceCluster(seed=9, name="nvf", nvram_bytes=2048)
+        cluster.start()
+        cluster.wait_operational()
+        sim = cluster.sim
+        client = cluster.add_client("c1")
+        site = cluster.sites[2]
+
+        def first():
+            quiet = yield from client.create_dir()
+            busy = yield from client.create_dir()
+            yield sim.sleep(1_000.0)  # idle flush: both have entries
+            yield from client.append_row(quiet, "acknowledged", ())
+            return quiet, busy
+
+        quiet, busy = cluster.run_process(first())
+        site.crash_bullet_server()
+        site.server._flush_requested = True
+        cluster.run(until=sim.now + 400.0)  # the flush gives up locating
+        assert len(site.nvram) == 1
+        site.restart_bullet_server()
+        flushes = site.nvram.stats.flushes
+
+        def second():
+            # Updates elsewhere until the small board has been flushed.
+            k = 0
+            while site.nvram.stats.flushes == flushes:
+                yield from client.append_row(busy, f"later{k}", ())
+                k += 1
+            yield sim.sleep(1_000.0)
+
+        cluster.run_process(second())
+        for i in range(3):
+            cluster.crash_server(i)
+        cluster.run(until=sim.now + 500.0)
+        for i in range(3):
+            cluster.restart_server(i)
+        cluster.wait_operational(timeout_ms=60_000.0)
+        reader = cluster.add_client("reader")
+
+        def after():
+            rows = yield from reader.list_dir(quiet)
+            return [row.name for row in rows]
+
+        assert cluster.run_process(after()) == ["acknowledged"]
+        assert cluster.replicas_consistent()
+        assert any(
+            p.name == "dir.2.flusher" for p in sim.alive_processes()
+        )
+
     def test_single_crash_and_catchup_with_nvram(self, cluster):
         client = cluster.add_client("c1")
         root = cluster.root_capability

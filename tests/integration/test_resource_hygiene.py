@@ -102,14 +102,14 @@ def _five_appends(cluster):
 
 
 def _five_files(cluster):
-    client = cluster.add_file_client("c")
+    client = cluster.add_client("c")
 
     def work():
         for i in range(5):
             yield from client.create(b"after%d" % i)
 
     cluster.run_process(work())
-    return cluster.tables_consistent()
+    return cluster.replicas_consistent()
 
 
 class TestRestartIsAReboot:
@@ -119,14 +119,12 @@ class TestRestartIsAReboot:
 
     #: (cluster class, replica, its process-name prefix, threads that
     #: outlive boot besides the ``server_threads`` listeners, workload +
-    #: check). The replicated Bullet case reboots a non-sequencer: its
-    #: boot has no Fig. 6 retry loop, so a sequencer that returns before
-    #: the survivors noticed it gone never rejoins (so at the parent
-    #: commit too, with an explicit crash first).
+    #: check). Replica 0 is the sequencer: it returns before the
+    #: survivors have noticed it gone.
     CASES = {
         "group": (GroupServiceCluster, 0, "dir.0.", 2, _five_appends),
         "rpc": (RpcServiceCluster, 0, "rpcdir.0.", 3, _five_appends),
-        "rbullet": (ReplicatedBulletCluster, 1, "rbullet.1.", 2, _five_files),
+        "rbullet": (ReplicatedBulletCluster, 0, "dir.0.", 2, _five_files),
     }
 
     @pytest.mark.parametrize("kind", CASES)

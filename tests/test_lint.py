@@ -41,6 +41,14 @@ DEPRECATED_NAMES = (
     "cache_fence_slack_ms",
     "monitor_interval_ms",
     "flight_recorder_capacity",
+    # The second replicated server: the section-5 file service is a
+    # state class on GroupDirectoryServer now, its client comes from
+    # add_client, its replicas compare with replicas_consistent.
+    "ReplicatedBulletServer",
+    "ReplicatedBulletConfig",
+    "tables_consistent",
+    "peer_port(",
+    "add_file_client",
 )
 
 
@@ -129,6 +137,44 @@ def test_the_closed_loop_is_driven_from_one_module():
     assert not offenders, (
         "closed-loop drivers outside repro/bench/harness.py: "
         + ", ".join(offenders)
+    )
+
+
+#: GroupMember's blocking primitives: what a replicated server is built on.
+GROUP_API = {"receive", "send_to_group", "reset"}
+
+
+def test_the_group_api_is_driven_from_one_server():
+    """One class runs a group thread (GroupDirectoryServer) and one
+    module runs the recovery that rejoins it. A second service that
+    wants total order hands that server a state class
+    (repro/storage/replicated_bullet.py); a second server calling
+    ReceiveFromGroup/SendToGroup/ResetGroup itself re-writes boot,
+    catch-up, the majority rule and the failure branch, and the copy
+    of those that existed lost acknowledged files two ways."""
+    package = ROOT / "src" / "repro"
+    allowed = {
+        package / "directory" / "group_server.py",
+        package / "directory" / "recovery.py",
+    }
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", None) == "GroupMember" or (
+                isinstance(func, ast.Attribute) and func.attr in GROUP_API
+            ):
+                called = getattr(func, "attr", None) or func.id
+                offenders.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} calls {called}()"
+                )
+    assert not offenders, (
+        "the group API driven outside directory/group_server.py and "
+        "directory/recovery.py: " + ", ".join(offenders)
     )
 
 
