@@ -4,31 +4,37 @@ Write operations cannot be performed in parallel (they serialize in
 the group thread's total order / the RPC intent handshake), so each
 paper-configured service hits a flat ceiling: ~45 pairs/s for
 group+NVRAM and ~5 pairs/s for both disk-based services. The paper
-rows below therefore run with ``batch_max=1`` — the classic
-one-record apply/persist loop the paper measured.
+rows below therefore run the paper's server (``PAPER_SERVER``,
+``batch_max=1``) — the classic one-record apply/persist loop the
+paper measured.
 
 The group-commit extension (E3b) lifts the disk service's ceiling:
 with batching on and enough initiator threads to keep requests in
 flight, concurrent writers share one seek per batch instead of paying
-two random writes each, so aggregate throughput *scales* with load
-while single-client latency is unchanged (a singleton batch takes the
-classic path).
+two random writes each, so aggregate throughput *scales* with load —
+and a lone writer pays one arm pass per update instead of two random
+writes, because the batched server writes every cut out the same way.
 """
 
-from repro.bench import fig7_cell, update_throughput
+from repro.bench import PAPER_SERVER, fig7_cell, update_throughput
 from repro.bench.tables import format_throughput_curve
+from repro.directory.config import ServiceConfig
 
 from conftest import write_result
 
 CLIENTS = (1, 2, 3, 5, 7)
 SCALE_CLIENTS = (1, 4, 8)
+#: E3b's deployment: the engineered default, named because
+#: ``fig7_cell`` builds the paper's server unless told otherwise.
+BATCHED = {"server_threads": 8, "batch_max": ServiceConfig.batch_max}
+UNBATCHED = {"server_threads": 8, **PAPER_SERVER}
 
 
 def run_fig9():
     curves = {}
     for impl in ("group", "nvram", "rpc"):
         curves[impl] = {
-            n: update_throughput(impl, n, seed=0, measure_ms=15_000.0, batch_max=1)
+            n: update_throughput(impl, n, seed=0, measure_ms=15_000.0, **PAPER_SERVER)
             for n in CLIENTS
         }
     return curves
@@ -44,16 +50,16 @@ def run_group_commit_scaling():
     out = {"batched": {}, "unbatched": {}}
     for n in SCALE_CLIENTS:
         out["batched"][n] = update_throughput(
-            "group", n, seed=0, measure_ms=15_000.0, server_threads=8
+            "group", n, seed=0, measure_ms=15_000.0, **BATCHED
         )
         out["unbatched"][n] = update_throughput(
-            "group", n, seed=0, measure_ms=15_000.0, server_threads=8, batch_max=1
+            "group", n, seed=0, measure_ms=15_000.0, **UNBATCHED
         )
     out["latency_batched_ms"] = fig7_cell(
-        "group", "append_delete", 20, seed=0, server_threads=8
+        "group", "append_delete", 20, seed=0, **BATCHED
     )
     out["latency_unbatched_ms"] = fig7_cell(
-        "group", "append_delete", 20, seed=0, server_threads=8, batch_max=1
+        "group", "append_delete", 20, seed=0, **UNBATCHED
     )
     return out
 
@@ -114,5 +120,5 @@ def test_fig9b_group_commit_scaling(benchmark, results_dir):
         f"single-client {batched[1]:.1f}"
     )
     assert batched[8] >= 2.0 * unbatched[8]
-    # ...without costing the lone writer anything (within 5%).
-    assert data["latency_batched_ms"] <= data["latency_unbatched_ms"] * 1.05
+    # ...and the lone writer gains too: one arm pass, not two writes.
+    assert data["latency_batched_ms"] < data["latency_unbatched_ms"]

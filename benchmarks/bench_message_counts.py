@@ -11,7 +11,7 @@ The paper's cost accounting:
 """
 
 from repro.amoeba import Port
-from repro.bench.harness import build_deployment
+from repro.bench.harness import PAPER_SERVER, build_deployment
 from repro.group import GroupMember
 from repro.net import Network
 from repro.rpc import RpcClient, RpcServer, Transport
@@ -78,7 +78,7 @@ def measure_rpc_packets() -> int:
 
 def disk_ops_per_update(impl: str) -> float:
     """Average disk ops per append across all the service's disks."""
-    deployment = build_deployment(impl, seed=0)
+    deployment = build_deployment(impl, seed=0, **PAPER_SERVER)
     client = deployment.add_client("bench")
     root = deployment.root
     sim = deployment.sim

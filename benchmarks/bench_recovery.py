@@ -4,7 +4,7 @@ The paper gives the recovery protocol but no recovery-time
 measurements, so this is an ablation over our implementation:
 
 * recovery time of a restarted server vs the number of directories it
-  must transfer;
+  must transfer (one write-out whatever the number);
 * the §3.2 improved rule: a survivor that never crashed can pair with
   a restarted stale server, while the strict rule forces it to wait —
   we measure the availability difference directly.
@@ -56,10 +56,13 @@ def test_recovery_time_scales_with_transfer_size(benchmark, results_dir):
     for n, t in sorted(times.items()):
         lines.append(f"  {n:3d} dirs missed: {t:8.0f} ms")
     write_result(results_dir, "e7_recovery_time.txt", "\n".join(lines))
-    assert times[40] > times[10] > times[0]
-    # Per-directory transfer cost is bounded (no quadratic blowup).
-    per_dir = (times[40] - times[0]) / 40
-    assert per_dir < 500.0
+    # More to transfer takes longer, but not by much: the install is
+    # one write-out (creates pipelined, one arm pass), where the
+    # classic install paid ~70 ms per directory. With nothing missed
+    # the rejoiner reloads its own disk instead — a different path.
+    assert times[40] > times[10]
+    per_dir = (times[40] - times[10]) / 30
+    assert per_dir < 35.0
 
 
 def improved_rule_outcome(improved: bool, seed: int = 3):

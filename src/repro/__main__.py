@@ -27,6 +27,7 @@ import argparse
 import sys
 
 from repro.bench import (
+    PAPER_SERVER,
     fig7_table,
     format_fig7,
     format_throughput_curve,
@@ -71,7 +72,8 @@ def cmd_fig9(args) -> int:
     curves = {}
     for impl in ("group", "nvram", "rpc"):
         curves[impl] = {
-            n: update_throughput(impl, n, seed=args.seed, measure_ms=15_000.0)
+            n: update_throughput(
+                impl, n, seed=args.seed, measure_ms=15_000.0, **PAPER_SERVER)
             for n in (1, 2, 3, 5, 7)
         }
     print(

@@ -10,6 +10,7 @@ paper-vs-measured comparison.
 
 from repro.bench.harness import (
     IMPLEMENTATIONS,
+    PAPER_SERVER,
     build_deployment,
     fig7_cell,
     fig7_table,
@@ -20,6 +21,7 @@ from repro.bench.tables import format_fig7, format_throughput_curve
 
 __all__ = [
     "IMPLEMENTATIONS",
+    "PAPER_SERVER",
     "build_deployment",
     "fig7_cell",
     "fig7_table",

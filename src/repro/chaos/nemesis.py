@@ -318,8 +318,9 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     2. a **crash point** power-cuts a second replica at a block
        boundary inside an admin flush; **lost** and **misdirected**
        single-block writes are armed against the same disk so its
-       recovery's own shadow-page writes misfire too — the post-
-       recovery scrub pass must converge the partition anyway;
+       recovery's own single-block writes (the recovering flag, the
+       seal) misfire too — the post-recovery scrub pass must converge
+       the partition anyway;
     3. a third replica crashes and, while it is down, its admin
        partition takes **bit rot** and its Bullet extents **rot** with
        a cold file cache — recovery must quarantine the damage, lose

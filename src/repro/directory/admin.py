@@ -298,11 +298,15 @@ class AdminPartition:
         multi-block write priced as one seek plus a sequential
         transfer (:meth:`~repro.storage.disk.Disk.write_blocks`).
 
-        Atomicity matches the singleton shadow-page commit: the disk
+        Atomicity matches the classic shadow-page commit: the disk
         exposes all blocks of the batch together, and a crash before
-        the flush completes loses the whole batch — which is safe,
-        because every record in it is still r-safe in the group and is
-        replayed by recovery (see docs/PROTOCOL.md, "Group commit").
+        the flush completes loses the batch — which is safe, because
+        every record in it is still r-safe in the group and is
+        replayed by recovery. A pass the power cuts persists a prefix
+        of the blocks in the order they are listed here — journal,
+        entries, removals, commit block, session records: the classic
+        commit's own order, so no prefix claims what it does not hold
+        (see docs/PROTOCOL.md, "Group commit").
         """
         writes: list[tuple[int, bytes]] = []
         journal = b""

@@ -253,8 +253,9 @@ class CoherenceManager:
         ``yield from`` from the initiator's server thread. Returns
         normally once every replica in the current view has reported
         clean ≥ *target* and no view-change fence is active; raises
-        :class:`NoMajority` if the service loses its majority while
-        waiting (the client retries, exactly like a mid-write reset).
+        :class:`NoMajority` when the server is without a majority —
+        which includes the length of a group reset: the caller rides
+        that out and, if the majority survived, calls again.
         """
         started = self.sim.now
         while True:

@@ -476,15 +476,21 @@ class GroupDirectoryServer:
             # leased clients up to this write's update seqno —
             # otherwise a client could keep serving the overwritten
             # value from cache after this write completed.
-            try:
-                yield from self.coherence.wait_clean(
-                    useqno if useqno is not None else self.state.update_seqno
-                )
-            except NoMajority as exc:
-                self.requests_refused += 1
-                self._c_refused.inc()
-                handle.error(exc)
-                return
+            target = useqno if useqno is not None else self.state.update_seqno
+            while True:
+                try:
+                    yield from self.coherence.wait_clean(target)
+                    break
+                except NoMajority as exc:
+                    # Applied and persisted: a reset that keeps the
+                    # majority only interrupts the barrier, which then
+                    # resumes under the view-change fence.
+                    if (yield from self._rides_out_reset()):
+                        continue
+                    self.requests_refused += 1
+                    self._c_refused.inc()
+                    handle.error(exc)
+                    return
         if isinstance(result, Exception):
             handle.error(result)
         else:
@@ -543,17 +549,26 @@ class GroupDirectoryServer:
         yield from self._recover()
         while self.alive:
             try:
-                record = yield from self.member.receive()
-            except GroupFailure:
-                yield from self._handle_group_failure()
-                continue
-            try:
-                yield from self._apply_loop(record)
+                try:
+                    record = yield from self.member.receive()
+                except GroupFailure:
+                    yield from self._handle_group_failure()
+                else:
+                    yield from self._apply_loop(record)
+            except Interrupted:
+                raise
             except (RpcError, LocateError, StorageError) as exc:
                 # Our Bullet server or disk is gone: this replica
                 # cannot persist anything, so by fail-stop semantics it
                 # takes itself down and lets the others reconfigure.
                 self._self_destruct(f"storage subsystem failed: {exc!r}")
+                return
+            except Exception as exc:
+                # Whatever else ends this thread must end the replica:
+                # the kernel would go on acknowledging and heart-beating
+                # for a member that applies nothing, the group would
+                # never reset, and every request would park for good.
+                self._self_destruct(f"group thread died: {exc!r}")
                 return
 
     def _apply_loop(self, first):
@@ -703,15 +718,17 @@ class GroupDirectoryServer:
 
     def _cut(self, batch):
         """Flush *batch* and release its replies in order, leaving it
-        empty. The store commits it as one unit (a single record the
-        classic way — with ``batch_max=1`` bit-for-bit the unbatched
-        server, and under light load the paper's single-client
-        latency). Replies (via _finish_apply) go out only after the
+        empty. The batched server's store writes the cut out as one
+        unit, be it one record or sixteen; the paper's server
+        (``batch_max=1``, every cut one record) takes the classic
+        two-write commit and is bit-for-bit the unbatched server of
+        Figs. 7/9. Replies (via _finish_apply) go out only after the
         flush, so the per-client guarantee is exactly the unbatched
         one."""
         if not batch:
             return
-        if self.config.batch_max > 1:
+        batched = self.config.batch_max > 1
+        if batched:
             self._note_batch(batch)
         cut = [applied.change for applied in batch]
         persisted = sum(1 for change in cut if change.effects is not None)
@@ -724,7 +741,11 @@ class GroupDirectoryServer:
                     str(self.me), "dir", "dir.persist.start",
                     lineage=lineage, storage=self.store.MEDIUM, **args,
                 )
-            yield from self.store.commit(cut, lineage=lineage)
+            if batched:
+                yield from self.store.commit(cut, lineage=lineage)
+            else:
+                [change] = cut
+                yield from self.store.commit_classic(change, lineage=lineage)
             if tracer.enabled:
                 tracer.emit(
                     str(self.me), "dir", "dir.persist.end",

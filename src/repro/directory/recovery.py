@@ -18,9 +18,11 @@ its group loses the majority. The protocol, following the paper:
    proceed (no majority existed while it was failed, hence no updates
    happened).
 4. **State transfer** from the member with the highest sequence
-   number; the *recovering* flag is set in the commit block for the
-   duration, so a crash mid-transfer is detected at next boot (such a
-   server reports sequence number zero — its state is a mixture).
+   number, installed by the store in one write-out; the *recovering*
+   flag is set in the commit block for the duration, so a crash
+   mid-transfer is detected at next boot (such a server reports
+   sequence number zero — a pass the power cut persists a prefix, so
+   its state may be a mixture).
 5. Write the final commit block (new configuration vector, recovering
    cleared) and enter normal operation.
 """
@@ -234,9 +236,11 @@ def run_recovery(server):
                     rng.uniform(BACKOFF_MIN_MS, BACKOFF_MAX_MS)
                 )
                 continue
-            # Installing mixes old and new directories on our disk:
-            # mark the commit block so a crash here is detected at the
-            # next boot (the paper's recovering flag).
+            # The install is one arm pass, but a pass the power cuts
+            # leaves some directories new and some old (and the NVRAM
+            # store flushes again before the seal): mark the commit
+            # block so a crash here is detected at the next boot (the
+            # paper's recovering flag).
             new_state = type(server.state).from_snapshot(cfg.port, reply["snapshot"])
             server._installing = True
             try:

@@ -234,7 +234,7 @@ class RpcDirectoryServer:
             # costs little latency — but it is one more disk op, which
             # bench E4 counts).
             yield from self.admin.partition.write_block(1, b"intent", kind="cached")
-            yield from self.store.commit([change])
+            yield from self.store.commit_classic(change)
             self.writes_served += 1
             self._c_writes.inc()
             if tracer.enabled:
@@ -399,7 +399,7 @@ class RpcDirectoryServer:
             except (DirectoryError, CapabilityError):
                 self.state.update_seqno += 1
             else:
-                yield from self.store.commit([self._change(op, effects)])
+                yield from self.store.commit_classic(self._change(op, effects))
             self._lazy_queue.popleft()
             self._c_lazy_applied.inc()
 

@@ -2,11 +2,21 @@
 
 How a directory image becomes durable is written here once: the image
 goes into a new Bullet file, the object-table entry naming that file
-is committed on the admin partition (a shadow-page commit), and the
-file the entry named before is deleted off the critical path. Every
-server that persists directories — the group service, its NVRAM
-variant, the RPC baseline — holds a :class:`DirectoryStore` (or an
-:class:`NvramLog` in front of one) and calls nothing below it.
+is committed on the admin partition, and the file the entry named
+before is deleted off the critical path. Every server that persists
+directories — the group service, its NVRAM variant, the RPC baseline —
+holds a :class:`DirectoryStore` (or an :class:`NvramLog` in front of
+one) and calls nothing below it.
+
+There are two commits, and which one a server takes is a fact about
+the server. The paper's servers (the RPC baseline, the group server at
+``batch_max=1``) call :meth:`DirectoryStore.commit_classic`: one
+update, create → shadow page → home block → session record, each a
+synchronous random write. Everything else — a cut of the batched group
+server whatever it holds, an NVRAM flush, a recovery's install — is
+ONE :meth:`DirectoryStore.write_out`: pipelined creates, then journal,
+entries, removals, commit block and session records in a single arm
+pass.
 
 The write-out contract, which recovery relies on:
 
@@ -114,45 +124,19 @@ class DirectoryStore:
 
     def commit(self, cut, lineage=None):
         """Persist the :class:`Change` records of one cut (``yield
-        from``). A cut of one record takes the classic two-write
-        commit — message- and disk-op-identical to the unbatched
-        server of Figs. 7/9; two or more are coalesced down to each
-        object's final image and written out as one unit. *lineage*
-        stamps every storage-layer trace event."""
-        changes = [change for change in cut if change.effects is not None]
-        if not changes:
-            return
+        from``): coalesced down to each object's final image and
+        written out as one unit, whether the cut holds one record or
+        sixteen. *lineage* stamps every storage-layer trace event."""
         state = self.server.state
-        if len(cut) == 1:
-            [change] = changes
-            for obj in change.effects.touched:
-                yield from self._replace(
-                    obj, state.directories[obj].to_bytes(), change.seqno,
-                    state.checks[obj], lineage,
-                )
-            for obj in change.effects.deleted:
-                yield from self._drop(
-                    obj, change.seqno, change.next_object, lineage
-                )
-            # Session records go last: if the crash hits between the
-            # data write and the session write, a retry re-executes
-            # (visible, at worst, as a deterministic AlreadyExists) —
-            # the reverse order could silently drop an acknowledged
-            # update.
-            for client_id in change.effects.sessions:
-                entry = state.sessions.get(client_id)
-                if entry is not None:
-                    yield from self.admin.store_session(
-                        client_id, entry, lineage=lineage
-                    )
-            return
         touched: dict[int, int] = {}  # obj -> seqno of its last change
         deleted: set[int] = set()
         last_delete: Change | None = None
         #: The cut's final session record per client (first-touch
-        #: order, matching block allocation in the one-record path).
+        #: order, matching block allocation in the classic commit).
         sessions: dict[str, object] = {}
-        for change in changes:
+        for change in cut:
+            if change.effects is None:
+                continue
             for obj in change.effects.touched:
                 touched[obj] = change.seqno
                 deleted.discard(obj)
@@ -178,21 +162,62 @@ class DirectoryStore:
             lineage=lineage,
         )
 
+    def commit_classic(self, change: Change, lineage=None):
+        """The paper's commit of ONE applied update (``yield from``):
+        a new Bullet file, then the object-table entry (shadow page +
+        home block — two synchronous random writes, section 3.1), a
+        deletion recorded in the commit block, the session record in a
+        write of its own. Who calls this is decided by who the server
+        is — the RPC baseline and the ``batch_max=1`` group server,
+        which are the servers of Figs. 7/9 — never by what a cut
+        happens to hold."""
+        state = self.server.state
+        entries = self.admin.entries
+        effects = change.effects
+        for obj in effects.touched:
+            old = entries.get(obj)
+            cap = yield from self.bullet.create(
+                state.directories[obj].to_bytes(), lineage=lineage
+            )
+            yield from self.admin.store_entry(
+                obj, cap, change.seqno, state.checks[obj], lineage=lineage
+            )
+            if old is not None:
+                self._delete_later(old[0])
+        for obj in effects.deleted:
+            old = entries.get(obj)
+            yield from self.admin.remove_entry(
+                obj, change.seqno, change.next_object, lineage=lineage
+            )
+            if old is not None:
+                self._delete_later(old[0])
+        # Session records go last: if the crash hits between the data
+        # write and the session write, a retry re-executes (visible, at
+        # worst, as a deterministic AlreadyExists) — the reverse order
+        # could silently drop an acknowledged update.
+        for client_id in effects.sessions:
+            entry = state.sessions.get(client_id)
+            if entry is not None:
+                yield from self.admin.store_session(
+                    client_id, entry, lineage=lineage
+                )
+
     # ------------------------------------------------------------------
     # write out / drop a set of directories atomically
     # ------------------------------------------------------------------
 
     def write_out(self, stores, removals=(), sessions=(), commit_seqno=None,
-                  commit_next_object=None, lineage=None):
-        """Make the live image of every directory in *stores* (``{obj:
-        seqno its entry will carry}``) durable, drop the entries of
-        *removals*, and store the ``(client_id, SessionEntry)`` pairs
-        of *sessions* — the Bullet files created in parallel, then the
-        whole object-table change in ONE ``commit_batch`` arm pass
-        (``yield from``). The images are taken here, before the first
-        yield, so a caller running beside the apply loop may name the
-        state's current seqno."""
-        state = self.server.state
+                  commit_next_object=None, lineage=None, state=None):
+        """Make *state*'s image (the live state's by default) of every
+        directory in *stores* (``{obj: seqno its entry will carry}``)
+        durable, drop the entries of *removals*, and store the
+        ``(client_id, SessionEntry)`` pairs of *sessions* — the Bullet
+        files created in parallel, then the whole object-table change
+        in ONE ``commit_batch`` arm pass (``yield from``). The images
+        are taken here, before the first yield, so a caller running
+        beside the apply loop may name the state's current seqno."""
+        if state is None:
+            state = self.server.state
         images = {obj: state.directories[obj].to_bytes() for obj in sorted(stores)}
         checks = {obj: state.checks[obj] for obj in images}
         caps = yield from self._create_files(images, lineage)
@@ -245,24 +270,6 @@ class DirectoryStore:
             if first_error is not None:
                 raise first_error
         return caps
-
-    def _replace(self, obj, data, seqno, check, lineage=None):
-        """The classic commit of one directory: a new Bullet file,
-        then the object-table entry (shadow page + home block — two
-        synchronous random writes); the old file goes later."""
-        old = self.admin.entries.get(obj)
-        cap = yield from self.bullet.create(data, lineage=lineage)
-        yield from self.admin.store_entry(obj, cap, seqno, check, lineage=lineage)
-        if old is not None:
-            self._delete_later(old[0])
-
-    def _drop(self, obj, seqno, next_object, lineage=None):
-        """Remove one directory's entry (the commit block records the
-        deletion's seqno); its file goes later."""
-        old = self.admin.entries.get(obj)
-        yield from self.admin.remove_entry(obj, seqno, next_object, lineage=lineage)
-        if old is not None:
-            self._delete_later(old[0])
 
     def _delete_later(self, cap) -> None:
         """Fig. 5's 'remove old Bullet files' — after the reply path."""
@@ -327,40 +334,40 @@ class DirectoryStore:
     # ------------------------------------------------------------------
 
     def install(self, new_state: DirectoryState, entry_seqnos: dict):
-        """Bring the disk up to a donor's snapshot (``yield from``).
-
-        Only directories whose entry sequence number differs from the
-        donor's are rewritten (a mostly-current server transfers
-        little), one classic commit each — so the disk is a mixture
-        until the last one lands; the group recovery runs this under
-        the commit block's recovering flag. Returns the number of
-        directories written.
+        """Bring the disk up to a donor's snapshot in one write-out
+        (``yield from``): the directories whose entry sequence number
+        differs from the donor's (a mostly-current server transfers
+        little), the entries the donor no longer has, and the donor's
+        session entries, so exactly-once survives a crash right after.
+        The group recovery still runs this under the commit block's
+        recovering flag — a pass the power cuts persists a prefix.
+        Returns the number of directories written.
         """
-        transferred = 0
-        for obj in sorted(new_state.directories):
-            donor_seq = entry_seqnos.get(obj)
-            if donor_seq is None:
-                continue  # e.g. the never-modified bootstrap root
-            mine = self.admin.entries.get(obj)
-            if mine is not None and mine[1] == donor_seq:
-                continue  # our copy is already current
-            yield from self._replace(
-                obj, new_state.directories[obj].to_bytes(), donor_seq,
-                new_state.checks[obj],
-            )
-            transferred += 1
-        for obj in list(self.admin.entries):
-            if obj not in new_state.directories:
-                yield from self._drop(
-                    obj, new_state.update_seqno, new_state.next_object
-                )
-        # The session table rides the snapshot; persist the donor's
-        # entries so exactly-once survives a crash right after.
-        for client_id, entry in new_state.sessions.items():
-            mine = self.admin.session_entries.get(client_id)
-            if mine is None or mine.last_seqno != entry.last_seqno:
-                yield from self.admin.store_session(client_id, entry)
-        return transferred
+        entries = self.admin.entries
+        stores = {
+            obj: donor_seq
+            for obj, donor_seq in entry_seqnos.items()
+            # (A directory with no entry at the donor — the never-
+            # modified bootstrap root — has none here either; an entry
+            # whose directory the donor's state has lost is a removal.)
+            if obj in new_state.directories
+            and (obj not in entries or entries[obj][1] != donor_seq)
+        }
+        mine = self.admin.session_entries
+        yield from self.write_out(
+            stores,
+            sorted(obj for obj in entries if obj not in new_state.directories),
+            [
+                (client_id, entry)
+                for client_id, entry in new_state.sessions.items()
+                if client_id not in mine
+                or mine[client_id].last_seqno != entry.last_seqno
+            ],
+            commit_seqno=new_state.update_seqno,
+            commit_next_object=new_state.next_object,
+            state=new_state,
+        )
+        return len(stores)
 
     def seal(self, config_vector):
         """Fig. 6's last step: the final commit block — new
@@ -583,6 +590,11 @@ class NvramLog:
         if owed_cpu_ms:
             yield from cpu.use(owed_cpu_ms)
         self._c_persist_busy.inc(self.sim.now - started)
+
+    def commit_classic(self, change: Change, lineage=None):
+        """The board is the paper's own design: its log append is the
+        same for the one-record loop as for a cut."""
+        return self.commit([change], lineage)
 
     def _mark_dirty(self, effects: ApplyEffects) -> None:
         self._dirty.update(effects.touched, effects.deleted)

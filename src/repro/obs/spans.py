@@ -731,7 +731,7 @@ def record_update_trace(
     set-up, same operations, same seed) with the recorder switched on
     after set-up, so the traced totals equal the benchmark's.
     """
-    from repro.bench.harness import build_deployment, solo_run
+    from repro.bench.harness import PAPER_SERVER, build_deployment, solo_run
 
     if scenario not in SCENARIOS:
         raise ValueError(
@@ -739,7 +739,7 @@ def record_update_trace(
             f"{sorted(SCENARIOS)}"
         )
     impl, test = SCENARIOS[scenario]
-    deployment = build_deployment(impl, seed=seed)
+    deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
     windows = solo_run(deployment, test, iterations, trace_capacity=capacity)
     tracer = deployment.cluster.obs.tracer
     return TraceRun(

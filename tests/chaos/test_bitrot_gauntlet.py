@@ -12,6 +12,7 @@ must FAIL the check, proving it can actually fire.
 import json
 
 from repro.chaos.runner import SCENARIOS, run_scenario
+from repro.storage.disk import Disk
 
 
 def scenario(name):
@@ -50,6 +51,41 @@ class TestBitrotGauntlet:
             return json.dumps(d, sort_keys=True, default=str)
 
         assert canon(a) == canon(b)
+
+    def test_every_armed_write_fault_is_consumed(self, monkeypatch):
+        """Not clean by vacuity: the lost and the misdirected write are
+        armed against a recovering replica's single-block admin writes.
+        An install is one batch pass, but the recovering flag and the
+        seal around it are still single blocks — both faults must fire
+        (as must the torn write and the power cut, on batch passes)."""
+        fired = []
+        take_armed, take_torn = Disk._take_armed, Disk._take_torn
+        take_crash_point = Disk._take_crash_point
+
+        def spy_armed(disk, armed, index):
+            hit = take_armed(disk, armed, index)
+            if hit:
+                fired.append("lost" if armed is disk._lost_writes else "misdirected")
+            return hit
+
+        def spy_torn(disk, writes):
+            fault = take_torn(disk, writes)
+            if fault is not None:
+                fired.append("torn")
+            return fault
+
+        def spy_crash_point(disk, writes):
+            fault = take_crash_point(disk, writes)
+            if fault is not None:
+                fired.append("power cut")
+            return fault
+
+        monkeypatch.setattr(Disk, "_take_armed", spy_armed)
+        monkeypatch.setattr(Disk, "_take_torn", spy_torn)
+        monkeypatch.setattr(Disk, "_take_crash_point", spy_crash_point)
+        verdict = run_scenario(scenario("bitrot_gauntlet"), seed=0, smoke=True)
+        assert verdict.as_dict()["ok"]
+        assert sorted(fired) == ["lost", "misdirected", "power cut", "torn"]
 
 
 class TestIntegrityOffControl:

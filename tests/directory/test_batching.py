@@ -279,49 +279,66 @@ class TestTopUp:
             ]
             assert len(sizes) >= 20, node
             assert set(sizes) == {8}, (node, sorted(set(sizes)))
-            # None took the singleton path: every flush is a batched
-            # persist (the classic commit carries no batch argument).
+            # None was a cut of one: every flush is shared (an
+            # unshared persist carries no batch argument).
             assert all(
                 "batch" in e.args for e in events
                 if e.name == "dir.persist.start" and e.ts > warm
             ), node
 
-    def test_single_client_is_identical_to_unbatched(self):
-        """A solo op never finds anything to top up: at the default
-        ``batch_max`` every simulated latency, every disk operation
-        and every frame is the ``batch_max=1`` run's — the traces
-        differ only in the dir.batch instants."""
+    @pytest.mark.parametrize("retry_safe", [False, True])
+    def test_single_client_pays_one_arm_pass_per_update(self, retry_safe):
+        """A solo op never finds anything to top up, and the batched
+        server writes its cut of one out like any other: ONE batch arm
+        op on the admin partition and no random write, where the
+        paper's server pays two (three with a session record). The
+        protocol is untouched — same results, same frames by kind —
+        only the latency is lower."""
 
         def solo(**kwargs):
             cluster = traced_cluster(**kwargs)
-            client = cluster.add_client("solo")
+            client = cluster.add_client("solo", retry_safe=retry_safe)
             root = cluster.root_capability
-            latencies = []
+            sim = cluster.sim
+            out = {}
 
             def work():
-                for k in range(4):
-                    began = cluster.sim.now
-                    yield from client.append_row(root, f"n{k}", ())
-                    yield from client.delete_row(root, f"n{k}")
-                    latencies.append(cluster.sim.now - began)
-                yield cluster.sim.sleep(500.0)
+                yield from client.append_row(root, "warm", ())
+                yield sim.sleep(500.0)  # every replica's commit has landed
+                ops = [dict(site.disk.ops) for site in cluster.sites]
+                frames = dict(cluster.network.stats.frames_by_kind)
+                began = sim.now
+                out["result"] = yield from client.append_row(root, "n", ())
+                out["latency"] = sim.now - began
+                yield sim.sleep(500.0)
+                out["ops"] = [
+                    {kind: site.disk.ops[kind] - was[kind] for kind in was}
+                    for site, was in zip(cluster.sites, ops)
+                ]
+                out["frames"] = {
+                    kind: count - frames.get(kind, 0)
+                    for kind, count in cluster.network.stats.frames_by_kind.items()
+                    # Heartbeats and echoes count elapsed time, not work.
+                    if not kind.endswith((".hb", ".echo"))
+                }
 
             cluster.run_process(work())
-            trace = [
-                (e.ts, e.node, e.cat, e.name, e.ph, e.dur, e.lineage,
-                 tuple(sorted(e.args.items())))
-                for e in cluster.sim.obs.tracer.events()
-                if e.name != "dir.batch"
+            assert cluster.replicas_consistent()
+            out["rows"] = [
+                list(server.state.directories[1].names())
+                for server in cluster.servers
             ]
-            return latencies, trace, cluster.network.stats.full_snapshot()
+            return out
 
-        default, unbatched = solo(), solo(batch_max=1)
-        assert default[0] == unbatched[0]  # per-op simulated latency
-        assert [t for t in default[1] if t[2] == "disk"] == [
-            t for t in unbatched[1] if t[2] == "disk"
-        ]
-        assert default[2] == unbatched[2]  # frames and bytes by kind
-        assert default[1] == unbatched[1]
+        default, paper = solo(), solo(batch_max=1)
+        for ops in default["ops"]:
+            assert (ops["batch"], ops["random"]) == (1, 0)
+        for ops in paper["ops"]:
+            assert (ops["batch"], ops["random"]) == (0, 3 if retry_safe else 2)
+        assert default["result"] == paper["result"]
+        assert default["rows"] == paper["rows"]
+        assert default["frames"] == paper["frames"]
+        assert default["latency"] < paper["latency"] - 30.0  # one random write
 
     def test_resilience_marker_in_a_top_up_splits_the_batch(self):
         """A ResilienceChange issued while a batch is being built

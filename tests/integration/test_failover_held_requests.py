@@ -11,10 +11,15 @@ ends *without* a majority refuses (tests/integration/
 test_resource_hygiene.py checks that one, and what it leaves behind).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import GroupServiceCluster, ReplicatedBulletCluster
+from repro.errors import AlreadyExists, NotFound
 from repro.group import GroupTimings
+from repro.net.policy import Drop, LinkFilter
+from repro.verify import HistoryRecorder, check_shared_key_linearizability
 
 from tests.helpers import counter_total, pin_to_server
 
@@ -225,3 +230,125 @@ class TestPlainClientPinnedToASurvivor:
         assert cluster.run_process(work()) == root
         assert counter_total(cluster.sim, "dir.held") >= 1
         assert counter_total(cluster.sim, "dir.refused") == 0
+
+
+class TestCacheBarrierHeld:
+    """A write that is applied and persisted but still waiting for the
+    cache write barrier when the group resets: the reset keeps the
+    majority, so the barrier is resumed (under the view-change fence),
+    not abandoned with ``NoMajority``."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_reset_mid_barrier(self, seed):
+        cluster = GroupServiceCluster(
+            seed=seed, server_threads=8, cache_coherence=True
+        )
+        cluster.start()
+        cluster.wait_operational()
+        sim, root = cluster.sim, cluster.root_capability
+        history = HistoryRecorder()
+        surfaced, durations = [], []
+        stop = {"at": None}
+        parked = {}  # server index -> when its oldest barrier wait began
+
+        def spy_on_barrier(index, coherence):
+            wait_clean = coherence.wait_clean
+
+            def spying(target):
+                parked.setdefault(index, sim.now)
+                try:
+                    yield from wait_clean(target)
+                finally:
+                    parked.pop(index, None)
+
+            coherence.wait_clean = spying
+
+        for index, server in enumerate(cluster.servers):
+            spy_on_barrier(index, server.coherence)
+
+        def writer(i):
+            tag = f"c{i}"
+            client = cluster.add_client(tag, retry_safe=True, cache_size=32)
+            record_trans_errors(client, surfaced)
+            rng = sim.rng.stream(f"test.client.{tag}")
+            n = 0
+            while stop["at"] is None or sim.now < stop["at"]:
+                name = f"shared-{rng.randrange(4)}"
+                kind = rng.choice(["append", "delete", "lookup", "lookup"])
+                n += 1
+                started = sim.now
+                try:
+                    if kind == "append":
+                        value = dataclasses.replace(
+                            root, check=(i + 1) * 1_000_000 + n
+                        )
+                        yield from client.append_row(root, name, (value,))
+                    elif kind == "delete":
+                        value = None
+                        yield from client.delete_row(root, name)
+                    else:
+                        value = yield from client.lookup(root, name)
+                except (AlreadyExists, NotFound):
+                    continue  # a deterministic reply, not a failure
+                finally:
+                    durations.append(sim.now - started)
+                history.record(
+                    tag, kind, (1, name), value, started, sim.now,
+                    source="cache"
+                    if kind == "lookup" and client.last_lookup_from_cache
+                    else "server",
+                )
+
+        writers = [sim.spawn(writer(i), f"c{i}") for i in range(4)]
+        cluster.run(until=sim.now + 1_500.0)
+        [victim] = [
+            i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
+        ]
+        # The sequencer stops hearing invalidation acks, so its clean
+        # seqno stalls and the survivors' writes park in the barrier
+        # waiting for it. Crash it once one has been parked a while.
+        cluster.network.add_policy(
+            Drop(
+                "deaf-sequencer",
+                LinkFilter(
+                    dst=(str(cluster.sites[victim].dir_address),),
+                    kind="cache.invack",
+                ),
+            )
+        )
+        deadline = sim.now + 2_000.0
+        while sim.now < deadline and not any(
+            index != victim and sim.now - since > 20.0
+            for index, since in parked.items()
+        ):
+            cluster.run(until=sim.now + 1.0)
+        assert any(index != victim for index in parked), "nothing parked"
+        cluster.crash_server(victim)
+        stop["at"] = sim.now + 5_000.0
+        for process in writers:
+            sim.run_until_complete(process)
+        cluster.run(until=sim.now + 500.0)
+
+        # No client was handed the reset; the parked write was held.
+        assert [
+            exc for exc in surfaced
+            if not isinstance(exc, (AlreadyExists, NotFound))
+        ] == []
+        assert counter_total(sim, "dir.refused") == 0
+        assert counter_total(sim, "dir.held") >= 1
+        # The fence is the longest anyone waits (lease + slack).
+        assert max(durations) < cluster.config.cache_lease_ms + 1_500.0
+        reader = cluster.add_client("final")
+
+        def final_reads():
+            for k in range(4):
+                started = sim.now
+                got = yield from reader.lookup(root, f"shared-{k}")
+                history.record(
+                    "final", "lookup", (1, f"shared-{k}"), got, started, sim.now
+                )
+
+        cluster.run_process(final_reads())
+        assert history.cache_served_reads() > 0
+        assert check_shared_key_linearizability(history) == []
+        assert cluster.replicas_consistent()

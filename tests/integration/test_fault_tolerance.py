@@ -265,3 +265,54 @@ class TestFullRestart:
             return found is not None
 
         assert cluster.run_process(after()) is True
+
+
+class TestApplyLoopDies:
+    """A group thread that dies of anything takes its replica down
+    with it. Left running, the kernel keeps acknowledging and
+    heart-beating for a member that applies nothing: the group never
+    resets and every request parks for good."""
+
+    def test_any_exception_fences_the_replica(self):
+        cluster = GroupServiceCluster(seed=5, server_threads=8)
+        cluster.start()
+        cluster.wait_operational()
+        cluster.enable_tracing()
+        sim, root = cluster.sim, cluster.root_capability
+        victim = cluster.servers[1]
+        apply, applied = victim.state.apply, []
+
+        def apply_with_a_typo(op):
+            applied.append(op)
+            if len(applied) == 3:
+                raise KeyError("typo")
+            return apply(op)
+
+        victim.state.apply = apply_with_a_typo
+        acked = []
+
+        def writer(i):
+            client = cluster.add_client(f"w{i}", retry_safe=True)
+            for n in range(6):
+                yield from client.append_row(root, f"w{i}-{n}", (root,))
+                acked.append(f"w{i}-{n}")
+
+        writers = [sim.spawn(writer(i), f"w{i}") for i in range(4)]
+        for process in writers:
+            sim.run_until_complete(process)
+        settle(cluster, 500.0)
+
+        assert len(acked) == 24  # every client op completed
+        assert not victim.alive
+        [fence] = [
+            e for e in cluster.obs.tracer.events() if e.name == "dir.fence"
+        ]
+        assert fence.node == str(victim.me)
+        assert "KeyError('typo')" in fence.args["reason"]
+        survivors = [s for s in cluster.servers if s.alive]
+        assert len(survivors) == 2
+        for server in survivors:
+            assert server.operational
+            assert len(server.member.info().view) == 2
+            assert set(acked) <= set(server.state.directories[1].names())
+        assert cluster.replicas_consistent()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.amoeba import Rights, restrict
+from repro.bench.harness import PAPER_SERVER, build_deployment
 from repro.cluster import GroupServiceCluster
 from repro.errors import (
     AlreadyExists,
@@ -198,8 +199,10 @@ class TestCosts:
         elapsed = cluster.run_process(work())
         assert 3.0 < elapsed < 8.0
 
-    def test_append_delete_pair_near_paper(self, cluster):
-        """Fig. 7 first row: 184 ms for the triplicated group service."""
+    def test_append_delete_pair_near_paper(self):
+        """Fig. 7 first row: 184 ms for the triplicated group service
+        — the paper's server, two random writes per update."""
+        cluster = build_deployment("group", seed=7, **PAPER_SERVER).cluster
         client = cluster.add_client("c1")
         root = cluster.root_capability
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import PAPER_SERVER, build_deployment
 from repro.cluster import GroupServiceCluster, NfsServiceCluster
 
 
@@ -32,7 +33,9 @@ class TestReport:
         assert sum(s["reads"] for s in report["servers"]) == 1
         assert sum(s["writes"] for s in report["servers"]) == 2
 
-    def test_disk_ops_attributed_to_sites(self, cluster):
+    def test_disk_ops_attributed_to_sites(self):
+        """The paper's server: a shadow-page commit per update."""
+        cluster = build_deployment("group", seed=47, **PAPER_SERVER).cluster
         client = cluster.add_client("c")
         root = cluster.root_capability
 

@@ -125,3 +125,56 @@ class TestRepeatedCycles:
         cluster.run(until=cluster.sim.now + 2_000.0)
         for site in cluster.sites:
             assert site.bullet.file_count == len(site.server.admin.entries)
+
+
+class TestInstallIsOneWriteOut:
+    def test_one_pass_no_orphans(self):
+        """A rejoining replica hands everything its disk lacks — three
+        changed directories, one deleted, four clients' session records
+        — to ONE write-out: between the two single-block writes of the
+        recovering flag and the seal there is exactly one batch pass
+        (the classic install made ten random writes for the same
+        snapshot), and every Bullet file it replaced or dropped is
+        deleted afterwards."""
+        cluster = GroupServiceCluster(seed=43)
+        cluster.start()
+        cluster.wait_operational()
+        sim, root = cluster.sim, cluster.root_capability
+        setup = cluster.add_client("setup")
+
+        def before():
+            subs = []
+            for k in range(3):
+                sub = yield from setup.create_dir()
+                yield from setup.append_row(root, f"sub{k}", (sub,))
+                subs.append(sub)
+            doomed = yield from setup.create_dir()
+            yield sim.sleep(500.0)
+            return subs, doomed
+
+        subs, doomed = cluster.run_process(before())
+        cluster.crash_server(2)
+        cluster.run(until=sim.now + 2_500.0)
+
+        def while_it_is_down():
+            for k in range(4):
+                client = cluster.add_client(f"s{k}", retry_safe=True)
+                yield from client.append_row(subs[k % 3], f"row{k}", ())
+            yield from setup.delete_dir(doomed)
+            yield sim.sleep(500.0)
+
+        cluster.run_process(while_it_is_down())
+        disk = cluster.sites[2].disk
+        ops = dict(disk.ops)
+        server = cluster.restart_server(2)
+        cluster.wait_operational(timeout_ms=60_000.0)
+        assert server.operational and cluster.replicas_consistent()
+        assert disk.ops["batch"] - ops["batch"] == 1
+        assert disk.ops["random"] - ops["random"] == 3  # load, flag, seal
+        assert doomed.object_number not in server.admin.entries
+        assert set(server.admin.session_entries) >= {
+            f"{cluster.name}.client.s{k}" for k in range(4)
+        }
+        cluster.run(until=sim.now + 2_000.0)  # deferred deletes
+        for site in cluster.sites:
+            assert site.bullet.file_count == len(site.server.admin.entries)

@@ -120,6 +120,38 @@ class TestBasicOperation:
         assert cluster.run_process(work()) == "refused"
 
 
+class TestCosts:
+    """The RPC pair is the paper's previous design whatever the group
+    service's ``batch_max`` says: every update is the classic commit —
+    a Bullet file, a shadow page and a home block, plus one write for
+    a session record — on both machines, never a batch arm pass."""
+
+    @pytest.mark.parametrize("retry_safe, random_writes", [(False, 2), (True, 3)])
+    def test_disk_ops_per_update_by_kind(self, cluster, retry_safe, random_writes):
+        client = cluster.add_client("c", retry_safe=retry_safe)
+        root = cluster.root_capability
+        sim = cluster.sim
+        out = {}
+
+        def work():
+            sub = yield from client.create_dir()
+            yield sim.sleep(3_000.0)  # lazy/background work drains
+            before = [dict(site.disk.ops) for site in cluster.sites]
+            for i in range(10):
+                yield from client.append_row(root, f"m{i}", (sub,))
+            yield sim.sleep(3_000.0)
+            out["appends"] = [
+                {kind: site.disk.ops[kind] - was[kind] for kind in was}
+                for site, was in zip(cluster.sites, before)
+            ]
+
+        cluster.run_process(work())
+        for ops in out["appends"]:
+            assert ops["random"] == 10 * random_writes
+            assert ops["sequential"] == 10 * 2  # the Bullet file
+            assert ops["batch"] == 0
+
+
 class TestFailureBehaviour:
     def test_survives_one_crash_and_keeps_serving(self, cluster):
         client = cluster.add_client("c1")

@@ -3,8 +3,9 @@
 ``tests/golden/driver_outputs.json`` holds what each experiment driver
 printed the last time somebody looked: the Fig. 7 cells, one Fig. 8 and
 one Fig. 9 point per implementation, the ``perf`` fingerprints,
-digests of the ``capacity``, ``profile`` and ``trace`` reports, and
-digests of the chaos verdicts of six smoke runs. The
+digests of the ``capacity``, ``profile`` and ``trace`` reports,
+digests of the chaos verdicts of six smoke runs, and digests of the
+paper's server's (``batch_max=1``) full trace of a solo script. The
 simulation is deterministic, so any difference is a code change — a PR
 that means to move a number regenerates the file and its diff of the
 file *is* the statement of what moved; a refactor that means to move
@@ -27,6 +28,7 @@ import pytest
 
 from repro.bench.harness import (
     IMPLEMENTATIONS,
+    PAPER_SERVER,
     fig7_cell,
     lookup_throughput,
     update_throughput,
@@ -34,6 +36,7 @@ from repro.bench.harness import (
 from repro.bench.simbench import SCENARIOS as PERF_SCENARIOS
 from repro.bench.simbench import run_perf_scenario
 from repro.chaos import run_scenario, scenario_by_name
+from repro.cluster import GroupServiceCluster
 from repro.obs import capacity, spans
 
 GOLDEN = Path(__file__).parent / "golden" / "driver_outputs.json"
@@ -132,6 +135,40 @@ def _chaos() -> dict:
     return out
 
 
+def _paper_server() -> dict:
+    """The paper's server (``batch_max=1``), bit for bit: the full
+    trace of a 20-operation solo script (a create and a delete of a
+    directory among them), without and with session records."""
+    out = {}
+    for label, retry_safe in (("plain", False), ("sessions", True)):
+        cluster = GroupServiceCluster(seed=0, **PAPER_SERVER)
+        cluster.start()
+        cluster.wait_operational()
+        cluster.enable_tracing()
+        client = cluster.add_client("solo", retry_safe=retry_safe)
+        root = cluster.root_capability
+
+        def script():
+            sub = yield from client.create_dir()
+            yield from client.append_row(root, "sub", (sub,))
+            for k in range(5):
+                yield from client.append_row(sub, f"n{k}", (root,))
+                yield from client.lookup(sub, f"n{k}")
+                yield from client.delete_row(sub, f"n{k}")
+            yield from client.chmod_row(root, "sub", 0b011, (sub,))
+            yield from client.delete_row(root, "sub")
+            yield from client.delete_dir(sub)
+            yield cluster.sim.sleep(500.0)
+
+        cluster.run_process(script())
+        out[label] = _sha(repr([
+            (e.ts, e.node, e.cat, e.name, e.ph, e.dur, e.lineage,
+             sorted((e.args or {}).items()))
+            for e in cluster.obs.tracer.events()
+        ]))
+    return out
+
+
 SECTIONS = {
     "fig7": _fig7,
     "fig8": _fig8,
@@ -141,6 +178,7 @@ SECTIONS = {
     "profile": _profile,
     "phase_tables": _phase_tables,
     "chaos": _chaos,
+    "paper_server": _paper_server,
 }
 
 

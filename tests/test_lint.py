@@ -109,6 +109,35 @@ def test_directories_become_durable_in_one_module():
         "durable directory writes outside repro/directory/store.py: "
         + ", ".join(offenders)
     )
+    # Inside the store, the single-block table writes belong to the
+    # paper's commit (and the scrubber's in-place repair): everything
+    # else is one commit_batch arm pass, and which of the two a server
+    # takes is never decided by how many records a cut happens to hold.
+    tree = ast.parse(store.read_text(encoding="utf-8"))
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        if function.name in ("commit_classic", "scrub"):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in TABLE_WRITES - {"commit_batch"}):
+                offenders.append(
+                    f"{function.name}() calls {node.func.attr}() "
+                    f"(line {node.lineno})"
+                )
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)) and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "len"
+            and [getattr(arg, "id", None) for arg in call.args] == ["cut"]
+            for call in ast.walk(node.test)
+        ):
+            offenders.append(f"line {node.lineno} branches on len(cut)")
+    assert not offenders, (
+        "repro/directory/store.py: " + ", ".join(offenders)
+    )
 
 
 def test_the_closed_loop_is_driven_from_one_module():
