@@ -11,7 +11,7 @@ services sustain hundreds of mixed ops/s even though pure-write
 throughput is only ~10 ops/s.
 """
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import PAPER_SERVER, build_deployment
 from repro.workloads.clients import ClosedLoopClient, run_closed_loop
 from repro.workloads.generators import mixed_once
 from repro.workloads.metrics import Metrics
@@ -21,7 +21,7 @@ from conftest import write_result
 
 def mixed_throughput(impl: str, read_fraction: float, n_clients: int = 4,
                      seed: int = 0, measure_ms: float = 10_000.0):
-    deployment = build_deployment(impl, seed=seed)
+    deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
     sim = deployment.sim
     root = deployment.root
     metrics = Metrics()

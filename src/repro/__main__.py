@@ -102,14 +102,13 @@ def cmd_chaos(args) -> int:
     from repro.chaos import SCENARIOS, format_verdicts, host_summary, run_suite
 
     if args.list_scenarios:
-        for scenario in SCENARIOS:
+        for scenario in SCENARIOS.values():
             tag = "" if scenario.in_rotation else "  [not in rotation]"
             print(f"{scenario.name:<28}{scenario.description}{tag}")
         return 0
-    known = {scenario.name for scenario in SCENARIOS}
-    if args.scenario is not None and args.scenario not in known:
+    if args.scenario is not None and args.scenario not in SCENARIOS:
         print(f"error: unknown chaos scenario {args.scenario!r}")
-        print(f"known scenarios: {', '.join(sorted(known))}")
+        print(f"known scenarios: {', '.join(sorted(SCENARIOS))}")
         return 2
     verdicts = run_suite(
         args.seeds,

@@ -23,7 +23,6 @@ Everything is a pure function of the seed: same seed + same scenario
 fingerprints. Run the suite with ``python -m repro chaos --seeds N``.
 """
 
-from repro.chaos.nemesis import NEMESES, build_nemesis
 from repro.chaos.runner import (
     DEFAULT_TRACE_DIR,
     FLIGHT_RECORDER_CAPACITY,
@@ -36,20 +35,20 @@ from repro.chaos.runner import (
     run_scenario,
     run_suite,
     scenario_by_name,
+    watcher_traffic,
 )
 
 __all__ = [
     "DEFAULT_TRACE_DIR",
     "FLIGHT_RECORDER_CAPACITY",
-    "NEMESES",
     "SCENARIOS",
     "Scenario",
     "ScenarioVerdict",
-    "build_nemesis",
     "dump_flight_recorder",
     "format_verdicts",
     "host_summary",
     "run_scenario",
     "run_suite",
     "scenario_by_name",
+    "watcher_traffic",
 ]

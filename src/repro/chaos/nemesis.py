@@ -19,30 +19,15 @@ and the plan is guaranteed to leave the world repaired (all servers
 restarted, partitions healed) before ``start_ms + window_ms`` so the
 invariant checks run against a recoverable deployment.
 
-The builders are registered in :data:`NEMESES`; link-fault scenarios
-(drop/duplicate/reorder policies) live in :mod:`repro.chaos.runner`
-because they parameterize the cluster rather than schedule events.
+A scenario of :data:`repro.chaos.runner.SCENARIOS` names its builder
+directly; link-fault builders (drop/duplicate/reorder policies) have
+the same signature and live in :mod:`repro.chaos.runner` because they
+parameterize the cluster rather than schedule events.
 """
 
 from __future__ import annotations
 
 from repro.faults.plan import FaultPlan
-
-#: Name -> builder registry (filled by the ``@nemesis`` decorator).
-NEMESES: dict = {}
-
-
-def nemesis(name: str):
-    def register(fn):
-        NEMESES[name] = fn
-        return fn
-
-    return register
-
-
-def build_nemesis(name: str, cluster, rng, start_ms: float, window_ms: float):
-    """Build (but do not arm) the named nemesis plan."""
-    return NEMESES[name](cluster, rng, start_ms, window_ms)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +83,6 @@ def _restart_remembered(cell: dict):
 # ----------------------------------------------------------------------
 
 
-@nemesis("sequencer_crash")
 def sequencer_crash(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """Kill whoever is sequencer — twice — while broadcasts are in
     flight, forcing reset + sequencer handover with uncommitted
@@ -115,7 +99,6 @@ def sequencer_crash(cluster, rng, start_ms, window_ms) -> FaultPlan:
     return plan
 
 
-@nemesis("partition_during_recovery")
 def partition_during_recovery(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """Crash a replica, then partition it away *while it is running
     the Fig. 6 recovery protocol*, then heal. The recovering server
@@ -138,7 +121,6 @@ def partition_during_recovery(cluster, rng, start_ms, window_ms) -> FaultPlan:
     )
 
 
-@nemesis("crash_during_restart")
 def crash_during_restart(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """Crash a replica again in the middle of its own recovery (the
     crashed-during-recovery rule of §3.2), then let it come back."""
@@ -157,7 +139,6 @@ def crash_during_restart(cluster, rng, start_ms, window_ms) -> FaultPlan:
     )
 
 
-@nemesis("flapping_links")
 def flapping_links(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """Rapidly isolate-and-heal one replica at a time. Short asymmetric
     connectivity windows stress failure detection: views churn, but a
@@ -177,7 +158,6 @@ def flapping_links(cluster, rng, start_ms, window_ms) -> FaultPlan:
     return plan
 
 
-@nemesis("random_soak")
 def random_soak(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """The classic recoverable random schedule, as a nemesis peer."""
     from repro.faults.plan import RandomFaultPlan
@@ -192,7 +172,6 @@ def random_soak(cluster, rng, start_ms, window_ms) -> FaultPlan:
     )
 
 
-@nemesis("rolling_faults")
 def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """The self-driving gauntlet: three sequenced faults, no repairs.
 
@@ -207,9 +186,12 @@ def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
 
     Unlike every other nemesis this plan does NOT repair the world:
     remediation (:mod:`repro.recovery`) is expected to restart the
-    corpse, evict the flapper onto a spare, and scale the resilience
-    degree up and back. Without it the cluster ends the run below its
-    declared resilience — the ``remediation_off`` control proves
+    corpse and to scale the resilience degree up and back. The lossy
+    member is the group's own business: its failure detector gives up
+    on the sequencer, the reset excludes it, and it re-runs Fig. 6
+    recovery until the link heals (docs/CHAOS.md §2). Without the
+    controller the cluster ends the run below its declared resilience
+    — the ``remediation_off`` control proves
     ``check_resilience_restored`` isn't vacuous.
     """
     from repro.net.policy import Drop, LinkFilter
@@ -304,7 +286,6 @@ def _rot_live_site(index: int, blocks: int, extents: int):
     return fire
 
 
-@nemesis("bitrot_gauntlet")
 def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """The storage-corruption gauntlet: every silent-storage fault in
     the catalogue (docs/CHAOS.md), aimed at all three repair paths.
@@ -377,7 +358,6 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     return plan
 
 
-@nemesis("majority_lost")
 def majority_lost(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """UNRECOVERABLE on purpose: crash a majority and leave it down.
 

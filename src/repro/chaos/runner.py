@@ -29,18 +29,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Callable
 
 from repro.bench.harness import build_deployment
-from repro.chaos.nemesis import build_nemesis
+from repro.chaos import nemesis
 from repro.errors import DirectoryError, ReproError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.net.policy import Drop, Duplicate, Delay, LinkFilter, Reorder
 from repro.obs.capacity import utilization_summary
 from repro.obs.export import to_jsonl
-from repro.obs.monitor import HealthMonitor, thresholds_with
+from repro.obs.monitor import DEFAULT_THRESHOLDS, HealthMonitor, thresholds_with
 from repro.rpc.client import RpcTimings
 from repro.verify import HistoryRecorder, InvariantReport, check_cluster
 
@@ -97,7 +98,8 @@ class Scenario:
     expect_alerts: bool | None = None
     #: Initial resilience degree (None = N_SERVERS - 1, the maximum).
     resilience: int | None = None
-    #: Cold spare sites available to remediation (group clusters only).
+    #: Cold spare sites (group clusters only). No policy boots one; the
+    #: two gauntlets keep theirs because a site fewer re-times them.
     spares: int = 0
     #: Run a RemediationController (repro.recovery) against the
     #: health monitor for the whole scenario.
@@ -106,9 +108,9 @@ class Scenario:
     #: cluster must be back at its declared server count and
     #: resilience degree with every operational member agreeing.
     expect_resilience_restored: bool = False
-    #: Health-monitor override: a thresholds tuple (see
-    #: repro.obs.thresholds_with).
-    monitor_thresholds: tuple | None = None
+    #: The health monitor's thresholds (repro.obs.thresholds_with
+    #: patches the defaults by signal).
+    monitor_thresholds: tuple = DEFAULT_THRESHOLDS
     #: Per-client lookup-cache capacity (0 = no cache). >0 also turns
     #: on ``cache_coherence`` in the deployment config and switches the
     #: shared-key workload to the cached loop, which records whether
@@ -358,7 +360,7 @@ def build_stale_read_hunt(cluster, rng, start_ms, window_ms) -> FaultPlan:
             max_ms=1_000.0,
         ),
     ]
-    plan = build_nemesis("sequencer_crash", cluster, rng, start_ms, window_ms)
+    plan = nemesis.sequencer_crash(cluster, rng, start_ms, window_ms)
     for event in _policy_plan(start_ms, window_ms, policies).events:
         plan.add(event)
     return plan
@@ -378,24 +380,20 @@ def build_grand_tour(cluster, rng, start_ms, window_ms) -> FaultPlan:
         Duplicate("chaos.tour.dup", probability=0.08),
         Reorder("chaos.tour.reorder", probability=0.10, max_delay_ms=10.0),
     ]
-    plan = build_nemesis("random_soak", cluster, rng, start_ms, window_ms)
+    plan = nemesis.random_soak(cluster, rng, start_ms, window_ms)
     for event in _policy_plan(start_ms, window_ms, policies).events:
         plan.add(event)
     return plan
 
 
-def _nemesis_builder(name: str):
-    def build(cluster, rng, start_ms, window_ms):
-        return build_nemesis(name, cluster, rng, start_ms, window_ms)
-
-    return build
-
-
-SCENARIOS: list[Scenario] = [
+#: Every scenario, by name. Insertion order is the rotation order: the
+#: suite deals seeds round-robin over the in-rotation ones, so a new
+#: scenario goes in out of rotation or at the end.
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "sequencer_crash",
         "crash whoever is sequencer, mid-broadcast, twice",
-        _nemesis_builder("sequencer_crash"),
+        nemesis.sequencer_crash,
         expect_alerts=True,
     ),
     Scenario(
@@ -406,7 +404,7 @@ SCENARIOS: list[Scenario] = [
     Scenario(
         "partition_during_recovery",
         "partition a replica while it runs Fig. 6 recovery",
-        _nemesis_builder("partition_during_recovery"),
+        nemesis.partition_during_recovery,
         expect_alerts=True,
     ),
     Scenario(
@@ -417,7 +415,7 @@ SCENARIOS: list[Scenario] = [
     Scenario(
         "crash_during_restart",
         "re-crash a replica in the middle of its recovery",
-        _nemesis_builder("crash_during_restart"),
+        nemesis.crash_during_restart,
         expect_alerts=True,
     ),
     Scenario(
@@ -433,7 +431,7 @@ SCENARIOS: list[Scenario] = [
     Scenario(
         "flapping_links",
         "rapid isolate/heal cycles against single replicas",
-        _nemesis_builder("flapping_links"),
+        nemesis.flapping_links,
         expect_alerts=True,
     ),
     Scenario(
@@ -444,7 +442,7 @@ SCENARIOS: list[Scenario] = [
     Scenario(
         "random_soak",
         "seeded random crash/restart/partition schedule",
-        _nemesis_builder("random_soak"),
+        nemesis.random_soak,
         expect_alerts=True,
     ),
     Scenario(
@@ -497,7 +495,7 @@ SCENARIOS: list[Scenario] = [
         "rolling_faults",
         "self-driving gauntlet: crash left down, flapping link, "
         "sustained loss — remediation must restore declared resilience",
-        _nemesis_builder("rolling_faults"),
+        nemesis.rolling_faults,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -514,7 +512,7 @@ SCENARIOS: list[Scenario] = [
         "remediation_off",
         "NEGATIVE: the same gauntlet with the controller disabled — "
         "check_resilience_restored must flag the crippled cluster",
-        _nemesis_builder("rolling_faults"),
+        nemesis.rolling_faults,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -555,7 +553,7 @@ SCENARIOS: list[Scenario] = [
         "mid-flush power cut, and bit rot on crashed AND live replicas "
         "— checksummed envelopes + scrub-and-repair must keep every "
         "acknowledged block durable",
-        _nemesis_builder("bitrot_gauntlet"),
+        nemesis.bitrot_gauntlet,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -575,7 +573,7 @@ SCENARIOS: list[Scenario] = [
         "NEGATIVE: the same gauntlet on the legacy unchecksummed "
         "layout with no scrubber or remediation — check_durability "
         "must catch the silently-served corruption",
-        _nemesis_builder("bitrot_gauntlet"),
+        nemesis.bitrot_gauntlet,
         shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
@@ -590,24 +588,21 @@ SCENARIOS: list[Scenario] = [
         "majority_lost",
         "NEGATIVE: crash a majority and leave it down — the correct "
         "outcome is detected unavailability, not stale answers",
-        _nemesis_builder("majority_lost"),
+        nemesis.majority_lost,
         expect_available=False,
         window_ms=20_000.0,
         n_clients=2,
         in_rotation=False,
     ),
-]
+)}
 
 
 def scenario_by_name(name: str) -> Scenario:
-    for scenario in SCENARIOS:
-        if scenario.name == name:
-            return scenario
-    raise KeyError(f"unknown chaos scenario {name!r}")
+    return SCENARIOS[name]
 
 
 def rotation() -> list[Scenario]:
-    return [s for s in SCENARIOS if s.in_rotation]
+    return [s for s in SCENARIOS.values() if s.in_rotation]
 
 
 # ----------------------------------------------------------------------
@@ -634,13 +629,6 @@ def _deployment_kwargs(scenario: Scenario) -> dict:
         # scenarios change the on-disk layout.
         **({"integrity": True} if scenario.integrity else {}),
     )
-
-
-def _majority(cluster) -> int:
-    # Via the config, not len(cluster.servers): elastic scenarios leave
-    # evicted sites behind as None entries, and the config tracks the
-    # membership changes remediation makes mid-run.
-    return cluster.config.majority
 
 
 def run_scenario(
@@ -696,10 +684,7 @@ def _run(
     sim = cluster.sim
     # The watchdog starts with the cluster healthy: its baseline
     # window is fault-free, so anything it raises later is signal.
-    monitor_kwargs: dict = {}
-    if scenario.monitor_thresholds is not None:
-        monitor_kwargs["thresholds"] = scenario.monitor_thresholds
-    monitor = HealthMonitor(sim, **monitor_kwargs).start()
+    monitor = HealthMonitor(sim, scenario.monitor_thresholds).start()
     controller = None
     if scenario.remediation:
         from repro.recovery import RemediationController
@@ -870,7 +855,9 @@ def _run(
 
     host_ran = perf_counter_ns()
     operational = cluster.operational_servers()
-    available = len(operational) >= _majority(cluster)
+    # Via the config, not len(cluster.servers): spare sites are entries
+    # there too.
+    available = len(operational) >= cluster.config.majority
 
     if scenario.shared_keys and available:
         # Closing reads on every shared key: a committed update nobody
@@ -991,7 +978,7 @@ def _run(
         remediation_actions=(
             [dict(a) for a in controller.actions] if controller else []
         ),
-        utilization=utilization_summary(sim.obs.registry, sim.now),
+        utilization=utilization_summary(sim.obs.registry.window()),
         host_ms={
             "build": (host_built - host_t0) / 1e6,
             "run": (host_ran - host_built) / 1e6,
@@ -1085,10 +1072,24 @@ def format_verdicts(verdicts: list[ScenarioVerdict]) -> str:
         )
     passed = sum(1 for v in verdicts if v.ok)
     lines.append(f"{passed}/{len(verdicts)} scenario runs passed")
+    for label, counts in zip(("alerts", "remediation"), watcher_traffic(verdicts)):
+        lines.append(f"{label}: " + (", ".join(
+            f"{name} {n}" for name, n in sorted(counts.items())) or "none"))
     total_host = sum(v.host_ms.get("total", 0.0) for v in verdicts)
     if total_host:
         lines.append(f"host wallclock: {total_host / 1e3:.1f} s total")
     return "\n".join(lines)
+
+
+def watcher_traffic(verdicts: list[ScenarioVerdict]) -> tuple[Counter, Counter]:
+    """What the watcher did over a suite: alerts raised by signal and
+    remediation actions by kind. A threshold or a policy whose count
+    stays zero over the whole suite is documentation, not behaviour
+    (docs/CHAOS.md §2 keeps the measured tally)."""
+    alerts = Counter(a.signal for v in verdicts for a in v.alerts)
+    actions = Counter(
+        a["action"] for v in verdicts for a in v.remediation_actions)
+    return alerts, actions
 
 
 def host_summary(verdicts: list[ScenarioVerdict]) -> dict:

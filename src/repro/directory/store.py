@@ -41,6 +41,12 @@ The write-out contract, which recovery relies on:
 * A flush whose write-out fails has committed nothing and forgets
   nothing: what it set out to write is dirty again, because the next
   flush clears the board up to its own floor, written out or not.
+* A record too large for the *empty* board is never logged: its commit
+  marks its directories dirty, raises the floor to its own seqno and
+  flushes synchronously, so the change reaches the disk under its own
+  number before it is acknowledged. Replay has no record of it to
+  skip, every later flush's floor covers it, and nothing on the board
+  can be annihilated against it.
 """
 
 from __future__ import annotations
@@ -571,6 +577,18 @@ class NvramLog:
                     payload=(op, change.seqno),
                     size=op.wire_size(),
                 )
+                if self.nvram.record_size(record) > self.nvram.capacity_bytes:
+                    # Not even the empty board could hold it (the loop
+                    # below would flush for ever): the change is never
+                    # logged, a synchronous flush whose floor is raised
+                    # to it carries it to disk instead.
+                    if owed_cpu_ms:
+                        yield from cpu.use(owed_cpu_ms)
+                        owed_cpu_ms = 0.0
+                    self._mark_dirty(effects)
+                    self._logged_upto = change.seqno
+                    yield from self.flush()
+                    continue
                 while True:
                     try:
                         yield from self.nvram.append(

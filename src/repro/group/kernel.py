@@ -243,10 +243,10 @@ class GroupKernel:
 
         Called whenever received/taken move and on every role change.
         Busy time is flushed incrementally (not only when the pipeline
-        drains) so windowed readers — the health monitor's
-        ``group.seq_utilization`` signal and the capacity attributor —
-        see a counter that is current to the last pipeline event even
-        during a long saturated stretch.
+        drains) so windowed readers — the sampler's ``group.seq.rho``
+        series and the capacity attributor — see a counter that is
+        current to the last pipeline event even during a long
+        saturated stretch.
         """
         pipe = self._seq_pipe
         if not pipe and self._seq_busy_since is None:

@@ -18,9 +18,9 @@ Two consumers sit on top (ISSUE 5 tentpole):
   the wire/sequencer/compute/disk attribution of a Fig. 7 run
   (``python -m repro trace``); imported lazily by the CLI, not here,
   to keep this package import-cycle-free;
-* :mod:`repro.obs.monitor` — an in-sim health watchdog that samples
-  the registry on a cadence and raises/clears hysteresis alerts
-  (started on every chaos scenario).
+* :mod:`repro.obs.saturation` — the one periodic sampler over the
+  registry, and :mod:`repro.obs.monitor` — that sampler plus
+  hysteresis alerts (started on every chaos scenario).
 
 Every :class:`~repro.sim.scheduler.Simulator` owns one
 :class:`Observability` bundle as ``sim.obs``. Tracing is **off** by

@@ -1,8 +1,8 @@
 """Queueing-theoretic bottleneck attribution and capacity prediction.
 
 Runs a closed-loop scenario (the bench harness's Fig. 8/9 workloads)
-with the saturation sampler on, differences registry marks across the
-measurement window, and reports, per resource:
+with the sampler on, takes one registry window over the measurement,
+and reports, per resource:
 
 * utilization ``rho = busy_ms / window_ms``;
 * throughput ``lambda`` (completions/s) and service time ``S = busy /
@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.harness import build_deployment, closed_loop
-from repro.obs.saturation import DEFAULT_INTERVAL_MS, SaturationSampler
+from repro.obs.saturation import Sampler
+
+#: The capacity lens's sampling cadence (sim ms).
+SAMPLE_INTERVAL_MS = 250.0
 
 #: scenario -> (implementation, harness workload, what one operation
 #: of it is called in the report)
@@ -104,59 +107,35 @@ class ResourceStats:
         }
 
 
-@dataclass
-class RegistryMarks:
-    """Counter values + gauge areas captured at one instant."""
-
-    t_ms: float
-    counters: dict = field(default_factory=dict)
-    areas: dict = field(default_factory=dict)
-
-    @classmethod
-    def capture(cls, registry, now: float) -> "RegistryMarks":
-        return cls(t_ms=now, counters=registry.counter_values(),
-                   areas=registry.gauge_areas())
-
-
-def window_stats(marks0: RegistryMarks, marks1: RegistryMarks) -> list[ResourceStats]:
-    """Per-resource queueing stats from two registry captures, ranked
-    by utilization (ties break toward the protocol pipeline)."""
-    dt = marks1.t_ms - marks0.t_ms
-    if dt <= 0.0:
+def window_stats(window) -> list[ResourceStats]:
+    """Per-resource queueing stats over one registry window
+    (:class:`repro.obs.registry.Window`), ranked by utilization (ties
+    break toward the protocol pipeline)."""
+    if window.dt_ms <= 0.0:
         return []
     out: list[ResourceStats] = []
     for spec in RESOURCE_SPECS:
-        busy_name = spec["busy"]
-        nodes = sorted(
-            node for (node, name) in marks1.counters if name == busy_name)
-        for node in nodes:
-            def cdelta(metric: str) -> float:
-                key = (node, metric)
-                return marks1.counters.get(key, 0.0) - marks0.counters.get(key, 0.0)
-
-            busy = cdelta(busy_name)
-            done = cdelta(spec["done"])
+        queue_nodes = window.nodes(spec["queue"]) if spec["queue"] else ()
+        for node in window.nodes(spec["busy"]):
+            busy = window.delta(node, spec["busy"])
+            done = window.delta(node, spec["done"])
             if busy <= 0.0 and spec.get("requires_busy"):
                 # Non-sequencer members deliver records but run no
                 # pipeline; their backlog gauge measures replica lag.
                 continue
-            rho = busy / dt
-            lam = done * 1000.0 / dt
-            service = busy / done if done > 0 else 0.0
             queue_mean = None
             residence = None
             residual = None
             if spec["queue"] is not None:
-                key = (node, spec["queue"])
-                if key in marks1.areas:
-                    queue_mean = (
-                        marks1.areas[key] - marks0.areas.get(key, 0.0)) / dt
+                if node in queue_nodes:
+                    queue_mean = window.mean(node, spec["queue"])
                 if done > 0:
-                    wait = cdelta(spec["wait"])
+                    wait = window.delta(node, spec["wait"])
                     residence = (
                         wait if spec["wait_is_sojourn"] else wait + busy) / done
                 if queue_mean is not None and residence is not None:
-                    expected = lam * residence / 1000.0  # Little: L = lambda W
+                    # Little: L = lambda W
+                    expected = window.rate(node, spec["done"]) * residence / 1000.0
                     denom = max(queue_mean, expected)
                     residual = (
                         0.0 if denom < RESIDUAL_FLOOR
@@ -166,9 +145,9 @@ def window_stats(marks0: RegistryMarks, marks1: RegistryMarks) -> list[ResourceS
                 continue  # resource never exercised in this window
             out.append(ResourceStats(
                 kind=spec["kind"], node=node,
-                utilization=round(rho, 6),
-                throughput_per_s=round(lam, 6),
-                service_ms=round(service, 6),
+                utilization=round(window.busy(node, spec["busy"]), 6),
+                throughput_per_s=round(window.rate(node, spec["done"]), 6),
+                service_ms=round(busy / done if done > 0 else 0.0, 6),
                 queue_depth=None if queue_mean is None else round(queue_mean, 6),
                 residence_ms=None if residence is None else round(residence, 6),
                 little_residual=None if residual is None else round(residual, 6),
@@ -177,20 +156,22 @@ def window_stats(marks0: RegistryMarks, marks1: RegistryMarks) -> list[ResourceS
     return out
 
 
-def utilization_summary(registry, elapsed_ms: float) -> dict:
-    """Whole-run mean utilization per resource kind (max across nodes).
-
-    Used by the chaos runner's verdicts: cheap (one registry pass), no
-    sampler required, deterministic.
+def utilization_summary(window) -> dict:
+    """Mean utilization per resource kind over *window* (max across
+    nodes). The chaos runner's verdicts ask it of the whole run: cheap
+    (one registry capture), no sampler required, deterministic.
     """
-    out: dict[str, float] = {}
-    for spec in RESOURCE_SPECS:
-        best = 0.0
-        for _node, counter in registry.find_counters(spec["busy"]):
-            if elapsed_ms > 0.0:
-                best = max(best, counter.value / elapsed_ms)
-        out[spec["kind"]] = round(best, 4)
-    return out
+    return {
+        spec["kind"]: round(
+            max(
+                (window.busy(node, spec["busy"])
+                 for node in window.nodes(spec["busy"])),
+                default=0.0,
+            ),
+            4,
+        )
+        for spec in RESOURCE_SPECS
+    }
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +185,12 @@ def run_point(
     warmup_ms: float = 2_000.0,
     measure_ms: float = 10_000.0,
     batch_max: int | None = None,
-    sample_interval_ms: float = DEFAULT_INTERVAL_MS,
 ) -> dict:
     """One closed-loop run: throughput + ranked resource stats.
 
     The run is :func:`repro.bench.harness.closed_loop` (the Fig. 8/9
-    loop, same warmup/measure phasing) with registry marks captured at
-    the window edges and the saturation sampler running inside it.
+    loop, same warmup/measure phasing) with one registry window over
+    the measurement and the sampler running inside it.
     """
     if scenario not in SCENARIOS:
         raise ValueError(
@@ -219,21 +199,22 @@ def run_point(
     deploy_kwargs = {} if batch_max is None else {"batch_max": batch_max}
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
     sim = deployment.sim
-    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms)
-    marks = []
+    registry = sim.obs.registry
+    sampler = Sampler(sim, SAMPLE_INTERVAL_MS)
+    measured = []
 
     @contextmanager
     def window():
         sampler.start()
-        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        opened = registry.mark()
         yield
-        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        measured.append(registry.window(opened))
         sampler.stop()
 
     throughput = closed_loop(
         deployment, workload, writers, warmup_ms, measure_ms, window=window()
     ).per_second
-    resources = window_stats(*marks)
+    resources = window_stats(*measured)
     top = resources[0] if resources else None
     return {
         "scenario": scenario,

@@ -5,8 +5,8 @@ module answers the other question — where does **host** wallclock go
 per simulated event — which is what decides whether a million-entry
 scenario fits in CI. A :class:`HostProfiler` rides on one
 :class:`~repro.sim.scheduler.Simulator`; the scheduler's profiled run
-loops (see ``Simulator._run_profiled``) time each event dispatch with
-``perf_counter_ns`` and hand the callback over for attribution:
+loops hand each event's callback to :meth:`HostProfiler.dispatch`, which
+runs it between two ``perf_counter_ns`` reads and attributes the time:
 
 * **event kind** — ``process.step`` (a generator resumed), ``future.settle``
   (a sleep/timer future resolving), or ``callback`` (plain scheduled fn);
@@ -117,8 +117,8 @@ class HostProfiler:
         self._executed = 0
         self._timed = 0
         self._exec_ns = 0
-        self._sched_ns = 0
-        self._cancelled_pops = 0
+        #: Cancelled timers the run loops popped and skipped.
+        self.cancelled_pops = 0
         self._max_heap = 0
         self._seq_start = 0
         self._scheduled = 0
@@ -145,7 +145,7 @@ class HostProfiler:
         return self
 
     def stop(self) -> "HostProfiler":
-        """Stop measuring (the simulator reverts to the fast loops)."""
+        """Stop measuring (the run loops call the events themselves again)."""
         if self.active:
             self.active = False
             self._wall_ns += perf_counter_ns() - (self._wall_start or 0)
@@ -155,38 +155,35 @@ class HostProfiler:
                 self._sim_ms = self.sim.now
         return self
 
-    # -- scheduler callbacks (hot; called per event while active) ----------
+    # -- the scheduler's per-event hook (hot while active) ------------------
 
-    def record_timed(
-        self, fn: Callable, sched_ns: int, exec_ns: int, heap_len: int
-    ) -> None:
+    def dispatch(self, fn: Callable, heap: list) -> None:
+        """Run one event for the scheduler's loops: every event is
+        counted against its site, every ``sample``-th one timed."""
+        self._stride_pos += 1
+        if self._stride_pos < self.sample:
+            fn()
+            self._site_of(fn).count += 1
+            self._executed += 1
+            return
+        self._stride_pos = 0
+        t0 = perf_counter_ns()
+        fn()
+        exec_ns = perf_counter_ns() - t0
+        self._executed += 1
         site = self._site_of(fn)
         site.count += 1
         site.timed += 1
         site.host_ns += exec_ns
-        self._executed += 1
         self._timed += 1
         self._exec_ns += exec_ns
-        self._sched_ns += sched_ns
-        if heap_len > self._max_heap:
-            self._max_heap = heap_len
+        if len(heap) > self._max_heap:
+            self._max_heap = len(heap)
         if self.keep_slices:
             if len(self._slices) < self.max_slices:
-                self._slices.append(
-                    (perf_counter_ns() - exec_ns - (self._epoch_ns or 0),
-                     exec_ns, site)
-                )
+                self._slices.append((t0 - (self._epoch_ns or 0), exec_ns, site))
             else:
                 self.slices_dropped += 1
-
-    def record_counted(self, fn: Callable) -> None:
-        """An executed-but-untimed event (sampling stride skipped it)."""
-        self._site_of(fn).count += 1
-        self._executed += 1
-
-    def note_cancelled_pop(self, sched_ns: int) -> None:
-        self._cancelled_pops += 1
-        self._sched_ns += sched_ns
 
     def _site_of(self, fn: Callable) -> SiteStats:
         # A process wakeup is a bound method of the Process; attribute
@@ -252,8 +249,7 @@ class HostProfiler:
             executed=self._executed,
             timed=self._timed,
             exec_ns=self._exec_ns,
-            sched_ns=self._sched_ns,
-            cancelled_pops=self._cancelled_pops,
+            cancelled_pops=self.cancelled_pops,
             scheduled=scheduled,
             max_heap=self._max_heap,
             wall_ns=self.wall_ns(),
@@ -310,7 +306,6 @@ def build_report(
     executed: int,
     timed: int,
     exec_ns: int,
-    sched_ns: int,
     cancelled_pops: int,
     scheduled: int,
     max_heap: int,
@@ -344,6 +339,10 @@ def build_report(
         c["share"] = round(c["host_ns"] / exec_ns, 6) if exec_ns else 0.0
     generator_switches = by_kind.get("process.step", {}).get("count", 0)
     wall_s = wall_ns / 1e9 if wall_ns else 0.0
+    # Derived, not measured: the wall clock minus event execution (scaled
+    # up from the timed events under sampling) — heap pops, the run
+    # loops, the profiler's own attribution, set-up between runs.
+    sched_ns = max(0, wall_ns - (exec_ns * executed // timed if timed else 0))
     report = {
         "schema": 1,
         "sample": sample,
@@ -362,7 +361,6 @@ def build_report(
             "wall_ns": wall_ns,
             "exec_ns": exec_ns,
             "scheduler_ns": sched_ns,
-            "accounted_ns": exec_ns + sched_ns,
             "sim_ms": round(sim_ms, 3),
             "sim_events_per_s": round(executed / wall_s, 1) if wall_s else 0.0,
             "us_per_event": (
@@ -440,8 +438,7 @@ class Capture:
             executed=self.executed,
             timed=sum(p._timed for p in self.profilers),
             exec_ns=sum(p._exec_ns for p in self.profilers),
-            sched_ns=sum(p._sched_ns for p in self.profilers),
-            cancelled_pops=sum(p._cancelled_pops for p in self.profilers),
+            cancelled_pops=sum(p.cancelled_pops for p in self.profilers),
             scheduled=sum(
                 (p._scheduled if not p.active else
                  p.sim._sequence - p._seq_start)
@@ -553,7 +550,7 @@ def format_report(report: dict, title: str = "host-time budget") -> str:
     exec_ns = host["exec_ns"]
     lines.append(
         f"  attribution over {exec_ns / 1e6:.2f} ms of measured event "
-        f"execution (+ {host['scheduler_ns'] / 1e6:.2f} ms scheduler/heap):"
+        f"execution (+ {host['scheduler_ns'] / 1e6:.2f} ms outside callbacks):"
     )
     lines.append(
         f"    {'component':<12}{'events':>10}  {'host-ms':>9}  {'share':>6}"

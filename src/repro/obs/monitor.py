@@ -1,10 +1,11 @@
-"""The in-sim health watchdog: registry sampling + hysteresis alerts.
+"""The in-sim health watchdog: the sampler plus hysteresis alerts.
 
-A :class:`HealthMonitor` is a simulated process that wakes on a fixed
-cadence, reads the metrics registry (and *only* the registry — it has
-no privileged view into server internals), derives a small set of
-health signals per node, and runs each through a two-threshold
-hysteresis state machine:
+A :class:`HealthMonitor` is the registry sampler
+(:class:`repro.obs.saturation.Sampler` — it reads the metrics registry
+and *only* the registry, with no privileged view into server
+internals) at a 500 ms cadence, deriving the series its thresholds
+name and running each through a two-threshold hysteresis state
+machine:
 
 * the signal rising to ``alert_above`` raises an **alert** (recorded,
   and emitted as a ``mon.alert`` trace event when the flight recorder
@@ -13,36 +14,12 @@ hysteresis state machine:
   (``mon.clear``) — the gap between the thresholds stops a signal
   hovering near the line from flapping.
 
-Signals (see docs/OBSERVABILITY.md, "Health monitoring"):
+The signals are the rows of :data:`DEFAULT_THRESHOLDS` (each says what
+it means; docs/OBSERVABILITY.md §8 is the operator's copy, held to this
+one by tests/test_lint.py); how each is read off the registry is its
+row of :data:`repro.obs.saturation.SERIES`.
 
-========================    =================================================
-``group.backlog``           window mean of sequenced-but-undelivered
-                            messages (gauge area differencing)
-``disk.queue_depth``        window mean of ops waiting for / holding the arm
-``group.retrans_rate``      retransmission requests per second (counter rate)
-``session.dup_rate``        session reply-cache hits per second — a burst
-                            means clients are resending committed updates
-``group.heartbeat_staleness``  ms since the member last saw (or sent) a
-                            group heartbeat — the failure-detector's view
-``group.view_churn``        view adoptions per second — any membership
-                            change (crash, partition, rejoin) churns views
-                            on the surviving side, while a steady group
-                            adopts none at all
-``storage.corrupt_rate``    corruption evidence per second on one node's
-                            durable storage — detected checksum failures
-                            plus (on legacy, integrity-off media) corrupt
-                            bytes silently served or replayed
-``group.seq_utilization``   fraction of the window the node spent as the
-                            busy sequencer (pipeline non-empty) — the
-                            saturation signal the remediation controller's
-                            scale policy consults (docs/OBSERVABILITY.md
-                            §10)
-========================    =================================================
-
-Gauges are sampled by *area differencing*: the window mean over
-``[a, b]`` is ``(area(b) - area(a)) / (b - a)``, which no instant
-sample can fake — a queue that spikes and drains between ticks still
-shows up. Everything is deterministic: same seed, same alerts.
+Everything is deterministic: same seed, same alerts.
 
 The chaos runner (:mod:`repro.chaos.runner`) starts a monitor on every
 scenario; nemesis runs must raise at least one alert inside the fault
@@ -55,9 +32,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-#: Default sampling cadence: four ticks per heartbeat-failure window,
-#: fine enough to land inside every chaos fault window.
-DEFAULT_INTERVAL_MS = 500.0
+from repro.obs.saturation import SERIES, Sampler
+
+#: Sampling cadence: four ticks per heartbeat-failure window, fine
+#: enough to land inside every chaos fault window.
+INTERVAL_MS = 500.0
 
 
 @dataclass(frozen=True)
@@ -73,22 +52,20 @@ class Threshold:
 
 #: Calibrated against fault-free runs of every deployment (the control
 #: scenario sweeps seeds and asserts silence) and against the nemesis
-#: rotation (every fault window must trip at least one of these).
+#: rotation (every fault window must trip at least one of these). Every
+#: row here fires in the chaos suite (tests/chaos/test_watcher_traffic.py;
+#: the measured tally is in docs/CHAOS.md §2).
 DEFAULT_THRESHOLDS = (
     Threshold(
         "group.backlog", 8.0, 2.0, "msgs",
         "sequenced messages not yet delivered to the state machine",
     ),
     Threshold(
-        "disk.queue_depth", 4.0, 1.5, "ops",
-        "operations waiting for (or holding) the disk arm",
-    ),
-    Threshold(
         "group.retrans_rate", 4.0, 0.5, "req/s",
         "gap-repair retransmission requests per second",
     ),
     # A reply-cache hit means a client resent an already-committed
-    # update: one hit per sampling window (2/s at the default cadence)
+    # update: one hit per sampling window (2/s at the monitor's cadence)
     # is already anomalous on a healthy network, so the threshold sits
     # just under a single hit, like view churn below.
     Threshold(
@@ -100,7 +77,7 @@ DEFAULT_THRESHOLDS = (
         "time since the member last saw or sent a group heartbeat",
     ),
     # One adoption inside a sampling window reads as 1/interval per
-    # second (2/s at the default cadence): the alert threshold sits
+    # second (2/s at the monitor's cadence): the alert threshold sits
     # just under that, so a single membership change trips it and a
     # single quiet window clears it. A partitioned minority member
     # re-forms a solo view (heartbeating itself, staleness low) — the
@@ -109,70 +86,42 @@ DEFAULT_THRESHOLDS = (
         "group.view_churn", 1.9, 0.1, "views/s",
         "group view adoptions per second (membership churn)",
     ),
-    # One corruption event inside a sampling window (2/s at the default
-    # cadence) trips the alert — a single flipped block is already a
-    # remediation-worthy fact, and fault-free runs sit at exactly zero.
-    # The signal sums every corruption counter a node's storage exposes:
-    # detections (disk.corrupt_detected, nvram.corrupt_records) and the
-    # integrity-off evidence of silently served damage
-    # (disk.corrupt_served, nvram.corrupt_replayed).
+    # One corruption event inside a sampling window (2/s at the
+    # monitor's cadence) trips the alert — a single flipped block is
+    # already a remediation-worthy fact, and fault-free runs sit at
+    # exactly zero. The signal sums every corruption counter a node's
+    # storage exposes: detections (disk.corrupt_detected,
+    # nvram.corrupt_records) and the integrity-off evidence of silently
+    # served damage (disk.corrupt_served, nvram.corrupt_replayed).
     Threshold(
         "storage.corrupt_rate", 1.9, 0.1, "events/s",
         "storage-corruption evidence (detections + corrupt bytes served)",
     ),
-    # Sequencer saturation: the windowed delta of the sequencer's
-    # busy-time counter over the window length — the fraction of the
-    # last 500 ms this node spent with sequenced-but-undelivered
-    # messages in flight while holding the sequencer role. A pipeline
-    # that is never empty for a whole window (>= 0.95) means offered
-    # load is at or beyond the ordering path's capacity ceiling
-    # (docs/OBSERVABILITY.md §10); chaos workloads on a healthy group
-    # keep it well under 0.5, which doubles as the clear line so the
-    # remediation controller sees a crisp saturated/unsaturated edge.
-    Threshold(
-        "group.seq_utilization", 0.95, 0.5, "frac",
-        "fraction of the window spent sequencing (pipeline non-empty)",
-    ),
-)
-
-#: Counter metrics summed into one node's ``storage.corrupt_rate``.
-CORRUPTION_METRICS = (
-    "disk.corrupt_detected",
-    "disk.corrupt_served",
-    "nvram.corrupt_records",
-    "nvram.corrupt_replayed",
 )
 
 
 def thresholds_with(overrides: dict) -> tuple:
     """:data:`DEFAULT_THRESHOLDS` with per-signal replacements.
 
-    *overrides* maps a signal name to either a full :class:`Threshold`
-    or an ``(alert_above, clear_below)`` pair that keeps the default's
-    unit and description. This is the hook chaos scenarios and
-    remediation policies use to tune hysteresis without editing this
+    *overrides* maps a signal name to an ``(alert_above, clear_below)``
+    pair that keeps the default's unit and description. This is the
+    hook chaos scenarios use to tune hysteresis without editing this
     module. Unknown signal names raise (a typo would silently leave
     the default in force).
     """
-    known = {t.signal for t in DEFAULT_THRESHOLDS}
-    unknown = sorted(set(overrides) - known)
+    unknown = sorted(set(overrides) - {t.signal for t in DEFAULT_THRESHOLDS})
     if unknown:
         raise ValueError(f"unknown health signals: {unknown}")
-    out = []
-    for default in DEFAULT_THRESHOLDS:
-        override = overrides.get(default.signal)
-        if override is None:
-            out.append(default)
-        elif isinstance(override, Threshold):
-            out.append(override)
-        else:
-            alert_above, clear_below = override
-            out.append(
-                dataclasses.replace(
-                    default, alert_above=alert_above, clear_below=clear_below
-                )
-            )
-    return tuple(out)
+    return tuple(
+        dataclasses.replace(
+            default,
+            alert_above=overrides[default.signal][0],
+            clear_below=overrides[default.signal][1],
+        )
+        if default.signal in overrides
+        else default
+        for default in DEFAULT_THRESHOLDS
+    )
 
 
 @dataclass(frozen=True)
@@ -197,187 +146,45 @@ class Alert:
         }
 
 
-class HealthMonitor:
-    """Sample the registry on a cadence; raise/clear hysteresis alerts."""
+class HealthMonitor(Sampler):
+    """The sampler at the monitor's cadence, reading the rows its
+    thresholds name, plus hysteresis on each of them."""
 
-    def __init__(
-        self,
-        sim,
-        registry=None,
-        interval_ms: float = DEFAULT_INTERVAL_MS,
-        thresholds=DEFAULT_THRESHOLDS,
-    ):
-        self.sim = sim
-        self.registry = registry if registry is not None else sim.obs.registry
-        self.interval_ms = interval_ms
+    def __init__(self, sim, thresholds=DEFAULT_THRESHOLDS):
+        super().__init__(sim, INTERVAL_MS)
         self.thresholds = {t.signal: t for t in thresholds}
+        self.rows = tuple(row for row in SERIES if row.name in self.thresholds)
         self.alerts: list[Alert] = []
         self.clears: list[Alert] = []
-        self.ticks = 0
-        self._active: dict = {}  # (node, signal) -> Alert
-        self._gauge_marks: dict = {}  # (node, metric) -> last area
-        self._counter_marks: dict = {}  # (node, metric) -> last value
-        self._last_tick: float | None = None
-        self._process = None
-        self._listeners: list = []
-        self._retired: set = set()  # nodes evicted from the cluster
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "HealthMonitor":
-        """Baseline every instrument now, then sample forever."""
-        self._baseline()
-        self._process = self.sim.spawn(self._run(), "health-monitor")
-        return self
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.kill("health monitor stopped")
-            self._process = None
-
-    def _run(self):
-        while True:
-            yield self.sim.sleep(self.interval_ms)
-            self.tick()
-
-    def _baseline(self) -> None:
-        """Mark current areas/counts so the first window starts clean."""
-        self._last_tick = self.sim.now
-        for metric in ("group.backlog", "disk.queue_depth"):
-            for node, gauge in self.registry.find_gauges(metric):
-                self._gauge_marks[(node, metric)] = gauge.area()
-        for metric in (
-            "group.retrans_requested",
-            "session.cache_hits",
-            "group.views_adopted",
-            "group.seq_busy_ms",
-            *CORRUPTION_METRICS,
-        ):
-            for node, counter in self.registry.find_counters(metric):
-                self._counter_marks[(node, metric)] = counter.value
-
-    # -- sampling ----------------------------------------------------------
+        #: (node, signal) -> the raised, not yet cleared Alert. The
+        #: remediation controller reads its policies' inputs here.
+        self.active: dict = {}
 
     def tick(self) -> dict:
         """Take one sample window; returns ``{(node, signal): value}``."""
-        now = self.sim.now
-        dt = now - (self._last_tick if self._last_tick is not None else now)
-        self._last_tick = now
-        self.ticks += 1
-        samples = self.sample(dt)
+        samples = super().tick()
         for (node, signal), value in sorted(samples.items()):
-            self._update(now, node, signal, value)
-        return samples
-
-    def sample(self, dt_ms: float) -> dict:
-        """Compute every (node, signal) value for a window of *dt_ms*."""
-        samples: dict = {}
-        for metric, signal in (
-            ("group.backlog", "group.backlog"),
-            ("disk.queue_depth", "disk.queue_depth"),
-        ):
-            for node, gauge in self.registry.find_gauges(metric):
-                area = gauge.area()
-                prev = self._gauge_marks.get((node, metric), area)
-                self._gauge_marks[(node, metric)] = area
-                samples[(node, signal)] = (
-                    (area - prev) / dt_ms if dt_ms > 0.0 else gauge.value
-                )
-        for metric, signal in (
-            ("group.retrans_requested", "group.retrans_rate"),
-            ("session.cache_hits", "session.dup_rate"),
-            ("group.views_adopted", "group.view_churn"),
-        ):
-            for node, counter in self.registry.find_counters(metric):
-                prev = self._counter_marks.get((node, metric), counter.value)
-                self._counter_marks[(node, metric)] = counter.value
-                samples[(node, signal)] = (
-                    (counter.value - prev) * 1000.0 / dt_ms
-                    if dt_ms > 0.0
-                    else 0.0
-                )
-        # Utilization is a busy-ms delta over a ms window: the plain
-        # ratio, not a *1000 rate like the counters above.
-        for node, counter in self.registry.find_counters("group.seq_busy_ms"):
-            prev = self._counter_marks.get((node, "group.seq_busy_ms"),
-                                           counter.value)
-            self._counter_marks[(node, "group.seq_busy_ms")] = counter.value
-            samples[(node, "group.seq_utilization")] = (
-                (counter.value - prev) / dt_ms if dt_ms > 0.0 else 0.0
-            )
-        corrupt: dict = {}
-        for metric in CORRUPTION_METRICS:
-            for node, counter in self.registry.find_counters(metric):
-                prev = self._counter_marks.get((node, metric), counter.value)
-                self._counter_marks[(node, metric)] = counter.value
-                rate = (
-                    (counter.value - prev) * 1000.0 / dt_ms
-                    if dt_ms > 0.0
-                    else 0.0
-                )
-                corrupt[node] = corrupt.get(node, 0.0) + rate
-        for node, rate in corrupt.items():
-            samples[(node, "storage.corrupt_rate")] = rate
-        now = self.sim.now
-        for node, gauge in self.registry.find_gauges("group.last_heartbeat_ms"):
-            samples[(node, "group.heartbeat_staleness")] = now - gauge.value
+            self._update(self.sim.now, node, signal, value)
         return samples
 
     # -- hysteresis --------------------------------------------------------
 
     def _update(self, now: float, node: str, signal: str, value: float) -> None:
-        threshold = self.thresholds.get(signal)
-        if threshold is None or node in self._retired:
-            return
+        threshold = self.thresholds[signal]
         key = (node, signal)
-        active = self._active.get(key)
+        active = self.active.get(key)
         if active is None and value >= threshold.alert_above:
             alert = Alert(now, node, signal, value, threshold.alert_above)
-            self._active[key] = alert
+            self.active[key] = alert
             self.alerts.append(alert)
             self._emit("mon.alert", alert)
-            self._notify(alert)
         elif active is not None and value <= threshold.clear_below:
-            del self._active[key]
+            del self.active[key]
             clear = Alert(
                 now, node, signal, value, threshold.clear_below, kind="clear"
             )
             self.clears.append(clear)
             self._emit("mon.clear", clear)
-            self._notify(clear)
-
-    # -- subscriptions -----------------------------------------------------
-
-    def subscribe(self, listener) -> None:
-        """Call *listener(alert)* on every raise AND clear (the
-        ``kind`` field distinguishes them). Listeners run inside the
-        monitor tick, so reactions are deterministic — the remediation
-        controller attaches here."""
-        self._listeners.append(listener)
-
-    def _notify(self, alert: Alert) -> None:
-        for listener in list(self._listeners):
-            listener(alert)
-
-    def retire_node(self, node: str) -> None:
-        """Stop watching *node* (evicted from the cluster).
-
-        Its active alerts clear immediately — an evicted machine's
-        frozen gauges would otherwise hold e.g. a heartbeat-staleness
-        alert active forever — and later samples of it are ignored.
-        """
-        node = str(node)
-        self._retired.add(node)
-        now = self.sim.now
-        for key in sorted(k for k in self._active if k[0] == node):
-            alert = self._active.pop(key)
-            clear = Alert(
-                now, node, alert.signal, 0.0,
-                self.thresholds[alert.signal].clear_below, kind="clear",
-            )
-            self.clears.append(clear)
-            self._emit("mon.clear", clear)
-            self._notify(clear)
 
     def _emit(self, name: str, alert: Alert) -> None:
         self.sim.obs.emit(
@@ -393,17 +200,8 @@ class HealthMonitor:
     @property
     def active_alerts(self) -> list:
         """Alerts raised and not yet cleared, deterministically ordered."""
-        return [self._active[key] for key in sorted(self._active)]
+        return [self.active[key] for key in sorted(self.active)]
 
     def alerts_between(self, start_ms: float, end_ms: float) -> list:
         """Alerts raised inside ``[start_ms, end_ms]``."""
         return [a for a in self.alerts if start_ms <= a.at_ms <= end_ms]
-
-    def summary(self) -> dict:
-        """JSON-safe digest (the chaos verdict embeds this)."""
-        return {
-            "ticks": self.ticks,
-            "alerts": [a.as_dict() for a in self.alerts],
-            "clears": [c.as_dict() for c in self.clears],
-            "active": [a.as_dict() for a in self.active_alerts],
-        }

@@ -18,6 +18,8 @@ over *simulated* time via the clock callable handed to the registry.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, Tuple
 
 Clock = Callable[[], float]
@@ -82,8 +84,7 @@ class Gauge:
         must include the current level held from the last set until the
         snapshot instant (a gauge set at t=10 and read at t=100 weights
         the final level over [10,100]). Window means over [a,b] are
-        ``(area_at_b - area_at_a) / (b - a)`` — the health monitor
-        differences this per sampling interval.
+        ``(area_at_b - area_at_a) / (b - a)`` — :meth:`Window.mean`.
         """
         return self._area + self.value * (self._clock() - self._last)
 
@@ -154,6 +155,81 @@ class Histogram:
         }
 
 
+@dataclass(frozen=True)
+class Mark:
+    """Every counter's value and every gauge's time-integral and level
+    at one instant, keyed by (node, name). The default is the
+    registry's birth: time zero, no instrument yet."""
+
+    t_ms: float = 0.0
+    counters: dict = field(default_factory=dict)
+    areas: dict = field(default_factory=dict)
+    levels: dict = field(default_factory=dict)
+
+
+class Window:
+    """What the instruments did between two marks.
+
+    This is the ONE place two registry captures are subtracted
+    (tests/test_lint.py keeps it so): the sampler behind the health
+    monitor and the capacity report, the capacity attributor and the
+    chaos verdict's utilization rollup all ask a window. An instrument
+    first seen inside the window is read from zero — a counter is born
+    at zero and a gauge's integral starts at zero, so that is its exact
+    delta. An empty window answers 0.0 rather than dividing by zero.
+    """
+
+    def __init__(self, start: Mark, end: Mark):
+        self.start = start
+        self.end = end
+        self.dt_ms = end.t_ms - start.t_ms
+        self._nodes: Dict[str, list] = {}
+        for node, name in chain(end.counters, end.areas):
+            self._nodes.setdefault(name, []).append(node)
+
+    def nodes(self, name: str) -> list[str]:
+        """Nodes holding an instrument called *name* when the window
+        closed, sorted."""
+        return sorted(self._nodes.get(name, ()))
+
+    def delta(self, node: str, name: str) -> float:
+        """How much a counter grew."""
+        key = (node, name)
+        return self.end.counters.get(key, 0.0) - self.start.counters.get(key, 0.0)
+
+    def busy(self, node: str, name: str) -> float:
+        """Share of the window a busy-ms counter accounts for."""
+        if self.dt_ms <= 0.0:
+            return 0.0
+        return self.delta(node, name) / self.dt_ms
+
+    def rate(self, node: str, name: str) -> float:
+        """A counter's growth per second."""
+        if self.dt_ms <= 0.0:
+            return 0.0
+        return self.delta(node, name) * 1000.0 / self.dt_ms
+
+    def mean(self, node: str, name: str) -> float:
+        """A gauge's exact time-weighted mean over the window — no
+        instant sample can fake it: a queue that spikes and drains
+        between two marks still shows up."""
+        if self.dt_ms <= 0.0:
+            return 0.0
+        key = (node, name)
+        return (
+            self.end.areas.get(key, 0.0) - self.start.areas.get(key, 0.0)
+        ) / self.dt_ms
+
+    def since(self, node: str, name: str) -> float:
+        """Ms from the timestamp a gauge holds to the window's end."""
+        return self.end.t_ms - self.end.levels[(node, name)]
+
+    def age(self, node: str, name: str) -> float:
+        """:meth:`since`, for a gauge that holds 0 while there is
+        nothing to be old (the oldest message in an empty pipeline)."""
+        return self.since(node, name) if self.end.levels[(node, name)] > 0.0 else 0.0
+
+
 class MetricsRegistry:
     """All instruments for one simulated world, keyed by (node, name)."""
 
@@ -206,28 +282,20 @@ class MetricsRegistry:
             key=lambda pair: pair[0],
         )
 
-    def find_gauges(self, name: str) -> list[tuple[str, Gauge]]:
-        """Every (node, gauge) registered under *name*, node-sorted."""
-        return sorted(
-            ((node, g) for (node, n), g in self._gauges.items() if n == name),
-            key=lambda pair: pair[0],
+    def mark(self) -> Mark:
+        """Capture every counter and gauge now (gauge integrals
+        extended to now)."""
+        return Mark(
+            t_ms=self._clock(),
+            counters={key: c.value for key, c in self._counters.items()},
+            areas={key: g.area() for key, g in self._gauges.items()},
+            levels={key: g.value for key, g in self._gauges.items()},
         )
 
-    def counter_values(self) -> Dict[Tuple[str, str], float]:
-        """Copy of every counter's current value, keyed by (node, name).
-
-        The capacity attributor captures this at window boundaries and
-        differences the two captures (docs/OBSERVABILITY.md §10).
-        """
-        return {key: c.value for key, c in self._counters.items()}
-
-    def gauge_areas(self) -> Dict[Tuple[str, str], float]:
-        """Copy of every gauge's running time-integral, extended to now.
-
-        Differencing two captures over a window and dividing by the
-        window length yields the exact time-weighted window mean.
-        """
-        return {key: g.area() for key, g in self._gauges.items()}
+    def window(self, since: Mark | None = None) -> Window:
+        """The window from *since* (default: the registry's birth, so
+        the whole run) to now."""
+        return Window(since if since is not None else Mark(), self.mark())
 
     def nodes(self) -> list[str]:
         seen = {node for node, _ in self._counters}

@@ -1,124 +1,137 @@
-"""Ring-buffered utilization time series over the metrics registry.
+"""The one periodic watcher over the metrics registry.
 
-The :class:`SaturationSampler` is a plain simulated process that wakes
-at a fixed sim interval and turns the registry's always-on resource
-accounting into derived series (docs/OBSERVABILITY.md §10):
+A :class:`Sampler` is a plain simulated process that wakes at a fixed
+sim interval, asks the registry for the window since its last wakeup
+(:class:`repro.obs.registry.Window`) and derives the series its rows
+of :data:`SERIES` name (docs/OBSERVABILITY.md §10). Each row says how
+the window reads its source metric:
 
-* **rho** — busy-counter deltas over the interval (``cpu.busy_ms`` →
-  ``cpu.rho`` and friends): the fraction of the interval each resource
-  spent busy;
-* **rates** — completion-counter deltas per second (grants, delivered
-  records, NVRAM appends, link bytes);
-* **queues** — exact time-weighted window means of queue-depth gauges
-  (via gauge-area differencing);
-* **ages** — the sequencer pipeline's backlog age, i.e. how long the
-  oldest sequenced-but-undelivered message has been in flight.
+* ``busy`` — a busy-ms counter's share of the interval (``cpu.busy_ms``
+  → ``cpu.rho`` and friends);
+* ``rate`` — a counter's growth per second (grants, delivered records,
+  retransmission requests, link bytes);
+* ``mean`` — the exact time-weighted window mean of a queue-depth gauge;
+* ``age`` / ``since`` — ms since the timestamp a gauge holds (the
+  oldest sequenced-but-undelivered message; the last heartbeat).
 
 The sampler holds a bounded ring of samples (oldest evicted first) and
 renders them on demand as Perfetto counter-track events (``ph: "C"``)
 so a capacity run's trace shows utilization timelines next to the span
-profiler's slices.
+profiler's slices. A bare sampler reads the :data:`UTILIZATION` rows —
+the capacity lens; the health monitor (:mod:`repro.obs.monitor`) is
+this sampler reading the rows its thresholds name.
 
-Passivity: nothing here runs unless :meth:`SaturationSampler.start` is
-called, and a tick only *reads* the registry — it creates no
-instruments and mutates none, so a sampled run's schedule digest
-differs from an unsampled one only by the sampler's own wakeups, and a
-run that never starts the sampler is byte-identical to one without
-this module (the BENCH_sim obs-off gate relies on that).
+Passivity: nothing here runs unless :meth:`Sampler.start` is called,
+and a tick only *reads* the registry — it creates no instruments and
+mutates none, so a sampled run's schedule digest differs from an
+unsampled one only by the sampler's own wakeups, and a run that never
+starts a sampler is byte-identical to one without this module (the
+BENCH_sim obs-off gate relies on that).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.obs.trace import TraceEvent
 
 if TYPE_CHECKING:
     from repro.sim.scheduler import Simulator
 
-#: Default sampling cadence (sim ms).
-DEFAULT_INTERVAL_MS = 250.0
-#: Default ring capacity (samples kept; oldest evicted first).
-DEFAULT_CAPACITY = 4096
+#: Ring capacity (samples kept; oldest evicted first).
+RING_CAPACITY = 4096
 
-#: Busy-time counters -> utilization series (delta / interval).
-BUSY_SERIES = (
-    ("cpu.busy_ms", "cpu.rho"),
-    ("disk.arm.busy_ms", "disk.arm.rho"),
-    ("nvram.busy_ms", "nvram.rho"),
-    ("group.seq_busy_ms", "group.seq.rho"),
-    ("dir.apply_busy_ms", "dir.apply.rho"),
-    ("dir.persist_busy_ms", "dir.persist.rho"),
-    ("net.wire_ms", "net.wire.rho"),
-    ("net.busy_ms", "net.link.rho"),
+
+class Series(NamedTuple):
+    """One row of the series table."""
+
+    metric: str  # the source counter or gauge
+    name: str  # the derived series
+    how: str  # the Window method that reads it
+
+
+#: What each resource is doing: the capacity report's ring. Rows that
+#: share a series name add up per node.
+UTILIZATION = (
+    Series("cpu.busy_ms", "cpu.rho", "busy"),
+    Series("disk.arm.busy_ms", "disk.arm.rho", "busy"),
+    Series("nvram.busy_ms", "nvram.rho", "busy"),
+    Series("group.seq_busy_ms", "group.seq.rho", "busy"),
+    Series("dir.apply_busy_ms", "dir.apply.rho", "busy"),
+    Series("dir.persist_busy_ms", "dir.persist.rho", "busy"),
+    Series("net.wire_ms", "net.wire.rho", "busy"),
+    Series("net.busy_ms", "net.link.rho", "busy"),
+    Series("cpu.grants", "cpu.grants_per_s", "rate"),
+    Series("disk.arm.grants", "disk.grants_per_s", "rate"),
+    Series("nvram.appends", "nvram.appends_per_s", "rate"),
+    Series("group.delivered", "group.delivered_per_s", "rate"),
+    Series("dir.applied_records", "dir.applied_per_s", "rate"),
+    Series("net.bytes_sent", "net.bytes_per_s", "rate"),
+    Series("net.bytes", "net.bytes_per_s", "rate"),
+    Series("cpu.queue_depth", "cpu.queue_depth", "mean"),
+    Series("disk.arm.queue_depth", "disk.arm.queue_depth", "mean"),
+    Series("disk.queue_depth", "disk.queue_depth", "mean"),
+    Series("group.backlog", "group.backlog", "mean"),
+    Series("group.seq_oldest_ms", "group.backlog_age_ms", "age"),
 )
 
-#: Completion counters -> per-second rate series (delta * 1000 / dt).
-RATE_SERIES = (
-    ("cpu.grants", "cpu.grants_per_s"),
-    ("disk.arm.grants", "disk.grants_per_s"),
-    ("nvram.appends", "nvram.appends_per_s"),
-    ("group.delivered", "group.delivered_per_s"),
-    ("dir.applied_records", "dir.applied_per_s"),
-    ("net.bytes_sent", "net.bytes_per_s"),
-    ("net.bytes", "net.bytes_per_s"),
+#: What a fault looks like from outside: read only by the health
+#: monitor, whose thresholds (docs/OBSERVABILITY.md §8) say why each
+#: one matters.
+SYMPTOMS = (
+    Series("group.retrans_requested", "group.retrans_rate", "rate"),
+    Series("session.cache_hits", "session.dup_rate", "rate"),
+    Series("group.views_adopted", "group.view_churn", "rate"),
+    Series("disk.corrupt_detected", "storage.corrupt_rate", "rate"),
+    Series("disk.corrupt_served", "storage.corrupt_rate", "rate"),
+    Series("nvram.corrupt_records", "storage.corrupt_rate", "rate"),
+    Series("nvram.corrupt_replayed", "storage.corrupt_rate", "rate"),
+    Series("group.last_heartbeat_ms", "group.heartbeat_staleness", "since"),
 )
 
-#: Queue-depth gauges sampled as exact window means (area differencing).
-QUEUE_SERIES = (
-    "cpu.queue_depth",
-    "disk.arm.queue_depth",
-    "disk.queue_depth",
-    "group.backlog",
-)
-
-#: Timestamp gauges -> age series (now - value when value > 0).
-AGE_SERIES = (
-    ("group.seq_oldest_ms", "group.backlog_age_ms"),
-)
+#: The one series table: source metric -> derived series -> how.
+SERIES = UTILIZATION + SYMPTOMS
 
 
-class SaturationSampler:
-    """Fixed-interval utilization sampler over one simulator's registry."""
+class Sampler:
+    """Fixed-interval sampler over one simulator's registry."""
 
-    def __init__(self, sim: "Simulator",
-                 interval_ms: float = DEFAULT_INTERVAL_MS,
-                 capacity: int = DEFAULT_CAPACITY):
+    #: The rows of :data:`SERIES` a tick derives.
+    rows = UTILIZATION
+
+    def __init__(self, sim: "Simulator", interval_ms: float):
         if interval_ms <= 0.0:
             raise ValueError("sampling interval must be positive")
         self.sim = sim
         self.registry = sim.obs.registry
         self.interval_ms = interval_ms
-        self.capacity = capacity
-        self.samples: deque[dict] = deque(maxlen=capacity)
+        self.samples: deque[dict] = deque(maxlen=RING_CAPACITY)
         self.dropped = 0
-        self._prev_counters: dict | None = None
-        self._prev_areas: dict | None = None
-        self._prev_t = 0.0
+        self.ticks = 0
+        self._mark = None
         self._process = None
 
     @property
     def running(self) -> bool:
         return self._process is not None and not self._process.resolved
 
-    def start(self) -> "SaturationSampler":
-        """Begin sampling; the first tick fires one interval from now."""
+    def start(self) -> "Sampler":
+        """Mark every instrument now, so the first window holds no
+        history from before; the first tick fires one interval on."""
         if self.running:
             return self
-        self._prev_counters = self.registry.counter_values()
-        self._prev_areas = self.registry.gauge_areas()
-        self._prev_t = self.sim.now
-        self._process = self.sim.spawn(self._run(), "obs.saturation")
+        self._mark = self.registry.mark()
+        self._process = self.sim.spawn(self._run(), "obs.sampler")
         return self
 
     def stop(self) -> None:
         """Take a final partial-interval sample and stop the process."""
         if not self.running:
             return
-        if self.sim.now > self._prev_t:
+        if self.sim.now > self._mark.t_ms:
             self.tick()
-        self._process.kill("saturation sampler stopped")
+        self._process.kill("sampler stopped")
         self._process = None
 
     def _run(self):
@@ -127,43 +140,27 @@ class SaturationSampler:
             self.tick()
 
     def tick(self) -> dict:
-        """Take one sample now (also called internally every interval)."""
-        now = self.sim.now
-        counters = self.registry.counter_values()
-        areas = self.registry.gauge_areas()
-        dt = now - self._prev_t
-        series: dict[str, float] = {}
-        if dt > 0.0:
-            prev_c = self._prev_counters
-            for metric, out_name in BUSY_SERIES:
-                for (node, name), value in counters.items():
-                    if name == metric:
-                        delta = value - prev_c.get((node, name), 0.0)
-                        series[f"{node}:{out_name}"] = round(delta / dt, 6)
-            for metric, out_name in RATE_SERIES:
-                for (node, name), value in counters.items():
-                    if name == metric:
-                        delta = value - prev_c.get((node, name), 0.0)
-                        series[f"{node}:{out_name}"] = round(
-                            delta * 1000.0 / dt, 6)
-            prev_a = self._prev_areas
-            for metric in QUEUE_SERIES:
-                for (node, name), area in areas.items():
-                    if name == metric:
-                        delta = area - prev_a.get((node, name), 0.0)
-                        series[f"{node}:{metric}"] = round(delta / dt, 6)
-        for metric, out_name in AGE_SERIES:
-            for (node, g) in self.registry.find_gauges(metric):
-                age = now - g.value if g.value > 0.0 else 0.0
-                series[f"{node}:{out_name}"] = round(age, 6)
+        """Take one sample now (also called internally every interval);
+        returns ``{(node, series): value}``, unrounded."""
+        window = self.registry.window(self._mark)
+        self._mark = window.end
+        self.ticks += 1
+        values: dict = {}
+        for metric, series, how in self.rows:
+            read = getattr(window, how)
+            for node in window.nodes(metric):
+                key = (node, series)
+                values[key] = values.get(key, 0.0) + read(node, metric)
         if len(self.samples) == self.samples.maxlen:
             self.dropped += 1
-        sample = {"t_ms": round(now, 6), "series": series}
-        self.samples.append(sample)
-        self._prev_counters = counters
-        self._prev_areas = areas
-        self._prev_t = now
-        return sample
+        self.samples.append({
+            "t_ms": round(window.end.t_ms, 6),
+            "series": {
+                f"{node}:{series}": round(value, 6)
+                for (node, series), value in values.items()
+            },
+        })
+        return values
 
     # -- export -----------------------------------------------------------
 
@@ -171,7 +168,7 @@ class SaturationSampler:
         """Deterministic snapshot of the ring (series keys sorted)."""
         return {
             "interval_ms": self.interval_ms,
-            "capacity": self.capacity,
+            "capacity": self.samples.maxlen,
             "dropped": self.dropped,
             "samples": [
                 {

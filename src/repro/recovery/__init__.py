@@ -1,12 +1,12 @@
 """Automated remediation: the detect-isolate-recover loop.
 
-:mod:`repro.obs.monitor` detects (six hysteresis alert signals);
-:class:`RemediationController` isolates and recovers — restarting
-crashed replicas in place, evicting members stuck behind lossy links
-onto spares, and scaling the group's resilience degree under sustained
-retransmission pressure. See :mod:`repro.recovery.controller`.
+:mod:`repro.obs.monitor` detects (hysteresis alert signals);
+:class:`RemediationController` recovers — restarting crashed replicas
+in place, scaling the group's resilience degree under sustained
+retransmission pressure, and scrubbing a disk that reports corruption.
+See :mod:`repro.recovery.controller`.
 """
 
-from repro.recovery.controller import RemediationController, RemediationPolicy
+from repro.recovery.controller import RemediationController
 
-__all__ = ["RemediationController", "RemediationPolicy"]
+__all__ = ["RemediationController"]

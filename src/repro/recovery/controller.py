@@ -1,31 +1,28 @@
 """The remediation controller: closing the detect-isolate-recover loop.
 
-The health monitor (PR 5) gave the simulation eyes — six hysteresis
-alert signals derived from the metrics registry — and this module
-gives it hands. A :class:`RemediationController` subscribes to the
-monitor's alert stream and executes four policies against the
-cluster's elastic-membership API:
+The health monitor gave the simulation eyes — hysteresis alert signals
+derived from the metrics registry — and this module gives it hands. A
+:class:`RemediationController` reads the monitor's table of active
+alerts on a fixed cadence and runs three policies against the cluster:
 
 * **restart in place** — a replica whose machine is down (its
   heartbeat-staleness alert is active and its server process is dead)
   is rebooted; the reboot re-runs the Fig. 6 recovery protocol and the
   replica rejoins the group;
-* **evict + re-replicate** — a replica that is alive but unreachable
-  behind a persistently lossy link (staleness alert active beyond the
-  policy window while the process still runs) is decommissioned: the
-  sequencer excludes it from the view, the monitor retires the node,
-  and a spare from the configured pool boots in its place;
 * **scale resilience** — sustained gap-repair retransmissions
   (``group.retrans_rate``) raise the group's resilience degree one
   step as an ordered group operation; once the network has been quiet
-  for a policy window the controller scales back to the declared
-  degree, so ``check_resilience_restored`` holds at the end of a run;
-* **scrub, then evict** — a ``storage.corrupt_rate`` alert (the node
-  is the damaged disk or NVRAM board) kicks an immediate scrub pass
-  on the owning server; if the alert stays active past the policy
-  window — the medium keeps producing rot faster than it can be
-  repaired — the replica is evicted and re-replicated from the spare
-  pool like a persistently unreachable one.
+  for :data:`SCALE_BACK_AFTER_QUIET_MS` the controller scales back to
+  the declared degree, so ``check_resilience_restored`` holds at the
+  end of a run;
+* **scrub** — a ``storage.corrupt_rate`` alert (the node is the
+  damaged disk or NVRAM board) kicks an immediate scrub pass on the
+  owning server.
+
+A member that is alive but unreachable is the group's own business:
+its reset excludes it and Fig. 6 brings it back. Replacing a machine
+(``cluster.evict_server`` / ``add_server``) is an operator's call, not
+a policy — no chaos run ever needed one (docs/CHAOS.md §2).
 
 Every action is rate-limited (per-run budgets), cooled down (per node
 or per policy), and audited: each one appends to
@@ -33,238 +30,127 @@ or per policy), and audited: each one appends to
 counter, and — when the flight recorder is on — lands a
 ``remediate.<action>`` trace event stamped with the lineage
 ``("remediate", action, n)``, so a post-mortem can replay exactly what
-the controller did and why. Reactions run either inside the monitor
-tick (listener bookkeeping) or inside the controller's own fixed-
-cadence process, so same-seed runs remediate identically.
+the controller did and why. Policies run inside the controller's own
+fixed-cadence process, so same-seed runs remediate identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ReproError
 
-#: Alert signal that drives the membership policies (a member that
-#: neither sees nor sends heartbeats is crashed or unreachable).
+#: Alert signal that drives the restart policy (a member that neither
+#: sees nor sends heartbeats is crashed or unreachable).
 STALENESS = "group.heartbeat_staleness"
 #: Alert signal that drives the resilience-scaling policy.
 RETRANS = "group.retrans_rate"
-#: Alert signal that drives the scrub/evict corruption policy. Its
-#: node is the damaged *storage device* (disk or NVRAM board), not a
-#: server address — the controller maps it back to the owning site.
+#: Alert signal that drives the scrub policy. Its node is the damaged
+#: *storage device* (disk or NVRAM board), not a server address — the
+#: controller maps it back to the owning site.
 CORRUPTION = "storage.corrupt_rate"
-#: Alert signal that accelerates the resilience scale-back policy: a
-#: saturated sequencer (docs/OBSERVABILITY.md §10) means every extra
-#: resilience degree is costing throughput the group does not have, so
-#: once retransmission pressure is gone the controller returns to the
-#: declared degree after the (short) scale window instead of waiting
-#: out the full quiet window.
-SATURATION = "group.seq_utilization"
 
-
-@dataclass(frozen=True)
-class RemediationPolicy:
-    """Tunables of the three remediation policies."""
-
-    #: Evaluation cadence; None inherits the monitor's interval.
-    interval_ms: float | None = None
-
-    # -- restart in place --
-    #: Minimum gap between restarts of the same node.
-    restart_cooldown_ms: float = 6_000.0
-    #: Total restarts allowed per run.
-    max_restarts: int = 4
-
-    # -- evict + re-replicate --
-    #: How long a live node's staleness alert must stay continuously
-    #: active before eviction (a crashed node is restarted instead).
-    evict_after_ms: float = 2_500.0
-    #: Minimum gap between evictions.
-    evict_cooldown_ms: float = 10_000.0
-    #: Total evictions allowed per run (bounded by the spare pool).
-    max_evictions: int = 2
-
-    # -- resilience scaling --
-    #: How long retransmission pressure must stay continuously active
-    #: before the degree is raised one step.
-    scale_after_ms: float = 1_500.0
-    #: Minimum gap between degree changes (either direction).
-    scale_cooldown_ms: float = 6_000.0
-    #: Total scale-ups allowed per run.
-    max_scale_ups: int = 3
-    #: How long every retransmission alert must stay clear before the
-    #: degree returns to the declared value.
-    scale_back_after_quiet_ms: float = 5_000.0
-
-    # -- corruption (scrub, then evict) --
-    #: Minimum gap between scrub-now kicks of the same node.
-    scrub_cooldown_ms: float = 4_000.0
-    #: Total scrub-now kicks allowed per run.
-    max_scrubs: int = 8
-    #: How long a node's corruption alert must stay continuously
-    #: active (scrubbing evidently not winning) before the replica is
-    #: evicted and re-replicated from the spare pool.
-    corrupt_evict_after_ms: float = 6_000.0
+#: Minimum gap between restarts of the same node.
+RESTART_COOLDOWN_MS = 6_000.0
+#: Total restarts allowed per run.
+MAX_RESTARTS = 4
+#: How long retransmission pressure must stay continuously active
+#: before the degree is raised one step.
+SCALE_AFTER_MS = 1_500.0
+#: Minimum gap between degree changes (either direction).
+SCALE_COOLDOWN_MS = 6_000.0
+#: Total scale-ups allowed per run.
+MAX_SCALE_UPS = 3
+#: How long every retransmission alert must stay clear before the
+#: degree returns to the declared value.
+SCALE_BACK_AFTER_QUIET_MS = 5_000.0
+#: Minimum gap between scrub-now kicks of the same node.
+SCRUB_COOLDOWN_MS = 4_000.0
+#: Total scrub-now kicks allowed per run.
+MAX_SCRUBS = 8
 
 
 class RemediationController:
-    """Subscribe to HealthMonitor alerts; drive the cluster back to
-    its declared shape."""
+    """Read the HealthMonitor's active alerts; drive the cluster back
+    to its declared shape."""
 
-    def __init__(self, cluster, monitor, policy: RemediationPolicy | None = None):
+    def __init__(self, cluster, monitor):
         self.cluster = cluster
         self.monitor = monitor
-        self.policy = policy or RemediationPolicy()
         self.sim = cluster.sim
         #: Audit trail: one dict per action, in execution order.
         self.actions: list[dict] = []
-        self._active_since: dict[tuple, float] = {}  # (node, signal) -> t
         self._restarted_at: dict[str, float] = {}
-        self._last_evict_at: float | None = None
         self._last_scale_at: float | None = None
         self._retrans_quiet_since: float | None = None
         self._scrubbed_at: dict[str, float] = {}
         self._restarts = 0
-        self._evictions = 0
         self._scrubs = 0
         self._scale_ups = 0
         self._scaling = False
-        self._action_no = 0
-        self._process = None
         self._c_actions = self.sim.obs.registry.counter(
             "remediation", "remediate.actions"
         )
 
-    # -- lifecycle ---------------------------------------------------------
-
     def start(self) -> "RemediationController":
-        """Attach to the monitor and start the policy loop."""
-        self.monitor.subscribe(self._on_event)
-        for alert in self.monitor.active_alerts:
-            self._active_since.setdefault((alert.node, alert.signal), alert.at_ms)
+        """Start the policy loop, at the monitor's cadence."""
         self._retrans_quiet_since = self.sim.now
-        interval = (
-            self.policy.interval_ms
-            if self.policy.interval_ms is not None
-            else self.monitor.interval_ms
-        )
-        self._process = self.sim.spawn(self._run(interval), "remediation-ctl")
+        self.sim.spawn(self._run(), "remediation-ctl")
         return self
 
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.kill("remediation controller stopped")
-            self._process = None
-
-    def _run(self, interval_ms: float):
+    def _run(self):
         while True:
-            yield self.sim.sleep(interval_ms)
+            yield self.sim.sleep(self.monitor.interval_ms)
             self.tick()
 
-    def _on_event(self, alert) -> None:
-        """Monitor listener: track when each alert went (in)active."""
-        key = (alert.node, alert.signal)
-        if alert.kind == "alert":
-            self._active_since.setdefault(key, alert.at_ms)
-        else:
-            self._active_since.pop(key, None)
+    def _active(self, signal: str) -> list:
+        """The monitor's active alerts on *signal*, in node order."""
+        return [a for a in self.monitor.active_alerts if a.signal == signal]
 
     # -- the policy loop ---------------------------------------------------
 
     def tick(self) -> None:
         now = self.sim.now
-        self._membership_policies(now)
+        self._restart_policy(now)
         self._scale_policy(now)
-        self._corruption_policy(now)
+        self._scrub_policy(now)
 
-    def _membership_policies(self, now: float) -> None:
+    def _restart_policy(self, now: float) -> None:
+        stale = {alert.node for alert in self._active(STALENESS)}
         for address in list(self.cluster.config.server_addresses):
             node = str(address)
-            since = self._active_since.get((node, STALENESS))
-            if since is None:
-                continue
             site = self.cluster.site_of(address)
-            if site is None:
+            if node not in stale or site is None:
                 continue
-            server = site.server
-            if server is None or not server.alive:
-                self._maybe_restart(site, node, now)
-            elif now - since >= self.policy.evict_after_ms:
-                self._maybe_evict(site, node, now, since)
-
-    def _maybe_restart(self, site, node: str, now: float) -> None:
-        if self._restarts >= self.policy.max_restarts:
-            return
-        last = self._restarted_at.get(node)
-        if last is not None and now - last < self.policy.restart_cooldown_ms:
-            return
-        self._restarts += 1
-        self._restarted_at[node] = now
-        index = self.cluster.sites.index(site)
-        self.cluster.restart_server(index)
-        self._audit("restart", node, server=index)
-
-    def _maybe_evict(self, site, node: str, now: float, since: float) -> None:
-        self._evict_and_replace(site, node, now, stale_ms=round(now - since, 3))
-
-    def _evict_and_replace(self, site, node: str, now: float, **detail) -> bool:
-        """Shared evict + re-replicate mechanics (budget, cooldown,
-        spare pool, majority guard); *node* is the alerting registry
-        node the monitor should retire."""
-        if self._evictions >= self.policy.max_evictions:
-            return False
-        if (
-            self._last_evict_at is not None
-            and now - self._last_evict_at < self.policy.evict_cooldown_ms
-        ):
-            return False
-        if not self.cluster.has_spare():
-            return False
-        # Never evict into a minority: the OTHER operational replicas
-        # must form a majority of the shrunk server set by themselves.
-        others = [
-            s
-            for s in self.cluster.operational_servers()
-            if s.me != site.dir_address
-        ]
-        remaining = len(self.cluster.config.server_addresses) - 1
-        if len(others) < remaining // 2 + 1:
-            return False
-        self._evictions += 1
-        self._last_evict_at = now
-        index = self.cluster.sites.index(site)
-        self.cluster.evict_server(index)
-        self.monitor.retire_node(node)
-        self._audit("evict", node, server=index, **detail)
-        replacement = self.cluster.add_server()
-        self._audit(
-            "add",
-            str(replacement.me),
-            server=self.cluster.sites.index(self.cluster.site_of(replacement.me)),
-        )
-        return True
-
-    # -- corruption: scrub now, evict if it persists ------------------------
-
-    def _corruption_policy(self, now: float) -> None:
-        for (node, signal), since in sorted(self._active_since.items()):
-            if signal != CORRUPTION:
+            if site.server is not None and site.server.alive:
+                continue  # unreachable, not dead: the group's reset's job
+            if self._restarts >= MAX_RESTARTS:
                 continue
+            last = self._restarted_at.get(node)
+            if last is not None and now - last < RESTART_COOLDOWN_MS:
+                continue
+            self._restarts += 1
+            self._restarted_at[node] = now
+            index = self.cluster.sites.index(site)
+            self.cluster.restart_server(index)
+            self._audit("restart", node, server=index)
+
+    def _scrub_policy(self, now: float) -> None:
+        for alert in self._active(CORRUPTION):
+            node = alert.node
             site = self._site_of_storage(node)
-            if site is None:
-                continue  # e.g. an already-evicted replica's old disk
+            if site is None or self._scrubs >= MAX_SCRUBS:
+                continue
+            last = self._scrubbed_at.get(node)
+            if last is not None and now - last < SCRUB_COOLDOWN_MS:
+                continue
             server = site.server
-            if (
-                now - since >= self.policy.corrupt_evict_after_ms
-                and server is not None
-            ):
-                # Scrubbing is evidently not winning (rot keeps being
-                # found, or keeps being served): replace the replica.
-                if self._evict_and_replace(
-                    site, node, now, corrupt_ms=round(now - since, 3)
-                ):
-                    continue
-            self._maybe_scrub(site, node, now)
+            if server is None or not server.alive or not server.operational:
+                continue  # a dead replica is the restart policy's problem
+            if not hasattr(server, "scrub_now"):
+                continue
+            self._scrubs += 1
+            self._scrubbed_at[node] = now
+            server.scrub_now()
+            self._audit("scrub", node, server=self.cluster.sites.index(site))
 
     def _site_of_storage(self, node: str):
         """The site owning the storage device registered as *node*."""
@@ -276,44 +162,22 @@ class RemediationController:
                 return site
         return None
 
-    def _maybe_scrub(self, site, node: str, now: float) -> None:
-        if self._scrubs >= self.policy.max_scrubs:
-            return
-        last = self._scrubbed_at.get(node)
-        if last is not None and now - last < self.policy.scrub_cooldown_ms:
-            return
-        server = site.server
-        if server is None or not server.alive or not server.operational:
-            return  # a dead replica is the restart policy's problem
-        if not hasattr(server, "scrub_now"):
-            return
-        self._scrubs += 1
-        self._scrubbed_at[node] = now
-        server.scrub_now()
-        self._audit(
-            "scrub", node, server=self.cluster.sites.index(site)
-        )
-
     def _scale_policy(self, now: float) -> None:
-        active = [
-            t
-            for (_node, signal), t in self._active_since.items()
-            if signal == RETRANS
-        ]
+        active = [alert.at_ms for alert in self._active(RETRANS)]
         cfg = self.cluster.config
         declared = self.cluster.declared_resilience
         cooled = (
             self._last_scale_at is None
-            or now - self._last_scale_at >= self.policy.scale_cooldown_ms
+            or now - self._last_scale_at >= SCALE_COOLDOWN_MS
         )
         if active:
             self._retrans_quiet_since = None
             ceiling = cfg.n_servers - 1
             if (
-                now - min(active) >= self.policy.scale_after_ms
+                now - min(active) >= SCALE_AFTER_MS
                 and cfg.resilience < ceiling
                 and not self._scaling
-                and self._scale_ups < self.policy.max_scale_ups
+                and self._scale_ups < MAX_SCALE_UPS
                 and cooled
             ):
                 self._scale_ups += 1
@@ -323,22 +187,10 @@ class RemediationController:
             if self._retrans_quiet_since is None:
                 self._retrans_quiet_since = now
                 return
-            # A saturated sequencer makes the raised degree actively
-            # harmful (each message costs more ordering work the group
-            # has no headroom for): shorten the quiet window to the
-            # scale-up trigger window instead of the full cool-off.
-            saturated = any(
-                signal == SATURATION for (_node, signal) in self._active_since
-            )
-            needed = (
-                self.policy.scale_after_ms
-                if saturated
-                else self.policy.scale_back_after_quiet_ms
-            )
             if (
                 cfg.resilience > declared
                 and not self._scaling
-                and now - self._retrans_quiet_since >= needed
+                and now - self._retrans_quiet_since >= SCALE_BACK_AFTER_QUIET_MS
                 and cooled
             ):
                 self._last_scale_at = now
@@ -369,30 +221,19 @@ class RemediationController:
     # -- audit -------------------------------------------------------------
 
     def _audit(self, action: str, node: str, **detail) -> None:
-        self._action_no += 1
-        entry = {
+        n = len(self.actions) + 1
+        self.actions.append({
             "at_ms": round(self.sim.now, 3),
             "action": action,
             "node": node,
-            "n": self._action_no,
+            "n": n,
             **detail,
-        }
-        self.actions.append(entry)
+        })
         self._c_actions.inc()
         self.sim.obs.emit(
             node,
             "remediate",
             f"remediate.{action}",
-            lineage=("remediate", action, self._action_no),
+            lineage=("remediate", action, n),
             **detail,
         )
-
-    def summary(self) -> dict:
-        """JSON-safe digest (the chaos verdict embeds this)."""
-        return {
-            "actions": list(self.actions),
-            "restarts": self._restarts,
-            "evictions": self._evictions,
-            "scrubs": self._scrubs,
-            "scale_ups": self._scale_ups,
-        }

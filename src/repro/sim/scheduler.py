@@ -11,18 +11,17 @@ randomness flows through :class:`repro.sim.randomness.RngStreams`, so a
 run is a pure function of the seed.
 
 Host profiling: when ``sim.hostprof`` holds an active
-:class:`repro.obs.hostprof.HostProfiler`, the run loops time each event
-dispatch on the *host* clock and hand the callback to the profiler for
-attribution. The profiled loops are separate methods so the default
-path pays nothing; profiling reads host time only and never touches
-simulated state, so a profiled run is event-for-event identical to an
-unprofiled one (pinned by tests/obs/test_hostprof.py).
+:class:`repro.obs.hostprof.HostProfiler`, the run loops hand each
+callback to its ``dispatch`` hook, which runs it between two reads of
+the *host* clock and attributes the time. The default path pays one
+``is None`` test per event; profiling reads host time only and never
+touches simulated state, so a profiled run is event-for-event identical
+to an unprofiled one (pinned by tests/obs/test_hostprof.py).
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -75,7 +74,7 @@ class Simulator:
         #: Metrics registry + causal trace recorder (see repro.obs).
         self.obs = Observability(self)
         #: Host-clock profiler (repro.obs.hostprof), attached explicitly
-        #: or via a _new_sim_hooks capture; None means the fast loops run.
+        #: or via a _new_sim_hooks capture.
         self.hostprof = None
         for hook in list(_new_sim_hooks):
             hook(self)
@@ -186,8 +185,8 @@ class Simulator:
         Returns the simulated time at which the run stopped.
         """
         prof = self.hostprof
-        if prof is not None and prof.active:
-            return self._run_profiled(until, max_events)
+        if prof is not None and not prof.active:
+            prof = None
         events = 0
         heap = self._heap
         while heap:
@@ -197,9 +196,14 @@ class Simulator:
                 return self.now
             heapq.heappop(heap)
             if timer is not None and timer.cancelled:
+                if prof is not None:
+                    prof.cancelled_pops += 1
                 continue
             self.now = when
-            fn()
+            if prof is None:
+                fn()
+            else:
+                prof.dispatch(fn, heap)
             events += 1
             if events > max_events:
                 raise SimulationError(
@@ -210,52 +214,11 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _run_profiled(self, until: float | None, max_events: int) -> float:
-        """:meth:`run` with host-clock attribution (same sim semantics)."""
-        prof = self.hostprof
-        events = 0
-        heap = self._heap
-        stride = prof.sample
-        k = prof._stride_pos
-        try:
-            while heap:
-                when, _, timer, fn = heap[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return self.now
-                t0 = perf_counter_ns()
-                heapq.heappop(heap)
-                if timer is not None and timer.cancelled:
-                    prof.note_cancelled_pop(perf_counter_ns() - t0)
-                    continue
-                self.now = when
-                k += 1
-                if k >= stride:
-                    k = 0
-                    t1 = perf_counter_ns()
-                    fn()
-                    t2 = perf_counter_ns()
-                    prof.record_timed(fn, t1 - t0, t2 - t1, len(heap))
-                else:
-                    fn()
-                    prof.record_counted(fn)
-                events += 1
-                if events > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events at t={self.now:.3f} ms; "
-                        "likely a livelock in the simulated system"
-                    )
-            if until is not None and until > self.now:
-                self.now = until
-            return self.now
-        finally:
-            prof._stride_pos = k
-
     def run_until_complete(self, process: Process, max_events: int = 50_000_000) -> Any:
         """Run until *process* finishes; return its result (or raise)."""
         prof = self.hostprof
-        if prof is not None and prof.active:
-            return self._run_until_complete_profiled(process, max_events)
+        if prof is not None and not prof.active:
+            prof = None
         events = 0
         heap = self._heap
         while not process.resolved:
@@ -266,54 +229,20 @@ class Simulator:
                 )
             when, _, timer, fn = heapq.heappop(heap)
             if timer is not None and timer.cancelled:
+                if prof is not None:
+                    prof.cancelled_pops += 1
                 continue
             self.now = when
-            fn()
+            if prof is None:
+                fn()
+            else:
+                prof.dispatch(fn, heap)
             events += 1
             if events > max_events:
                 raise SimulationError(
                     f"exceeded {max_events} events waiting on {process.name!r}"
                 )
         return process.value
-
-    def _run_until_complete_profiled(self, process: Process, max_events: int) -> Any:
-        """Profiled twin of :meth:`run_until_complete`."""
-        prof = self.hostprof
-        events = 0
-        heap = self._heap
-        stride = prof.sample
-        k = prof._stride_pos
-        try:
-            while not process.resolved:
-                if not heap:
-                    raise SimulationError(
-                        f"event queue drained but process {process.name!r} "
-                        "never completed (deadlock)"
-                    )
-                t0 = perf_counter_ns()
-                when, _, timer, fn = heapq.heappop(heap)
-                if timer is not None and timer.cancelled:
-                    prof.note_cancelled_pop(perf_counter_ns() - t0)
-                    continue
-                self.now = when
-                k += 1
-                if k >= stride:
-                    k = 0
-                    t1 = perf_counter_ns()
-                    fn()
-                    t2 = perf_counter_ns()
-                    prof.record_timed(fn, t1 - t0, t2 - t1, len(heap))
-                else:
-                    fn()
-                    prof.record_counted(fn)
-                events += 1
-                if events > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events waiting on {process.name!r}"
-                    )
-            return process.value
-        finally:
-            prof._stride_pos = k
 
     # -- introspection ----------------------------------------------------
 

@@ -16,7 +16,7 @@ from repro.storage.disk import Disk
 
 
 def scenario(name):
-    return next(s for s in SCENARIOS if s.name == name)
+    return SCENARIOS[name]
 
 
 class TestBitrotGauntlet:

@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import run_scenario, scenario_by_name
 from repro.chaos.runner import SCENARIOS
 
-ALERTING = [s.name for s in SCENARIOS if s.expect_alerts is True]
+ALERTING = [s.name for s in SCENARIOS.values() if s.expect_alerts is True]
 SWEEP = [  # ≥10 (scenario, seed) nemesis runs, every alerting scenario
     (name, seed)
     for seed in (0, 1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.chaos import NEMESES, build_nemesis
+from repro.chaos import SCENARIOS, nemesis, run_suite
 from repro.chaos.nemesis import sequencer_index
 from repro.cluster import GroupServiceCluster
 from repro.faults.plan import Crash, Heal, Intervention, Partition, Restart
@@ -19,25 +19,26 @@ def operational_cluster(seed=1):
 
 # majority_lost is unrecoverable on purpose; rolling_faults leaves the
 # world broken for the remediation controller to repair.
-RECOVERABLE = [n for n in NEMESES if n not in ("majority_lost", "rolling_faults")]
+RECOVERABLE = [
+    "sequencer_crash",
+    "partition_during_recovery",
+    "crash_during_restart",
+    "flapping_links",
+    "random_soak",
+    "bitrot_gauntlet",
+]
 
 
 class TestRegistry:
     def test_expected_scenarios_registered(self):
-        for name in (
-            "sequencer_crash",
-            "partition_during_recovery",
-            "crash_during_restart",
-            "flapping_links",
-            "random_soak",
-            "majority_lost",
-        ):
-            assert name in NEMESES
+        for name in (*RECOVERABLE, "majority_lost", "rolling_faults"):
+            assert SCENARIOS[name].build is getattr(nemesis, name)
 
     def test_unknown_nemesis_raises(self):
-        cluster = operational_cluster()
+        # A scenario names its builder, so the one lookup by name left
+        # is the scenario's own.
         with pytest.raises(KeyError):
-            build_nemesis("ghost", cluster, random.Random(0), 0.0, 1_000.0)
+            run_suite(1, only="ghost")
 
 
 class TestSequencerIndexProbe:
@@ -67,7 +68,7 @@ class TestRecoverableBuilders:
         cluster = operational_cluster()
         start = cluster.sim.now + 1_000.0
         window = 30_000.0
-        plan = build_nemesis(name, cluster, random.Random(3), start, window)
+        plan = getattr(nemesis, name)(cluster, random.Random(3), start, window)
         assert plan.events, name
         assert all(e.at_ms >= start for e in plan.events), name
         # Static events must leave the world repaired; Interventions
@@ -90,8 +91,8 @@ class TestRecoverableBuilders:
     def test_sequencer_crash_pairs_interventions(self):
         cluster = operational_cluster()
         start = cluster.sim.now + 1_000.0
-        plan = build_nemesis(
-            "sequencer_crash", cluster, random.Random(1), start, 30_000.0
+        plan = nemesis.sequencer_crash(
+            cluster, random.Random(1), start, 30_000.0
         )
         kinds = [
             e.label for e in plan.events if isinstance(e, Intervention)
@@ -105,8 +106,8 @@ class TestRollingFaults:
         cluster = operational_cluster()
         start = cluster.sim.now + 1_000.0
         window = 30_000.0
-        plan = build_nemesis(
-            "rolling_faults", cluster, random.Random(4), start, window
+        plan = nemesis.rolling_faults(
+            cluster, random.Random(4), start, window
         )
         assert all(
             start <= e.at_ms <= start + window for e in plan.events
@@ -125,8 +126,8 @@ class TestMajorityLost:
     def test_crashes_a_majority_and_never_restarts(self):
         cluster = operational_cluster()
         start = cluster.sim.now + 1_000.0
-        plan = build_nemesis(
-            "majority_lost", cluster, random.Random(2), start, 20_000.0
+        plan = nemesis.majority_lost(
+            cluster, random.Random(2), start, 20_000.0
         )
         crashes = [e for e in plan.events if isinstance(e, Crash)]
         restarts = [e for e in plan.events if isinstance(e, Restart)]

@@ -14,7 +14,7 @@ from repro.chaos.runner import SCENARIOS, run_scenario
 
 
 def scenario(name):
-    return next(s for s in SCENARIOS if s.name == name)
+    return SCENARIOS[name]
 
 
 class TestRollingFaults:

@@ -13,8 +13,7 @@ from repro.chaos.runner import rotation
 
 class TestRegistry:
     def test_scenario_names_unique(self):
-        names = [s.name for s in SCENARIOS]
-        assert len(names) == len(set(names))
+        assert all(name == s.name for name, s in SCENARIOS.items())
 
     def test_lookup_by_name(self):
         assert scenario_by_name("sequencer_crash").name == "sequencer_crash"
@@ -28,7 +27,7 @@ class TestRegistry:
 
     def test_issue_mandated_coverage(self):
         # The adversarial conditions the harness must exercise.
-        names = {s.name for s in SCENARIOS}
+        names = set(SCENARIOS)
         assert {
             "sequencer_crash",
             "partition_during_recovery",

@@ -1,0 +1,33 @@
+"""The watcher is sized to its traffic: what it keeps, it uses.
+
+Two smoke runs the suite already runs elsewhere (``rolling_faults/0``
+is a golden digest, ``bitrot_gauntlet/1`` is the determinism seed of
+``test_bitrot_gauntlet.py``) between them trip every threshold the
+monitor carries and every policy the controller carries. A signal or a
+policy that is documented and never fires — two thresholds and two
+policies were, for seventeen PRs — fails here the day it is added.
+The 107-run tally behind the cut is in docs/CHAOS.md §2.
+"""
+
+from repro.chaos import SCENARIOS, format_verdicts, run_scenario, watcher_traffic
+from repro.obs.monitor import DEFAULT_THRESHOLDS
+
+RUNS = (("rolling_faults", 0), ("bitrot_gauntlet", 1))
+
+
+def test_every_threshold_raises_and_every_policy_acts():
+    verdicts = [
+        run_scenario(SCENARIOS[name], seed, smoke=True) for name, seed in RUNS
+    ]
+    assert all(v.ok for v in verdicts), [v.problems for v in verdicts]
+    alerts, actions = watcher_traffic(verdicts)
+    assert set(alerts) == {t.signal for t in DEFAULT_THRESHOLDS}
+    assert set(actions) == {"restart", "scale_up", "scale_back", "scrub"}
+    # The CLI's footer shows the same totals in every CI chaos step.
+    footer = format_verdicts(verdicts).splitlines()[-3:-1]
+    assert footer[0].startswith("alerts: group.backlog 1, ")
+    assert footer[1] == (
+        f"remediation: restart {actions['restart']}, "
+        f"scale_back {actions['scale_back']}, "
+        f"scale_up {actions['scale_up']}, scrub {actions['scrub']}"
+    )

@@ -381,7 +381,7 @@ class TestReceiveReady:
 
 class TestSequencerAccounting:
     """The sequencer-pipeline busy/sojourn accounting feeding the
-    capacity attributor and the ``group.seq_utilization`` signal."""
+    capacity attributor and the sampler's ``group.seq.rho`` series."""
 
     def test_busy_and_sojourn_settle_when_the_pipeline_drains(self):
         bed, members = build_group(["a", "b", "c"])

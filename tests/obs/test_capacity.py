@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.obs.capacity import (
-    RegistryMarks,
     load_headline,
     run_point,
     utilization_summary,
@@ -28,7 +27,7 @@ class TestWindowStats:
         grants = registry.counter("n0", "cpu.grants")
         wait = registry.counter("n0", "cpu.wait_ms")
         depth = registry.gauge("n0", "cpu.queue_depth")
-        marks0 = RegistryMarks.capture(registry, 0.0)
+        opened = registry.mark()
         # 1000 ms window: 10 grants of 50 ms each (rho 0.5), each one
         # having queued 50 ms first — so residence W = 100 ms and the
         # gauge's time-weighted mean must be L = lambda * W = 1.0.
@@ -39,8 +38,7 @@ class TestWindowStats:
         depth.set(2.0)
         holder["now"] = 1_000.0
         depth.set(0.0)
-        marks1 = RegistryMarks.capture(registry, 1_000.0)
-        rows = window_stats(marks0, marks1)
+        rows = window_stats(registry.window(opened))
         assert len(rows) == 1
         row = rows[0]
         assert row.kind == "cpu" and row.node == "n0"
@@ -55,19 +53,18 @@ class TestWindowStats:
         holder, registry = make_marked_registry()
         # Gauge stuck at 3.0 the whole window while lambda*W says 1.0.
         registry.gauge("n0", "cpu.queue_depth").set(3.0)
-        marks0 = RegistryMarks.capture(registry, 0.0)
+        opened = registry.mark()
         registry.counter("n0", "cpu.busy_ms").inc(500.0)
         registry.counter("n0", "cpu.grants").inc(10)
         registry.counter("n0", "cpu.wait_ms").inc(500.0)
         holder["now"] = 1_000.0
-        marks1 = RegistryMarks.capture(registry, 1_000.0)
-        (row,) = window_stats(marks0, marks1)
+        (row,) = window_stats(registry.window(opened))
         assert row.queue_depth == pytest.approx(3.0)
         assert row.little_residual == pytest.approx(2.0 / 3.0)
 
     def test_ranking_is_by_utilization_then_pipeline_first(self):
         holder, registry = make_marked_registry()
-        marks0 = RegistryMarks.capture(registry, 0.0)
+        opened = registry.mark()
         registry.counter("n0", "cpu.busy_ms").inc(900.0)
         registry.counter("n0", "cpu.grants").inc(9)
         registry.counter("d0", "disk.arm.busy_ms").inc(900.0)
@@ -75,8 +72,7 @@ class TestWindowStats:
         registry.counter("s0", "group.seq_busy_ms").inc(400.0)
         registry.counter("s0", "group.delivered").inc(4)
         holder["now"] = 1_000.0
-        marks1 = RegistryMarks.capture(registry, 1_000.0)
-        rows = window_stats(marks0, marks1)
+        rows = window_stats(registry.window(opened))
         # cpu and disk tie at rho 0.9; the seq row trails at 0.4. A
         # tie breaks by kind priority: seq < cpu < disk < nvram < wire.
         assert [r.label for r in rows] == [
@@ -89,16 +85,15 @@ class TestWindowStats:
         # service station, and would fail Little's law by construction.
         holder, registry = make_marked_registry()
         registry.counter("r1", "group.seq_busy_ms")  # exists, zero
-        marks0 = RegistryMarks.capture(registry, 0.0)
+        opened = registry.mark()
         registry.counter("r1", "group.delivered").inc(50)
         holder["now"] = 1_000.0
-        marks1 = RegistryMarks.capture(registry, 1_000.0)
-        assert window_stats(marks0, marks1) == []
+        assert window_stats(registry.window(opened)) == []
 
     def test_empty_window_yields_no_rows(self):
         holder, registry = make_marked_registry()
-        marks = RegistryMarks.capture(registry, 5.0)
-        assert window_stats(marks, marks) == []
+        holder["now"] = 5.0
+        assert window_stats(registry.window(registry.mark())) == []
 
 
 class TestUtilizationSummary:
@@ -107,7 +102,8 @@ class TestUtilizationSummary:
         registry.counter("a", "cpu.busy_ms").inc(100.0)
         registry.counter("b", "cpu.busy_ms").inc(900.0)
         registry.counter("d", "disk.arm.busy_ms").inc(250.0)
-        summary = utilization_summary(registry, 1_000.0)
+        holder["now"] = 1_000.0
+        summary = utilization_summary(registry.window())
         assert summary["cpu"] == pytest.approx(0.9)
         assert summary["disk"] == pytest.approx(0.25)
         assert summary["seq"] == 0.0
@@ -116,7 +112,7 @@ class TestUtilizationSummary:
         holder, registry = make_marked_registry()
         registry.counter("a", "cpu.busy_ms").inc(100.0)
         assert all(
-            v == 0.0 for v in utilization_summary(registry, 0.0).values()
+            v == 0.0 for v in utilization_summary(registry.window()).values()
         )
 
 

@@ -147,7 +147,7 @@ class TestReportSchema:
         ):
             assert key in report["events"], key
         for key in (
-            "wall_ns", "exec_ns", "scheduler_ns", "accounted_ns",
+            "wall_ns", "exec_ns", "scheduler_ns",
             "sim_ms", "sim_events_per_s", "us_per_event",
         ):
             assert key in report["host"], key

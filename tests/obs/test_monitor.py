@@ -1,20 +1,23 @@
-"""Health-monitor unit tests: sampling windows, hysteresis, baselines.
+"""Health-monitor unit tests: which series it reads, hysteresis, alerts.
 
 These drive :class:`repro.obs.monitor.HealthMonitor` by hand against a
 fake clock and a real :class:`MetricsRegistry` — no simulator, no
-cluster — so each sampling window and threshold crossing is exact.
+cluster — so each sampling window and threshold crossing is exact. The
+window arithmetic itself (mean, rate, baseline) is
+``tests/obs/test_registry.py::TestWindow``'s.
 """
 
 import pytest
 
 from repro.obs.monitor import (
-    DEFAULT_INTERVAL_MS,
     DEFAULT_THRESHOLDS,
+    INTERVAL_MS,
     Alert,
     HealthMonitor,
     Threshold,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.obs.saturation import Sampler
 
 
 class FakeObs:
@@ -27,7 +30,8 @@ class FakeObs:
 
 
 class FakeSim:
-    """Just a clock plus an obs bundle; the monitor is ticked by hand."""
+    """Just a clock plus an obs bundle; the monitor is ticked by hand
+    (its process is spawned into the void)."""
 
     def __init__(self):
         self.now = 0.0
@@ -37,14 +41,15 @@ class FakeSim:
     def registry(self):
         return self.obs.registry
 
+    def spawn(self, gen, name):
+        return None
+
 
 def make_monitor(sim, **kw):
-    monitor = HealthMonitor(sim, **kw)
-    monitor._baseline()
-    return monitor
+    return HealthMonitor(sim, **kw).start()
 
 
-def advance(sim, monitor, ms=DEFAULT_INTERVAL_MS):
+def advance(sim, monitor, ms=INTERVAL_MS):
     sim.now += ms
     return monitor.tick()
 
@@ -116,33 +121,25 @@ class TestCounterSampling:
 
 
 class TestSeqUtilization:
+    """The sequencer's busy share is a capacity series, not an alert:
+    the monitor does not read it, the bare sampler does."""
+
     def test_utilization_is_the_busy_fraction_of_the_window(self):
         sim = FakeSim()
         busy = sim.registry.counter("a", "group.seq_busy_ms")
-        monitor = make_monitor(sim)
+        sampler = Sampler(sim, INTERVAL_MS).start()
         busy.inc(250.0)  # busy half of the 500 ms window
-        samples = advance(sim, monitor)
-        assert samples[("a", "group.seq_utilization")] == pytest.approx(0.5)
-
-    def test_saturated_window_raises_and_quiet_window_clears(self):
-        sim = FakeSim()
-        busy = sim.registry.counter("a", "group.seq_busy_ms")
-        monitor = make_monitor(sim)
-        busy.inc(DEFAULT_INTERVAL_MS)  # flat-out: the pipe never drained
-        advance(sim, monitor)
-        assert [a.signal for a in monitor.active_alerts] == [
-            "group.seq_utilization"
-        ]
-        advance(sim, monitor)  # no busy time at all: well under 0.5
-        assert monitor.active_alerts == []
+        samples = advance(sim, sampler)
+        assert samples[("a", "group.seq.rho")] == pytest.approx(0.5)
+        assert ("a", "group.seq.rho") not in advance(sim, make_monitor(sim))
 
     def test_baseline_excludes_preexisting_busy_time(self):
         sim = FakeSim()
         busy = sim.registry.counter("a", "group.seq_busy_ms")
-        busy.inc(10_000.0)  # history from before the monitor started
-        monitor = make_monitor(sim)
-        samples = advance(sim, monitor)
-        assert samples[("a", "group.seq_utilization")] == 0.0
+        busy.inc(10_000.0)  # history from before the sampler started
+        sampler = Sampler(sim, INTERVAL_MS).start()
+        samples = advance(sim, sampler)
+        assert samples[("a", "group.seq.rho")] == 0.0
 
 
 class TestHeartbeatStaleness:
@@ -219,22 +216,6 @@ class TestReporting:
         assert len(monitor.alerts_between(0.0, 1_000.0)) == 1
         assert monitor.alerts_between(600.0, 1_000.0) == []
 
-    def test_summary_is_json_safe_and_deterministic(self):
-        import json
-
-        sim = FakeSim()
-        gauge = sim.registry.gauge("s0", "group.backlog")
-        monitor = make_monitor(sim)
-        gauge.set(10.0)
-        advance(sim, monitor)
-        summary = monitor.summary()
-        assert summary["ticks"] == 1
-        assert len(summary["alerts"]) == 1
-        assert summary["active"] == summary["alerts"]
-        assert json.dumps(summary, sort_keys=True) == json.dumps(
-            monitor.summary(), sort_keys=True
-        )
-
     def test_alert_as_dict_rounds(self):
         alert = Alert(123.4567891, "s0", "group.backlog", 10.123456789, 8.0)
         d = alert.as_dict()
@@ -252,13 +233,11 @@ class TestDefaults:
         signals = {t.signal for t in DEFAULT_THRESHOLDS}
         assert signals == {
             "group.backlog",
-            "disk.queue_depth",
             "group.retrans_rate",
             "session.dup_rate",
             "group.heartbeat_staleness",
             "group.view_churn",
             "storage.corrupt_rate",
-            "group.seq_utilization",
         }
 
 
@@ -297,42 +276,3 @@ class TestThresholdOverrides:
         gauge.set(5.0)  # above the tightened 3.0, below the default
         advance(sim, monitor)
         assert [a.signal for a in monitor.alerts] == ["group.backlog"]
-
-
-class TestSubscribeAndRetire:
-    """The remediation controller's attachment points."""
-
-    def _alerting_monitor(self):
-        sim = FakeSim()
-        gauge = sim.registry.gauge("s0", "group.backlog")
-        monitor = make_monitor(
-            sim, thresholds=(Threshold("group.backlog", 8.0, 2.0, "msgs"),)
-        )
-        return sim, gauge, monitor
-
-    def test_listener_sees_raises_and_clears_in_order(self):
-        sim, gauge, monitor = self._alerting_monitor()
-        seen = []
-        monitor.subscribe(lambda a: seen.append((a.kind, a.node, a.signal)))
-        gauge.set(50.0)
-        advance(sim, monitor)
-        gauge.set(0.0)
-        advance(sim, monitor)
-        assert seen == [
-            ("alert", "s0", "group.backlog"),
-            ("clear", "s0", "group.backlog"),
-        ]
-
-    def test_retire_node_clears_active_alerts_and_mutes_the_node(self):
-        sim, gauge, monitor = self._alerting_monitor()
-        seen = []
-        monitor.subscribe(lambda a: seen.append(a.kind))
-        gauge.set(50.0)
-        advance(sim, monitor)
-        assert monitor.active_alerts
-        monitor.retire_node("s0")
-        assert monitor.active_alerts == []
-        assert seen == ["alert", "clear"]
-        gauge.set(90.0)  # frozen gauge of an evicted machine
-        advance(sim, monitor)
-        assert monitor.active_alerts == []  # retired: ignored for good

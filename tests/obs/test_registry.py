@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.obs import MetricsRegistry
 
 
@@ -72,19 +74,94 @@ class TestGauge:
         assert math.isclose(gauge.area(), 4.0 * 100.0)
 
     def test_area_differencing_gives_window_means(self):
-        """The health monitor's sampling primitive: the mean over a
-        window is (area(b) - area(a)) / (b - a)."""
+        """The sampler's primitive: the mean over a window is
+        (area(b) - area(a)) / (b - a)."""
         holder = {"now": 0.0}
         registry = MetricsRegistry(clock=make_clock(holder))
         gauge = registry.gauge("n0", "depth")
-        mark = gauge.area()
+        opened = registry.mark()
         holder["now"] = 100.0
         gauge.set(10.0)  # spike...
         holder["now"] = 200.0
         gauge.set(0.0)  # ...drained mid-window
         holder["now"] = 500.0
-        window_mean = (gauge.area() - mark) / 500.0
+        window_mean = registry.window(opened).mean("n0", "depth")
         assert math.isclose(window_mean, 10.0 * 100.0 / 500.0)
+
+
+#: id -> (how, steps before the mark, steps inside the window, the
+#: answer for instrument ("n0", "x")). A step is (clock ms, value): a
+#: level to set for the gauge questions, an amount to add for the
+#: counter ones, None to only move the clock. Every lens — the monitor,
+#: the capacity sampler, the attributor, the chaos rollup — reads the
+#: registry through these questions.
+WINDOW_CASES = {
+    "mean-held-level":
+        ("mean", [(0.0, 0.0)], [(0.0, 10.0), (500.0, None)], 10.0),
+    "mean-spike-drained-before-the-end-still-counts":
+        ("mean", [(0.0, 0.0)],
+         [(100.0, 100.0), (200.0, 0.0), (500.0, None)], 20.0),
+    "mean-excludes-history-before-the-mark":
+        ("mean", [(0.0, 1000.0), (10_000.0, 0.0)], [(10_500.0, None)], 0.0),
+    "mean-gauge-born-inside-reads-from-zero":
+        ("mean", [], [(250.0, 4.0), (500.0, None)], 2.0),
+    "rate-is-per-second":
+        ("rate", [(0.0, 0)], [(500.0, 3)], 6.0),
+    "rate-excludes-count-before-the-mark":
+        ("rate", [(0.0, 1_000_000)], [(500.0, 0)], 0.0),
+    "busy-is-the-share-of-the-window":
+        ("busy", [(0.0, 0)], [(500.0, 250.0)], 0.5),
+    "delta-excludes-count-before-the-mark":
+        ("delta", [(0.0, 7)], [(500.0, 3)], 3.0),
+    "delta-counter-born-inside-reads-from-zero":
+        ("delta", [], [(500.0, 3)], 3.0),
+    "since-is-now-minus-the-timestamp":
+        ("since", [], [(150.0, 150.0), (400.0, None)], 250.0),
+    "age-is-since-while-something-is-old":
+        ("age", [], [(150.0, 150.0), (400.0, None)], 250.0),
+    "age-is-zero-while-nothing-is":
+        ("age", [], [(150.0, 0.0), (400.0, None)], 0.0),
+    "empty-window-answers-zero":
+        ("rate", [(0.0, 5)], [(0.0, 5)], 0.0),
+}
+
+
+class TestWindow:
+    @pytest.mark.parametrize(
+        "how,before,inside,expected",
+        WINDOW_CASES.values(), ids=WINDOW_CASES.keys(),
+    )
+    def test_a_window_answers(self, how, before, inside, expected):
+        holder = {"now": 0.0}
+        registry = MetricsRegistry(clock=make_clock(holder))
+
+        def play(steps):
+            for at_ms, value in steps:
+                holder["now"] = at_ms
+                if value is None:
+                    continue
+                if how in ("mean", "since", "age"):
+                    registry.gauge("n0", "x").set(value)
+                else:
+                    registry.counter("n0", "x").inc(value)
+
+        play(before)
+        opened = registry.mark()
+        play(inside)
+        window = registry.window(opened)
+        assert window.nodes("x") == ["n0"]
+        assert getattr(window, how)("n0", "x") == pytest.approx(expected)
+
+    def test_the_default_window_is_the_whole_run(self):
+        holder = {"now": 0.0}
+        registry = MetricsRegistry(clock=make_clock(holder))
+        registry.counter("b", "busy_ms").inc(100.0)
+        registry.counter("a", "busy_ms").inc(900.0)
+        holder["now"] = 1_000.0
+        window = registry.window()
+        assert window.dt_ms == 1_000.0
+        assert window.nodes("busy_ms") == ["a", "b"]
+        assert window.busy("a", "busy_ms") == pytest.approx(0.9)
 
 
 class TestHistogram:

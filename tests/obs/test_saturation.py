@@ -1,8 +1,9 @@
-"""Unit tests for the ring-buffered saturation sampler."""
+"""Unit tests for the ring-buffered registry sampler."""
 
 import pytest
 
-from repro.obs.saturation import SaturationSampler
+from repro.obs import saturation
+from repro.obs.saturation import Sampler
 from repro.sim import Simulator
 
 
@@ -35,12 +36,12 @@ class TestSampler:
     def test_interval_must_be_positive(self):
         sim = Simulator(seed=0)
         with pytest.raises(ValueError):
-            SaturationSampler(sim, interval_ms=0.0)
+            Sampler(sim, interval_ms=0.0)
 
     def test_tick_derives_rho_rates_queues_and_ages(self):
         sim = Simulator(seed=0)
         synthetic_workload(sim)
-        sampler = SaturationSampler(sim, interval_ms=200.0)
+        sampler = Sampler(sim, interval_ms=200.0)
         sampler.start()
         sim.run(until=400.0)
         sampler.stop()
@@ -57,10 +58,11 @@ class TestSampler:
         second = sampler.samples[1]["series"]
         assert second["n0:group.backlog_age_ms"] == pytest.approx(250.0)
 
-    def test_ring_evicts_oldest_and_counts_drops(self):
+    def test_ring_evicts_oldest_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(saturation, "RING_CAPACITY", 3)
         sim = Simulator(seed=0)
         synthetic_workload(sim)
-        sampler = SaturationSampler(sim, interval_ms=100.0, capacity=3)
+        sampler = Sampler(sim, interval_ms=100.0)
         sampler.start()
         sim.run(until=600.0)
         assert len(sampler.samples) == 3
@@ -70,7 +72,7 @@ class TestSampler:
     def test_stop_takes_a_final_partial_sample(self):
         sim = Simulator(seed=0)
         synthetic_workload(sim)
-        sampler = SaturationSampler(sim, interval_ms=200.0)
+        sampler = Sampler(sim, interval_ms=200.0)
         sampler.start()
         sim.run(until=250.0)
         sampler.stop()
@@ -83,7 +85,7 @@ class TestSampler:
         def capture():
             sim = Simulator(seed=7)
             synthetic_workload(sim)
-            sampler = SaturationSampler(sim, interval_ms=250.0)
+            sampler = Sampler(sim, interval_ms=250.0)
             sampler.start()
             sim.run(until=1_000.0)
             sampler.stop()
@@ -98,7 +100,7 @@ class TestSampler:
             sim = Simulator(seed=3)
             synthetic_workload(sim)
             if with_sampler:
-                SaturationSampler(sim, interval_ms=50.0).start()
+                Sampler(sim, interval_ms=50.0).start()
             sim.run(until=1_000.0)
             return sim.obs.registry.snapshot()
 
@@ -107,7 +109,7 @@ class TestSampler:
     def test_counter_track_events_are_perfetto_counters(self):
         sim = Simulator(seed=0)
         synthetic_workload(sim)
-        sampler = SaturationSampler(sim, interval_ms=200.0)
+        sampler = Sampler(sim, interval_ms=200.0)
         sampler.start()
         sim.run(until=400.0)
         events = sampler.counter_track_events()

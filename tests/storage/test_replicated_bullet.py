@@ -240,6 +240,45 @@ class TestFaultTolerance:
         assert cluster.replicas_consistent()
 
 
+    @pytest.mark.parametrize("nvram", [False, True], ids=["disk", "nvram"])
+    def test_file_larger_than_the_nvram_board_survives_a_power_cut(self, nvram):
+        """30 KB cannot fit the 24 KB board even when it is empty, so
+        the record bypasses it: a flush under a floor raised to the
+        create writes it to disk before the client hears back (the
+        append-flush-retry loop used to spin for ever at one simulated
+        instant — the host hung). The lights go out on all three
+        machines the instant the acknowledgement arrives."""
+        cluster = make_cluster(nvram=nvram, seed=0)
+        client = cluster.add_client("c1")
+        data = bytes(range(250)) * 120
+
+        def create():
+            cap = yield from client.create(data)
+            return cap
+
+        cap = cluster.run_process(create())
+        for index in range(3):
+            cluster.crash_server(index)
+        cluster.run(until=cluster.sim.now + 500.0)
+        for index in range(3):
+            cluster.restart_server(index)
+        cluster.wait_operational(timeout_ms=60_000.0)
+        assert len(cluster.operational_servers()) == 3
+
+        def read_from(index):
+            reader = cluster.add_client(f"r{index}")
+            pin_to_server(reader, cluster, index)
+            got = yield from reader.read(cap)
+            return got
+
+        for index in range(3):
+            assert cluster.run_process(read_from(index)) == data
+        cluster.run(until=cluster.sim.now + 2_000.0)  # NVRAM: the idle flush
+        for site in cluster.sites:
+            assert stored_bytes(site, cap.object_number) == data
+        assert cluster.replicas_consistent()
+
+
 class TestNvramMode:
     def test_create_much_faster_with_nvram(self):
         def create_latency(nvram):

@@ -49,6 +49,29 @@ DEPRECATED_NAMES = (
     "tables_consistent",
     "peer_port(",
     "add_file_client",
+    # The watcher stack cut to its traffic: one sampler reading the
+    # registry through one window (repro.obs.registry mark/window,
+    # repro.obs.saturation.Sampler), a monitor and a controller that
+    # carry only the signals and policies a chaos run uses, policy
+    # tunables as constants of repro/recovery/controller.py.
+    "RemediationPolicy",
+    "retire_node",
+    "RegistryMarks",
+    "SaturationSampler",
+    "counter_values",
+    "gauge_areas",
+    "find_gauges",
+    "sample_interval_ms",
+    "group.seq_utilization",
+    # The scheduler's profiled twins: run/run_until_complete hand the
+    # callback to HostProfiler.dispatch.
+    "_run_profiled",
+    "_complete_profiled",
+    "record_timed",
+    # The second chaos registry: a Scenario names its builder function.
+    "build_nemesis",
+    "NEMESES",
+    "_nemesis_builder",
 )
 
 
@@ -165,6 +188,34 @@ def test_the_closed_loop_is_driven_from_one_module():
                 )
     assert not offenders, (
         "closed-loop drivers outside repro/bench/harness.py: "
+        + ", ".join(offenders)
+    )
+
+
+def test_the_registry_is_differenced_in_one_module():
+    """"How much since then" is asked of a repro.obs.registry Window.
+    The health monitor, the saturation sampler, the capacity attributor
+    and the chaos verdict each used to capture counter values and gauge
+    integrals and subtract them their own way — sequencer utilization
+    was computed four times, and a counter born inside a window read as
+    0 in one lens and as its whole value in another. Whoever captures
+    the raw numbers is about to subtract them: only registry.py may."""
+    package = ROOT / "src" / "repro"
+    registry = package / "obs" / "registry.py"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == registry:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter_values", "gauge_areas", "area")):
+                offenders.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} calls "
+                    f"{node.func.attr}()"
+                )
+    assert not offenders, (
+        "registry captures taken outside repro/obs/registry.py: "
         + ", ".join(offenders)
     )
 
@@ -312,3 +363,27 @@ def test_every_registered_metric_is_documented():
         "metrics registered but not in docs/OBSERVABILITY.md: "
         + ", ".join(missing)
     )
+
+
+def test_every_monitor_signal_is_documented_and_every_documented_one_is_live():
+    """docs/OBSERVABILITY.md §8 is the table an operator reads an alert
+    against. A threshold added without its row is an alert nobody can
+    interpret; a row whose threshold is gone — two sat there for
+    seventeen PRs without ever firing — documents a watcher that does
+    not exist. And every signal must be a series the sampler derives."""
+    from repro.obs.monitor import DEFAULT_THRESHOLDS
+    from repro.obs.saturation import SERIES
+
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## 8."):text.index("\n## 9.")]
+    documented = {
+        line.split("`")[1]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    }
+    live = {t.signal for t in DEFAULT_THRESHOLDS}
+    assert documented == live, (
+        f"undocumented: {sorted(live - documented)}; "
+        f"documented but gone: {sorted(documented - live)}"
+    )
+    assert live <= {row.name for row in SERIES}
