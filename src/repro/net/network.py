@@ -12,6 +12,16 @@ the simulator nothing — no delivery event, no link meter, no policy
 draw. A raw :class:`Nic` nobody has put a demultiplexer on is
 promiscuous and takes every multicast.
 
+A frame that arrives is handed to the receiving NIC's one *sink*
+inside the delivery event itself — on a machine that is
+:meth:`repro.rpc.transport.Transport._dispatch`, which runs the
+protocol handler there and then, as FLIP hands a packet to the RPC or
+group code inside the Amoeba kernel; on a raw NIC it is the inbox.
+Frames arriving at one NIC in one instant therefore reach their
+handlers in the order their deliveries were scheduled, and whatever a
+handler schedules for that instant runs after everything already
+scheduled for it (docs/DESIGN.md, "What a schedule change may move").
+
 Failure model, mirroring the paper's assumptions:
 
 * fail-stop machines — a down NIC neither sends nor receives;
@@ -32,9 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Container, Hashable, Iterable
+from typing import Any, Callable, Container, Hashable, Iterable
 
 from repro.errors import NetworkError
+from repro.net.partition import PartitionController
 from repro.net.policy import LinkContext, LinkDecision, LinkPolicy
 from repro.sim.latency import LatencyModel
 from repro.sim.primitives import Channel
@@ -107,9 +118,12 @@ class Network:
     ):
         self.sim = sim
         self.latency = latency or LatencyModel.paper_testbed()
+        self._wire = self.latency.network
         self.loss_probability = loss_probability
+        self._loss_rng = sim.rng.stream("net.loss")
+        self._jitter_rng = sim.rng.stream("net.jitter")
         self.link_policies: list[LinkPolicy] = list(link_policies or [])
-        self.partitions = PartitionControllerProxy()
+        self.partitions = PartitionController()
         self.stats = NetworkStats()
         # Segment-wide registry counters under the pseudo-node "net"
         # (NetworkStats stays the compact per-network API; the registry
@@ -226,7 +240,8 @@ class Network:
                 str(src), "net", "net.send",
                 dst=str(dst), kind=kind, size=size,
             )
-        if self._lost():
+        loss = self.loss_probability
+        if loss > 0.0 and self._loss_rng.uniform(0.0, 1.0) < loss:
             self.stats.frames_dropped += 1
             self._c_dropped.inc()
             if tracer.enabled:
@@ -235,9 +250,12 @@ class Network:
                     dst=str(dst), kind=kind, reason="loss",
                 )
             return
-        wire_ms = self.latency.network.transmit_time(size)
+        wire = self._wire
+        wire_ms = wire.transmit_time(size)
         self._c_wire.inc(wire_ms)
-        delay = wire_ms + self._jitter()
+        delay = wire_ms
+        if wire.jitter_ms > 0.0:
+            delay += self._jitter_rng.uniform(0.0, wire.jitter_ms)
         horizon = self._multicast_horizon.get(src, 0.0)
         if dst == BROADCAST:
             receivers: Iterable[Address] = [
@@ -330,7 +348,7 @@ class Network:
                 str(packet.dst), "net", "net.deliver",
                 src=str(packet.src), kind=packet.kind,
             )
-        self._nics[packet.dst].inbox.send(packet)
+        self._nics[packet.dst].sink(packet)
 
     def _maybe_refuse(self, packet: Packet) -> None:
         """Connection refused: an RPC request — or an enquiry about
@@ -357,7 +375,7 @@ class Network:
         refusal = Packet(
             packet.dst, packet.src, "rpc.unreach", {"txid": payload["txid"]}, 64
         )
-        delay = self.latency.network.transmit_time(64)
+        delay = self._wire.transmit_time(64)
 
         def deliver_refusal() -> None:
             # The refusal's nominal src is the dead machine, so the
@@ -369,58 +387,35 @@ class Network:
                 and nic.up
                 and self.partitions.connected(refusal.src, refusal.dst)
             ):
-                nic.inbox.send(refusal)
+                nic.sink(refusal)
 
         self.stats.record("rpc.unreach", 64)
         self._c_frames.inc()
         self._c_bytes.inc(64)
         self.sim.schedule(delay, deliver_refusal)
 
-    def _lost(self) -> bool:
-        if self.loss_probability <= 0.0:
-            return False
-        return self.sim.rng.uniform("net.loss", 0.0, 1.0) < self.loss_probability
-
-    def _jitter(self) -> float:
-        bound = self.latency.network.jitter_ms
-        if bound <= 0.0:
-            return 0.0
-        return self.sim.rng.uniform("net.jitter", 0.0, bound)
-
-
-class PartitionControllerProxy:
-    """Thin alias so ``network.partitions.split(...)`` reads naturally."""
-
-    def __init__(self):
-        from repro.net.partition import PartitionController
-
-        self._controller = PartitionController()
-
-    def __getattr__(self, item):
-        return getattr(self._controller, item)
-
 
 class Nic:
     """One machine's network interface.
 
-    Frames arrive on :attr:`inbox` (a :class:`Channel` of
-    :class:`Packet`); protocol layers either drain it themselves or
-    spawn a demultiplexer process (see :mod:`repro.rpc.transport`).
-    Unicast frames addressed to the NIC always arrive; multicast
-    frames arrive only for the kinds in :attr:`interest`.
+    An arriving frame is handed to :attr:`sink`. A raw NIC's sink is
+    its :attr:`inbox` (a :class:`Channel` of :class:`Packet` that a
+    protocol layer or a test drains with :meth:`recv`); a machine's
+    demultiplexer (:mod:`repro.rpc.transport`) binds its dispatcher
+    there instead. Unicast frames addressed to the NIC always arrive;
+    multicast frames arrive only for the kinds in :attr:`interest`.
     """
 
     def __init__(self, network: Network, address: Address):
         self.network = network
         self.address = address
-        self.up = True
-        self.inbox = Channel(f"nic({address}).inbox")
         #: The frame kinds this NIC takes off the wire when they are
         #: multicast — its multicast address filter. ``None`` (a raw
         #: NIC) is promiscuous. A demultiplexer installs its *live*
         #: handler table here, so registering a handler is what joins
         #: the multicast address.
         self.interest: Container[str] | None = None
+        self.restart()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -430,9 +425,11 @@ class Nic:
         self.inbox.close(NetworkError(f"NIC {self.address!r} went down"))
 
     def restart(self) -> None:
-        """Bring the NIC back up with a fresh, empty inbox."""
+        """Bring the NIC (back) up with a fresh, empty inbox as its sink."""
         self.up = True
         self.inbox = Channel(f"nic({self.address}).inbox")
+        #: Where :meth:`Network._deliver` hands an arriving frame.
+        self.sink: Callable[[Packet], None] = self.inbox.send
 
     # -- sending ----------------------------------------------------------
 

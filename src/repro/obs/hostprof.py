@@ -8,14 +8,19 @@ scenario fits in CI. A :class:`HostProfiler` rides on one
 loops hand each event's callback to :meth:`HostProfiler.dispatch`, which
 runs it between two ``perf_counter_ns`` reads and attributes the time:
 
-* **event kind** — ``process.step`` (a generator resumed), ``future.settle``
-  (a sleep/timer future resolving), or ``callback`` (plain scheduled fn);
+* **event kind** — ``process.step`` (a generator resumed, by a posted
+  wakeup or by the sleep timer it was waiting on), ``deliver`` (a frame
+  arriving and its handler, which runs inside the delivery event),
+  ``future.settle`` (a sleep with other waiters resolving), or
+  ``callback`` (plain scheduled fn);
 * **component** — the ``repro`` subpackage owning the code that ran
   (``net`` / ``group`` / ``storage`` / ``directory`` / ``workloads`` /
   ``obs`` / ``rpc`` / ``sim`` / ...), derived from the resumed
-  generator's (or callback's) code object;
-* **site** — the function itself (``GroupKernel._ticker`` etc.), the
-  unit of the top-K "hottest sites" table.
+  generator's (or callback's) code object; a delivery is booked to the
+  subsystem whose handler takes that frame kind
+  (:data:`HANDLER_COMPONENT`), ``net`` when nothing claims it;
+* **site** — the function itself (``GroupKernel._ticker`` etc.), or
+  ``deliver:<frame kind>``; the unit of the top-K "hottest sites" table.
 
 The profiler reads host time and callback metadata only — it never
 touches simulated state, RNGs, or the event order, so a profiled run
@@ -47,6 +52,9 @@ from repro.obs.trace import TraceEvent
 
 #: Cap on retained per-event slices for the Perfetto host timeline.
 DEFAULT_MAX_SLICES = 200_000
+
+#: Frame-kind prefix -> the subsystem whose handler a delivery runs.
+HANDLER_COMPONENT = {"rpc": "rpc", "grp": "group", "cache": "directory"}
 
 
 class SiteStats:
@@ -160,10 +168,13 @@ class HostProfiler:
     def dispatch(self, fn: Callable, heap: list) -> None:
         """Run one event for the scheduler's loops: every event is
         counted against its site, every ``sample``-th one timed."""
+        # Looked up before the call: running the event consumes what
+        # says whose it is (a sleep's waiter list, a finished generator).
+        site = self._site_of(fn)
         self._stride_pos += 1
         if self._stride_pos < self.sample:
             fn()
-            self._site_of(fn).count += 1
+            site.count += 1
             self._executed += 1
             return
         self._stride_pos = 0
@@ -171,7 +182,6 @@ class HostProfiler:
         fn()
         exec_ns = perf_counter_ns() - t0
         self._executed += 1
-        site = self._site_of(fn)
         site.count += 1
         site.timed += 1
         site.host_ns += exec_ns
@@ -187,35 +197,42 @@ class HostProfiler:
 
     def _site_of(self, fn: Callable) -> SiteStats:
         # A process wakeup is a bound method of the Process; attribute
-        # it to the *generator* being resumed, not to sim.process.
+        # it to the *generator* being resumed, not to sim.process. The
+        # timer of a bare sleep resumes its sleeper itself: same thing.
         self_obj = getattr(fn, "__self__", None)
+        kind = "callback"
         if self_obj is not None:
+            if hasattr(self_obj, "_sleeper"):
+                self_obj = self_obj._sleeper() or self_obj
             gen = getattr(self_obj, "_gen", None)
             code = getattr(gen, "gi_code", None)
             if code is not None:
-                site = self._sites.get(code)
-                if site is None:
-                    site = self._make_site(code, "process.step")
-                return site
-            # A settling future (sleep timers resolve via fut.resolve).
+                return self._sites.get(code) or self._make_site(code, "process.step")
             if hasattr(self_obj, "_callbacks"):
-                kind = "future.settle"
-            else:
-                kind = "callback"
-        else:
-            kind = "callback"
-        func = getattr(fn, "func", fn)  # unwrap functools.partial
+                kind = "future.settle"  # a sleep others wait on too
+        func = getattr(fn, "func", None)
+        if func is None:
+            func = fn
+        elif func.__name__ == "_deliver":
+            # Network.transmit's partial(_deliver, packet): the frame's
+            # handler runs inside it, so book it where the handler lives.
+            return self._delivery_site(fn.args[0].kind)
         code = getattr(func, "__code__", None)
         if code is not None:
-            site = self._sites.get(code)
-            if site is None:
-                site = self._make_site(code, kind)
-            return site
+            return self._sites.get(code) or self._make_site(code, kind)
         # C-implemented callable: no code object to attribute with.
         label = getattr(fn, "__qualname__", None) or repr(type(fn))
         site = self._fallback_sites.get(label)
         if site is None:
             site = self._fallback_sites[label] = SiteStats(label, "other", kind)
+        return site
+
+    def _delivery_site(self, frame_kind: str) -> SiteStats:
+        label = "deliver:" + frame_kind
+        site = self._fallback_sites.get(label)
+        if site is None:
+            component = HANDLER_COMPONENT.get(frame_kind.partition(".")[0], "net")
+            site = self._fallback_sites[label] = SiteStats(label, component, "deliver")
         return site
 
     def _make_site(self, code: Any, kind: str) -> SiteStats:

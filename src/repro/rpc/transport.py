@@ -1,11 +1,18 @@
 """Per-machine packet demultiplexer (the FLIP layer stand-in).
 
-One :class:`Transport` runs per simulated machine. It drains the
-machine's NIC inbox in a background process and dispatches each packet
-to the handler registered for the packet's ``kind``. The RPC client,
-RPC server, and group-communication kernel all register handlers on
-the same transport, exactly as they share one FLIP instance inside an
-Amoeba kernel.
+One :class:`Transport` serves each simulated machine. It is the sink of
+the machine's NIC: the network hands it every arriving packet inside
+the delivery event, and :meth:`Transport._dispatch` calls the handler
+registered for the packet's ``kind`` there and then — no process, no
+queue, as FLIP hands a packet to the RPC or group code inside the
+Amoeba kernel. The RPC client, RPC server, and group-communication
+kernel all register handlers on the same transport, exactly as they
+share one FLIP instance.
+
+A handler runs on the simulator's own stack, so one that raises is
+loud: the exception propagates out of ``sim.run`` (it is a bug in
+protocol code, not a fault the simulated system is meant to survive —
+a handler that wants to drop a malformed frame returns).
 
 The handler table is also the NIC's multicast address filter
 (:attr:`repro.net.network.Nic.interest`): a multicast frame reaches
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import Interrupted, NetworkError
 from repro.net.network import Nic, Packet
 from repro.sim.resources import Cpu
 from repro.sim.scheduler import Simulator
@@ -33,9 +39,8 @@ class Transport:
         self.cpu = cpu or Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
         self._handlers: dict[str, Callable[[Packet], None]] = {}
         nic.interest = self._handlers  # live: see the module docstring
-        self._pump = None
+        nic.sink = self._dispatch
         self.dropped_unroutable = 0
-        self.start()
 
     @property
     def address(self):
@@ -44,8 +49,8 @@ class Transport:
 
     @property
     def alive(self) -> bool:
-        """True while the demux pump is running (machine is up)."""
-        return self._pump is not None and not self._pump.resolved
+        """True while the NIC is up and hands its frames to us."""
+        return self.nic.up and self.nic.sink == self._dispatch
 
     # -- handler registry ---------------------------------------------------
 
@@ -62,19 +67,10 @@ class Transport:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> None:
-        """(Re)start the demux pump; used at boot and after restart()."""
-        if self.alive:
-            return
-        self._pump = self.sim.spawn(self._run(), f"transport({self.nic.address})")
-
     def shutdown(self) -> None:
         """Crash the machine's network stack (with its NIC)."""
         if self.nic.up:
             self.nic.shutdown()
-        if self._pump is not None:
-            self._pump.kill("transport shutdown")
-            self._pump = None
 
     def restart(self) -> None:
         """Bring the stack back up after a crash. Handlers must be
@@ -84,19 +80,13 @@ class Transport:
         if kernel is not None:
             kernel.attached = False  # force a fresh RPC kernel after reboot
         self.nic.restart()
-        self._pump = None
-        self.start()
+        self.nic.sink = self._dispatch
 
-    def _run(self):
-        while True:
-            try:
-                packet: Packet = yield self.nic.recv()
-            except (NetworkError, Interrupted):
-                return  # NIC went down; a restart spawns a fresh pump
-            handler = self._handlers.get(packet.kind)
-            if handler is None:
-                self.dropped_unroutable += 1
-                continue
+    def _dispatch(self, packet: Packet) -> None:
+        handler = self._handlers.get(packet.kind)
+        if handler is None:
+            self.dropped_unroutable += 1
+        else:
             handler(packet)
 
     # -- convenience -----------------------------------------------------------

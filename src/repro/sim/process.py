@@ -7,6 +7,10 @@ inside it (``gen.throw``). The process is itself a :class:`Future`:
 it resolves with the generator's return value, or fails with whatever
 exception escaped the generator — so processes can ``yield`` on each
 other to join.
+
+A process that yields a bare ``sim.sleep()`` is resumed by the timer's
+own event (:class:`Sleep`); every other wakeup is posted as a fresh
+event behind whatever is already scheduled for that instant.
 """
 
 from __future__ import annotations
@@ -114,6 +118,43 @@ class Process(Future):
         except Exception:
             pass  # a crash does not care about cleanup errors
         self.fail(Interrupted(reason))
+
+
+class Sleep(Future):
+    """The future behind :meth:`Simulator.sleep`.
+
+    Its timer event is :meth:`_fire`. Nothing else can settle a sleep,
+    so when the one thing waiting on it is a process that yielded it,
+    the timer resumes that process there and then rather than posting
+    a second event for the same instant. A sleep raced under
+    ``timeout``/``any_of``, or with any second callback, settles like
+    any other future and its waiters get the posted wakeup.
+    """
+
+    __slots__ = ()
+
+    def _sleeper(self) -> Process | None:
+        """The process the timer will resume itself: the only waiter."""
+        callbacks = self._callbacks
+        if (
+            len(callbacks) == 1
+            and getattr(callbacks[0], "__func__", None) is _ON_SETTLED
+        ):
+            return callbacks[0].__self__
+        return None
+
+    def _fire(self) -> None:
+        process = self._sleeper()
+        if process is None:
+            self.resolve()
+            return
+        self._callbacks.clear()
+        self._value = None
+        if process._waiting_on is self:  # not killed meanwhile
+            process._step(None, None)
+
+
+_ON_SETTLED = Process._on_future_settled
 
 
 def _dead_generator() -> Generator[Future, Any, Any]:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import SimulationError
 from repro.obs.trace import Observability
 from repro.sim.future import Future
-from repro.sim.process import Process
+from repro.sim.process import Process, Sleep
 from repro.sim.randomness import RngStreams
 
 #: Hooks invoked with every newly constructed Simulator. The host
@@ -130,8 +130,8 @@ class Simulator:
         """A future that resolves after *delay* simulated milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
-        fut = Future("sleep")
-        self._post_in(delay, fut.resolve)
+        fut = Sleep("sleep")
+        self._post_in(delay, fut._fire)
         return fut
 
     def timeout(self, fut: Future, delay: float, reason: str = "timeout") -> Future:

@@ -117,7 +117,7 @@ class TestPartitions:
 
         # A client stuck on the minority side is refused.
         lone = cluster.add_client("lonely")
-        cluster.network.partitions._controller.split(
+        cluster.network.partitions.split(
             [
                 [cluster.sites[0].dir_address, cluster.sites[0].bullet_address,
                  cluster.sites[1].dir_address, cluster.sites[1].bullet_address],

@@ -144,8 +144,19 @@ class TestRestartIsAReboot:
             sum(name.startswith(prefix) for name in names)
             == long_lived + cluster.config.server_threads
         )
-        pump = f"transport({cluster.sites[index].dir_address})"
-        assert names.count(pump) == 1
+        # One live sink on the machine, and it routes to the successor:
+        # the replaced server's kernels are out of the handler table.
+        transport = cluster.sites[index].dir_transport
+        assert transport.alive and transport.nic.sink == transport._dispatch
+        owners = {
+            getattr(handler, "__self__", None)
+            for handler in transport._handlers.values()
+        }
+        old_kernels = {replaced.rpc_server._kernel}
+        if hasattr(replaced, "member"):
+            old_kernels.add(replaced.member.kernel)
+        assert owners and not owners & old_kernels
+        assert cluster.servers[index].rpc_server._kernel in owners
 
 
 class TestHeldRequestsLeaveNothingBehind:
