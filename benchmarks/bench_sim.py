@@ -18,7 +18,10 @@ scheduled-event count stay in the file as reported fields. Absolute
 host time depends on the host, so the gate compares *normalized* cost:
 host time per op measured in iterations of a pure-Python calibration
 loop run in the same process. The ratio cancels host speed; a >10%
-rise in it is a real regression, not a slower runner.
+rise in it is a real regression, not a slower runner. A baseline whose
+deterministic fields (``ops``, ``sim_ms``) differ from this code's was
+recorded for different *simulated* behaviour: the gate refuses it
+(exit 2) instead of reading that as a host regression.
 
 Scenarios come from :mod:`repro.bench.simbench` (the same ones
 ``python -m repro perf`` profiles); the timed runs here attach **no**
@@ -220,17 +223,30 @@ def main(argv=None) -> int:
         for scale in scales:
             if scale not in baseline.get("scales", {}):
                 continue
-            old = normalized_host_per_op(
-                baseline["scales"][scale]["obs_off"], old_cal
-            )
-            new = normalized_host_per_op(cells[scale]["obs_off"], calibration)
+            old_cell = baseline["scales"][scale]["obs_off"]
+            new_cell = cells[scale]["obs_off"]
+            moved = [
+                f"{key} {old_cell[key]} -> {new_cell[key]}"
+                for key in ("ops", "sim_ms")
+                if old_cell[key] != new_cell[key]
+            ]
+            if moved:
+                print(
+                    f"{scale}: {', '.join(moved)}: baseline is stale — "
+                    "regenerate with `python benchmarks/bench_sim.py "
+                    "--out BENCH_sim.json`"
+                )
+                status = 2
+                continue
+            old = normalized_host_per_op(old_cell, old_cal)
+            new = normalized_host_per_op(new_cell, calibration)
             verdict = "ok" if new <= old * ceiling else "REGRESSED"
             print(
                 f"{scale}: normalized host time per op {new:.0f} "
                 f"(baseline {old:.0f}, ceiling {old * ceiling:.0f}) {verdict}"
             )
             if verdict != "ok":
-                status = 1
+                status = status or 1
 
     out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

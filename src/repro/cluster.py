@@ -281,7 +281,7 @@ class BaseCluster:
 
         A restart is a reboot whoever calls it: an incumbent that is
         still running is fail-stopped first, never left serving beside
-        its successor on a second transport pump.
+        its successor on the same transport.
         """
         site = self.sites[index]
         if site.server is not None and site.server.alive:

@@ -164,7 +164,7 @@ class CoherenceManager:
         return self.server.state.update_seqno
 
     # ------------------------------------------------------------------
-    # frame handlers (sync callbacks on the transport pump)
+    # frame handlers (sync callbacks inside the delivery event)
     # ------------------------------------------------------------------
 
     def _on_invack(self, packet) -> None:

@@ -71,6 +71,7 @@ from repro.group.member import GroupMember
 from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import Transport
+from repro.sim.future import Future
 from repro.storage.bullet import BulletClient
 from repro.storage.nvram import Nvram
 
@@ -143,6 +144,8 @@ class GroupDirectoryServer:
         self.stayed_up = False
         self.alive = True
         self._state_loaded = False
+        #: Settles when the :meth:`load_state` in progress ends.
+        self._loading: Future | None = None
         self._applied_kernel = -1
         self._apply_results: dict[int, object] = {}
         #: Seqnos whose writer gave up (GroupFailure between send and
@@ -916,6 +919,21 @@ class GroupDirectoryServer:
             base = self.boot_seqno
         return max(base, self.store.logged_seqno())
 
+    def load_state(self):
+        """Load this replica's own disk image, once (``yield from``):
+        the first caller loads, later callers wait for it. A peer's
+        ``get_state`` and the replica's own recovery both ask at boot."""
+        while not self._state_loaded:
+            if self._loading is not None:
+                yield self._loading
+                continue
+            self._loading = Future("dir.load")
+            try:
+                yield from self.store.load()
+            finally:
+                loading, self._loading = self._loading, None
+                loading.resolve()
+
     def _serve_state_transfer(self, request, handle):
         min_kernel = request.get("min_kernel", -1)
         if not self._state_loaded:
@@ -925,7 +943,7 @@ class GroupDirectoryServer:
                 while self.alive and not self._state_loaded:
                     yield self.sim.sleep(20.0)
             else:
-                yield from self.store.load()
+                yield from self.load_state()
         if self.operational and min_kernel > self._applied_kernel:
             try:
                 yield from self.member.wait_applied(

@@ -219,8 +219,7 @@ def run_recovery(server):
         transferred = 0
         applied_kernel = member.info().taken
         if donor == server.me:
-            if not server._state_loaded:
-                yield from server.store.load()
+            yield from server.load_state()
         else:
             try:
                 reply = yield from server.rpc_client.trans(

@@ -20,7 +20,7 @@ group code inside the Amoeba kernel; on a raw NIC it is the inbox.
 Frames arriving at one NIC in one instant therefore reach their
 handlers in the order their deliveries were scheduled, and whatever a
 handler schedules for that instant runs after everything already
-scheduled for it (docs/DESIGN.md, "What a schedule change may move").
+scheduled for it (DESIGN.md §5, "What a schedule change may move").
 
 Failure model, mirroring the paper's assumptions:
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from random import Random
 from typing import Any, Callable, Container, Hashable, Iterable
 
 from repro.errors import NetworkError
@@ -120,8 +121,6 @@ class Network:
         self.latency = latency or LatencyModel.paper_testbed()
         self._wire = self.latency.network
         self.loss_probability = loss_probability
-        self._loss_rng = sim.rng.stream("net.loss")
-        self._jitter_rng = sim.rng.stream("net.jitter")
         self.link_policies: list[LinkPolicy] = list(link_policies or [])
         self.partitions = PartitionController()
         self.stats = NetworkStats()
@@ -147,6 +146,10 @@ class Network:
         # Per-directed-link counters, created lazily on first delivery
         # under the pseudo-node "link(src->dst)".
         self._link_meters: dict[tuple, tuple] = {}
+        # Per (src, dst) — a multicast: (src, BROADCAST) — the stream
+        # the link's loss and jitter draws come from, so a frame on one
+        # link cannot re-time a frame on another.
+        self._link_rngs: dict[tuple, Random] = {}
         self._nics: dict[Address, "Nic"] = {}
         # Per (src, dst) pair: last scheduled arrival time. A single
         # Ethernet segment serializes frames, so delivery between a
@@ -240,8 +243,13 @@ class Network:
                 str(src), "net", "net.send",
                 dst=str(dst), kind=kind, size=size,
             )
+        rng = self._link_rngs.get((src, dst))
+        if rng is None:
+            rng = self._link_rngs[src, dst] = self.sim.rng.stream(
+                f"net.link({src}->{dst})"
+            )
         loss = self.loss_probability
-        if loss > 0.0 and self._loss_rng.uniform(0.0, 1.0) < loss:
+        if loss > 0.0 and rng.uniform(0.0, 1.0) < loss:
             self.stats.frames_dropped += 1
             self._c_dropped.inc()
             if tracer.enabled:
@@ -255,7 +263,7 @@ class Network:
         self._c_wire.inc(wire_ms)
         delay = wire_ms
         if wire.jitter_ms > 0.0:
-            delay += self._jitter_rng.uniform(0.0, wire.jitter_ms)
+            delay += rng.uniform(0.0, wire.jitter_ms)
         horizon = self._multicast_horizon.get(src, 0.0)
         if dst == BROADCAST:
             receivers: Iterable[Address] = [

@@ -23,7 +23,6 @@ from repro.errors import (
 )
 from repro.rpc.kernel import (
     ENQUIRY_MS,
-    ENQUIRY_SHARE,
     NotHereBounce,
     TransactionLost,
     rpc_kernel,
@@ -155,9 +154,8 @@ class RpcClient:
     def _await_reply(self, fut, server, txid, timeout: float):
         """The reply to *txid*, or the exception that ends the attempt.
 
-        Every ENQUIRY_MS of silence (or ENQUIRY_SHARE of a longer
-        *timeout*) the kernel asks *server*'s kernel about the
-        transaction. ``rpc.alive`` keeps us waiting (a slow
+        Every ENQUIRY_MS of silence the kernel asks *server*'s kernel
+        about the transaction. ``rpc.alive`` keeps us waiting (a slow
         server — say a write held by the cache fence — is not a dead
         one); a down NIC refuses the enquiry (HostUnreachable, as for
         a refused request); a kernel that rebooted since answers that
@@ -169,11 +167,10 @@ class RpcClient:
         # The two counters below are made on first use: a run in which
         # no reply is ever overdue keeps the registry (and the recorded
         # digests of it) as it was.
-        period = max(ENQUIRY_MS, timeout * ENQUIRY_SHARE)
         asked = False
         left = timeout
         while True:
-            wait = min(period, left)
+            wait = min(ENQUIRY_MS, left)
             left -= wait
             try:
                 reply = yield self.sim.timeout(fut, wait, f"rpc to {server}")

@@ -48,18 +48,12 @@ CONTROL_PACKET_SIZE = 64
 
 #: How overdue a reply must be before the client's kernel enquires, and
 #: the period of further enquiries while the server answers "alive".
-#: Not a tunable: it must exceed the longest healthy single wait of the
-#: deployments we run, or fault-free runs would put enquiry frames on
-#: the wire (and shift every later draw of the shared jitter stream).
-#: Ordinary requests stay far below it.
+#: Not a tunable: it exceeds the longest healthy single wait of the
+#: deployments we run, so fault-free steady state puts no enquiry on
+#: the wire. (A boot-time state transfer may cross it; the enquiry it
+#: earns re-times nobody, each link draws its jitter from its own
+#: stream.)
 ENQUIRY_MS = 1_000.0
-#: A caller that allows a transaction far longer than that has said it
-#: expects a slow server; it is asked this share of its own reply
-#: timeout in, when that is later. The one such caller is the Fig. 6
-#: state transfer (30 s allowed): a healthy boot-time ``get_state``
-#: takes 0.9 s, and 1.7 s on the third of the seeds where the donor is
-#: loading its own disk image at the same moment.
-ENQUIRY_SHARE = 0.1
 #: Enquiries in a row that may go unanswered (a partition answers
 #: nothing) before the transaction is given up.
 ENQUIRY_LIMIT = 3

@@ -83,6 +83,7 @@ class Transport:
         self.nic.sink = self._dispatch
 
     def _dispatch(self, packet: Packet) -> None:
+        """The NIC's sink: run the handler for *packet*'s kind, now."""
         handler = self._handlers.get(packet.kind)
         if handler is None:
             self.dropped_unroutable += 1

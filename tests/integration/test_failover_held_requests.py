@@ -86,8 +86,17 @@ class TestSequencerCrashUnderWriters:
         acked, durations, surfaced = [], [], []
         stop = {"at": None}
 
+        [victim] = [
+            i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
+        ]
+
         def writer(i):
             client = cluster.add_client(f"w{i}", retry_safe=True)
+            # Where the locate race puts the writers is the seed's
+            # business; one inside the victim and one on a survivor is
+            # what the two counters below are about.
+            if i < 2:
+                pin_to_server(client, cluster, (victim + i) % 3)
             record_trans_errors(client, surfaced)
             n = 0
             while stop["at"] is None or sim.now < stop["at"]:
@@ -100,9 +109,7 @@ class TestSequencerCrashUnderWriters:
 
         writers = [sim.spawn(writer(i), f"w{i}") for i in range(n_writers)]
         cluster.run(until=sim.now + 1_500.0)
-        [victim] = [
-            i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
-        ]
+        assert cluster.servers[victim].member.is_sequencer
         cluster.crash_server(victim)
         stop["at"] = sim.now + 4_000.0
         for process in writers:
@@ -265,10 +272,17 @@ class TestCacheBarrierHeld:
 
         for index, server in enumerate(cluster.servers):
             spy_on_barrier(index, server.coherence)
+        [victim] = [
+            i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
+        ]
 
         def writer(i):
             tag = f"c{i}"
             client = cluster.add_client(tag, retry_safe=True, cache_size=32)
+            if i == 0:
+                # The locate race may put every client on the victim;
+                # a barrier can only be seen parked on a survivor.
+                pin_to_server(client, cluster, (victim + 1) % 3)
             record_trans_errors(client, surfaced)
             rng = sim.rng.stream(f"test.client.{tag}")
             n = 0
@@ -301,9 +315,7 @@ class TestCacheBarrierHeld:
 
         writers = [sim.spawn(writer(i), f"c{i}") for i in range(4)]
         cluster.run(until=sim.now + 1_500.0)
-        [victim] = [
-            i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
-        ]
+        assert cluster.servers[victim].member.is_sequencer
         # The sequencer stops hearing invalidation acks, so its clean
         # seqno stalls and the survivors' writes park in the barrier
         # waiting for it. Crash it once one has been parked a while.

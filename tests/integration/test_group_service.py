@@ -66,6 +66,9 @@ class TestBasicOperations:
                 return "refused"
 
         assert cluster.run_process(work()) == "refused"
+        # A refused op persists nothing, so the initiator answers right
+        # after its own apply; give the other two their few ms.
+        cluster.run(until=cluster.sim.now + 20.0)
         assert cluster.replicas_consistent()
 
     def test_delete_nonempty_dir_refused(self, cluster):

@@ -3,7 +3,12 @@ the recovering flag, donor selection, and repeated crash cycles."""
 
 import pytest
 
-from repro.cluster import GroupServiceCluster
+from repro.cluster import (
+    GroupServiceCluster,
+    NvramServiceCluster,
+    ReplicatedBulletCluster,
+)
+from repro.directory.store import DirectoryStore
 
 
 def populate(cluster, n, tag="d"):
@@ -97,6 +102,41 @@ class TestDonorSelection:
         assert cluster.replicas_consistent()
         names = cluster.servers[0].state.directories[1].names()
         assert "late0" in names and "late1" in names
+
+
+class TestTheDonorLoadsItsDiskOnce:
+    """At boot the donor is asked for its state by a peer's
+    ``get_state`` and by its own recovery at about the same moment.
+    Each used to start a ``store.load()`` of its own: two passes over
+    the same disk on every seed, three with two transfers queued."""
+
+    #: (cluster, kwargs, when ``wait_operational`` returned with the
+    #: double load, seed 0)
+    CASES = {
+        "group": (GroupServiceCluster, {"server_threads": 8}, 3_520.0),
+        "nvram": (NvramServiceCluster, {}, 4_480.0),
+        "rbullet": (ReplicatedBulletCluster, {}, 4_180.0),
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_one_load_per_replica_and_an_earlier_boot(self, kind, monkeypatch):
+        cluster_class, kwargs, with_two_loads = self.CASES[kind]
+        loads = []
+        load = DirectoryStore.load
+
+        def counted(store):
+            loads.append(store._node)
+            return load(store)
+
+        monkeypatch.setattr(DirectoryStore, "load", counted)
+        cluster = cluster_class(seed=0, **kwargs)
+        cluster.start()
+        cluster.wait_operational()
+        assert len(loads) == len(set(loads)) == 1  # the donor, once
+        # One pass over the disk (~0.8 s) sooner, and the transfer is
+        # back under the second after which a client would enquire.
+        assert cluster.sim.now < with_two_loads - 500.0
+        assert "rpc.enquiry" not in cluster.network.stats.frames_by_kind
 
 
 class TestRepeatedCycles:

@@ -109,6 +109,66 @@ class TestUnicast:
         assert got == [0, 1, 2, 3, 4]
 
 
+    def test_restart_gives_a_raw_nic_a_fresh_inbox_sink(self):
+        sim, net = make_network()
+        net.attach("a")
+        b = net.attach("b")
+        stale = b.recv()  # a reader blocked on the old inbox
+        old_inbox = b.inbox
+        b.shutdown()
+        assert isinstance(stale.exception, NetworkError)
+        b.restart()
+        assert b.inbox is not old_inbox and b.sink == b.inbox.send
+        net.nic("a").send("b", "t", "after")
+        sim.run()
+        assert [p.payload for p in b.inbox.peek_all()] == ["after"]
+        assert len(old_inbox) == 0
+
+
+class TestLinksAreIndependent:
+    """Each (src, dst) link — a multicast: each sender — draws its loss
+    and jitter from its own stream: traffic on one link cannot re-time
+    a frame on another."""
+
+    @staticmethod
+    def arrivals_on_c_to_d(extra_a_to_b, loss=0.0):
+        sim, net = make_network(loss=loss)
+        for address in "abc":
+            net.attach(address)
+        d = net.attach("d")
+        arrivals = []
+
+        def reader():
+            while True:
+                packet = yield d.recv()
+                if packet.kind == "t":  # a raw NIC hears the multicasts too
+                    arrivals.append((packet.payload, sim.now))
+
+        sim.spawn(reader())
+
+        def chatter():
+            for n in range(20):
+                for _ in range(extra_a_to_b // 20):
+                    net.nic("a").send("b", "noise", None)
+                net.nic("a").broadcast("noise", None)
+                net.nic("c").send("d", "t", n)
+                yield sim.sleep(3.0)
+
+        sim.spawn(chatter())
+        sim.run()
+        return arrivals
+
+    def test_extra_frames_on_one_link_leave_another_links_arrivals_alone(self):
+        quiet = self.arrivals_on_c_to_d(0)
+        assert len(quiet) == 20
+        assert self.arrivals_on_c_to_d(200) == quiet
+
+    def test_nor_do_they_change_which_of_its_frames_are_lost(self):
+        quiet = self.arrivals_on_c_to_d(0, loss=0.3)
+        assert 5 < len(quiet) < 20
+        assert self.arrivals_on_c_to_d(200, loss=0.3) == quiet
+
+
 class TestBroadcast:
     def test_broadcast_reaches_all_others(self):
         sim, net = make_network()

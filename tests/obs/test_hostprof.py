@@ -73,6 +73,42 @@ class TestAttribution:
         assert kinds["callback"]["count"] == 4
         assert report["events"]["cancelled_pops"] == 6
 
+    def test_a_sleep_others_wait_on_too_is_a_settle(self):
+        prof = hostprof.HostProfiler()
+        sim = Simulator(seed=7)
+        prof.attach(sim)
+
+        def waiter(fut):
+            yield fut
+
+        shared = sim.sleep(2.0)
+        sim.spawn(waiter(shared))
+        sim.spawn(waiter(shared))
+        sim.run()
+        kinds = prof.stop().report()["events"]["by_kind"]
+        # 2 initial steps + 2 posted wakeups; the timer itself settled.
+        assert kinds["process.step"]["count"] == 4
+        assert kinds["future.settle"]["count"] == 1
+
+    def test_a_delivery_is_booked_to_the_package_of_its_handler(self):
+        run = run_perf_scenario("mixed", "small", seed=1)
+        sites = {
+            s["site"]: s for s in run.capture.report()["sites"]
+            if s["kind"] == "deliver"
+        }
+        assert sites["deliver:rpc.request"]["component"] == "rpc"
+        booked = hostprof.HostProfiler()._delivery_site
+        assert booked("cache.inval").component == "directory"
+        assert booked("t.ping").component == "net"  # nobody's: the wire's
+        groups = [s for name, s in sites.items() if name.startswith("deliver:grp.")]
+        assert groups and all(s["component"] == "group" for s in groups)
+        # Every frame that arrived is one such event: nothing is left
+        # on a pump or in the network's own name.
+        assert not any(
+            s["site"] in ("Network._deliver", "Transport._run")
+            for s in run.capture.report()["sites"]
+        )
+
     def test_counts_and_executed_match(self):
         prof = _profiled_toy_sim()
         report = prof.report()

@@ -19,7 +19,7 @@ from repro.cluster import GroupServiceCluster
 from repro.errors import RpcError
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.client import RpcTimings
-from repro.rpc.kernel import ENQUIRY_LIMIT, ENQUIRY_MS, ENQUIRY_SHARE
+from repro.rpc.kernel import ENQUIRY_LIMIT, ENQUIRY_MS
 
 from tests.helpers import TestBed, counter_total
 
@@ -103,18 +103,16 @@ class TestSlowServerIsWaitedFor:
         assert ended == pytest.approx(ENQUIRY_MS, abs=ROUND_TRIP_MS)
         assert frames(bed, "rpc.enquiry") == 0
 
-
-    def test_a_patient_caller_is_asked_a_share_of_its_own_timeout_in(self):
-        """The Fig. 6 state transfer allows 30 s: a donor that takes
-        1.7 s over it (a healthy boot, on a third of the seeds) must
-        not be asked, or fault-free boots would differ by two frames."""
-        allowed = 30_000.0
+    def test_a_patient_caller_is_asked_as_soon_as_anyone(self):
+        """The Fig. 6 state transfer allows 30 s; it is asked after the
+        same second as everyone else (each link has its own jitter
+        stream, so the frames this puts on a slow boot re-time nobody)."""
         bed = TestBed(["client", "server"])
-        start_server(bed["server"], hold_ms=allowed * ENQUIRY_SHARE - 100.0)
-        client = one_attempt_client(bed["client"], reply_timeout_ms=allowed)
+        start_server(bed["server"], hold_ms=2_900.0)
+        client = one_attempt_client(bed["client"], reply_timeout_ms=30_000.0)
         reply, ended = timed_trans(bed, client)
         assert reply == {"echo": "x"} and ended > 2 * ENQUIRY_MS
-        assert frames(bed, "rpc.enquiry") == 0
+        assert frames(bed, "rpc.enquiry") == frames(bed, "rpc.alive") == 2
 
 
 class TestDeadServerIsNot:

@@ -133,6 +133,40 @@ class TestSleepAndTimeout:
         assert fut.resolved
         assert sim.now == 10.0
 
+    def test_a_bare_sleep_is_resumed_inside_its_own_timer_event(self):
+        sim = Simulator()
+        order = []
+
+        def sleeper():
+            yield sim.sleep(5.0)
+            order.append("sleeper")
+
+        sim.spawn(sleeper())
+        sim.run(until=1.0)
+        sim.schedule(4.0, lambda: order.append("later"))  # t=5, behind the timer
+        scheduled = sim._sequence
+        sim.run()
+        assert order == ["sleeper", "later"]
+        assert sim._sequence == scheduled  # no second event for the wakeup
+
+    def test_a_sleep_with_a_second_waiter_keeps_the_posted_wakeup(self):
+        sim = Simulator()
+        order = []
+
+        def sleeper(fut):
+            yield fut
+            order.append("sleeper")
+
+        shared = sim.sleep(5.0)
+        sim.spawn(sleeper(shared))
+        raced = sim.spawn(sleeper(sim.timeout(sim.sleep(5.0), 10.0)))
+        sim.run(until=1.0)
+        shared.add_callback(lambda fut: order.append("watcher"))
+        sim.schedule(4.0, lambda: order.append("later"))
+        sim.run()
+        assert order == ["watcher", "later", "sleeper", "sleeper"]
+        assert raced.resolved and shared.value is None
+
     def test_timeout_fires_when_future_is_slow(self):
         sim = Simulator()
         slow = Future("slow")
@@ -256,7 +290,7 @@ class TestProcesses:
         sim.run(until=1.0)
         process.kill()
         sim.run()
-        assert progressed == []
+        assert progressed == [] and sim.now == 10.0  # the timer still fired
 
     def test_join_killed_process_raises_interrupted(self):
         sim = Simulator()

@@ -72,6 +72,14 @@ DEPRECATED_NAMES = (
     "build_nemesis",
     "NEMESES",
     "_nemesis_builder",
+    # The per-machine receive process: a frame reaches its handler in
+    # the event that delivers it (Nic.sink -> Transport._dispatch). The
+    # forwarding wrapper around the partition controller and the longer
+    # enquiry period that kept the shared jitter stream still went with
+    # it (each link has its own stream).
+    "_pump",
+    "PartitionControllerProxy",
+    "ENQUIRY_SHARE",
 )
 
 
@@ -217,6 +225,28 @@ def test_the_registry_is_differenced_in_one_module():
     assert not offenders, (
         "registry captures taken outside repro/obs/registry.py: "
         + ", ".join(offenders)
+    )
+
+
+def test_a_frame_reaches_its_handler_without_a_queue():
+    """A NIC hands an arriving frame to its one sink. The inbox is a raw
+    NIC's default sink and nothing else: protocol code that drains
+    ``nic.inbox`` (or ``nic.recv()``) in a process of its own is the
+    per-machine pump again, one wakeup per packet."""
+    package = ROOT / "src" / "repro"
+    network = package / "net" / "network.py"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == network:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "inbox"
+                or (node.attr == "recv" and getattr(node.value, "attr", "") == "nic")
+            ):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not offenders, "a NIC's inbox is read outside net/network.py: " + ", ".join(
+        offenders
     )
 
 
