@@ -10,7 +10,12 @@ multicast address: ``grp.<group>.*`` kinds are a FLIP group address,
 listens on. A NIC that does not listen costs the sender, the wire and
 the simulator nothing — no delivery event, no link meter, no policy
 draw. A raw :class:`Nic` nobody has put a demultiplexer on is
-promiscuous and takes every multicast.
+promiscuous and takes every multicast. The receivers of a multicast
+are read, in attach order, from an index of the listening addresses
+per kind; anything that changes what a NIC listens for (attaching one,
+assigning :attr:`Nic.interest`, a :class:`~repro.rpc.transport.Transport`
+registering, withdrawing or clearing a handler) drops that index, and
+the next multicast of each kind rebuilds its entry.
 
 A frame that arrives is handed to the receiving NIC's one *sink*
 inside the delivery event itself — on a machine that is
@@ -36,6 +41,11 @@ the chaos layer (:mod:`repro.chaos`) drives it.
 
 Reachability is evaluated at *delivery* time, so a partition that
 forms while a frame is in flight drops the frame.
+
+Every frame goes through :meth:`Network.transmit` and every receiver
+of it through :meth:`Network._deliver`, so both are written for the
+host: :class:`Packet` is a slotted class, the counters are bumped in
+place, and a delivery checks reachability inline.
 """
 
 from __future__ import annotations
@@ -58,16 +68,29 @@ Address = Hashable
 BROADCAST = "<broadcast>"
 
 
-@dataclass(frozen=True)
 class Packet:
-    """One frame as seen by a receiving NIC."""
+    """One frame as seen by a receiving NIC (read-only by convention)."""
 
-    src: Address
-    dst: Address  # the NIC it was delivered to (not BROADCAST)
-    kind: str  # protocol discriminator, e.g. "rpc.request", "grp.bc"
-    payload: Any
-    size: int  # bytes, for wire-time accounting
-    multicast: bool = False
+    __slots__ = ("src", "dst", "kind", "payload", "size", "multicast")
+
+    def __init__(
+        self,
+        src: Address,
+        dst: Address,
+        kind: str,
+        payload: Any,
+        size: int,
+        multicast: bool = False,
+    ):
+        self.src = src
+        self.dst = dst  # the NIC it was delivered to (not BROADCAST)
+        self.kind = kind  # protocol discriminator, e.g. "rpc.request", "grp.bc"
+        self.payload = payload
+        self.size = size  # bytes, for wire-time accounting
+        self.multicast = multicast
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Packet {self.kind} {self.src!r}->{self.dst!r} {self.payload!r}>"
 
 
 @dataclass
@@ -151,6 +174,10 @@ class Network:
         # link cannot re-time a frame on another.
         self._link_rngs: dict[tuple, Random] = {}
         self._nics: dict[Address, "Nic"] = {}
+        # Per multicast kind: the addresses listening for it, in attach
+        # order (the sender included; transmit skips it). Built on first
+        # use, dropped whole by interest_changed().
+        self._listeners: dict[str, list[Address]] = {}
         # Per (src, dst) pair: last scheduled arrival time. A single
         # Ethernet segment serializes frames, so delivery between a
         # given pair is FIFO even with per-packet jitter.
@@ -169,6 +196,7 @@ class Network:
             raise NetworkError(f"address {address!r} already attached")
         nic = Nic(self, address)
         self._nics[address] = nic
+        self.interest_changed()
         return nic
 
     def nic(self, address: Address) -> "Nic":
@@ -181,6 +209,10 @@ class Network:
     def addresses(self) -> list[Address]:
         """All attached addresses, in attach order."""
         return list(self._nics)
+
+    def interest_changed(self) -> None:
+        """Drop the multicast listener index: some NIC's filter changed."""
+        self._listeners = {}
 
     def reachable(self, src: Address, dst: Address) -> bool:
         """Whether a frame from *src* would currently reach *dst*."""
@@ -231,12 +263,18 @@ class Network:
         size: int,
     ) -> None:
         """Put one frame on the wire (unicast, or BROADCAST)."""
-        src_nic = self.nic(src)
+        src_nic = self._nics.get(src)
+        if src_nic is None:
+            raise NetworkError(f"no NIC at address {src!r}")
         if not src_nic.up:
             raise NetworkError(f"NIC {src!r} is down")
-        self.stats.record(kind, size)
-        self._c_frames.inc()
-        self._c_bytes.inc(size)
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += size
+        by_kind = stats.frames_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        self._c_frames.value += 1
+        self._c_bytes.value += size
         tracer = self._obs.tracer
         if tracer.enabled:
             tracer.emit(
@@ -249,9 +287,9 @@ class Network:
                 f"net.link({src}->{dst})"
             )
         loss = self.loss_probability
-        if loss > 0.0 and rng.uniform(0.0, 1.0) < loss:
-            self.stats.frames_dropped += 1
-            self._c_dropped.inc()
+        if loss > 0.0 and rng.random() < loss:
+            stats.frames_dropped += 1
+            self._c_dropped.value += 1
             if tracer.enabled:
                 tracer.emit(
                     str(src), "net", "net.drop",
@@ -260,50 +298,54 @@ class Network:
             return
         wire = self._wire
         wire_ms = wire.transmit_time(size)
-        self._c_wire.inc(wire_ms)
+        self._c_wire.value += wire_ms
         delay = wire_ms
         if wire.jitter_ms > 0.0:
-            delay += rng.uniform(0.0, wire.jitter_ms)
+            # The same bits as rng.uniform(0.0, jitter_ms).
+            delay += wire.jitter_ms * rng.random()
+        sim = self.sim
+        now = sim.now
         horizon = self._multicast_horizon.get(src, 0.0)
-        if dst == BROADCAST:
-            receivers: Iterable[Address] = [
-                address
-                for address, nic in self._nics.items()
-                if nic is not src_nic and nic.listens(kind)
-            ]
-            multicast = True
-            self._multicast_horizon[src] = max(horizon, self.sim.now + delay)
+        multicast = dst == BROADCAST
+        if multicast:
+            receivers = self._listeners.get(kind)
+            if receivers is None:
+                receivers = self._listeners[kind] = [
+                    address
+                    for address, nic in self._nics.items()
+                    if nic.listens(kind)
+                ]
+            self._multicast_horizon[src] = max(horizon, now + delay)
         else:
-            receivers = [dst]
-            multicast = False
+            receivers = (dst,)
+        policies = self.link_policies
         for receiver in receivers:
-            if self.link_policies:
+            if multicast and receiver == src:
+                continue  # the sender never hears itself
+            decision = None
+            if policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
-            else:
-                decision = None
-            if decision is not None and decision.drop:
-                self.stats.frames_dropped += 1
-                self._c_dropped.inc()
-                self._c_policy_drops.inc()
-                name = decision.dropped_by or "?"
-                self.stats.policy_drops[name] = (
-                    self.stats.policy_drops.get(name, 0) + 1
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        str(src), "net", "net.drop",
-                        dst=str(receiver), kind=kind, reason=name,
-                    )
-                continue
-            arrival = self.sim.now + delay
+                if decision.drop:
+                    stats.frames_dropped += 1
+                    self._c_dropped.inc()
+                    self._c_policy_drops.inc()
+                    name = decision.dropped_by or "?"
+                    stats.policy_drops[name] = stats.policy_drops.get(name, 0) + 1
+                    if tracer.enabled:
+                        tracer.emit(
+                            str(src), "net", "net.drop",
+                            dst=str(receiver), kind=kind, reason=name,
+                        )
+                    continue
+            arrival = now + delay
             copies = 1
             if decision is not None:
                 if decision.extra_delay_ms > 0.0:
                     arrival += decision.extra_delay_ms
-                    self.stats.frames_delayed += 1
+                    stats.frames_delayed += 1
                     self._c_delayed.inc()
                 copies += decision.duplicates
-                self.stats.frames_duplicated += decision.duplicates
+                stats.frames_duplicated += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
             pair = (src, receiver)
@@ -315,15 +357,15 @@ class Network:
                     self._registry.counter(link_node, "net.busy_ms"),
                 )
                 self._link_meters[pair] = link
-            link[0].inc(size)
-            link[1].inc(wire_ms)
+            link[0].value += size
+            link[1].value += wire_ms
             previous = max(self._last_arrival.get(pair, 0.0), horizon)
             if decision is not None and decision.allow_reorder:
                 # Exempt from per-pair FIFO: this delivery may be
                 # overtaken by later frames (bounded by the policy's
                 # delay ceiling). Do not advance the FIFO horizon.
                 if arrival < previous:
-                    self.stats.frames_reordered += 1
+                    stats.frames_reordered += 1
                     self._c_reordered.inc()
             else:
                 if arrival < previous:
@@ -336,27 +378,39 @@ class Network:
                 Packet(src, receiver, kind, payload, size, multicast),
             )
             for _ in range(copies):
-                self.sim._post_in(arrival - self.sim.now, deliver)
+                sim._post_in(arrival - now, deliver)
 
     def _deliver(self, packet: Packet) -> None:
+        src = packet.src
+        dst = packet.dst
+        nics = self._nics
+        nic = nics.get(dst)  # None: a unicast to an address never attached
+        # reachable(), inline: both NICs up and, unless the segment is
+        # whole, in the same partition component.
+        components = self.partitions._component
         tracer = self._obs.tracer
-        if not self.reachable(packet.src, packet.dst):
+        if not (
+            nic is not None
+            and nic.up
+            and nics[src].up
+            and (not components or components.get(src, 0) == components.get(dst, 0))
+        ):
             self.stats.frames_dropped += 1
-            self._c_dropped.inc()
+            self._c_dropped.value += 1
             if tracer.enabled:
                 tracer.emit(
-                    str(packet.src), "net", "net.drop",
-                    dst=str(packet.dst), kind=packet.kind,
+                    str(src), "net", "net.drop",
+                    dst=str(dst), kind=packet.kind,
                     reason="unreachable",
                 )
             self._maybe_refuse(packet)
             return
         if tracer.enabled:
             tracer.emit(
-                str(packet.dst), "net", "net.deliver",
-                src=str(packet.src), kind=packet.kind,
+                str(dst), "net", "net.deliver",
+                src=str(src), kind=packet.kind,
             )
-        self._nics[packet.dst].sink(packet)
+        nic.sink(packet)
 
     def _maybe_refuse(self, packet: Packet) -> None:
         """Connection refused: an RPC request — or an enquiry about
@@ -417,13 +471,24 @@ class Nic:
     def __init__(self, network: Network, address: Address):
         self.network = network
         self.address = address
-        #: The frame kinds this NIC takes off the wire when they are
-        #: multicast — its multicast address filter. ``None`` (a raw
-        #: NIC) is promiscuous. A demultiplexer installs its *live*
-        #: handler table here, so registering a handler is what joins
-        #: the multicast address.
-        self.interest: Container[str] | None = None
+        self._interest: Container[str] | None = None
         self.restart()
+
+    @property
+    def interest(self) -> Container[str] | None:
+        """The frame kinds this NIC takes off the wire when they are
+        multicast — its multicast address filter. ``None`` (a raw NIC)
+        is promiscuous. A demultiplexer installs its *live* handler
+        table here, so registering a handler is what joins the
+        multicast address; whoever changes that table in place tells
+        the network (:meth:`Network.interest_changed`), assigning a
+        new filter here does it itself."""
+        return self._interest
+
+    @interest.setter
+    def interest(self, kinds: Container[str] | None) -> None:
+        self._interest = kinds
+        self.network.interest_changed()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -453,7 +518,7 @@ class Nic:
 
     def listens(self, kind: str) -> bool:
         """Whether a multicast frame of *kind* is taken by this NIC."""
-        return self.interest is None or kind in self.interest
+        return self._interest is None or kind in self._interest
 
     def recv(self):
         """Future resolving with the next delivered :class:`Packet`."""

@@ -11,7 +11,8 @@ runs it between two ``perf_counter_ns`` reads and attributes the time:
 * **event kind** — ``process.step`` (a generator resumed, by a posted
   wakeup or by the sleep timer it was waiting on), ``deliver`` (a frame
   arriving and its handler, which runs inside the delivery event),
-  ``future.settle`` (a sleep with other waiters resolving), or
+  ``future.settle`` (a sleep with other waiters resolving, or a
+  ``sim.timeout`` deadline expiring — site ``Deadline._settle``), or
   ``callback`` (plain scheduled fn);
 * **component** — the ``repro`` subpackage owning the code that ran
   (``net`` / ``group`` / ``storage`` / ``directory`` / ``workloads`` /
@@ -209,7 +210,7 @@ class HostProfiler:
             if code is not None:
                 return self._sites.get(code) or self._make_site(code, "process.step")
             if hasattr(self_obj, "_callbacks"):
-                kind = "future.settle"  # a sleep others wait on too
+                kind = "future.settle"  # a shared sleep, an expiring deadline
         func = getattr(fn, "func", None)
         if func is None:
             func = fn

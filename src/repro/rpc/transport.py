@@ -18,7 +18,9 @@ The handler table is also the NIC's multicast address filter
 (:attr:`repro.net.network.Nic.interest`): a multicast frame reaches
 this machine only if some handler is registered for its kind, so
 ``dropped_unroutable`` counts unicast frames (and multicasts whose
-handler was withdrawn while they were in flight).
+handler was withdrawn while they were in flight). The table is changed
+in place, so every change tells the network to drop its multicast
+listener index.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ class Transport:
         This also makes the NIC take multicast frames of *kind* — for a
         ``grp.<group>.*`` kind, joining the group's FLIP address."""
         self._handlers[kind] = handler
+        self.nic.network.interest_changed()
 
     def unregister(self, kind: str) -> None:
         """Stop routing packets of *kind* (and taking its multicasts)."""
         self._handlers.pop(kind, None)
+        self.nic.network.interest_changed()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -76,6 +80,7 @@ class Transport:
         """Bring the stack back up after a crash. Handlers must be
         re-registered by the restarted services."""
         self._handlers.clear()
+        self.nic.network.interest_changed()
         kernel = getattr(self, "_rpc_kernel", None)
         if kernel is not None:
             kernel.attached = False  # force a fresh RPC kernel after reboot

@@ -4,6 +4,13 @@ A :class:`Future` is resolved exactly once, either with a value
 (:meth:`Future.resolve`) or with an exception (:meth:`Future.fail`).
 Processes suspend on futures by yielding them; the scheduler resumes
 the process with the value (or raises the exception inside it).
+
+Settling is on the path of nearly every simulated event, so the
+settle methods here, :class:`~repro.sim.process.Process` and
+:class:`~repro.sim.scheduler.Deadline` read the ``_value`` and
+``_exception`` slots directly; the :attr:`Future.resolved`,
+:attr:`Future.value` and :attr:`Future.exception` properties are the
+API for everyone else.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from typing import Any, Callable, Iterable
 from repro.errors import Interrupted, SimulationError
 
 _PENDING = object()
+_SETTLED: tuple = ()
 
 
 class Future:
@@ -57,28 +65,34 @@ class Future:
 
     def resolve(self, value: Any = None) -> None:
         """Settle the future successfully with *value*."""
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._value = value
-        self._run_callbacks()
+        # A settled future takes no more callbacks (add_callback runs
+        # them at once), so the list is swapped for a shared empty one.
+        callbacks, self._callbacks = self._callbacks, _SETTLED
+        for fn in callbacks:
+            fn(self)
 
     def fail(self, exc: BaseException) -> None:
         """Settle the future with an exception."""
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._exception = exc
-        self._run_callbacks()
+        callbacks, self._callbacks = self._callbacks, _SETTLED
+        for fn in callbacks:
+            fn(self)
 
     def resolve_if_pending(self, value: Any = None) -> bool:
         """Resolve unless already settled; returns True if it resolved."""
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             return False
         self.resolve(value)
         return True
 
     def fail_if_pending(self, exc: BaseException) -> bool:
         """Fail unless already settled; returns True if it failed."""
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             return False
         self.fail(exc)
         return True
@@ -91,15 +105,10 @@ class Future:
 
     def add_callback(self, fn: Callable[[Future], None]) -> None:
         """Run ``fn(self)`` when the future settles (now, if already settled)."""
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _run_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._exception is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import Interrupted, SimulationError
-from repro.sim.future import Future
+from repro.sim.future import _PENDING, Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.scheduler import Simulator
@@ -31,7 +31,9 @@ class Process(Future):
     directly.
     """
 
-    __slots__ = ("sim", "_gen", "_waiting_on", "_pending_value", "_pending_exc")
+    __slots__ = (
+        "sim", "_gen", "_waiting_on", "_pending_value", "_pending_exc", "_settled",
+    )
 
     def __init__(self, sim: "Simulator", gen: Generator[Future, Any, Any], name: str):
         super().__init__(name)
@@ -45,6 +47,8 @@ class Process(Future):
         self._waiting_on: Future | None = None
         self._pending_value: Any = None
         self._pending_exc: BaseException | None = None
+        # Every yield hands the awaited future this one bound method.
+        self._settled = self._on_future_settled
 
     # -- lifecycle -------------------------------------------------------
 
@@ -52,7 +56,7 @@ class Process(Future):
         self._step(None, None)
 
     def _step(self, value: Any, exc: BaseException | None) -> None:
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             return
         self._waiting_on = None
         try:
@@ -78,20 +82,25 @@ class Process(Future):
             )
             return
         self._waiting_on = target
-        target.add_callback(self._on_future_settled)
+        target.add_callback(self._settled)
 
     def _on_future_settled(self, fut: Future) -> None:
-        if self.resolved or self._waiting_on is not fut:
+        if (
+            self._waiting_on is not fut
+            or self._value is not _PENDING
+            or self._exception is not None
+        ):
             return
         # Resume on a fresh event so callback chains cannot reorder the
         # process ahead of same-instant events scheduled earlier. The
         # wakeup payload is stashed on the process itself so the heap
         # entry is a plain bound method, not a fresh closure per step.
-        if fut.exception is not None:
+        exc = fut._exception
+        if exc is not None:
             self._pending_value = None
-            self._pending_exc = fut.exception
+            self._pending_exc = exc
         else:
-            self._pending_value = fut.value
+            self._pending_value = fut._value
             self._pending_exc = None
         self.sim._post(self._step_pending)
 

@@ -25,8 +25,9 @@ import heapq
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
+from repro.errors import TimeoutError as SimTimeout
 from repro.obs.trace import Observability
-from repro.sim.future import Future
+from repro.sim.future import _PENDING, Future
 from repro.sim.process import Process, Sleep
 from repro.sim.randomness import RngStreams
 
@@ -52,6 +53,31 @@ class Timer:
         if not self.cancelled:
             self.cancelled = True
             self._sim._note_cancelled()
+
+
+class Deadline(Future):
+    """The future :meth:`Simulator.timeout` returns.
+
+    It settles like the future it guards if that settles first, and
+    fails with :class:`repro.errors.TimeoutError` if its timer fires
+    first. One bound method, :meth:`_settle`, is both the timer's
+    callback (no argument) and the guarded future's (the future).
+    """
+
+    __slots__ = ("_timer", "_reason")
+
+    def _settle(self, inner: Future | None = None) -> None:
+        if inner is None:  # the timer fired
+            if self._value is _PENDING and self._exception is None:
+                self.fail(SimTimeout(self._reason))
+            return
+        self._timer.cancel()
+        if self._value is not _PENDING or self._exception is not None:
+            return
+        if inner._exception is not None:
+            self.fail(inner._exception)
+        else:
+            self.resolve(inner._value)
 
 
 class Simulator:
@@ -137,26 +163,16 @@ class Simulator:
     def timeout(self, fut: Future, delay: float, reason: str = "timeout") -> Future:
         """Wrap *fut* with a deadline.
 
-        The returned future resolves with ``fut``'s value if it settles
-        within *delay* ms, otherwise fails with
+        The returned :class:`Deadline` resolves with ``fut``'s value if
+        it settles within *delay* ms, otherwise fails with
         :class:`repro.errors.TimeoutError`.
         """
-        from repro.errors import TimeoutError as SimTimeout
-
-        wrapped = Future("timeout")
-        timer = self.schedule(
-            delay, lambda: wrapped.fail_if_pending(SimTimeout(reason))
-        )
-
-        def on_done(inner: Future) -> None:
-            timer.cancel()
-            if inner.exception is not None:
-                wrapped.fail_if_pending(inner.exception)
-            else:
-                wrapped.resolve_if_pending(inner.value)
-
-        fut.add_callback(on_done)
-        return wrapped
+        deadline = Deadline("timeout")
+        deadline._reason = reason
+        settle = deadline._settle
+        deadline._timer = self.schedule(delay, settle)
+        fut.add_callback(settle)
+        return deadline
 
     # -- processes -------------------------------------------------------
 

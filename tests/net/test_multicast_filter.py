@@ -7,9 +7,11 @@ listens on). Events are counted with ``sim._sequence`` — the number of
 callbacks ever scheduled — so "got no event" means exactly that.
 """
 
+import random
+
 from repro.cluster import GroupServiceCluster
 from repro.net import Drop, LinkFilter, Network
-from repro.rpc import RpcClient, RpcServer
+from repro.rpc import RpcClient, RpcServer, Transport
 from repro.rpc.kernel import KIND_LOCATE, rpc_kernel
 from repro.sim import LatencyModel, Simulator
 from repro.workloads.generators import append_delete_once
@@ -252,6 +254,77 @@ class TestWireAccounting:
         nodes = set(bed.sim.obs.registry.snapshot())
         assert "link(src->member)" in nodes
         assert "link(src->bystander)" not in nodes
+
+
+class TestListenerIndex:
+    """The receivers of a multicast come from a per-kind index of
+    listening addresses; no change to what a NIC listens for may leave
+    it stale."""
+
+    KINDS = (KIND, "grp.other.hb", "rpc.locate", "cache.inval")
+
+    def test_index_matches_a_scan_after_every_change(self):
+        rng = random.Random(25)
+        sim = Simulator(seed=4)
+        net = Network(sim, LatencyModel.paper_testbed())
+        transports = []
+
+        def noop(packet):
+            pass
+
+        def attach_raw():
+            net.attach(f"raw{len(net.addresses())}")
+
+        def attach_transport():
+            transports.append(Transport(sim, net.attach(f"m{len(net.addresses())}")))
+
+        def register():
+            rng.choice(transports).register(rng.choice(self.KINDS), noop)
+
+        def unregister():
+            rng.choice(transports).unregister(rng.choice(self.KINDS))
+
+        def restart():
+            rng.choice(transports).restart()
+
+        def shutdown():
+            net.nic(rng.choice(net.addresses())).shutdown()
+
+        def assign_interest():
+            nic = net.nic(rng.choice(net.addresses()))
+            nic.interest = rng.choice(
+                [None, (), set(rng.sample(self.KINDS, 2)), [self.KINDS[0]]]
+            )
+
+        steps = [attach_raw, attach_transport, register, register, register,
+                 unregister, restart, shutdown, assign_interest]
+        attach_raw()
+        attach_transport()
+        for step in range(400):
+            action = rng.choice(steps)
+            action()
+            senders = [a for a in net.addresses() if net.nic(a).up]
+            if not senders:
+                net.nic(net.addresses()[0]).restart()
+                continue
+            src = rng.choice(senders)
+            for kind in self.KINDS:
+                scan = [
+                    address
+                    for address, nic in net._nics.items()
+                    if address != src
+                    and (nic.interest is None or kind in nic.interest)
+                ]
+                first = sim._sequence
+                net.nic(src).broadcast(kind, step)
+                got = sorted(
+                    (seq, fn.args[0].dst)
+                    for _, seq, _, fn in sim._heap
+                    if seq >= first
+                )
+                assert [dst for _, dst in got] == scan, (step, action.__name__, kind)
+                sim.run()
+        assert len(transports) > 10 and len(net.addresses()) > 30
 
 
 class TestEventBudget:

@@ -9,7 +9,9 @@ The two contracts that matter:
 """
 
 from repro.bench.simbench import SCALES, SCENARIOS, run_perf_scenario
+from repro.errors import TimeoutError as SimTimeout
 from repro.obs import hostprof
+from repro.sim.future import Future
 from repro.sim.scheduler import Simulator
 
 
@@ -89,6 +91,31 @@ class TestAttribution:
         # 2 initial steps + 2 posted wakeups; the timer itself settled.
         assert kinds["process.step"]["count"] == 4
         assert kinds["future.settle"]["count"] == 1
+
+    def test_an_expired_deadline_is_booked_to_sim_by_its_method(self):
+        prof = hostprof.HostProfiler()
+        sim = Simulator(seed=7)
+        prof.attach(sim)
+        outcome = []
+
+        def waiter():
+            try:
+                yield sim.timeout(Future("never"), 5.0)
+            except SimTimeout as error:
+                outcome.append((sim.now, error))
+
+        sim.spawn(waiter())
+        sim.run()
+        assert [when for when, _ in outcome] == [5.0]
+        report = prof.stop().report()
+        sites = {s["site"]: s for s in report["sites"]}
+        expired = sites["Deadline._settle"]
+        assert (expired["component"], expired["kind"], expired["count"]) == (
+            "sim", "future.settle", 1
+        )
+        assert not any("<lambda>" in name for name in sites)
+        # The initial step and the wakeup the expiry posted.
+        assert report["events"]["by_kind"]["process.step"]["count"] == 2
 
     def test_a_delivery_is_booked_to_the_package_of_its_handler(self):
         run = run_perf_scenario("mixed", "small", seed=1)

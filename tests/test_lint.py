@@ -80,6 +80,8 @@ DEPRECATED_NAMES = (
     "_pump",
     "PartitionControllerProxy",
     "ENQUIRY_SHARE",
+    # Settling runs a future's callbacks inline (repro/sim/future.py).
+    "_run_callbacks",
 )
 
 
@@ -248,6 +250,40 @@ def test_a_frame_reaches_its_handler_without_a_queue():
     assert not offenders, "a NIC's inbox is read outside net/network.py: " + ", ".join(
         offenders
     )
+
+
+def test_what_is_built_per_frame_or_per_settle_is_slotted():
+    """A frame builds a Packet, a timeout a Timer and a Deadline, every
+    wait a Future: at tens of thousands per simulated second, a
+    per-instance ``__dict__`` (or a frozen dataclass's guarded
+    ``__setattr__``) was a measurable share of host time per op."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.sim
+    from repro.net.network import Packet
+    from repro.sim.future import Future
+    from repro.sim.scheduler import Timer
+
+    futures = set()
+    for info in pkgutil.iter_modules(repro.sim.__path__):
+        module = importlib.import_module(f"repro.sim.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, Future):
+                futures.add(cls)
+    unslotted = sorted(
+        cls.__qualname__
+        for cls in futures | {Packet, Timer}
+        if "__slots__" not in vars(cls)
+    )
+    assert not unslotted, "per-frame/per-settle classes without __slots__: " + (
+        ", ".join(unslotted)
+    )
+    # The walk still finds the futures the scheduler builds.
+    assert {"Future", "Process", "Sleep", "Deadline"} <= {
+        cls.__name__ for cls in futures
+    }
 
 
 #: GroupMember's blocking primitives: what a replicated server is built on.
