@@ -38,7 +38,6 @@ from repro.errors import (
     RpcError,
     ServiceDown,
 )
-from repro.group.kernel import STATE_IDLE, STATE_MEMBER
 
 # Timeouts of the Fig. 6 recovery protocol (simulated ms).
 #: Poll interval while waiting for a majority to assemble.
@@ -100,8 +99,8 @@ def run_recovery(server):
         # -- Phase 1: rejoin the server group, or create it ------------
         trace_phase("join")
         member = server.member
-        if member.kernel.state != STATE_MEMBER:
-            member.kernel.state = STATE_IDLE
+        if not member.is_member:
+            member.kernel.go_idle()
             # A join (unlike a reset) truncates kernel history to the
             # sequencer's floor and re-bases our delivery horizon; if
             # we carried applied state in, its continuity with what the
@@ -255,7 +254,7 @@ def run_recovery(server):
                 # horizon is in our numbering: fast-forward past the
                 # history its snapshot already covers.
                 applied_kernel = max(applied_kernel, reply["applied_kernel"])
-                member.kernel.taken = max(member.kernel.taken, applied_kernel)
+                member.kernel.skip_delivered(applied_kernel)
             # A recovering donor's horizon may refer to an earlier
             # instance; leave our delivery base alone and let
             # redelivery (session-deduplicated) close the overlap.
@@ -274,8 +273,8 @@ def run_recovery(server):
 
 def _leave_quietly(server):
     """Abandon the current (minority) group and go idle."""
-    kernel = server.member.kernel
-    if kernel.state == STATE_MEMBER:
-        kernel.announce_leave()
+    member = server.member
+    if member.is_member:
+        member.kernel.announce_leave()
         yield server.sim.sleep(10.0)
-    kernel.state = STATE_IDLE
+    member.kernel.go_idle()

@@ -48,9 +48,14 @@ STATE_MEMBER = "member"
 STATE_FAILED = "failed"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BcRecord:
-    """One sequenced message as stored in the history buffer."""
+    """One sequenced message as stored in the history buffer.
+
+    The sequencer builds it once; ``grp.bc`` frames, view tails and
+    reset votes carry that object, so every member's history holds
+    the same one.
+    """
 
     seqno: int
     msg_id: tuple
@@ -86,12 +91,7 @@ class PendingSend:
 class GroupKernel:
     """Protocol state machine for one group on one machine."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        group: str,
-        timings: GroupTimings | None = None,
-    ):
+    def __init__(self, transport: Transport, group: str, timings: GroupTimings | None = None):
         self.transport = transport
         self.sim = transport.sim
         self.group = group
@@ -115,9 +115,7 @@ class GroupKernel:
         # Elastic-membership operations (runtime adds/evicts/retunes).
         self._c_joins_admitted = registry.counter(node, "membership.joins_admitted")
         self._c_evictions = registry.counter(node, "membership.evictions")
-        self._c_resilience_changes = registry.counter(
-            node, "membership.resilience_changes"
-        )
+        self._c_resilience_changes = registry.counter(node, "membership.resilience_changes")
         #: Sequenced-but-undelivered depth (received - taken): how far
         #: the application lags the stream this member holds. The
         #: health monitor watches this for sequencer/apply backlog.
@@ -201,7 +199,7 @@ class GroupKernel:
             ("commit", self._on_commit),
             ("retrans", self._on_retrans),
             ("hb", self._on_hb),
-            ("echo", self._on_echo),
+            ("echo", self._on_ack),  # an ack sent in answer to a heartbeat
             ("fail", self._on_fail),
             ("join_req", self._on_join_req),
             ("view", self._on_view),
@@ -232,6 +230,15 @@ class GroupKernel:
 
     def _stamp(self) -> dict:
         return {"instance": self.instance, "inc": self.incarnation}
+
+    def _send_record(self, record: BcRecord, dst=None) -> None:
+        """One ``grp.bc`` frame: the record itself, the stamp and the
+        commit horizon; multicast unless *dst* names one member."""
+        frame = {**self._stamp(), "record": record, "committed": self.committed}
+        if dst is None:
+            self._broadcast("bc", frame, record.size + HEADER_SIZE)
+        else:
+            self._send(dst, "bc", frame, record.size + HEADER_SIZE)
 
     def _update_backlog(self) -> None:
         """Refresh the ``group.backlog`` gauge after received/taken moved."""
@@ -307,18 +314,8 @@ class GroupKernel:
         self.view = [self.me]
         self.sequencer = self.me
         self.resilience = resilience
-        self.state = STATE_MEMBER
-        self.failure_reason = ""
-        self.history.clear()
-        self.sequenced_ids.clear()
-        self.received = self.committed = self.taken = -1
-        self._seq_pipe.clear()
-        self._update_backlog()
-        self.next_assign = 0
-        self.ack_progress = {}
-        self.last_echo = {}
-        self._promise = (self.incarnation, "")
-        self._log_view("create")
+        self._rebase(-1)
+        self._enter_view("create")
         self._start_ticker()
         self.wakeup.notify_all()
 
@@ -329,6 +326,15 @@ class GroupKernel:
         self._join_waiter = fut
         self._broadcast("join_req", {"joiner": self.me})
         return fut
+
+    def stop_join(self) -> None:
+        """Give up joining: a view naming us from now on is not adopted."""
+        self._join_waiter = None
+
+    def go_idle(self) -> None:
+        """Drop out without telling anyone: a graceful leave completed,
+        or recovery abandons this group to join or create afresh."""
+        self.state = STATE_IDLE
 
     def announce_leave(self) -> None:
         """Tell the sequencer we are leaving (graceful)."""
@@ -345,12 +351,11 @@ class GroupKernel:
         Excludes a dead or flapping *member* from the view without
         failing the whole group: the remaining members adopt the
         shrunk view, and a live evictee that still sees the
-        announcement self-fails ("excluded from view"). Returns True
-        when the view change was announced.
+        announcement, which names it as the member that left, goes
+        idle. Returns True when the view change was announced.
         """
-        if self.state != STATE_MEMBER or self.me != self.sequencer:
-            return False
-        if member == self.me or member not in self.view:
+        if (self.state != STATE_MEMBER or self.me != self.sequencer
+                or member == self.me or member not in self.view):
             return False
         self._c_evictions.inc()
         if self._obs.tracer.enabled:
@@ -421,9 +426,7 @@ class GroupKernel:
                 str(self.me), "group", "grp.submit",
                 lineage=msg_id, size=size,
             )
-        pending = PendingSend(
-            msg_id, payload, size, fut, self.timings.send_retries
-        )
+        pending = PendingSend(msg_id, payload, size, fut, self.timings.send_retries)
         self.pending_sends[msg_id] = pending
         self._transmit_request(pending)
         self._arm_send_watchdog(pending)
@@ -433,27 +436,15 @@ class GroupKernel:
         if self.me == self.sequencer:
             self._sequence(pending.msg_id, self.me, pending.payload, pending.size)
         else:
-            self._send(
-                self.sequencer,
-                "req",
-                {
-                    **self._stamp(),
-                    "msg_id": pending.msg_id,
-                    "sender": self.me,
-                    "payload": pending.payload,
-                    "size": pending.size,
-                },
-                pending.size + HEADER_SIZE,
-            )
+            request = {**self._stamp(), "msg_id": pending.msg_id, "sender": self.me,
+                       "payload": pending.payload, "size": pending.size}
+            self._send(self.sequencer, "req", request, pending.size + HEADER_SIZE)
 
     def _arm_send_watchdog(self, pending: PendingSend) -> None:
         def check():
             if pending.future.resolved or self._dead:
                 return
-            if self.state == STATE_FAILED:
-                self._fail_pending(pending)
-                return
-            if pending.retries_left <= 0:
+            if self.state == STATE_FAILED or pending.retries_left <= 0:
                 self._fail_pending(pending)
                 return
             pending.retries_left -= 1
@@ -478,8 +469,7 @@ class GroupKernel:
         existing = self.sequenced_ids.get(msg_id)
         if existing is not None:
             # Duplicate request (sender retried): re-announce the record.
-            record = self.history[existing]
-            self._broadcast_record(record)
+            self._send_record(self.history[existing])
             return
         seqno = self.next_assign
         self.next_assign += 1
@@ -502,26 +492,11 @@ class GroupKernel:
             # With r = 0 (or a single-member view) the commit horizon
             # rides on the multicast itself: no separate commit packet.
             self.committed = self.received
-            self._broadcast_record(record)
+            self._send_record(record)
             self._after_commit_advance()
         else:
-            self._broadcast_record(record)
+            self._send_record(record)
             self._advance_commit()
-
-    def _broadcast_record(self, record: BcRecord) -> None:
-        self._broadcast(
-            "bc",
-            {
-                **self._stamp(),
-                "seqno": record.seqno,
-                "msg_id": record.msg_id,
-                "sender": record.sender,
-                "payload": record.payload,
-                "size": record.size,
-                "committed": self.committed,
-            },
-            record.size + HEADER_SIZE,
-        )
 
     def _required_acks(self) -> int:
         """How many *other* members must hold a message before commit."""
@@ -571,6 +546,49 @@ class GroupKernel:
         self.wakeup.notify_all()
 
     # ------------------------------------------------------------------
+    # the message stream: hold, forget, deliver
+    # ------------------------------------------------------------------
+
+    def _hold(self, record: BcRecord) -> bool:
+        """Keep *record* unless its seqno is held already; True if kept."""
+        if record.seqno in self.history:
+            return False
+        self.history[record.seqno] = record
+        self.sequenced_ids[record.msg_id] = record.seqno
+        return True
+
+    def _held_after(self, base: int) -> list[BcRecord]:
+        """The records held above *base*, up to the contiguous horizon."""
+        history = self.history
+        return [history[s] for s in range(base + 1, self.received + 1) if s in history]
+
+    def _forget(self, seqnos: list[int]) -> None:
+        """Drop *seqnos* from the history and their ids from the dedup table."""
+        for seqno in seqnos:
+            self.sequenced_ids.pop(self.history.pop(seqno).msg_id, None)
+
+    def take(self) -> BcRecord | None:
+        """Hand the next committed record to the application, or None."""
+        if self.state != STATE_MEMBER or self.taken >= self.committed:
+            return None
+        record = self.history.get(self.taken + 1)
+        if record is not None:
+            self.taken += 1
+            self._c_delivered.inc()
+            self._update_backlog()
+            if self._obs.tracer.enabled:
+                self._obs.tracer.emit(
+                    str(self.me), "group", "grp.deliver",
+                    lineage=record.msg_id, seqno=record.seqno,
+                )
+        return record
+
+    def skip_delivered(self, seqno: int) -> None:
+        """Count the stream through *seqno* as taken: the application
+        installed a state that already covers it."""
+        self.taken = max(self.taken, seqno)
+
+    # ------------------------------------------------------------------
     # packet handlers
     # ------------------------------------------------------------------
 
@@ -580,40 +598,26 @@ class GroupKernel:
             return
         if self.me != self.sequencer:
             return  # stale sender view; its watchdog will retarget
-        self._sequence(
-            payload["msg_id"], payload["sender"], payload["payload"], payload["size"]
-        )
+        self._sequence(payload["msg_id"], payload["sender"], payload["payload"], payload["size"])
 
     def _on_bc(self, packet) -> None:
         payload = packet.payload
         if not self._current(payload) or self.state != STATE_MEMBER:
             return
-        seqno = payload["seqno"]
-        if seqno not in self.history:
-            self.history[seqno] = BcRecord(
-                seqno,
-                payload["msg_id"],
-                payload["sender"],
-                payload["payload"],
-                payload["size"],
-            )
-            self.sequenced_ids[payload["msg_id"]] = seqno
+        record = payload["record"]
+        if self._hold(record):
             self._c_bc_rx.inc()
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
                     str(self.me), "group", "grp.bc.rx",
-                    lineage=payload["msg_id"], seqno=seqno,
+                    lineage=record.msg_id, seqno=record.seqno,
                 )
         self._advance_received()
-        if seqno > self.received:
+        if record.seqno > self.received:
             self._maybe_request_retrans()
         if self.resilience > 0 and self.me != self.sequencer:
-            self._send(
-                self.sequencer,
-                "ack",
-                {**self._stamp(), "member": self.me, "acked": self.received},
-            )
-        self._note_commit(payload.get("committed", -1))
+            self._ack("ack")
+        self._note_commit(payload["committed"])
 
     def _advance_received(self) -> None:
         while (self.received + 1) in self.history:
@@ -660,6 +664,12 @@ class GroupKernel:
                 self._maybe_request_retrans()
             self._after_commit_advance()
 
+    def _ack(self, suffix: str) -> None:
+        """Tell the sequencer how far we hold the stream contiguously
+        (``grp.ack`` after a multicast, ``grp.echo`` after a heartbeat)."""
+        acked = {**self._stamp(), "member": self.me, "acked": self.received}
+        self._send(self.sequencer, suffix, acked)
+
     def _on_ack(self, packet) -> None:
         payload = packet.payload
         if not self._current(payload) or self.me != self.sequencer:
@@ -692,35 +702,16 @@ class GroupKernel:
                     lineage=("life", str(self.me)),
                     missing_from=self.received + 1,
                 )
-            self._send(
-                self.sequencer,
-                "retrans",
-                {**self._stamp(), "member": self.me, "from": self.received + 1},
-            )
+            missing = {**self._stamp(), "member": self.me, "from": self.received + 1}
+            self._send(self.sequencer, "retrans", missing)
 
     def _on_retrans(self, packet) -> None:
         payload = packet.payload
         if not self._current(payload) or self.me != self.sequencer:
             return
-        start = payload["from"]
         self._c_retrans_srv.inc()
-        for seqno in range(start, self.received + 1):
-            record = self.history.get(seqno)
-            if record is not None:
-                self._send(
-                    payload["member"],
-                    "bc",
-                    {
-                        **self._stamp(),
-                        "seqno": record.seqno,
-                        "msg_id": record.msg_id,
-                        "sender": record.sender,
-                        "payload": record.payload,
-                        "size": record.size,
-                        "committed": self.committed,
-                    },
-                    record.size + HEADER_SIZE,
-                )
+        for record in self._held_after(payload["from"] - 1):
+            self._send_record(record, payload["member"])
 
     # -- heartbeats -----------------------------------------------------
 
@@ -744,12 +735,7 @@ class GroupKernel:
 
     def _sequencer_tick(self) -> None:
         self._broadcast(
-            "hb",
-            {
-                **self._stamp(),
-                "committed": self.committed,
-                "next_assign": self.next_assign,
-            },
+            "hb", {**self._stamp(), "committed": self.committed, "next_assign": self.next_assign}
         )
         # The sequencer's own heartbeat traffic is this tick; keeping
         # the stamp fresh matters if this kernel later demotes to an
@@ -796,12 +782,8 @@ class GroupKernel:
         floor = min(self.taken, self.committed - HISTORY_MARGIN)
         if self.me == self.sequencer and self.ack_progress:
             floor = min(floor, min(self.ack_progress.values()))
-        if floor <= 0:
-            return
-        stale = [s for s in self.history if s < floor]
-        for seqno in stale:
-            record = self.history.pop(seqno)
-            self.sequenced_ids.pop(record.msg_id, None)
+        if floor > 0:
+            self._forget([s for s in self.history if s < floor])
 
     def _on_hb(self, packet) -> None:
         payload = packet.payload
@@ -811,14 +793,7 @@ class GroupKernel:
         if payload["next_assign"] - 1 > self.received:
             self._maybe_request_retrans()
         self._note_commit(payload["committed"])
-        self._send(
-            self.sequencer,
-            "echo",
-            {**self._stamp(), "member": self.me, "acked": self.received},
-        )
-
-    def _on_echo(self, packet) -> None:
-        self._on_ack(packet)
+        self._ack("echo")
 
     # -- failure ----------------------------------------------------------
 
@@ -860,14 +835,14 @@ class GroupKernel:
         joiner = payload["joiner"]
         if joiner in self.view:
             # Re-announce the current view (the joiner's ack was lost).
-            self._announce_view(joiner=joiner, joiner_base=self.committed)
+            self._announce_view(joiner=joiner)
             return
         self.incarnation += 1
         self.view = sorted([*self.view, joiner], key=str)
         self.last_echo[joiner] = self.sim.now
         self.ack_progress.setdefault(joiner, self.committed)
         self._c_joins_admitted.inc()
-        self._announce_view(joiner=joiner, joiner_base=self.committed)
+        self._announce_view(joiner=joiner)
         self._log_view("join")
         self.wakeup.notify_all()
 
@@ -884,17 +859,11 @@ class GroupKernel:
                 view=new_view,
                 sequencer=new_sequencer,
                 left=member,
-                tail=[
-                    self.history[s]
-                    for s in range(tail_base + 1, self.received + 1)
-                    if s in self.history
-                ],
-                next_assign=self.next_assign,
+                tail=self._held_after(tail_base),
             )
             self.state = STATE_IDLE
             self._seq_account()
             self._log_view("handover", view=new_view, sequencer=new_sequencer)
-            self.wakeup.notify_all()
         else:
             self.view = new_view
             self.ack_progress.pop(member, None)
@@ -902,7 +871,7 @@ class GroupKernel:
             self._announce_view(left=member)
             self._log_view("leave" if graceful else "evict")
             self._advance_commit()
-            self.wakeup.notify_all()
+        self.wakeup.notify_all()
 
     def _on_leave(self, packet) -> None:
         payload = packet.payload
@@ -916,12 +885,12 @@ class GroupKernel:
         view=None,
         sequencer=None,
         joiner=None,
-        joiner_base: int = -1,
         left=None,
-        tail: list[BcRecord] | None = None,
-        next_assign: int | None = None,
+        tail=(),
         prev_instance=None,
     ) -> None:
+        """Broadcast a view. A joiner starts at the announced
+        ``committed``; a new sequencer assigns from ``next_assign``."""
         self._broadcast(
             "view",
             {
@@ -933,10 +902,9 @@ class GroupKernel:
                 "resilience": self.resilience,
                 "committed": self.committed,
                 "joiner": joiner,
-                "joiner_base": joiner_base,
                 "left": left,
-                "tail": list(tail or []),
-                "next_assign": next_assign,
+                "tail": list(tail),
+                "next_assign": self.next_assign,
             },
             size=256,
         )
@@ -958,7 +926,7 @@ class GroupKernel:
             return
         view = payload["view"]
         if self.me == payload.get("left"):
-            self.state = STATE_IDLE  # our graceful leave completed
+            self.go_idle()  # our graceful leave completed
             self.wakeup.notify_all()
             return
         if self.me not in view:
@@ -969,50 +937,30 @@ class GroupKernel:
             self._adopt_view(payload)
 
     def _adopt_view(self, payload: dict) -> None:
-        joining = payload.get("joiner") == self.me and self.state != STATE_MEMBER
+        joining = payload["joiner"] == self.me and self.state != STATE_MEMBER
         instance_changed = payload["instance"] != self.instance
         self.instance = payload["instance"]
         self.incarnation = payload["inc"]
         self.view = list(payload["view"])
         self.sequencer = payload["sequencer"]
-        self.resilience = payload.get("resilience", self.resilience)
+        self.resilience = payload["resilience"]
         if joining:
-            base = payload["joiner_base"]
-            self.history.clear()
-            self.sequenced_ids.clear()
-            self.received = self.committed = self.taken = base
+            self._rebase(payload["committed"])
         elif instance_changed:
             # A reset formed a new instance: our above-gap speculation
             # from the old one must go before the tail installs, or it
             # would shadow the new instance's records at reused seqnos.
             self._drop_speculation()
-        for record in payload.get("tail") or []:
-            if record.seqno not in self.history:
-                self.history[record.seqno] = record
-                self.sequenced_ids[record.msg_id] = record.seqno
+        for record in payload["tail"]:
+            self._hold(record)
         self._advance_received()
         if payload["committed"] > self.committed:
             self.committed = min(payload["committed"], self.received)
         if self.me == self.sequencer:
-            if payload.get("next_assign") is not None:
-                self.next_assign = payload["next_assign"]
-            self.next_assign = max(self.next_assign, self.received + 1)
-            self.ack_progress = {
-                m: self.ack_progress.get(m, self.committed)
-                for m in self.view
-                if m != self.me
-            }
-            self.last_echo = {m: self.sim.now for m in self.view if m != self.me}
+            self.next_assign = max(payload["next_assign"], self.received + 1)
         was_member = self.state == STATE_MEMBER
-        self.state = STATE_MEMBER
-        self.failure_reason = ""
-        self._note_heartbeat()
-        self._promise = (self.incarnation, "")
         self._c_views.inc()
-        # Settle pipeline accounting under the adopted role: a handover
-        # away from us flushes + clears, toward us starts busy tracking.
-        self._seq_account()
-        self._log_view("join" if joining else "adopt")
+        self._enter_view("join" if joining else "adopt")
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.view",
@@ -1025,12 +973,40 @@ class GroupKernel:
         if joining and self._join_waiter is not None:
             waiter, self._join_waiter = self._join_waiter, None
             waiter.resolve_if_pending(list(self.view))
-        # Re-submit our unfinished sends to the (possibly new) sequencer.
+        self._resubmit()
+
+    def _rebase(self, base: int) -> None:
+        """Start the message stream afresh at *base* (create and join)."""
+        self.history.clear()
+        self.sequenced_ids.clear()
+        self.received = self.committed = self.taken = base
+        self.next_assign = base + 1
+        self._seq_pipe.clear()
+        self._update_backlog()
+
+    def _enter_view(self, trigger: str) -> None:
+        """Become a member of the view just installed; every way into a
+        view (create, join, adopt, reset) ends here."""
+        if self.me == self.sequencer:
+            others = [m for m in self.view if m != self.me]
+            self.ack_progress = {m: self.ack_progress.get(m, self.committed) for m in others}
+            self.last_echo = dict.fromkeys(others, self.sim.now)
+        self.state = STATE_MEMBER
+        self.failure_reason = ""
+        self._promise = (self.incarnation, "")
+        self._note_heartbeat()
+        # Settle pipeline accounting under the new role: a handover
+        # away from us flushes + clears, toward us starts busy tracking.
+        self._seq_account()
+        self._log_view(trigger)
+
+    def _resubmit(self) -> None:
+        """Re-send our unfinished sends to the (possibly new) sequencer,
+        then resolve those the view's commit horizon already covers."""
         for pending in self.pending_sends.values():
             if not pending.future.resolved:
                 self._transmit_request(pending)
         self._after_commit_advance()
-        self.wakeup.notify_all()
 
     def _drop_speculation(self) -> None:
         """Discard uncommitted above-gap records at an instance boundary.
@@ -1044,10 +1020,7 @@ class GroupKernel:
         horizon was committed, and senders re-submit unfinished sends
         after every view change.
         """
-        stale = [s for s in self.history if s > self.received]
-        for seqno in stale:
-            record = self.history.pop(seqno)
-            self.sequenced_ids.pop(record.msg_id, None)
+        self._forget([s for s in self.history if s > self.received])
         # Dropped records never deliver; without this their pipeline
         # entries would double-count sojourn when seqnos are reassigned.
         while self._seq_pipe and self._seq_pipe[-1][0] > self.received:
@@ -1084,6 +1057,11 @@ class GroupKernel:
         """Whether we kept the promise lock for our reset round."""
         return self._reset_key == key and self._promise == key
 
+    def outbid(self, cand_inc: int) -> int:
+        """The next candidate incarnation: above *cand_inc* and above
+        the candidate that holds our promise."""
+        return max(cand_inc, self._promise[0]) + 1
+
     def _on_probe(self, packet) -> None:
         payload = packet.payload
         if payload.get("instance") != self.instance or self.instance is None:
@@ -1098,11 +1076,7 @@ class GroupKernel:
         self._promise = key
         if self._reset_key is not None and self._reset_key < key:
             self._reset_key = None  # abandon our own weaker attempt
-        tail = [
-            self.history[s]
-            for s in range(payload["coord_received"] + 1, self.received + 1)
-            if s in self.history
-        ]
+        tail = self._held_after(payload["coord_received"])
         self._send(
             coordinator,
             "vote",
@@ -1125,29 +1099,22 @@ class GroupKernel:
         if payload["coordinator"] != self.me or self._reset_key != key:
             return
         if self.reset_votes is not None:
-            self.reset_votes[payload["member"]] = (
-                payload["received"],
-                payload["tail"],
-            )
+            self.reset_votes[payload["member"]] = (payload["received"], payload["tail"])
 
     def conclude_reset(self, key: tuple) -> list | None:
         """Form and announce the new view from collected votes.
 
         Returns the new view, or None if we lost the arbitration.
         """
-        if not self.reset_round_still_mine(key) or self.reset_votes is None:
-            self.reset_votes = None
-            self._reset_key = None
-            return None
-        votes = self.reset_votes
-        self.reset_votes = None
+        votes, self.reset_votes = self.reset_votes, None
+        mine = self.reset_round_still_mine(key)
         self._reset_key = None
+        if not mine or votes is None:
+            return None
         # Merge histories: every record any survivor holds is kept.
         for _, tail in votes.values():
             for record in tail:
-                if record.seqno not in self.history:
-                    self.history[record.seqno] = record
-                    self.sequenced_ids[record.msg_id] = record.seqno
+                self._hold(record)
         self._advance_received()
         self._drop_speculation()
         cand_inc = key[0]
@@ -1157,38 +1124,26 @@ class GroupKernel:
         prev_instance = self.instance
         self.instance = ("reset", prev_instance, cand_inc, str(self.me))
         self.incarnation = cand_inc
-        self.view = sorted(votes.keys(), key=str)
+        self.view = sorted(votes, key=str)
         self.sequencer = self.me
         self.next_assign = self.received + 1
         # Everything the survivors hold becomes committed: with the old
         # resilience degree, any message that completed a SendToGroup
-        # was at every member, so recommitting the union is safe.
+        # was at every member, so recommitting the union is safe (and
+        # every survivor counts as having acked it).
         self.committed = self.received
-        self.ack_progress = {m: self.committed for m in self.view if m != self.me}
-        self.last_echo = {m: self.sim.now for m in self.view if m != self.me}
-        self.state = STATE_MEMBER
-        self.failure_reason = ""
-        self._promise = (self.incarnation, "")
-        self._note_heartbeat()
+        self.ack_progress = {}
         self._c_resets.inc()
-        self._log_view("reset")
+        self._enter_view("reset")
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.reset",
                 lineage=("life", str(self.me)),
                 inc=self.incarnation, survivors=len(self.view),
             )
-        tail = [self.history[s] for s in sorted(self.history) if s > min(
-            (received for received, _ in votes.values()), default=-1
-        )]
-        self._announce_view(
-            tail=tail, next_assign=self.next_assign, prev_instance=prev_instance
-        )
+        base = min(received for received, _ in votes.values())
+        self._announce_view(tail=self._held_after(base), prev_instance=prev_instance)
         if self._ticker is None:
             self._start_ticker()
-        for pending in self.pending_sends.values():
-            if not pending.future.resolved:
-                self._transmit_request(pending)
-        self._after_commit_advance()
-        self.wakeup.notify_all()
+        self._resubmit()
         return list(self.view)

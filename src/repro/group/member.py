@@ -30,7 +30,6 @@ from repro.errors import GroupFailure, GroupResetFailed, TimeoutError as SimTime
 from repro.group.kernel import (
     CONTROL_SIZE,
     STATE_FAILED,
-    STATE_IDLE,
     STATE_MEMBER,
     BcRecord,
     GroupKernel,
@@ -137,7 +136,7 @@ class GroupMember:
                 return view
             except SimTimeout:
                 continue
-        self.kernel._join_waiter = None
+        self.kernel.stop_join()
         raise GroupFailure(f"no sequencer answered {rounds} join broadcasts")
 
     def leave(self):
@@ -146,7 +145,7 @@ class GroupMember:
         yield from self.kernel.wakeup.wait_until(
             lambda: self.kernel.state != STATE_MEMBER
         )
-        self.kernel.state = STATE_IDLE
+        self.kernel.go_idle()
 
     def set_resilience(self, resilience: int):
         """Change the group's resilience degree at runtime.
@@ -183,13 +182,9 @@ class GroupMember:
         while True:
             if kernel.state == STATE_FAILED:
                 raise GroupFailure(kernel.failure_reason or "group failed")
-            if kernel.state == STATE_MEMBER and kernel.taken < kernel.committed:
-                next_seqno = kernel.taken + 1
-                record = kernel.history.get(next_seqno)
-                if record is not None:
-                    kernel.taken = next_seqno
-                    self._note_delivery(record)
-                    return record
+            record = self.try_receive()
+            if record is not None:
+                return record
             yield kernel.wakeup.wait()
 
     def receive_ready(self, limit: int | None = None) -> list[BcRecord]:
@@ -219,25 +214,7 @@ class GroupMember:
 
     def try_receive(self) -> BcRecord | None:
         """Non-blocking receive; None when nothing is deliverable."""
-        kernel = self.kernel
-        if kernel.state != STATE_MEMBER or kernel.taken >= kernel.committed:
-            return None
-        record = kernel.history.get(kernel.taken + 1)
-        if record is not None:
-            kernel.taken += 1
-            self._note_delivery(record)
-        return record
-
-    def _note_delivery(self, record: BcRecord) -> None:
-        """Count + trace one ordered delivery to the application."""
-        kernel = self.kernel
-        kernel._c_delivered.inc()
-        kernel._update_backlog()
-        if kernel._obs.tracer.enabled:
-            kernel._obs.tracer.emit(
-                str(kernel.me), "group", "grp.deliver",
-                lineage=record.msg_id, seqno=record.seqno,
-            )
+        return self.kernel.take()
 
     # -- reset ------------------------------------------------------------------
 
@@ -274,7 +251,7 @@ class GroupMember:
                     self.timings.reset_backoff_max_ms,
                 )
             )
-            cand_inc = max(cand_inc, kernel._promise[0]) + 1
+            cand_inc = kernel.outbid(cand_inc)
         if kernel.state == STATE_MEMBER:
             return list(kernel.view)
         raise GroupResetFailed(

@@ -10,11 +10,14 @@ the guarantees the directory service is built on:
 * **per-sender FIFO** inside the total order.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GroupFailure, GroupResetFailed  # noqa: F401 (both used)
 from repro.group import GroupMember, GroupTimings
 from repro.net import Network
+from repro.net.policy import Drop, Duplicate, LinkFilter
 from repro.rpc import Transport
 from repro.sim import Simulator
 
@@ -174,3 +177,62 @@ class TestTotalOrderProperties:
         expected = [f"m{i}" for i in range(3)]
         for addr in survivors:
             assert outcome[addr] == expected
+
+
+class TestOneRecordPerSeqno:
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_every_copy_of_a_record_is_held_counted_and_delivered_once(self, seed):
+        """A record reaches a member by multicast, by retransmission and
+        in a reset vote tail, and every multicast arrives twice. However
+        many copies arrive, each seqno is held as one record (the
+        sequencer's own object, on every member), counted once in
+        ``group.bc_rx``, delivered once, with one ``sequenced_ids``
+        entry."""
+        sim, network, transports, members = build(seed, resilience=1)
+        sim.obs.tracer.enable()
+        kernels = {x: members[x].kernel for x in ADDRESSES}
+        twice = network.add_policy(Duplicate("twice", LinkFilter(kind="grp.*.bc")))
+
+        def send(first, last):
+            for i in range(first, last):
+                yield from members["a"].send_to_group(("m", i))
+
+        # Seqno 3 misses c; c notices the gap at 4 and has both resent.
+        sim.run_until_complete(sim.spawn(send(0, 3)))
+        network.add_policy(Drop("gap", LinkFilter(dst="c", kind="grp.*.bc"), max_drops=1))
+        sim.run_until_complete(sim.spawn(send(3, 5)))
+        sim.run(until=sim.now + 20.0)
+        assert kernels["c"].received == 4
+        assert sim.obs.registry.counter("a", "group.retrans_served").value >= 1
+        # Seqno 5 misses c too, and c cannot ask for it: c holds 6 above
+        # its gap, b holds both, then the sequencer dies.
+        network.add_policy(Drop("gap2", LinkFilter(dst="c", kind="grp.*.bc"), max_drops=1))
+        network.add_policy(Drop("mute", LinkFilter(src="c", kind="grp.*.retrans")))
+        sim.run_until_complete(sim.spawn(send(5, 7)))
+        sim.run(until=sim.now + 20.0)
+        members["a"].crash()
+        transports["a"].shutdown()
+        sim.run(until=sim.now + 400.0)
+        assert kernels["c"].received == 4 and 6 in kernels["c"].history
+        assert kernels["b"].received == 6
+
+        # c (the stronger key) coordinates: b's vote tail 5..6 overlaps
+        # the 6 c already holds.
+        for process in [sim.spawn(members[x].reset()) for x in ("b", "c")]:
+            sim.run_until_complete(process)
+        assert kernels["c"].view_log[-1]["trigger"] == "reset"
+        sim.run(until=sim.now + 50.0)
+        for x in ("b", "c"):
+            got = [r.payload for r in members[x].receive_ready()]
+            assert got == [("m", i) for i in range(7)]
+            assert sorted(kernels[x].sequenced_ids.values()) == list(range(7))
+        events = sim.obs.tracer.events()
+        for x in ("b", "c"):
+            for name, counter in (("grp.bc.rx", "group.bc_rx"), ("grp.deliver", "group.delivered")):
+                seqnos = Counter(e.args["seqno"] for e in events if e.node == x and e.name == name)
+                assert set(seqnos.values()) == {1}
+                assert sum(seqnos.values()) == sim.obs.registry.counter(x, counter).value
+        for seqno in range(7):
+            assert kernels["b"].history[seqno] is kernels["c"].history[seqno]
+        assert twice.matched > 0

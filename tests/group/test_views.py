@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import GroupFailure
 from repro.group import GroupMember, GroupTimings
+from repro.group.kernel import BcRecord
 
 from tests.group.test_basic import build_group
 from tests.helpers import TestBed
@@ -190,11 +191,7 @@ class TestStaleTraffic:
                 {
                     "instance": kernel_b.instance,
                     "inc": kernel_b.incarnation - 1,
-                    "seqno": 99,
-                    "msg_id": ("x", 1),
-                    "sender": "x",
-                    "payload": "forged",
-                    "size": 10,
+                    "record": BcRecord(99, ("x", 1), "x", "forged", 10),
                     "committed": 99,
                 },
             )
@@ -216,11 +213,7 @@ class TestStaleTraffic:
                 {
                     "instance": ("bogus", 1, 0.0),
                     "inc": kernel_b.incarnation,
-                    "seqno": 0,
-                    "msg_id": ("x", 1),
-                    "sender": "x",
-                    "payload": "alien",
-                    "size": 10,
+                    "record": BcRecord(0, ("x", 1), "x", "alien", 10),
                     "committed": 0,
                 },
             )
@@ -229,3 +222,87 @@ class TestStaleTraffic:
         bed.run_until(bed.sim.spawn(scenario()))
         assert kernel_b.received == -1
         assert members["b"].try_receive() is None
+
+
+#: Heartbeats far apart: nothing restamps a member after it enters a
+#: view, and no detector fires (the resets below fail survivors by hand).
+QUIET = GroupTimings(
+    heartbeat_interval_ms=60_000.0,
+    heartbeat_timeout_ms=180_000.0,
+    echo_timeout_ms=180_000.0,
+)
+
+
+def assert_entered_alike(members, triggers, announcer=None):
+    """*triggers*: the view-log trigger each member the change touched
+    wrote last ("handover" marks a sequencer that left). Every member of
+    the new view must be in the same state whichever path brought it
+    there. The *announcer* — the sequencer of a join, leave or eviction
+    — changes the view it runs rather than entering one, so it keeps its
+    own promise and heartbeat stamp."""
+    for addr, trigger in triggers.items():
+        assert members[addr].kernel.view_log[-1]["trigger"] == trigger, addr
+    kernels = [members[a].kernel for a, t in triggers.items() if t != "handover"]
+    (sequencer,) = [k for k in kernels if k.me == k.sequencer]
+    view = sorted(k.me for k in kernels)
+    for kernel in kernels:
+        assert sorted(kernel.view) == view
+        assert kernel.incarnation == sequencer.incarnation
+        assert (kernel.state, kernel.failure_reason) == ("member", "")
+        if kernel.me != announcer:
+            assert kernel._promise == (kernel.incarnation, "")
+            assert kernel.last_heartbeat == kernel.view_log[-1]["at_ms"]
+    others = set(view) - {sequencer.me}
+    assert set(sequencer.ack_progress) == set(sequencer.last_echo) == others
+
+
+class TestEveryWayIntoAView:
+    def settle(self, bed, process=None):
+        if process is not None:
+            bed.run_until(bed.sim.spawn(process))
+        bed.run(until=bed.sim.now + 50.0)
+
+    def test_create(self):
+        bed = TestBed(["a"])
+        members = {"a": GroupMember(bed["a"].transport, "g", QUIET)}
+        members["a"].create(resilience=1)
+        assert_entered_alike(members, {"a": "create"})
+
+    def test_join(self):
+        bed, members = build_group(["a", "b", "c"], timings=QUIET)
+        self.settle(bed)
+        assert_entered_alike(members, {"a": "join", "b": "adopt", "c": "join"}, "a")
+
+    def test_member_leave(self):
+        bed, members = build_group(["a", "b", "c"], timings=QUIET)
+        self.settle(bed, members["c"].leave())
+        assert_entered_alike(members, {"a": "leave", "b": "adopt"}, "a")
+        assert members["c"].info().state == "idle"
+
+    def test_sequencer_handover(self):
+        bed, members = build_group(["a", "b", "c"], timings=QUIET)
+        self.settle(bed, members["a"].leave())
+        assert_entered_alike(members, {"a": "handover", "b": "adopt", "c": "adopt"})
+        assert members["b"].is_sequencer
+
+    def test_evict(self):
+        bed, members = build_group(["a", "b", "c"], timings=QUIET)
+        assert members["a"].kernel.evict_member("c")
+        self.settle(bed)
+        assert_entered_alike(members, {"a": "evict", "b": "adopt"}, "a")
+        assert members["c"].info().state == "idle"  # the view names it as gone
+
+    @pytest.mark.parametrize(
+        "victim, coordinator, survivor",
+        [("c", "b", "a"), ("a", "c", "b")],
+        ids=["member-crash", "sequencer-crash"],
+    )
+    def test_reset(self, victim, coordinator, survivor):
+        bed, members = build_group(["a", "b", "c"], timings=QUIET)
+        members[victim].crash()
+        bed[victim].crash()
+        for addr in (coordinator, survivor):
+            members[addr].kernel.fail_group(f"{victim} crashed")
+        self.settle(bed, members[coordinator].reset())
+        assert_entered_alike(members, {coordinator: "reset", survivor: "adopt"})
+        assert members[coordinator].is_sequencer

@@ -82,6 +82,14 @@ DEPRECATED_NAMES = (
     "ENQUIRY_SHARE",
     # Settling runs a future's callbacks inline (repro/sim/future.py).
     "_run_callbacks",
+    # The group kernel's parallel paths: a grp.bc frame carries the
+    # sequencer's BcRecord (GroupKernel._send_record), grp.echo goes to
+    # _on_ack, a joiner starts at the view's announced commit horizon,
+    # and the kernel books its own deliveries (GroupKernel.take).
+    "_on_echo",
+    "joiner_base",
+    "_broadcast_record",
+    "_note_delivery",
 )
 
 
@@ -256,12 +264,15 @@ def test_what_is_built_per_frame_or_per_settle_is_slotted():
     """A frame builds a Packet, a timeout a Timer and a Deadline, every
     wait a Future: at tens of thousands per simulated second, a
     per-instance ``__dict__`` (or a frozen dataclass's guarded
-    ``__setattr__``) was a measurable share of host time per op."""
+    ``__setattr__``) was a measurable share of host time per op. A
+    sequenced message is one BcRecord, built once by the sequencer and
+    shared by every member's history, so it is frozen as well."""
     import importlib
     import inspect
     import pkgutil
 
     import repro.sim
+    from repro.group.kernel import BcRecord
     from repro.net.network import Packet
     from repro.sim.future import Future
     from repro.sim.scheduler import Timer
@@ -274,7 +285,7 @@ def test_what_is_built_per_frame_or_per_settle_is_slotted():
                 futures.add(cls)
     unslotted = sorted(
         cls.__qualname__
-        for cls in futures | {Packet, Timer}
+        for cls in futures | {Packet, Timer, BcRecord}
         if "__slots__" not in vars(cls)
     )
     assert not unslotted, "per-frame/per-settle classes without __slots__: " + (
@@ -321,6 +332,50 @@ def test_the_group_api_is_driven_from_one_server():
     assert not offenders, (
         "the group API driven outside directory/group_server.py and "
         "directory/recovery.py: " + ", ".join(offenders)
+    )
+
+
+def test_only_the_group_kernel_writes_its_state():
+    """A group kernel's fields are written by repro/group/ alone.
+    Recovery used to set ``state`` and fast-forward ``taken`` itself,
+    beside the kernel's own bookkeeping for both (the backlog gauge, the
+    sequencer-pipeline accounting), so each such write is one more place
+    that bookkeeping can be forgotten. Elsewhere a kernel is driven
+    through its methods, whether it is reached as ``….kernel`` or
+    through a local bound to one."""
+    package = ROOT / "src" / "repro"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.parent == package / "group":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kernels = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "kernel"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                owner = getattr(target, "value", None)
+                if isinstance(target, ast.Attribute) and (
+                    getattr(owner, "attr", None) == "kernel"
+                    or getattr(owner, "id", None) in kernels
+                ):
+                    offenders.append(
+                        f"{path.relative_to(ROOT)}:{node.lineno} sets {target.attr}"
+                    )
+    assert not offenders, (
+        "group-kernel state written outside repro/group/: " + ", ".join(sorted(offenders))
     )
 
 
