@@ -141,7 +141,7 @@ def cmd_chaos(args) -> int:
             if v.trace_path:
                 print(f"   flight recorder: {v.trace_path}")
         return 1
-    print("\nall invariants held (replica equality + session guarantees).")
+    print("\nall invariants held (every check of repro.verify.check_cluster).")
     return 0
 
 

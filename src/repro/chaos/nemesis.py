@@ -1,13 +1,16 @@
-"""Protocol-aware adversarial fault schedules (the nemesis).
+"""Every chaos scenario's fault schedule (the nemesis).
 
 :class:`~repro.faults.plan.RandomFaultPlan` injects faults at random
 instants; real protocol bugs hide at *protocol-critical* moments — the
 sequencer dying with uncommitted messages in flight, a partition
 forming while a replica is mid-recovery, a server crashing again
-before its restart finishes. Each builder here returns a
+before its restart finishes. The nemesis builders here return a
 :class:`~repro.faults.plan.FaultPlan` aimed at one such moment, using
 :class:`~repro.faults.plan.Intervention` events to inspect *live*
 protocol state at fire time (e.g. "whoever is sequencer right now").
+The link-fault builders install drop/duplicate/delay/reorder policies
+(:mod:`repro.net.policy`) for the window, and two of them ride on a
+nemesis plan.
 
 Every builder has the same signature::
 
@@ -15,19 +18,18 @@ Every builder has the same signature::
 
 where *rng* is a named-stream handle (``random.Random``-like) owned by
 the caller, *start_ms* is the absolute simulated time faults may begin,
-and the plan is guaranteed to leave the world repaired (all servers
-restarted, partitions healed) before ``start_ms + window_ms`` so the
-invariant checks run against a recoverable deployment.
-
-A scenario of :data:`repro.chaos.runner.SCENARIOS` names its builder
-directly; link-fault builders (drop/duplicate/reorder policies) have
-the same signature and live in :mod:`repro.chaos.runner` because they
-parameterize the cluster rather than schedule events.
+and the plan leaves the world repaired (all servers restarted,
+partitions healed, policies removed) before ``start_ms + window_ms``.
+Two builders do not, on purpose: ``rolling_faults`` leaves the repair
+to the remediation controller and ``majority_lost`` destroys the
+majority. A scenario of :data:`repro.chaos.runner.SCENARIOS` names its
+builder directly.
 """
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, RandomFaultPlan
+from repro.net.policy import Delay, Drop, Duplicate, LinkFilter, Reorder
 
 
 # ----------------------------------------------------------------------
@@ -78,8 +80,23 @@ def _restart_remembered(cell: dict):
     return fire
 
 
+def _dir_addresses(cluster) -> list:
+    return [site.dir_address for site in cluster.sites]
+
+
+def _policy_window(plan: FaultPlan, start_ms, window_ms, *policies) -> FaultPlan:
+    """Add *policies* to *plan*: installed at the window start, removed
+    8 s before its end so retransmissions drain and replicas converge
+    while the workload is still running."""
+    off_at = start_ms + window_ms - 8_000.0
+    for policy in policies:
+        plan.install_policy(start_ms, policy)
+        plan.remove_policy(off_at, policy)
+    return plan
+
+
 # ----------------------------------------------------------------------
-# scenarios
+# nemesis scenarios
 # ----------------------------------------------------------------------
 
 
@@ -160,8 +177,6 @@ def flapping_links(cluster, rng, start_ms, window_ms) -> FaultPlan:
 
 def random_soak(cluster, rng, start_ms, window_ms) -> FaultPlan:
     """The classic recoverable random schedule, as a nemesis peer."""
-    from repro.faults.plan import RandomFaultPlan
-
     n = len(cluster.sites)
     return RandomFaultPlan(
         rng,
@@ -194,11 +209,9 @@ def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
     — the ``remediation_off`` control proves
     ``check_resilience_restored`` isn't vacuous.
     """
-    from repro.net.policy import Drop, LinkFilter
-
     plan = FaultPlan()
     n = len(cluster.sites)
-    addresses = [site.dir_address for site in cluster.sites]
+    addresses = _dir_addresses(cluster)
 
     # Phase 1: crash, no scheduled restart (remediation's job).
     crash_victim = rng.randrange(n)
@@ -372,3 +385,124 @@ def majority_lost(cluster, rng, start_ms, window_ms) -> FaultPlan:
     for index in range(doomed):
         plan.crash(t + index * 200.0, index)
     return plan
+
+
+# ----------------------------------------------------------------------
+# link-fault scenarios (policies riding on a FaultPlan)
+# ----------------------------------------------------------------------
+
+
+def asymmetric_loss(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """≥10 % one-directional loss on two directed server links (the
+    reverse directions stay clean), all frame kinds affected."""
+    addrs = _dir_addresses(cluster)
+    a, b = rng.sample(range(len(addrs)), 2)
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Drop("chaos.asym.ab", LinkFilter(src=addrs[a], dst=addrs[b]),
+             probability=0.15),
+        Drop("chaos.asym.bc",
+             LinkFilter(src=addrs[b], dst=addrs[(b + 1) % len(addrs)]),
+             probability=0.10),
+    )
+
+
+def multicast_loss(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """One member misses 15 % of group multicasts (everyone else
+    receives them) — the classic gap-repair stressor."""
+    victim = rng.choice(_dir_addresses(cluster))
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Drop("chaos.mcast", LinkFilter(dst=victim, kind="grp.*", multicast=True),
+             probability=0.15),
+    )
+
+
+def duplication(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """25 % of deliveries arrive twice (tests request/broadcast dedup
+    and at-most-once reply handling)."""
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Duplicate("chaos.dup", probability=0.25),
+    )
+
+
+def reordering(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """35 % of deliveries may be overtaken by up to 15 ms of later
+    traffic (bounded reordering)."""
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Reorder("chaos.reorder", probability=0.35, max_delay_ms=15.0),
+    )
+
+
+def delay_spikes(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """Occasional 20–80 ms stalls — long enough to trip heartbeat
+    timeouts now and then, forcing spurious failure detection."""
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Delay("chaos.spike", probability=0.04, min_ms=20.0, max_ms=80.0),
+    )
+
+
+def retry_storm(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """The exactly-once gauntlet: drop a quarter of server replies and
+    stall some requests for longer than the clients' reply timeout, so
+    retry-safe clients blindly resend operations whose first attempt
+    often *committed*. Without the session layer this yields duplicate
+    applications and spurious AlreadyExists/NotFound answers; with it,
+    the dedup cache must answer every resend from the original reply."""
+    addrs = tuple(_dir_addresses(cluster))
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Drop("retry.replydrop", LinkFilter(src=addrs, kind="rpc.reply"),
+             probability=0.25),
+        Delay("retry.lag", LinkFilter(dst=addrs, kind="rpc.request"),
+              probability=0.15, min_ms=1_500.0, max_ms=4_000.0),
+    )
+
+
+def stale_read_hunt(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """The cache-coherence gauntlet. Three stressors aimed squarely at
+    the invalidation protocol (docs/PROTOCOL.md "Client cache
+    coherence"): lose a fifth of invalidation records (writes must fall
+    back to waiting out the read lease), lose a fifth of the acks
+    (same, from the other side), and lag server replies so lookup
+    replies race the invalidations for entries they refill. On top, the
+    sequencer-crash nemesis forces view changes mid-window, exercising
+    the membership fence. Any hole shows up as a stale cache-served
+    read, which the linearizability checker flags."""
+    addrs = tuple(_dir_addresses(cluster))
+    return _policy_window(
+        sequencer_crash(cluster, rng, start_ms, window_ms), start_ms, window_ms,
+        Drop("cache.invaldrop", LinkFilter(src=addrs, kind="cache.inval"),
+             probability=0.20),
+        Drop("cache.ackdrop", LinkFilter(dst=addrs, kind="cache.invack"),
+             probability=0.20),
+        Delay("cache.replylag", LinkFilter(src=addrs, kind="rpc.reply"),
+              probability=0.10, min_ms=100.0, max_ms=1_000.0),
+    )
+
+
+def grand_tour(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """Everything at once, mildly: random crash/partition schedule on
+    top of low-grade loss, duplication, and reordering."""
+    addrs = _dir_addresses(cluster)
+    a, b = rng.sample(range(len(addrs)), 2)
+    return _policy_window(
+        random_soak(cluster, rng, start_ms, window_ms), start_ms, window_ms,
+        Drop("chaos.tour.drop", LinkFilter(src=addrs[a], dst=addrs[b]),
+             probability=0.08),
+        Duplicate("chaos.tour.dup", probability=0.08),
+        Reorder("chaos.tour.reorder", probability=0.10, max_delay_ms=10.0),
+    )
+
+
+def rpc_dup_reorder(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """The RPC baseline's link weather: 15 % duplication and 20 %
+    bounded reordering."""
+    return _policy_window(
+        FaultPlan(), start_ms, window_ms,
+        Duplicate("chaos.rpc.dup", probability=0.15),
+        Reorder("chaos.rpc.reorder", probability=0.20, max_delay_ms=10.0),
+    )

@@ -1,15 +1,13 @@
 """Seeded chaos scenarios + the invariant bridge.
 
 One *scenario* = a deployment (group or RPC directory service), a
-client workload on private keys, and an adversarial fault schedule —
-nemesis events (:mod:`repro.chaos.nemesis`), link-fault policies
-(:mod:`repro.net.policy`), or both. :func:`run_scenario` drives it to
-quiescence and checks the paper's correctness stand-ins via
-:mod:`repro.verify`:
-
-* replica equality across operational replicas;
-* session guarantees (read-your-writes / monotonic reads) per client;
-* no lost acknowledged updates against the final listing.
+client workload on private or shared keys, and an adversarial fault
+schedule from :mod:`repro.chaos.nemesis` — nemesis events, link-fault
+policies (:mod:`repro.net.policy`), or both. :func:`run_scenario`
+drives it to quiescence and runs every invariant of
+:func:`repro.verify.check_cluster` on every run: replica equality, the
+client-history checks, exactly-once applies, durability, and —
+whenever a majority serves — the declared shape.
 
 Outcomes are *verdicts*, not asserts: ``consistent`` (service stayed
 available and every invariant holds), ``unavailable`` (fewer than a
@@ -38,7 +36,6 @@ from repro.bench.harness import build_deployment
 from repro.chaos import nemesis
 from repro.errors import DirectoryError, ReproError, SimulationError
 from repro.faults.plan import FaultPlan
-from repro.net.policy import Drop, Duplicate, Delay, LinkFilter, Reorder
 from repro.obs.capacity import utilization_summary
 from repro.obs.export import to_jsonl
 from repro.obs.monitor import DEFAULT_THRESHOLDS, HealthMonitor, thresholds_with
@@ -104,10 +101,6 @@ class Scenario:
     #: Run a RemediationController (repro.recovery) against the
     #: health monitor for the whole scenario.
     remediation: bool = False
-    #: Assert check_resilience_restored at the end of the run: the
-    #: cluster must be back at its declared server count and
-    #: resilience degree with every operational member agreeing.
-    expect_resilience_restored: bool = False
     #: The health monitor's thresholds (repro.obs.thresholds_with
     #: patches the defaults by signal).
     monitor_thresholds: tuple = DEFAULT_THRESHOLDS
@@ -125,10 +118,6 @@ class Scenario:
     #: Off by default so every pre-existing scenario keeps the exact
     #: legacy on-disk layout and trace timeline.
     integrity: bool = False
-    #: Run check_durability at verify time: no corrupt bytes may ever
-    #: have been served as good data, and every operational replica's
-    #: mapped admin blocks must hold their acknowledged contents.
-    check_durability: bool = False
 
 
 @dataclass
@@ -227,165 +216,6 @@ class ScenarioVerdict:
         return out
 
 
-# ----------------------------------------------------------------------
-# link-fault scenario builders (policies riding on a FaultPlan)
-# ----------------------------------------------------------------------
-
-
-def _policy_plan(start_ms: float, window_ms: float, policies) -> FaultPlan:
-    """Install policies at the window start, remove them 8 s before the
-    end so retransmissions drain and replicas converge while the
-    workload is still running."""
-    plan = FaultPlan()
-    off_at = start_ms + window_ms - 8_000.0
-    for policy in policies:
-        plan.install_policy(start_ms, policy)
-        plan.remove_policy(off_at, policy)
-    return plan
-
-
-def _dir_addresses(cluster) -> list:
-    return [site.dir_address for site in cluster.sites]
-
-
-def build_asymmetric_loss(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """≥10 % one-directional loss on two directed server links (the
-    reverse directions stay clean), all frame kinds affected."""
-    addrs = _dir_addresses(cluster)
-    a, b = rng.sample(range(len(addrs)), 2)
-    policies = [
-        Drop(
-            "chaos.asym.ab",
-            LinkFilter(src=addrs[a], dst=addrs[b]),
-            probability=0.15,
-        ),
-        Drop(
-            "chaos.asym.bc",
-            LinkFilter(src=addrs[b], dst=addrs[(b + 1) % len(addrs)]),
-            probability=0.10,
-        ),
-    ]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_multicast_loss(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """One member misses 15 % of group multicasts (everyone else
-    receives them) — the classic gap-repair stressor."""
-    victim = rng.choice(_dir_addresses(cluster))
-    policies = [
-        Drop(
-            "chaos.mcast",
-            LinkFilter(dst=victim, kind="grp.*", multicast=True),
-            probability=0.15,
-        )
-    ]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_duplication(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """25 % of deliveries arrive twice (tests request/broadcast dedup
-    and at-most-once reply handling)."""
-    policies = [Duplicate("chaos.dup", probability=0.25)]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_reordering(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """35 % of deliveries may be overtaken by up to 15 ms of later
-    traffic (bounded reordering)."""
-    policies = [Reorder("chaos.reorder", probability=0.35, max_delay_ms=15.0)]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_delay_spikes(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """Occasional 20–80 ms stalls — long enough to trip heartbeat
-    timeouts now and then, forcing spurious failure detection."""
-    policies = [
-        Delay("chaos.spike", probability=0.04, min_ms=20.0, max_ms=80.0)
-    ]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_retry_storm(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """The exactly-once gauntlet: drop a quarter of server replies and
-    stall some requests for longer than the clients' reply timeout, so
-    retry-safe clients blindly resend operations whose first attempt
-    often *committed*. Without the session layer this yields duplicate
-    applications and spurious AlreadyExists/NotFound answers; with it,
-    the dedup cache must answer every resend from the original reply."""
-    addrs = _dir_addresses(cluster)
-    policies = [
-        Drop(
-            "retry.replydrop",
-            LinkFilter(src=tuple(addrs), kind="rpc.reply"),
-            probability=0.25,
-        ),
-        Delay(
-            "retry.lag",
-            LinkFilter(dst=tuple(addrs), kind="rpc.request"),
-            probability=0.15,
-            min_ms=1_500.0,
-            max_ms=4_000.0,
-        ),
-    ]
-    return _policy_plan(start_ms, window_ms, policies)
-
-
-def build_stale_read_hunt(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """The cache-coherence gauntlet. Three stressors aimed squarely at
-    the invalidation protocol (docs/PROTOCOL.md "Client cache
-    coherence"): lose a fifth of invalidation records (writes must fall
-    back to waiting out the read lease), lose a fifth of the acks
-    (same, from the other side), and lag server replies so lookup
-    replies race the invalidations for entries they refill. On top, the
-    sequencer-crash nemesis forces view changes mid-window, exercising
-    the membership fence. Any hole shows up as a stale cache-served
-    read, which the linearizability checker flags."""
-    addrs = _dir_addresses(cluster)
-    policies = [
-        Drop(
-            "cache.invaldrop",
-            LinkFilter(src=tuple(addrs), kind="cache.inval"),
-            probability=0.20,
-        ),
-        Drop(
-            "cache.ackdrop",
-            LinkFilter(dst=tuple(addrs), kind="cache.invack"),
-            probability=0.20,
-        ),
-        Delay(
-            "cache.replylag",
-            LinkFilter(src=tuple(addrs), kind="rpc.reply"),
-            probability=0.10,
-            min_ms=100.0,
-            max_ms=1_000.0,
-        ),
-    ]
-    plan = nemesis.sequencer_crash(cluster, rng, start_ms, window_ms)
-    for event in _policy_plan(start_ms, window_ms, policies).events:
-        plan.add(event)
-    return plan
-
-
-def build_grand_tour(cluster, rng, start_ms, window_ms) -> FaultPlan:
-    """Everything at once, mildly: random crash/partition schedule on
-    top of low-grade loss, duplication, and reordering."""
-    addrs = _dir_addresses(cluster)
-    a, b = rng.sample(range(len(addrs)), 2)
-    policies = [
-        Drop(
-            "chaos.tour.drop",
-            LinkFilter(src=addrs[a], dst=addrs[b]),
-            probability=0.08,
-        ),
-        Duplicate("chaos.tour.dup", probability=0.08),
-        Reorder("chaos.tour.reorder", probability=0.10, max_delay_ms=10.0),
-    ]
-    plan = nemesis.random_soak(cluster, rng, start_ms, window_ms)
-    for event in _policy_plan(start_ms, window_ms, policies).events:
-        plan.add(event)
-    return plan
-
-
 #: Every scenario, by name. Insertion order is the rotation order: the
 #: suite deals seeds round-robin over the in-rotation ones, so a new
 #: scenario goes in out of rotation or at the end.
@@ -399,7 +229,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "asymmetric_loss",
         "≥10% one-directional loss on two server links",
-        build_asymmetric_loss,
+        nemesis.asymmetric_loss,
     ),
     Scenario(
         "partition_during_recovery",
@@ -410,7 +240,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "duplication",
         "25% of deliveries duplicated",
-        build_duplication,
+        nemesis.duplication,
     ),
     Scenario(
         "crash_during_restart",
@@ -421,12 +251,12 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "reordering",
         "bounded reordering on 35% of deliveries",
-        build_reordering,
+        nemesis.reordering,
     ),
     Scenario(
         "multicast_loss",
         "one member misses 15% of group multicasts",
-        build_multicast_loss,
+        nemesis.multicast_loss,
     ),
     Scenario(
         "flapping_links",
@@ -437,7 +267,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "delay_spikes",
         "20–80 ms latency spikes on 4% of deliveries",
-        build_delay_spikes,
+        nemesis.delay_spikes,
     ),
     Scenario(
         "random_soak",
@@ -448,13 +278,13 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "grand_tour",
         "random faults + mild loss + duplication + reordering",
-        build_grand_tour,
+        nemesis.grand_tour,
     ),
     Scenario(
         "retry_storm",
         "reply loss + >timeout request lag against retry-safe clients "
         "contending on shared keys: exactly-once or bust",
-        build_retry_storm,
+        nemesis.retry_storm,
         shared_keys=True,
         n_clients=4,
         expect_alerts=True,
@@ -463,7 +293,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "retry_storm_nodedup",
         "NEGATIVE: the same storm with server-side dedup disabled — "
         "the linearizability checker must catch the duplicates",
-        build_retry_storm,
+        nemesis.retry_storm,
         shared_keys=True,
         dedup=False,
         n_clients=4,
@@ -472,14 +302,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         "rpc_dup_reorder",
         "RPC baseline under duplication + bounded reordering",
-        lambda cluster, rng, start, window: _policy_plan(
-            start,
-            window,
-            [
-                Duplicate("chaos.rpc.dup", probability=0.15),
-                Reorder("chaos.rpc.reorder", probability=0.20, max_delay_ms=10.0),
-            ],
-        ),
+        nemesis.rpc_dup_reorder,
         cluster_kind="rpc",
         n_clients=2,
     ),
@@ -502,7 +325,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         resilience=1,
         spares=1,
         remediation=True,
-        expect_resilience_restored=True,
         expect_alerts=True,
         # A lower retransmission trip point makes the scale-up policy
         # engage reliably under the 12% sustained-loss phase.
@@ -519,7 +341,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         resilience=1,
         spares=0,
         remediation=False,
-        expect_resilience_restored=True,
         in_rotation=False,
     ),
     Scenario(
@@ -527,7 +348,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "coherent-cache gauntlet: invalidation/ack loss + reply lag + "
         "sequencer crashes against cached clients on hot shared keys — "
         "any stale cache-served read fails the linearizability checker",
-        build_stale_read_hunt,
+        nemesis.stale_read_hunt,
         shared_keys=True,
         n_clients=4,
         cache_size=64,
@@ -540,7 +361,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "cache_nocoherence",
         "NEGATIVE: the same gauntlet with invalidations acknowledged "
         "but ignored — the checker must catch the stale cached reads",
-        build_stale_read_hunt,
+        nemesis.stale_read_hunt,
         shared_keys=True,
         n_clients=4,
         cache_size=64,
@@ -558,7 +379,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         n_clients=3,
         window_ms=35_000.0,
         integrity=True,
-        check_durability=True,
         resilience=1,
         spares=1,
         remediation=True,
@@ -578,7 +398,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         n_clients=3,
         window_ms=35_000.0,
         integrity=False,
-        check_durability=True,
         resilience=1,
         spares=0,
         remediation=False,
@@ -622,12 +441,8 @@ def _deployment_kwargs(scenario: Scenario) -> dict:
         ),
         spares=scenario.spares,
         dedup_enabled=scenario.dedup,
-        # Only cache scenarios flip the coherence machinery on, so
-        # every other scenario keeps the exact pre-cache wire behavior.
-        **({"cache_coherence": True} if scenario.cache_size else {}),
-        # Same discipline for storage integrity: only opted-in
-        # scenarios change the on-disk layout.
-        **({"integrity": True} if scenario.integrity else {}),
+        cache_coherence=bool(scenario.cache_size),
+        integrity=scenario.integrity,
     )
 
 
@@ -637,10 +452,16 @@ def run_scenario(
     """Run one seeded scenario end to end and return its verdict."""
     window_ms = scenario.window_ms * (0.6 if smoke else 1.0)
     n_clients = min(scenario.n_clients, 2) if smoke else scenario.n_clients
-    holder: dict = {}
     t0 = perf_counter_ns()
+    cluster = None
     try:
-        return _run(scenario, seed, window_ms, n_clients, holder)
+        cluster = build_deployment(
+            scenario.cluster_kind,
+            seed,
+            name=f"chaos{seed}",
+            **_deployment_kwargs(scenario),
+        ).cluster
+        return _run(scenario, seed, window_ms, n_clients, cluster, t0)
     except Exception as exc:  # harness bug or simulated deadlock
         verdict = ScenarioVerdict(
             scenario=scenario.name,
@@ -651,7 +472,6 @@ def run_scenario(
             problems=[f"{type(exc).__name__}: {exc}"],
             host_ms={"total": (perf_counter_ns() - t0) / 1e6},
         )
-        cluster = holder.get("cluster")
         if cluster is not None:
             # The flight recorder survives the wreck: keep the last
             # events so the failure is debuggable from the dump alone.
@@ -660,22 +480,7 @@ def run_scenario(
         return verdict
 
 
-def _run(
-    scenario: Scenario,
-    seed: int,
-    window_ms: float,
-    n_clients: int,
-    holder: dict | None = None,
-):
-    host_t0 = perf_counter_ns()
-    cluster = build_deployment(
-        scenario.cluster_kind,
-        seed,
-        name=f"chaos{seed}",
-        **_deployment_kwargs(scenario),
-    ).cluster
-    if holder is not None:
-        holder["cluster"] = cluster
+def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
     cluster.enable_tracing(
         SHARED_KEYS_RECORDER_CAPACITY
         if scenario.shared_keys
@@ -885,8 +690,6 @@ def _run(
         final_names if available else None,
         private_keys=not scenario.shared_keys,
         trace_events=cluster.obs.tracer.events(),
-        check_resilience=scenario.expect_resilience_restored,
-        durability=scenario.check_durability,
     )
     problems.extend(report.problems())
 

@@ -100,6 +100,11 @@ class AdminPartition:
         self._session_area_start = partition.length - reserve
         # RAM mirrors (write-through); rebuilt by load() at boot.
         self.commit = CommitBlock(tuple(True for _ in range(n_servers)), 0, False)
+        #: Whether this disk has held a commit block: one was read at
+        #: load or written since. Until then block 0 is rightly blank
+        #: (an RPC replica writes it only on a deletion), so the audit
+        #: expects nothing there.
+        self.commit_on_disk = False
         self.entries: dict[int, tuple[Capability, int]] = {}
         self.entry_checks: dict[int, int] = {}
         self._block_of: dict[int, int] = {}
@@ -132,6 +137,7 @@ class AdminPartition:
         try:
             raw = yield from self.partition.read_block(COMMIT_BLOCK, lineage=lineage)
             self.commit = CommitBlock.from_bytes(raw, self.n_servers)
+            self.commit_on_disk = raw[:4] == b"CBLK"
         except CorruptBlock:
             # A corrupt commit block is indistinguishable from a crash
             # mid-recovery: claim nothing (the paper's recovering rule)
@@ -140,6 +146,7 @@ class AdminPartition:
                 tuple(True for _ in range(self.n_servers)), 0, True
             )
             self.quarantined_blocks.append(COMMIT_BLOCK)
+            self.commit_on_disk = True
         self.entries = {}
         self.entry_checks = {}
         self._block_of = {}
@@ -216,6 +223,7 @@ class AdminPartition:
         yield from self.partition.write_block(
             COMMIT_BLOCK, self.commit.to_bytes(), lineage=lineage
         )
+        self.commit_on_disk = True
 
     # -- object table ------------------------------------------------------------
 
@@ -355,6 +363,7 @@ class AdminPartition:
                 )
             )
         yield from self.partition.write_blocks(writes, lineage=lineage)
+        self.commit_on_disk |= touched_commit
         for obj, cap, seqno, check in stores:
             self.entries[obj] = (cap, seqno)
             self.entry_checks[obj] = check
@@ -438,8 +447,11 @@ class AdminPartition:
         lost/misdirected write, or a torn batch tail. Blocks mid-
         allocation (``_block_of`` set, mirror not yet) are omitted;
         the next pass audits them. The shadow block is transient
-        journal space and is never mapped."""
-        expected = {COMMIT_BLOCK: self.commit.to_bytes()}
+        journal space and is never mapped, and the commit block is
+        mapped once this disk has held one."""
+        expected = {}
+        if self.commit_on_disk:
+            expected[COMMIT_BLOCK] = self.commit.to_bytes()
         for obj, block in self._block_of.items():
             entry = self.entries.get(obj)
             if entry is None:

@@ -41,10 +41,11 @@ from here, and :mod:`repro.obs` stays free of simulator imports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.obs.export import _plain
+from repro.obs.registry import Histogram
 from repro.obs.trace import TraceEvent
 
 _EPS = 1e-9
@@ -114,7 +115,7 @@ class Span:
         }
         if self.args:
             out["args"] = {
-                str(k): _json_safe(v) for k, v in sorted(self.args.items())
+                str(k): _plain(v) for k, v in sorted(self.args.items())
             }
         if self.children:
             out["children"] = [c.as_dict() for c in self.children]
@@ -156,7 +157,7 @@ class OpSpan:
         return {
             "op": self.op,
             "pair": self.pair,
-            "lineage": _json_safe(self.lineage),
+            "lineage": _plain(self.lineage),
             "node": str(self.node),
             "total_ms": round(self.total, 6),
             "segments_ms": {
@@ -170,14 +171,6 @@ class OpSpan:
             "critical_path": [s.name for s in self.critical_path()],
             "tree": self.root.as_dict(),
         }
-
-
-def _json_safe(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return repr(value)
 
 
 # ----------------------------------------------------------------------
@@ -374,21 +367,17 @@ def stitch(events, windows) -> list:
 # ----------------------------------------------------------------------
 
 
-def percentile(values, q: float) -> float:
-    """Deterministic nearest-rank percentile of *values* (0 < q <= 1)."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _dist(values) -> dict:
+    """Mean and p50/p95/p99: the registry's percentile with unit
+    weights, which is the nearest rank."""
+    hist = Histogram()
+    for value in values:
+        hist.observe(value)
     return {
         "mean": round(sum(values) / len(values), 6),
-        "p50": round(percentile(values, 0.50), 6),
-        "p95": round(percentile(values, 0.95), 6),
-        "p99": round(percentile(values, 0.99), 6),
+        "p50": round(hist.percentile(50), 6),
+        "p95": round(hist.percentile(95), 6),
+        "p99": round(hist.percentile(99), 6),
     }
 
 
@@ -587,24 +576,6 @@ def span_track_events(spans) -> list:
     return out
 
 
-def render_tree(span: Span, indent: int = 0) -> list:
-    """Fixed-width text rendering of one span tree (list of lines)."""
-    lines = [
-        f"{'  ' * indent}{span.name:<{max(2, 24 - 2 * indent)}}"
-        f"{span.dur:>9.3f} ms  @{span.node}"
-        + (
-            " " + " ".join(
-                f"{k}={_json_safe(v)}" for k, v in sorted(span.args.items())
-            )
-            if span.args
-            else ""
-        )
-    ]
-    for child in span.children:
-        lines.extend(render_tree(child, indent + 1))
-    return lines
-
-
 def format_report(report: dict, scenario: str, impl: str) -> str:
     """Human-readable latency-budget report (byte-stable)."""
     lines = [
@@ -662,14 +633,14 @@ def _render_entry(entry: dict) -> list:
         f"node={entry['node']} fan_in={entry['fan_in']} "
         f"dedup={entry['dedup']} lineage={entry['lineage']}"
     ]
-    lines.extend(_render_tree_dict(entry["tree"], 1))
+    lines.extend(_tree_lines(entry["tree"], 1))
     lines.append(
         "  critical path: " + " -> ".join(entry["critical_path"])
     )
     return lines
 
 
-def _render_tree_dict(tree: dict, indent: int) -> list:
+def _tree_lines(tree: dict, indent: int) -> list:
     args = tree.get("args") or {}
     lines = [
         f"{'  ' * indent}{tree['name']:<{max(2, 24 - 2 * indent)}}"
@@ -681,7 +652,7 @@ def _render_tree_dict(tree: dict, indent: int) -> list:
         )
     ]
     for child in tree.get("children", ()):
-        lines.extend(_render_tree_dict(child, indent + 1))
+        lines.extend(_tree_lines(child, indent + 1))
     return lines
 
 

@@ -1,20 +1,29 @@
-"""Consistency checking: histories and session guarantees.
+"""The invariants a quiesced deployment and its client history must hold.
 
 The paper requires one-copy serializability for individual directory
-operations (section 2). Full linearizability checking is overkill for
-a test suite, but two strong, cheap invariants catch real protocol
-bugs:
+operations (section 2), r-safe updates, acknowledged writes on disk
+(Fig. 5) and recovery back to the full membership (Fig. 6).
+:func:`check_cluster` runs seven checks against one run:
 
-* **replica equality** — after quiescence, every operational replica's
-  state fingerprint matches (the cluster classes expose this);
-* **session guarantees per key** — when each client works on its own
-  names (the shape our concurrency tests use), every read a client
-  performs must reflect exactly that client's own preceding writes:
-  read-your-writes and monotonic reads combined. Any stale or lost
-  update shows up as a violation.
+* **replica equality** — every operational replica's state
+  fingerprint matches (the cluster classes expose this);
+* **session guarantees** — on keys private to each client, every read
+  reflects exactly that client's own preceding writes
+  (:func:`check_private_key_history`);
+* **no lost updates** — on private keys, the final listing holds every
+  surviving append and no deleted name (:func:`check_no_lost_updates`);
+* **linearizability** — on shared keys, each key's history is
+  linearizable as a register (:func:`check_shared_key_linearizability`,
+  a bounded Wing & Gong search);
+* **exactly-once applies** — no session-stamped operation is executed
+  twice on any replica (:func:`check_exactly_once_applies`);
+* **declared shape** — a serving service is back at its declared
+  replica count and resilience degree
+  (:func:`check_resilience_restored`);
+* **durability** — no corrupt byte was served, and every operational
+  replica's disk holds what it acknowledged (:func:`check_durability`).
 
-:class:`HistoryRecorder` collects client-side events;
-:func:`check_private_key_history` verifies the invariant.
+:class:`HistoryRecorder` collects the client-side events.
 """
 
 from __future__ import annotations
@@ -217,7 +226,7 @@ def _key_linearizable(ops: list[_RegisterOp]) -> tuple[bool, bool]:
             if op.is_write:
                 if dfs(done | {i}, op.value):
                     return True
-            elif _values_equal(op.value, value):
+            elif op.value == value:
                 if dfs(done | {i}, value):
                     return True
         return False
@@ -230,10 +239,6 @@ def _key_linearizable(ops: list[_RegisterOp]) -> tuple[bool, bool]:
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _values_equal(a, b) -> bool:
-    return a == b
 
 
 def check_exactly_once_applies(trace_events) -> list[str]:
@@ -418,8 +423,6 @@ def check_cluster(
     final_names: set | None = None,
     private_keys: bool = True,
     trace_events=None,
-    check_resilience: bool = False,
-    durability: bool = False,
 ) -> InvariantReport:
     """Run every invariant against a quiesced cluster + client history.
 
@@ -430,11 +433,11 @@ def check_cluster(
     sets) are replaced by the shared-key linearizability checker.
     Pass the run's trace events (``cluster.obs.tracer.events()`` or
     the exported dicts) as *trace_events* to also scan for duplicate
-    session-op applications. With ``check_resilience=True`` the report
-    also includes :func:`check_resilience_restored` (elastic clusters
-    under remediation must end at their declared shape); with
-    ``durability=True`` it also includes :func:`check_durability`
-    (no corrupt byte served, durable blocks match acknowledgements).
+    session-op applications. :func:`check_durability` always runs;
+    :func:`check_resilience_restored` runs whenever a majority of the
+    configured servers is operational, because a service that serves
+    must be back at its declared shape (without a majority the caller
+    judges availability instead).
     """
     operational = cluster.operational_servers()
     report = InvariantReport(
@@ -452,10 +455,9 @@ def check_cluster(
         )
     if trace_events is not None:
         report.duplicate_applies = check_exactly_once_applies(trace_events)
-    if check_resilience:
+    if len(operational) >= cluster.config.majority:
         report.resilience_problems = check_resilience_restored(cluster)
-    if durability:
-        report.durability_problems = check_durability(cluster)
+    report.durability_problems = check_durability(cluster)
     return report
 
 

@@ -34,6 +34,13 @@ class TestRegistry:
         for name in (*RECOVERABLE, "majority_lost", "rolling_faults"):
             assert SCENARIOS[name].build is getattr(nemesis, name)
 
+    def test_every_fault_builder_lives_here(self):
+        # One home: each scenario names a builder of this module, the
+        # link-fault ones included (the fault-free control builds nothing).
+        for name, scenario in SCENARIOS.items():
+            if name != "fault_free_control":
+                assert scenario.build.__module__ == nemesis.__name__, name
+
     def test_unknown_nemesis_raises(self):
         # A scenario names its builder, so the one lookup by name left
         # is the scenario's own.

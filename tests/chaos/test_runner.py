@@ -1,14 +1,18 @@
 """Scenario-runner tests: registry sanity, determinism, one live run."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import (
     SCENARIOS,
     format_verdicts,
+    nemesis,
     run_scenario,
     scenario_by_name,
 )
 from repro.chaos.runner import rotation
+from repro.faults.plan import FaultPlan
 
 
 class TestRegistry:
@@ -85,3 +89,38 @@ class TestFormatting:
         table = format_verdicts([verdict])
         assert "delay_spikes" in table
         assert "1/1 scenario runs passed" in table
+
+
+def _without_alert_contract(build):
+    """sequencer_crash's shape (smoke size, same clients and window)
+    with another fault schedule and no health-monitor contract."""
+    return dataclasses.replace(
+        scenario_by_name("sequencer_crash"), build=build, expect_alerts=None
+    )
+
+
+class TestEveryRunChecksEveryInvariant:
+    """No scenario opts into the durability or the declared-shape
+    check: a run that breaks either is a violation whatever its
+    scenario says."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_replica_left_down_is_a_violation(self, seed):
+        scenario = _without_alert_contract(
+            lambda cluster, rng, start, window: FaultPlan().crash(start + 1_000, 1)
+        )
+        verdict = run_scenario(scenario, seed, smoke=True)
+        assert verdict.status == "violation" and not verdict.ok
+        assert "only 2/3 declared replicas are operational" in verdict.problems
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_lost_commit_block_write_is_a_violation(self, seed):
+        def build(cluster, rng, start, window):
+            plan = nemesis.sequencer_crash(cluster, rng, start, window)
+            for site in range(len(cluster.sites)):
+                plan.lost_writes(start, site, 1)
+            return plan
+
+        verdict = run_scenario(_without_alert_contract(build), seed, smoke=True)
+        assert verdict.status == "violation" and not verdict.ok
+        assert any("admin block 0" in p for p in verdict.problems), verdict.problems

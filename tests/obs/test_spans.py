@@ -1,6 +1,7 @@
 """Span-profiler tests: stitching, telescoping, fan-in, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -11,12 +12,12 @@ from repro.obs.spans import (
     OpWindow,
     budget,
     format_report,
-    percentile,
     phases_from_span,
     profile_run,
     span_track_events,
     stitch,
     stitch_window,
+    _dist,
 )
 from repro.obs.trace import TraceEvent
 
@@ -186,12 +187,17 @@ class TestDedup:
 
 class TestAggregation:
     def test_percentile_nearest_rank(self):
+        """The budget's p50/p95/p99 are the registry Histogram's with
+        unit weights, which is the nearest rank."""
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert percentile(values, 0.50) == 3.0
-        assert percentile(values, 0.95) == 5.0
-        assert percentile(values, 0.99) == 5.0
-        assert percentile([], 0.5) == 0.0
-        assert percentile([7.0], 0.01) == 7.0
+        assert [_dist(values)[k] for k in ("p50", "p95", "p99")] == [3.0, 5.0, 5.0]
+        assert _dist([7.0])["p50"] == 7.0
+        for n in range(1, 400):
+            ordered = [float(i) for i in range(n)]
+            dist = _dist(ordered[::-1])
+            for q in (0.50, 0.95, 0.99):
+                rank = max(1, math.ceil(q * n))
+                assert dist[f"p{round(q * 100)}"] == ordered[rank - 1], (n, q)
 
     def test_straggler_flags_deviant_segment_mix(self):
         windows, events = [], []

@@ -90,6 +90,26 @@ DEPRECATED_NAMES = (
     "joiner_base",
     "_broadcast_record",
     "_note_delivery",
+    # Every chaos run checks every invariant: durability always, the
+    # declared shape whenever a majority serves (repro.verify.check_cluster).
+    # Every fault builder lives in repro/chaos/nemesis.py, named after
+    # its scenario, and adds its policies through one _policy_window.
+    "expect_resilience_restored",
+    "check_resilience=",
+    "check_durability=",
+    "_policy_plan",
+    "build_asymmetric_loss",
+    "build_multicast_loss",
+    "build_duplication",
+    "build_reordering",
+    "build_delay_spikes",
+    "build_retry_storm",
+    "build_stale_read_hunt",
+    "build_grand_tour",
+    # One renderer and one JSON coercer in repro/obs: format_report
+    # renders the dict tree, export._plain coerces.
+    "render_tree",
+    "_json_safe",
 )
 
 
@@ -508,3 +528,27 @@ def test_every_monitor_signal_is_documented_and_every_documented_one_is_live():
         f"documented but gone: {sorted(documented - live)}"
     )
     assert live <= {row.name for row in SERIES}
+
+
+def test_every_scenario_field_is_documented_and_every_documented_one_exists():
+    """docs/CHAOS.md §4 is where a scenario author reads what a
+    Scenario field does. A field added without its row is a switch
+    nobody can look up; a row whose field is gone documents a switch
+    that does not exist (two of them used to make invariants opt-in)."""
+    import dataclasses
+
+    from repro.chaos import Scenario
+
+    text = (ROOT / "docs" / "CHAOS.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## 4."):]
+    documented = {
+        name
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for name in line.split("|")[1].split("`")[1::2]
+    }
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert documented == fields, (
+        f"undocumented: {sorted(fields - documented)}; "
+        f"documented but gone: {sorted(documented - fields)}"
+    )

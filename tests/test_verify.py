@@ -1,7 +1,10 @@
 """Unit tests for the consistency checkers."""
 
+from repro.bench.harness import build_deployment
+from repro.directory.admin import COMMIT_BLOCK
 from repro.verify import (
     HistoryRecorder,
+    check_durability,
     check_exactly_once_applies,
     check_no_lost_updates,
     check_private_key_history,
@@ -217,3 +220,44 @@ class TestExactlyOnceApplies:
             {"name": "dir.apply.end", "node": "s0", "args": {"failed": False}},
         ]
         assert check_exactly_once_applies(events) == []
+
+
+class TestDurabilityAudit:
+    """An RPC replica writes its commit block only on a DeleteDir, so a
+    pair that has only appended has a blank block 0: the audit must
+    expect the commit block only once the disk has held one."""
+
+    def _rpc_pair_after(self, delete_dir):
+        cluster = build_deployment("rpc", seed=0).cluster
+        client = cluster.add_client("c")
+        root = cluster.root_capability
+
+        def script():
+            for i in range(3):
+                sub = yield from client.create_dir()
+                yield from client.append_row(root, f"n{i}", (sub,))
+            if delete_dir:
+                yield from client.delete_dir((yield from client.create_dir()))
+
+        cluster.run_process(script(), "script")
+        cluster.settle(2_000.0)
+        return cluster
+
+    def test_a_fault_free_rpc_pair_passes(self):
+        cluster = self._rpc_pair_after(delete_dir=False)
+        assert not any(s.admin.commit_on_disk for s in cluster.servers)
+        assert check_durability(cluster) == []
+
+    def test_a_written_commit_block_is_audited(self):
+        cluster = self._rpc_pair_after(delete_dir=True)
+        assert check_durability(cluster) == []
+        server = cluster.servers[0]
+        assert server.admin.commit_on_disk
+        server.admin.partition.disk._blocks.pop(
+            server.admin.partition._translate(COMMIT_BLOCK)
+        )
+        assert check_durability(cluster) == [
+            f"server {server.index}: admin block 0 does not hold its "
+            f"acknowledged contents (unrepaired rot, or a "
+            f"lost/torn/misdirected write)"
+        ]
