@@ -11,6 +11,10 @@ The cache stores *values*, not hits: ``None`` ("no such row") is a
 perfectly cacheable answer, so entries use a private ``_MISS``
 sentinel to distinguish "not cached" from "cached None".
 
+An invalidation record names a row, ``(object, name)``, and drops it
+under every rights mask; an index from each row to its cached keys
+makes that cost the keys dropped, not a scan of the cache.
+
 Coherence itself — leases, epochs, invalidation acknowledgements —
 lives in :mod:`repro.directory.client` (client half) and
 :mod:`repro.directory.coherence` (server half); this module is just
@@ -38,6 +42,9 @@ class LookupCache:
         # lease covers the entry (an entry is only servable while that
         # replica's lease is current — see DirectoryClient).
         self._entries: OrderedDict = OrderedDict()
+        #: (object number, name) -> the keys of ``_entries`` for that
+        #: row, one per rights mask it was looked up under.
+        self._by_row: dict[tuple, set] = {}
         if registry is not None:
             self._c_hits = registry.counter(node, "cache.hits")
             self._c_misses = registry.counter(node, "cache.misses")
@@ -66,12 +73,24 @@ class LookupCache:
 
     def put(self, key, value, server) -> None:
         """Fill (or refresh) one entry, evicting the LRU tail."""
-        self._entries[key] = (value, server)
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        else:
+            self._by_row.setdefault((key[0], key[2]), set()).add(key)
+        entries[key] = (value, server)
+        if len(entries) > self.capacity:
+            self._unindex(entries.popitem(last=False)[0])
         if self._c_fills is not None:
             self._c_fills.inc()
+
+    def _unindex(self, key) -> None:
+        """Take a key that just left ``_entries`` out of the index."""
+        row = (key[0], key[2])
+        keys = self._by_row[row]
+        keys.discard(key)
+        if not keys:
+            del self._by_row[row]
 
     def count_hit(self) -> None:
         if self._c_hits is not None:
@@ -89,13 +108,12 @@ class LookupCache:
         the number of entries dropped.
         """
         if name is None:
+            # A deleted directory: rare enough to scan for.
             doomed = [k for k in self._entries if k[0] == object_number]
+            for key in doomed:
+                self._unindex(key)
         else:
-            doomed = [
-                k
-                for k in self._entries
-                if k[0] == object_number and k[2] == name
-            ]
+            doomed = self._by_row.pop((object_number, name), ())
         for key in doomed:
             del self._entries[key]
         if doomed and self._c_invalidations is not None:
@@ -104,7 +122,8 @@ class LookupCache:
 
     def drop(self, key) -> None:
         """Drop one entry (e.g. its replica's lease expired)."""
-        self._entries.pop(key, None)
+        if self._entries.pop(key, MISS) is not MISS:
+            self._unindex(key)
 
     def drop_server(self, server) -> int:
         """Drop every entry filled under *server*'s lease (it lapsed:
@@ -113,6 +132,7 @@ class LookupCache:
         doomed = [k for k, (_, s) in self._entries.items() if s == server]
         for key in doomed:
             del self._entries[key]
+            self._unindex(key)
         return len(doomed)
 
     def flush(self) -> int:
@@ -120,6 +140,7 @@ class LookupCache:
         number of entries dropped."""
         dropped = len(self._entries)
         self._entries.clear()
+        self._by_row.clear()
         if dropped and self._c_flushes is not None:
             self._c_flushes.inc()
         return dropped

@@ -207,7 +207,7 @@ class CoherenceManager:
         """Fence writes when a replica leaves the current view."""
         if not self.server.member.is_member:
             return
-        view = self.server.member.info().view
+        view = self.server.member.kernel.view
         members = frozenset(
             a for a in self.config.server_addresses if a in view
         )
@@ -237,7 +237,7 @@ class CoherenceManager:
 
     def _barrier_seqno(self) -> int:
         """min(own clean, every view peer's reported clean)."""
-        view = self.server.member.info().view
+        view = self.server.member.kernel.view
         clean = self.clean_seqno()
         for address in self.config.server_addresses:
             if address == self.server.me or address not in view:

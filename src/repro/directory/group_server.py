@@ -250,7 +250,7 @@ class GroupDirectoryServer:
 
     def members_present(self) -> int:
         """Directory servers in the current group view."""
-        view = self.member.info().view
+        view = self.member.kernel.view
         return sum(1 for a in self.config.server_addresses if a in view)
 
     def has_majority(self) -> bool:
@@ -372,7 +372,7 @@ class GroupDirectoryServer:
         # directory (via any server) and then still read it back here.
         # A reset merges the survivors' histories, so the target is
         # read afresh after one.
-        while (target := self.member.info().received) > self._applied_kernel:
+        while (target := self.member.kernel.received) > self._applied_kernel:
             try:
                 yield from self.member.wait_applied(
                     target, lambda: self._applied_kernel

@@ -10,12 +10,16 @@ of the paper).
 
 Directories serialize to bytes for storage in Bullet files; the
 serialization is deterministic so that every replica produces an
-identical file for the same logical state.
+identical file for the same logical state. A row is never edited, only
+replaced, so each :class:`DirRow` carries its own encoding, built the
+first time it is asked for: writing a directory out encodes only the
+rows changed since the last write-out, and the image is a join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.amoeba.capability import Capability
 from repro.errors import AlreadyExists, DirectoryError, NotFound
@@ -25,13 +29,31 @@ DEFAULT_COLUMNS = ("owner", "group", "other")
 
 MAX_COLUMNS = 4  # the capability rights field has four column bits
 
+#: The encoding of an empty cell (no capability in that column).
+_EMPTY_CELL = b"\x00" * 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class DirRow:
-    """One (name, capability-per-column) row."""
+    """One (name, capability-per-column) row. Frozen: its cached
+    :attr:`encoded` is only sound because a row never changes."""
 
     name: str
     capabilities: tuple  # Capability | None, one slot per column
+
+    @cached_property
+    def encoded(self) -> bytes:
+        """The row's part of the Bullet image: 2-byte name length, the
+        name, then 16 bytes per cell (zeros for an empty one)."""
+        name = self.name.encode()
+        return b"".join([
+            len(name).to_bytes(2, "big"),
+            name,
+            *(
+                cap.to_bytes() if cap is not None else _EMPTY_CELL
+                for cap in self.capabilities
+            ),
+        ])
 
     def masked(self, column_mask: int) -> "DirRow":
         """The row as visible through a capability's column mask."""
@@ -87,9 +109,8 @@ class Directory:
 
     def lookup(self, name: str, column_mask: int) -> Capability | None:
         """First visible capability of the named row (leftmost column)."""
-        row = self.row(name).masked(column_mask)
-        for cap in row.capabilities:
-            if cap is not None:
+        for i, cap in enumerate(self.row(name).capabilities):
+            if cap is not None and column_mask & (1 << i):
                 return cap
         return None
 
@@ -133,21 +154,19 @@ class Directory:
 
     # -- serialization ----------------------------------------------------------
 
+    def _header(self) -> bytes:
+        return ("|".join(self.columns)).encode()
+
     def to_bytes(self) -> bytes:
-        """Deterministic, length-prefixed encoding for Bullet storage."""
-        header = ("|".join(self.columns)).encode()
-        parts = [
+        """Deterministic, length-prefixed encoding for Bullet storage:
+        the column header, the row count, each row's :attr:`DirRow.encoded`."""
+        header = self._header()
+        return b"".join([
             len(header).to_bytes(2, "big"),
             header,
             len(self._rows).to_bytes(3, "big"),
-        ]
-        for row in self._rows.values():
-            name = row.name.encode()
-            parts.append(len(name).to_bytes(2, "big"))
-            parts.append(name)
-            for cap in row.capabilities:
-                parts.append(cap.to_bytes() if cap is not None else b"\x00" * 16)
-        return b"".join(parts)
+            *(row.encoded for row in self._rows.values()),
+        ])
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Directory":
@@ -170,17 +189,20 @@ class Directory:
                 cell = raw[offset : offset + 16]
                 offset += 16
                 caps.append(
-                    None if cell == b"\x00" * 16 else Capability.from_bytes(cell)
+                    None if cell == _EMPTY_CELL else Capability.from_bytes(cell)
                 )
             directory._rows[name] = DirRow(name, tuple(caps))
         return directory
 
     def serialized_size(self) -> int:
-        """Byte size of the Bullet file this directory occupies."""
-        return len(self.to_bytes())
+        """Byte size of the Bullet file this directory occupies
+        (``len(self.to_bytes())``, without building the image)."""
+        return 2 + len(self._header()) + 3 + sum(
+            len(row.encoded) for row in self._rows.values()
+        )
 
     def copy(self) -> "Directory":
-        """Deep-enough copy (rows are immutable tuples)."""
+        """Deep-enough copy (rows are frozen, so the two share them)."""
         dup = Directory(self.columns)
         dup._rows = dict(self._rows)
         return dup

@@ -10,7 +10,7 @@ simulation generators (use with ``yield from`` inside a process):
 ``send_to_group``   SendToGroup — reliable, totally-ordered multicast
 ``receive``         ReceiveFromGroup — next message in sequence
 ``reset``           ResetGroup — rebuild the group after a failure
-``info``            GetInfoGroup — group state snapshot (zero-cost)
+``info``            GetInfoGroup — group state snapshot (no sim time)
 ==================  =====================================================
 
 ``send_to_group`` returns only when the message is *r-safe*: with the
@@ -100,7 +100,12 @@ class GroupMember:
         return self.is_member and self.kernel.sequencer == self.kernel.me
 
     def info(self) -> GroupInfo:
-        """GetInfoGroup: zero-cost state snapshot."""
+        """GetInfoGroup: a state snapshot. It takes no simulated time,
+        but each call allocates a :class:`GroupInfo` and copies the
+        view, so per-request and per-poll readers (the directory
+        server's read path and cache barrier) read ``kernel.view`` /
+        ``kernel.received`` / ``kernel.state`` instead. Only
+        ``repro/group/`` writes those fields."""
         k = self.kernel
         return GroupInfo(
             state=k.state,

@@ -1,5 +1,7 @@
-"""LookupCache unit tests: LRU bounds, the MISS sentinel, and
-invalidation-record matching."""
+"""LookupCache unit tests: LRU bounds, the MISS sentinel,
+invalidation-record matching, and the row index behind it."""
+
+import random
 
 import pytest
 
@@ -89,3 +91,51 @@ class TestInvalidation:
         assert cache.get(k(1, "a")) is MISS
         assert cache.flush() == 1
         assert len(cache) == 0
+
+
+class TestRowIndex:
+    """``invalidate(obj, name)`` reads a ``(obj, name) -> keys`` index
+    instead of scanning the cache; no way an entry leaves or enters may
+    leave that index stale."""
+
+    def test_index_matches_a_grouping_after_every_step(self):
+        for seed in range(12):
+            rng = random.Random(seed)
+            cache = LookupCache(rng.choice((1, 4, 16)))
+
+            def key():
+                rights = rng.choice((0x01, 0x04, 0xFF))
+                return k(rng.randrange(3), rng.choice("abcde"), rights)
+
+            def scan(obj, name):
+                return sum(
+                    1
+                    for key in cache._entries
+                    if key[0] == obj and (name is None or key[2] == name)
+                )
+
+            for _ in range(300):
+                action = rng.choice(
+                    ("put", "put", "put", "get", "row", "row", "dir",
+                     "drop", "drop_server", "flush")
+                )
+                if action == "put":
+                    cache.put(key(), rng.random(), rng.choice(("s0", "s1")))
+                elif action == "get":
+                    cache.get(key())
+                elif action in ("row", "dir"):
+                    obj = rng.randrange(3)
+                    name = rng.choice("abcde") if action == "row" else None
+                    expected = scan(obj, name)
+                    assert cache.invalidate(obj, name) == expected
+                    assert scan(obj, name) == 0
+                elif action == "drop":
+                    cache.drop(key())
+                elif action == "drop_server":
+                    cache.drop_server(rng.choice(("s0", "s1")))
+                else:
+                    cache.flush()
+                grouped = {}
+                for entry in cache._entries:
+                    grouped.setdefault((entry[0], entry[2]), set()).add(entry)
+                assert cache._by_row == grouped

@@ -1,9 +1,10 @@
 """Unit and property tests for the directory data model."""
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.amoeba import Port, Rights, new_check
 from repro.amoeba.capability import owner_capability
@@ -103,6 +104,13 @@ class TestColumnMasking:
         with pytest.raises(NotFound):
             d.replace_row("ghost", (new,))
 
+    def test_rows_are_frozen(self):
+        # The cached encoding is only sound if a row never changes.
+        row = DirRow("n", (cap(1), None, None))
+        assert len(row.encoded) == 2 + 1 + 3 * 16
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.capabilities = (cap(2), None, None)
+
     def test_masked_row_object(self):
         row = DirRow("n", (cap(1), cap(2), None))
         masked = row.masked(0b010)
@@ -186,3 +194,88 @@ class TestSerialization:
         tricky = owner_capability(Port.for_service("dir"), 0x1E1E1E, tricky_check)
         d.append_row("\x1e-ish name", (tricky, tricky, tricky))
         assert Directory.from_bytes(d.to_bytes()) == d
+
+
+def reference_bytes(directory):
+    """The encoding loop ``to_bytes`` ran before rows carried their own."""
+    header = ("|".join(directory.columns)).encode()
+    parts = [
+        len(header).to_bytes(2, "big"),
+        header,
+        len(directory).to_bytes(3, "big"),
+    ]
+    for row in directory.rows():
+        name = row.name.encode()
+        parts.append(len(name).to_bytes(2, "big"))
+        parts.append(name)
+        for c in row.capabilities:
+            parts.append(c.to_bytes() if c is not None else b"\x00" * 16)
+    return b"".join(parts)
+
+
+def reference_lookup(directory, name, column_mask):
+    """``Directory.lookup`` as it was: through a masked row."""
+    for c in directory.row(name).masked(column_mask).capabilities:
+        if c is not None:
+            return c
+    return None
+
+
+class TestCachedRowEncoding:
+    """Rows keep their encoding; the image, its size and lookups must
+    be exactly what the row-by-row encoder and the masked-row lookup
+    gave, whatever sequence of edits built the directory."""
+
+    NAMES = ("a", "file-1", "é", "名前", "x" * 40, "tmp")
+
+    def random_caps(self, rng, n_columns):
+        return tuple(
+            None
+            if rng.random() < 0.3
+            else cap(rng.randrange(1, 1 << 24), rng.randrange(1 << 30))
+            for _ in range(rng.randint(0, n_columns))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        n_columns=st.integers(min_value=1, max_value=4),
+        steps=st.integers(min_value=1, max_value=40),
+    )
+    def test_every_step_matches_the_reference(self, seed, n_columns, steps):
+        rng = random.Random(seed)
+        d = Directory(tuple(f"c{i}" for i in range(n_columns)))
+        for _ in range(steps):
+            names = d.names()
+            action = rng.choice(
+                ("append", "append", "replace", "chmod", "delete", "copy", "reload")
+            )
+            if action == "append":
+                name = rng.choice(self.NAMES)
+                if name not in d:
+                    d.append_row(name, self.random_caps(rng, n_columns))
+            elif action == "copy":
+                before = d.to_bytes()
+                dup = d.copy()
+                if names:
+                    dup.delete_row(rng.choice(names))
+                assert d.to_bytes() == before
+                d = dup
+            elif action == "reload":
+                d = Directory.from_bytes(d.to_bytes())
+            elif names:
+                name = rng.choice(names)
+                if action == "replace":
+                    d.replace_row(name, self.random_caps(rng, n_columns))
+                elif action == "chmod":
+                    d.chmod_row(
+                        name, rng.randrange(16), self.random_caps(rng, n_columns)
+                    )
+                else:
+                    d.delete_row(name)
+            image = d.to_bytes()
+            assert image == reference_bytes(d)
+            assert d.serialized_size() == len(image)
+            for name in d.names():
+                for mask in range(16):
+                    assert d.lookup(name, mask) == reference_lookup(d, name, mask)
