@@ -15,7 +15,7 @@ resilience degree *r*. This package attacks that claim with
 * a seeded scenario runner (:mod:`repro.chaos.runner`) that drives
   client workloads against the deployments, waits for quiescence, and
   mechanically checks the paper's one-copy-serializability stand-ins
-  (replica equality + session guarantees) via :mod:`repro.verify`,
+  (replica equality + per-key linearizability) via :mod:`repro.verify`,
   reporting a structured verdict per run.
 
 Everything is a pure function of the seed: same seed + same scenario

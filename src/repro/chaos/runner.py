@@ -1,13 +1,13 @@
 """Seeded chaos scenarios + the invariant bridge.
 
-One *scenario* = a deployment (group or RPC directory service), a
-client workload on private or shared keys, and an adversarial fault
-schedule from :mod:`repro.chaos.nemesis` — nemesis events, link-fault
-policies (:mod:`repro.net.policy`), or both. :func:`run_scenario`
-drives it to quiescence and runs every invariant of
-:func:`repro.verify.check_cluster` on every run: replica equality, the
-client-history checks, exactly-once applies, durability, and —
-whenever a majority serves — the declared shape.
+One *scenario* = a deployment (group or RPC directory service), the
+client workload, and an adversarial fault schedule from
+:mod:`repro.chaos.nemesis` — nemesis events, link-fault policies
+(:mod:`repro.net.policy`), or both. :func:`run_scenario` drives it to
+quiescence and runs every invariant of
+:func:`repro.verify.check_cluster` on every run: replica equality,
+register linearizability of the client history, exactly-once applies,
+durability, and — whenever a majority serves — the declared shape.
 
 Outcomes are *verdicts*, not asserts: ``consistent`` (service stayed
 available and every invariant holds), ``unavailable`` (fewer than a
@@ -16,10 +16,13 @@ for recoverable ones), or ``violation``. ``python -m repro chaos``
 runs seeds round-robin over the registry and exits non-zero on any
 unexpected verdict.
 
-Clients follow the paper's caveat that operations are not
-failure-free: after an ambiguous error they re-read the key (out-
-waiting the RPC retry horizon) and adopt reality before continuing,
-exactly like the soak tests in ``tests/integration/test_chaos.py``.
+Every run drives the same client, :func:`chaos_client`. It follows the
+paper's caveat that operations are not failure-free by recording it
+rather than waiting it out: the client is retry-safe (exactly-once
+sessions, blind resends), and a write whose retries ran out enters the
+history as an optional write the checker may or may not linearize.
+Which names the clients work on follows from the deployment
+(:func:`client_keys`).
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ SETTLE_MS = 30_000.0
 WARMUP_MS = 2_000.0
 #: Every scenario runs a triplicated service (the RPC pair aside).
 N_SERVERS = 3
-#: Ring-buffer size of the always-on flight recorder: enough for the
-#: last few seconds of cluster activity without unbounded growth.
+#: The tracer ring a run records into: the whole window's apply events,
+#: so the duplicate-apply scan sees both halves of a duplicate pair.
+TRACE_RING_CAPACITY = 65_536
+#: The flight recorder a verdict keeps: the ring's last events, enough
+#: for the last few seconds of cluster activity.
 FLIGHT_RECORDER_CAPACITY = 2048
-#: Shared-key scenarios need the whole window's apply events so the
-#: duplicate-apply scan sees both halves of a duplicate pair.
-SHARED_KEYS_RECORDER_CAPACITY = 65_536
+#: How many names each chaos client works on.
+N_KEYS = 4
 #: Where failing seeds leave their flight-recorder dumps.
 DEFAULT_TRACE_DIR = "chaos-traces"
 
@@ -77,13 +82,6 @@ class Scenario:
     #: Scenarios excluded from the default seed rotation (negative
     #: tests that deliberately destroy the majority).
     in_rotation: bool = True
-    #: Clients contend on a small set of shared keys; the verdict then
-    #: uses the shared-key linearizability checker instead of the
-    #: private-key session-guarantee checks. These clients use the
-    #: exactly-once session layer (retry-safe mode) and blindly resend
-    #: mutations on RPC failure, and the flight recorder holds
-    #: SHARED_KEYS_RECORDER_CAPACITY events.
-    shared_keys: bool = False
     #: Server-side session dedup. Disable to demonstrate the checker
     #: is not vacuous: retried-but-committed updates then surface as
     #: linearizability violations / duplicate applies.
@@ -105,9 +103,9 @@ class Scenario:
     #: patches the defaults by signal).
     monitor_thresholds: tuple = DEFAULT_THRESHOLDS
     #: Per-client lookup-cache capacity (0 = no cache). >0 also turns
-    #: on ``cache_coherence`` in the deployment config and switches the
-    #: shared-key workload to the cached loop, which records whether
-    #: each read was served from the cache or a server.
+    #: on ``cache_coherence`` in the deployment config and makes the
+    #: client workload read-heavy, recording whether each read was
+    #: served from the cache or a server.
     cache_size: int = 0
     #: NEGATIVE control: cached clients acknowledge invalidations but
     #: *ignore* them (see repro.directory.client), so the extended
@@ -139,8 +137,8 @@ class ScenarioVerdict:
     #: buffer of FLIGHT_RECORDER_CAPACITY), and where they were dumped.
     trace_events: list = field(default_factory=list)
     trace_path: str | None = None
-    #: The recorded client history (for shared-key runs it is dumped
-    #: next to the flight recorder so violations can be replayed).
+    #: The recorded client history (dumped next to the flight recorder
+    #: so violations can be replayed).
     history_events: list = field(default_factory=list)
     history_path: str | None = None
     #: Health-monitor outcome (repro.obs.monitor): every alert/clear,
@@ -202,10 +200,6 @@ class ScenarioVerdict:
                 "operational": self.report.operational,
                 "total_servers": self.report.total_servers,
                 "replicas_equal": self.report.replicas_equal,
-                "session_violations": [
-                    v.explanation for v in self.report.session_violations
-                ],
-                "lost_updates": list(self.report.lost_updates),
                 "linearizability_violations": list(
                     self.report.linearizability_violations
                 ),
@@ -285,7 +279,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "reply loss + >timeout request lag against retry-safe clients "
         "contending on shared keys: exactly-once or bust",
         nemesis.retry_storm,
-        shared_keys=True,
         n_clients=4,
         expect_alerts=True,
     ),
@@ -294,7 +287,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "NEGATIVE: the same storm with server-side dedup disabled — "
         "the linearizability checker must catch the duplicates",
         nemesis.retry_storm,
-        shared_keys=True,
         dedup=False,
         n_clients=4,
         in_rotation=False,
@@ -319,7 +311,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "self-driving gauntlet: crash left down, flapping link, "
         "sustained loss — remediation must restore declared resilience",
         nemesis.rolling_faults,
-        shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
         resilience=1,
@@ -335,7 +326,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "NEGATIVE: the same gauntlet with the controller disabled — "
         "check_resilience_restored must flag the crippled cluster",
         nemesis.rolling_faults,
-        shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
         resilience=1,
@@ -349,7 +339,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "sequencer crashes against cached clients on hot shared keys — "
         "any stale cache-served read fails the linearizability checker",
         nemesis.stale_read_hunt,
-        shared_keys=True,
         n_clients=4,
         cache_size=64,
         # Out of rotation (run explicitly by the cache-smoke CI job):
@@ -362,7 +351,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "NEGATIVE: the same gauntlet with invalidations acknowledged "
         "but ignored — the checker must catch the stale cached reads",
         nemesis.stale_read_hunt,
-        shared_keys=True,
         n_clients=4,
         cache_size=64,
         cache_nocoherence=True,
@@ -375,7 +363,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "— checksummed envelopes + scrub-and-repair must keep every "
         "acknowledged block durable",
         nemesis.bitrot_gauntlet,
-        shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
         integrity=True,
@@ -394,7 +381,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "layout with no scrubber or remediation — check_durability "
         "must catch the silently-served corruption",
         nemesis.bitrot_gauntlet,
-        shared_keys=True,
         n_clients=3,
         window_ms=35_000.0,
         integrity=False,
@@ -475,17 +461,116 @@ def run_scenario(
         if cluster is not None:
             # The flight recorder survives the wreck: keep the last
             # events so the failure is debuggable from the dump alone.
-            verdict.trace_events = list(cluster.obs.tracer.events())
+            verdict.trace_events = cluster.obs.tracer.events()[
+                -FLIGHT_RECORDER_CAPACITY:
+            ]
             verdict.simulated_ms = cluster.sim.now
         return verdict
 
 
-def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
-    cluster.enable_tracing(
-        SHARED_KEYS_RECORDER_CAPACITY
-        if scenario.shared_keys
-        else FLIGHT_RECORDER_CAPACITY
+def client_keys(cluster_kind: str, index: int) -> tuple[str, ...]:
+    """The root-directory names chaos client *index* works on.
+
+    The group service promises linearizability, so its clients contend
+    on the same names. The RPC pair's lazy replication orders only a
+    client's own operations (a retried append can be answered
+    AlreadyExists after it executed on the peer), so each of its
+    clients keeps names of its own."""
+    prefix = "shared" if cluster_kind == "group" else f"c{index}"
+    return tuple(f"{prefix}-{i}" for i in range(N_KEYS))
+
+
+def chaos_client(
+    cluster, history, index, keys, deadline, cache_size=0, cache_nocoherence=False
+):
+    """Client ``c<index>``: random operations on *keys* until *deadline*.
+
+    The reply timeout is aggressive: under request lag many first
+    attempts commit after the client has given up and resent — exactly
+    the duplicate window the session layer must close. With a
+    *cache_size* the client is read-heavy and cache-enabled: two more
+    lookups for every write, each recording whether the coherent cache
+    or a server answered it. The checker holds both to the same
+    register model, so a cache-served read meets the server-read bar.
+    """
+    sim = cluster.sim
+    root = cluster.root_capability
+    tag = f"c{index}"
+    cached = bool(cache_size)
+    client = cluster.add_client(
+        tag,
+        rpc_timings=RpcTimings(
+            reply_timeout_ms=4_000.0 if cached else 1_000.0,
+            max_attempts=8 if cached else 4,
+            locate_attempts=10,
+        ),
+        retry_safe=True,
+        cache_size=cache_size,
+        cache_nocoherence=cache_nocoherence,
     )
+    kinds = ["append", "delete", "lookup", "lookup"]
+    if cached:
+        kinds += ["lookup", "lookup"]
+    crng = sim.rng.stream(f"chaos.client.{tag}")
+    counter = 0
+    while sim.now < deadline:
+        name = keys[crng.randrange(len(keys))]
+        key = (1, name)
+        kind = crng.choice(kinds)
+        t0 = sim.now
+        counter += 1
+        try:
+            if kind == "append":
+                # A unique capability per append: reads can then
+                # attribute every observed value to one recorded write
+                # (or to nothing — the violation).
+                value = dataclasses.replace(
+                    root, check=(index + 1) * 1_000_000 + counter
+                )
+                yield from client.append_row(root, name, (value,))
+                history.record(tag, "append", key, value, t0, sim.now)
+            elif kind == "delete":
+                yield from client.delete_row(root, name)
+                history.record(tag, "delete", key, None, t0, sim.now)
+            else:
+                got = yield from client.lookup(root, name)
+                source = "cache" if client.last_lookup_from_cache else "server"
+                history.record(tag, "lookup", key, got, t0, sim.now, source=source)
+        except DirectoryError as exc:
+            # Definitive server answer (AlreadyExists, NotFound): the
+            # write did not take effect. With dedup disabled a
+            # committed-then-retried update lands here too — the
+            # unexplained value is what the checker then flags.
+            # Recorded with a "!" suffix (ignored by the checker) so
+            # violation dumps show what the client was told.
+            history.record(tag, kind + "!", key, repr(exc), t0, sim.now)
+        except ReproError:
+            if kind in ("append", "delete"):
+                # Retry rounds exhausted: the effect is unknown and
+                # may still land later. Optional write, open end.
+                ambiguous = value if kind == "append" else None
+                history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
+            yield sim.sleep(500.0)
+
+
+def closing_reads(cluster, history, keys):
+    """Read every key once the run is quiet, into the history: a
+    committed update nobody recorded (a lost reply whose retry was
+    answered wrongly) surfaces as a value no recorded write explains."""
+    sim = cluster.sim
+    root = cluster.root_capability
+    reader = cluster.add_client("final-reader")
+    for name in keys:
+        t0 = sim.now
+        try:
+            got = yield from reader.lookup(root, name)
+        except ReproError:
+            continue
+        history.record("final", "lookup", (1, name), got, t0, sim.now)
+
+
+def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
+    cluster.enable_tracing(TRACE_RING_CAPACITY)
     sim = cluster.sim
     # The watchdog starts with the cluster healthy: its baseline
     # window is fault-free, so anything it raises later is signal.
@@ -495,156 +580,26 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
         from repro.recovery import RemediationController
 
         controller = RemediationController(cluster, monitor).start()
-    root = cluster.root_capability
     history = HistoryRecorder()
     start = sim.now
     deadline = start + window_ms
-    hard_deadline = deadline + SETTLE_MS * 0.8
 
     rng = sim.rng.stream(f"chaos.{scenario.name}")
     plan = scenario.build(cluster, rng, start + WARMUP_MS, window_ms)
     plan.arm(cluster)
     host_built = perf_counter_ns()
 
-    def client_loop(tag):
-        client = cluster.add_client(tag)
-        crng = sim.rng.stream(f"chaos.client.{tag}")
-        target = None
-        while target is None and sim.now < deadline:
-            try:
-                target = yield from client.create_dir()
-            except ReproError:
-                yield sim.sleep(250.0)
-        counter = 0
-        while target is not None and sim.now < deadline:
-            name = f"{tag}-{counter % 5}"
-            key = (1, name)
-            kind = crng.choice(["append", "delete", "lookup", "lookup"])
-            t0 = sim.now
-            try:
-                if kind == "append":
-                    yield from client.append_row(root, name, (target,))
-                    history.record(tag, "append", key, target, t0, sim.now)
-                elif kind == "delete":
-                    yield from client.delete_row(root, name)
-                    history.record(tag, "delete", key, None, t0, sim.now)
-                else:
-                    value = yield from client.lookup(root, name)
-                    history.record(tag, "lookup", key, value, t0, sim.now)
-            except ReproError:
-                # Ambiguous: the op may or may not have executed (and a
-                # queued duplicate may still execute later). Out-wait
-                # the retry horizon, then adopt the key's actual state.
-                settled = yield from _resync(client, key, name, tag)
-                if not settled:
-                    return tag  # service gone (majority-lost scenarios)
-            counter += 1
-        return tag
-
-    def _resync(client, key, name, tag):
-        yield sim.sleep(12_000.0)
-        while sim.now < hard_deadline:
-            try:
-                value = yield from client.lookup(root, name)
-            except ReproError:
-                yield sim.sleep(300.0)
-                continue
-            if value is None:
-                history.record(tag, "delete", key, None, sim.now, sim.now)
-            else:
-                history.record(tag, "append", key, value, sim.now, sim.now)
-            return True
-        return False
-
-    def shared_client_loop(index, tag):
-        # Every client contends on four hot names. The reply timeout
-        # is aggressive: under the storm's >timeout request lag, many
-        # first attempts commit after the client has already given up
-        # and resent — exactly the duplicate window the session layer
-        # must close. A scenario with a cache_size runs the same loop
-        # read-heavy and cache-enabled: two more lookups for every
-        # write, every lookup recording whether the client's coherent
-        # cache or a server answered it. The verdict runs both through
-        # the same register model — a cache-served read is held to
-        # exactly the server-read bar.
-        cached = bool(scenario.cache_size)
-        client = cluster.add_client(
-            tag,
-            rpc_timings=RpcTimings(
-                reply_timeout_ms=4_000.0 if cached else 1_000.0,
-                max_attempts=8 if cached else 4,
-                locate_attempts=10,
+    keys = [client_keys(scenario.cluster_kind, i) for i in range(n_clients)]
+    processes = [
+        sim.spawn(
+            chaos_client(
+                cluster, history, i, keys[i], deadline,
+                scenario.cache_size, scenario.cache_nocoherence,
             ),
-            retry_safe=True,
-            cache_size=scenario.cache_size,
-            cache_nocoherence=scenario.cache_nocoherence,
+            f"chaos-client-{i}",
         )
-        kinds = ["append", "delete", "lookup", "lookup"]
-        if cached:
-            kinds += ["lookup", "lookup"]
-        crng = sim.rng.stream(f"chaos.client.{tag}")
-        counter = 0
-        while sim.now < deadline:
-            name = f"shared-{crng.randrange(4)}"
-            key = (1, name)
-            kind = crng.choice(kinds)
-            t0 = sim.now
-            counter += 1
-            try:
-                if kind == "append":
-                    # A unique capability per attempt: reads can then
-                    # attribute every observed value to one recorded
-                    # write (or to nothing — the violation).
-                    value = dataclasses.replace(
-                        root, check=(index + 1) * 1_000_000 + counter
-                    )
-                    yield from client.append_row(root, name, (value,))
-                    history.record(tag, "append", key, value, t0, sim.now)
-                elif kind == "delete":
-                    yield from client.delete_row(root, name)
-                    history.record(tag, "delete", key, None, t0, sim.now)
-                else:
-                    got = yield from client.lookup(root, name)
-                    history.record(
-                        tag,
-                        "lookup",
-                        key,
-                        got,
-                        t0,
-                        sim.now,
-                        source=(
-                            "cache"
-                            if client.last_lookup_from_cache
-                            else "server"
-                        ),
-                    )
-            except DirectoryError as exc:
-                # Definitive server answer (AlreadyExists, NotFound):
-                # the write did not take effect. With dedup disabled a
-                # committed-then-retried update lands here too — the
-                # unexplained value is what the checker then flags.
-                # Recorded with a "!" suffix (ignored by the checkers)
-                # so violation dumps show what the client was told.
-                history.record(tag, kind + "!", key, repr(exc), t0, sim.now)
-            except ReproError:
-                if kind in ("append", "delete"):
-                    # Retry rounds exhausted: the effect is unknown and
-                    # may still land later. Optional write, open end.
-                    ambiguous = value if kind == "append" else None
-                    history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
-                yield sim.sleep(500.0)
-        return tag
-
-    if scenario.shared_keys:
-        processes = [
-            sim.spawn(shared_client_loop(i, f"c{i}"), f"chaos-client-{i}")
-            for i in range(n_clients)
-        ]
-    else:
-        processes = [
-            sim.spawn(client_loop(f"c{i}"), f"chaos-client-{i}")
-            for i in range(n_clients)
-        ]
+        for i in range(n_clients)
+    ]
     cluster.run(until=deadline + SETTLE_MS)
     problems: list[str] = []
     if not all(p.resolved for p in processes):
@@ -663,42 +618,26 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
     # Via the config, not len(cluster.servers): spare sites are entries
     # there too.
     available = len(operational) >= cluster.config.majority
+    if available:
+        every_key = dict.fromkeys(name for names in keys for name in names)
+        cluster.run_process(
+            closing_reads(cluster, history, every_key), "chaos-final-reads"
+        )
 
-    if scenario.shared_keys and available:
-        # Closing reads on every shared key: a committed update nobody
-        # recorded (a lost reply whose retry was answered wrongly)
-        # surfaces here as a value no write in the history explains.
-        def final_reads():
-            reader = cluster.add_client("final-reader")
-            for i in range(4):
-                name = f"shared-{i}"
-                t0 = sim.now
-                try:
-                    got = yield from reader.lookup(root, name)
-                except ReproError:
-                    continue
-                history.record("final", "lookup", (1, name), got, t0, sim.now)
-
-        cluster.run_process(final_reads(), "chaos-final-reads")
-
-    final_names = None
-    if operational:
-        final_names = set(operational[0].state.directories[1].names())
-    report = check_cluster(
-        cluster,
-        history,
-        final_names if available else None,
-        private_keys=not scenario.shared_keys,
-        trace_events=cluster.obs.tracer.events(),
-    )
+    report = check_cluster(cluster, history, cluster.obs.tracer.events())
     problems.extend(report.problems())
 
+    # A run whose clients never read from a cache proves nothing about
+    # coherence, and one whose clients were idle while the faults fired
+    # proves nothing about the faults: both are failed as vacuous
+    # rather than let a configuration regression pass silently.
     if scenario.cache_size and history.cache_served_reads() == 0:
-        # A cache scenario whose clients never served a read locally
-        # proves nothing about coherence — fail it as vacuous rather
-        # than let a configuration regression pass silently.
         problems.append(
             "cache scenario recorded no cache-served reads (vacuous run)"
+        )
+    if plan.log and not history.overlapping(plan.log[0][0], plan.log[-1][0]):
+        problems.append(
+            "no client operation overlapped the fault window (vacuous run)"
         )
 
     # The health-monitor contract. "Inside the fault window" allows a
@@ -739,8 +678,8 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
             ok = True
     else:
         # Negative scenario: the service must refuse, and whatever was
-        # served before the blackout must still honour the session
-        # guarantees — detected unavailability, never stale data.
+        # served before the blackout must still be linearizable —
+        # detected unavailability, never stale data.
         if available:
             status = "consistent"
             ok = False
@@ -771,7 +710,7 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
         net_stats=cluster.network.stats.full_snapshot(),
         fingerprints=fingerprints,
         simulated_ms=sim.now,
-        trace_events=list(cluster.obs.tracer.events()),
+        trace_events=cluster.obs.tracer.events()[-FLIGHT_RECORDER_CAPACITY:],
         history_events=list(history.events),
         alerts=list(monitor.alerts),
         alert_clears=list(monitor.clears),
@@ -856,7 +795,7 @@ def run_suite(
 def format_verdicts(verdicts: list[ScenarioVerdict]) -> str:
     lines = [
         f"{'seed':>6}  {'scenario':<28}{'verdict':<14}{'faults':>7}"
-        f"  {'up':>3}  {'busiest':<12}  {'host-s':>7}  problems"
+        f"{'ops':>6}  {'up':>3}  {'busiest':<12}  {'host-s':>7}  problems"
     ]
     for v in verdicts:
         up = "-" if v.report is None else str(v.report.operational)
@@ -869,7 +808,7 @@ def format_verdicts(verdicts: list[ScenarioVerdict]) -> str:
         lines.append(
             f"{v.seed:>6}  {v.scenario:<28}"
             f"{v.status + ('' if v.ok else ' (!)'):<14}"
-            f"{len(v.fault_log):>7}  {up:>3}  {busiest:<12}  "
+            f"{len(v.fault_log):>7}{len(v.history_events):>6}  {up:>3}  {busiest:<12}  "
             f"{(host / 1e3 if host else 0):>7.1f}  "
             + ("; ".join(v.problems[:2]) if v.problems else "-")
         )

@@ -3,18 +3,14 @@
 The paper requires one-copy serializability for individual directory
 operations (section 2), r-safe updates, acknowledged writes on disk
 (Fig. 5) and recovery back to the full membership (Fig. 6).
-:func:`check_cluster` runs seven checks against one run:
+:func:`check_cluster` runs six checks against one run:
 
 * **replica equality** — every operational replica's state
   fingerprint matches (the cluster classes expose this);
-* **session guarantees** — on keys private to each client, every read
-  reflects exactly that client's own preceding writes
-  (:func:`check_private_key_history`);
-* **no lost updates** — on private keys, the final listing holds every
-  surviving append and no deleted name (:func:`check_no_lost_updates`);
-* **linearizability** — on shared keys, each key's history is
-  linearizable as a register (:func:`check_shared_key_linearizability`,
-  a bounded Wing & Gong search);
+* **linearizability** — each key's history, closing reads included, is
+  linearizable as a register (:func:`check_linearizability`, a bounded
+  Wing & Gong search). Read-your-writes, a lost write and a deleted
+  name that comes back all fail it;
 * **exactly-once applies** — no session-stamped operation is executed
   twice on any replica (:func:`check_exactly_once_applies`);
 * **declared shape** — a serving service is back at its declared
@@ -73,54 +69,16 @@ class HistoryRecorder:
         """
         return sum(1 for e in self.events if e.source == "cache")
 
-    def by_client(self) -> dict[str, list[HistoryEvent]]:
-        out: dict[str, list[HistoryEvent]] = {}
-        for event in self.events:
-            out.setdefault(event.client, []).append(event)
-        for events in out.values():
-            events.sort(key=lambda e: e.start_ms)
-        return out
-
-
-@dataclass
-class Violation:
-    """One broken session guarantee."""
-
-    client: str
-    event: HistoryEvent
-    expected: Any
-    explanation: str
-
-
-def check_private_key_history(history: HistoryRecorder) -> list[Violation]:
-    """Verify read-your-writes on keys private to each client.
-
-    Assumes no two clients touch the same key (the caller arranges
-    that). For each client, a lookup must return the capability of the
-    client's latest preceding append, or None after a delete / before
-    any append.
-    """
-    violations: list[Violation] = []
-    for client, events in history.by_client().items():
-        expected: dict[Any, Any] = {}
-        for event in events:
-            if event.kind == "append":
-                expected[event.key] = event.value
-            elif event.kind == "delete":
-                expected[event.key] = None
-            elif event.kind == "lookup":
-                want = expected.get(event.key)
-                if event.value != want:
-                    violations.append(
-                        Violation(
-                            client,
-                            event,
-                            want,
-                            f"lookup of {event.key} returned {event.value!r}, "
-                            f"but this client's own writes imply {want!r}",
-                        )
-                    )
-    return violations
+    def overlapping(self, first_ms: float, last_ms: float) -> int:
+        """How many operations of non-zero length overlap
+        [first_ms, last_ms]. A chaos run uses its first and last fault
+        instants: with none, the faults hit idle clients and the
+        history proves nothing about them."""
+        return sum(
+            1
+            for e in self.events
+            if e.start_ms < e.end_ms and e.start_ms <= last_ms and e.end_ms >= first_ms
+        )
 
 
 #: Linearizability-search budget: DFS states explored per key before
@@ -145,8 +103,8 @@ class _RegisterOp:
     optional: bool  # ambiguous write: may never have taken effect
 
 
-def check_shared_key_linearizability(history: HistoryRecorder) -> list[str]:
-    """Per-key linearizability of a shared-key history (Wing & Gong).
+def check_linearizability(history: HistoryRecorder) -> list[str]:
+    """Per-key linearizability of a client history (Wing & Gong).
 
     Each key is modelled as a register: ``append`` writes the recorded
     capability, ``delete`` writes None, ``lookup`` reads. Keys are
@@ -287,31 +245,15 @@ class InvariantReport:
     operational: int
     total_servers: int
     replicas_equal: bool
-    session_violations: list[Violation] = field(default_factory=list)
-    lost_updates: list[str] = field(default_factory=list)
     linearizability_violations: list[str] = field(default_factory=list)
     duplicate_applies: list[str] = field(default_factory=list)
     resilience_problems: list[str] = field(default_factory=list)
     durability_problems: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.replicas_equal
-            and not self.session_violations
-            and not self.lost_updates
-            and not self.linearizability_violations
-            and not self.duplicate_applies
-            and not self.resilience_problems
-            and not self.durability_problems
-        )
-
     def problems(self) -> list[str]:
         out = []
         if not self.replicas_equal:
             out.append("operational replicas hold divergent state")
-        out.extend(v.explanation for v in self.session_violations)
-        out.extend(self.lost_updates)
         out.extend(self.linearizability_violations)
         out.extend(self.duplicate_applies)
         out.extend(self.resilience_problems)
@@ -420,20 +362,16 @@ def check_durability(cluster) -> list[str]:
 def check_cluster(
     cluster,
     history: HistoryRecorder,
-    final_names: set | None = None,
-    private_keys: bool = True,
     trace_events=None,
 ) -> InvariantReport:
     """Run every invariant against a quiesced cluster + client history.
 
-    *final_names* is the final listing used for the lost-update check;
-    pass None to skip it (e.g. when no replica is reachable to read
-    the final state from). With ``private_keys=False`` the per-client
-    read-your-writes and last-writer checks (which assume disjoint key
-    sets) are replaced by the shared-key linearizability checker.
-    Pass the run's trace events (``cluster.obs.tracer.events()`` or
-    the exported dicts) as *trace_events* to also scan for duplicate
-    session-op applications. :func:`check_durability` always runs;
+    The history goes through :func:`check_linearizability`; record a
+    closing read of every key in it, so that the final state is held
+    to the writes too. Pass the run's trace events
+    (``cluster.obs.tracer.events()`` or the exported dicts) as
+    *trace_events* to also scan for duplicate session-op applications.
+    :func:`check_durability` always runs;
     :func:`check_resilience_restored` runs whenever a majority of the
     configured servers is operational, because a service that serves
     must be back at its declared shape (without a majority the caller
@@ -444,35 +382,11 @@ def check_cluster(
         operational=len(operational),
         total_servers=sum(1 for s in cluster.servers if s is not None),
         replicas_equal=cluster.replicas_consistent(),
+        linearizability_violations=check_linearizability(history),
     )
-    if private_keys:
-        report.session_violations = check_private_key_history(history)
-        if final_names is not None:
-            report.lost_updates = check_no_lost_updates(history, final_names)
-    else:
-        report.linearizability_violations = check_shared_key_linearizability(
-            history
-        )
     if trace_events is not None:
         report.duplicate_applies = check_exactly_once_applies(trace_events)
     if len(operational) >= cluster.config.majority:
         report.resilience_problems = check_resilience_restored(cluster)
     report.durability_problems = check_durability(cluster)
     return report
-
-
-def check_no_lost_updates(history: HistoryRecorder, final_names: set) -> list[str]:
-    """Every name a client appended (and never deleted) must exist in
-    the final listing, and every deleted name must be absent."""
-    problems = []
-    last_write: dict[Any, tuple[str, Any]] = {}
-    for event in sorted(history.events, key=lambda e: e.end_ms):
-        if event.kind in ("append", "delete"):
-            last_write[event.key] = (event.kind, event.value)
-    for key, (kind, _value) in last_write.items():
-        name = key[1] if isinstance(key, tuple) else key
-        if kind == "append" and name not in final_names:
-            problems.append(f"appended name {name!r} missing from final state")
-        if kind == "delete" and name in final_names:
-            problems.append(f"deleted name {name!r} still in final state")
-    return problems

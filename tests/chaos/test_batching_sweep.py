@@ -11,7 +11,6 @@ nondeterminism.
 
 import pytest
 
-from repro.chaos import run_scenario, scenario_by_name
 from repro.directory.config import ServiceConfig
 
 SWEEP_SEEDS = list(range(100, 110))
@@ -23,25 +22,24 @@ def test_chaos_clusters_run_with_batching_on():
 
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-def test_sequencer_crash_sweep_with_batching(seed):
-    verdict = run_scenario(scenario_by_name("sequencer_crash"), seed=seed, smoke=True)
+def test_sequencer_crash_sweep_with_batching(seed, smoke_verdict):
+    verdict = smoke_verdict("sequencer_crash", seed)
     assert verdict.ok, f"seed {seed}: {verdict.status}: {verdict.problems}"
     assert verdict.report is not None
     assert verdict.report.replicas_equal
 
 
 @pytest.mark.parametrize("name", ["multicast_loss", "reordering"])
-def test_link_fault_scenarios_with_batching(name):
+def test_link_fault_scenarios_with_batching(name, smoke_verdict):
     # Loss and reordering interact with batch formation (retransmitted
     # records become deliverable in bursts); the invariants must hold.
-    verdict = run_scenario(scenario_by_name(name), seed=7, smoke=True)
+    verdict = smoke_verdict(name, 7)
     assert verdict.ok, f"{name}: {verdict.status}: {verdict.problems}"
 
 
-def test_batched_chaos_run_is_deterministic():
-    scenario = scenario_by_name("sequencer_crash")
-    first = run_scenario(scenario, seed=41, smoke=True)
-    second = run_scenario(scenario, seed=41, smoke=True)
+def test_batched_chaos_run_is_deterministic(smoke_verdict):
+    first = smoke_verdict.fresh("sequencer_crash", 41)
+    second = smoke_verdict.fresh("sequencer_crash", 41)
     assert first.status == second.status
     assert first.fault_log == second.fault_log
     assert first.net_stats == second.net_stats

@@ -20,18 +20,18 @@ def scenario(name):
 
 
 class TestBitrotGauntlet:
-    def test_checksums_and_scrubbing_keep_every_byte_durable(self):
-        verdict = run_scenario(scenario("bitrot_gauntlet"), seed=0, smoke=True)
+    def test_checksums_and_scrubbing_keep_every_byte_durable(self, smoke_verdict):
+        verdict = smoke_verdict("bitrot_gauntlet", 0)
         d = verdict.as_dict()
         assert d["ok"], d["problems"]
         assert d["status"] == "consistent"
         assert d["invariants"]["durability_problems"] == []
 
-    def test_corruption_alert_drives_a_scrub_remediation(self):
+    def test_corruption_alert_drives_a_scrub_remediation(self, smoke_verdict):
         """The loop closes: injected damage raises the
         ``storage.corrupt_rate`` alert and the remediation controller
         answers with a scrub-now kick — yet the verdict stays clean."""
-        verdict = run_scenario(scenario("bitrot_gauntlet"), seed=5, smoke=True)
+        verdict = smoke_verdict("bitrot_gauntlet", 5)
         d = verdict.as_dict()
         assert d["ok"], d["problems"]
         signals = {a["signal"] for a in d["health"]["alerts"]}
@@ -39,11 +39,11 @@ class TestBitrotGauntlet:
         actions = [a["action"] for a in d["remediation_actions"]]
         assert "scrub" in actions, actions
 
-    def test_same_seed_runs_are_identical_with_scrubbing(self):
+    def test_same_seed_runs_are_identical_with_scrubbing(self, smoke_verdict):
         """The scrubber and repair traffic ride the simulator clock and
         seeded RNG streams only — same seed, same verdict."""
-        a = run_scenario(scenario("bitrot_gauntlet"), seed=1, smoke=True)
-        b = run_scenario(scenario("bitrot_gauntlet"), seed=1, smoke=True)
+        a = smoke_verdict.fresh("bitrot_gauntlet", 1)
+        b = smoke_verdict.fresh("bitrot_gauntlet", 1)
 
         def canon(v):
             d = v.as_dict()
@@ -89,10 +89,8 @@ class TestBitrotGauntlet:
 
 
 class TestIntegrityOffControl:
-    def test_legacy_layout_provably_violates_durability(self):
-        verdict = run_scenario(
-            scenario("bitrot_integrity_off"), seed=0, smoke=True
-        )
+    def test_legacy_layout_provably_violates_durability(self, smoke_verdict):
+        verdict = smoke_verdict("bitrot_integrity_off", 0)
         d = verdict.as_dict()
         assert not d["ok"]
         assert d["status"] == "violation"
@@ -105,11 +103,11 @@ class TestIntegrityOffControl:
 
 
 class TestVerdictUtilization:
-    def test_verdict_carries_the_saturation_rollup(self):
+    def test_verdict_carries_the_saturation_rollup(self, smoke_verdict):
         """The saturation observatory's verdict-time rollup: whole-run
         mean utilization per resource kind, sane (0..~1) even with the
         full fault catalogue in play."""
-        verdict = run_scenario(scenario("bitrot_gauntlet"), seed=0, smoke=True)
+        verdict = smoke_verdict("bitrot_gauntlet", 0)
         util = verdict.as_dict()["utilization"]
         assert set(util) == {"seq", "cpu", "disk", "nvram", "wire"}
         assert all(0.0 <= v <= 1.05 for v in util.values()), util

@@ -1,6 +1,7 @@
 """The chaos runner's flight recorder: every verdict carries the ring
 buffer's tail, and failing seeds leave a JSONL dump on disk."""
 
+import dataclasses
 import json
 
 import repro.chaos.runner as runner
@@ -13,28 +14,50 @@ from repro.chaos import (
 )
 
 
+INJECTED = "injected: pretend a key is not linearizable"
+
+
 def force_failure(monkeypatch):
-    """Make every run a violation by injecting a lost update."""
+    """Make every run a violation by injecting a linearizability one."""
     real = runner.check_cluster
 
-    def broken(cluster, history, final_names=None):
-        report = real(cluster, history, final_names)
-        report.lost_updates.append("injected: pretend an update vanished")
+    def broken(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.linearizability_violations.append(INJECTED)
         return report
 
     monkeypatch.setattr(runner, "check_cluster", broken)
 
 
+def assert_injected(verdict):
+    assert verdict.status == "violation" and not verdict.ok, verdict.problems
+    assert INJECTED in verdict.problems
+
+
 class TestVerdictCarriesTrace:
-    def test_passing_run_still_records_events(self):
-        verdict = run_scenario(scenario_by_name("delay_spikes"), 0, smoke=True)
+    def test_passing_run_still_records_events(self, smoke_verdict):
+        verdict = smoke_verdict("delay_spikes", 0)
         assert verdict.ok
-        assert verdict.trace_events
-        assert len(verdict.trace_events) <= FLIGHT_RECORDER_CAPACITY
+        assert len(verdict.trace_events) == FLIGHT_RECORDER_CAPACITY
         assert verdict.trace_path is None  # nothing dumped for a pass
 
-    def test_as_dict_is_json_serializable(self):
-        verdict = run_scenario(scenario_by_name("delay_spikes"), 0, smoke=True)
+    def test_an_error_verdict_keeps_only_the_tail(self, monkeypatch):
+        # The run records into a ring of TRACE_RING_CAPACITY events; a
+        # verdict, an error one too, keeps the flight recorder's tail.
+        def crash(*args, **kwargs):
+            raise RuntimeError("checker died")
+
+        monkeypatch.setattr(runner, "check_cluster", crash)
+        short = dataclasses.replace(
+            scenario_by_name("fault_free_control"), window_ms=5_000.0
+        )
+        verdict = run_scenario(short, 0, smoke=True)
+        assert verdict.status == "error"
+        assert verdict.problems == ["RuntimeError: checker died"]
+        assert len(verdict.trace_events) == FLIGHT_RECORDER_CAPACITY
+
+    def test_as_dict_is_json_serializable(self, smoke_verdict):
+        verdict = smoke_verdict("delay_spikes", 0)
         payload = json.dumps(verdict.as_dict(), sort_keys=True)
         decoded = json.loads(payload)
         assert decoded["scenario"] == "delay_spikes"
@@ -50,7 +73,7 @@ class TestFailureDump:
             1, smoke=True, only="delay_spikes", trace_dir=str(trace_dir)
         )
         (verdict,) = verdicts
-        assert not verdict.ok
+        assert_injected(verdict)
         assert verdict.trace_path is not None
         dump = trace_dir / "delay_spikes-seed0.jsonl"
         assert str(dump) == verdict.trace_path
@@ -62,7 +85,7 @@ class TestFailureDump:
     def test_trace_dir_none_disables_dumping(self, monkeypatch, tmp_path):
         force_failure(monkeypatch)
         verdicts = run_suite(1, smoke=True, only="delay_spikes", trace_dir=None)
-        assert not verdicts[0].ok
+        assert_injected(verdicts[0])
         assert verdicts[0].trace_path is None
 
     def test_dump_flight_recorder_noop_without_events(self, tmp_path):

@@ -1,14 +1,10 @@
 """Per-phase host wallclock in chaos verdicts (CI slowdown artifacts)."""
 
-from repro.chaos import host_summary, run_scenario, scenario_by_name
+from repro.chaos import host_summary
 
 
-def _verdict():
-    return run_scenario(scenario_by_name("fault_free_control"), 0, smoke=True)
-
-
-def test_verdict_carries_phase_wallclock():
-    verdict = _verdict()
+def test_verdict_carries_phase_wallclock(smoke_verdict):
+    verdict = smoke_verdict("fault_free_control", 0)
     assert set(verdict.host_ms) == {"build", "run", "verify", "total"}
     assert all(v >= 0 for v in verdict.host_ms.values())
     assert verdict.host_ms["total"] > 0
@@ -23,16 +19,16 @@ def test_verdict_carries_phase_wallclock():
     assert parts >= verdict.host_ms["total"] * 0.95
 
 
-def test_host_ms_in_json_verdict():
-    verdict = _verdict()
+def test_host_ms_in_json_verdict(smoke_verdict):
+    verdict = smoke_verdict("fault_free_control", 0)
     out = verdict.as_dict()
     assert "host_ms" in out
     assert set(out["host_ms"]) == {"build", "run", "verify", "total"}
     assert all(isinstance(v, float) for v in out["host_ms"].values())
 
 
-def test_suite_host_summary():
-    verdicts = [_verdict(), _verdict()]
+def test_suite_host_summary(smoke_verdict):
+    verdicts = [smoke_verdict("fault_free_control", seed) for seed in (0, 1)]
     summary = host_summary(verdicts)
     assert summary["total_ms"] > 0
     row = summary["by_scenario"]["fault_free_control"]

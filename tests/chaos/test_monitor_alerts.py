@@ -10,7 +10,6 @@ so these tests assert on the verdicts.
 
 import pytest
 
-from repro.chaos import run_scenario, scenario_by_name
 from repro.chaos.runner import SCENARIOS
 
 ALERTING = [s.name for s in SCENARIOS.values() if s.expect_alerts is True]
@@ -34,8 +33,8 @@ def test_alerting_scenarios_cover_the_nemesis_rotation():
 
 
 @pytest.mark.parametrize("name,seed", SWEEP)
-def test_faults_alert_in_window_and_clear(name, seed):
-    verdict = run_scenario(scenario_by_name(name), seed=seed, smoke=True)
+def test_faults_alert_in_window_and_clear(name, seed, smoke_verdict):
+    verdict = smoke_verdict(name, seed)
     assert verdict.ok, verdict.problems
     assert verdict.alerts_in_fault_window >= 1
     assert verdict.active_alerts == []
@@ -45,20 +44,16 @@ def test_faults_alert_in_window_and_clear(name, seed):
 
 
 @pytest.mark.parametrize("seed", list(range(10)))
-def test_fault_free_control_stays_silent(seed):
-    verdict = run_scenario(
-        scenario_by_name("fault_free_control"), seed=seed, smoke=True
-    )
+def test_fault_free_control_stays_silent(seed, smoke_verdict):
+    verdict = smoke_verdict("fault_free_control", seed)
     assert verdict.ok, verdict.problems
     assert verdict.alerts == []
     assert verdict.alert_clears == []
     assert verdict.monitor_ticks > 0
 
 
-def test_verdict_embeds_health_summary():
-    verdict = run_scenario(
-        scenario_by_name("sequencer_crash"), seed=0, smoke=True
-    )
+def test_verdict_embeds_health_summary(smoke_verdict):
+    verdict = smoke_verdict("sequencer_crash", 0)
     health = verdict.as_dict()["health"]
     assert health["ticks"] == verdict.monitor_ticks
     assert health["alerts"], "expected at least one alert dict"
@@ -70,9 +65,9 @@ def test_verdict_embeds_health_summary():
     )
 
 
-def test_monitor_is_deterministic_per_seed():
-    a = run_scenario(scenario_by_name("flapping_links"), seed=2, smoke=True)
-    b = run_scenario(scenario_by_name("flapping_links"), seed=2, smoke=True)
+def test_monitor_is_deterministic_per_seed(smoke_verdict):
+    a = smoke_verdict.fresh("flapping_links", 2)
+    b = smoke_verdict.fresh("flapping_links", 2)
     assert [x.as_dict() for x in a.alerts] == [x.as_dict() for x in b.alerts]
     assert [x.as_dict() for x in a.alert_clears] == [
         x.as_dict() for x in b.alert_clears

@@ -10,7 +10,7 @@ gauntlet with the controller disabled must FAIL
 
 import json
 
-from repro.chaos.runner import SCENARIOS, run_scenario
+from repro.chaos.runner import SCENARIOS
 
 
 def scenario(name):
@@ -18,8 +18,8 @@ def scenario(name):
 
 
 class TestRollingFaults:
-    def test_remediation_restores_declared_resilience(self):
-        verdict = run_scenario(scenario("rolling_faults"), seed=0, smoke=True)
+    def test_remediation_restores_declared_resilience(self, smoke_verdict):
+        verdict = smoke_verdict("rolling_faults", 0)
         d = verdict.as_dict()
         assert d["ok"], d["problems"]
         assert d["status"] == "consistent"
@@ -30,9 +30,9 @@ class TestRollingFaults:
         numbers = [a["n"] for a in d["remediation_actions"]]
         assert numbers == sorted(numbers)
 
-    def test_same_seed_runs_are_identical(self):
-        a = run_scenario(scenario("rolling_faults"), seed=1, smoke=True)
-        b = run_scenario(scenario("rolling_faults"), seed=1, smoke=True)
+    def test_same_seed_runs_are_identical(self, smoke_verdict):
+        a = smoke_verdict.fresh("rolling_faults", 1)
+        b = smoke_verdict.fresh("rolling_faults", 1)
 
         def canon(v):
             # host_ms is host wallclock — the one deliberately
@@ -46,8 +46,8 @@ class TestRollingFaults:
 
 
 class TestRemediationOffControl:
-    def test_without_the_controller_the_check_fails(self):
-        verdict = run_scenario(scenario("remediation_off"), seed=0, smoke=True)
+    def test_without_the_controller_the_check_fails(self, smoke_verdict):
+        verdict = smoke_verdict("remediation_off", 0)
         d = verdict.as_dict()
         assert not d["ok"]
         assert d["status"] == "violation"

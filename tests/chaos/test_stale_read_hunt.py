@@ -17,10 +17,8 @@ from repro.chaos import run_scenario, scenario_by_name
 
 
 class TestStaleReadHunt:
-    def test_smoke_run_holds_invariants(self):
-        verdict = run_scenario(
-            scenario_by_name("stale_read_hunt"), seed=1, smoke=True
-        )
+    def test_smoke_run_holds_invariants(self, smoke_verdict):
+        verdict = smoke_verdict("stale_read_hunt", 1)
         assert verdict.ok, verdict.problems
         assert verdict.report.linearizability_violations == []
         # Non-vacuity: the run must actually have served reads from
@@ -36,20 +34,17 @@ class TestStaleReadHunt:
         )
         assert server_reads >= 1  # misses still go remote under faults
 
-    def test_lapsed_lease_seed_stays_linearizable(self):
+    def test_lapsed_lease_seed_stays_linearizable(self, smoke_verdict):
         """Seed 14 lets a reader's lease lapse with its invalidation
         lost, then renews it through another key: entries filled under
         the old lease used to become servable again (a stale read)."""
-        verdict = run_scenario(
-            scenario_by_name("stale_read_hunt"), seed=14, smoke=True
-        )
+        verdict = smoke_verdict("stale_read_hunt", 14)
         assert verdict.ok, verdict.problems
         assert verdict.report.linearizability_violations == []
 
-    def test_same_seed_is_deterministic(self):
-        scenario = scenario_by_name("stale_read_hunt")
-        first = run_scenario(scenario, seed=3, smoke=True)
-        second = run_scenario(scenario, seed=3, smoke=True)
+    def test_same_seed_is_deterministic(self, smoke_verdict):
+        first = smoke_verdict.fresh("stale_read_hunt", 3)
+        second = smoke_verdict.fresh("stale_read_hunt", 3)
         assert first.status == second.status
         assert first.fault_log == second.fault_log
         assert first.net_stats == second.net_stats
@@ -94,10 +89,8 @@ class TestNoCoherenceControl:
     proves nothing."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_ignored_invalidations_are_caught(self, seed):
-        verdict = run_scenario(
-            scenario_by_name("cache_nocoherence"), seed=seed, smoke=True
-        )
+    def test_ignored_invalidations_are_caught(self, seed, smoke_verdict):
+        verdict = smoke_verdict("cache_nocoherence", seed)
         assert verdict.status == "violation"
         assert verdict.report.linearizability_violations
         # The stale values were served locally: the control run did

@@ -11,16 +11,14 @@ a schedule change moves it, re-pick the pair with the tally command
 there.
 """
 
-from repro.chaos import SCENARIOS, format_verdicts, run_scenario, watcher_traffic
+from repro.chaos import format_verdicts, watcher_traffic
 from repro.obs.monitor import DEFAULT_THRESHOLDS
 
 RUNS = (("rolling_faults", 1), ("bitrot_gauntlet", 1))
 
 
-def test_every_threshold_raises_and_every_policy_acts():
-    verdicts = [
-        run_scenario(SCENARIOS[name], seed, smoke=True) for name, seed in RUNS
-    ]
+def test_every_threshold_raises_and_every_policy_acts(smoke_verdict):
+    verdicts = [smoke_verdict(name, seed) for name, seed in RUNS]
     assert all(v.ok for v in verdicts), [v.problems for v in verdicts]
     alerts, actions = watcher_traffic(verdicts)
     assert set(alerts) == {t.signal for t in DEFAULT_THRESHOLDS}

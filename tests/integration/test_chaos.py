@@ -1,30 +1,30 @@
-"""Chaos soak tests: random fault schedules + consistency checking.
+"""Chaos soak tests: random fault schedules + every invariant.
 
-Clients hammer the group service while a seeded random schedule
-crashes, restarts, and partitions servers (never more than one down,
-so a majority always exists). Afterwards we check:
-
-* every operational replica holds identical state;
-* each client's reads always reflected its own preceding writes
-  (session guarantees on private keys, via repro.verify);
-* no acknowledged write was lost and no acknowledged delete resurfaced.
+The chaos suite's client (``repro.chaos.runner.chaos_client``) hammers
+the group service while a seeded random schedule crashes, restarts, and
+partitions servers (never more than a majority's worth down at once).
+Afterwards every key is read once more and
+``repro.verify.check_cluster`` runs every invariant: replica equality,
+per-key linearizability of the history, exactly-once applies, the
+declared shape and durability.
 """
 
 import pytest
 
-from repro.cluster import GroupServiceCluster
-from repro.errors import ReproError
-from repro.faults import RandomFaultPlan
-from repro.verify import (
-    HistoryRecorder,
-    check_no_lost_updates,
-    check_private_key_history,
+from repro.chaos.runner import (
+    TRACE_RING_CAPACITY,
+    chaos_client,
+    client_keys,
+    closing_reads,
 )
+from repro.cluster import GroupServiceCluster
+from repro.faults import RandomFaultPlan
+from repro.verify import HistoryRecorder, check_cluster
 
 
 def run_chaos(
     seed: int,
-    window_ms: float = 45_000.0,
+    window_ms: float = 30_000.0,
     n_clients: int = 3,
     n_servers: int = 3,
     max_down: int = 1,
@@ -37,7 +37,7 @@ def run_chaos(
     )
     cluster.start()
     cluster.wait_operational()
-    root = cluster.root_capability
+    cluster.enable_tracing(TRACE_RING_CAPACITY)
     history = HistoryRecorder()
     sim = cluster.sim
     start = sim.now
@@ -51,107 +51,49 @@ def run_chaos(
     )
     plan.arm(cluster)
 
-    def client_loop(tag):
-        client = cluster.add_client(tag)
-        rng = sim.rng.stream(f"chaos.client.{tag}")
-        target = None
-        while target is None:
-            try:
-                target = yield from client.create_dir()
-            except ReproError:
-                yield sim.sleep(200.0)
-        counter = 0
-        while sim.now < start + window_ms:
-            name = f"{tag}-{counter % 5}"
-            key = (1, name)
-            kind = rng.choice(["append", "delete", "lookup", "lookup"])
-            t0 = sim.now
-            try:
-                if kind == "append":
-                    yield from client.append_row(root, name, (target,))
-                    history.record(tag, "append", key, target, t0, sim.now)
-                elif kind == "delete":
-                    yield from client.delete_row(root, name)
-                    history.record(tag, "delete", key, None, t0, sim.now)
-                else:
-                    value = yield from client.lookup(root, name)
-                    history.record(tag, "lookup", key, value, t0, sim.now)
-            except ReproError:
-                # Refused (no majority) or failed mid-flight: the op may
-                # or may not have executed, so this client's expectation
-                # for the key is unknown until every straggler request
-                # has surely drained (a timed-out request can still be
-                # queued at a server and execute later — the paper's
-                # "no failure-free operations for clients").
-                yield from _resync(client, root, history, tag, key, name, sim)
-            counter += 1
-        return tag
-
-    def _resync(client, root, history, tag, key, name, sim):
-        """After an ambiguous failure, learn the key's actual state."""
-        # Out-wait the RPC reply timeout plus server-side queueing so
-        # no in-flight duplicate of our own request can land after the
-        # read below.
-        yield sim.sleep(12_000.0)
-        while True:
-            try:
-                value = yield from client.lookup(root, name)
-            except ReproError:
-                yield sim.sleep(300.0)
-                continue
-            # Adopt reality as the new expectation.
-            if value is None:
-                history.record(tag, "delete", key, None, sim.now, sim.now)
-            else:
-                history.record(tag, "append", key, value, sim.now, sim.now)
-            return
-
+    keys = client_keys("group", 0)
     processes = [
-        sim.spawn(client_loop(f"c{i}"), f"chaos-client-{i}")
+        sim.spawn(
+            chaos_client(cluster, history, i, keys, start + window_ms),
+            f"chaos-client-{i}",
+        )
         for i in range(n_clients)
     ]
     cluster.run(until=start + window_ms + 30_000.0)
     assert all(p.resolved for p in processes), "a chaos client hung"
     # Let every restarted server finish recovery.
     cluster.wait_operational(timeout_ms=60_000.0)
+    cluster.run_process(closing_reads(cluster, history, keys))
     return cluster, history, plan
+
+
+def assert_every_invariant(cluster, history, plan):
+    assert plan.fired >= 3, "schedule injected too few faults to be useful"
+    first, last = plan.log[0][0], plan.log[-1][0]
+    assert history.overlapping(first, last) > 0, "clients idle while faults fired"
+    assert len(cluster.operational_servers()) == cluster.config.n_servers
+    problems = check_cluster(cluster, history, cluster.obs.tracer.events()).problems()
+    assert problems == [], problems[:3]
 
 
 @pytest.mark.parametrize("seed", [11, 23, 37])
 def test_chaos_preserves_consistency(seed):
-    cluster, history, plan = run_chaos(seed)
-    assert plan.fired >= 3, "schedule injected too few faults to be useful"
-    # 1. Replicas identical after quiescence.
-    assert len(cluster.operational_servers()) == cluster.config.n_servers
-    assert cluster.replicas_consistent()
-    # 2. Session guarantees per client (each used private names).
-    violations = check_private_key_history(history)
-    assert violations == [], violations[:3]
-    # 3. Final state agrees with the last acknowledged write per key.
-    final_names = set(cluster.servers[0].state.directories[1].names())
-    problems = check_no_lost_updates(history, final_names)
-    assert problems == [], problems[:3]
+    assert_every_invariant(*run_chaos(seed))
 
 
 def test_chaos_on_five_servers_two_down():
     """A wider deployment under heavier chaos: 5 servers, up to two
     down at once (still a majority of 3)."""
-    cluster, history, plan = run_chaos(
-        71, window_ms=40_000.0, n_clients=2, n_servers=5, max_down=2
+    assert_every_invariant(
+        *run_chaos(71, n_clients=2, n_servers=5, max_down=2)
     )
-    assert plan.fired >= 3
-    assert len(cluster.operational_servers()) == 5
-    assert cluster.replicas_consistent()
-    assert check_private_key_history(history) == []
-    final_names = set(cluster.servers[0].state.directories[1].names())
-    assert check_no_lost_updates(history, final_names) == []
 
 
 def test_chaos_runs_are_deterministic():
     def digest(seed):
         cluster, history, plan = run_chaos(seed, window_ms=25_000.0, n_clients=2)
         return (
-            len(history.events),
+            [(e.client, e.kind, e.key, repr(e.value), e.end_ms) for e in history.events],
             [d for _, d in plan.log],
             cluster.servers[0].state.fingerprint(),
         )

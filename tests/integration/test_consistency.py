@@ -1,7 +1,7 @@
 """One-copy serializability scenarios (section 2's requirement).
 
-The chaos tests cover per-client session guarantees; these tests pin
-the *cross-client* guarantees: conflicting writes through different
+The chaos tests check client histories for per-key linearizability;
+these tests pin the *cross-client* guarantees directly: conflicting writes through different
 servers serialize in one global order, reads never see two different
 histories, and every replica ends identical.
 """

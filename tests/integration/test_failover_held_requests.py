@@ -19,7 +19,7 @@ from repro.cluster import GroupServiceCluster, ReplicatedBulletCluster
 from repro.errors import AlreadyExists, NotFound
 from repro.group import GroupTimings
 from repro.net.policy import Drop, LinkFilter
-from repro.verify import HistoryRecorder, check_shared_key_linearizability
+from repro.verify import HistoryRecorder, check_linearizability
 
 from tests.helpers import counter_total, pin_to_server
 
@@ -362,5 +362,5 @@ class TestCacheBarrierHeld:
 
         cluster.run_process(final_reads())
         assert history.cache_served_reads() > 0
-        assert check_shared_key_linearizability(history) == []
+        assert check_linearizability(history) == []
         assert cluster.replicas_consistent()

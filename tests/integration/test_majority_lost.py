@@ -22,7 +22,7 @@ class TestMajorityLostScenario:
         verdict = run_scenario(scenario_by_name("majority_lost"), seed=seed)
         # The scenario would FAIL (ok=False) if the service kept
         # serving after the majority died, or if anything served
-        # before the blackout broke a session guarantee.
+        # before the blackout was not linearizable.
         assert verdict.ok, verdict.problems
         assert verdict.status == "unavailable"
         assert not verdict.expected_available

@@ -110,6 +110,18 @@ DEPRECATED_NAMES = (
     # renders the dict tree, export._plain coerces.
     "render_tree",
     "_json_safe",
+    # One chaos client, one history checker: every scenario runs
+    # repro.chaos.runner.chaos_client and every history goes through
+    # repro.verify.check_linearizability, closing reads included.
+    "check_private_key_history",
+    "check_no_lost_updates",
+    "session_violations",
+    "SHARED_KEYS_RECORDER_CAPACITY",
+    "shared_client_loop",
+    "private_keys=",
+    "shared_keys=",
+    "check_shared_key_linearizability",
+    "_resync",
 )
 
 

@@ -6,9 +6,7 @@ from repro.verify import (
     HistoryRecorder,
     check_durability,
     check_exactly_once_applies,
-    check_no_lost_updates,
-    check_private_key_history,
-    check_shared_key_linearizability,
+    check_linearizability,
 )
 
 
@@ -19,101 +17,66 @@ def record_sequence(history, client, steps):
 
 
 class TestSessionGuarantees:
-    def test_clean_history_passes(self):
-        h = HistoryRecorder()
-        record_sequence(
-            h,
-            "c1",
-            [
-                ("append", "k", "cap1"),
-                ("lookup", "k", "cap1"),
-                ("delete", "k", None),
-                ("lookup", "k", None),
-            ],
-        )
-        assert check_private_key_history(h) == []
+    """Read-your-writes, as register inputs: the history one client's
+    operations leave, judged by a closing read of the key."""
 
     def test_stale_read_detected(self):
         h = HistoryRecorder()
-        record_sequence(
-            h,
-            "c1",
-            [
-                ("append", "k", "cap1"),
-                ("delete", "k", None),
-                ("lookup", "k", "cap1"),  # reads back the deleted value!
-            ],
-        )
-        violations = check_private_key_history(h)
-        assert len(violations) == 1
-        assert violations[0].client == "c1"
-        assert violations[0].expected is None
+        record_sequence(h, "c1", [("append", "k", "cap1"), ("delete", "k", None)])
+        h.record("final", "lookup", "k", None, 5.0, 5.5)
+        assert check_linearizability(h) == []
+        h.record("final", "lookup", "k", "cap1", 6.0, 6.5)  # the deleted value
+        problems = check_linearizability(h)
+        assert len(problems) == 1 and "'k'" in problems[0]
 
     def test_lost_write_detected(self):
         h = HistoryRecorder()
-        record_sequence(
-            h,
-            "c1",
-            [("append", "k", "cap1"), ("lookup", "k", None)],
-        )
-        violations = check_private_key_history(h)
-        assert len(violations) == 1
-        assert violations[0].expected == "cap1"
+        record_sequence(h, "c1", [("append", "k", "cap1")])
+        h.record("final", "lookup", "k", "cap1", 5.0, 5.5)
+        assert check_linearizability(h) == []
+        h.record("final", "lookup", "k", None, 6.0, 6.5)  # the write vanished
+        assert len(check_linearizability(h)) == 1
 
     def test_read_before_any_write_expects_none(self):
         h = HistoryRecorder()
-        record_sequence(h, "c1", [("lookup", "k", "phantom")])
-        assert len(check_private_key_history(h)) == 1
-        h2 = HistoryRecorder()
-        record_sequence(h2, "c1", [("lookup", "k", None)])
-        assert check_private_key_history(h2) == []
+        h.record("final", "lookup", "k", None, 0.0, 0.5)
+        assert check_linearizability(h) == []
+        h.record("final", "lookup", "k", "phantom", 1.0, 1.5)
+        assert len(check_linearizability(h)) == 1
 
     def test_clients_checked_independently(self):
+        # The RPC pair's layout: every client on keys of its own.
         h = HistoryRecorder()
-        record_sequence(h, "good", [("append", "a", "x"), ("lookup", "a", "x")])
-        record_sequence(h, "bad", [("append", "b", "y"), ("lookup", "b", None)])
-        violations = check_private_key_history(h)
-        assert [v.client for v in violations] == ["bad"]
+        record_sequence(h, "good", [("append", "a", "x")])
+        record_sequence(h, "bad", [("append", "b", "y")])
+        h.record("final", "lookup", "a", "x", 5.0, 5.5)
+        h.record("final", "lookup", "b", None, 6.0, 6.5)
+        problems = check_linearizability(h)
+        assert len(problems) == 1 and "'b'" in problems[0]
 
     def test_events_sorted_by_start_time(self):
         h = HistoryRecorder()
-        # Record out of order; by_client must sort by start time.
-        h.record("c", "lookup", "k", "v", 10.0, 10.5)
+        # Recorded out of order: the checker orders by time, not arrival.
+        h.record("final", "lookup", "k", "v", 10.0, 10.5)
         h.record("c", "append", "k", "v", 1.0, 1.5)
-        assert check_private_key_history(h) == []
+        assert check_linearizability(h) == []
 
 
 class TestNoLostUpdates:
-    def test_surviving_append_must_exist(self):
-        h = HistoryRecorder()
-        record_sequence(h, "c", [("append", (1, "name"), "cap")])
-        assert check_no_lost_updates(h, {"name"}) == []
-        problems = check_no_lost_updates(h, set())
-        assert len(problems) == 1 and "missing" in problems[0]
-
-    def test_deleted_name_must_be_absent(self):
-        h = HistoryRecorder()
-        record_sequence(
-            h, "c", [("append", (1, "n"), "cap"), ("delete", (1, "n"), None)]
-        )
-        assert check_no_lost_updates(h, set()) == []
-        problems = check_no_lost_updates(h, {"n"})
-        assert len(problems) == 1 and "still in final state" in problems[0]
+    """The final listing is a closing read of every key."""
 
     def test_last_writer_wins_across_clients(self):
         h = HistoryRecorder()
         h.record("a", "append", (1, "n"), "cap", 0.0, 1.0)
         h.record("b", "delete", (1, "n"), None, 2.0, 3.0)
-        assert check_no_lost_updates(h, set()) == []
-
-    def test_lookup_events_ignored(self):
-        h = HistoryRecorder()
-        h.record("a", "lookup", (1, "n"), None, 0.0, 1.0)
-        assert check_no_lost_updates(h, set()) == []
+        h.record("final", "lookup", (1, "n"), None, 4.0, 5.0)
+        assert check_linearizability(h) == []
+        h.record("final", "lookup", (1, "n"), "cap", 6.0, 7.0)
+        assert len(check_linearizability(h)) == 1
 
 
 class TestSharedKeyLinearizability:
-    """Wing-Gong register check over shared-key histories."""
+    """Wing-Gong register check over histories of shared keys."""
 
     def test_sequential_history_linearizable(self):
         h = HistoryRecorder()
@@ -121,14 +84,14 @@ class TestSharedKeyLinearizability:
         h.record("c2", "lookup", "k", "A", 2.0, 3.0)
         h.record("c1", "delete", "k", None, 4.0, 5.0)
         h.record("c2", "lookup", "k", None, 6.0, 7.0)
-        assert check_shared_key_linearizability(h) == []
+        assert check_linearizability(h) == []
 
     def test_stale_read_is_a_violation(self):
         h = HistoryRecorder()
         h.record("c1", "append", "k", "A", 0.0, 1.0)
         h.record("c1", "append", "k", "B", 2.0, 3.0)
         h.record("c2", "lookup", "k", "A", 4.0, 5.0)  # reads overwritten value
-        problems = check_shared_key_linearizability(h)
+        problems = check_linearizability(h)
         assert len(problems) == 1 and "'k'" in problems[0]
 
     def test_concurrent_writes_may_land_in_either_order(self):
@@ -136,7 +99,7 @@ class TestSharedKeyLinearizability:
         h.record("c1", "append", "k", "A", 0.0, 2.0)
         h.record("c2", "append", "k", "B", 1.0, 3.0)
         h.record("c3", "lookup", "k", "A", 4.0, 5.0)  # B then A is legal
-        assert check_shared_key_linearizability(h) == []
+        assert check_linearizability(h) == []
 
     def test_reads_cannot_flip_flop_settled_writes(self):
         h = HistoryRecorder()
@@ -144,7 +107,7 @@ class TestSharedKeyLinearizability:
         h.record("c2", "append", "k", "B", 1.0, 3.0)
         h.record("c3", "lookup", "k", "A", 4.0, 5.0)
         h.record("c3", "lookup", "k", "B", 6.0, 7.0)  # no B-write remains
-        assert len(check_shared_key_linearizability(h)) == 1
+        assert len(check_linearizability(h)) == 1
 
     def test_ambiguous_write_is_optional(self):
         # The "append?" may be linearized (second read sees B) or not
@@ -155,7 +118,7 @@ class TestSharedKeyLinearizability:
         h.record("c2", "append?", "k", "B", 2.0, 9.0)
         h.record("c3", "lookup", "k", "A", 3.0, 4.0)
         h.record("c3", "lookup", "k", "B", 5.0, 6.0)
-        assert check_shared_key_linearizability(h) == []
+        assert check_linearizability(h) == []
 
     def test_ambiguous_delete_cannot_unhappen(self):
         h = HistoryRecorder()
@@ -163,7 +126,7 @@ class TestSharedKeyLinearizability:
         h.record("c2", "delete?", "k", None, 2.0, 9.0)
         h.record("c3", "lookup", "k", None, 4.0, 5.0)  # delete linearized
         h.record("c3", "lookup", "k", "A", 6.0, 7.0)  # ... it can't revert
-        assert len(check_shared_key_linearizability(h)) == 1
+        assert len(check_linearizability(h)) == 1
 
     def test_keys_checked_independently(self):
         h = HistoryRecorder()
@@ -171,14 +134,14 @@ class TestSharedKeyLinearizability:
         h.record("c2", "lookup", "good", "A", 2.0, 3.0)
         h.record("c1", "append", "bad", "X", 0.0, 1.0)
         h.record("c2", "lookup", "bad", "Y", 2.0, 3.0)
-        problems = check_shared_key_linearizability(h)
+        problems = check_linearizability(h)
         assert len(problems) == 1 and "'bad'" in problems[0]
 
     def test_definitive_error_kinds_skipped(self):
         h = HistoryRecorder()
         h.record("c1", "append!", "k", "AlreadyExists(...)", 0.0, 1.0)
         h.record("c2", "lookup", "k", None, 2.0, 3.0)
-        assert check_shared_key_linearizability(h) == []
+        assert check_linearizability(h) == []
 
 
 def apply_event(node, client, sess, failed=False, dedup=False):
