@@ -91,7 +91,7 @@ def _calibration_loops_per_s(n: int = 400_000, rounds: int = 3) -> float:
 def measure_cell(
     scale: str, obs_on: bool, seed: int = 0, repeats: int = 2
 ) -> dict:
-    """Best-of-N wallclock for one (scale, obs) cell, profiler off."""
+    """Best-of-N wallclock for one (scale, obs) cell."""
     best = None
     for _ in range(max(1, repeats)):
         run = run_perf_scenario(
@@ -100,7 +100,6 @@ def measure_cell(
             seed=seed,
             trace=obs_on,
             monitor=obs_on,
-            profile=False,
         )
         if best is None or run.wall_ns < best.wall_ns:
             best = run

@@ -299,11 +299,9 @@ def cmd_capacity(args) -> int:
 
 def cmd_perf(args) -> int:
     import json
-    import pathlib
 
     from repro.bench import simbench
     from repro.obs import hostprof, overhead
-    from repro.obs.export import write_trace
 
     scenario = args.target or "mixed"
     scale = args.scale or "small"
@@ -329,53 +327,23 @@ def cmd_perf(args) -> int:
             f"{', '.join(simbench.SCENARIOS)}, overhead"
         )
         return 2
-    run = simbench.run_perf_scenario(
-        scenario,
-        scale=scale,
-        seed=args.seed,
-        sample=args.sample,
-        keep_slices=args.perfetto,
-    )
-    report = run.capture.report(top=args.top)
-
-    if args.perfetto:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / (
-            f"perf-{scenario}-{scale}-seed{run.seed}.trace.json"
-        )
-        write_trace(run.capture.host_track_events(), trace_path, "chrome")
-
+    with hostprof.capture() as host:
+        run = simbench.run_perf_scenario(scenario, scale=scale, seed=args.seed)
+    report = host.report(top=args.top)
+    fingerprint = run.fingerprint()
     if args.json:
         print(
             json.dumps(
-                {
-                    "fingerprint": run.fingerprint(),
-                    "deterministic": hostprof.deterministic_digest(report),
-                    "report": report,
-                },
-                indent=2,
-                sort_keys=True,
+                {"fingerprint": fingerprint, **report}, indent=2, sort_keys=True
             )
         )
     else:
         title = (
-            f"host-time budget — scenario={scenario} scale={scale} "
-            f"seed={run.seed} ({run.ops} ops, {run.sim_ms:.0f} sim-ms)"
+            f"host self time — scenario={scenario} scale={scale} "
+            f"seed={run.seed} ({run.ops} ops, {run.sim_ms:.0f} sim-ms, "
+            f"{fingerprint['scheduled_events']:,} scheduled events)"
         )
         print(hostprof.format_report(report, title))
-        if args.perfetto:
-            print(
-                f"\nwrote {trace_path}  (open in https://ui.perfetto.dev — "
-                "host-timeline spans, one track per component)"
-            )
-    # The attribution invariant is part of the command's contract.
-    total = sum(
-        row["host_ns"] for row in report["events"]["by_component"].values()
-    )
-    if total != report["host"]["exec_ns"]:
-        print("FAIL: per-component host-ns do not sum to measured total")
-        return 1
     return 0
 
 
@@ -449,13 +417,7 @@ def main(argv=None) -> int:
         "--top",
         type=int,
         default=3,
-        help="profile/perf: how many slowest operations/sites to show",
-    )
-    parser.add_argument(
-        "--sample",
-        type=int,
-        default=1,
-        help="perf: time every Nth event (count all); lowers overhead",
+        help="profile/perf: how many slowest operations/functions to show",
     )
     parser.add_argument(
         "--scale",
@@ -471,11 +433,6 @@ def main(argv=None) -> int:
         type=int,
         default=4,
         help="capacity: closed-loop writer count for a single-point run",
-    )
-    parser.add_argument(
-        "--perfetto",
-        action="store_true",
-        help="perf: write a host-timeline Chrome/Perfetto trace to --out",
     )
     parser.add_argument(
         "command",

@@ -9,9 +9,10 @@ the observability overhead accountant all drive scenarios from here).
 
 Scenarios are deterministic: for a given (scenario, scale, seed) the
 event count, operation count, and metrics snapshot are pure functions
-of the seed, whether or not a profiler is attached and whatever obs
-subsystems are toggled on. :meth:`PerfRun.fingerprint` captures that
-invariant for the determinism tests.
+of the seed, whether or not the run happens inside a
+:func:`repro.obs.hostprof.capture` block and whatever obs subsystems
+are toggled on. :meth:`PerfRun.fingerprint` captures that invariant
+for the determinism tests.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Any
 
 from repro.bench.harness import WORKLOADS, build_deployment, closed_loop
-from repro.obs import hostprof
 
 #: Workload sizes. Clients are closed-loop (one outstanding op each);
 #: the measure window is simulated milliseconds.
@@ -51,7 +50,6 @@ class PerfRun:
     trace_enabled: bool
     monitor_enabled: bool
     registry_digest: str
-    capture: Any = None  # hostprof.Capture when profile=True
     trace_events: int = 0
     monitor_ticks: int = 0
     extra: dict = field(default_factory=dict)
@@ -64,7 +62,7 @@ class PerfRun:
         return self.scheduled_events / (self.wall_ns / 1e9)
 
     def fingerprint(self) -> dict:
-        """Seed-deterministic digest: identical across profiler on/off.
+        """Seed-deterministic digest: identical profiled or not.
 
         Everything here is a pure function of (scenario, scale, seed) —
         no host-time fields.
@@ -94,51 +92,33 @@ def run_perf_scenario(
     impl: str = "group",
     trace: bool = False,
     monitor: bool = False,
-    profile: bool = True,
-    sample: int = 1,
-    keep_slices: bool = False,
 ) -> PerfRun:
-    """Run one canonical scenario and measure host cost.
-
-    With ``profile=True`` the whole run (cluster boot included) happens
-    inside a :func:`repro.obs.hostprof.capture` block and the result's
-    ``capture`` carries full attribution. With ``profile=False`` only
-    endpoint counters and wallclock are read — that is the
-    configuration ``bench_sim.py`` times, so the published sim-events/s
-    numbers carry no per-event profiling overhead.
+    """Run one canonical scenario (cluster boot included) and read its
+    endpoint counters and wallclock. ``python -m repro perf`` runs it
+    inside a :func:`repro.obs.hostprof.capture` block for attribution.
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; pick from {sorted(SCALES)}")
     params = SCALES[scale]
 
-    def body():
-        deployment = build_deployment(impl, seed=seed)
-        sim = deployment.sim
-        if trace:
-            sim.obs.tracer.enable(capacity=4096)
-        mon = None
-        if monitor:
-            from repro.obs.monitor import HealthMonitor
+    t0 = perf_counter_ns()
+    deployment = build_deployment(impl, seed=seed)
+    sim = deployment.sim
+    if trace:
+        sim.obs.tracer.enable(capacity=4096)
+    mon = None
+    if monitor:
+        from repro.obs.monitor import HealthMonitor
 
-            mon = HealthMonitor(sim).start()
-        loop = closed_loop(
-            deployment,
-            scenario,
-            int(params["clients"]),
-            params["warmup_ms"],
-            params["measure_ms"],
-        )
-        return sim, mon, loop
-
-    if profile:
-        with hostprof.capture(sample=sample, keep_slices=keep_slices) as cap:
-            sim, mon, loop = body()
-        wall_ns = cap.wall_ns
-    else:
-        cap = None
-        t0 = perf_counter_ns()
-        sim, mon, loop = body()
-        wall_ns = perf_counter_ns() - t0
+        mon = HealthMonitor(sim).start()
+    loop = closed_loop(
+        deployment,
+        scenario,
+        int(params["clients"]),
+        params["warmup_ms"],
+        params["measure_ms"],
+    )
+    wall_ns = perf_counter_ns() - t0
 
     return PerfRun(
         scenario=scenario,
@@ -152,7 +132,6 @@ def run_perf_scenario(
         trace_enabled=trace,
         monitor_enabled=monitor,
         registry_digest=_registry_digest(sim),
-        capture=cap,
         trace_events=len(sim.obs.tracer.events()) if trace else 0,
         monitor_ticks=mon.ticks if mon is not None else 0,
     )

@@ -1,6 +1,6 @@
 """Simulation-wide observability: metrics registry + causal tracing.
 
-The subsystem has three parts (ISSUE 2 tentpole):
+The subsystem has three parts:
 
 * :mod:`repro.obs.registry` — a per-node metrics registry (counters,
   time-weighted gauges, histograms) that every layer publishes into;
@@ -10,7 +10,7 @@ The subsystem has three parts (ISSUE 2 tentpole):
 * :mod:`repro.obs.export` — exporters: JSONL, Chrome trace-event format
   (Perfetto-viewable, one track per machine), and a text timeline.
 
-Two consumers sit on top (ISSUE 5 tentpole):
+Two consumers sit on top:
 
 * :mod:`repro.obs.spans` — stitches lineage-stamped trace events into
   per-operation causal span trees, a deterministic latency-budget
@@ -27,18 +27,17 @@ Every :class:`~repro.sim.scheduler.Simulator` owns one
 default and costs one attribute check per instrumented call site; the
 registry is always on (plain integer/float bumps).
 
-The *host-time* layer (ISSUE 7 tentpole) sits beside the sim-time one:
+The *host-time* layer sits beside the sim-time one:
 
-* :mod:`repro.obs.hostprof` — a host-clock profiler for the simulator
-  event loop (per-event-kind / per-component ns attribution,
-  sim-events/s, ``python -m repro perf``);
+* :mod:`repro.obs.hostprof` — ``cProfile`` self time and calls per
+  layer (the ledger's layer names) and per function
+  (``python -m repro perf``); imported by the CLI, not here;
 * :mod:`repro.obs.overhead` — the observability overhead accountant
   measuring the marginal host cost of trace/monitor and pinning the
   disabled-path cost (``python -m repro perf overhead``).
 """
 
 from repro.obs.export import to_chrome_trace, to_jsonl, to_text, write_trace
-from repro.obs.hostprof import Capture, HostProfiler, capture
 from repro.obs.monitor import (
     DEFAULT_THRESHOLDS,
     Alert,
@@ -51,13 +50,10 @@ from repro.obs.trace import Observability, TraceEvent, TraceRecorder
 
 __all__ = [
     "Alert",
-    "Capture",
     "Counter",
     "DEFAULT_THRESHOLDS",
     "Gauge",
     "HealthMonitor",
-    "HostProfiler",
-    "capture",
     "Histogram",
     "MetricsRegistry",
     "Observability",

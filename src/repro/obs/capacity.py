@@ -31,9 +31,14 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.bench.harness import build_deployment, closed_loop
 from repro.obs.saturation import Sampler
+
+#: The committed headline bench a ``--scale`` prediction is checked
+#: against, at the repository root whatever the working directory.
+HEADLINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_headline.json"
 
 #: The capacity lens's sampling cadence (sim ms).
 SAMPLE_INTERVAL_MS = 250.0
@@ -331,7 +336,7 @@ def _headline_plateau(headline: dict, scenario: str, batch_max: int | None):
     return max(curve.values())
 
 
-def load_headline(path: str = "BENCH_headline.json") -> dict | None:
+def load_headline(path: str | Path = HEADLINE_PATH) -> dict | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

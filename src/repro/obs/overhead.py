@@ -42,8 +42,7 @@ def account(
 ) -> dict:
     """Marginal host cost of each obs subsystem on one scenario.
 
-    Each configuration runs ``repeats`` times (profiling off, so the
-    numbers are clean wallclock) and keeps the fastest run — best-of-N
+    Each configuration runs ``repeats`` times and keeps the fastest run — best-of-N
     suppresses host noise without averaging in GC pauses.
     """
     rows = []
@@ -57,7 +56,6 @@ def account(
                 seed=seed,
                 trace=trace,
                 monitor=monitor,
-                profile=False,
             )
             if best is None or run.wall_ns < best.wall_ns:
                 best = run

@@ -10,13 +10,11 @@ order (a monotonically increasing tie-break counter), and all
 randomness flows through :class:`repro.sim.randomness.RngStreams`, so a
 run is a pure function of the seed.
 
-Host profiling: when ``sim.hostprof`` holds an active
-:class:`repro.obs.hostprof.HostProfiler`, the run loops hand each
-callback to its ``dispatch`` hook, which runs it between two reads of
-the *host* clock and attributes the time. The default path pays one
-``is None`` test per event; profiling reads host time only and never
-touches simulated state, so a profiled run is event-for-event identical
-to an unprofiled one (pinned by tests/obs/test_hostprof.py).
+One loop runs events (:meth:`Simulator._loop`): :meth:`Simulator.run`
+stops it at a simulated instant, :meth:`Simulator.run_until_complete`
+when a process settles. It pays nothing per event for observation;
+host time is measured from outside by :mod:`repro.obs.hostprof`
+(``cProfile``).
 """
 
 from __future__ import annotations
@@ -30,13 +28,6 @@ from repro.obs.trace import Observability
 from repro.sim.future import _PENDING, Future
 from repro.sim.process import Process, Sleep
 from repro.sim.randomness import RngStreams
-
-#: Hooks invoked with every newly constructed Simulator. The host
-#: profiler's ``capture()`` registers here so benchmark helpers that
-#: build their own clusters (and therefore their own simulators) are
-#: still profiled. Empty in normal operation.
-_new_sim_hooks: list[Callable[["Simulator"], None]] = []
-
 
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
@@ -99,11 +90,6 @@ class Simulator:
         self._processes: dict[Process, None] = {}
         #: Metrics registry + causal trace recorder (see repro.obs).
         self.obs = Observability(self)
-        #: Host-clock profiler (repro.obs.hostprof), attached explicitly
-        #: or via a _new_sim_hooks capture.
-        self.hostprof = None
-        for hook in list(_new_sim_hooks):
-            hook(self)
 
     # -- scheduling ------------------------------------------------------
 
@@ -200,65 +186,46 @@ class Simulator:
 
         Returns the simulated time at which the run stopped.
         """
-        prof = self.hostprof
-        if prof is not None and not prof.active:
-            prof = None
-        events = 0
-        heap = self._heap
-        while heap:
-            when, _, timer, fn = heap[0]
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            heapq.heappop(heap)
-            if timer is not None and timer.cancelled:
-                if prof is not None:
-                    prof.cancelled_pops += 1
-                continue
-            self.now = when
-            if prof is None:
-                fn()
-            else:
-                prof.dispatch(fn, heap)
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events at t={self.now:.3f} ms; "
-                    "likely a livelock in the simulated system"
-                )
+        self._loop(until, None, max_events)
         if until is not None and until > self.now:
             self.now = until
         return self.now
 
     def run_until_complete(self, process: Process, max_events: int = 50_000_000) -> Any:
         """Run until *process* finishes; return its result (or raise)."""
-        prof = self.hostprof
-        if prof is not None and not prof.active:
-            prof = None
+        self._loop(None, process, max_events)
+        if process._value is _PENDING and process._exception is None:
+            raise SimulationError(
+                f"event queue drained but process {process.name!r} "
+                "never completed (deadlock)"
+            )
+        return process.value
+
+    def _loop(self, until: float | None, process: Process | None, max_events: int) -> None:
+        """Run events in ``(when, seq)`` order until the heap drains, the
+        next one lies past *until*, or *process* has settled."""
         events = 0
         heap = self._heap
-        while not process.resolved:
-            if not heap:
-                raise SimulationError(
-                    f"event queue drained but process {process.name!r} "
-                    "never completed (deadlock)"
-                )
-            when, _, timer, fn = heapq.heappop(heap)
+        while heap:
+            if process is not None and (
+                process._value is not _PENDING or process._exception is not None
+            ):
+                return
+            when, _, timer, fn = heap[0]
+            if until is not None and when > until:
+                self.now = until
+                return
+            heapq.heappop(heap)
             if timer is not None and timer.cancelled:
-                if prof is not None:
-                    prof.cancelled_pops += 1
                 continue
             self.now = when
-            if prof is None:
-                fn()
-            else:
-                prof.dispatch(fn, heap)
+            fn()
             events += 1
             if events > max_events:
                 raise SimulationError(
-                    f"exceeded {max_events} events waiting on {process.name!r}"
+                    f"exceeded {max_events} events at t={self.now:.3f} ms; "
+                    "likely a livelock in the simulated system"
                 )
-        return process.value
 
     # -- introspection ----------------------------------------------------
 

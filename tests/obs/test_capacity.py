@@ -8,6 +8,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.capacity import (
     load_headline,
     run_point,
+    run_scale,
     utilization_summary,
     window_stats,
 )
@@ -124,6 +125,16 @@ class TestHeadline:
         path = tmp_path / "BENCH_headline.json"
         path.write_text("{not json")
         assert load_headline(str(path)) is None
+
+    def test_scale_is_checked_from_any_working_directory(self, tmp_path, monkeypatch):
+        # `capacity --scale` at its smoke sizes, run outside the repo.
+        monkeypatch.chdir(tmp_path)
+        report = run_scale(
+            "update", writer_counts=(1, 2, 4), measure_ms=6_000.0,
+            headline=load_headline(),
+        )
+        assert report["headline_plateau_per_s"] > 0.0
+        assert "prediction_error" in report
 
 
 class TestRunPoint:

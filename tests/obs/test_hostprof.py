@@ -1,12 +1,22 @@
-"""Host profiler: attribution math, report schema, determinism.
+"""Host profiler: cProfile self time by layer, under the ledger's names.
 
-The two contracts that matter:
+The contracts that matter:
 
-1. attribution is exact — per-component (and per-kind) host-ns sum to
-   the measured execution total, integer-for-integer;
-2. profiling is invisible to the simulation — a profiled run is
-   event-for-event identical to an unprofiled same-seed run.
+1. the layers are the ledger's, by the ledger's rule, so ``perf`` and
+   ``*.host_self_share`` book the same function to the same layer;
+2. self time and calls are conserved — the layers sum to the profile;
+3. profiling is invisible to the simulation — a profiled run is
+   event-for-event identical to an unprofiled same-seed run, and its
+   ``repro`` call counts are a pure function of the seed.
 """
+
+import ast
+import heapq
+import re
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.bench.simbench import SCALES, SCENARIOS, run_perf_scenario
 from repro.errors import TimeoutError as SimTimeout
@@ -14,286 +24,200 @@ from repro.obs import hostprof
 from repro.sim.future import Future
 from repro.sim.scheduler import Simulator
 
+ROOT = Path(__file__).resolve().parents[2]
+LEDGER_TRACING = ROOT / "benchmarks" / "ledger" / "tracing.py"
 
-def _profiled_toy_sim(sample=1, keep_slices=False):
-    prof = hostprof.HostProfiler(sample=sample, keep_slices=keep_slices)
-    sim = Simulator(seed=7)
-    prof.attach(sim)
 
-    def worker(n):
-        for _ in range(n):
-            yield sim.sleep(2.0)
+@pytest.fixture(scope="module")
+def mixed():
+    """A profiled ``mixed`` small run, its capture and its full report."""
+    with hostprof.capture() as host:
+        run = run_perf_scenario("mixed", "small", seed=11)
+    return run, host, host.report()
 
-    for i in range(4):
-        sim.spawn(worker(25), name=f"w{i}")
-    # Some cancelled timers so the cancelled-pop path is covered.
-    timers = [sim.schedule(5.0 + i, lambda: None) for i in range(10)]
-    for t in timers[:6]:
-        t.cancel()
-    sim.run()
-    prof.stop()
-    return prof
+
+def _toy_sim_report(seeds=(7,)):
+    with hostprof.capture() as host:
+        for seed in seeds:
+            sim = Simulator(seed=seed)
+
+            def worker(n):
+                for _ in range(n):
+                    yield sim.sleep(2.0)
+
+            for i in range(4):
+                sim.spawn(worker(25), name=f"w{i}")
+            sim.run()
+    return host.report()
+
+
+def _calls(report, suffix):
+    """Calls of the one ``repro`` function whose label ends in *suffix*."""
+    (count,) = [n for label, n in report["deterministic"].items()
+                if label.endswith(suffix)]
+    return count
+
+
+def _ledger():
+    """The ledger's LAYERS and ``_layer_of``, read without importing its
+    module (importing it loads the service classes it patches)."""
+    tree = ast.parse(LEDGER_TRACING.read_text(encoding="utf-8"))
+    namespace = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "LAYERS" for target in node.targets
+        ):
+            namespace["LAYERS"] = ast.literal_eval(node.value)
+        if isinstance(node, ast.FunctionDef) and node.name == "_layer_of":
+            code = compile(ast.Module([node], []), str(LEDGER_TRACING), "exec")
+            exec(code, namespace)
+    return namespace["LAYERS"], namespace["_layer_of"]
+
+
+class TestLedgerLayers:
+    def test_perf_names_the_ledgers_layers(self):
+        layers, _ = _ledger()
+        assert hostprof.LAYERS == layers
+        assert hostprof.ROWS == (*layers, "harness", "builtin")
+
+    def test_layer_of_follows_the_ledgers_rule(self):
+        _, ledger_layer_of = _ledger()
+        paths = [str(p) for p in sorted((ROOT / "src" / "repro").rglob("*.py"))]
+        paths += [heapq.__file__, "~"]
+        assert {hostprof.layer_of(p) for p in paths} == set(hostprof.ROWS)
+        for path in paths:
+            assert hostprof.layer_of(path) == ledger_layer_of(path), path
 
 
 class TestAttribution:
-    def test_component_ns_sum_exactly_to_total(self):
-        prof = _profiled_toy_sim()
-        report = prof.report()
-        total = report["host"]["exec_ns"]
-        by_component = sum(
-            row["host_ns"]
-            for row in report["events"]["by_component"].values()
-        )
-        by_kind = sum(
-            row["host_ns"] for row in report["events"]["by_kind"].values()
-        )
-        by_site = sum(s["host_ns"] for s in report["sites"])
-        assert by_component == total
-        assert by_kind == total
-        assert by_site == total
-        assert total > 0
+    def test_component_shares_sum_to_one(self, mixed):
+        _, _, report = mixed
+        layers = report["layers"]
+        assert tuple(layers) == hostprof.ROWS
+        assert sum(row["share"] for row in layers.values()) == pytest.approx(
+            1.0, abs=1e-9)
+        assert layers["sim"]["share"] > 0.0
+        assert layers["net"]["share"] > 0.0
 
-    def test_component_shares_sum_to_one(self):
-        prof = _profiled_toy_sim()
-        report = prof.report()
-        shares = sum(
-            row["share"] for row in report["events"]["by_component"].values()
-        )
-        assert abs(shares - 1.0) < 1e-4
+    def test_component_ns_sum_exactly_to_total(self, mixed):
+        # Self time per layer and per function adds up to pstats' total.
+        _, _, report = mixed
+        booked = sum(row["self_s"] for row in report["layers"].values())
+        assert booked == pytest.approx(report["host"]["self_s"], rel=1e-9)
+        assert sum(f["self_s"] for f in report["functions"]) == pytest.approx(
+            booked, rel=1e-9)
 
-    def test_event_kind_classification(self):
-        prof = _profiled_toy_sim()
-        report = prof.report()
-        kinds = report["events"]["by_kind"]
-        # 4 workers x 25 sleeps + 4 initial steps = 104 generator steps.
-        assert kinds["process.step"]["count"] == 104
-        assert report["events"]["generator_switches"] == 104
-        # Each sleep's timer resumes its one sleeper itself: the step
-        # above IS the timer event, there is no separate settle.
-        assert "future.settle" not in kinds
-        # 4 uncancelled plain timers ran as callbacks.
-        assert kinds["callback"]["count"] == 4
-        assert report["events"]["cancelled_pops"] == 6
-
-    def test_a_sleep_others_wait_on_too_is_a_settle(self):
-        prof = hostprof.HostProfiler()
-        sim = Simulator(seed=7)
-        prof.attach(sim)
-
-        def waiter(fut):
-            yield fut
-
-        shared = sim.sleep(2.0)
-        sim.spawn(waiter(shared))
-        sim.spawn(waiter(shared))
-        sim.run()
-        kinds = prof.stop().report()["events"]["by_kind"]
-        # 2 initial steps + 2 posted wakeups; the timer itself settled.
-        assert kinds["process.step"]["count"] == 4
-        assert kinds["future.settle"]["count"] == 1
+    def test_counts_and_executed_match(self, mixed):
+        # Calls per layer and per function add up to pstats' total.
+        _, _, report = mixed
+        total = report["host"]["calls"]
+        assert sum(row["calls"] for row in report["layers"].values()) == total
+        assert sum(f["calls"] for f in report["functions"]) == total
 
     def test_an_expired_deadline_is_booked_to_sim_by_its_method(self):
-        prof = hostprof.HostProfiler()
-        sim = Simulator(seed=7)
-        prof.attach(sim)
         outcome = []
+        with hostprof.capture() as host:
+            sim = Simulator(seed=7)
 
-        def waiter():
-            try:
-                yield sim.timeout(Future("never"), 5.0)
-            except SimTimeout as error:
-                outcome.append((sim.now, error))
+            def waiter():
+                try:
+                    yield sim.timeout(Future("never"), 5.0)
+                except SimTimeout:
+                    outcome.append(sim.now)
 
-        sim.spawn(waiter())
-        sim.run()
-        assert [when for when, _ in outcome] == [5.0]
-        report = prof.stop().report()
-        sites = {s["site"]: s for s in report["sites"]}
-        expired = sites["Deadline._settle"]
-        assert (expired["component"], expired["kind"], expired["count"]) == (
-            "sim", "future.settle", 1
-        )
-        assert not any("<lambda>" in name for name in sites)
-        # The initial step and the wakeup the expiry posted.
-        assert report["events"]["by_kind"]["process.step"]["count"] == 2
+            sim.spawn(waiter())
+            sim.run()
+        assert outcome == [5.0]
+        report = host.report()
+        assert _calls(report, "(_settle)") == 1
+        (row,) = [f for f in report["functions"]
+                  if f["function"].endswith("(_settle)")]
+        assert row["function"].startswith("sim/scheduler.py:")
+        assert row["layer"] == "sim"
 
-    def test_a_delivery_is_booked_to_the_package_of_its_handler(self):
-        run = run_perf_scenario("mixed", "small", seed=1)
-        sites = {
-            s["site"]: s for s in run.capture.report()["sites"]
-            if s["kind"] == "deliver"
-        }
-        assert sites["deliver:rpc.request"]["component"] == "rpc"
-        booked = hostprof.HostProfiler()._delivery_site
-        assert booked("cache.inval").component == "directory"
-        assert booked("t.ping").component == "net"  # nobody's: the wire's
-        groups = [s for name, s in sites.items() if name.startswith("deliver:grp.")]
-        assert groups and all(s["component"] == "group" for s in groups)
-        # Every frame that arrived is one such event: nothing is left
-        # on a pump or in the network's own name.
-        assert not any(
-            s["site"] in ("Network._deliver", "Transport._run")
-            for s in run.capture.report()["sites"]
-        )
-
-    def test_counts_and_executed_match(self):
-        prof = _profiled_toy_sim()
-        report = prof.report()
-        assert report["events"]["executed"] == sum(
-            row["count"] for row in report["events"]["by_kind"].values()
-        )
-        # Every event scheduled was either executed or a cancelled pop.
-        assert report["events"]["scheduled"] == (
-            report["events"]["executed"] + report["events"]["cancelled_pops"]
-        )
-
-
-class TestSampling:
-    def test_sampling_counts_all_times_some(self):
-        prof = _profiled_toy_sim(sample=10)
-        report = prof.report()
-        executed = report["events"]["executed"]
-        timed = report["events"]["timed"]
-        assert executed == 108  # same event count as sample=1 runs
-        assert 0 < timed <= executed // 10 + 1
-        # Attribution still sums exactly over the timed subset.
-        total = report["host"]["exec_ns"]
-        assert (
-            sum(r["host_ns"] for r in report["events"]["by_component"].values())
-            == total
-        )
-
-    def test_bad_stride_rejected(self):
-        try:
-            hostprof.HostProfiler(sample=0)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("sample=0 must be rejected")
+    def test_a_delivery_is_booked_to_the_package_of_its_handler(self, mixed):
+        # The wire's part of a delivery is net's; the handler it runs is
+        # booked to the package that defines it, not to the frame.
+        _, _, report = mixed
+        by_label = {f["function"]: f for f in report["functions"]}
+        (deliver,) = [f for label, f in by_label.items()
+                      if label.startswith("net/network.py:")
+                      and label.endswith("(_deliver)")]
+        assert deliver["layer"] == "net"
+        for package in ("rpc", "group", "directory"):
+            handlers = [f for label, f in by_label.items()
+                        if label.startswith(f"{package}/")]
+            assert handlers and all(f["layer"] == package for f in handlers)
 
 
 class TestDeterminism:
-    def test_profiler_does_not_perturb_simulation(self):
-        # Full scenario: profiled and unprofiled same-seed runs must
-        # agree on every deterministic output (ops, event counts, the
-        # metrics snapshot digest).
-        profiled = run_perf_scenario("mixed", "small", seed=11, profile=True)
-        plain = run_perf_scenario("mixed", "small", seed=11, profile=False)
+    def test_profiler_does_not_perturb_simulation(self, mixed):
+        profiled, _, _ = mixed
+        plain = run_perf_scenario("mixed", "small", seed=11)
         assert profiled.fingerprint() == plain.fingerprint()
 
-    def test_sampling_does_not_perturb_simulation(self):
-        a = run_perf_scenario("lookup", "small", seed=5, sample=1)
-        b = run_perf_scenario("lookup", "small", seed=5, sample=7)
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_deterministic_digest_stable_across_runs(self):
-        a = run_perf_scenario("update", "small", seed=3)
-        b = run_perf_scenario("update", "small", seed=3)
-        assert hostprof.deterministic_digest(
-            a.capture.report()
-        ) == hostprof.deterministic_digest(b.capture.report())
+    def test_deterministic_digest_stable_across_runs(self, mixed):
+        _, _, first = mixed
+        with hostprof.capture() as host:
+            run_perf_scenario("mixed", "small", seed=11)
+        assert host.report()["deterministic"] == first["deterministic"]
 
     def test_toy_sim_digest_identical_profiled_twice(self):
-        d1 = hostprof.deterministic_digest(_profiled_toy_sim().report())
-        d2 = hostprof.deterministic_digest(_profiled_toy_sim().report())
-        assert d1 == d2
+        first = _toy_sim_report()["deterministic"]
+        assert first and first == _toy_sim_report()["deterministic"]
 
 
 class TestReportSchema:
-    def test_report_schema(self):
-        run = run_perf_scenario("mixed", "small", seed=1, keep_slices=True)
-        report = run.capture.report(top=5)
-        assert report["schema"] == 1
-        assert report["simulators"] == 1
-        for key in (
-            "executed", "timed", "scheduled", "cancelled_pops",
-            "generator_switches", "max_heap", "by_kind", "by_component",
-        ):
-            assert key in report["events"], key
-        for key in (
-            "wall_ns", "exec_ns", "scheduler_ns",
-            "sim_ms", "sim_events_per_s", "us_per_event",
-        ):
-            assert key in report["host"], key
-        assert "gc" in report and "alloc" in report
-        assert len(report["sites"]) == 5
-        hottest = report["sites"][0]
-        for key in ("site", "component", "kind", "count", "host_ns"):
-            assert key in hottest, key
-        # Top-K sorted by measured cost.
-        costs = [s["host_ns"] for s in report["sites"]]
+    def test_report_schema(self, mixed):
+        _, host, _ = mixed
+        report = host.report(top=5)
+        assert set(report) == {"host", "layers", "functions", "deterministic"}
+        assert set(report["host"]) == {"wall_s", "self_s", "calls", "gc_collections"}
+        assert report["host"]["wall_s"] >= report["host"]["self_s"] > 0.0
+        assert len(report["functions"]) == 5
+        for f in report["functions"]:
+            assert set(f) == {"function", "layer", "calls", "self_s", "cum_s"}
+        costs = [f["self_s"] for f in report["functions"]]
         assert costs == sorted(costs, reverse=True)
-        # Components are real subsystem names.
-        assert {"rpc", "group", "directory"} <= set(
-            report["events"]["by_component"]
+        # Only repro functions are deterministic, keyed file:line(name).
+        assert report["deterministic"]
+        assert all(
+            re.fullmatch(r"[\w/]+\.py:\d+\(.+\)", label)
+            for label in report["deterministic"]
         )
 
-    def test_format_report_renders(self):
-        prof = _profiled_toy_sim()
-        text = hostprof.format_report(prof.report(top=3))
-        assert "sim-events/s" in text
-        assert "component" in text
-        assert "hottest sites" in text
-
-    def test_host_track_events(self):
-        prof = _profiled_toy_sim(keep_slices=True)
-        events = prof.host_track_events()
-        assert len(events) == 108
-        assert all(e.ph == "X" for e in events)
-        assert all(e.node.startswith("host.") for e in events)
-        assert prof.slices_dropped == 0
-
-    def test_slice_cap_drops_not_grows(self):
-        prof = _profiled_toy_sim(keep_slices=True)
-        # Re-run with a tiny cap.
-        small = hostprof.HostProfiler(keep_slices=True, max_slices=10)
-        sim = Simulator(seed=7)
-        small.attach(sim)
-        sim.spawn((sim.sleep(1.0) for _ in range(50)), name="w")
-        sim.run()
-        small.stop()
-        assert len(small._slices) <= 10
-        assert small.slices_dropped > 0
-        assert prof.report()["events"]["executed"] > 0
+    def test_format_report_renders(self, mixed):
+        _, _, report = mixed
+        text = hostprof.format_report(
+            {**report, "functions": report["functions"][:3]}, "title")
+        assert text.startswith("title\n")
+        for layer in hostprof.ROWS:
+            assert f"    {layer} " in text
+        assert "hottest functions" in text
 
 
 class TestCapture:
     def test_capture_profiles_simulators_built_inside(self):
-        with hostprof.capture() as cap:
-            sim = Simulator(seed=2)
-            sim.spawn((sim.sleep(1.0) for _ in range(10)), name="w")
-            sim.run()
-        assert len(cap.profilers) == 1
-        assert cap.executed > 0
-        report = cap.report()
-        assert report["simulators"] == 1
-        assert report["host"]["wall_ns"] > 0
+        report = _toy_sim_report()
+        assert _calls(report, "(run)") == 1
+        assert _calls(report, "(_loop)") == 1
+        assert report["host"]["wall_s"] > 0.0
+        assert report["host"]["gc_collections"] >= 0
 
     def test_capture_merges_multiple_simulators(self):
-        with hostprof.capture() as cap:
-            for seed in (1, 2):
-                sim = Simulator(seed=seed)
-                sim.spawn((sim.sleep(1.0) for _ in range(10)), name="w")
-                sim.run()
-        assert len(cap.profilers) == 2
-        report = cap.report()
-        assert report["simulators"] == 2
-        # Merged totals still sum exactly.
-        assert (
-            sum(r["host_ns"] for r in report["events"]["by_component"].values())
-            == report["host"]["exec_ns"]
-        )
+        one = _toy_sim_report(seeds=(1,))
+        two = _toy_sim_report(seeds=(1, 2))
+        assert _calls(two, "(run)") == 2
+        assert _calls(two, "(_fire)") == 2 * _calls(one, "(_fire)")
 
     def test_capture_hook_unregistered_after_block(self):
-        from repro.sim import scheduler
-
-        before = len(scheduler._new_sim_hooks)
-        with hostprof.capture():
-            Simulator(seed=0)
-        assert len(scheduler._new_sim_hooks) == before
-        # Simulators built after the block are not profiled.
-        sim = Simulator(seed=0)
-        assert sim.hostprof is None
+        with hostprof.capture() as host:
+            Simulator(seed=0).run()
+        assert sys.getprofile() is None
+        before = host.report()["deterministic"]
+        # Simulators run after the block are not profiled.
+        Simulator(seed=0).run()
+        assert host.report()["deterministic"] == before
 
 
 def test_scenario_registry_sane():

@@ -92,9 +92,7 @@ def _fig9() -> dict:
 
 def _perf() -> dict:
     return {
-        scenario: run_perf_scenario(
-            scenario, "small", seed=0, profile=False
-        ).fingerprint()
+        scenario: run_perf_scenario(scenario, "small", seed=0).fingerprint()
         for scenario in PERF_SCENARIOS
     }
 

@@ -63,11 +63,22 @@ DEPRECATED_NAMES = (
     "find_gauges",
     "sample_interval_ms",
     "group.seq_utilization",
-    # The scheduler's profiled twins: run/run_until_complete hand the
-    # callback to HostProfiler.dispatch.
+    # The scheduler's profiled twins, then its per-event hook: one run
+    # loop (Simulator._loop) observed from outside by cProfile
+    # (repro/obs/hostprof.py), no sampling stride, no host timeline.
     "_run_profiled",
     "_complete_profiled",
     "record_timed",
+    "HostProfiler",
+    "_new_sim_hooks",
+    "keep_slices",
+    "host_track_events",
+    "SiteStats",
+    "HANDLER_COMPONENT",
+    "cancelled_pops",
+    "generator_switches",
+    '"--perfetto"',
+    '"--sample"',
     # The second chaos registry: a Scenario names its builder function.
     "build_nemesis",
     "NEMESES",
@@ -143,6 +154,45 @@ def test_deprecated_names_do_not_resurface():
         "deprecated names resurfaced (see tests/test_lint.py): "
         + ", ".join(offenders)
     )
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of every module *path* imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_simulator_has_one_run_loop():
+    """run and run_until_complete differ only in when they stop, so they
+    share Simulator._loop: a second loop is where a per-event hook or a
+    stop rule drifts. Host time is read from outside (cProfile in
+    repro/obs/hostprof.py), never by the simulator itself."""
+    package = ROOT / "src" / "repro"
+    scheduler = package / "sim" / "scheduler.py"
+    pops = [
+        node.lineno
+        for node in ast.walk(ast.parse(scheduler.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "heappop" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert len(pops) == 1, f"repro/sim/scheduler.py pops its heap at lines {pops}"
+    offenders = [
+        f"{path.relative_to(ROOT)} imports {sorted(clocks)}"
+        for path in sorted((package / "sim").rglob("*.py"))
+        if (clocks := _imported_modules(path) & {"time", "cProfile"})
+    ]
+    assert not offenders, "the host clock in the simulator: " + ", ".join(offenders)
+    profilers = [
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if "cProfile" in _imported_modules(path)
+    ]
+    assert profilers == ["obs/hostprof.py"], profilers
 
 
 #: AdminPartition's mutators: how an object-table change is committed.
