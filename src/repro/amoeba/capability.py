@@ -109,7 +109,8 @@ class Capability:
 
     def has_rights(self, required: Rights) -> bool:
         """Whether the capability claims all bits in *required*."""
-        return (self.rights & required) == required
+        # Plain ints: Rights & Rights would build an IntFlag per request.
+        return int.__and__(self.rights, required) == required
 
     def column_mask(self) -> int:
         """The low four rights bits, interpreted as a column mask."""

@@ -277,7 +277,7 @@ class GroupDirectoryServer:
         brought back online after a double head crash.
         """
         self._admin_override = True
-        self.member.notify_progress()
+        self.member.kernel.wakeup.notify_all()  # held requests re-check
 
     def config_vector(self) -> tuple:
         """Configuration vector for the commit block: bit per server,
@@ -835,7 +835,7 @@ class GroupDirectoryServer:
                 )
         # The verdict is in: held requests carry on, or are refused.
         self._resetting = False
-        self.member.notify_progress()
+        self.member.kernel.wakeup.notify_all()
         if not majority:
             yield from self._recover()
 

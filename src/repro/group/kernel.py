@@ -178,6 +178,8 @@ class GroupKernel:
 
         # Wakeup for blocked receive/info waiters; join waiters.
         self.wakeup = Condition(f"grp({group}@{self.me}).wakeup")
+        #: GroupMember.wait_applied's (target seqno, future) entries.
+        self.apply_waiters: list[tuple[int, Future]] = []
         self._join_waiter: Future | None = None
 
         self._dead = False
@@ -816,6 +818,9 @@ class GroupKernel:
             self._broadcast("fail", {**self._stamp(), "reason": reason})
         for pending in list(self.pending_sends.values()):
             self._fail_pending(pending)
+        waiters, self.apply_waiters = self.apply_waiters, []
+        for _, fut in waiters:
+            fut.fail_if_pending(GroupFailure(reason or "group failed"))
         self.wakeup.notify_all()
 
     def _on_fail(self, packet) -> None:

@@ -37,6 +37,7 @@ from repro.group.kernel import (
 )
 from repro.group.timings import GroupTimings
 from repro.rpc.transport import Transport
+from repro.sim.future import Future
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ class GroupMember:
         self.group = group
         self.kernel = GroupKernel(transport, group, timings)
         self.timings = self.kernel.timings
+        self._applied = None  # the progress counter wait_applied was given
 
     # -- introspection ------------------------------------------------------
 
@@ -283,19 +285,35 @@ class GroupMember:
 
         *applied* is the application's own progress counter (the
         directory server's last-applied kernel seqno). The application
-        must call :meth:`notify_progress` after advancing it. Mirrors
-        the ``wait until seqno = buffered_seqno`` step of Fig. 5.
+        must call :meth:`notify_progress` after advancing it; a group
+        failure fails the wait with :class:`GroupFailure`. Mirrors the
+        ``wait until seqno = buffered_seqno`` step of Fig. 5.
         """
+        if applied() >= target_seqno:
+            return
         kernel = self.kernel
-        while applied() < target_seqno:
-            if kernel.state == STATE_FAILED:
-                raise GroupFailure(kernel.failure_reason or "group failed")
-            yield kernel.wakeup.wait()
+        if kernel.state == STATE_FAILED:
+            raise GroupFailure(kernel.failure_reason or "group failed")
+        self._applied = applied
+        entry = (target_seqno, Future("wait_applied"))
+        kernel.apply_waiters.append(entry)
+        try:
+            yield entry[1]
+        except GeneratorExit:  # killed while parked: the entry goes too
+            if entry in kernel.apply_waiters:
+                kernel.apply_waiters.remove(entry)
+            raise
 
     def notify_progress(self) -> None:
-        """Wake processes blocked in :meth:`wait_applied` (call after
-        the application applies a received message)."""
-        self.kernel.wakeup.notify_all()
+        """Resume the :meth:`wait_applied` callers whose target is reached,
+        in registration order (call after applying a received message)."""
+        kernel = self.kernel
+        if kernel.apply_waiters:
+            applied = self._applied()
+            ready = [fut for target, fut in kernel.apply_waiters if target <= applied]
+            kernel.apply_waiters = [e for e in kernel.apply_waiters if e[0] > applied]
+            for fut in ready:
+                fut.resolve_if_pending()
 
     def crash(self) -> None:
         """Tear down with the machine (kills the kernel ticker)."""

@@ -93,6 +93,20 @@ class Packet:
         return f"<Packet {self.kind} {self.src!r}->{self.dst!r} {self.payload!r}>"
 
 
+class _Link:
+    """One directed link: its own jitter/loss stream (made at its first
+    frame; a frame on one link never re-times another), its meters (made
+    at its first delivery) and its last arrival (one segment: FIFO)."""
+
+    __slots__ = ("rng", "bytes", "busy", "last_arrival")
+
+    def __init__(self):
+        self.rng: Random | None = None
+        self.bytes = None
+        self.busy = None
+        self.last_arrival = 0.0
+
+
 @dataclass
 class NetworkStats:
     """Wire-level counters (one frame counted once, however many receivers)."""
@@ -166,22 +180,13 @@ class Network:
         # senders contend for the cable (docs/OBSERVABILITY.md §10).
         self._c_wire = registry.counter("net", "net.wire_ms")
         self._registry = registry
-        # Per-directed-link counters, created lazily on first delivery
-        # under the pseudo-node "link(src->dst)".
-        self._link_meters: dict[tuple, tuple] = {}
-        # Per (src, dst) — a multicast: (src, BROADCAST) — the stream
-        # the link's loss and jitter draws come from, so a frame on one
-        # link cannot re-time a frame on another.
-        self._link_rngs: dict[tuple, Random] = {}
+        # (src, dst) -> _Link; a multicast draws on (src, BROADCAST).
+        self._links: dict[tuple, _Link] = {}
         self._nics: dict[Address, "Nic"] = {}
         # Per multicast kind: the addresses listening for it, in attach
         # order (the sender included; transmit skips it). Built on first
         # use, dropped whole by interest_changed().
         self._listeners: dict[str, list[Address]] = {}
-        # Per (src, dst) pair: last scheduled arrival time. A single
-        # Ethernet segment serializes frames, so delivery between a
-        # given pair is FIFO even with per-packet jitter.
-        self._last_arrival: dict[tuple[Address, Address], float] = {}
         # Per sender: latest arrival time of any multicast it put on
         # the wire. A multicast occupies the cable whether or not a
         # given NIC takes it, so a later frame from the same sender is
@@ -281,11 +286,13 @@ class Network:
                 str(src), "net", "net.send",
                 dst=str(dst), kind=kind, size=size,
             )
-        rng = self._link_rngs.get((src, dst))
+        links = self._links
+        link = links.get((src, dst))
+        if link is None:
+            link = links[src, dst] = _Link()
+        rng = link.rng
         if rng is None:
-            rng = self._link_rngs[src, dst] = self.sim.rng.stream(
-                f"net.link({src}->{dst})"
-            )
+            rng = link.rng = self.sim.rng.stream(f"net.link({src}->{dst})")
         loss = self.loss_probability
         if loss > 0.0 and rng.random() < loss:
             stats.frames_dropped += 1
@@ -297,7 +304,7 @@ class Network:
                 )
             return
         wire = self._wire
-        wire_ms = wire.transmit_time(size)
+        wire_ms = wire.packet_overhead_ms + size * wire.per_byte_ms
         self._c_wire.value += wire_ms
         delay = wire_ms
         if wire.jitter_ms > 0.0:
@@ -319,9 +326,16 @@ class Network:
         else:
             receivers = (dst,)
         policies = self.link_policies
+        post_in = sim._post_in
+        deliver = self._deliver
+        bind = partial
         for receiver in receivers:
-            if multicast and receiver == src:
-                continue  # the sender never hears itself
+            if multicast:
+                if receiver == src:
+                    continue  # the sender never hears itself
+                link = links.get((src, receiver))
+                if link is None:
+                    link = links[src, receiver] = _Link()
             decision = None
             if policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
@@ -348,18 +362,13 @@ class Network:
                 stats.frames_duplicated += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
-            pair = (src, receiver)
-            link = self._link_meters.get(pair)
-            if link is None:
+            if link.bytes is None:
                 link_node = f"link({src}->{receiver})"
-                link = (
-                    self._registry.counter(link_node, "net.bytes"),
-                    self._registry.counter(link_node, "net.busy_ms"),
-                )
-                self._link_meters[pair] = link
-            link[0].value += size
-            link[1].value += wire_ms
-            previous = max(self._last_arrival.get(pair, 0.0), horizon)
+                link.bytes = self._registry.counter(link_node, "net.bytes")
+                link.busy = self._registry.counter(link_node, "net.busy_ms")
+            link.bytes.value += size
+            link.busy.value += wire_ms
+            previous = max(link.last_arrival, horizon)
             if decision is not None and decision.allow_reorder:
                 # Exempt from per-pair FIFO: this delivery may be
                 # overtaken by later frames (bounded by the policy's
@@ -370,15 +379,12 @@ class Network:
             else:
                 if arrival < previous:
                     arrival = previous  # keep per-pair delivery FIFO
-                self._last_arrival[pair] = arrival
+                link.last_arrival = arrival
             # A delivery is never cancelled (crash and partition are
             # judged at arrival), so it needs no Timer handle.
-            deliver = partial(
-                self._deliver,
-                Packet(src, receiver, kind, payload, size, multicast),
-            )
+            fn = bind(deliver, Packet(src, receiver, kind, payload, size, multicast))
             for _ in range(copies):
-                sim._post_in(arrival - now, deliver)
+                post_in(arrival - now, fn)
 
     def _deliver(self, packet: Packet) -> None:
         src = packet.src

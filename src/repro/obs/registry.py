@@ -68,7 +68,14 @@ class Gauge:
             self.minimum = value
 
     def add(self, delta: float) -> None:
-        self.set(self.value + delta)
+        now = self._clock()  # set(self.value + delta), in place
+        self._area += self.value * (now - self._last)
+        self._last = now
+        self.value = value = self.value + delta
+        if value > self.maximum:
+            self.maximum = value
+        if value < self.minimum:
+            self.minimum = value
 
     def time_weighted_mean(self) -> float:
         now = self._clock()

@@ -1,8 +1,8 @@
 """Synchronization primitives built on futures.
 
 These mirror the facilities the Amoeba servers use: condition-style
-wakeups (the initiator thread blocking until the group thread has
-applied its update), bounded mailboxes between kernel and threads, and
+wakeups (a group thread blocking until the kernel has a message to
+deliver), bounded mailboxes between kernel and threads, and
 mutual exclusion for the RPC service's conflict detection.
 """
 
@@ -203,7 +203,8 @@ class Semaphore:
     def acquire_gen(self):
         """Crash-safe acquire for generator processes.
 
-        ``yield from sem.acquire_gen()`` blocks exactly like yielding
+        ``yield from sem.acquire_gen()`` takes a free unit in place (no
+        future, no yield) and otherwise queues like yielding
         :meth:`acquire`, but if the waiting process is killed — its
         generator is closed, raising GeneratorExit at the yield — the
         grant is disowned via :meth:`abandon` instead of leaking.
@@ -211,6 +212,8 @@ class Semaphore:
         the semaphore guards state that outlives it (the disk arm, a
         machine CPU).
         """
+        if self.try_acquire():
+            return
         fut = self.acquire()
         try:
             yield fut

@@ -18,8 +18,7 @@ class Cpu:
 
     Every CPU is metered: ``cpu.busy_ms`` / ``cpu.wait_ms`` /
     ``cpu.grants`` / ``cpu.queue_depth`` under *node* feed the capacity
-    attributor (docs/OBSERVABILITY.md §10), and ``cpu.utilization`` is
-    the machine's lifetime busy fraction.
+    attributor (docs/OBSERVABILITY.md §10).
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", node: str | None = None):
@@ -27,10 +26,8 @@ class Cpu:
         self.name = name
         self.node = node or name
         self._mutex = Semaphore(1, f"{name}.mutex")
-        registry = sim.obs.registry
         self._mutex.meter = SemaphoreMeter(
-            registry, self.node, "cpu", clock=lambda: sim.now)
-        self._g_util = registry.gauge(self.node, "cpu.utilization")
+            sim.obs.registry, self.node, "cpu", clock=lambda: sim.now)
         self.busy_ms: float = 0.0
 
     def use(self, duration: float):
@@ -44,7 +41,6 @@ class Cpu:
         try:
             yield self.sim.sleep(duration)
             self.busy_ms += duration
-            self._g_util.set(self.utilization(self.sim.now))
         finally:
             self._mutex.release()
 
@@ -52,9 +48,3 @@ class Cpu:
     def idle(self) -> bool:
         """True when no process currently holds the CPU."""
         return self._mutex.value > 0
-
-    def utilization(self, elapsed_ms: float) -> float:
-        """Fraction of *elapsed_ms* the CPU spent busy."""
-        if elapsed_ms <= 0.0:
-            return 0.0
-        return min(1.0, self.busy_ms / elapsed_ms)

@@ -56,6 +56,14 @@ class TestCapability:
         assert not weak.has_rights(Rights.MODIFY)
         assert weak.has_rights(Rights.READ | Rights.COL_1)
 
+    def test_has_rights_agrees_with_the_intflag_expression_everywhere(self):
+        owner = make_owner()
+        for rights in range(256):
+            cap = Capability(owner.port, 1, Rights(rights), owner.check)
+            for required in map(Rights, range(256)):
+                expected = (cap.rights & required) == required
+                assert cap.has_rights(required) is expected, (rights, required)
+
     def test_column_mask(self):
         cap = make_owner()
         weak = restrict(cap, Rights.COL_1 | Rights.COL_3 | Rights.READ)

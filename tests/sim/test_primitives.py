@@ -381,3 +381,55 @@ class TestSemaphoreMeter:
         assert sem.meter is None
         sem.acquire()
         sem.release()  # no AttributeError: meter hooks are all guarded
+
+
+class TestAcquireInPlace:
+    """``acquire_gen`` takes a free unit without yielding; only a
+    contended acquire builds a future and waits for a posted grant."""
+
+    def test_a_free_unit_schedules_nothing(self):
+        sim = Simulator(seed=0)
+        sem = Semaphore(1, "res")
+        seen = []
+
+        def user():
+            before = sim._sequence
+            yield from sem.acquire_gen()
+            seen.append(sim._sequence - before)
+            sem.release()
+
+        sim.run_until_complete(sim.spawn(user()))
+        assert seen == [0]
+        gen = sem.acquire_gen()
+        with pytest.raises(StopIteration):
+            next(gen)  # granted on the spot: the generator never yields
+        assert sem.value == 0
+
+    def test_a_mix_of_free_and_contended_grants_is_metered_exactly(self):
+        from repro.sim.primitives import SemaphoreMeter
+
+        sim = Simulator(seed=0)
+        sem = Semaphore(1, "res")
+        meter = sem.meter = SemaphoreMeter(
+            sim.obs.registry, "n0", "res", clock=lambda: sim.now
+        )
+
+        def user(start, hold):
+            yield sim.sleep(start)
+            yield from sem.acquire_gen()
+            try:
+                yield sim.sleep(hold)
+            finally:
+                sem.release()
+
+        # (arrival, hold): free at 0, queued 1..3, free at 6, queued 6.5..7.
+        for start, hold in [(0.0, 3.0), (1.0, 2.0), (6.0, 1.0), (6.5, 1.0)]:
+            sim.spawn(user(start, hold))
+        sim.run(until=10.0)
+        assert meter.busy.value == pytest.approx(5.0 + 2.0)  # [0,5] + [6,8]
+        assert meter.wait.value == pytest.approx(2.0 + 0.5)
+        assert meter.grants.value == 4
+        # Holders + waiters: 1 on [0,1), 2 on [1,3), 1 on [3,5), 0 on
+        # [5,6), 1 on [6,6.5), 2 on [6.5,7), 1 on [7,8), then 0.
+        assert meter.depth.value == 0
+        assert meter.depth.area() == pytest.approx(1 + 4 + 2 + 0.5 + 1 + 1)

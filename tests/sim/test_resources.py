@@ -68,11 +68,7 @@ class TestCpu:
             yield sim.sleep(6.0)  # off-CPU time
 
         sim.run_until_complete(sim.spawn(work()))
-        assert cpu.utilization(sim.now) == pytest.approx(0.4)
-
-    def test_utilization_empty_window(self):
-        _, cpu = make()
-        assert cpu.utilization(0.0) == 0.0
+        assert cpu.busy_ms / sim.now == pytest.approx(0.4)
 
     def test_sleeping_does_not_hold_cpu(self):
         """Blocking on I/O (plain sleep) must not serialize with CPU."""
@@ -128,10 +124,11 @@ class TestCpu:
 
 class TestCpuMetrics:
     """The registry instruments a Cpu publishes (satellite of the
-    saturation observatory): the utilization gauge plus the mutex
-    meter's busy/grants accounting."""
+    saturation observatory): the mutex meter's busy/grants accounting.
+    A window's busy fraction is read from ``cpu.busy_ms``; there is no
+    utilization gauge."""
 
-    def test_utilization_gauge_tracks_busy_fraction(self):
+    def test_busy_counter_tracks_busy_fraction(self):
         sim, cpu = make()
 
         def work():
@@ -140,8 +137,10 @@ class TestCpuMetrics:
 
         sim.run_until_complete(sim.spawn(work()))
         # 5 ms busy out of 10 ms elapsed.
-        gauge = sim.obs.registry.gauge("cpu0", "cpu.utilization")
-        assert gauge.value == pytest.approx(0.5)
+        registry = sim.obs.registry
+        busy = registry.counter("cpu0", "cpu.busy_ms")
+        assert busy.value / sim.now == pytest.approx(0.5)
+        assert "cpu.utilization" not in registry.snapshot()["cpu0"]["gauges"]
 
     def test_mutex_meter_publishes_busy_and_grants(self):
         sim, cpu = make()
