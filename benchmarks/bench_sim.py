@@ -23,9 +23,11 @@ deterministic fields (``ops``, ``sim_ms``) differ from this code's was
 recorded for different *simulated* behaviour: the gate refuses it
 (exit 2) instead of reading that as a host regression.
 
-Scenarios come from :mod:`repro.bench.simbench` (the same ones
-``python -m repro perf`` profiles); the timed runs here attach **no**
-profiler, so the published numbers carry zero instrumentation cost.
+Runs are :func:`repro.bench.harness.run_loop` runs at its ``SCALES``
+(the same ones ``python -m repro perf`` profiles); the timed runs here
+attach **no** profiler, so the published numbers carry zero
+instrumentation cost. The obs-on cell of each scale traces and runs the
+health monitor: the pair is what observability costs when it is on.
 """
 
 import argparse
@@ -34,7 +36,7 @@ import pathlib
 import sys
 from time import perf_counter_ns
 
-from repro.bench.simbench import run_perf_scenario
+from repro.bench.harness import SCALES, run_loop
 
 SCENARIO = "mixed"
 
@@ -94,22 +96,19 @@ def measure_cell(
     """Best-of-N wallclock for one (scale, obs) cell."""
     best = None
     for _ in range(max(1, repeats)):
-        run = run_perf_scenario(
-            SCENARIO,
-            scale,
-            seed=seed,
-            trace=obs_on,
-            monitor=obs_on,
-        )
-        if best is None or run.wall_ns < best.wall_ns:
-            best = run
-    return {
-        "events_per_s": round(best.events_per_s, 1),
-        "scheduled_events": best.scheduled_events,
-        "ops": best.ops,
-        "sim_ms": round(best.sim_ms, 1),
-        "wall_ms": round(best.wall_ns / 1e6, 1),
-    }
+        run = run_loop(
+            SCENARIO, **SCALES[scale], seed=seed, trace=obs_on, monitor=obs_on)
+        events = run.sim._sequence
+        cell = {
+            "events_per_s": round(events / (run.wall_ns / 1e9), 1),
+            "scheduled_events": events,
+            "ops": run.loop.ops,
+            "sim_ms": round(run.sim.now, 1),
+            "wall_ms": round(run.wall_ns / 1e6, 1),
+        }
+        if best is None or cell["wall_ms"] < best["wall_ms"]:
+            best = cell
+    return best
 
 
 def normalized_host_per_op(cell: dict, calibration_loops_per_s: float) -> float:

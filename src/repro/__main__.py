@@ -12,7 +12,6 @@ Usage::
     python -m repro trace update       # traced run + phase breakdown
     python -m repro profile update     # per-operation latency budget
     python -m repro perf mixed         # host-time budget (sim-events/s)
-    python -m repro perf overhead      # obs on/off overhead accounting
     python -m repro capacity update    # bottleneck attribution report
     python -m repro capacity update --scale   # writer sweep + ceiling fit
 
@@ -145,17 +144,45 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def _traced_run(args, command: str):
-    """The traced Fig. 7 run `trace` and `profile` both start from."""
-    from repro.obs import spans
+def _run(args, command: str):
+    """The run a lens reads: its scenario, a row of
+    ``repro.bench.harness.SCENARIOS``, in the lens's shape — the solo
+    run for `trace` and `profile`, the closed loop for `perf`, the
+    `capacity` report. None, after saying why, for a scenario that has
+    no such run (the caller exits 2)."""
+    from repro.bench import harness
 
-    scenario = args.target or "update"
-    if scenario not in spans.SCENARIOS:
-        print(f"error: unknown {command} scenario {scenario!r}")
-        print(f"known scenarios: {', '.join(sorted(spans.SCENARIOS))}")
+    name = args.target or ("mixed" if command == "perf" else "update")
+    if name not in harness.SCENARIOS:
+        print(f"error: unknown {command} scenario {name!r}")
+        print(f"known scenarios: {', '.join(sorted(harness.SCENARIOS))}")
         return None
-    return spans.record_update_trace(
-        scenario, iterations=args.iterations, seed=args.seed
+    if command in ("trace", "profile"):
+        if harness.SCENARIOS[name][1] not in harness.FIG7_TEST:
+            print(f"error: {command} scenario {name!r} has no solo test")
+            return None
+        return harness.run_solo(name, args.iterations, args.seed)
+    if command == "perf":
+        return harness.run_loop(
+            name, **harness.SCALES[args.scale or "small"], seed=args.seed)
+    from repro.obs import capacity
+
+    if args.scale is not None:
+        # Writer sweep + ceiling prediction, checked against the
+        # committed headline curve when one is available.
+        return capacity.run_scale(
+            name,
+            seed=args.seed,
+            writer_counts=(1, 2, 4) if args.smoke else (1, 2, 4, 8),
+            measure_ms=6_000.0 if args.smoke else 15_000.0,
+            headline=capacity.load_headline(),
+        )
+    return capacity.run_point(
+        name,
+        writers=args.writers,
+        seed=args.seed,
+        warmup_ms=1_000.0 if args.smoke else 2_000.0,
+        measure_ms=4_000.0 if args.smoke else 10_000.0,
     )
 
 
@@ -165,13 +192,14 @@ def cmd_trace(args) -> int:
     from repro.obs import spans
     from repro.obs.export import write_trace
 
-    run = _traced_run(args, "trace")
+    run = _run(args, "trace")
     if run is None:
         return 2
     summary = spans.aggregate(run.spans)
     print(spans.format_table(summary, run.scenario, run.impl))
-    if run.dropped:
-        print(f"(ring buffer dropped {run.dropped} early events)")
+    dropped = run.sim.obs.tracer.dropped
+    if dropped:
+        print(f"(ring buffer dropped {dropped} early events)")
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,10 +238,10 @@ def cmd_profile(args) -> int:
     from repro.obs import spans
     from repro.obs.export import write_trace
 
-    run = _traced_run(args, "profile")
+    run = _run(args, "profile")
     if run is None:
         return 2
-    result = spans.profile_run(top=args.top, run=run)
+    report = spans.budget(run.spans, top=args.top)
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,9 +251,17 @@ def cmd_profile(args) -> int:
     )
 
     if args.json:
+        result = {
+            "scenario": run.scenario,
+            "impl": run.impl,
+            "seed": run.seed,
+            "iterations": run.iterations,
+            "events": len(run.events),
+            "report": report,
+        }
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        print(spans.format_report(result["report"], run.scenario, run.impl))
+        print(spans.format_report(report, run.scenario, run.impl))
         print()
         print(
             f"wrote {trace_path}  (open in https://ui.perfetto.dev — one "
@@ -241,23 +277,11 @@ def cmd_capacity(args) -> int:
     from repro.obs import capacity
     from repro.obs.export import write_trace
 
-    scenario = args.target or "update"
-    if scenario not in capacity.SCENARIOS:
-        print(f"error: unknown capacity scenario {scenario!r}")
-        print(f"known scenarios: {', '.join(sorted(capacity.SCENARIOS))}")
+    report = _run(args, "capacity")
+    if report is None:
         return 2
 
     if args.scale is not None:
-        # Writer sweep + ceiling prediction, checked against the
-        # committed headline curve when one is available.
-        counts = (1, 2, 4) if args.smoke else (1, 2, 4, 8)
-        report = capacity.run_scale(
-            scenario,
-            seed=args.seed,
-            writer_counts=counts,
-            measure_ms=6_000.0 if args.smoke else 15_000.0,
-            headline=capacity.load_headline(),
-        )
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -272,13 +296,6 @@ def cmd_capacity(args) -> int:
             return 1
         return 0
 
-    report = capacity.run_point(
-        scenario,
-        writers=args.writers,
-        seed=args.seed,
-        warmup_ms=1_000.0 if args.smoke else 2_000.0,
-        measure_ms=4_000.0 if args.smoke else 10_000.0,
-    )
     sampler_events = report.pop("sampler_events")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -287,7 +304,7 @@ def cmd_capacity(args) -> int:
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / (
-        f"capacity-{scenario}-seed{report['seed']}.trace.json"
+        f"capacity-{report['scenario']}-seed{report['seed']}.trace.json"
     )
     write_trace(sampler_events, trace_path, "chrome")
     print(
@@ -300,37 +317,19 @@ def cmd_capacity(args) -> int:
 def cmd_perf(args) -> int:
     import json
 
-    from repro.bench import simbench
-    from repro.obs import hostprof, overhead
+    from repro.bench.harness import SCALES
+    from repro.obs import hostprof
 
-    scenario = args.target or "mixed"
     scale = args.scale or "small"
-    if scale not in ("small", "medium", "large"):
+    if scale not in SCALES:
         print(f"error: unknown perf scale {scale!r}")
         return 2
-
-    if scenario == "overhead":
-        result = overhead.account(
-            "mixed", scale, seed=args.seed, repeats=2
-        )
-        result["micro"] = overhead.disabled_path_micro()
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(overhead.format_account(result))
-        return 0 if result["trace_is_passive"] else 1
-
-    if scenario not in simbench.SCENARIOS:
-        print(f"error: unknown perf scenario {scenario!r}")
-        print(
-            "known scenarios: "
-            f"{', '.join(simbench.SCENARIOS)}, overhead"
-        )
-        return 2
     with hostprof.capture() as host:
-        run = simbench.run_perf_scenario(scenario, scale=scale, seed=args.seed)
+        run = _run(args, "perf")
+    if run is None:
+        return 2
     report = host.report(top=args.top)
-    fingerprint = run.fingerprint()
+    fingerprint = {**run.fingerprint(), "scale": scale}
     if args.json:
         print(
             json.dumps(
@@ -339,8 +338,8 @@ def cmd_perf(args) -> int:
         )
     else:
         title = (
-            f"host self time — scenario={scenario} scale={scale} "
-            f"seed={run.seed} ({run.ops} ops, {run.sim_ms:.0f} sim-ms, "
+            f"host self time — scenario={run.scenario} scale={scale} "
+            f"seed={run.seed} ({run.loop.ops} ops, {run.sim.now:.0f} sim-ms, "
             f"{fingerprint['scheduled_events']:,} scheduled events)"
         )
         print(hostprof.format_report(report, title))
@@ -446,9 +445,9 @@ def main(argv=None) -> int:
         "target",
         nargs="?",
         default=None,
-        help="trace/profile/capacity: scenario to run "
-        "(update | nvram-update | lookup); "
-        "perf: lookup | update | mixed | overhead",
+        help="trace/profile/capacity/perf: scenario to run "
+        "(update | nvram-update | lookup | mixed; trace and profile "
+        "have no mixed)",
     )
     args = parser.parse_args(argv)
     handler = {

@@ -4,10 +4,12 @@ The evaluation has two experiment shapes and this module has one
 function for each: :func:`solo_run`, one unloaded client timing a fixed
 operation sequence (Fig. 7), and :func:`closed_loop`, N clients that
 each wait for their reply before sending again (Figs. 8 and 9). Every
-other driver in the repository — the figure functions below, ``perf``
-(:mod:`repro.bench.simbench`), ``capacity`` (:mod:`repro.obs.capacity`),
-``trace``/``profile`` (:mod:`repro.obs.spans`) — builds a deployment and
-calls one of the two.
+other driver in the repository builds a deployment and calls one of
+the two.
+
+The lenses — ``trace``, ``profile``, ``capacity`` and ``perf`` — name
+a run by one table, :data:`SCENARIOS`, and read the one record,
+:class:`Run`, that :func:`run_solo` or :func:`run_loop` returns.
 
 Implementations are addressed by name (:data:`IMPLEMENTATIONS`):
 
@@ -19,7 +21,12 @@ Implementations are addressed by name (:data:`IMPLEMENTATIONS`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import cached_property
+from time import perf_counter_ns
 from typing import NamedTuple
 
 from repro.cluster import (
@@ -29,7 +36,10 @@ from repro.cluster import (
     RpcServiceCluster,
 )
 from repro.directory.nfs_server import NfsFileClient
-from repro.obs.spans import OpWindow
+from repro.obs.monitor import HealthMonitor
+from repro.obs.registry import Window
+from repro.obs.saturation import Sampler
+from repro.obs.spans import OpWindow, stitch
 from repro.storage.bullet import BulletClient
 from repro.workloads.clients import ClosedLoopClient, run_closed_loop
 from repro.workloads.generators import (
@@ -316,3 +326,150 @@ def update_throughput(
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
     return closed_loop(
         deployment, "update", n_clients, warmup_ms, measure_ms).per_second
+
+
+# ----------------------------------------------------------------------
+# Lens runs: one table, one record
+# ----------------------------------------------------------------------
+
+#: Lens scenario -> (implementation, :data:`WORKLOADS` entry). ``trace``
+#: and ``profile`` run a scenario's solo shape, ``capacity`` and
+#: ``perf`` its closed loop.
+SCENARIOS = {
+    "update": ("group", "update"),
+    "nvram-update": ("nvram", "update"),
+    "lookup": ("group", "lookup"),
+    "mixed": ("group", "mixed"),
+}
+
+#: workload -> the Fig. 7 test its solo shape times. A workload missing
+#: here (``mixed``) has no solo shape.
+FIG7_TEST = {"update": "append_delete", "lookup": "lookup"}
+
+#: Closed-loop sizes ``perf`` and ``benchmarks/bench_sim.py`` name:
+#: :func:`run_loop`'s keyword arguments.
+SCALES: dict[str, dict[str, float]] = {
+    "small": {"clients": 4, "warmup_ms": 500.0, "measure_ms": 2_000.0},
+    "medium": {"clients": 12, "warmup_ms": 1_000.0, "measure_ms": 6_000.0},
+    "large": {"clients": 24, "warmup_ms": 1_000.0, "measure_ms": 15_000.0},
+}
+
+
+@dataclass
+class Run:
+    """One lens run and what it recorded.
+
+    A solo run (:func:`run_solo`) holds its :class:`OpWindow`\\ s, and
+    its spans stitched from them; a closed loop (:func:`run_loop`) its
+    :class:`LoopResult`, the registry :class:`Window` over its
+    measurement and, when asked for, the :class:`Sampler` that ran
+    inside it. ``wall_ns`` is host time from boot to the end of the run.
+    """
+
+    scenario: str
+    impl: str
+    seed: int
+    deployment: Deployment
+    wall_ns: int
+    windows: list = field(default_factory=list)
+    loop: LoopResult | None = None
+    window: Window | None = None
+    sampler: Sampler | None = None
+
+    @property
+    def sim(self):
+        return self.deployment.sim
+
+    @property
+    def iterations(self) -> int:
+        return len({window.pair for window in self.windows})
+
+    @cached_property
+    def events(self) -> list:
+        """The flight recorder's events (none unless the run traced)."""
+        return list(self.sim.obs.tracer.events())
+
+    @cached_property
+    def spans(self) -> list:
+        return stitch(self.events, self.windows)
+
+    def fingerprint(self) -> dict:
+        """A closed loop's seed-exact digest: a pure function of
+        (scenario, size, seed), the same profiled, traced or not."""
+        snapshot = json.dumps(
+            self.sim.obs.registry.snapshot(), sort_keys=True, default=repr)
+        return {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "ops": self.loop.ops,
+            "errors": self.loop.errors,
+            "sim_ms": round(self.sim.now, 6),
+            "scheduled_events": self.sim._sequence,
+            "registry_digest": hashlib.sha256(snapshot.encode()).hexdigest()[:16],
+        }
+
+
+def _scenario(name: str) -> tuple[str, str]:
+    if name not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {name!r}; pick from {sorted(SCENARIOS)}")
+    return SCENARIOS[name]
+
+
+def run_solo(name: str, iterations: int = 15, seed: int = 0) -> Run:
+    """The scenario's Fig. 7 test on the paper's server, traced from the
+    end of set-up: :func:`fig7_cell`'s own run, so the traced totals
+    equal the benchmark's."""
+    impl, workload = _scenario(name)
+    if workload not in FIG7_TEST:
+        raise ValueError(f"scenario {name!r} has no solo test")
+    t0 = perf_counter_ns()
+    deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
+    windows = solo_run(
+        deployment, FIG7_TEST[workload], iterations, trace_capacity=None)
+    return Run(name, impl, seed, deployment, perf_counter_ns() - t0,
+               windows=windows)
+
+
+def run_loop(
+    name: str,
+    clients: int,
+    warmup_ms: float,
+    measure_ms: float,
+    seed: int = 0,
+    sample_ms: float | None = None,
+    trace: bool = False,
+    monitor: bool = False,
+    **deploy,
+) -> Run:
+    """The scenario's closed loop on a booted deployment (*deploy* goes
+    to :func:`build_deployment`), with one registry window over the
+    measurement. *sample_ms* runs a :class:`Sampler` inside that window,
+    *trace* the flight recorder and *monitor* a :class:`HealthMonitor`
+    from boot on."""
+    impl, workload = _scenario(name)
+    t0 = perf_counter_ns()
+    deployment = build_deployment(impl, seed=seed, **deploy)
+    sim = deployment.sim
+    if trace:
+        sim.obs.tracer.enable(capacity=4096)
+    if monitor:
+        HealthMonitor(sim).start()
+    sampler = None if sample_ms is None else Sampler(sim, sample_ms)
+    registry = sim.obs.registry
+    measured = []
+
+    @contextmanager
+    def measurement():
+        if sampler is not None:
+            sampler.start()
+        opened = registry.mark()
+        yield
+        measured.append(registry.window(opened))
+        if sampler is not None:
+            sampler.stop()
+
+    loop = closed_loop(
+        deployment, workload, clients, warmup_ms, measure_ms, measurement())
+    return Run(name, impl, seed, deployment, perf_counter_ns() - t0,
+               loop=loop, window=measured[0], sampler=sampler)

@@ -16,8 +16,9 @@ Two consumers sit on top:
   per-operation causal span trees, a deterministic latency-budget
   report (``python -m repro profile``) and, from the same segments,
   the wire/sequencer/compute/disk attribution of a Fig. 7 run
-  (``python -m repro trace``); imported lazily by the CLI, not here,
-  to keep this package import-cycle-free;
+  (``python -m repro trace``); the run is
+  :func:`repro.bench.harness.run_solo`'s, and this module is imported
+  lazily by the CLI, not here, to keep this package import-cycle-free;
 * :mod:`repro.obs.saturation` — the one periodic sampler over the
   registry, and :mod:`repro.obs.monitor` — that sampler plus
   hysteresis alerts (started on every chaos scenario).
@@ -30,11 +31,11 @@ registry is always on (plain integer/float bumps).
 The *host-time* layer sits beside the sim-time one:
 
 * :mod:`repro.obs.hostprof` — ``cProfile`` self time and calls per
-  layer (the ledger's layer names) and per function
-  (``python -m repro perf``); imported by the CLI, not here;
-* :mod:`repro.obs.overhead` — the observability overhead accountant
-  measuring the marginal host cost of trace/monitor and pinning the
-  disabled-path cost (``python -m repro perf overhead``).
+  layer (the ledger's layer names) and per function of a
+  :func:`repro.bench.harness.run_loop` run (``python -m repro perf``);
+  imported by the CLI, not here;
+* :mod:`repro.obs.overhead` — the disabled-path cost of the obs hot
+  paths, pinned by tests/obs/test_overhead.py.
 """
 
 from repro.obs.export import to_chrome_trace, to_jsonl, to_text, write_trace

@@ -1,8 +1,8 @@
 """Queueing-theoretic bottleneck attribution and capacity prediction.
 
-Runs a closed-loop scenario (the bench harness's Fig. 8/9 workloads)
-with the sampler on, takes one registry window over the measurement,
-and reports, per resource:
+Reads one closed-loop run of the bench harness (a
+:func:`repro.bench.harness.run_loop` run with its sampler on) through
+the registry window over its measurement, and reports, per resource:
 
 * utilization ``rho = busy_ms / window_ms``;
 * throughput ``lambda`` (completions/s) and service time ``S = busy /
@@ -29,12 +29,10 @@ wall-clock, no host ordering), so same-seed reports are byte-identical.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.harness import build_deployment, closed_loop
-from repro.obs.saturation import Sampler
+from repro.bench.harness import SCENARIOS, run_loop
 
 #: The committed headline bench a ``--scale`` prediction is checked
 #: against, at the repository root whatever the working directory.
@@ -43,13 +41,8 @@ HEADLINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_headline.json"
 #: The capacity lens's sampling cadence (sim ms).
 SAMPLE_INTERVAL_MS = 250.0
 
-#: scenario -> (implementation, harness workload, what one operation
-#: of it is called in the report)
-SCENARIOS = {
-    "update": ("group", "update", "pair"),
-    "nvram-update": ("nvram", "update", "pair"),
-    "lookup": ("group", "lookup", "lookup"),
-}
+#: harness workload -> what one iteration of it is called in the report
+OP_NAMES = {"update": "pair", "lookup": "lookup", "mixed": "iteration"}
 
 #: Below this activity (queue depth / expected depth) the Little
 #: residual is reported as 0.0: an idle resource's L and lambda*W are
@@ -193,38 +186,21 @@ def run_point(
 ) -> dict:
     """One closed-loop run: throughput + ranked resource stats.
 
-    The run is :func:`repro.bench.harness.closed_loop` (the Fig. 8/9
-    loop, same warmup/measure phasing) with one registry window over
-    the measurement and the sampler running inside it.
+    A view of :func:`repro.bench.harness.run_loop` (the Fig. 8/9 loop,
+    same warmup/measure phasing): its registry window over the
+    measurement, and the sampler that ran inside it.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {scenario!r} (have {sorted(SCENARIOS)})")
-    impl, workload, op_kind = SCENARIOS[scenario]
     deploy_kwargs = {} if batch_max is None else {"batch_max": batch_max}
-    deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    registry = sim.obs.registry
-    sampler = Sampler(sim, SAMPLE_INTERVAL_MS)
-    measured = []
-
-    @contextmanager
-    def window():
-        sampler.start()
-        opened = registry.mark()
-        yield
-        measured.append(registry.window(opened))
-        sampler.stop()
-
-    throughput = closed_loop(
-        deployment, workload, writers, warmup_ms, measure_ms, window=window()
-    ).per_second
-    resources = window_stats(*measured)
+    run = run_loop(
+        scenario, writers, warmup_ms, measure_ms, seed,
+        sample_ms=SAMPLE_INTERVAL_MS, **deploy_kwargs)
+    resources = window_stats(run.window)
     top = resources[0] if resources else None
+    throughput = run.loop.per_second
     return {
         "scenario": scenario,
-        "implementation": impl,
-        "op": op_kind,
+        "implementation": run.impl,
+        "op": OP_NAMES[SCENARIOS[scenario][1]],
         "seed": seed,
         "writers": writers,
         "batch_max": batch_max,
@@ -237,8 +213,8 @@ def run_point(
             None if top is None or top.utilization <= 0.0
             else round(throughput / top.utilization, 6)
         ),
-        "sampler": sampler.as_dict(),
-        "sampler_events": sampler.counter_track_events(),
+        "sampler": run.sampler.as_dict(),
+        "sampler_events": run.sampler.counter_track_events(),
     }
 
 

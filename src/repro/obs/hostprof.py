@@ -15,7 +15,7 @@ package the rest.
 
 The profiler reads the host clock only and never touches simulated
 state, so a profiled run is event-for-event the unprofiled one (same
-:meth:`repro.bench.simbench.PerfRun.fingerprint`). The call count of
+:meth:`repro.bench.harness.Run.fingerprint`). The call count of
 every ``repro`` function is a pure function of the seed — the report's
 ``deterministic`` section; everything else in it is measured.
 """

@@ -33,16 +33,16 @@ persist interval and carry ``fan_in = batch size``. Dedup
 short-circuits (PR 4) yield degenerate spans flagged ``dedup`` whose
 persist segment is ~0 — the reply came from the session cache.
 
-:func:`record_update_trace` and :func:`profile_run` drive a traced
-Fig. 7 run through :func:`repro.bench.harness.solo_run`. The harness is
-imported inside those functions only: it imports :class:`OpWindow`
-from here, and :mod:`repro.obs` stays free of simulator imports.
+The spans read here come from one traced Fig. 7 run,
+:func:`repro.bench.harness.run_solo`. :func:`check_against_benchmark`
+imports the harness inside the function only: the harness imports
+:class:`OpWindow` from here, and :mod:`repro.obs` stays free of
+simulator imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.obs.export import _plain
 from repro.obs.registry import Histogram
@@ -657,15 +657,8 @@ def _tree_lines(tree: dict, indent: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# the traced Fig. 7 run
+# the traced run against the untraced benchmark
 # ----------------------------------------------------------------------
-
-#: scenario name -> (implementation, fig7 test it mirrors)
-SCENARIOS = {
-    "update": ("group", "append_delete"),
-    "nvram-update": ("nvram", "append_delete"),
-    "lookup": ("group", "lookup"),
-}
 
 #: Tracing is passive, so a traced run and an untraced one of the same
 #: seed follow the same schedule: their totals may differ by float
@@ -673,70 +666,20 @@ SCENARIOS = {
 TRACED_VS_UNTRACED_TOLERANCE = 1e-9
 
 
-@dataclass
-class TraceRun:
-    """Everything one traced benchmark run produced."""
-
-    scenario: str
-    impl: str
-    seed: int
-    iterations: int
-    events: list
-    windows: list
-    dropped: int
-
-    @cached_property
-    def spans(self) -> list:
-        return stitch(self.events, self.windows)
-
-
-def record_update_trace(
-    scenario: str = "update",
-    iterations: int = 15,
-    seed: int = 0,
-    capacity: int | None = None,
-) -> TraceRun:
-    """Run one Fig. 7 scenario with the flight recorder on.
-
-    This is :func:`repro.bench.harness.fig7_cell`'s own run (same
-    set-up, same operations, same seed) with the recorder switched on
-    after set-up, so the traced totals equal the benchmark's.
-    """
-    from repro.bench.harness import PAPER_SERVER, build_deployment, solo_run
-
-    if scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; expected one of "
-            f"{sorted(SCENARIOS)}"
-        )
-    impl, test = SCENARIOS[scenario]
-    deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
-    windows = solo_run(deployment, test, iterations, trace_capacity=capacity)
-    tracer = deployment.cluster.obs.tracer
-    return TraceRun(
-        scenario=scenario,
-        impl=impl,
-        seed=seed,
-        iterations=iterations,
-        events=list(tracer.events()),
-        windows=windows,
-        dropped=tracer.dropped,
-    )
-
-
-def check_against_benchmark(run: TraceRun) -> dict:
-    """Compare the traced per-iteration phase sums against an
-    untraced :func:`fig7_cell` run of the same cell.
+def check_against_benchmark(run) -> dict:
+    """Compare a :func:`~repro.bench.harness.run_solo` run's traced
+    per-iteration phase sums against an untraced :func:`fig7_cell` run
+    of the same cell.
 
     Returns ``{"benchmark_ms", "traced_ms", "relative_error", "ok"}``.
     The benchmark runs fresh (same seed/iterations), so this verifies
     both that tracing does not perturb the simulation and that the
     phase decomposition accounts for the full latency.
     """
-    from repro.bench.harness import fig7_cell
+    from repro.bench.harness import FIG7_TEST, SCENARIOS, fig7_cell
 
     benchmark = fig7_cell(
-        run.impl, SCENARIOS[run.scenario][1],
+        run.impl, FIG7_TEST[SCENARIOS[run.scenario][1]],
         iterations=run.iterations, seed=run.seed,
     )
     traced = aggregate(run.spans)["iteration"]["total_ms"]
@@ -746,31 +689,4 @@ def check_against_benchmark(run: TraceRun) -> dict:
         "traced_ms": round(traced, 6),
         "relative_error": error,
         "ok": error <= TRACED_VS_UNTRACED_TOLERANCE,
-    }
-
-
-def profile_run(
-    scenario: str = "update",
-    iterations: int = 15,
-    seed: int = 0,
-    top: int = 3,
-    run: TraceRun | None = None,
-) -> dict:
-    """Run one traced Fig. 7 scenario and return the full profile.
-
-    A caller that already holds the :class:`TraceRun` (the CLI, which
-    also exports its events) passes it as *run* and no second run is
-    made. The returned dict is JSON-safe, fully rounded, and
-    byte-stable for identical (scenario, iterations, seed, top) — the
-    determinism test and the CI smoke job diff it directly.
-    """
-    if run is None:
-        run = record_update_trace(scenario, iterations=iterations, seed=seed)
-    return {
-        "scenario": run.scenario,
-        "impl": run.impl,
-        "seed": run.seed,
-        "iterations": run.iterations,
-        "events": len(run.events),
-        "report": budget(run.spans, top=top),
     }

@@ -6,13 +6,14 @@ import math
 
 import pytest
 
+from repro.bench.harness import run_solo
 from repro.obs import spans
 from repro.obs.spans import phases_from_span
 
 
 @pytest.fixture(scope="module")
 def update_run():
-    return spans.record_update_trace("update", iterations=3, seed=0)
+    return run_solo("update", 3)
 
 
 class TestAttribution:
@@ -103,14 +104,14 @@ class TestBenchmarkAgreement:
         assert 1e-9 < check["relative_error"] < 0.05
 
     def test_nvram_scenario_swaps_the_persist_phase(self):
-        run = spans.record_update_trace("nvram-update", iterations=2, seed=0)
+        run = run_solo("nvram-update", 2)
         phases = phases_from_span(run.spans[0])
         assert "nvram" in phases and "disk" not in phases
         check = spans.check_against_benchmark(run)
         assert check["ok"], check
 
     def test_lookup_scenario_has_no_storage_phase(self):
-        run = spans.record_update_trace("lookup", iterations=2, seed=0)
+        run = run_solo("lookup", 2)
         for span in run.spans:
             assert set(phases_from_span(span)) == {"wire", "compute"}
         assert spans.check_against_benchmark(run)["ok"]
@@ -127,4 +128,4 @@ class TestFormatting:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            spans.record_update_trace("bogus")
+            run_solo("bogus")

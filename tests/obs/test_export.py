@@ -111,9 +111,10 @@ class TestChromeTraceSchema:
     REQUIRED_KEYS = {"name", "ph", "pid", "tid"}
 
     def document(self):
-        from repro.obs.spans import record_update_trace, span_track_events, stitch
+        from repro.bench.harness import run_solo
+        from repro.obs.spans import span_track_events, stitch
 
-        run = record_update_trace("update", iterations=3, seed=0)
+        run = run_solo("update", 3)
         spans = stitch(run.events, run.windows)
         return to_chrome_trace(run.events + span_track_events(spans))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.simbench import SCALES, SCENARIOS, run_perf_scenario
+from repro.bench.harness import SCALES, SCENARIOS, run_loop
 from repro.errors import TimeoutError as SimTimeout
 from repro.obs import hostprof
 from repro.sim.future import Future
@@ -32,7 +32,7 @@ LEDGER_TRACING = ROOT / "benchmarks" / "ledger" / "tracing.py"
 def mixed():
     """A profiled ``mixed`` small run, its capture and its full report."""
     with hostprof.capture() as host:
-        run = run_perf_scenario("mixed", "small", seed=11)
+        run = run_loop("mixed", **SCALES["small"], seed=11)
     return run, host, host.report()
 
 
@@ -153,13 +153,13 @@ class TestAttribution:
 class TestDeterminism:
     def test_profiler_does_not_perturb_simulation(self, mixed):
         profiled, _, _ = mixed
-        plain = run_perf_scenario("mixed", "small", seed=11)
+        plain = run_loop("mixed", **SCALES["small"], seed=11)
         assert profiled.fingerprint() == plain.fingerprint()
 
     def test_deterministic_digest_stable_across_runs(self, mixed):
         _, _, first = mixed
         with hostprof.capture() as host:
-            run_perf_scenario("mixed", "small", seed=11)
+            run_loop("mixed", **SCALES["small"], seed=11)
         assert host.report()["deterministic"] == first["deterministic"]
 
     def test_toy_sim_digest_identical_profiled_twice(self):
@@ -221,5 +221,5 @@ class TestCapture:
 
 
 def test_scenario_registry_sane():
-    assert set(SCENARIOS) == {"lookup", "update", "mixed"}
+    assert set(SCENARIOS) == {"lookup", "update", "nvram-update", "mixed"}
     assert set(SCALES) == {"small", "medium", "large"}

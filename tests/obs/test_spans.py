@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.bench.harness import run_solo
 from repro.obs.spans import (
     READ_SEGMENTS,
     SEGMENT_ORDER,
@@ -13,7 +14,6 @@ from repro.obs.spans import (
     budget,
     format_report,
     phases_from_span,
-    profile_run,
     span_track_events,
     stitch,
     stitch_window,
@@ -287,14 +287,14 @@ class TestExports:
 
 
 class TestDeterminism:
-    def test_profile_run_byte_identical(self):
-        first = profile_run("update", iterations=4, seed=3)
-        second = profile_run("update", iterations=4, seed=3)
+    def test_solo_run_budget_byte_identical(self):
+        first = budget(run_solo("update", 4, seed=3).spans)
+        second = budget(run_solo("update", 4, seed=3).spans)
         a = json.dumps(first, indent=2, sort_keys=True)
         b = json.dumps(second, indent=2, sort_keys=True)
         assert a == b
 
     def test_read_segments_on_lookup(self):
-        result = profile_run("lookup", iterations=4, seed=0)
-        segs = result["report"]["ops"]["lookup"]["segments_ms"]
+        report = budget(run_solo("lookup", 4).spans)
+        segs = report["ops"]["lookup"]["segments_ms"]
         assert tuple(segs) == READ_SEGMENTS

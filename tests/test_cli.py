@@ -3,6 +3,15 @@
 import pytest
 
 from repro.__main__ import main
+from repro.bench.harness import FIG7_TEST, SCENARIOS
+
+#: Each lens at its smoke size.
+LENSES = {
+    "trace": ["--iterations", "2", "trace"],
+    "profile": ["--iterations", "2", "--json", "profile"],
+    "capacity": ["--smoke", "--json", "--writers", "2", "capacity"],
+    "perf": ["--json", "perf"],
+}
 
 
 class TestCli:
@@ -148,3 +157,15 @@ class TestCapacityCli:
         out = capsys.readouterr().out
         assert status == 2
         assert "unknown perf scale" in out
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("lens", LENSES)
+def test_every_lens_runs_every_scenario_its_shape_has(lens, scenario, capsys, tmp_path):
+    status = main([*LENSES[lens], scenario, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    if lens in ("trace", "profile") and SCENARIOS[scenario][1] not in FIG7_TEST:
+        assert status == 2
+        assert f"{lens} scenario {scenario!r} has no solo test" in out
+    else:
+        assert status == 0, out

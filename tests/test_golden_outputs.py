@@ -29,12 +29,13 @@ import pytest
 from repro.bench.harness import (
     IMPLEMENTATIONS,
     PAPER_SERVER,
+    SCALES,
     fig7_cell,
     lookup_throughput,
+    run_loop,
+    run_solo,
     update_throughput,
 )
-from repro.bench.simbench import SCENARIOS as PERF_SCENARIOS
-from repro.bench.simbench import run_perf_scenario
 from repro.chaos import run_scenario, scenario_by_name
 from repro.cluster import GroupServiceCluster
 from repro.obs import capacity, spans
@@ -45,6 +46,8 @@ FIG7_TESTS = ("append_delete", "tmp_file", "lookup")
 #: The Fig. 8/9 curves leave the single-copy NFS baseline out.
 REPLICATED = ("group", "rpc", "nvram")
 TRACED = ("update", "nvram-update", "lookup")
+#: The closed loops ``perf`` was recorded on (``capacity`` on TRACED).
+PERF = ("lookup", "update", "mixed")
 #: (scenario, seed) smoke runs that tests/chaos already pays for by name.
 CHAOS_RUNS = (
     ("sequencer_crash", 3),
@@ -92,14 +95,17 @@ def _fig9() -> dict:
 
 def _perf() -> dict:
     return {
-        scenario: run_perf_scenario(scenario, "small", seed=0).fingerprint()
-        for scenario in PERF_SCENARIOS
+        scenario: {
+            **run_loop(scenario, **SCALES["small"], seed=0).fingerprint(),
+            "scale": "small",
+        }
+        for scenario in PERF
     }
 
 
 def _capacity() -> dict:
     out = {}
-    for scenario in capacity.SCENARIOS:
+    for scenario in TRACED:
         report = capacity.run_point(
             scenario, 2, seed=0, warmup_ms=300.0, measure_ms=1_000.0
         )
@@ -110,7 +116,7 @@ def _capacity() -> dict:
 
 def _profile() -> dict:
     return {
-        scenario: _sha(spans.profile_run(scenario, iterations=3)["report"])
+        scenario: _sha(spans.budget(run_solo(scenario, 3).spans))
         for scenario in TRACED
     }
 
@@ -118,7 +124,7 @@ def _profile() -> dict:
 def _phase_tables() -> dict:
     out = {}
     for scenario in TRACED:
-        run = spans.record_update_trace(scenario, iterations=3)
+        run = run_solo(scenario, 3)
         summary = spans.aggregate(run.spans)
         out[scenario] = _sha(spans.format_table(summary, run.scenario, run.impl))
     return out
