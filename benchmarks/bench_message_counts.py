@@ -68,10 +68,11 @@ def measure_rpc_packets() -> int:
     def run():
         yield from client.trans(ECHO, "warm")
         yield sim.sleep(5.0)
-        before = network.stats.frames_sent
+        frames = sim.obs.registry.counter("net", "net.frames_sent")
+        before = frames.value
         yield from client.trans(ECHO, "measured")
         yield sim.sleep(5.0)
-        return network.stats.frames_sent - before
+        return frames.value - before
 
     return sim.run_until_complete(sim.spawn(run()))
 

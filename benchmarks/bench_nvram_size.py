@@ -33,8 +33,10 @@ def tmp_name_workload(nvram_bytes: int, pairs: int = 60, seed: int = 0):
     cluster.run_process(work())
     cluster.run(until=cluster.sim.now + 5_000.0)  # final flush
     disk_ops = sum(site.disk.total_ops for site in cluster.sites) - baseline_ops
-    annihilations = sum(site.nvram.stats.annihilations for site in cluster.sites)
-    flushes = sum(site.nvram.stats.flushes for site in cluster.sites)
+    counter = cluster.obs.registry.counter
+    boards = [site.nvram.name for site in cluster.sites]
+    annihilations = sum(counter(b, "nvram.annihilations").value for b in boards)
+    flushes = sum(counter(b, "nvram.flushes").value for b in boards)
     return {
         "disk_ops": disk_ops,
         "annihilations": annihilations,

@@ -47,7 +47,10 @@ def main() -> None:
     total_disk_ops = sum(site.disk.total_ops for site in nvram.sites)
     nvram.run(until=nvram.sim.now + 3_000.0)  # idle flush window
     after_flush = sum(site.disk.total_ops for site in nvram.sites)
-    annihilated = sum(site.nvram.stats.annihilations for site in nvram.sites)
+    annihilated = sum(
+        nvram.obs.registry.counter(site.nvram.name, "nvram.annihilations").value
+        for site in nvram.sites
+    )
     print("the /tmp optimization:")
     print(f"  append+delete records annihilated in NVRAM: {annihilated}")
     print(

@@ -24,7 +24,7 @@ from repro.rpc.transport import Transport
 from repro.sim.latency import LatencyModel
 from repro.sim.scheduler import Simulator
 from repro.storage.bullet import BulletServer
-from repro.storage.disk import Disk, RawPartition
+from repro.storage.disk import DISK_OP_KINDS, Disk, RawPartition
 from repro.storage.replicated_bullet import FileState, ReplicatedBulletClient
 
 #: Disk layout: Bullet extents use the disk at large; the directory
@@ -86,10 +86,16 @@ class Site:
         )
 
     def report(self) -> dict:
+        """Registry reads: the disk's ops by kind and each machine's
+        CPU busy time, over every reboot of the site."""
+        counter = self.cluster.obs.registry.counter
         return {
-            "disk_ops": dict(self.disk.ops),
-            "dir_cpu_busy_ms": self.dir_transport.cpu.busy_ms,
-            "bullet_cpu_busy_ms": self.bullet_transport.cpu.busy_ms,
+            "disk_ops": {
+                kind: counter(self.disk.name, f"disk.{kind}").value
+                for kind in DISK_OP_KINDS
+            },
+            "dir_cpu_busy_ms": counter(self.dir_transport.cpu.node, "cpu.busy_ms").value,
+            "bullet_cpu_busy_ms": counter(self.bullet_transport.cpu.node, "cpu.busy_ms").value,
         }
 
 
@@ -303,28 +309,31 @@ class BaseCluster:
 
         Wire totals, per-kind frame counts, per-site disk and CPU
         figures and per-server request counts. Benches and examples
-        print this to explain *where* the costs went.
+        print this to explain *where* the costs went. Every count is a
+        registry read, and a server's counts are its node's: they span
+        the server's reboots.
         """
+        metrics = self.obs.registry.snapshot()
+        wire = metrics["net"]["counters"]
         out = {
             "simulated_ms": self.sim.now,
-            "frames_sent": self.network.stats.frames_sent,
-            "bytes_sent": self.network.stats.bytes_sent,
-            "frames_dropped": self.network.stats.frames_dropped,
+            "frames_sent": wire["net.frames_sent"],
+            "bytes_sent": wire["net.bytes_sent"],
+            "frames_dropped": wire["net.frames_dropped"],
             "frames_by_kind": self.network.stats.snapshot(),
         }
         if self.sites:
             out["sites"] = [site.report() for site in self.sites]
-        out["servers"] = [
-            {
-                "reads": getattr(s, "reads_served", None),
-                "writes": getattr(s, "writes_served", None),
-                "refused": getattr(s, "requests_refused", None),
-                "operational": s.operational,
-            }
-            for s in self.servers
-            if s is not None
-        ]
-        out["metrics"] = self.obs.registry.snapshot()
+        out["servers"] = []
+        for server in filter(None, self.servers):
+            counts = metrics.get(str(server.transport.address), {}).get("counters", {})
+            out["servers"].append({
+                "reads": counts.get("dir.reads"),
+                "writes": counts.get("dir.writes"),
+                "refused": counts.get("dir.refused"),
+                "operational": server.operational,
+            })
+        out["metrics"] = metrics
         return out
 
     def format_report(self) -> str:

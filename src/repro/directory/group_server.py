@@ -147,16 +147,12 @@ class GroupDirectoryServer:
         #: Settles when the :meth:`load_state` in progress ends.
         self._loading: Future | None = None
         self._applied_kernel = -1
-        self._apply_results: dict[int, object] = {}
-        #: Seqnos whose writer gave up (GroupFailure between send and
-        #: apply): _finish_apply must not store their results — nobody
-        #: is left to pop them and the dict would leak across resets.
-        self._abandoned_results: set[int] = set()
-        #: Mirror of _apply_results for the cache write barrier: kernel
-        #: seqno -> the update seqno captured at that record's apply
-        #: (the barrier target; batch applies advance state.update_seqno
-        #: past it before the writer thread wakes).
-        self._apply_useqnos: dict[int, int] = {}
+        #: A write's reply, by group message id: the initiator registers
+        #: a slot [result, update seqno] before it sends and removes it
+        #: when it leaves; the group thread fills the slot when it
+        #: applies the record carrying that msg_id. A record whose
+        #: writer is gone finds no slot, so nothing is left behind.
+        self._reply_slots: dict[tuple, list] = {}
         self._processes = []
         #: Client cache coherence (docs/PROTOCOL.md); None when the
         #: deployment has it off — every request path is then untouched.
@@ -165,9 +161,6 @@ class GroupDirectoryServer:
         )
 
         # Metrics.
-        self.reads_served = 0
-        self.writes_served = 0
-        self.requests_refused = 0
         self._obs = self.sim.obs
         registry = self.sim.obs.registry
         node = str(self.me)
@@ -304,7 +297,6 @@ class GroupDirectoryServer:
 
     def _handle_request(self, op: DirectoryOp, handle):
         if not self.has_majority() and not (yield from self._rides_out_reset()):
-            self.requests_refused += 1
             self._c_refused.inc()
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
@@ -381,7 +373,6 @@ class GroupDirectoryServer:
             except GroupFailure:
                 if (yield from self._rides_out_reset()):
                     continue
-                self.requests_refused += 1
                 self._c_refused.inc()
                 handle.error(NoMajority("group failed while read was waiting"))
                 return
@@ -391,7 +382,6 @@ class GroupDirectoryServer:
         except (DirectoryError, CapabilityError) as exc:
             handle.error(exc)
             return
-        self.reads_served += 1
         self._c_reads.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
@@ -430,49 +420,49 @@ class GroupDirectoryServer:
                 lineage=msg_id, op=type(op).__name__,
             )
         op = self._inject_check_fields(op)
+        slot = self._reply_slots[msg_id] = [None, None]
         seqno = None
-        while True:
-            try:
-                if seqno is None:
-                    seqno = yield from self.member.send_to_group(
-                        op, size=op.wire_size(), msg_id=msg_id
-                    )
-                yield from self.member.wait_applied(
-                    seqno, lambda: self._applied_kernel
-                )
-                break
-            except GroupFailure:
-                if (yield from self._rides_out_reset()):
-                    # A majority survived. A send that died is made
-                    # again under the same msg_id: if the survivors'
-                    # merged history holds the message, the kernel
-                    # answers with the seqno it already has; if not, it
-                    # is sequenced now — once either way. An r-safe
-                    # update keeps its seqno (a reset recommits the
-                    # union of what the survivors hold) and only has to
-                    # be waited for again.
+        try:
+            while True:
+                try:
                     if seqno is None:
-                        self._obs.registry.counter(
-                            str(self.me), "dir.resubmitted"
-                        ).inc()
-                    continue
-                if seqno is None:
-                    self.requests_refused += 1
-                    self._c_refused.inc()
-                    handle.error(ServiceDown("group failure during update"))
-                else:
-                    # The update is r-safe, but this replica lost the
-                    # majority before applying it; the client must
-                    # retry and may observe a duplicate. We abandon the
-                    # reply, so the apply result must not linger in
-                    # _apply_results (it leaked there across resets).
-                    self._discard_apply_result(seqno)
-                    handle.error(
-                        ServiceDown("group failure before update applied")
+                        seqno = yield from self.member.send_to_group(
+                            op, size=op.wire_size(), msg_id=msg_id
+                        )
+                    yield from self.member.wait_applied(
+                        seqno, lambda: self._applied_kernel
                     )
-                return
-        result = self._apply_results.pop(seqno, None)
-        useqno = self._apply_useqnos.pop(seqno, None)
+                    break
+                except GroupFailure:
+                    if (yield from self._rides_out_reset()):
+                        # A majority survived. A send that died is
+                        # made again under the same msg_id (and slot):
+                        # if the survivors' merged history holds the
+                        # message, the kernel answers with the seqno it
+                        # already has; if not, it is sequenced now —
+                        # once either way. An r-safe update keeps its
+                        # seqno (a reset recommits the union of what
+                        # the survivors hold) and only has to be
+                        # waited for again.
+                        if seqno is None:
+                            self._obs.registry.counter(
+                                str(self.me), "dir.resubmitted"
+                            ).inc()
+                        continue
+                    if seqno is None:
+                        self._c_refused.inc()
+                        handle.error(ServiceDown("group failure during update"))
+                    else:
+                        # The update is r-safe, but this replica lost the
+                        # majority before applying it; the client must
+                        # retry and may observe a duplicate.
+                        handle.error(
+                            ServiceDown("group failure before update applied")
+                        )
+                    return
+        finally:
+            del self._reply_slots[msg_id]
+        result, useqno = slot
         if self.coherence is not None:
             # The write barrier (docs/PROTOCOL.md): the reply may not
             # leave until every replica in the view has invalidated its
@@ -490,14 +480,12 @@ class GroupDirectoryServer:
                     # resumes under the view-change fence.
                     if (yield from self._rides_out_reset()):
                         continue
-                    self.requests_refused += 1
                     self._c_refused.inc()
                     handle.error(exc)
                     return
         if isinstance(result, Exception):
             handle.error(result)
         else:
-            self.writes_served += 1
             self._c_writes.inc()
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
@@ -768,16 +756,9 @@ class GroupDirectoryServer:
         self.coherence.note_apply(
             self.state.update_seqno, keys, lineage=record.msg_id
         )
-        if record.sender == self.me and record.seqno not in self._abandoned_results:
-            self._apply_useqnos[record.seqno] = self.state.update_seqno
-
-    def _discard_apply_result(self, seqno: int) -> None:
-        """The writer abandons its reply: drop the stored result, or —
-        when the abort won the race with the group thread — flag the
-        seqno so _finish_apply skips storing it later."""
-        self._apply_useqnos.pop(seqno, None)
-        if self._apply_results.pop(seqno, None) is None:
-            self._abandoned_results.add(seqno)
+        slot = self._reply_slots.get(record.msg_id)
+        if slot is not None:
+            slot[1] = self.state.update_seqno
 
     def _finish_apply(self, record, result, dedup: bool) -> None:
         self._applied_kernel = record.seqno
@@ -789,14 +770,9 @@ class GroupDirectoryServer:
                 failed=isinstance(result, Exception),
                 dedup=dedup, **_session_args(record.payload),
             )
-        if record.sender == self.me and record.seqno not in self._abandoned_results:
-            self._apply_results[record.seqno] = result
-        if self._abandoned_results:
-            # Anything at or below the applied horizon has had its
-            # chance to be stored; keep the tracking set bounded.
-            self._abandoned_results = {
-                s for s in self._abandoned_results if s > record.seqno
-            }
+        slot = self._reply_slots.get(record.msg_id)
+        if slot is not None:
+            slot[0] = result
         self.member.notify_progress()
 
     # ------------------------------------------------------------------

@@ -42,8 +42,6 @@ class NfsDirectoryServer:
             self.sim.spawn(self._server_thread(), f"nfsdir.srv{t}")
             for t in range(config.server_threads)
         ]
-        self.reads_served = 0
-        self.writes_served = 0
         self._obs = self.sim.obs
         registry = self.sim.obs.registry
         node = str(transport.address)
@@ -73,7 +71,6 @@ class NfsDirectoryServer:
                     except (DirectoryError, CapabilityError) as exc:
                         handle.error(exc)
                         continue
-                    self.reads_served += 1
                     self._c_reads.inc()
                     handle.reply(result, size=96)
                 else:
@@ -88,7 +85,6 @@ class NfsDirectoryServer:
                             continue
                     finally:
                         self._disk.release()
-                    self.writes_served += 1
                     self._c_writes.inc()
                     if isinstance(result, Exception):
                         # Failed session op: the cached-reply error.

@@ -98,8 +98,6 @@ class RpcDirectoryServer:
         self._lazy_queue: deque = deque()
         self._processes = []
 
-        self.reads_served = 0
-        self.writes_served = 0
         self._obs = self.sim.obs
         registry = self.sim.obs.registry
         node = str(self.me)
@@ -202,7 +200,6 @@ class RpcDirectoryServer:
             except (DirectoryError, CapabilityError) as exc:
                 handle.error(exc)
                 return
-            self.reads_served += 1
             self._c_reads.inc()
             if tracer.enabled:
                 tracer.emit(str(self.me), "dir", "dir.read.reply")
@@ -235,7 +232,6 @@ class RpcDirectoryServer:
             # bench E4 counts).
             yield from self.admin.partition.write_block(1, b"intent", kind="cached")
             yield from self.store.commit_classic(change)
-            self.writes_served += 1
             self._c_writes.inc()
             if tracer.enabled:
                 tracer.emit(str(self.me), "dir", "dir.write.reply")

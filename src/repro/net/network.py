@@ -50,7 +50,6 @@ place, and a delivery checks reachability inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from random import Random
 from typing import Any, Callable, Container, Hashable, Iterable
@@ -107,39 +106,38 @@ class _Link:
         self.last_arrival = 0.0
 
 
-@dataclass
 class NetworkStats:
-    """Wire-level counters (one frame counted once, however many receivers)."""
+    """What the registry has no instrument for: frames per kind and
+    drops per link policy. Every scalar wire count (one frame counted
+    once, however many receivers) is a ``net.*`` counter under the
+    pseudo-node ``"net"``, and lives there alone."""
 
-    frames_sent: int = 0
-    bytes_sent: int = 0
-    frames_dropped: int = 0
-    frames_by_kind: dict[str, int] = field(default_factory=dict)
-    # Link-policy effects (per delivery, not per frame).
-    frames_duplicated: int = 0
-    frames_delayed: int = 0
-    frames_reordered: int = 0
-    policy_drops: dict[str, int] = field(default_factory=dict)
-
-    def record(self, kind: str, size: int) -> None:
-        self.frames_sent += 1
-        self.bytes_sent += size
-        self.frames_by_kind[kind] = self.frames_by_kind.get(kind, 0) + 1
+    def __init__(self, registry):
+        self._registry = registry
+        self.frames_by_kind: dict[str, int] = {}
+        # Link-policy drops by policy name (per delivery, not per frame).
+        self.policy_drops: dict[str, int] = {}
 
     def snapshot(self) -> dict[str, int]:
         """Copy of the per-kind counters (for before/after diffs)."""
         return dict(self.frames_by_kind)
 
     def full_snapshot(self) -> dict:
-        """Every counter, copied — the determinism tests compare this."""
+        """Every wire count, copied — the determinism tests and every
+        chaos verdict's ``net_stats`` compare this."""
+        counter = self._registry.counter
+
+        def net(name: str):
+            return counter("net", "net." + name).value
+
         return {
-            "frames_sent": self.frames_sent,
-            "bytes_sent": self.bytes_sent,
-            "frames_dropped": self.frames_dropped,
+            "frames_sent": net("frames_sent"),
+            "bytes_sent": net("bytes_sent"),
+            "frames_dropped": net("frames_dropped"),
             "frames_by_kind": dict(self.frames_by_kind),
-            "frames_duplicated": self.frames_duplicated,
-            "frames_delayed": self.frames_delayed,
-            "frames_reordered": self.frames_reordered,
+            "frames_duplicated": net("frames_duplicated"),
+            "frames_delayed": net("frames_delayed"),
+            "frames_reordered": net("frames_reordered"),
             "policy_drops": dict(self.policy_drops),
         }
 
@@ -160,10 +158,7 @@ class Network:
         self.loss_probability = loss_probability
         self.link_policies: list[LinkPolicy] = list(link_policies or [])
         self.partitions = PartitionController()
-        self.stats = NetworkStats()
-        # Segment-wide registry counters under the pseudo-node "net"
-        # (NetworkStats stays the compact per-network API; the registry
-        # is the cross-layer sink report()/exporters read from).
+        # Segment-wide registry counters under the pseudo-node "net".
         registry = sim.obs.registry
         self._obs = sim.obs
         self._c_frames = registry.counter("net", "net.frames_sent")
@@ -173,6 +168,7 @@ class Network:
         self._c_duplicated = registry.counter("net", "net.frames_duplicated")
         self._c_reordered = registry.counter("net", "net.frames_reordered")
         self._c_policy_drops = registry.counter("net", "net.policy_drops")
+        self.stats = NetworkStats(registry)
         # Segment occupancy: transmit_time (size-proportional, jitter
         # excluded) summed over every frame put on the wire. A window
         # delta over the window length is the segment's offered-load
@@ -273,10 +269,7 @@ class Network:
             raise NetworkError(f"no NIC at address {src!r}")
         if not src_nic.up:
             raise NetworkError(f"NIC {src!r} is down")
-        stats = self.stats
-        stats.frames_sent += 1
-        stats.bytes_sent += size
-        by_kind = stats.frames_by_kind
+        by_kind = self.stats.frames_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
         self._c_frames.value += 1
         self._c_bytes.value += size
@@ -295,7 +288,6 @@ class Network:
             rng = link.rng = self.sim.rng.stream(f"net.link({src}->{dst})")
         loss = self.loss_probability
         if loss > 0.0 and rng.random() < loss:
-            stats.frames_dropped += 1
             self._c_dropped.value += 1
             if tracer.enabled:
                 tracer.emit(
@@ -340,11 +332,11 @@ class Network:
             if policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
                 if decision.drop:
-                    stats.frames_dropped += 1
                     self._c_dropped.inc()
                     self._c_policy_drops.inc()
                     name = decision.dropped_by or "?"
-                    stats.policy_drops[name] = stats.policy_drops.get(name, 0) + 1
+                    drops = self.stats.policy_drops
+                    drops[name] = drops.get(name, 0) + 1
                     if tracer.enabled:
                         tracer.emit(
                             str(src), "net", "net.drop",
@@ -356,10 +348,8 @@ class Network:
             if decision is not None:
                 if decision.extra_delay_ms > 0.0:
                     arrival += decision.extra_delay_ms
-                    stats.frames_delayed += 1
                     self._c_delayed.inc()
                 copies += decision.duplicates
-                stats.frames_duplicated += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
             if link.bytes is None:
@@ -374,7 +364,6 @@ class Network:
                 # overtaken by later frames (bounded by the policy's
                 # delay ceiling). Do not advance the FIFO horizon.
                 if arrival < previous:
-                    stats.frames_reordered += 1
                     self._c_reordered.inc()
             else:
                 if arrival < previous:
@@ -401,7 +390,6 @@ class Network:
             and nics[src].up
             and (not components or components.get(src, 0) == components.get(dst, 0))
         ):
-            self.stats.frames_dropped += 1
             self._c_dropped.value += 1
             if tracer.enabled:
                 tracer.emit(
@@ -457,7 +445,8 @@ class Network:
             ):
                 nic.sink(refusal)
 
-        self.stats.record("rpc.unreach", 64)
+        by_kind = self.stats.frames_by_kind
+        by_kind["rpc.unreach"] = by_kind.get("rpc.unreach", 0) + 1
         self._c_frames.inc()
         self._c_bytes.inc(64)
         self.sim.schedule(delay, deliver_refusal)

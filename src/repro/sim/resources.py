@@ -28,7 +28,6 @@ class Cpu:
         self._mutex = Semaphore(1, f"{name}.mutex")
         self._mutex.meter = SemaphoreMeter(
             sim.obs.registry, self.node, "cpu", clock=lambda: sim.now)
-        self.busy_ms: float = 0.0
 
     def use(self, duration: float):
         """Occupy the CPU for *duration* ms (``yield from cpu.use(3.0)``)."""
@@ -40,7 +39,6 @@ class Cpu:
         yield from self._mutex.acquire_gen()
         try:
             yield self.sim.sleep(duration)
-            self.busy_ms += duration
         finally:
             self._mutex.release()
 

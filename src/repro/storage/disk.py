@@ -45,6 +45,10 @@ from repro.storage.integrity import seal, unseal
 
 BLOCK_SIZE = 1024
 
+#: Access classes, each counted as a ``disk.<kind>`` registry counter
+#: under the disk's name.
+DISK_OP_KINDS = ("random", "sequential", "cached", "batch")
+
 
 class Disk:
     """One spindle with FIFO op serialization and crash-proof contents."""
@@ -85,12 +89,10 @@ class Disk:
         self._crash_point: dict | None = None
         self._lost_writes: list = []  # one armed region per lost write
         self._misdirected_writes: list = []
-        self.ops = {"random": 0, "sequential": 0, "cached": 0, "batch": 0}
         self._obs = sim.obs
         registry = sim.obs.registry
         self._c_ops = {
-            kind: registry.counter(name, f"disk.{kind}")
-            for kind in ("random", "sequential", "cached", "batch")
+            kind: registry.counter(name, f"disk.{kind}") for kind in DISK_OP_KINDS
         }
         self._c_busy = registry.counter(name, "disk.busy_ms")
         self._c_read_errors = registry.counter(name, "disk.read_errors")
@@ -185,7 +187,6 @@ class Disk:
                     if errors is not None:
                         errors.inc()
                     raise
-                self.ops[kind] += 1
                 self._c_ops[kind].inc()
                 self._c_busy.inc(delay)
                 self._h_op_ms.observe(delay)
@@ -205,8 +206,9 @@ class Disk:
 
     @property
     def total_ops(self) -> int:
-        """All operations performed, regardless of class."""
-        return sum(self.ops.values())
+        """All operations performed, regardless of class (the sum of
+        the ``disk.<kind>`` counters)."""
+        return sum(counter.value for counter in self._c_ops.values())
 
     # -- integrity envelopes & armed write faults --------------------------
 

@@ -42,16 +42,6 @@ class NvramRecord:
     corrupt: bool = False
 
 
-@dataclass
-class NvramStats:
-    """Counters for the NVRAM-effectiveness ablation (bench E8)."""
-
-    appends: int = 0
-    annihilations: int = 0  # records removed without reaching disk
-    flushes: int = 0
-    flushed_records: int = 0
-
-
 class Nvram:
     """A bounded, battery-backed log of modification records."""
 
@@ -68,7 +58,6 @@ class Nvram:
         self._records: list[NvramRecord] = []
         self._used = 0
         self._next_seqno = 1
-        self.stats = NvramStats()
         self._obs = sim.obs
         registry = sim.obs.registry
         self._c_appends = registry.counter(name, "nvram.appends")
@@ -123,7 +112,6 @@ class Nvram:
         self._next_seqno += 1
         self._records.append(record)
         self._used += needed
-        self.stats.appends += 1
         self._c_appends.inc()
         self._c_busy.inc(self.write_ms)
         self._g_used.set(self._used)
@@ -151,7 +139,6 @@ class Nvram:
         if removed:
             self._records = [r for r in self._records if not predicate(r)]
             self._used -= sum(self.record_size(r) for r in removed)
-            self.stats.annihilations += len(removed)
             self._c_annihilations.inc(len(removed))
             self._g_used.set(self._used)
             if self._obs.tracer.enabled:
@@ -175,25 +162,10 @@ class Nvram:
         if removed:
             self._records = [r for r in self._records if not predicate(r)]
             self._used -= sum(self.record_size(r) for r in removed)
-            self.stats.flushes += 1
-            self.stats.flushed_records += len(removed)
             self._c_flushes.inc()
             self._c_flushed_records.inc(len(removed))
             self._g_used.set(self._used)
         return removed
-
-    def drain(self) -> list[NvramRecord]:
-        """Take every record out of the log (the flusher applies them
-        to disk and the board is empty again)."""
-        records, self._records = self._records, []
-        self._used = 0
-        if records:
-            self.stats.flushes += 1
-            self.stats.flushed_records += len(records)
-            self._c_flushes.inc()
-            self._c_flushed_records.inc(len(records))
-            self._g_used.set(0)
-        return records
 
     def snapshot(self) -> list[NvramRecord]:
         """Non-destructive copy of the log (crash recovery replays it)."""

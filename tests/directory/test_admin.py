@@ -7,6 +7,8 @@ from repro.directory.admin import AdminPartition, CommitBlock
 from repro.sim import Simulator
 from repro.storage import Disk, RawPartition
 
+from tests.helpers import disk_ops
+
 
 def make_admin(blocks=64):
     sim = Simulator(seed=0)
@@ -93,7 +95,7 @@ class TestObjectTable:
             yield from admin.store_entry(1, bullet_cap(), seqno=1, check=1)
 
         run(sim, work())
-        assert disk.ops["random"] == 2  # shadow + home block
+        assert disk_ops(disk)["random"] == 2  # shadow + home block
 
     def test_update_reuses_block(self):
         sim, disk, admin = make_admin()

@@ -20,7 +20,7 @@ import pytest
 from repro.cluster import GroupServiceCluster, NvramServiceCluster
 from repro.directory.admin import COMMIT_BLOCK
 from repro.directory.config import ServiceConfig
-from tests.helpers import pin_to_server
+from tests.helpers import disk_ops, pin_to_server
 
 
 def run_workload(batch_max, seed=11, trace=False, retry_safe=False):
@@ -305,14 +305,14 @@ class TestTopUp:
             def work():
                 yield from client.append_row(root, "warm", ())
                 yield sim.sleep(500.0)  # every replica's commit has landed
-                ops = [dict(site.disk.ops) for site in cluster.sites]
+                ops = [disk_ops(site.disk) for site in cluster.sites]
                 frames = dict(cluster.network.stats.frames_by_kind)
                 began = sim.now
                 out["result"] = yield from client.append_row(root, "n", ())
                 out["latency"] = sim.now - began
                 yield sim.sleep(500.0)
                 out["ops"] = [
-                    {kind: site.disk.ops[kind] - was[kind] for kind in was}
+                    {kind: disk_ops(site.disk)[kind] - was[kind] for kind in was}
                     for site, was in zip(cluster.sites, ops)
                 ]
                 out["frames"] = {

@@ -7,6 +7,8 @@ from repro.directory.operations import AppendRow, CreateDir
 from repro.errors import CapabilityError, GroupFailure, NoMajority, ServiceDown
 from repro.group.kernel import BcRecord, ResilienceChange
 
+from tests.helpers import counter_total
+
 
 @pytest.fixture
 def cluster():
@@ -59,9 +61,9 @@ class TestApplyResultBookkeeping:
             yield cluster.sim.sleep(500.0)
 
         cluster.run_process(work())
-        # The initiator popped its results; bystanders never stored any.
+        # The initiator removed its reply slots; bystanders never had any.
         for server in cluster.servers:
-            assert server._apply_results == {}
+            assert server._reply_slots == {}
 
     def test_applied_kernel_advances_in_step(self, cluster):
         client = cluster.add_client("c")
@@ -141,9 +143,8 @@ class _FakeHandle:
 
 class TestApplyResultLeak:
     """Regression: a writer that aborts on GroupFailure between
-    send_to_group and wait_applied used to leave its entry in
-    _apply_results forever — one leaked dict entry per injected
-    failure."""
+    send_to_group and wait_applied used to leave its apply result
+    behind forever — one leaked dict entry per injected failure."""
 
     def _injecting(self, server, *, before_apply):
         """Wrap wait_applied so it raises GroupFailure — either
@@ -183,8 +184,7 @@ class TestApplyResultLeak:
             assert len(handle.errors) == 1
             assert isinstance(handle.errors[0], ServiceDown)
         # The old code left 5 entries here (one per injected failure).
-        assert server._apply_results == {}
-        assert server._abandoned_results == set()
+        assert server._reply_slots == {}
 
     def test_no_leak_when_failure_precedes_apply(self, cluster):
         server = cluster.servers[0]
@@ -192,10 +192,9 @@ class TestApplyResultLeak:
         handles = self._drive_writes(cluster, server, 5, "early")
         for handle in handles:
             assert isinstance(handle.errors[0], ServiceDown)
-        # The abandon landed before the apply: the tombstone kept the
-        # group thread from storing the result, then got pruned.
-        assert server._apply_results == {}
-        assert server._abandoned_results == set()
+        # The abandon landed before the apply: the group thread found
+        # no slot for the record and stored nothing.
+        assert server._reply_slots == {}
 
     def test_updates_still_applied_despite_abandoned_replies(self, cluster):
         server = cluster.servers[0]
@@ -221,8 +220,8 @@ class TestCounters:
                 yield from client.lookup(root, "x")
 
         cluster.run_process(work())
-        assert sum(s.writes_served for s in cluster.servers) == 2
-        assert sum(s.reads_served for s in cluster.servers) == 3
+        assert counter_total(cluster.sim, "dir.writes") == 2
+        assert counter_total(cluster.sim, "dir.reads") == 3
 
     def test_refused_counter_under_minority(self, cluster):
         client = cluster.add_client("c")
@@ -230,8 +229,8 @@ class TestCounters:
         cluster.crash_server(0)
         cluster.crash_server(1)
         cluster.run(until=cluster.sim.now + 2_000.0)
-        survivor = cluster.servers[2]
-        before = survivor.requests_refused
+        refused = cluster.obs.registry.counter(str(cluster.servers[2].me), "dir.refused")
+        before = refused.value
 
         def work():
             try:
@@ -240,7 +239,7 @@ class TestCounters:
                 pass
 
         cluster.run_process(work())
-        assert survivor.requests_refused >= before
+        assert refused.value >= before
 
 
 class TestMajorityAccounting:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import NvramServiceCluster
 
+from tests.helpers import count
+
 
 @pytest.fixture
 def cluster():
@@ -140,9 +142,9 @@ class TestFlushAccounting:
         run_ops(cluster, client, [("append", "keep1"), ("append", "keep2")])
         cluster.run(until=cluster.sim.now + 3_000.0)  # idle flush
         board = cluster.sites[0].nvram
-        assert board.stats.flushes >= 1
-        assert board.stats.flushed_records >= 2
-        assert board.stats.annihilations == 0
+        assert count(board, "nvram.flushes") >= 1
+        assert count(board, "nvram.flushed_records") >= 2
+        assert count(board, "nvram.annihilations") == 0
 
     def test_board_empty_after_idle_flush(self, cluster):
         client = cluster.add_client("c")

@@ -6,7 +6,7 @@ from repro.errors import GroupFailure
 from repro.group import GroupMember, GroupTimings
 from repro.sim import LatencyModel
 
-from tests.helpers import TestBed
+from tests.helpers import TestBed, wire_count
 
 
 def build_group(addresses, resilience=2, seed=0, timings=None, loss=0.0):
@@ -170,12 +170,12 @@ class TestSendReceive:
         def run():
             yield from members["b"].send_to_group("warm")
             yield bed.sim.sleep(5.0)
-            before = bed.network.stats.frames_sent
+            before = wire_count(bed.network, "net.frames_sent")
             hb_before = bed.network.stats.frames_by_kind.get("grp.g.hb", 0)
             echo_before = bed.network.stats.frames_by_kind.get("grp.g.echo", 0)
             yield from members["b"].send_to_group("measured")
             yield bed.sim.sleep(2.0)
-            after = bed.network.stats.frames_sent
+            after = wire_count(bed.network, "net.frames_sent")
             hb_after = bed.network.stats.frames_by_kind.get("grp.g.hb", 0)
             echo_after = bed.network.stats.frames_by_kind.get("grp.g.echo", 0)
             return (after - before) - (hb_after - hb_before) - (echo_after - echo_before)

@@ -17,6 +17,7 @@ from repro.net.policy import Drop, LinkFilter
 
 from tests.group.test_basic import build_group
 from tests.group.test_failures import crash_machine
+from tests.helpers import wire_count
 
 
 def failed_send(bed, members, sender, payload, lose):
@@ -68,12 +69,12 @@ class TestResubmitUnderTheSameId:
         held_at = kernel.sequenced_ids[msg_id]
         assert held_at <= kernel.committed  # the reset recommitted it
 
-        frames_before = bed.network.stats.frames_sent
+        frames_before = wire_count(bed.network, "net.frames_sent")
         now = bed.sim.now
         future = kernel.submit("held", 128, msg_id=msg_id)
         assert future.resolved and future.value == held_at
         assert bed.sim.now == now
-        assert bed.network.stats.frames_sent == frames_before
+        assert wire_count(bed.network, "net.frames_sent") == frames_before
         assert msg_id not in kernel.pending_sends
 
         # Delivered exactly once, on both survivors.

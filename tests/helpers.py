@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.net import Network
 from repro.rpc import Transport
 from repro.sim import LatencyModel, Simulator
+from repro.storage.disk import DISK_OP_KINDS
 
 
 class Machine:
@@ -63,3 +64,21 @@ def counter_total(sim, name):
         node.get("counters", {}).get(name, 0)
         for node in sim.obs.registry.snapshot().values()
     )
+
+
+def wire_count(network, name):
+    """The segment-wide registry counter *name* (``net.frames_sent``,
+    ``net.frames_dropped``, ...) of *network*."""
+    return network.sim.obs.registry.counter("net", name).value
+
+
+def disk_ops(disk):
+    """*disk*'s operations by kind: its ``disk.<kind>`` registry counters."""
+    counter = disk.sim.obs.registry.counter
+    return {kind: counter(disk.name, f"disk.{kind}").value for kind in DISK_OP_KINDS}
+
+
+def count(device, name):
+    """Registry counter *name* of a :class:`Disk` or :class:`Nvram`
+    (its node is the device's name)."""
+    return device.sim.obs.registry.counter(device.name, name).value

@@ -10,6 +10,8 @@ dependence, wall-clock, global random), they fail.
 from repro.bench.harness import fig7_cell, lookup_throughput, update_throughput
 from repro.cluster import GroupServiceCluster
 
+from tests.helpers import wire_count
+
 
 class TestDeterminism:
     def test_cluster_boot_is_deterministic(self):
@@ -20,7 +22,7 @@ class TestDeterminism:
             return (
                 cluster.sim.now,
                 tuple(s.member.info().view for s in cluster.servers),
-                cluster.network.stats.frames_sent,
+                wire_count(cluster.network, "net.frames_sent"),
             )
 
         assert boot(3) == boot(3)

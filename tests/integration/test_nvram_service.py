@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import NvramServiceCluster
 
+from tests.helpers import count
+
 
 @pytest.fixture
 def cluster():
@@ -62,7 +64,7 @@ class TestFastPath:
         deltas = cluster.run_process(work())
         assert deltas == [0, 0, 0]
         for site in cluster.sites:
-            assert site.nvram.stats.annihilations >= 1
+            assert count(site.nvram, "nvram.annihilations") >= 1
 
     def test_idle_flush_applies_log_to_disk(self, cluster):
         client = cluster.add_client("c1")
@@ -100,7 +102,7 @@ class TestFastPath:
 
         assert cluster.run_process(work()) == 12
         for site in cluster.sites:
-            assert site.nvram.stats.flushes >= 1
+            assert count(site.nvram, "nvram.flushes") >= 1
 
 
 class TestNvramRecovery:
@@ -197,12 +199,12 @@ class TestNvramRecovery:
         cluster.run(until=sim.now + 400.0)  # the flush gives up locating
         assert len(site.nvram) == 1
         site.restart_bullet_server()
-        flushes = site.nvram.stats.flushes
+        flushes = count(site.nvram, "nvram.flushes")
 
         def second():
             # Updates elsewhere until the small board has been flushed.
             k = 0
-            while site.nvram.stats.flushes == flushes:
+            while count(site.nvram, "nvram.flushes") == flushes:
                 yield from client.append_row(busy, f"later{k}", ())
                 k += 1
             yield sim.sleep(1_000.0)

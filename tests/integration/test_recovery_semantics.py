@@ -10,6 +10,8 @@ from repro.cluster import (
 )
 from repro.directory.store import DirectoryStore
 
+from tests.helpers import disk_ops
+
 
 def populate(cluster, n, tag="d"):
     client = cluster.add_client(f"loader-{tag}")
@@ -205,12 +207,12 @@ class TestInstallIsOneWriteOut:
 
         cluster.run_process(while_it_is_down())
         disk = cluster.sites[2].disk
-        ops = dict(disk.ops)
+        ops = disk_ops(disk)
         server = cluster.restart_server(2)
         cluster.wait_operational(timeout_ms=60_000.0)
         assert server.operational and cluster.replicas_consistent()
-        assert disk.ops["batch"] - ops["batch"] == 1
-        assert disk.ops["random"] - ops["random"] == 3  # load, flag, seal
+        assert disk_ops(disk)["batch"] - ops["batch"] == 1
+        assert disk_ops(disk)["random"] - ops["random"] == 3  # load, flag, seal
         assert doomed.object_number not in server.admin.entries
         assert set(server.admin.session_entries) >= {
             f"{cluster.name}.client.s{k}" for k in range(4)

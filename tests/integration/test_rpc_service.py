@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import RpcServiceCluster
 from repro.errors import AlreadyExists, ReproError
 
+from tests.helpers import disk_ops
+
 
 @pytest.fixture
 def cluster():
@@ -136,12 +138,12 @@ class TestCosts:
         def work():
             sub = yield from client.create_dir()
             yield sim.sleep(3_000.0)  # lazy/background work drains
-            before = [dict(site.disk.ops) for site in cluster.sites]
+            before = [disk_ops(site.disk) for site in cluster.sites]
             for i in range(10):
                 yield from client.append_row(root, f"m{i}", (sub,))
             yield sim.sleep(3_000.0)
             out["appends"] = [
-                {kind: site.disk.ops[kind] - was[kind] for kind in was}
+                {kind: disk_ops(site.disk)[kind] - was[kind] for kind in was}
                 for site, was in zip(cluster.sites, before)
             ]
 

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import RpcServiceCluster
 from repro.directory.rpc_server import _next_in_class
 
+from tests.helpers import counter_total
+
 
 class TestAllocationClasses:
     @pytest.mark.parametrize(
@@ -74,10 +76,9 @@ class TestIntentProtocol:
 
         cluster.run_process(work())
         kinds = cluster.network.stats.snapshot()
-        # Intent RPCs ride the standard RPC kinds; the writes_served
+        # Intent RPCs ride the standard RPC kinds; the dir.writes
         # counters show who initiated and the peer's lazy apply ran.
-        total_writes = sum(s.writes_served for s in cluster.servers)
-        assert total_writes == 2
+        assert counter_total(cluster.sim, "dir.writes") == 2
         assert kinds.get("rpc.request", 0) >= 4  # 2 client + 2 intents
 
     def test_peer_marked_unreachable_after_crash(self):

@@ -6,6 +6,8 @@ from repro.errors import NetworkError
 from repro.net import BROADCAST, Network
 from repro.sim import LatencyModel, Simulator
 
+from tests.helpers import wire_count
+
 
 def make_network(loss=0.0, latency=None):
     sim = Simulator(seed=1)
@@ -87,7 +89,7 @@ class TestUnicast:
         b.shutdown()
         net.nic("a").send("b", "t", None)
         sim.run()
-        assert net.stats.frames_dropped == 1
+        assert wire_count(net, "net.frames_dropped") == 1
 
     def test_packet_in_flight_during_crash_is_lost(self):
         sim, net = make_network()
@@ -96,7 +98,7 @@ class TestUnicast:
         net.nic("a").send("b", "t", None)
         b.shutdown()  # crash before delivery event fires
         sim.run()
-        assert net.stats.frames_dropped == 1
+        assert wire_count(net, "net.frames_dropped") == 1
 
     def test_fifo_between_same_pair(self):
         sim, net = make_network()
@@ -195,7 +197,7 @@ class TestBroadcast:
             net.attach(x)
         a.broadcast("grp.bc", None, size=256)
         sim.run()
-        assert net.stats.frames_sent == 1
+        assert wire_count(net, "net.frames_sent") == 1
         assert net.stats.frames_by_kind == {"grp.bc": 1}
 
     def test_broadcast_respects_partitions(self):
@@ -218,7 +220,7 @@ class TestPartitionsAndLoss:
         net.nic("a").send("b", "t", None)
         sim.run()
         assert len(b.inbox) == 0
-        assert net.stats.frames_dropped == 1
+        assert wire_count(net, "net.frames_dropped") == 1
 
     def test_heal_restores_delivery(self):
         sim, net = make_network()
@@ -237,7 +239,7 @@ class TestPartitionsAndLoss:
         net.nic("a").send("b", "t", None)
         sim.run()
         assert len(b.inbox) == 0
-        assert net.stats.frames_dropped == 1
+        assert wire_count(net, "net.frames_dropped") == 1
 
     def test_partial_loss_is_deterministic_per_seed(self):
         def delivered(seed):
@@ -263,12 +265,12 @@ class TestStats:
         net.nic("a").send("b", "rpc.request", None, size=50)
         net.nic("a").send("b", "rpc.reply", None, size=25)
         sim.run()
-        assert net.stats.frames_sent == 3
-        assert net.stats.bytes_sent == 175
+        assert wire_count(net, "net.frames_sent") == 3
+        assert wire_count(net, "net.bytes_sent") == 175
         assert net.stats.frames_by_kind == {"rpc.request": 2, "rpc.reply": 1}
 
     def test_snapshot_is_a_copy(self):
         _, net = make_network()
         snap = net.stats.snapshot()
-        net.stats.record("x", 1)
+        net.stats.frames_by_kind["x"] = 1
         assert "x" not in snap

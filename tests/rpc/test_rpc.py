@@ -7,7 +7,7 @@ from repro.errors import LocateError, RpcError
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.client import RpcTimings
 
-from tests.helpers import TestBed
+from tests.helpers import TestBed, wire_count
 
 ECHO = Port.for_service("echo")
 
@@ -75,10 +75,10 @@ class TestBasicRpc:
 
         def run():
             yield from client.trans(ECHO, "warm")  # locate happens here
-            snapshot = bed.network.stats.frames_sent
+            snapshot = wire_count(bed.network, "net.frames_sent")
             yield from client.trans(ECHO, "measured")
             yield bed.sim.sleep(5.0)  # let the trailing ack hit the wire
-            return bed.network.stats.frames_sent - snapshot
+            return wire_count(bed.network, "net.frames_sent") - snapshot
 
         assert bed.run_until(bed.sim.spawn(run())) == 3
 

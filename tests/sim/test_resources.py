@@ -20,7 +20,7 @@ class TestCpu:
 
         sim.run_until_complete(sim.spawn(work()))
         assert sim.now == 5.0
-        assert cpu.busy_ms == 5.0
+        assert sim.obs.registry.counter("cpu0", "cpu.busy_ms").value == 5.0
 
     def test_zero_duration_is_free(self):
         sim, cpu = make()
@@ -68,7 +68,8 @@ class TestCpu:
             yield sim.sleep(6.0)  # off-CPU time
 
         sim.run_until_complete(sim.spawn(work()))
-        assert cpu.busy_ms / sim.now == pytest.approx(0.4)
+        busy = sim.obs.registry.counter("cpu0", "cpu.busy_ms").value
+        assert busy / sim.now == pytest.approx(0.4)
 
     def test_sleeping_does_not_hold_cpu(self):
         """Blocking on I/O (plain sleep) must not serialize with CPU."""

@@ -5,7 +5,7 @@ import pytest
 from repro.rpc import RpcClient
 from repro.storage import BulletClient, BulletServer, Disk
 
-from tests.helpers import TestBed
+from tests.helpers import TestBed, disk_ops
 
 
 def make(cache_files=True, seed=0):
@@ -24,10 +24,10 @@ class TestCacheModes:
 
         def work():
             cap = yield from client.create(b"data")
-            before = disk.ops["random"]
+            before = disk_ops(disk)["random"]
             yield from client.read(cap)
             yield from client.read(cap)
-            return disk.ops["random"] - before
+            return disk_ops(disk)["random"] - before
 
         assert bed.run_until(bed.sim.spawn(work())) == 2
 

@@ -6,6 +6,8 @@ from repro.errors import CorruptBlock, DiskFailure, StorageError
 from repro.sim import Simulator
 from repro.storage import Disk, RawPartition
 
+from tests.helpers import disk_ops
+
 
 def make_disk(**kwargs):
     sim = Simulator(seed=0)
@@ -108,7 +110,7 @@ class TestBlockStore:
             yield from disk.read_block(0)
 
         run(sim, work())
-        assert disk.ops == {"random": 2, "sequential": 0, "cached": 1, "batch": 0}
+        assert disk_ops(disk) == {"random": 2, "sequential": 0, "cached": 1, "batch": 0}
         assert disk.total_ops == 3
 
     def test_peek_is_zero_time(self):
@@ -147,7 +149,7 @@ class TestWriteBlocks:
         run(sim, work())
         assert disk.peek_block(0) == b"a"
         assert disk.peek_block(5) == b"b"
-        assert disk.ops["batch"] == 1
+        assert disk_ops(disk)["batch"] == 1
         assert disk.total_ops == 1
 
     def test_empty_batch_is_free(self):
@@ -331,7 +333,7 @@ class TestMidBatchHeadCrash:
         # The queue wait was real and is still observed.
         assert sim.obs.registry.histogram("d0", "disk.queue_ms").count == 1
         # Nothing from the batch was acknowledged as persisted.
-        assert disk.ops["batch"] == 0
+        assert disk_ops(disk)["batch"] == 0
 
     def test_head_crash_mid_read_counts_read_error(self):
         sim, disk = make_disk()

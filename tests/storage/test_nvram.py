@@ -7,6 +7,8 @@ from repro.sim import Simulator
 from repro.storage import Nvram, NvramRecord
 from repro.storage.nvram import RECORD_OVERHEAD
 
+from tests.helpers import count
+
 
 def make_nvram(capacity=1024, write_ms=3.0):
     sim = Simulator(seed=0)
@@ -138,7 +140,7 @@ class TestAnnihilation:
         assert len(removed) == 1
         assert len(nvram) == 0
         assert nvram.used_bytes == 0
-        assert nvram.stats.annihilations == 1
+        assert count(nvram, "nvram.annihilations") == 1
 
     def test_annihilate_only_matching_keys(self):
         sim, nvram = make_nvram()
@@ -154,7 +156,7 @@ class TestAnnihilation:
     def test_annihilate_nothing_is_noop(self):
         _, nvram = make_nvram()
         assert nvram.annihilate(lambda r: True) == []
-        assert nvram.stats.annihilations == 0
+        assert count(nvram, "nvram.annihilations") == 0
 
     def test_pending_for_key(self):
         sim, nvram = make_nvram()
@@ -170,25 +172,21 @@ class TestAnnihilation:
 
 
 class TestFlush:
-    def test_drain_empties_the_board(self):
+    def test_remove_flushed_is_one_flush(self):
         sim, nvram = make_nvram()
 
         def work():
-            yield from nvram.append(record("a"))
-            yield from nvram.append(record("b"))
+            for key in ("a", "b", "c"):
+                yield from nvram.append(record(key))
 
         run(sim, work())
-        drained = nvram.drain()
-        assert [r.key for r in drained] == ["a", "b"]
-        assert len(nvram) == 0
-        assert nvram.free_bytes == nvram.capacity_bytes
-        assert nvram.stats.flushes == 1
-        assert nvram.stats.flushed_records == 2
-
-    def test_drain_empty_is_not_a_flush(self):
-        _, nvram = make_nvram()
-        assert nvram.drain() == []
-        assert nvram.stats.flushes == 0
+        flushed = nvram.remove_flushed(lambda r: r.key != "c")
+        assert [r.key for r in flushed] == ["a", "b"]
+        assert [r.key for r in nvram.snapshot()] == ["c"]
+        assert count(nvram, "nvram.flushes") == 1
+        assert count(nvram, "nvram.flushed_records") == 2
+        assert nvram.remove_flushed(lambda r: False) == []
+        assert count(nvram, "nvram.flushes") == 1
 
     def test_snapshot_is_nondestructive(self):
         sim, nvram = make_nvram()

@@ -19,7 +19,7 @@ from repro.amoeba import Rights, restrict
 from repro.cluster import ReplicatedBulletCluster
 from repro.errors import CapabilityError, DirectoryError, NoSuchFile
 
-from tests.helpers import pin_to_server
+from tests.helpers import count, pin_to_server
 
 
 def make_cluster(nvram=False, seed=2, name=None):
@@ -325,7 +325,7 @@ class TestNvramMode:
             return [b - a for a, b in zip(before, disk_ops(cluster))]
 
         assert cluster.run_process(work()) == [0, 0, 0]
-        assert all(site.nvram.stats.annihilations >= 1 for site in cluster.sites)
+        assert all(count(site.nvram, "nvram.annihilations") >= 1 for site in cluster.sites)
 
     def test_flushed_files_reach_disk(self):
         cluster = make_cluster(nvram=True, seed=11)

@@ -145,6 +145,15 @@ DEPRECATED_NAMES = (
     "PerfRun",
     "format_account",
     "perf overhead",
+    # Count once: every count lives in the metrics registry alone.
+    # NetworkStats keeps only frames per kind and drops per policy; the
+    # board's, the disk's, the CPU's and the servers' counts are
+    # nvram.*, disk.<kind>, cpu.busy_ms and dir.reads/writes/refused.
+    "NvramStats",
+    "reads_served",
+    "writes_served",
+    "requests_refused",
+    "stats.appends",
 )
 
 
@@ -601,6 +610,69 @@ def test_every_registered_metric_is_documented():
     ]
     assert not missing, (
         "metrics registered but not in docs/OBSERVABILITY.md: "
+        + ", ".join(missing)
+    )
+
+
+#: Trace kinds named at run time, by the module whose emit builds them
+#: (docs/OBSERVABILITY.md §2 lists each). The trace module's own
+#: passthrough names nothing, and obs/overhead.py times the disabled
+#: path with a placeholder name.
+RUNTIME_TRACE_KINDS = {
+    "storage/disk.py": ("disk.random", "disk.sequential", "disk.cached", "disk.batch"),
+    "obs/monitor.py": ("mon.alert", "mon.clear"),
+    "recovery/controller.py": (
+        "remediate.restart", "remediate.scrub", "remediate.scale_up",
+        "remediate.scale_back", "remediate.scale_up_failed",
+        "remediate.scale_back_failed",
+    ),
+    "obs/trace.py": (),
+}
+
+
+def test_every_emitted_trace_kind_is_documented():
+    """docs/OBSERVABILITY.md §2's table is where a reader of a trace
+    looks an event up; twenty kinds sat there only in slash shorthand
+    or not at all. Every literal kind handed to ``emit`` must have its
+    row, and an emit that builds its kind at run time must be in a
+    module RUNTIME_TRACE_KINDS lists by hand."""
+    package = ROOT / "src" / "repro"
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## 2."):text.index("\n## 3.")]
+    kinds: dict[str, str] = {}
+    unlisted = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "obs/overhead.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and len(node.args) >= 3
+            ):
+                continue
+            name = node.args[2]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                kinds.setdefault(name.value, f"{module}:{node.lineno}")
+            elif module not in RUNTIME_TRACE_KINDS:
+                unlisted.append(f"{module}:{node.lineno}")
+    assert len(kinds) > 35  # the walk still finds the emits
+    assert not unlisted, (
+        "emits whose kind is built at run time, in no module of "
+        "RUNTIME_TRACE_KINDS: " + ", ".join(unlisted)
+    )
+    for module, names in RUNTIME_TRACE_KINDS.items():
+        for name in names:
+            kinds.setdefault(name, module)
+    missing = [
+        f"{name} ({where})"
+        for name, where in sorted(kinds.items())
+        if f"`{name}`" not in section
+    ]
+    assert not missing, (
+        "trace kinds emitted but not in docs/OBSERVABILITY.md §2: "
         + ", ".join(missing)
     )
 
