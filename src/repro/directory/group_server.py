@@ -174,12 +174,14 @@ class GroupDirectoryServer:
         self._c_dedup_hits = registry.counter(node, "dir.dedup_hits")
         self._c_cache_hits = registry.counter(node, "session.cache_hits")
         self._c_cache_misses = registry.counter(node, "session.cache_misses")
-        # Apply-stage accounting for the capacity sampler: sim-time the
-        # group thread spent inside _apply_loop (state machine + CPU +
-        # persistence) and records applied — the per-replica service
-        # stage behind the sequencer pipeline (docs/OBSERVABILITY.md §10).
+        # Stage accounting for the capacity lens (docs/OBSERVABILITY.md
+        # §10): sim-time the group thread spent inside _apply_loop
+        # (state machine + CPU + persistence) and records applied — the
+        # serial stage that bounds the write rate — and the part of it
+        # spent in the store's commit path.
         self._c_apply_busy = registry.counter(node, "dir.apply_busy_ms")
         self._c_applied = registry.counter(node, "dir.applied_records")
+        self._c_persist_busy = registry.counter(node, "dir.persist_busy_ms")
         self._g_sessions = registry.gauge(node, "dir.sessions")
         #: Synthetic per-read lineage counter (reads never enter the
         #: group, so they mint their own trace correlation ids).
@@ -732,11 +734,13 @@ class GroupDirectoryServer:
                     str(self.me), "dir", "dir.persist.start",
                     lineage=lineage, storage=self.store.MEDIUM, **args,
                 )
+            started = self.sim.now
             if batched:
                 yield from self.store.commit(cut, lineage=lineage)
             else:
                 [change] = cut
                 yield from self.store.commit_classic(change, lineage=lineage)
+            self._c_persist_busy.inc(self.sim.now - started)
             if tracer.enabled:
                 tracer.emit(
                     str(self.me), "dir", "dir.persist.end",

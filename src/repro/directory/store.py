@@ -538,11 +538,6 @@ class NvramLog:
         #: The state's update seqno when the latest flush took its
         #: images: no record at or below it may be annihilated.
         self._imaged_upto = 0
-        # Persist-stage accounting (capacity sampler): sim-time spent
-        # in the NVRAM commit path — programmed I/O, annihilation CPU,
-        # and pressure flushes (docs/OBSERVABILITY.md §10).
-        self._c_persist_busy = self.sim.obs.registry.counter(
-            self._node, "dir.persist_busy_ms")
 
     # ------------------------------------------------------------------
     # the NVRAM commit path
@@ -561,8 +556,7 @@ class NvramLog:
         if not changes:
             return
         cpu = self.server.transport.cpu
-        started = self.sim.now
-        self._last_update_at = started
+        self._last_update_at = self.sim.now
         owed_cpu_ms = 0.0
         for change in changes:
             op, effects = change.op, change.effects
@@ -607,7 +601,6 @@ class NvramLog:
             self._logged_upto = change.seqno
         if owed_cpu_ms:
             yield from cpu.use(owed_cpu_ms)
-        self._c_persist_busy.inc(self.sim.now - started)
 
     def commit_classic(self, change: Change, lineage=None):
         """The board is the paper's own design: its log append is the

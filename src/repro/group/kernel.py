@@ -26,15 +26,14 @@ handlers and timer callbacks. The blocking primitives live in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque
+from typing import Any
 
 from repro.errors import GroupFailure
 from repro.rpc.transport import Transport
 from repro.sim.future import Future
 from repro.sim.primitives import Condition
-from repro.group.timings import GroupTimings
+from repro.group.timings import SEND_RETRIES, GroupTimings
 
 CONTROL_SIZE = 64
 HEADER_SIZE = 64
@@ -123,20 +122,6 @@ class GroupKernel:
         #: Sim-time of the last heartbeat evidence (sequencer: own
         #: tick; member: hb received). Staleness = now - value.
         self._g_last_hb = registry.gauge(node, "group.last_heartbeat_ms")
-        # Sequencer-path pipeline accounting (docs/OBSERVABILITY.md §10):
-        # the pipeline is "busy" while this member, acting as sequencer,
-        # holds sequenced-but-untaken messages (received > taken), i.e.
-        # while the backlog gauge above is positive on the sequencer.
-        # seq_busy_ms integrates that; seq_sojourn_ms sums per-message
-        # residence (sequenced -> taken), so sojourn/delivered is the
-        # pipeline's W and busy/delivered its service time.
-        self._c_seq_busy = registry.counter(node, "group.seq_busy_ms")
-        self._c_seq_sojourn = registry.counter(node, "group.seq_sojourn_ms")
-        #: Sequencing sim-time of the oldest in-flight message (0.0 when
-        #: the pipeline is idle); backlog age = now - value when > 0.
-        self._g_seq_oldest = registry.gauge(node, "group.seq_oldest_ms")
-        self._seq_pipe: Deque[tuple[int, float]] = deque()
-        self._seq_busy_since: float | None = None
 
         # Membership.
         self.state = STATE_IDLE
@@ -215,7 +200,6 @@ class GroupKernel:
         """Tear the kernel down with its machine."""
         self._dead = True
         self.state = STATE_IDLE
-        self._seq_account()
         if self._ticker is not None:
             self._ticker.kill("kernel crash")
             self._ticker = None
@@ -245,46 +229,6 @@ class GroupKernel:
     def _update_backlog(self) -> None:
         """Refresh the ``group.backlog`` gauge after received/taken moved."""
         self._g_backlog.set(self.received - self.taken)
-        self._seq_account()
-
-    def _seq_account(self) -> None:
-        """Settle sequencer-pipeline busy time and per-message sojourns.
-
-        Called whenever received/taken move and on every role change.
-        Busy time is flushed incrementally (not only when the pipeline
-        drains) so windowed readers — the sampler's ``group.seq.rho``
-        series and the capacity attributor — see a counter that is
-        current to the last pipeline event even during a long
-        saturated stretch.
-        """
-        pipe = self._seq_pipe
-        if not pipe and self._seq_busy_since is None:
-            return  # non-sequencer members and the idle steady state
-        now = self.sim.now
-        taken = self.taken
-        while pipe and pipe[0][0] <= taken:
-            self._c_seq_sojourn.inc(now - pipe.popleft()[1])
-        role_ok = self.state == STATE_MEMBER and self.me == self.sequencer
-        if pipe and role_ok:
-            since = self._seq_busy_since
-            if since is None:
-                self._seq_busy_since = now
-            elif now > since:
-                self._c_seq_busy.inc(now - since)
-                self._seq_busy_since = now
-            head = pipe[0][1]
-            if self._g_seq_oldest.value != head:
-                self._g_seq_oldest.set(head)
-        else:
-            if self._seq_busy_since is not None:
-                self._c_seq_busy.inc(now - self._seq_busy_since)
-                self._seq_busy_since = None
-            if not role_ok:
-                # Role lost mid-flight: drop unfinished sojourns rather
-                # than attribute the handover gap to sequencing.
-                pipe.clear()
-            if self._g_seq_oldest.value != 0.0:
-                self._g_seq_oldest.set(0.0)
 
     def _note_heartbeat(self) -> None:
         """Stamp heartbeat evidence (field + gauge) at the current time."""
@@ -428,7 +372,7 @@ class GroupKernel:
                 str(self.me), "group", "grp.submit",
                 lineage=msg_id, size=size,
             )
-        pending = PendingSend(msg_id, payload, size, fut, self.timings.send_retries)
+        pending = PendingSend(msg_id, payload, size, fut, SEND_RETRIES)
         self.pending_sends[msg_id] = pending
         self._transmit_request(pending)
         self._arm_send_watchdog(pending)
@@ -479,8 +423,6 @@ class GroupKernel:
         self.history[seqno] = record
         self.sequenced_ids[msg_id] = seqno
         self._c_sequenced.inc()
-        self._seq_pipe.append((seqno, self.sim.now))
-        self._seq_account()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.sequence",
@@ -806,7 +748,6 @@ class GroupKernel:
             return
         self.state = STATE_FAILED
         self.failure_reason = reason
-        self._seq_account()
         self._c_failures.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
@@ -867,7 +808,6 @@ class GroupKernel:
                 tail=self._held_after(tail_base),
             )
             self.state = STATE_IDLE
-            self._seq_account()
             self._log_view("handover", view=new_view, sequencer=new_sequencer)
         else:
             self.view = new_view
@@ -986,7 +926,6 @@ class GroupKernel:
         self.sequenced_ids.clear()
         self.received = self.committed = self.taken = base
         self.next_assign = base + 1
-        self._seq_pipe.clear()
         self._update_backlog()
 
     def _enter_view(self, trigger: str) -> None:
@@ -1000,9 +939,6 @@ class GroupKernel:
         self.failure_reason = ""
         self._promise = (self.incarnation, "")
         self._note_heartbeat()
-        # Settle pipeline accounting under the new role: a handover
-        # away from us flushes + clears, toward us starts busy tracking.
-        self._seq_account()
         self._log_view(trigger)
 
     def _resubmit(self) -> None:
@@ -1026,10 +962,6 @@ class GroupKernel:
         after every view change.
         """
         self._forget([s for s in self.history if s > self.received])
-        # Dropped records never deliver; without this their pipeline
-        # entries would double-count sojourn when seqnos are reassigned.
-        while self._seq_pipe and self._seq_pipe[-1][0] > self.received:
-            self._seq_pipe.pop()
 
     # ------------------------------------------------------------------
     # reset (coordinator arbitration + vote collection)

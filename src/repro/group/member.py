@@ -35,7 +35,12 @@ from repro.group.kernel import (
     GroupKernel,
     ResilienceChange,
 )
-from repro.group.timings import GroupTimings
+from repro.group.timings import (
+    RESET_BACKOFF_MAX_MS,
+    RESET_BACKOFF_MIN_MS,
+    RESET_VOTE_WINDOW_MS,
+    GroupTimings,
+)
 from repro.rpc.transport import Transport
 from repro.sim.future import Future
 
@@ -240,7 +245,7 @@ class GroupMember:
                 return list(kernel.view)  # someone else's reset included us
             key = kernel.begin_reset_round(cand_inc)
             if key is not None:
-                yield self.sim.sleep(self.timings.reset_vote_window_ms)
+                yield self.sim.sleep(RESET_VOTE_WINDOW_MS)
                 if kernel.state == STATE_MEMBER:
                     return list(kernel.view)
                 view = kernel.conclude_reset(key)
@@ -252,11 +257,8 @@ class GroupMember:
             # just as it concludes. Wait for its view instead; only if
             # none comes (it died too) do we bid again, higher.
             yield from self._await_winner(
-                self.timings.reset_vote_window_ms
-                + rng.uniform(
-                    self.timings.reset_backoff_min_ms,
-                    self.timings.reset_backoff_max_ms,
-                )
+                RESET_VOTE_WINDOW_MS
+                + rng.uniform(RESET_BACKOFF_MIN_MS, RESET_BACKOFF_MAX_MS)
             )
             cand_inc = kernel.outbid(cand_inc)
         if kernel.state == STATE_MEMBER:

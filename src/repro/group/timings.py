@@ -4,10 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Retransmission attempts before a sender declares group failure.
+SEND_RETRIES = 3
+#: How long a reset coordinator collects votes before forming a view.
+RESET_VOTE_WINDOW_MS = 25.0
+#: Backoff bounds before a losing reset coordinator retries.
+RESET_BACKOFF_MIN_MS = 10.0
+RESET_BACKOFF_MAX_MS = 40.0
+
 
 @dataclass
 class GroupTimings:
-    """All group-protocol timeouts, in simulated milliseconds.
+    """The group-protocol timeouts a deployment may tune, in
+    simulated milliseconds (the module constants above are fixed).
 
     The defaults suit the paper's LAN: packet latency well under a
     millisecond, so tens of milliseconds of silence mean trouble.
@@ -23,14 +32,7 @@ class GroupTimings:
     echo_timeout_ms: float = 120.0
     #: Sender retransmits its request if not sequenced within this time.
     send_retry_ms: float = 60.0
-    #: Retransmission attempts before the sender declares group failure.
-    send_retries: int = 3
-    #: How long a reset coordinator collects votes before forming a view.
-    reset_vote_window_ms: float = 25.0
     #: How long one join broadcast waits for a sequencer's answer.
     join_timeout_ms: float = 40.0
     #: Join broadcast attempts before JoinGroup gives up.
     join_attempts: int = 3
-    #: Backoff bounds before a losing reset coordinator retries.
-    reset_backoff_min_ms: float = 10.0
-    reset_backoff_max_ms: float = 40.0

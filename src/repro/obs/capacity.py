@@ -49,29 +49,25 @@ OP_NAMES = {"update": "pair", "lookup": "lookup", "mixed": "iteration"}
 #: both numerical noise and their ratio means nothing.
 RESIDUAL_FLOOR = 0.05
 
-#: Per-resource instrument sets. ``wait_is_sojourn`` marks resources
-#: whose wait counter already includes service (the sequencer pipeline
-#: logs full residence per message); for semaphore-metered resources
-#: W = (wait + busy) / completions instead.
+#: Per-resource instrument sets. A queued resource's residence is
+#: W = (wait + busy) / completions. ``apply`` is a directory server's
+#: serial take-apply-persist loop: it has no queue of its own.
 RESOURCE_SPECS = (
-    {"kind": "seq", "busy": "group.seq_busy_ms", "done": "group.delivered",
-     "wait": "group.seq_sojourn_ms", "queue": "group.backlog",
-     "wait_is_sojourn": True, "requires_busy": True},
+    {"kind": "apply", "busy": "dir.apply_busy_ms", "done": "dir.applied_records",
+     "wait": None, "queue": None},
     {"kind": "cpu", "busy": "cpu.busy_ms", "done": "cpu.grants",
-     "wait": "cpu.wait_ms", "queue": "cpu.queue_depth",
-     "wait_is_sojourn": False},
+     "wait": "cpu.wait_ms", "queue": "cpu.queue_depth"},
     {"kind": "disk", "busy": "disk.arm.busy_ms", "done": "disk.arm.grants",
-     "wait": "disk.arm.wait_ms", "queue": "disk.arm.queue_depth",
-     "wait_is_sojourn": False},
+     "wait": "disk.arm.wait_ms", "queue": "disk.arm.queue_depth"},
     {"kind": "nvram", "busy": "nvram.busy_ms", "done": "nvram.appends",
-     "wait": None, "queue": None, "wait_is_sojourn": False},
+     "wait": None, "queue": None},
     {"kind": "wire", "busy": "net.wire_ms", "done": "net.frames_sent",
-     "wait": None, "queue": None, "wait_is_sojourn": False},
+     "wait": None, "queue": None},
 )
 
-#: Ranking tie-break: the pipeline stage closest to the protocol wins
-#: over raw devices at equal rho (it subsumes their time).
-_KIND_PRIORITY = {"seq": 0, "cpu": 1, "disk": 2, "nvram": 3, "wire": 4}
+#: Ranking tie-break: the apply stage wins over raw devices at equal
+#: rho (it subsumes their CPU and disk time).
+_KIND_PRIORITY = {"apply": 0, "cpu": 1, "disk": 2, "nvram": 3, "wire": 4}
 
 
 @dataclass
@@ -108,7 +104,7 @@ class ResourceStats:
 def window_stats(window) -> list[ResourceStats]:
     """Per-resource queueing stats over one registry window
     (:class:`repro.obs.registry.Window`), ranked by utilization (ties
-    break toward the protocol pipeline)."""
+    break toward the apply stage)."""
     if window.dt_ms <= 0.0:
         return []
     out: list[ResourceStats] = []
@@ -117,10 +113,6 @@ def window_stats(window) -> list[ResourceStats]:
         for node in window.nodes(spec["busy"]):
             busy = window.delta(node, spec["busy"])
             done = window.delta(node, spec["done"])
-            if busy <= 0.0 and spec.get("requires_busy"):
-                # Non-sequencer members deliver records but run no
-                # pipeline; their backlog gauge measures replica lag.
-                continue
             queue_mean = None
             residence = None
             residual = None
@@ -128,9 +120,7 @@ def window_stats(window) -> list[ResourceStats]:
                 if node in queue_nodes:
                     queue_mean = window.mean(node, spec["queue"])
                 if done > 0:
-                    wait = window.delta(node, spec["wait"])
-                    residence = (
-                        wait if spec["wait_is_sojourn"] else wait + busy) / done
+                    residence = (window.delta(node, spec["wait"]) + busy) / done
                 if queue_mean is not None and residence is not None:
                     # Little: L = lambda W
                     expected = window.rate(node, spec["done"]) * residence / 1000.0

@@ -231,11 +231,6 @@ class Window:
         """Ms from the timestamp a gauge holds to the window's end."""
         return self.end.t_ms - self.end.levels[(node, name)]
 
-    def age(self, node: str, name: str) -> float:
-        """:meth:`since`, for a gauge that holds 0 while there is
-        nothing to be old (the oldest message in an empty pipeline)."""
-        return self.since(node, name) if self.end.levels[(node, name)] > 0.0 else 0.0
-
 
 class MetricsRegistry:
     """All instruments for one simulated world, keyed by (node, name)."""

@@ -11,8 +11,8 @@ the window reads its source metric:
 * ``rate`` — a counter's growth per second (grants, delivered records,
   retransmission requests, link bytes);
 * ``mean`` — the exact time-weighted window mean of a queue-depth gauge;
-* ``age`` / ``since`` — ms since the timestamp a gauge holds (the
-  oldest sequenced-but-undelivered message; the last heartbeat).
+* ``since`` — ms since the timestamp a gauge holds (the last
+  heartbeat).
 
 The sampler holds a bounded ring of samples (oldest evicted first) and
 renders them on demand as Perfetto counter-track events (``ph: "C"``)
@@ -57,7 +57,6 @@ UTILIZATION = (
     Series("cpu.busy_ms", "cpu.rho", "busy"),
     Series("disk.arm.busy_ms", "disk.arm.rho", "busy"),
     Series("nvram.busy_ms", "nvram.rho", "busy"),
-    Series("group.seq_busy_ms", "group.seq.rho", "busy"),
     Series("dir.apply_busy_ms", "dir.apply.rho", "busy"),
     Series("dir.persist_busy_ms", "dir.persist.rho", "busy"),
     Series("net.wire_ms", "net.wire.rho", "busy"),
@@ -71,9 +70,7 @@ UTILIZATION = (
     Series("net.bytes", "net.bytes_per_s", "rate"),
     Series("cpu.queue_depth", "cpu.queue_depth", "mean"),
     Series("disk.arm.queue_depth", "disk.arm.queue_depth", "mean"),
-    Series("disk.queue_depth", "disk.queue_depth", "mean"),
     Series("group.backlog", "group.backlog", "mean"),
-    Series("group.seq_oldest_ms", "group.backlog_age_ms", "age"),
 )
 
 #: What a fault looks like from outside: read only by the health

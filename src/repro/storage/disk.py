@@ -94,7 +94,6 @@ class Disk:
         self._c_ops = {
             kind: registry.counter(name, f"disk.{kind}") for kind in DISK_OP_KINDS
         }
-        self._c_busy = registry.counter(name, "disk.busy_ms")
         self._c_read_errors = registry.counter(name, "disk.read_errors")
         self._c_write_errors = registry.counter(name, "disk.write_errors")
         self._c_corrupt_detected = registry.counter(name, "disk.corrupt_detected")
@@ -102,12 +101,9 @@ class Disk:
         self._c_scrub_repairs = registry.counter(name, "disk.scrub_repairs")
         self._h_op_ms = registry.histogram(name, "disk.op_ms")
         self._h_queue_ms = registry.histogram(name, "disk.queue_ms")
-        #: Operations waiting for (or holding) the arm right now — the
-        #: health monitor's disk-congestion signal.
-        self._g_queue_depth = registry.gauge(name, "disk.queue_depth")
-        # Arm-level busy/wait/grant accounting for the capacity
-        # attributor (docs/OBSERVABILITY.md §10): disk.arm.busy_ms over
-        # a window is the arm's utilization rho.
+        # The arm's meter is the disk's one busy/queue meter
+        # (docs/OBSERVABILITY.md §10): disk.arm.busy_ms over a window is
+        # the arm's utilization rho.
         self._arm.meter = SemaphoreMeter(
             registry, name, "disk.arm", clock=lambda: sim.now)
 
@@ -154,55 +150,50 @@ class Disk:
                 errors.inc()
             raise
         queued_at = self.sim.now
-        self._g_queue_depth.add(1)
+        # acquire_gen, not acquire: the disk outlives its users, so
+        # a machine crash mid-queue must not leak the arm.
+        yield from self._arm.acquire_gen()
+        queue_ms = self.sim.now - queued_at
         try:
-            # acquire_gen, not acquire: the disk outlives its users, so
-            # a machine crash mid-queue must not leak the arm.
-            yield from self._arm.acquire_gen()
-            queue_ms = self.sim.now - queued_at
             try:
-                try:
-                    self._check()
-                    if kind == "random":
-                        delay = self.latency.random_ms(size_bytes)
-                    elif kind == "sequential":
-                        delay = self.latency.sequential_ms(size_bytes)
-                    elif kind == "cached":
-                        delay = self.latency.cached_ms(size_bytes)
-                    elif kind == "batch":
-                        delay = self.latency.batch_ms(size_bytes)
-                    else:
-                        raise StorageError(f"unknown disk access kind {kind!r}")
-                    start = self.sim.now
-                    if delay > 0:
-                        yield self.sim.sleep(delay)
-                    # A head crash while this op was being serviced must
-                    # not let the caller believe its data was persisted:
-                    # the batch's tail (and its RAM-mirror update) never
-                    # happened. The queue wait was real, so it is still
-                    # observed below before the failure propagates.
-                    self._check()
-                except DiskFailure:
-                    self._h_queue_ms.observe(queue_ms)
-                    if errors is not None:
-                        errors.inc()
-                    raise
-                self._c_ops[kind].inc()
-                self._c_busy.inc(delay)
-                self._h_op_ms.observe(delay)
+                self._check()
+                if kind == "random":
+                    delay = self.latency.random_ms(size_bytes)
+                elif kind == "sequential":
+                    delay = self.latency.sequential_ms(size_bytes)
+                elif kind == "cached":
+                    delay = self.latency.cached_ms(size_bytes)
+                elif kind == "batch":
+                    delay = self.latency.batch_ms(size_bytes)
+                else:
+                    raise StorageError(f"unknown disk access kind {kind!r}")
+                start = self.sim.now
+                if delay > 0:
+                    yield self.sim.sleep(delay)
+                # A head crash while this op was being serviced must
+                # not let the caller believe its data was persisted:
+                # the batch's tail (and its RAM-mirror update) never
+                # happened. The queue wait was real, so it is still
+                # observed below before the failure propagates.
+                self._check()
+            except DiskFailure:
                 self._h_queue_ms.observe(queue_ms)
-                if self._obs.tracer.enabled:
-                    self._obs.tracer.emit(
-                        self.name, "disk", f"disk.{kind}",
-                        ph="X", dur=delay, ts=start,
-                        lineage=lineage if lineage is not None else ("disk", self.name),
-                        bytes=size_bytes,
-                        queue=round(queue_ms, 6),
-                    )
-            finally:
-                self._arm.release()
+                if errors is not None:
+                    errors.inc()
+                raise
+            self._c_ops[kind].inc()
+            self._h_op_ms.observe(delay)
+            self._h_queue_ms.observe(queue_ms)
+            if self._obs.tracer.enabled:
+                self._obs.tracer.emit(
+                    self.name, "disk", f"disk.{kind}",
+                    ph="X", dur=delay, ts=start,
+                    lineage=lineage if lineage is not None else ("disk", self.name),
+                    bytes=size_bytes,
+                    queue=round(queue_ms, 6),
+                )
         finally:
-            self._g_queue_depth.add(-1)
+            self._arm.release()
 
     @property
     def total_ops(self) -> int:

@@ -109,7 +109,7 @@ class TestVerdictUtilization:
         full fault catalogue in play."""
         verdict = smoke_verdict("bitrot_gauntlet", 0)
         util = verdict.as_dict()["utilization"]
-        assert set(util) == {"seq", "cpu", "disk", "nvram", "wire"}
+        assert set(util) == {"apply", "cpu", "disk", "nvram", "wire"}
         assert all(0.0 <= v <= 1.05 for v in util.values()), util
         assert util["disk"] > 0.0  # the gauntlet hammers the disks
 
@@ -117,9 +117,9 @@ class TestVerdictUtilization:
 class TestQueueGaugeBalance:
     """Regression (saturation PR audit): the fault paths the gauntlet
     exercises — crashes mid-write, head crashes with queued ops — must
-    leave ``disk.queue_depth`` and the arm meter's gauge balanced, or
-    the health monitor and capacity attributor inherit a phantom queue
-    for the rest of the run."""
+    leave the arm meter's ``disk.arm.queue_depth`` balanced, or the
+    capacity attributor inherits a phantom queue for the rest of the
+    run."""
 
     def test_crash_heavy_run_ends_with_empty_disk_queues(self):
         from repro.cluster import GroupServiceCluster
@@ -153,7 +153,6 @@ class TestQueueGaugeBalance:
         registry = cluster.sim.obs.registry
         for site in cluster.sites:
             name = site.disk.name
-            assert registry.gauge(name, "disk.queue_depth").value == 0.0, name
             assert (
                 registry.gauge(name, "disk.arm.queue_depth").value == 0.0
             ), name

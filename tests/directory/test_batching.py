@@ -270,6 +270,16 @@ class TestTopUp:
         started = cluster.sim.now
         run_pair_writers(cluster, 8, 4_000.0)
         assert cluster.replicas_consistent()
+        # The apply stage's meter (the capacity lens's top station):
+        # every delivered record is applied once, and the loop's busy
+        # time is real and bounded by the run.
+        registry = cluster.sim.obs.registry
+        for server in cluster.servers:
+            node = str(server.me)
+            applied = registry.counter(node, "dir.applied_records").value
+            assert applied == registry.counter(node, "group.delivered").value
+            busy = registry.counter(node, "dir.apply_busy_ms").value
+            assert 0.0 < busy <= cluster.sim.now, node
         warm = started + 500.0
         by_node = events_by_node(cluster, "dir.batch", "dir.persist.start")
         for node, events in by_node.items():

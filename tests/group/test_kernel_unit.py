@@ -379,104 +379,39 @@ class TestReceiveReady:
         assert got == ["m0", "m1", "m2"]
 
 
-class TestSequencerAccounting:
-    """The sequencer-pipeline busy/sojourn accounting feeding the
-    capacity attributor and the sampler's ``group.seq.rho`` series."""
+class TestBacklogGauge:
+    """``group.backlog`` — what the health monitor reads for an apply
+    backlog — is sequenced-but-untaken depth on every member."""
 
-    def test_busy_and_sojourn_settle_when_the_pipeline_drains(self):
+    def test_backlog_is_received_minus_taken_and_drains_to_zero(self):
         bed, members = build_group(["a", "b", "c"])
         reg = bed.sim.obs.registry
-        busy = reg.counter("a", "group.seq_busy_ms")
-        sojourn = reg.counter("a", "group.seq_sojourn_ms")
-        oldest = reg.gauge("a", "group.seq_oldest_ms")
 
-        def receiver(addr):
-            for _ in range(2):
-                yield from members[addr].receive()
+        def backlogs():
+            return {
+                addr: (reg.gauge(addr, "group.backlog").value,
+                       member.kernel.received - member.kernel.taken)
+                for addr, member in members.items()
+            }
 
-        def run():
-            yield from members["b"].send_to_group("m1")
-            yield from members["b"].send_to_group("m2")
-            yield bed.sim.sleep(200.0)
-
-        drains = [
-            bed.sim.spawn(receiver(a), f"recv-{a}") for a in members
-        ]
-        bed.run_until(bed.sim.spawn(run()))
-        for d in drains:
-            assert d.resolved
-        kernel = members["a"].kernel
-        assert kernel.received == kernel.taken  # pipeline drained
-        assert not kernel._seq_pipe
-        assert busy.value > 0.0
-        assert sojourn.value >= busy.value  # 2 overlapping sojourns
-        assert oldest.value == 0.0  # no in-flight message left
-
-    def test_backlog_area_equals_total_sojourn(self):
-        # Little's law as an exact identity: the time integral of the
-        # sequencer's backlog gauge over the run equals the summed
-        # per-message sojourns once the pipeline has drained — the
-        # attributor's residual self-check relies on this.
-        bed, members = build_group(["a", "b", "c"])
-        reg = bed.sim.obs.registry
-        backlog = reg.gauge("a", "group.backlog")
-        sojourn = reg.counter("a", "group.seq_sojourn_ms")
-
-        def receiver(addr):
-            for _ in range(3):
-                yield from members[addr].receive()
-
-        def run():
+        def send():
             for i in range(3):
                 yield from members["b"].send_to_group(f"m{i}")
-                yield bed.sim.sleep(40.0)
-            yield bed.sim.sleep(300.0)
 
-        drains = [
-            bed.sim.spawn(receiver(a), f"recv-{a}") for a in members
-        ]
-        bed.run_until(bed.sim.spawn(run()))
-        for d in drains:
-            assert d.resolved
-        assert sojourn.value > 0.0
-        assert backlog.area() == pytest.approx(sojourn.value)
+        # Nobody consumes yet: every member holds the whole stream.
+        bed.run_until(bed.sim.spawn(send()))
+        bed.run(until=bed.sim.now + 100.0)
+        assert members["a"].kernel.me == members["a"].kernel.sequencer
+        assert backlogs() == {"a": (3, 3), "b": (3, 3), "c": (3, 3)}
 
-    def test_replicas_carry_no_sequencer_busy_time(self):
-        bed, members = build_group(["a", "b", "c"])
-        reg = bed.sim.obs.registry
+        # One member takes one record: only its backlog moves.
+        bed.run_until(bed.sim.spawn(members["c"].receive(), "take-one"))
+        assert backlogs() == {"a": (3, 3), "b": (3, 3), "c": (2, 2)}
 
-        def receiver(addr):
-            yield from members[addr].receive()
+        def drain(addr, n):
+            for _ in range(n):
+                yield from members[addr].receive()
 
-        def run():
-            yield from members["b"].send_to_group("only")
-            yield bed.sim.sleep(200.0)
-
-        for a in members:
-            bed.sim.spawn(receiver(a), f"recv-{a}")
-        bed.run_until(bed.sim.spawn(run()))
-        for replica in ("b", "c"):
-            assert reg.counter(replica, "group.seq_busy_ms").value == 0.0
-            assert reg.counter(replica, "group.seq_sojourn_ms").value == 0.0
-
-    def test_role_loss_flushes_busy_and_clears_the_pipeline(self):
-        bed, members = build_group(["a", "b", "c"])
-        kernel = members["a"].kernel
-        reg = bed.sim.obs.registry
-        oldest = reg.gauge("a", "group.seq_oldest_ms")
-
-        def run():
-            yield from members["b"].send_to_group("m")
-            # Nobody consumes: the sequencer pipeline stays occupied.
-            yield bed.sim.sleep(100.0)
-
-        bed.run_until(bed.sim.spawn(run()))
-        assert kernel._seq_pipe
-        assert oldest.value > 0.0
-        busy_before = reg.counter("a", "group.seq_busy_ms").value
-        kernel.crash()
-        assert not kernel._seq_pipe
-        assert kernel._seq_busy_since is None
-        assert oldest.value == 0.0
-        # The occupied stretch up to the crash was flushed to the counter.
-        assert reg.counter("a", "group.seq_busy_ms").value >= busy_before
+        for addr, n in (("a", 3), ("b", 3), ("c", 2)):
+            bed.run_until(bed.sim.spawn(drain(addr, n), f"drain-{addr}"))
+        assert backlogs() == {"a": (0, 0), "b": (0, 0), "c": (0, 0)}

@@ -12,7 +12,7 @@
 import pytest
 
 from repro.errors import GroupFailure
-from repro.group import GroupTimings
+from repro.group.timings import RESET_VOTE_WINDOW_MS
 from repro.net.policy import Drop, LinkFilter
 
 from tests.group.test_basic import build_group
@@ -121,7 +121,7 @@ def test_near_simultaneous_detectors_form_the_view_in_one_round(seed):
     of its conclusion, and which side of it decides between one round
     and three."""
     bed, members = build_group(["a", "b", "c"], seed=seed)
-    window = GroupTimings().reset_vote_window_ms
+    window = RESET_VOTE_WINDOW_MS
     before = members["b"].kernel.incarnation
     crash_machine(bed, members, "a")
     bed.run(until=bed.sim.now + 400.0)

@@ -15,6 +15,7 @@ from repro.cluster import (
 )
 from repro.errors import NoMajority, ReproError, ServiceDown
 from repro.group import GroupTimings
+from repro.group.timings import RESET_BACKOFF_MAX_MS, RESET_VOTE_WINDOW_MS
 
 from tests.helpers import count, counter_total, pin_to_server
 
@@ -194,7 +195,7 @@ class TestHeldRequestsLeaveNothingBehind:
         # arbitration rounds a reset may take.
         timings = GroupTimings()
         bound = timings.echo_timeout_ms + timings.heartbeat_interval_ms + 8 * (
-            2 * timings.reset_vote_window_ms + timings.reset_backoff_max_ms
+            2 * RESET_VOTE_WINDOW_MS + RESET_BACKOFF_MAX_MS
         )
         assert len(outcomes) == 3
         for exc, took in outcomes:

@@ -70,26 +70,20 @@ class TestWindowStats:
         registry.counter("n0", "cpu.grants").inc(9)
         registry.counter("d0", "disk.arm.busy_ms").inc(900.0)
         registry.counter("d0", "disk.arm.grants").inc(3)
-        registry.counter("s0", "group.seq_busy_ms").inc(400.0)
-        registry.counter("s0", "group.delivered").inc(4)
+        registry.counter("n0", "dir.apply_busy_ms").inc(900.0)
+        registry.counter("n0", "dir.applied_records").inc(9)
+        registry.counter("n1", "dir.apply_busy_ms").inc(400.0)
+        registry.counter("n1", "dir.applied_records").inc(4)
         holder["now"] = 1_000.0
         rows = window_stats(registry.window(opened))
-        # cpu and disk tie at rho 0.9; the seq row trails at 0.4. A
-        # tie breaks by kind priority: seq < cpu < disk < nvram < wire.
+        # apply, cpu and disk tie at rho 0.9; the second apply row
+        # trails at 0.4. A tie breaks by kind priority: apply < cpu <
+        # disk < nvram < wire.
         assert [r.label for r in rows] == [
-            "cpu(n0)", "disk(d0)", "seq(s0)"]
-
-    def test_idle_seq_counter_on_replicas_is_skipped(self):
-        # Every member carries the seq counters, but only the node that
-        # actually sequenced (busy > 0) is a resource row — a replica
-        # with deliveries and zero busy time is consumer lag, not a
-        # service station, and would fail Little's law by construction.
-        holder, registry = make_marked_registry()
-        registry.counter("r1", "group.seq_busy_ms")  # exists, zero
-        opened = registry.mark()
-        registry.counter("r1", "group.delivered").inc(50)
-        holder["now"] = 1_000.0
-        assert window_stats(registry.window(opened)) == []
+            "apply(n0)", "cpu(n0)", "disk(d0)", "apply(n1)"]
+        # The apply stage has no queue of its own: S only.
+        assert rows[0].service_ms == pytest.approx(100.0)
+        assert rows[0].queue_depth is rows[0].residence_ms is None
 
     def test_empty_window_yields_no_rows(self):
         holder, registry = make_marked_registry()
@@ -107,7 +101,7 @@ class TestUtilizationSummary:
         summary = utilization_summary(registry.window())
         assert summary["cpu"] == pytest.approx(0.9)
         assert summary["disk"] == pytest.approx(0.25)
-        assert summary["seq"] == 0.0
+        assert summary["apply"] == 0.0
 
     def test_zero_elapsed_is_all_zero(self):
         holder, registry = make_marked_registry()
@@ -135,6 +129,12 @@ class TestHeadline:
         )
         assert report["headline_plateau_per_s"] > 0.0
         assert "prediction_error" in report
+        # The serial apply loop binds at every load, so the utilization
+        # law extrapolates the same ceiling from 1 writer as from 4.
+        assert report["top_resource"].startswith("apply(")
+        ceilings = [p["implied_ceiling_per_s"] for p in report["fit"]]
+        assert len(ceilings) == 3 and None not in ceilings
+        assert max(ceilings) <= 1.05 * min(ceilings), ceilings
 
 
 class TestRunPoint:
@@ -146,7 +146,7 @@ class TestRunPoint:
         resources = report["resources"]
         assert resources, "no resource was exercised?"
         labels = {r["resource"] for r in resources}
-        assert any(label.startswith("seq(") for label in labels)
+        assert any(label.startswith("apply(") for label in labels)
         assert any(label.startswith("disk(") for label in labels)
         # The acceptance bar: every Little's-law self-check within 10%.
         for row in resources:

@@ -121,25 +121,25 @@ class TestCounterSampling:
 
 
 class TestSeqUtilization:
-    """The sequencer's busy share is a capacity series, not an alert:
-    the monitor does not read it, the bare sampler does."""
+    """The apply stage's busy share is a capacity series, not an
+    alert: the monitor does not read it, the bare sampler does."""
 
     def test_utilization_is_the_busy_fraction_of_the_window(self):
         sim = FakeSim()
-        busy = sim.registry.counter("a", "group.seq_busy_ms")
+        busy = sim.registry.counter("a", "dir.apply_busy_ms")
         sampler = Sampler(sim, INTERVAL_MS).start()
         busy.inc(250.0)  # busy half of the 500 ms window
         samples = advance(sim, sampler)
-        assert samples[("a", "group.seq.rho")] == pytest.approx(0.5)
-        assert ("a", "group.seq.rho") not in advance(sim, make_monitor(sim))
+        assert samples[("a", "dir.apply.rho")] == pytest.approx(0.5)
+        assert ("a", "dir.apply.rho") not in advance(sim, make_monitor(sim))
 
     def test_baseline_excludes_preexisting_busy_time(self):
         sim = FakeSim()
-        busy = sim.registry.counter("a", "group.seq_busy_ms")
+        busy = sim.registry.counter("a", "dir.apply_busy_ms")
         busy.inc(10_000.0)  # history from before the sampler started
         sampler = Sampler(sim, INTERVAL_MS).start()
         samples = advance(sim, sampler)
-        assert samples[("a", "group.seq.rho")] == 0.0
+        assert samples[("a", "dir.apply.rho")] == 0.0
 
 
 class TestHeartbeatStaleness:

@@ -117,10 +117,6 @@ WINDOW_CASES = {
         ("delta", [], [(500.0, 3)], 3.0),
     "since-is-now-minus-the-timestamp":
         ("since", [], [(150.0, 150.0), (400.0, None)], 250.0),
-    "age-is-since-while-something-is-old":
-        ("age", [], [(150.0, 150.0), (400.0, None)], 250.0),
-    "age-is-zero-while-nothing-is":
-        ("age", [], [(150.0, 0.0), (400.0, None)], 0.0),
     "empty-window-answers-zero":
         ("rate", [(0.0, 5)], [(0.0, 5)], 0.0),
 }
@@ -140,7 +136,7 @@ class TestWindow:
                 holder["now"] = at_ms
                 if value is None:
                     continue
-                if how in ("mean", "since", "age"):
+                if how in ("mean", "since"):
                     registry.gauge("n0", "x").set(value)
                 else:
                     registry.counter("n0", "x").inc(value)

@@ -15,10 +15,9 @@ def synthetic_workload(sim):
     busy = registry.counter("n0", "cpu.busy_ms")
     done = registry.counter("n0", "cpu.grants")
     depth = registry.gauge("n0", "cpu.queue_depth")
-    oldest = registry.gauge("n0", "group.seq_oldest_ms")
+    backlog = registry.gauge("n0", "group.backlog")
 
     def run():
-        oldest.set(0.0)
         while True:
             depth.set(2.0)
             yield sim.sleep(50.0)
@@ -26,7 +25,7 @@ def synthetic_workload(sim):
             done.inc(2)
             depth.set(0.0)
             if sim.now == 150.0:
-                oldest.set(sim.now)  # one message stuck from t=150 on
+                backlog.set(1.0)  # one message stuck from t=150 on
             yield sim.sleep(50.0)
 
     sim.spawn(run(), "workload")
@@ -52,11 +51,11 @@ class TestSampler:
         assert first["n0:cpu.grants_per_s"] == pytest.approx(20.0)
         # Depth alternates 2.0/0.0 in equal halves: window mean 1.0.
         assert first["n0:cpu.queue_depth"] == pytest.approx(1.0)
-        # The gauge was stamped 150: 50 ms old at the t=200 sample,
-        # 250 ms old by the t=400 one.
-        assert first["n0:group.backlog_age_ms"] == pytest.approx(50.0)
+        # One message stuck from t=150: a quarter of the first window,
+        # all of the second.
+        assert first["n0:group.backlog"] == pytest.approx(0.25)
         second = sampler.samples[1]["series"]
-        assert second["n0:group.backlog_age_ms"] == pytest.approx(250.0)
+        assert second["n0:group.backlog"] == pytest.approx(1.0)
 
     def test_ring_evicts_oldest_and_counts_drops(self, monkeypatch):
         monkeypatch.setattr(saturation, "RING_CAPACITY", 3)
@@ -118,5 +117,5 @@ class TestSampler:
         assert {e.cat for e in events} == {"saturation"}
         assert {str(e.node) for e in events} == {"n0"}
         names = {e.name for e in events}
-        assert "cpu.rho" in names and "group.backlog_age_ms" in names
+        assert "cpu.rho" in names and "group.backlog" in names
         assert all("value" in e.args for e in events)

@@ -701,18 +701,13 @@ class TestRawPartition:
 
 
 class TestQueueDepthSymmetry:
-    """Audit (saturation PR satellite): ``disk.queue_depth`` and the
-    arm meter's ``disk.arm.queue_depth`` must return to zero on every
-    exit path — normal completion, a head crash racing in-flight ops,
-    and a requester killed while queued — or the health monitor and
-    the capacity attributor inherit a permanent phantom queue."""
+    """Audit: the arm meter's ``disk.arm.queue_depth`` must return to
+    zero on every exit path — normal completion, a head crash racing
+    in-flight ops, and a requester killed while queued — or the
+    capacity attributor inherits a permanent phantom queue."""
 
-    def depths(self, sim):
-        registry = sim.obs.registry
-        return (
-            registry.gauge("d0", "disk.queue_depth").value,
-            registry.gauge("d0", "disk.arm.queue_depth").value,
-        )
+    def depth(self, sim):
+        return sim.obs.registry.gauge("d0", "disk.arm.queue_depth").value
 
     def test_normal_completion_rebalances(self):
         sim, disk = make_disk()
@@ -722,7 +717,7 @@ class TestQueueDepthSymmetry:
             yield from disk.read_block(1)
 
         run(sim, work())
-        assert self.depths(sim) == (0.0, 0.0)
+        assert self.depth(sim) == 0.0
 
     def test_head_crash_with_queued_ops_rebalances(self):
         sim, disk = make_disk()
@@ -744,7 +739,7 @@ class TestQueueDepthSymmetry:
         sim.spawn(nemesis())
         sim.run()
         assert "failed" in outcomes and len(outcomes) == 4
-        assert self.depths(sim) == (0.0, 0.0)
+        assert self.depth(sim) == 0.0
 
     def test_killed_waiter_leaves_both_gauges(self):
         sim, disk = make_disk()
@@ -760,11 +755,13 @@ class TestQueueDepthSymmetry:
 
         def killer():
             yield sim.sleep(1.0)  # victim is queued behind the holder
+            assert self.depth(sim) == 2.0
             victim_proc.kill("machine crashed")
+            assert self.depth(sim) == 1.0
 
         sim.spawn(killer())
         sim.run()
-        assert self.depths(sim) == (0.0, 0.0)
+        assert self.depth(sim) == 0.0
 
     def test_failed_disk_rejects_without_touching_gauges(self):
         sim, disk = make_disk()
@@ -777,4 +774,4 @@ class TestQueueDepthSymmetry:
                 return "refused"
 
         assert run(sim, work()) == "refused"
-        assert self.depths(sim) == (0.0, 0.0)
+        assert self.depth(sim) == 0.0

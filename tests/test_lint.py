@@ -154,6 +154,25 @@ DEPRECATED_NAMES = (
     "writes_served",
     "requests_refused",
     "stats.appends",
+    # Measure once: the serial apply loop is metered by the directory
+    # server (dir.apply_busy_ms, dir.persist_busy_ms) and the disk arm
+    # by its SemaphoreMeter (disk.arm.*); the group kernel keeps no
+    # queueing books and the capacity lens no per-station flags.
+    "_seq_account",
+    "_seq_pipe",
+    "group.seq_busy_ms",
+    "group.seq_sojourn_ms",
+    "group.seq_oldest_ms",
+    "group.backlog_age_ms",
+    "group.seq.rho",
+    "disk.busy_ms",
+    "disk.queue_depth",
+    "wait_is_sojourn",
+    "requires_busy",
+    # GroupTimings fields nobody set: constants of repro/group/timings.py.
+    ".send_retries",
+    ".reset_vote_window_ms",
+    ".reset_backoff_",
 )
 
 
@@ -612,6 +631,84 @@ def test_every_registered_metric_is_documented():
         "metrics registered but not in docs/OBSERVABILITY.md: "
         + ", ".join(missing)
     )
+
+
+#: Metric names built at run time: a SemaphoreMeter registers
+#: ``<prefix>.busy_ms`` and friends for the CPU and the disk arm
+#: (docs/OBSERVABILITY.md §1 lists the families).
+RUNTIME_METRIC_NAMES = {
+    f"{prefix}.{name}"
+    for prefix in ("cpu", "disk.arm")
+    for name in ("busy_ms", "wait_ms", "grants", "queue_depth")
+}
+
+#: Test helpers that read a registry counter by name (tests/helpers.py).
+_HELPER_READERS = ("counter_total", "wire_count", "count")
+
+
+def _metric_names_read_by_tests() -> dict[str, str]:
+    """Every literal metric name a test reads through
+    ``registry.counter/gauge/histogram`` or a tests/helpers.py reader,
+    with one place it is read. The registry's own tests (and the obs
+    bundle's plumbing test) are exempt: they run on synthetic names."""
+    exempt = {ROOT / "tests" / "obs" / name for name in ("test_registry.py", "test_trace.py")}
+    names: dict[str, str] = {}
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        if path in exempt:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "tests.helpers"
+            for alias in node.names
+            if alias.name in _HELPER_READERS
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                continue
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("counter", "gauge", "histogram")
+            ) or (isinstance(func, ast.Name) and func.id in readers):
+                names.setdefault(
+                    node.args[1].value, f"{path.relative_to(ROOT)}:{node.lineno}"
+                )
+    return names
+
+
+def test_no_metric_is_read_that_nothing_registers():
+    """``registry.counter/gauge/histogram`` create on read, so a test,
+    a sampler series or a capacity station that names a deleted
+    instrument reads a fresh zero and passes (four tests asserted on
+    the sequencer station and the disk's second arm meter after both
+    were gone). Every name they read must be registered under
+    src/repro, or be a SemaphoreMeter family name."""
+    from repro.obs.capacity import RESOURCE_SPECS
+    from repro.obs.saturation import SERIES
+
+    registered = set(_registered_metric_names()) | RUNTIME_METRIC_NAMES
+    read = _metric_names_read_by_tests()
+    assert len(read) > 30  # the walk still finds the reads
+    for row in SERIES:
+        read.setdefault(row.metric, f"saturation.SERIES {row.name}")
+    for spec in RESOURCE_SPECS:
+        for column in ("busy", "done", "wait", "queue"):
+            if spec[column] is not None:
+                read.setdefault(
+                    spec[column], f"capacity.RESOURCE_SPECS {spec['kind']}")
+    stale = [
+        f"{name} ({where})"
+        for name, where in sorted(read.items())
+        if name not in registered
+    ]
+    assert not stale, "metrics read but registered nowhere: " + ", ".join(stale)
 
 
 #: Trace kinds named at run time, by the module whose emit builds them
