@@ -135,6 +135,10 @@ def test_detection_latency_tradeoff(benchmark, results_dir):
     assert outages == sorted(outages)  # longer timeout, longer outage
     # Outage tracks the timeout: the reset tail is small and fixed.
     assert outages[-1] - outages[0] > (timeouts[-1] - timeouts[0]) * 0.5
+    # The reset ends on the survivors' votes, not a vote window: after
+    # detection only a round trip, the commit-block write and the
+    # update itself remain (97 / 105 ms; 121 / 129 with the window).
+    assert all(table[t][0] - t < 110.0 for t in timeouts[:2])
     # Faster detection costs more idle traffic.
     overheads = [table[t][2] for t in timeouts]
     assert overheads[0] > overheads[-1]

@@ -12,8 +12,10 @@ implements:
 * **gap repair** — members detect missing sequence numbers and ask the
   sequencer to retransmit;
 * **failure detection** — sequencer heartbeats (carrying the commit
-  horizon) and member echoes; silence on either side marks the group
-  *failed* and wakes every blocked primitive with
+  horizon) and member echoes; a member's timer fires at the instant the
+  sequencer's silence reaches its timeout, the sequencer checks echoes
+  on its heartbeat tick, and silence on either side marks the group
+  *failed*, names the suspect and wakes every blocked primitive with
   :class:`~repro.errors.GroupFailure`;
 * **view changes** — join, leave, and the two-phase coordinator-
   arbitrated reset that rebuilds a group from survivors after a crash
@@ -131,6 +133,9 @@ class GroupKernel:
         self.sequencer = None
         self.resilience = 0
         self.failure_reason = ""
+        #: The member the failure detector blamed (None when the group
+        #: failed for another reason); a reset need not wait for it.
+        self.suspect = None
         #: Every view this kernel adopted or announced (epoch, members,
         #: resilience, trigger) — cluster.report() aggregates these so
         #: post-run analysis can reconstruct membership over time.
@@ -160,6 +165,10 @@ class GroupKernel:
         self._promise: tuple = (-1, "")
         self.reset_votes: dict[Any, tuple[int, list[BcRecord]]] | None = None
         self._reset_key: tuple | None = None
+        #: Coordinator of every reset round we voted in, by its key,
+        #: since this instance began: the view we end up adopting is at
+        #: most one of theirs, and the others must not count us.
+        self._votes_cast: dict[tuple, Any] = {}
 
         # Wakeup for blocked receive/info waiters; join waiters.
         self.wakeup = Condition(f"grp({group}@{self.me}).wakeup")
@@ -169,6 +178,7 @@ class GroupKernel:
 
         self._dead = False
         self._ticker = None
+        self._silence_timer = None
         self._register_handlers()
 
     # ------------------------------------------------------------------
@@ -192,6 +202,7 @@ class GroupKernel:
             ("view", self._on_view),
             ("probe", self._on_probe),
             ("vote", self._on_vote),
+            ("withdraw", self._on_withdraw),
             ("leave", self._on_leave),
         ]:
             self.transport.register(self._kind(suffix), handler)
@@ -261,8 +272,12 @@ class GroupKernel:
         self.sequencer = self.me
         self.resilience = resilience
         self._rebase(-1)
+        if self._ticker is not None:
+            # A new group heartbeats from its creation, not on the phase
+            # of a ticker left running by a group this kernel quit.
+            self._ticker.kill("ticker restart")
+            self._ticker = None
         self._enter_view("create")
-        self._start_ticker()
         self.wakeup.notify_all()
 
     def start_join(self) -> Future:
@@ -657,25 +672,19 @@ class GroupKernel:
         for record in self._held_after(payload["from"] - 1):
             self._send_record(record, payload["member"])
 
-    # -- heartbeats -----------------------------------------------------
-
-    def _start_ticker(self) -> None:
-        if self._ticker is not None:
-            self._ticker.kill("ticker restart")
-        self._note_heartbeat()
-        self._ticker = self.sim.spawn(
-            self._tick_loop(), f"grp({self.group}@{self.me}).ticker"
-        )
+    # -- heartbeats and the silence detector ----------------------------
 
     def _tick_loop(self):
+        """The sequencer's heartbeat; ends once this kernel is a member
+        of a view some other kernel sequences."""
         while not self._dead:
             yield self.sim.sleep(self.timings.heartbeat_interval_ms)
             if self._dead or self.state != STATE_MEMBER:
                 continue
-            if self.me == self.sequencer:
-                self._sequencer_tick()
-            else:
-                self._member_tick()
+            if self.me != self.sequencer:
+                break
+            self._sequencer_tick()
+        self._ticker = None
 
     def _sequencer_tick(self) -> None:
         self._broadcast(
@@ -701,14 +710,37 @@ class GroupKernel:
                 self.last_echo[member] = self.sim.now
                 continue
             if self.sim.now - last > timeout:
-                self.fail_group(f"member {member!r} stopped echoing", announce=True)
+                self.fail_group(
+                    f"member {member!r} stopped echoing", announce=True, suspect=member
+                )
                 return
 
-    def _member_tick(self) -> None:
-        if self.sim.now - self.last_heartbeat > self.timings.heartbeat_timeout_ms:
-            self.fail_group("sequencer heartbeat lost", announce=True)
+    def _watch_sequencer(self) -> None:
+        """Arm the silence timer for the heartbeat deadline, unless it
+        is armed already: the deadline only moves later, and a timer
+        that fires before it re-arms itself."""
+        if self._silence_timer is None:
+            self._silence_timer = self.sim.schedule(
+                self.timings.heartbeat_timeout_ms, self._on_silence
+            )
+
+    def _on_silence(self) -> None:
+        """Trip the member's detector if its deadline has come, else
+        re-arm for the deadline the heartbeats since have moved it to.
+
+        The comparison is ``now >= deadline`` against the very float
+        the timer is armed with: the equivalent-looking ``now - last >=
+        timeout`` can disagree with it by one ulp, and a timer that
+        keeps finding itself a hair early re-arms forever.
+        """
+        self._silence_timer = None
+        if self._dead or self.state != STATE_MEMBER or self.me == self.sequencer:
+            return
+        deadline = self.last_heartbeat + self.timings.heartbeat_timeout_ms
+        if self.sim.now < deadline:
+            self._silence_timer = self.sim.schedule(deadline - self.sim.now, self._on_silence)
         else:
-            self._prune_history()
+            self.fail_group("sequencer heartbeat lost", announce=True, suspect=self.sequencer)
 
     def _prune_history(self) -> None:
         """Garbage-collect history the group can no longer need.
@@ -738,25 +770,29 @@ class GroupKernel:
             self._maybe_request_retrans()
         self._note_commit(payload["committed"])
         self._ack("echo")
+        self._prune_history()
 
     # -- failure ----------------------------------------------------------
 
-    def fail_group(self, reason: str, announce: bool = False) -> None:
+    def fail_group(self, reason: str, announce: bool = False, suspect=None) -> None:
         """Mark the group failed; every blocked primitive wakes with
-        GroupFailure and the application is expected to reset/recover."""
+        GroupFailure and the application is expected to reset/recover.
+        A failure detector names the member it blames as *suspect*."""
         if self.state != STATE_MEMBER:
             return
         self.state = STATE_FAILED
         self.failure_reason = reason
+        self.suspect = suspect
         self._c_failures.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.fail",
                 lineage=("life", str(self.me)),
                 reason=reason, announce=announce,
+                suspect=None if suspect is None else str(suspect),
             )
         if announce:
-            self._broadcast("fail", {**self._stamp(), "reason": reason})
+            self._broadcast("fail", {**self._stamp(), "reason": reason, "suspect": suspect})
         for pending in list(self.pending_sends.values()):
             self._fail_pending(pending)
         waiters, self.apply_waiters = self.apply_waiters, []
@@ -768,7 +804,7 @@ class GroupKernel:
         payload = packet.payload
         if not self._current(payload):
             return
-        self.fail_group(f"peer reported: {payload['reason']}")
+        self.fail_group(f"peer reported: {payload['reason']}", suspect=payload["suspect"])
 
     # ------------------------------------------------------------------
     # view changes: join / leave
@@ -884,6 +920,8 @@ class GroupKernel:
     def _adopt_view(self, payload: dict) -> None:
         joining = payload["joiner"] == self.me and self.state != STATE_MEMBER
         instance_changed = payload["instance"] != self.instance
+        if instance_changed and not joining:  # a reset's view
+            self._withdraw_votes((payload["inc"], str(payload["sequencer"])))
         self.instance = payload["instance"]
         self.incarnation = payload["inc"]
         self.view = list(payload["view"])
@@ -903,7 +941,6 @@ class GroupKernel:
             self.committed = min(payload["committed"], self.received)
         if self.me == self.sequencer:
             self.next_assign = max(payload["next_assign"], self.received + 1)
-        was_member = self.state == STATE_MEMBER
         self._c_views.inc()
         self._enter_view("join" if joining else "adopt")
         if self._obs.tracer.enabled:
@@ -913,8 +950,6 @@ class GroupKernel:
                 inc=self.incarnation, members=len(self.view),
                 sequencer=str(self.sequencer), joining=joining,
             )
-        if self._ticker is None or not was_member:
-            self._start_ticker()
         if joining and self._join_waiter is not None:
             waiter, self._join_waiter = self._join_waiter, None
             waiter.resolve_if_pending(list(self.view))
@@ -924,6 +959,7 @@ class GroupKernel:
         """Start the message stream afresh at *base* (create and join)."""
         self.history.clear()
         self.sequenced_ids.clear()
+        self._votes_cast = {}
         self.received = self.committed = self.taken = base
         self.next_assign = base + 1
         self._update_backlog()
@@ -937,9 +973,16 @@ class GroupKernel:
             self.last_echo = dict.fromkeys(others, self.sim.now)
         self.state = STATE_MEMBER
         self.failure_reason = ""
+        self.suspect = None
         self._promise = (self.incarnation, "")
         self._note_heartbeat()
         self._log_view(trigger)
+        if self.me != self.sequencer:
+            self._watch_sequencer()
+        elif self._ticker is None:
+            self._ticker = self.sim.spawn(
+                self._tick_loop(), f"grp({self.group}@{self.me}).ticker"
+            )
 
     def _resubmit(self) -> None:
         """Re-send our unfinished sends to the (possibly new) sequencer,
@@ -1013,6 +1056,7 @@ class GroupKernel:
         self._promise = key
         if self._reset_key is not None and self._reset_key < key:
             self._reset_key = None  # abandon our own weaker attempt
+        self._votes_cast[key] = coordinator
         tail = self._held_after(payload["coord_received"])
         self._send(
             coordinator,
@@ -1037,6 +1081,58 @@ class GroupKernel:
             return
         if self.reset_votes is not None:
             self.reset_votes[payload["member"]] = (payload["received"], payload["tail"])
+            if self.votes_in():
+                self.wakeup.notify_all()
+
+    def votes_in(self) -> bool:
+        """Whether our reset round may end before its window: every
+        unsuspected member of the failed view has voted. Every
+        committed record is held by r + 1 members, so with at most r
+        suspects some voter still holds it; a detector names one
+        suspect, so that needs r >= 1. With no suspect there is no
+        telling who is gone: the round waits out its window."""
+        if self.reset_votes is None or self.suspect is None or self.resilience < 1:
+            return False
+        return all(m in self.reset_votes for m in self.view if m != self.suspect)
+
+    def _withdraw_votes(self, kept: tuple) -> None:
+        """We leave this instance for the view of round *kept*: tell the
+        coordinator of every other round we voted in. Two coordinators
+        that each blame the other need not wait for each other's vote,
+        so both may conclude with the same voters; the one whose view
+        the voters did not adopt learns it here."""
+        for key, coordinator in self._votes_cast.items():
+            if key != kept:
+                self._send(
+                    coordinator,
+                    "withdraw",
+                    {
+                        "instance": self.instance,
+                        "cand_inc": key[0],
+                        "coordinator": coordinator,
+                        "member": self.me,
+                    },
+                )
+        self._votes_cast = {}
+
+    def _on_withdraw(self, packet) -> None:
+        """A voter of ours went into another view. A round still open
+        stops counting it; a view we formed from its vote is not the
+        one it adopted, so ours fails, blaming it."""
+        payload = packet.payload
+        if payload["coordinator"] != self.me:
+            return
+        key = (payload["cand_inc"], str(self.me))
+        member = payload["member"]
+        if self._reset_key == key and payload["instance"] == self.instance:
+            self.reset_votes.pop(member, None)
+        elif (
+            self.instance == ("reset", payload["instance"], *key)
+            and member in self.view
+        ):
+            self.fail_group(
+                f"member {member!r} adopted another view", announce=True, suspect=member
+            )
 
     def conclude_reset(self, key: tuple) -> list | None:
         """Form and announce the new view from collected votes.
@@ -1054,6 +1150,7 @@ class GroupKernel:
                 self._hold(record)
         self._advance_received()
         self._drop_speculation()
+        self._withdraw_votes(key)
         cand_inc = key[0]
         # A reset forms a NEW group instance: two disjoint survivor
         # sets (e.g. the two sides of a partition) must never produce
@@ -1080,7 +1177,5 @@ class GroupKernel:
             )
         base = min(received for received, _ in votes.values())
         self._announce_view(tail=self._held_after(base), prev_instance=prev_instance)
-        if self._ticker is None:
-            self._start_ticker()
         self._resubmit()
         return list(self.view)

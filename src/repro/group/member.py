@@ -245,7 +245,13 @@ class GroupMember:
                 return list(kernel.view)  # someone else's reset included us
             key = kernel.begin_reset_round(cand_inc)
             if key is not None:
-                yield self.sim.sleep(RESET_VOTE_WINDOW_MS)
+                # The vote window, or less: until every unsuspected
+                # member has voted or a view reaches us.
+                yield from self._await(
+                    lambda: kernel.state == STATE_MEMBER or kernel.votes_in(),
+                    RESET_VOTE_WINDOW_MS,
+                    "reset vote window",
+                )
                 if kernel.state == STATE_MEMBER:
                     return list(kernel.view)
                 view = kernel.conclude_reset(key)
@@ -256,9 +262,11 @@ class GroupMember:
             # still open: out-bidding it now would land a probe on it
             # just as it concludes. Wait for its view instead; only if
             # none comes (it died too) do we bid again, higher.
-            yield from self._await_winner(
+            yield from self._await(
+                lambda: kernel.state == STATE_MEMBER,
                 RESET_VOTE_WINDOW_MS
-                + rng.uniform(RESET_BACKOFF_MIN_MS, RESET_BACKOFF_MAX_MS)
+                + rng.uniform(RESET_BACKOFF_MIN_MS, RESET_BACKOFF_MAX_MS),
+                "reset backoff",
             )
             cand_inc = kernel.outbid(cand_inc)
         if kernel.state == STATE_MEMBER:
@@ -267,16 +275,15 @@ class GroupMember:
             f"reset of group {self.group!r} failed after {max_rounds} rounds"
         )
 
-    def _await_winner(self, bound_ms: float):
-        """Sleep until the kernel is a member again (the winning
-        coordinator's view arrived), at most *bound_ms*."""
+    def _await(self, done, bound_ms: float, what: str):
+        """Sleep until ``done()`` holds, at most *bound_ms*. The kernel
+        notifies its wakeup whenever a view reaches it or a reset
+        round's votes are all in."""
         kernel = self.kernel
         deadline = self.sim.now + bound_ms
-        while kernel.state != STATE_MEMBER and self.sim.now < deadline:
+        while not done() and self.sim.now < deadline:
             try:
-                yield self.sim.timeout(
-                    kernel.wakeup.wait(), deadline - self.sim.now, "reset backoff"
-                )
+                yield self.sim.timeout(kernel.wakeup.wait(), deadline - self.sim.now, what)
             except SimTimeout:
                 return
 

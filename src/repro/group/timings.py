@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 #: Retransmission attempts before a sender declares group failure.
 SEND_RETRIES = 3
-#: How long a reset coordinator collects votes before forming a view.
+#: The longest a reset coordinator collects votes before forming a view
+#: (it stops sooner once every unsuspected member has voted).
 RESET_VOTE_WINDOW_MS = 25.0
 #: Backoff bounds before a losing reset coordinator retries.
 RESET_BACKOFF_MIN_MS = 10.0

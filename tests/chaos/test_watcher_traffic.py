@@ -1,9 +1,9 @@
 """The watcher is sized to its traffic: what it keeps, it uses.
 
-Two smoke runs the suite already runs elsewhere (the determinism seeds
-of ``test_rolling_faults.py`` and ``test_bitrot_gauntlet.py``) between
-them trip every threshold the monitor carries and every policy the
-controller carries. A signal or a policy that is documented and never
+Two smoke runs the suite already runs elsewhere (the determinism seed
+of ``test_rolling_faults.py`` and the scrub seed of
+``test_bitrot_gauntlet.py``) between them trip every threshold the
+monitor carries and every policy the controller carries. A signal or a policy that is documented and never
 fires — two thresholds and two policies were, for seventeen PRs —
 fails here the day it is added. The 111-run tally behind the cut is
 in docs/CHAOS.md §2. Which runs trip what is the seed's business: when
@@ -14,7 +14,7 @@ there.
 from repro.chaos import format_verdicts, watcher_traffic
 from repro.obs.monitor import DEFAULT_THRESHOLDS
 
-RUNS = (("rolling_faults", 1), ("bitrot_gauntlet", 1))
+RUNS = (("rolling_faults", 1), ("bitrot_gauntlet", 5))
 
 
 def test_every_threshold_raises_and_every_policy_acts(smoke_verdict):
