@@ -45,7 +45,7 @@ def sequencer_index(cluster) -> int | None:
     """
     fallback = None
     for i, server in enumerate(cluster.servers):
-        if server is None or not server.alive:
+        if not server.alive:
             continue
         if fallback is None:
             fallback = i
@@ -241,14 +241,10 @@ def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
 
 def _restart_if_down(index: int):
     """Guarded restart: no-op when the server is already up (the
-    remediation controller may have beaten the schedule to it) or the
-    site was evicted meanwhile."""
+    remediation controller may have beaten the schedule to it)."""
 
     def fire(cluster):
-        server = cluster.servers[index]
-        if server is None:
-            return f"restart server {index}: site evicted (no-op)"
-        if server.alive:
+        if cluster.servers[index].alive:
             return f"restart server {index}: already up (no-op)"
         cluster.restart_server(index)
         return f"restart server {index}"

@@ -93,9 +93,6 @@ class Scenario:
     expect_alerts: bool | None = None
     #: Initial resilience degree (None = N_SERVERS - 1, the maximum).
     resilience: int | None = None
-    #: Cold spare sites (group clusters only). No policy boots one; the
-    #: two gauntlets keep theirs because a site fewer re-times them.
-    spares: int = 0
     #: Run a RemediationController (repro.recovery) against the
     #: health monitor for the whole scenario.
     remediation: bool = False
@@ -314,7 +311,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         n_clients=3,
         window_ms=35_000.0,
         resilience=1,
-        spares=1,
         remediation=True,
         expect_alerts=True,
         # A lower retransmission trip point makes the scale-up policy
@@ -329,7 +325,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         n_clients=3,
         window_ms=35_000.0,
         resilience=1,
-        spares=0,
         remediation=False,
         in_rotation=False,
     ),
@@ -367,7 +362,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         window_ms=35_000.0,
         integrity=True,
         resilience=1,
-        spares=1,
         remediation=True,
         expect_alerts=True,
         # Out of rotation (run explicitly by the bitrot-smoke CI job):
@@ -385,7 +379,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         window_ms=35_000.0,
         integrity=False,
         resilience=1,
-        spares=0,
         remediation=False,
         in_rotation=False,
     ),
@@ -425,7 +418,6 @@ def _deployment_kwargs(scenario: Scenario) -> dict:
             if scenario.resilience is not None
             else N_SERVERS - 1
         ),
-        spares=scenario.spares,
         dedup_enabled=scenario.dedup,
         cache_coherence=bool(scenario.cache_size),
         integrity=scenario.integrity,
@@ -615,8 +607,6 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
 
     host_ran = perf_counter_ns()
     operational = cluster.operational_servers()
-    # Via the config, not len(cluster.servers): spare sites are entries
-    # there too.
     available = len(operational) >= cluster.config.majority
     if available:
         every_key = dict.fromkeys(name for names in keys for name in names)

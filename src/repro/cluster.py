@@ -65,19 +65,13 @@ class Site:
 
     def crash_directory_server(self) -> None:
         """Fail-stop crash of the directory-server machine only."""
-        if self.server is not None:
-            self.server.crash()
+        self.server.crash()
         self.dir_transport.shutdown()
 
     def crash_bullet_server(self) -> None:
         """Fail-stop crash of the Bullet machine (files survive on disk)."""
         self.bullet.crash()
         self.bullet_transport.shutdown()
-
-    def crash_site(self) -> None:
-        """Crash both machines of the site (the disk keeps its data)."""
-        self.crash_directory_server()
-        self.crash_bullet_server()
 
     def restart_bullet_server(self) -> None:
         self.bullet_transport.restart()
@@ -247,7 +241,7 @@ class BaseCluster:
         return [site.server for site in self.sites]
 
     def operational_servers(self) -> list:
-        return [s for s in self.servers if s is not None and s.operational]
+        return [s for s in self.servers if s.operational]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -264,7 +258,7 @@ class BaseCluster:
         serve.
         """
         needed = quorum if quorum is not None else sum(
-            1 for s in self.servers if s is not None and s.alive
+            1 for s in self.servers if s.alive
         )
         deadline = self.sim.now + timeout_ms
         while self.sim.now < deadline:
@@ -273,7 +267,7 @@ class BaseCluster:
             self.sim.run(until=min(self.sim.now + 20.0, deadline))
         raise SimulationError(
             f"service not operational after {timeout_ms} ms "
-            f"({[s is not None and s.operational for s in self.servers]})"
+            f"({[s.operational for s in self.servers]})"
         )
 
     # -- failure injection --------------------------------------------------------
@@ -290,7 +284,7 @@ class BaseCluster:
         its successor on the same transport.
         """
         site = self.sites[index]
-        if site.server is not None and site.server.alive:
+        if site.server.alive:
             site.crash_directory_server()
         site.dir_transport.restart()
         site.server = self._make_server(site)
@@ -325,7 +319,7 @@ class BaseCluster:
         if self.sites:
             out["sites"] = [site.report() for site in self.sites]
         out["servers"] = []
-        for server in filter(None, self.servers):
+        for server in self.servers:
             counts = metrics.get(str(server.transport.address), {}).get("counters", {})
             out["servers"].append({
                 "reads": counts.get("dir.reads"),
@@ -381,23 +375,17 @@ class GroupServiceCluster(BaseCluster):
         network: Network | None = None,
         loss_probability: float = 0.0,
         link_policies=None,
-        spares: int = 0,
         **config_overrides,
     ):
         super().__init__(
             name, seed, latency, sim, network, loss_probability, link_policies
         )
         self._build_sites(n_servers, config, config_overrides)
-        #: Pre-built standby sites: full machine + disk, attached to
-        #: the network but NOT in the server set until activated by
-        #: :meth:`add_server` (or the remediation controller).
-        self.spare_sites = [Site(self, n_servers + i) for i in range(spares)]
         #: The cluster's *declared* shape — what
         #: :func:`repro.verify.check_resilience_restored` holds the
         #: end state to, whatever faults and remediations happened.
         self.declared_n_servers = self.config.n_servers
         self.declared_resilience = self.config.resilience
-        self._evicted_addresses: list = []
         self._view_log_archive: list[dict] = []
         for site in self.sites:
             site.server = self._make_server(site)
@@ -424,74 +412,9 @@ class GroupServiceCluster(BaseCluster):
         return None
 
     def restart_server(self, index: int) -> GroupDirectoryServer:
-        self._archive_view_log(self.sites[index])
+        # The replaced kernel's membership history outlives it.
+        self._view_log_archive.extend(_view_log(self.sites[index]))
         return super().restart_server(index)
-
-    # -- elastic membership ----------------------------------------------------
-
-    def site_of(self, address) -> Site | None:
-        """The site (active or spare) whose directory server owns *address*."""
-        for site in [*self.sites, *self.spare_sites]:
-            if site.dir_address == address:
-                return site
-        return None
-
-    def has_spare(self) -> bool:
-        return bool(self.spare_sites)
-
-    def add_server(self) -> GroupDirectoryServer:
-        """Online replica add: boot the next spare as a full replica.
-
-        The spare's address joins the configured server set, its blank
-        disk sends it down the Fig. 6 recovery path — state-transfer a
-        snapshot from the freshest incumbent, replay the ordered log
-        above it, then ``start_join`` the live group — and every live
-        replica rewrites its commit block against the new server set.
-        Builds a brand-new site when the spare pool is empty.
-        """
-        if self.spare_sites:
-            site = self.spare_sites.pop(0)
-        else:
-            used = [s.index for s in (*self.sites, *self.spare_sites)] or [-1]
-            site = Site(self, max(used) + 1)
-        self.config.server_addresses = (
-            *self.config.server_addresses,
-            site.dir_address,
-        )
-        self.sites.append(site)
-        site.server = self._make_server(site)
-        site.server.start()
-        self._refresh_config_vectors()
-        return site.server
-
-    def evict_server(self, index: int) -> None:
-        """Online replica evict: decommission replica *index*.
-
-        The replica's machine is fail-stopped, the current sequencer
-        excludes its address from the view (coordinator-driven leave),
-        and the address leaves the configured server set — so majority
-        and the configuration vector are computed over the members
-        that remain. The site object stays in ``sites`` with
-        ``server = None``, keeping server indexes stable.
-        """
-        site = self.sites[index]
-        address = site.dir_address
-        if site.server is not None:
-            self._archive_view_log(site)
-            site.crash_directory_server()
-            site.server = None
-        for other in self.sites:
-            server = other.server
-            if server is None or not server.alive:
-                continue
-            if server.member.is_sequencer:
-                server.member.kernel.evict_member(address)
-                break
-        self.config.server_addresses = tuple(
-            a for a in self.config.server_addresses if a != address
-        )
-        self._evicted_addresses.append(address)
-        self._refresh_config_vectors()
 
     def change_resilience(self, resilience: int, declared: bool = True):
         """Runtime resilience change via an operational replica
@@ -508,28 +431,6 @@ class GroupServiceCluster(BaseCluster):
             return seqno
         raise SimulationError("no operational replica to change resilience")
 
-    def _refresh_config_vectors(self) -> None:
-        """Have every live replica rewrite its commit block against
-        the current server set (positional configuration vectors go
-        stale when the address tuple changes shape)."""
-        for site in self.sites:
-            server = site.server
-            if server is not None and server.alive and server.operational:
-                self.sim.spawn(
-                    server.refresh_config_vector(),
-                    f"dir.{site.index}.reconfig",
-                )
-
-    def _archive_view_log(self, site: Site) -> None:
-        """Preserve a to-be-replaced kernel's membership history."""
-        server = site.server
-        if server is None:
-            return
-        self._view_log_archive.extend(
-            {"node": str(site.dir_address), **entry}
-            for entry in server.member.kernel.view_log
-        )
-
     def report(self) -> dict:
         out = super().report()
         out["view_changes"] = self.view_history()
@@ -537,17 +438,11 @@ class GroupServiceCluster(BaseCluster):
 
     def view_history(self) -> list[dict]:
         """Every view change any replica adopted — epoch, members,
-        sequencer, resilience, trigger — across restarts and
-        evictions, deterministically ordered."""
+        sequencer, resilience, trigger — across restarts,
+        deterministically ordered."""
         entries = list(self._view_log_archive)
-        for site in [*self.sites, *self.spare_sites]:
-            server = site.server
-            if server is None:
-                continue
-            entries.extend(
-                {"node": str(site.dir_address), **entry}
-                for entry in server.member.kernel.view_log
-            )
+        for site in self.sites:
+            entries.extend(_view_log(site))
         entries.sort(key=lambda e: (e["at_ms"], e["node"], e["epoch"]))
         return entries
 
@@ -576,6 +471,14 @@ class GroupServiceCluster(BaseCluster):
             s.state.fingerprint() for s in self.operational_servers()
         }
         return len(fingerprints) <= 1
+
+
+def _view_log(site: Site) -> list[dict]:
+    """The site's current kernel's membership history, node-stamped."""
+    return [
+        {"node": str(site.dir_address), **entry}
+        for entry in site.server.member.kernel.view_log
+    ]
 
 
 class NvramServiceCluster(GroupServiceCluster):

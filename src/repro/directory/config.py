@@ -90,20 +90,7 @@ class ServiceConfig:
     def majority(self) -> int:
         return self.n_servers // 2 + 1
 
-    def recovery_port(self, index: int) -> Port:
-        """The private per-server port for recovery exchanges (static
-        deployments that never change shape, e.g. the two-server RPC
-        design)."""
-        return Port.for_service(f"dir.{self.name}.recovery.{index}")
-
-    def recovery_port_of(self, address) -> Port:
-        """Recovery-exchange port of one server, keyed by *address*.
-
-        Elastic deployments resolve recovery peers this way: index
-        positions shift when a replica is evicted or added at runtime,
-        but an address names the same machine for its whole life.
-        """
+    def recovery_port(self, address) -> Port:
+        """The private port on which the server at *address* answers
+        its peers' recovery exchanges."""
         return Port.for_service(f"dir.{self.name}.recovery.addr.{address}")
-
-    def index_of(self, address) -> int:
-        return self.server_addresses.index(address)

@@ -119,7 +119,7 @@ class GroupDirectoryServer:
         self.rpc_server = RpcServer(transport, config.port, f"dir.{index}")
         self.recovery_rpc = RpcServer(
             transport,
-            config.recovery_port_of(transport.address),
+            config.recovery_port(transport.address),
             f"dir.{index}.recovery",
         )
         self.rpc_client = RpcClient(
@@ -636,19 +636,6 @@ class GroupDirectoryServer:
         seqno = yield from self.member.set_resilience(resilience)
         yield from self.member.wait_applied(seqno, lambda: self._applied_kernel)
         return seqno
-
-    def refresh_config_vector(self):
-        """Rewrite the commit block against the current server set
-        (``yield from``). The cluster calls this on every live replica
-        after an elastic add/evict, so the positional configuration
-        vector on disk never goes stale against the new address tuple.
-        """
-        if not (self.alive and self.operational):
-            return
-        yield from self.admin.write_commit_block(
-            config_vector=self.config_vector(),
-            lineage=("membership", str(self.me)),
-        )
 
     def _note_batch(self, batch) -> None:
         """Record a batch's size at the cut (what its flush carries)."""

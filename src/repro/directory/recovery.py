@@ -137,15 +137,11 @@ def run_recovery(server):
         newgroup = {server.me}
         seqnos = {server.me: my_seqno}
         operational_peers = set()
-        peers = [
-            a
-            for a in member.info().view
-            if a != server.me and a in cfg.server_addresses
-        ]
+        peers = [a for a in member.info().view if a != server.me]
         for peer in peers:
             try:
                 reply = yield from server.rpc_client.trans(
-                    cfg.recovery_port_of(peer),
+                    cfg.recovery_port(peer),
                     {"op": "exchange"},
                     reply_timeout_ms=EXCHANGE_TIMEOUT_MS,
                 )
@@ -222,7 +218,7 @@ def run_recovery(server):
         else:
             try:
                 reply = yield from server.rpc_client.trans(
-                    cfg.recovery_port_of(donor),
+                    cfg.recovery_port(donor),
                     {"op": "get_state", "min_kernel": member.info().committed},
                     reply_timeout_ms=TRANSFER_TIMEOUT_MS,
                 )

@@ -84,8 +84,8 @@ class RpcDirectoryServer:
         # server 1 odd (root is object 1, so start above it).
         self._next_alloc = 2 + index
         self.rpc_server = RpcServer(transport, config.port, f"rpcdir.{index}")
-        self.private_rpc = RpcServer(transport, config.recovery_port(index))
-        self.peer_port = config.recovery_port(1 - index)
+        self.private_rpc = RpcServer(transport, config.recovery_port(self.me))
+        self.peer_port = config.recovery_port(config.server_addresses[1 - index])
         self.rpc_client = RpcClient(transport, RpcTimings(reply_timeout_ms=500.0))
         self.store = DirectoryStore(
             self, admin, BulletClient(self.rpc_client, bullet_port), f"rpcdir.{index}"

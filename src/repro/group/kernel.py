@@ -113,9 +113,8 @@ class GroupKernel:
         self._c_views = registry.counter(node, "group.views_adopted")
         self._c_resets = registry.counter(node, "group.resets_led")
         self._c_delivered = registry.counter(node, "group.delivered")
-        # Elastic-membership operations (runtime adds/evicts/retunes).
+        # Membership operations (runtime joins and resilience changes).
         self._c_joins_admitted = registry.counter(node, "membership.joins_admitted")
-        self._c_evictions = registry.counter(node, "membership.evictions")
         self._c_resilience_changes = registry.counter(node, "membership.resilience_changes")
         #: Sequenced-but-undelivered depth (received - taken): how far
         #: the application lags the stream this member holds. The
@@ -302,30 +301,9 @@ class GroupKernel:
         if self.state != STATE_MEMBER:
             return
         if self.me == self.sequencer:
-            self._sequencer_remove_member(self.me, graceful=True)
+            self._sequencer_remove_member(self.me)
         else:
             self._send(self.sequencer, "leave", {**self._stamp(), "member": self.me})
-
-    def evict_member(self, member) -> bool:
-        """Coordinator-driven eviction (sequencer only).
-
-        Excludes a dead or flapping *member* from the view without
-        failing the whole group: the remaining members adopt the
-        shrunk view, and a live evictee that still sees the
-        announcement, which names it as the member that left, goes
-        idle. Returns True when the view change was announced.
-        """
-        if (self.state != STATE_MEMBER or self.me != self.sequencer
-                or member == self.me or member not in self.view):
-            return False
-        self._c_evictions.inc()
-        if self._obs.tracer.enabled:
-            self._obs.tracer.emit(
-                str(self.me), "group", "grp.evict",
-                lineage=("life", str(self.me)), member=str(member),
-            )
-        self._sequencer_remove_member(member, graceful=False)
-        return True
 
     def _log_view(self, trigger: str, view=None, sequencer=None) -> None:
         """Append one membership-history entry for the current view."""
@@ -702,11 +680,11 @@ class GroupKernel:
             last = self.last_echo.get(member)
             if last is None:
                 # Never-echoed member (e.g. freshly joined and not yet
-                # stamped by every code path): its eviction clock
-                # starts at the first tick that observes it, NOT at the
-                # stale ``last_heartbeat`` of ticker start-up — judging
-                # a quiet-but-alive joiner against that old baseline
-                # evicted it spuriously right after a view change.
+                # stamped by every code path): its echo clock starts
+                # at the first tick that observes it, NOT at the stale
+                # ``last_heartbeat`` of ticker start-up — judging a
+                # quiet-but-alive joiner against that old baseline
+                # failed the group spuriously right after a view change.
                 self.last_echo[member] = self.sim.now
                 continue
             if self.sim.now - last > timeout:
@@ -828,7 +806,8 @@ class GroupKernel:
         self._log_view("join")
         self.wakeup.notify_all()
 
-    def _sequencer_remove_member(self, member, graceful: bool) -> None:
+    def _sequencer_remove_member(self, member) -> None:
+        """A member's leave, or the sequencer's own (a handover)."""
         self.incarnation += 1
         new_view = [m for m in self.view if m != member]
         if member == self.me:
@@ -850,7 +829,7 @@ class GroupKernel:
             self.ack_progress.pop(member, None)
             self.last_echo.pop(member, None)
             self._announce_view(left=member)
-            self._log_view("leave" if graceful else "evict")
+            self._log_view("leave")
             self._advance_commit()
         self.wakeup.notify_all()
 
@@ -859,7 +838,7 @@ class GroupKernel:
         if not self._current(payload) or self.me != self.sequencer:
             return
         if payload["member"] in self.view:
-            self._sequencer_remove_member(payload["member"], graceful=True)
+            self._sequencer_remove_member(payload["member"])
 
     def _announce_view(
         self,

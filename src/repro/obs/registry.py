@@ -269,9 +269,6 @@ class MetricsRegistry:
     def inc(self, node: str, name: str, amount: float = 1) -> None:
         self.counter(node, name).inc(amount)
 
-    def set_gauge(self, node: str, name: str, value: float) -> None:
-        self.gauge(node, name).set(value)
-
     def observe(self, node: str, name: str, value: float, weight: float = 1.0) -> None:
         self.histogram(node, name).observe(value, weight)
 

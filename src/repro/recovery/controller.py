@@ -20,9 +20,9 @@ alerts on a fixed cadence and runs three policies against the cluster:
   owning server.
 
 A member that is alive but unreachable is the group's own business:
-its reset excludes it and Fig. 6 brings it back. Replacing a machine
-(``cluster.evict_server`` / ``add_server``) is an operator's call, not
-a policy — no chaos run ever needed one (docs/CHAOS.md §2).
+its reset excludes it and Fig. 6 brings it back. The server set itself
+is fixed when the cluster is built, as in the paper; resilience is the
+one setting a policy changes at run time.
 
 Every action is rate-limited (per-run budgets), cooled down (per node
 or per policy), and audited: each one appends to
@@ -115,12 +115,11 @@ class RemediationController:
 
     def _restart_policy(self, now: float) -> None:
         stale = {alert.node for alert in self._active(STALENESS)}
-        for address in list(self.cluster.config.server_addresses):
-            node = str(address)
-            site = self.cluster.site_of(address)
-            if node not in stale or site is None:
+        for index, site in enumerate(self.cluster.sites):
+            node = str(site.dir_address)
+            if node not in stale:
                 continue
-            if site.server is not None and site.server.alive:
+            if site.server.alive:
                 continue  # unreachable, not dead: the group's reset's job
             if self._restarts >= MAX_RESTARTS:
                 continue
@@ -129,7 +128,6 @@ class RemediationController:
                 continue
             self._restarts += 1
             self._restarted_at[node] = now
-            index = self.cluster.sites.index(site)
             self.cluster.restart_server(index)
             self._audit("restart", node, server=index)
 
@@ -143,7 +141,7 @@ class RemediationController:
             if last is not None and now - last < SCRUB_COOLDOWN_MS:
                 continue
             server = site.server
-            if server is None or not server.alive or not server.operational:
+            if not server.alive or not server.operational:
                 continue  # a dead replica is the restart policy's problem
             if not hasattr(server, "scrub_now"):
                 continue

@@ -269,7 +269,8 @@ def check_resilience_restored(cluster) -> list[str]:
     ``cluster.declared_resilience`` (captured at build time):
 
     * the configured server set holds the declared number of replicas
-      (an eviction must have been re-replicated onto a spare);
+      (the set is fixed when the cluster is built, so only code that
+      rewrites ``config.server_addresses`` can break this);
     * that many replicas are operational;
     * every operational replica's view contains the whole server set;
     * the service's resilience degree — shared config AND every
@@ -380,7 +381,7 @@ def check_cluster(
     operational = cluster.operational_servers()
     report = InvariantReport(
         operational=len(operational),
-        total_servers=sum(1 for s in cluster.servers if s is not None),
+        total_servers=len(cluster.servers),
         replicas_equal=cluster.replicas_consistent(),
         linearizability_violations=check_linearizability(history),
     )

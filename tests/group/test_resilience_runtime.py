@@ -1,10 +1,8 @@
-"""Membership as a runtime operation, at the kernel level.
+"""Resilience as a runtime operation, at the kernel level.
 
 ``set_resilience`` is an ordered group operation: every member adopts
-the new degree at the same sequence number. ``evict_member`` is the
-coordinator-driven exclusion: the sequencer shrinks the view without
-failing the group, and a live evictee self-fails. Both land in the
-kernel's ``view_log`` so ``cluster.report()`` can show the history.
+the new degree at the same sequence number, and the change lands in
+the kernel's ``view_log`` so ``cluster.report()`` can show the history.
 """
 
 from repro.group.kernel import ResilienceChange
@@ -60,45 +58,3 @@ class TestRuntimeResilience:
                 if e["trigger"] == "resilience"
             )
             assert entry["resilience"] == 2
-
-
-class TestEvictMember:
-    def test_sequencer_evicts_and_view_shrinks(self):
-        bed, members = build_group(["a", "b", "c"])
-        assert members["a"].is_sequencer
-        assert members["a"].kernel.evict_member("c") is True
-        bed.run(until=bed.sim.now + 1_500.0)
-        assert sorted(members["a"].info().view) == ["a", "b"]
-        assert sorted(members["b"].info().view) == ["a", "b"]
-
-    def test_live_evictee_leaves_membership(self):
-        bed, members = build_group(["a", "b", "c"])
-        members["a"].kernel.evict_member("c")
-        bed.run(until=bed.sim.now + 1_500.0)
-        # The evictee saw the announcement, self-failed, and is no
-        # longer a member (a failed kernel settles back to idle).
-        assert members["c"].info().state in ("failed", "idle")
-        assert not members["c"].is_member
-
-    def test_only_the_sequencer_may_evict(self):
-        bed, members = build_group(["a", "b", "c"])
-        assert members["b"].kernel.evict_member("c") is False
-        assert sorted(members["a"].info().view) == ["a", "b", "c"]
-
-    def test_cannot_evict_self_or_stranger(self):
-        bed, members = build_group(["a", "b", "c"])
-        assert members["a"].kernel.evict_member("a") is False
-        assert members["a"].kernel.evict_member("ghost") is False
-
-    def test_group_survives_eviction_and_keeps_ordering(self):
-        bed, members = build_group(["a", "b", "c"], resilience=1)
-        members["a"].kernel.evict_member("c")
-        bed.run(until=bed.sim.now + 1_500.0)
-
-        def run():
-            return (yield from members["b"].send_to_group("after-evict"))
-
-        seqno = bed.run_until(bed.sim.spawn(run()))
-        assert seqno >= 0
-        triggers = [e["trigger"] for e in members["a"].kernel.view_log]
-        assert any(t in ("member_failed", "leave", "evict") for t in triggers)

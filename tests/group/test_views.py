@@ -237,8 +237,8 @@ def assert_entered_alike(members, triggers, announcer=None):
     """*triggers*: the view-log trigger each member the change touched
     wrote last ("handover" marks a sequencer that left). Every member of
     the new view must be in the same state whichever path brought it
-    there. The *announcer* — the sequencer of a join, leave or eviction
-    — changes the view it runs rather than entering one, so it keeps its
+    there. The *announcer* — the sequencer of a join or a leave —
+    changes the view it runs rather than entering one, so it keeps its
     own promise and heartbeat stamp."""
     for addr, trigger in triggers.items():
         assert members[addr].kernel.view_log[-1]["trigger"] == trigger, addr
@@ -284,13 +284,6 @@ class TestEveryWayIntoAView:
         self.settle(bed, members["a"].leave())
         assert_entered_alike(members, {"a": "handover", "b": "adopt", "c": "adopt"})
         assert members["b"].is_sequencer
-
-    def test_evict(self):
-        bed, members = build_group(["a", "b", "c"], timings=QUIET)
-        assert members["a"].kernel.evict_member("c")
-        self.settle(bed)
-        assert_entered_alike(members, {"a": "evict", "b": "adopt"}, "a")
-        assert members["c"].info().state == "idle"  # the view names it as gone
 
     @pytest.mark.parametrize(
         "victim, coordinator, survivor",

@@ -173,6 +173,18 @@ DEPRECATED_NAMES = (
     ".send_retries",
     ".reset_vote_window_ms",
     ".reset_backoff_",
+    # Operator-driven elastic membership: the server set is what the
+    # cluster builds, resilience is the one setting changed at run time
+    # (cluster.change_resilience), recovery ports are keyed by address.
+    "add_server",
+    "evict_server",
+    "spare_sites",
+    "has_spare",
+    "evict_member",
+    "grp.evict",
+    "membership.evictions",
+    "refresh_config_vector",
+    "recovery_port_of",
 )
 
 
