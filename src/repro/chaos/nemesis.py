@@ -201,7 +201,7 @@ def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
 
     Unlike every other nemesis this plan does NOT repair the world:
     remediation (:mod:`repro.recovery`) is expected to restart the
-    corpse and to scale the resilience degree up and back. The lossy
+    corpse. The lossy
     member is the group's own business: its failure detector gives up
     on the sequencer, the reset excludes it, and it re-runs Fig. 6
     recovery until the link heals (docs/CHAOS.md §2). Without the

@@ -41,7 +41,7 @@ from repro.errors import DirectoryError, ReproError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.obs.capacity import utilization_summary
 from repro.obs.export import to_jsonl
-from repro.obs.monitor import DEFAULT_THRESHOLDS, HealthMonitor, thresholds_with
+from repro.obs.monitor import HealthMonitor
 from repro.rpc.client import RpcTimings
 from repro.verify import HistoryRecorder, InvariantReport, check_cluster
 
@@ -91,14 +91,12 @@ class Scenario:
     #: of the settle tail. False: the monitor must stay silent for the
     #: whole run (fault-free controls). None: record, don't assert.
     expect_alerts: bool | None = None
-    #: Initial resilience degree (None = N_SERVERS - 1, the maximum).
+    #: Resilience degree, fixed for the run (None = N_SERVERS - 1,
+    #: the maximum).
     resilience: int | None = None
     #: Run a RemediationController (repro.recovery) against the
     #: health monitor for the whole scenario.
     remediation: bool = False
-    #: The health monitor's thresholds (repro.obs.thresholds_with
-    #: patches the defaults by signal).
-    monitor_thresholds: tuple = DEFAULT_THRESHOLDS
     #: Per-client lookup-cache capacity (0 = no cache). >0 also turns
     #: on ``cache_coherence`` in the deployment config and makes the
     #: client workload read-heavy, recording whether each read was
@@ -313,9 +311,6 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         resilience=1,
         remediation=True,
         expect_alerts=True,
-        # A lower retransmission trip point makes the scale-up policy
-        # engage reliably under the 12% sustained-loss phase.
-        monitor_thresholds=thresholds_with({"group.retrans_rate": (2.0, 0.5)}),
     ),
     Scenario(
         "remediation_off",
@@ -566,7 +561,7 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
     sim = cluster.sim
     # The watchdog starts with the cluster healthy: its baseline
     # window is fault-free, so anything it raises later is signal.
-    monitor = HealthMonitor(sim, scenario.monitor_thresholds).start()
+    monitor = HealthMonitor(sim).start()
     controller = None
     if scenario.remediation:
         from repro.recovery import RemediationController

@@ -171,12 +171,6 @@ class BaseCluster:
         """Install a link-fault policy on this deployment's network."""
         return self.network.add_policy(policy)
 
-    def remove_link_policy(self, policy) -> None:
-        self.network.remove_policy(policy)
-
-    def clear_link_policies(self) -> None:
-        self.network.clear_policies()
-
     def add_client(
         self,
         client_name: str,
@@ -381,11 +375,6 @@ class GroupServiceCluster(BaseCluster):
             name, seed, latency, sim, network, loss_probability, link_policies
         )
         self._build_sites(n_servers, config, config_overrides)
-        #: The cluster's *declared* shape — what
-        #: :func:`repro.verify.check_resilience_restored` holds the
-        #: end state to, whatever faults and remediations happened.
-        self.declared_n_servers = self.config.n_servers
-        self.declared_resilience = self.config.resilience
         self._view_log_archive: list[dict] = []
         for site in self.sites:
             site.server = self._make_server(site)
@@ -415,21 +404,6 @@ class GroupServiceCluster(BaseCluster):
         # The replaced kernel's membership history outlives it.
         self._view_log_archive.extend(_view_log(self.sites[index]))
         return super().restart_server(index)
-
-    def change_resilience(self, resilience: int, declared: bool = True):
-        """Runtime resilience change via an operational replica
-        (``yield from`` inside a sim process). Returns the seqno of
-        the ordered marker. With *declared* (operator intent, the
-        default) the new degree also becomes the one
-        ``check_resilience_restored`` holds the cluster to; the
-        remediation controller's temporary scale-ups pass False.
-        """
-        for server in self.operational_servers():
-            seqno = yield from server.change_resilience(resilience)
-            if declared:
-                self.declared_resilience = resilience
-            return seqno
-        raise SimulationError("no operational replica to change resilience")
 
     def report(self) -> dict:
         out = super().report()

@@ -8,7 +8,7 @@ from repro.amoeba.capability import Port
 from repro.group.timings import GroupTimings
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceConfig:
     """Static facts every server of one directory service shares."""
 

@@ -66,7 +66,7 @@ from repro.errors import (
     ServiceDown,
     StorageError,
 )
-from repro.group.kernel import STATE_FAILED, ResilienceChange
+from repro.group.kernel import STATE_FAILED
 from repro.group.member import GroupMember
 from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.server import RpcServer
@@ -574,16 +574,13 @@ class GroupDirectoryServer:
         has a fixed cost to share drains again after the applies, so
         requests sequenced meanwhile join this flush instead of
         waiting out a whole one of their own. The batch is
-        cut when the kernel runs dry, at ``batch_max``, or at a control
-        record (ResilienceChange markers occupy a seqno but touch
-        neither state machine nor disk).
+        cut when the kernel runs dry or at ``batch_max``.
         """
         batch_max = max(1, self.config.batch_max)
         started = self.sim.now
         pending = collections.deque([first])
         batch: list[_Applied] = []
         horizon = self._applied_kernel
-        handled = 0
         drain = batch_max > 1
         while True:
             room = batch_max - len(batch) - len(pending)
@@ -597,45 +594,11 @@ class GroupDirectoryServer:
                 if record.seqno <= horizon:  # replayed after a view change
                     continue
                 horizon = record.seqno
-                handled += 1
-                if isinstance(record.payload, ResilienceChange):
-                    yield from self._cut(batch)
-                    self._apply_resilience_change(record)
-                else:
-                    batch.append((yield from self._apply_one(record)))
+                batch.append((yield from self._apply_one(record)))
+        applied = len(batch)
         yield from self._cut(batch)
         self._c_apply_busy.inc(self.sim.now - started)
-        self._c_applied.inc(handled)
-
-    def _apply_resilience_change(self, record) -> None:
-        """An ordered ResilienceChange marker reached the apply point.
-
-        The kernel already switched its commit rule when the marker
-        became contiguous; the directory layer records the new degree
-        in the shared service config — so recovery re-creates the
-        group at the current degree — and advances the applied horizon
-        past the marker's seqno.
-        """
-        degree = record.payload.resilience
-        self.config.resilience = degree
-        self._applied_kernel = record.seqno
-        if self._obs.tracer.enabled:
-            self._obs.tracer.emit(
-                str(self.me), "dir", "dir.resilience",
-                lineage=record.msg_id, seqno=record.seqno, resilience=degree,
-            )
-        self.member.notify_progress()
-
-    def change_resilience(self, resilience: int):
-        """Runtime resilience-degree change (``yield from``).
-
-        Sequenced through the group so every replica switches at the
-        same seqno; returns that seqno once this replica has passed it
-        in the apply stream.
-        """
-        seqno = yield from self.member.set_resilience(resilience)
-        yield from self.member.wait_applied(seqno, lambda: self._applied_kernel)
-        return seqno
+        self._c_applied.inc(applied)
 
     def _note_batch(self, batch) -> None:
         """Record a batch's size at the cut (what its flush carries)."""

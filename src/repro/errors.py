@@ -67,10 +67,6 @@ class GroupResetFailed(GroupError):
     """ResetGroup could not rebuild a group with the required quorum."""
 
 
-class NotGroupMember(GroupError):
-    """The calling process is not a member of the group it addressed."""
-
-
 class StorageError(ReproError):
     """A disk or file-server operation failed."""
 

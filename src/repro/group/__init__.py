@@ -27,7 +27,7 @@ arbitrated), or runs its own recovery if the reset cannot reach the
 quorum it needs.
 """
 
-from repro.group.kernel import GroupKernel, ResilienceChange
+from repro.group.kernel import GroupKernel
 from repro.group.member import GroupInfo, GroupMember
 from repro.group.timings import GroupTimings
 
@@ -36,5 +36,4 @@ __all__ = [
     "GroupKernel",
     "GroupMember",
     "GroupTimings",
-    "ResilienceChange",
 ]

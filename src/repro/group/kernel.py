@@ -65,19 +65,6 @@ class BcRecord:
     size: int
 
 
-@dataclass(frozen=True)
-class ResilienceChange:
-    """Ordered control marker that changes the resilience degree.
-
-    Sequenced like any message, so every member adopts the new degree
-    at the marker's own sequence number: no member applies a later
-    message under the old degree, and a joiner or reset survivor that
-    replays the stream re-adopts it at exactly the same point.
-    """
-
-    resilience: int
-
-
 @dataclass
 class PendingSend:
     """Sender-side bookkeeping for one SendToGroup in flight."""
@@ -113,9 +100,8 @@ class GroupKernel:
         self._c_views = registry.counter(node, "group.views_adopted")
         self._c_resets = registry.counter(node, "group.resets_led")
         self._c_delivered = registry.counter(node, "group.delivered")
-        # Membership operations (runtime joins and resilience changes).
+        # Membership operations (runtime joins).
         self._c_joins_admitted = registry.counter(node, "membership.joins_admitted")
-        self._c_resilience_changes = registry.counter(node, "membership.resilience_changes")
         #: Sequenced-but-undelivered depth (received - taken): how far
         #: the application lags the stream this member holds. The
         #: health monitor watches this for sequencer/apply backlog.
@@ -424,7 +410,6 @@ class GroupKernel:
         if self.received == seqno - 1:
             self.received = seqno
             self._update_backlog()
-            self._note_received(record)
         if self._required_acks() == 0 and self.received > self.committed:
             # With r = 0 (or a single-member view) the commit horizon
             # rides on the multicast itself: no separate commit packet.
@@ -559,39 +544,9 @@ class GroupKernel:
     def _advance_received(self) -> None:
         while (self.received + 1) in self.history:
             self.received += 1
-            self._note_received(self.history[self.received])
         self._update_backlog()
         if self.received >= self.committed:
             self._retrans_requested_at = None
-
-    def _note_received(self, record: BcRecord) -> None:
-        """Inspect a record the moment it becomes contiguously held.
-
-        Resilience markers take effect *here*, not at delivery: the
-        commit rule for everything at and above the marker must use
-        the new degree, and every path that advances the contiguous
-        horizon (live multicast, retransmission, view tails, reset
-        vote merges) funnels through this hook, so adoption lands at
-        the same seqno on every member however the record arrived.
-        """
-        if isinstance(record.payload, ResilienceChange):
-            self._adopt_resilience(record.payload.resilience, record.seqno)
-
-    def _adopt_resilience(self, resilience: int, seqno: int) -> None:
-        if resilience == self.resilience:
-            return
-        self.resilience = resilience
-        self._c_resilience_changes.inc()
-        self._log_view("resilience")
-        if self._obs.tracer.enabled:
-            self._obs.tracer.emit(
-                str(self.me), "group", "grp.resilience",
-                lineage=("life", str(self.me)),
-                resilience=resilience, seqno=seqno,
-            )
-        if self.me == self.sequencer and self.state == STATE_MEMBER:
-            # A lower degree may unblock the commit horizon immediately.
-            self._advance_commit()
 
     def _note_commit(self, committed: int) -> None:
         if committed > self.committed:

@@ -28,12 +28,10 @@ from typing import Any
 
 from repro.errors import GroupFailure, GroupResetFailed, TimeoutError as SimTimeout
 from repro.group.kernel import (
-    CONTROL_SIZE,
     STATE_FAILED,
     STATE_MEMBER,
     BcRecord,
     GroupKernel,
-    ResilienceChange,
 )
 from repro.group.timings import (
     RESET_BACKOFF_MAX_MS,
@@ -159,19 +157,6 @@ class GroupMember:
         )
         self.kernel.go_idle()
 
-    def set_resilience(self, resilience: int):
-        """Change the group's resilience degree at runtime.
-
-        The change is an *ordered group operation*: it is sequenced
-        like any message, and every member adopts the new degree at
-        the same sequence number. Returns that seqno once the marker
-        itself is safe (committed under the new degree).
-        """
-        seqno = yield self.kernel.submit(
-            ResilienceChange(resilience), CONTROL_SIZE
-        )
-        return seqno
-
     # -- messaging ----------------------------------------------------------------
 
     def send_to_group(self, payload: Any, size: int = 128, msg_id: tuple | None = None):
@@ -209,12 +194,11 @@ class GroupMember:
         here and persists the whole batch in one storage operation.
         It may be called any number of times per :meth:`receive` (the
         directory server tops its batch up until this returns
-        nothing); control records and seqnos replayed after a view
-        change are handed over like any other, for the caller to
-        split on or skip. *limit* bounds the drain (``None`` =
-        everything deliverable). Costs zero simulated time and never
-        raises — on a failed group it returns nothing, and the next
-        ``receive`` reports the failure.
+        nothing); seqnos replayed after a view change are handed
+        over like any other, for the caller to skip. *limit* bounds
+        the drain (``None`` = everything deliverable). Costs zero
+        simulated time and never raises — on a failed group it
+        returns nothing, and the next ``receive`` reports the failure.
         """
         batch: list[BcRecord] = []
         while limit is None or len(batch) < limit:

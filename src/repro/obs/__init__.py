@@ -44,7 +44,6 @@ from repro.obs.monitor import (
     Alert,
     HealthMonitor,
     Threshold,
-    thresholds_with,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Observability, TraceEvent, TraceRecorder
@@ -61,7 +60,6 @@ __all__ = [
     "Threshold",
     "TraceEvent",
     "TraceRecorder",
-    "thresholds_with",
     "to_chrome_trace",
     "to_jsonl",
     "to_text",

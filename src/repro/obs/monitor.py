@@ -29,7 +29,6 @@ must stay silent end to end.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.obs.saturation import SERIES, Sampler
@@ -98,30 +97,6 @@ DEFAULT_THRESHOLDS = (
         "storage-corruption evidence (detections + corrupt bytes served)",
     ),
 )
-
-
-def thresholds_with(overrides: dict) -> tuple:
-    """:data:`DEFAULT_THRESHOLDS` with per-signal replacements.
-
-    *overrides* maps a signal name to an ``(alert_above, clear_below)``
-    pair that keeps the default's unit and description. This is the
-    hook chaos scenarios use to tune hysteresis without editing this
-    module. Unknown signal names raise (a typo would silently leave
-    the default in force).
-    """
-    unknown = sorted(set(overrides) - {t.signal for t in DEFAULT_THRESHOLDS})
-    if unknown:
-        raise ValueError(f"unknown health signals: {unknown}")
-    return tuple(
-        dataclasses.replace(
-            default,
-            alert_above=overrides[default.signal][0],
-            clear_below=overrides[default.signal][1],
-        )
-        if default.signal in overrides
-        else default
-        for default in DEFAULT_THRESHOLDS
-    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 :mod:`repro.obs.monitor` detects (hysteresis alert signals);
 :class:`RemediationController` recovers — restarting crashed replicas
-in place, scaling the group's resilience degree under sustained
-retransmission pressure, and scrubbing a disk that reports corruption.
+in place and scrubbing a disk that reports corruption.
 See :mod:`repro.recovery.controller`.
 """
 

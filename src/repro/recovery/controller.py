@@ -3,29 +3,23 @@
 The health monitor gave the simulation eyes — hysteresis alert signals
 derived from the metrics registry — and this module gives it hands. A
 :class:`RemediationController` reads the monitor's table of active
-alerts on a fixed cadence and runs three policies against the cluster:
+alerts on a fixed cadence and runs two policies against the cluster:
 
 * **restart in place** — a replica whose machine is down (its
   heartbeat-staleness alert is active and its server process is dead)
   is rebooted; the reboot re-runs the Fig. 6 recovery protocol and the
   replica rejoins the group;
-* **scale resilience** — sustained gap-repair retransmissions
-  (``group.retrans_rate``) raise the group's resilience degree one
-  step as an ordered group operation; once the network has been quiet
-  for :data:`SCALE_BACK_AFTER_QUIET_MS` the controller scales back to
-  the declared degree, so ``check_resilience_restored`` holds at the
-  end of a run;
 * **scrub** — a ``storage.corrupt_rate`` alert (the node is the
   damaged disk or NVRAM board) kicks an immediate scrub pass on the
   owning server.
 
 A member that is alive but unreachable is the group's own business:
-its reset excludes it and Fig. 6 brings it back. The server set itself
-is fixed when the cluster is built, as in the paper; resilience is the
-one setting a policy changes at run time.
+its reset excludes it and Fig. 6 brings it back. The server set and
+the resilience degree are both fixed when the cluster is built, as in
+the paper; no policy reconfigures the group.
 
-Every action is rate-limited (per-run budgets), cooled down (per node
-or per policy), and audited: each one appends to
+Every action is rate-limited (per-run budgets), cooled down (per
+node), and audited: each one appends to
 :attr:`RemediationController.actions`, bumps the ``remediate.actions``
 counter, and — when the flight recorder is on — lands a
 ``remediate.<action>`` trace event stamped with the lineage
@@ -36,13 +30,9 @@ fixed-cadence process, so same-seed runs remediate identically.
 
 from __future__ import annotations
 
-from repro.errors import ReproError
-
 #: Alert signal that drives the restart policy (a member that neither
 #: sees nor sends heartbeats is crashed or unreachable).
 STALENESS = "group.heartbeat_staleness"
-#: Alert signal that drives the resilience-scaling policy.
-RETRANS = "group.retrans_rate"
 #: Alert signal that drives the scrub policy. Its node is the damaged
 #: *storage device* (disk or NVRAM board), not a server address — the
 #: controller maps it back to the owning site.
@@ -52,16 +42,6 @@ CORRUPTION = "storage.corrupt_rate"
 RESTART_COOLDOWN_MS = 6_000.0
 #: Total restarts allowed per run.
 MAX_RESTARTS = 4
-#: How long retransmission pressure must stay continuously active
-#: before the degree is raised one step.
-SCALE_AFTER_MS = 1_500.0
-#: Minimum gap between degree changes (either direction).
-SCALE_COOLDOWN_MS = 6_000.0
-#: Total scale-ups allowed per run.
-MAX_SCALE_UPS = 3
-#: How long every retransmission alert must stay clear before the
-#: degree returns to the declared value.
-SCALE_BACK_AFTER_QUIET_MS = 5_000.0
 #: Minimum gap between scrub-now kicks of the same node.
 SCRUB_COOLDOWN_MS = 4_000.0
 #: Total scrub-now kicks allowed per run.
@@ -79,20 +59,15 @@ class RemediationController:
         #: Audit trail: one dict per action, in execution order.
         self.actions: list[dict] = []
         self._restarted_at: dict[str, float] = {}
-        self._last_scale_at: float | None = None
-        self._retrans_quiet_since: float | None = None
         self._scrubbed_at: dict[str, float] = {}
         self._restarts = 0
         self._scrubs = 0
-        self._scale_ups = 0
-        self._scaling = False
         self._c_actions = self.sim.obs.registry.counter(
             "remediation", "remediate.actions"
         )
 
     def start(self) -> "RemediationController":
         """Start the policy loop, at the monitor's cadence."""
-        self._retrans_quiet_since = self.sim.now
         self.sim.spawn(self._run(), "remediation-ctl")
         return self
 
@@ -110,7 +85,6 @@ class RemediationController:
     def tick(self) -> None:
         now = self.sim.now
         self._restart_policy(now)
-        self._scale_policy(now)
         self._scrub_policy(now)
 
     def _restart_policy(self, now: float) -> None:
@@ -159,62 +133,6 @@ class RemediationController:
             if nvram is not None and nvram.name == node:
                 return site
         return None
-
-    def _scale_policy(self, now: float) -> None:
-        active = [alert.at_ms for alert in self._active(RETRANS)]
-        cfg = self.cluster.config
-        declared = self.cluster.declared_resilience
-        cooled = (
-            self._last_scale_at is None
-            or now - self._last_scale_at >= SCALE_COOLDOWN_MS
-        )
-        if active:
-            self._retrans_quiet_since = None
-            ceiling = cfg.n_servers - 1
-            if (
-                now - min(active) >= SCALE_AFTER_MS
-                and cfg.resilience < ceiling
-                and not self._scaling
-                and self._scale_ups < MAX_SCALE_UPS
-                and cooled
-            ):
-                self._scale_ups += 1
-                self._last_scale_at = now
-                self._launch_scale(cfg.resilience + 1, "scale_up")
-        else:
-            if self._retrans_quiet_since is None:
-                self._retrans_quiet_since = now
-                return
-            if (
-                cfg.resilience > declared
-                and not self._scaling
-                and now - self._retrans_quiet_since >= SCALE_BACK_AFTER_QUIET_MS
-                and cooled
-            ):
-                self._last_scale_at = now
-                self._launch_scale(declared, "scale_back")
-
-    def _launch_scale(self, degree: int, action: str) -> None:
-        """Run the ordered resilience change in its own process (it
-        blocks on the group, which a tick callback cannot)."""
-        self._scaling = True
-
-        def run():
-            try:
-                for server in self.cluster.operational_servers():
-                    try:
-                        seqno = yield from server.change_resilience(degree)
-                    except ReproError:
-                        continue
-                    self._audit(
-                        action, str(server.me), resilience=degree, seqno=seqno
-                    )
-                    return
-                self._audit(action + "_failed", "cluster", resilience=degree)
-            finally:
-                self._scaling = False
-
-        self.sim.spawn(run(), f"remediate.{action}")
 
     # -- audit -------------------------------------------------------------
 

@@ -13,8 +13,8 @@ operations (section 2), r-safe updates, acknowledged writes on disk
   name that comes back all fail it;
 * **exactly-once applies** — no session-stamped operation is executed
   twice on any replica (:func:`check_exactly_once_applies`);
-* **declared shape** — a serving service is back at its declared
-  replica count and resilience degree
+* **declared shape** — a serving service is back at its whole server
+  set, every kernel at the configured resilience degree
   (:func:`check_resilience_restored`);
 * **durability** — no corrupt byte was served, and every operational
   replica's disk holds what it acknowledged (:func:`check_durability`).
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.cluster import GroupServiceCluster
 
 
 @dataclass(frozen=True)
@@ -262,57 +264,40 @@ class InvariantReport:
 
 
 def check_resilience_restored(cluster) -> list[str]:
-    """The self-driving contract: the cluster is back at its DECLARED
-    shape after the faults (and the settle tail).
+    """The self-driving contract: the cluster is back at its declared
+    shape after the faults (and the settle tail). The server set and
+    the resilience degree are both fixed when the cluster is built
+    (``config.server_addresses`` and ``config.resilience``), so:
 
-    Checks, against ``cluster.declared_n_servers`` and
-    ``cluster.declared_resilience`` (captured at build time):
-
-    * the configured server set holds the declared number of replicas
-      (the set is fixed when the cluster is built, so only code that
-      rewrites ``config.server_addresses`` can break this);
-    * that many replicas are operational;
+    * every configured replica is operational;
     * every operational replica's view contains the whole server set;
-    * the service's resilience degree — shared config AND every
-      operational kernel — is back at the declared value (remediation
-      may scale it temporarily, but must scale it back).
+    * every operational kernel runs at the configured resilience
+      degree (a reset or a rejoin must carry it over).
 
-    Returns one message per violation; clusters without a declared
-    shape (other deployment kinds) vacuously pass.
+    Returns one message per violation; deployments without a group
+    (the RPC pair) vacuously pass.
     """
-    declared_n = getattr(cluster, "declared_n_servers", None)
-    declared_r = getattr(cluster, "declared_resilience", None)
-    if declared_n is None or declared_r is None:
+    if not isinstance(cluster, GroupServiceCluster):
         return []
     problems: list[str] = []
-    addresses = tuple(cluster.config.server_addresses)
-    if len(addresses) != declared_n:
-        problems.append(
-            f"server set holds {len(addresses)} addresses; "
-            f"declared size is {declared_n}"
-        )
+    config = cluster.config
     operational = cluster.operational_servers()
-    if len(operational) < declared_n:
+    if len(operational) < config.n_servers:
         problems.append(
-            f"only {len(operational)}/{declared_n} declared replicas are "
+            f"only {len(operational)}/{config.n_servers} declared replicas are "
             f"operational"
-        )
-    if cluster.config.resilience != declared_r:
-        problems.append(
-            f"service resilience degree is {cluster.config.resilience}; "
-            f"declared degree is {declared_r}"
         )
     for server in operational:
         info = server.member.info()
-        missing = [str(a) for a in addresses if a not in info.view]
+        missing = [str(a) for a in config.server_addresses if a not in info.view]
         if missing:
             problems.append(
                 f"server {server.index}: view is missing {missing}"
             )
-        if info.resilience != declared_r:
+        if info.resilience != config.resilience:
             problems.append(
                 f"server {server.index}: kernel resilience degree is "
-                f"{info.resilience}; declared degree is {declared_r}"
+                f"{info.resilience}; declared degree is {config.resilience}"
             )
     return problems
 

@@ -22,12 +22,10 @@ def test_every_threshold_raises_and_every_policy_acts(smoke_verdict):
     assert all(v.ok for v in verdicts), [v.problems for v in verdicts]
     alerts, actions = watcher_traffic(verdicts)
     assert set(alerts) == {t.signal for t in DEFAULT_THRESHOLDS}
-    assert set(actions) == {"restart", "scale_up", "scale_back", "scrub"}
+    assert set(actions) == {"restart", "scrub"}
     # The CLI's footer shows the same totals in every CI chaos step.
     footer = format_verdicts(verdicts).splitlines()[-3:-1]
     assert footer[0].startswith("alerts: group.backlog 1, ")
     assert footer[1] == (
-        f"remediation: restart {actions['restart']}, "
-        f"scale_back {actions['scale_back']}, "
-        f"scale_up {actions['scale_up']}, scrub {actions['scrub']}"
+        f"remediation: restart {actions['restart']}, scrub {actions['scrub']}"
     )

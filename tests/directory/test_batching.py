@@ -212,9 +212,9 @@ class TestBatchTracing:
         assert trace_tuple(first) == trace_tuple(second)
 
 
-def run_pair_writers(cluster, n_writers, run_ms, extra=None):
+def run_pair_writers(cluster, n_writers, run_ms):
     """*n_writers* closed-loop clients doing append+delete pairs on
-    unique names for *run_ms*, plus an optional *extra* process."""
+    unique names for *run_ms*."""
     sim = cluster.sim
     root = cluster.root_capability
     until = sim.now + run_ms
@@ -230,8 +230,6 @@ def run_pair_writers(cluster, n_writers, run_ms, extra=None):
         sim.spawn(writer(cluster.add_client(f"w{i}"), i), f"w{i}")
         for i in range(n_writers)
     ]
-    if extra is not None:
-        procs.append(sim.spawn(extra(), "extra"))
 
     def waiter():
         for proc in procs:
@@ -349,56 +347,6 @@ class TestTopUp:
         assert default["rows"] == paper["rows"]
         assert default["frames"] == paper["frames"]
         assert default["latency"] < paper["latency"] - 30.0  # one random write
-
-    def test_resilience_marker_in_a_top_up_splits_the_batch(self):
-        """A ResilienceChange issued while a batch is being built
-        arrives through a top-up: the batch is cut in front of it, the
-        marker is applied at its own seqno, the next batch starts
-        behind it, and the replicas stay identical."""
-        cluster = traced_cluster()
-        sim = cluster.sim
-        issuer = cluster.servers[1]
-        out = {}
-
-        def marker():
-            yield sim.sleep(1_500.0)
-            # Wait until the group thread is mid-batch (records taken
-            # from the kernel but not yet flushed), then submit.
-            while issuer.member.info().taken - issuer._applied_kernel < 2:
-                yield sim.sleep(1.0)
-            out["seqno"] = yield from issuer.change_resilience(1)
-
-        run_pair_writers(cluster, 8, 3_000.0, extra=marker)
-        seqno = out["seqno"]
-        assert cluster.replicas_consistent()
-        assert cluster.config.resilience == 1
-        by_node = events_by_node(
-            cluster, "dir.batch", "dir.resilience", "grp.deliver",
-            "dir.apply.start",
-        )
-        for node, events in by_node.items():
-            [applied] = [e for e in events if e.name == "dir.resilience"]
-            assert applied.args["seqno"] == seqno, node
-            batches = [e for e in events if e.name == "dir.batch"]
-            assert not [
-                b for b in batches
-                if b.args["first"] <= seqno <= b.args["last"]
-            ], node
-            [before] = [b for b in batches if b.args["last"] == seqno - 1]
-            assert [b for b in batches if b.args["first"] == seqno + 1], node
-            # Delivered by a top-up, not the up-front drain: after the
-            # batch in front of it had started applying, and that
-            # batch was cut the instant the marker turned up.
-            [delivered] = [
-                e for e in events
-                if e.name == "grp.deliver" and e.args["seqno"] == seqno
-            ]
-            [leader] = [
-                e for e in events
-                if e.name == "dir.apply.start"
-                and e.args["seqno"] == before.args["first"]
-            ]
-            assert leader.ts < delivered.ts == before.ts, node
 
     def test_nvram_backend_drains_once_per_receive(self, monkeypatch):
         """The NVRAM commit is per-record programmed I/O with no fixed

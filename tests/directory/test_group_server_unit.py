@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import GroupServiceCluster
 from repro.directory.operations import AppendRow, CreateDir
 from repro.errors import CapabilityError, GroupFailure, NoMajority, ServiceDown
-from repro.group.kernel import BcRecord, ResilienceChange
+from repro.group.kernel import BcRecord
 
 from tests.helpers import counter_total
 
@@ -81,11 +81,10 @@ class TestApplyResultBookkeeping:
 
 
 class TestApplyLoopCuts:
-    def test_top_up_splits_at_marker_and_skips_replays(self, cluster):
-        """Scripted top-ups: a control marker in the middle of one and
-        a replayed seqno at the head of the next. The loop must cut in
-        front of the marker, apply it at its own seqno, start a fresh
-        batch behind it and apply the replayed record only once."""
+    def test_top_ups_join_one_cut_and_skip_replays(self, cluster):
+        """Scripted top-ups, the second headed by a replayed seqno. The
+        loop must keep topping up until the kernel runs dry, apply the
+        replayed record only once and cut the whole run as one batch."""
         server = cluster.servers[0]
         cluster.sim.obs.tracer.enable()
         root = cluster.root_capability
@@ -97,32 +96,28 @@ class TestApplyLoopCuts:
         ops = [AppendRow(root, f"n{i}", ()) for i in range(4)]
         script = [
             [],  # the up-front drain finds nothing behind the leader
-            [record(2, ops[1]), record(3, ResilienceChange(2)), record(4, ops[2])],
-            [record(4, ops[2]), record(5, ops[3])],
+            [record(2, ops[1]), record(3, ops[2])],
+            [record(3, ops[2]), record(4, ops[3])],
         ]
         server.member.receive_ready = (
             lambda limit=None: script.pop(0) if script else []
         )
         cluster.run_process(server._apply_loop(record(1, ops[0])))
 
-        assert server._applied_kernel == base + 5
+        assert server._applied_kernel == base + 4
         events = [
             e for e in cluster.sim.obs.tracer.events()
             if e.node == str(server.me)
         ]
         cuts = [
-            (e.name, e.args.get("first", e.args.get("seqno")), e.args.get("last"))
+            (e.args["first"], e.args["last"], e.args["size"])
             for e in events
-            if e.name in ("dir.batch", "dir.resilience")
+            if e.name == "dir.batch"
         ]
-        assert cuts == [
-            ("dir.batch", base + 1, base + 2),
-            ("dir.resilience", base + 3, None),
-            ("dir.batch", base + 4, base + 5),
-        ]
+        assert cuts == [(base + 1, base + 4, 4)]
         applied = [e for e in events if e.name == "dir.apply.end"]
         assert [e.args["seqno"] for e in applied] == [
-            base + 1, base + 2, base + 4, base + 5
+            base + 1, base + 2, base + 3, base + 4
         ]
         assert not any(e.args["failed"] for e in applied)
 

@@ -7,6 +7,8 @@ window arithmetic itself (mean, rate, baseline) is
 ``tests/obs/test_registry.py::TestWindow``'s.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.obs.monitor import (
@@ -242,36 +244,17 @@ class TestDefaults:
 
 
 class TestThresholdOverrides:
-    """Satellite: scenarios tune thresholds without rebuilding the
-    whole table — thresholds_with patches the defaults by signal."""
-
-    def test_thresholds_with_patches_one_signal(self):
-        from repro.obs.monitor import thresholds_with
-
-        table = thresholds_with({"group.retrans_rate": (2.0, 0.5)})
-        by_signal = {t.signal: t for t in table}
-        assert by_signal["group.retrans_rate"].alert_above == 2.0
-        assert by_signal["group.retrans_rate"].clear_below == 0.5
-        # Everything else is untouched, and no signal was dropped.
-        defaults = {t.signal: t for t in DEFAULT_THRESHOLDS}
-        assert set(by_signal) == set(defaults)
-        for signal, t in by_signal.items():
-            if signal != "group.retrans_rate":
-                assert t == defaults[signal]
-
-    def test_override_keeps_the_hysteresis_invariant(self):
-        from repro.obs.monitor import thresholds_with
-
-        table = thresholds_with({"group.heartbeat_staleness": (900.0, 200.0)})
-        t = next(x for x in table if x.signal == "group.heartbeat_staleness")
-        assert t.clear_below < t.alert_above
+    """HealthMonitor takes its threshold table as an argument, so a
+    test can tighten one signal and keep the rest."""
 
     def test_monitor_uses_the_overridden_threshold(self):
-        from repro.obs.monitor import thresholds_with
-
         sim = FakeSim()
         gauge = sim.registry.gauge("s0", "group.backlog")
-        table = thresholds_with({"group.backlog": (3.0, 1.0)})
+        table = tuple(
+            dataclasses.replace(t, alert_above=3.0, clear_below=1.0)
+            if t.signal == "group.backlog" else t
+            for t in DEFAULT_THRESHOLDS
+        )
         monitor = make_monitor(sim, thresholds=table)
         gauge.set(5.0)  # above the tightened 3.0, below the default
         advance(sim, monitor)

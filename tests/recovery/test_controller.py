@@ -7,7 +7,7 @@ from repro.cluster import GroupServiceCluster
 from repro.obs.monitor import Alert
 from repro.recovery import RemediationController
 from repro.recovery import controller as controller_module
-from repro.recovery.controller import RETRANS, STALENESS
+from repro.recovery.controller import STALENESS
 
 
 class StubMonitor:
@@ -87,52 +87,6 @@ class TestRestartPolicy:
         controller, _ = make_controller(cluster)
         cluster.crash_server(1)
         run(cluster, 600.0)
-        assert controller.actions == []
-
-
-class TestScalePolicy:
-    def test_sustained_retrans_scales_up_then_quiet_scales_back(
-            self, short_windows):
-        short_windows(SCALE_AFTER_MS=300.0, SCALE_COOLDOWN_MS=200.0,
-                      SCALE_BACK_AFTER_QUIET_MS=400.0)
-        cluster = make_cluster(resilience=1)
-        controller, monitor = make_controller(cluster)
-        node = cluster.sites[0].dir_address
-        monitor.raise_alert(node, RETRANS)
-        run(cluster, 900.0)
-        assert cluster.config.resilience == 2
-        assert cluster.declared_resilience == 1  # operator intent kept
-        monitor.clear_alert(node, RETRANS)
-        run(cluster, 1_500.0)
-        assert cluster.config.resilience == 1
-        actions = [a["action"] for a in controller.actions]
-        assert actions == ["scale_up", "scale_back"]
-        # Every member kernel adopted the final degree.
-        for server in cluster.operational_servers():
-            assert server.member.kernel.resilience == 1
-
-    def test_unsaturated_scale_back_waits_out_the_quiet_window(
-            self, short_windows):
-        short_windows(SCALE_AFTER_MS=300.0, SCALE_COOLDOWN_MS=200.0)
-        cluster = make_cluster(resilience=1)
-        controller, monitor = make_controller(cluster)
-        node = cluster.sites[0].dir_address
-        monitor.raise_alert(node, RETRANS)
-        run(cluster, 900.0)
-        assert cluster.config.resilience == 2
-        monitor.clear_alert(node, RETRANS)
-        run(cluster, 900.0)
-        # Well short of the 5 s quiet window: the raised degree is
-        # still in force.
-        assert cluster.config.resilience == 2
-
-    def test_scale_up_respects_the_ceiling(self, short_windows):
-        short_windows(SCALE_AFTER_MS=300.0)
-        cluster = make_cluster(resilience=2)  # already n - 1
-        controller, monitor = make_controller(cluster)
-        monitor.raise_alert(cluster.sites[0].dir_address, RETRANS)
-        run(cluster, 900.0)
-        assert cluster.config.resilience == 2
         assert controller.actions == []
 
 

@@ -174,8 +174,7 @@ DEPRECATED_NAMES = (
     ".reset_vote_window_ms",
     ".reset_backoff_",
     # Operator-driven elastic membership: the server set is what the
-    # cluster builds, resilience is the one setting changed at run time
-    # (cluster.change_resilience), recovery ports are keyed by address.
+    # cluster builds, recovery ports are keyed by address.
     "add_server",
     "evict_server",
     "spare_sites",
@@ -185,6 +184,22 @@ DEPRECATED_NAMES = (
     "membership.evictions",
     "refresh_config_vector",
     "recovery_port_of",
+    # Run-time resilience changes: r is fixed at CreateGroup (the ordered
+    # marker, its API pair and the controller's scale policy are gone).
+    # The declared-degree attribute is matched as an attribute, so the
+    # rolling-fault test named after the contract it checks stays legal.
+    "ResilienceChange",
+    "set_resilience",
+    "change_resilience",
+    ".declared_resilience",
+    "declared_n_servers",
+    "thresholds_with",
+    "monitor_thresholds",
+    "grp.resilience",
+    "dir.resilience",
+    "membership.resilience_changes",
+    "remediate.scale_",
+    "NotGroupMember",
 )
 
 
@@ -731,9 +746,7 @@ RUNTIME_TRACE_KINDS = {
     "storage/disk.py": ("disk.random", "disk.sequential", "disk.cached", "disk.batch"),
     "obs/monitor.py": ("mon.alert", "mon.clear"),
     "recovery/controller.py": (
-        "remediate.restart", "remediate.scrub", "remediate.scale_up",
-        "remediate.scale_back", "remediate.scale_up_failed",
-        "remediate.scale_back_failed",
+        "remediate.restart", "remediate.scrub",
     ),
     "obs/trace.py": (),
 }
