@@ -26,7 +26,6 @@ def outage_window(heartbeat_timeout_ms: float, seed: int = 0) -> tuple[float, in
     timings = GroupTimings(
         heartbeat_interval_ms=max(10.0, heartbeat_timeout_ms / 5.0),
         heartbeat_timeout_ms=heartbeat_timeout_ms,
-        echo_timeout_ms=heartbeat_timeout_ms,
     )
     cluster = GroupServiceCluster(
         seed=seed, name=f"det{int(heartbeat_timeout_ms)}", group_timings=timings
@@ -79,7 +78,6 @@ def heartbeat_overhead(heartbeat_timeout_ms: float, seed: int = 0) -> float:
     timings = GroupTimings(
         heartbeat_interval_ms=max(10.0, heartbeat_timeout_ms / 5.0),
         heartbeat_timeout_ms=heartbeat_timeout_ms,
-        echo_timeout_ms=heartbeat_timeout_ms,
     )
     cluster = GroupServiceCluster(
         seed=seed, name=f"ovh{int(heartbeat_timeout_ms)}", group_timings=timings

@@ -110,25 +110,11 @@ class BaseCluster:
         latency: LatencyModel | None = None,
         sim: Simulator | None = None,
         network: Network | None = None,
-        loss_probability: float = 0.0,
-        link_policies=None,
     ):
         self.name = name
         self.sim = sim or Simulator(seed=seed)
         self.latency = latency or LatencyModel.paper_testbed()
-        if network is None:
-            network = Network(
-                self.sim,
-                self.latency,
-                loss_probability=loss_probability,
-                link_policies=link_policies,
-            )
-        elif loss_probability or link_policies:
-            raise SimulationError(
-                "pass loss_probability/link_policies on the shared Network, "
-                "not on a cluster that reuses one"
-            )
-        self.network = network
+        self.network = network or Network(self.sim, self.latency)
         #: The simulator's observability bundle (repro.obs).
         self.obs = self.sim.obs
         self.clients: dict[str, DirectoryClient] = {}
@@ -176,8 +162,6 @@ class BaseCluster:
         client_name: str,
         rpc_timings: RpcTimings | None = None,
         retry_safe: bool = False,
-        client_id: str | None = None,
-        retry_rounds: int | None = None,
         cache_size: int = 0,
         cache_nocoherence: bool = False,
     ) -> DirectoryClient:
@@ -207,8 +191,6 @@ class BaseCluster:
                 reply_timeout_ms=10_000.0, max_attempts=40, locate_attempts=20
             ),
             retry_safe=retry_safe,
-            client_id=client_id,
-            **({"retry_rounds": retry_rounds} if retry_rounds is not None else {}),
             **({"cache_size": cache_size} if cache_size else {}),
             **(
                 {"cache_nocoherence": cache_nocoherence}
@@ -324,33 +306,6 @@ class BaseCluster:
         out["metrics"] = metrics
         return out
 
-    def format_report(self) -> str:
-        """Human-readable rendering of :meth:`report`."""
-        report = self.report()
-        lines = [
-            f"deployment {self.name!r} at t={report['simulated_ms']:.0f} ms",
-            f"  wire: {report['frames_sent']} frames, "
-            f"{report['bytes_sent']} bytes, "
-            f"{report['frames_dropped']} dropped",
-        ]
-        top = sorted(
-            report["frames_by_kind"].items(), key=lambda kv: -kv[1]
-        )[:6]
-        for kind, count in top:
-            lines.append(f"    {kind:<28}{count:>8}")
-        for i, site in enumerate(report.get("sites", [])):
-            lines.append(
-                f"  site {i}: disk {site['disk_ops']}, "
-                f"dir-cpu {site['dir_cpu_busy_ms']:.0f} ms busy"
-            )
-        for i, server in enumerate(report["servers"]):
-            lines.append(
-                f"  server {i}: reads={server['reads']} "
-                f"writes={server['writes']} refused={server['refused']} "
-                f"operational={server['operational']}"
-            )
-        return "\n".join(lines)
-
 
 class GroupServiceCluster(BaseCluster):
     """The triplicated group directory service of the paper."""
@@ -367,13 +322,9 @@ class GroupServiceCluster(BaseCluster):
         config: ServiceConfig | None = None,
         sim: Simulator | None = None,
         network: Network | None = None,
-        loss_probability: float = 0.0,
-        link_policies=None,
         **config_overrides,
     ):
-        super().__init__(
-            name, seed, latency, sim, network, loss_probability, link_policies
-        )
+        super().__init__(name, seed, latency, sim, network)
         self._build_sites(n_servers, config, config_overrides)
         self._view_log_archive: list[dict] = []
         for site in self.sites:
@@ -384,7 +335,6 @@ class GroupServiceCluster(BaseCluster):
             site.partition,
             site.index,
             self.config.n_servers,
-            session_blocks=self.config.session_blocks,
         )
         return GroupDirectoryServer(
             self.config,
@@ -488,13 +438,9 @@ class RpcServiceCluster(BaseCluster):
         config: ServiceConfig | None = None,
         sim: Simulator | None = None,
         network: Network | None = None,
-        loss_probability: float = 0.0,
-        link_policies=None,
         **config_overrides,
     ):
-        super().__init__(
-            name, seed, latency, sim, network, loss_probability, link_policies
-        )
+        super().__init__(name, seed, latency, sim, network)
         self._build_sites(2, config, config_overrides)
         for site in self.sites:
             site.server = self._make_server(site)
@@ -502,9 +448,7 @@ class RpcServiceCluster(BaseCluster):
     def _make_server(self, site: Site):
         from repro.directory.rpc_server import RpcDirectoryServer
 
-        admin = AdminPartition(
-            site.partition, site.index, 2, session_blocks=self.config.session_blocks
-        )
+        admin = AdminPartition(site.partition, site.index, 2)
         return RpcDirectoryServer(
             self.config, site.index, site.dir_transport, site.bullet.port, admin
         )
@@ -560,13 +504,9 @@ class NfsServiceCluster(BaseCluster):
         latency: LatencyModel | None = None,
         sim: Simulator | None = None,
         network: Network | None = None,
-        loss_probability: float = 0.0,
-        link_policies=None,
         **config_overrides,
     ):
-        super().__init__(
-            name, seed, latency, sim, network, loss_probability, link_policies
-        )
+        super().__init__(name, seed, latency, sim, network)
         from repro.directory.nfs_server import NfsDirectoryServer, NfsFileServer
 
         self.server_address = f"{name}.server"

@@ -34,8 +34,10 @@ COMMIT_BLOCK = 0
 SHADOW_BLOCK = 1
 FIRST_ENTRY_BLOCK = 2
 #: Blocks reserved at the top of the partition for session records
-#: (one per client); overridable per deployment via ServiceConfig.
-DEFAULT_SESSION_BLOCKS = 64
+#: (one per client). Must not be less than the session table's bound,
+#: ``repro.directory.state.SESSION_CACHE_SIZE``, or persisted entries
+#: could lag the replicated table.
+SESSION_BLOCKS = 64
 
 
 @dataclass
@@ -85,17 +87,16 @@ class AdminPartition:
         partition: RawPartition,
         server_index: int,
         n_servers: int,
-        session_blocks: int = DEFAULT_SESSION_BLOCKS,
     ):
         self.partition = partition
         self.server_index = server_index
         self.n_servers = n_servers
-        # The top *session_blocks* blocks hold per-client session
+        # The top SESSION_BLOCKS blocks hold per-client session
         # records; the object table never allocates from that region.
         # Tiny partitions (unit tests) cap the reservation at a
         # quarter so the object table keeps the lion's share.
         reserve = min(
-            session_blocks, max(0, (partition.length - FIRST_ENTRY_BLOCK) // 4)
+            SESSION_BLOCKS, max(0, (partition.length - FIRST_ENTRY_BLOCK) // 4)
         )
         self._session_area_start = partition.length - reserve
         # RAM mirrors (write-through); rebuilt by load() at boot.

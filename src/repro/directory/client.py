@@ -63,8 +63,6 @@ class DirectoryClient:
         port: Port,
         timings: RpcTimings | None = None,
         retry_safe: bool = False,
-        client_id: str | None = None,
-        retry_rounds: int = RETRY_SAFE_ROUNDS,
         cache_size: int = 0,
         cache_nocoherence: bool = False,
     ):
@@ -73,8 +71,7 @@ class DirectoryClient:
         self.rpc = RpcClient(transport, timings or RpcTimings())
         self.operations_sent = 0
         self.retry_safe = retry_safe
-        self.retry_rounds = retry_rounds
-        self.client_id = client_id if client_id is not None else str(transport.address)
+        self.client_id = str(transport.address)
         self._session_seqno = 0
         self.resends = 0  # end-to-end resends actually used
         # Coherent lookup cache (docs/PROTOCOL.md "Client cache
@@ -155,19 +152,19 @@ class DirectoryClient:
         the request and carries on with it.)
 
         Round accounting (made explicit after the historical
-        off-by-one): the RPC layer is asked ``1 + retry_rounds`` times
-        — one initial send plus ``retry_rounds`` resends — and *every*
-        failed attempt is followed by one jittered backoff sleep,
+        off-by-one): the RPC layer is asked ``1 + RETRY_SAFE_ROUNDS``
+        times — one initial send plus ``RETRY_SAFE_ROUNDS`` resends —
+        and *every* failed attempt is followed by one jittered backoff sleep,
         including the last. A reply timeout means the operation may
         still commit server-side, so the final backoff lets in-flight
         applies land before we surface the ambiguous RpcError to the
         caller (previously the final round's failure consumed no
-        sleep, and ``retry_rounds`` silently meant "total attempts").
+        sleep, and the round count silently meant "total attempts").
         """
         self._session_seqno += 1
         wrapped = SessionOp(op, self.client_id, self._session_seqno)
         last_error: Exception | None = None
-        attempts = 1 + self.retry_rounds
+        attempts = 1 + RETRY_SAFE_ROUNDS
         for attempt in range(attempts):
             if attempt:
                 self.resends += 1
@@ -184,7 +181,7 @@ class DirectoryClient:
                 yield self.sim_sleep_backoff(attempt + 1)
         raise RpcError(
             f"retry-safe request {op!r} failed after {attempts} attempts "
-            f"({self.retry_rounds} resends): {last_error!r}"
+            f"({RETRY_SAFE_ROUNDS} resends): {last_error!r}"
         )
 
     def sim_sleep_backoff(self, round_no: int):

@@ -38,14 +38,6 @@ class ServiceConfig:
     #: Use the paper's §3.2 improved recovery rule (a server that never
     #: crashed may pair with a restarted stale server).
     improved_recovery_rule: bool = True
-    #: Exactly-once session table bound: at most this many clients'
-    #: (last seqno, cached reply) entries are kept, LRU-evicted. Must
-    #: not exceed ``session_blocks`` or persisted entries could lag
-    #: the replicated table.
-    session_cache_size: int = 32
-    #: Admin-partition blocks reserved (at the top of the partition)
-    #: for persisted session records.
-    session_blocks: int = 64
     #: When False, duplicate session operations re-execute — only the
     #: chaos suite's non-vacuity runs ever turn this off.
     dedup_enabled: bool = True
@@ -71,11 +63,9 @@ class ServiceConfig:
     #: fail loudly as ``CorruptBlock``, corrupt replicas quarantine the
     #: affected objects and re-fetch them from an operational peer, and
     #: each server runs a background scrubber that audits its admin
-    #: partition and Bullet extents against the live RAM state.
+    #: partition and Bullet extents against the live RAM state
+    #: (every ``repro.directory.store.SCRUB_INTERVAL_MS``).
     integrity: bool = False
-    #: Period of the background scrub pass (simulated ms; only runs
-    #: when ``integrity`` is on, 0 disables the scrubber entirely).
-    scrub_interval_ms: float = 1_000.0
 
     @property
     def port(self) -> Port:

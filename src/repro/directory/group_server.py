@@ -171,7 +171,6 @@ class GroupDirectoryServer:
         self._c_recoveries = registry.counter(node, "dir.recoveries")
         self._c_fenced = registry.counter(node, "dir.fenced")
         self._h_batch_size = registry.histogram(node, "dir.batch_size")
-        self._c_dedup_hits = registry.counter(node, "dir.dedup_hits")
         self._c_cache_hits = registry.counter(node, "session.cache_hits")
         self._c_cache_misses = registry.counter(node, "session.cache_misses")
         # Stage accounting for the capacity lens (docs/OBSERVABILITY.md
@@ -516,14 +515,9 @@ class GroupDirectoryServer:
     def _configure_state(self, state: DirectoryState) -> None:
         """Apply the deployment's session policy and wire diagnostics
         into a state object this server is about to own."""
-        state.session_cache_size = self.config.session_cache_size
         state.dedup_enabled = self.config.dedup_enabled
-        state.dedup_listener = self._note_dedup_hit
+        state.dedup_listener = self._c_cache_hits.inc
         state.session_miss_listener = self._c_cache_misses.inc
-
-    def _note_dedup_hit(self) -> None:
-        self._c_dedup_hits.inc()
-        self._c_cache_hits.inc()
 
     def adopt_state(self, state: DirectoryState) -> None:
         """Install *state* (from a recovery snapshot or a disk

@@ -31,7 +31,6 @@ class NfsDirectoryServer:
         self.transport = transport
         self.sim = transport.sim
         self.state = DirectoryState(config.port, config.root_check)
-        self.state.session_cache_size = config.session_cache_size
         self.state.dedup_enabled = config.dedup_enabled
         self.rpc_server = RpcServer(transport, config.port, "nfsdir")
         # NFS updates are synchronous on the server's single disk.

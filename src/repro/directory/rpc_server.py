@@ -149,7 +149,6 @@ class RpcDirectoryServer:
         self.operational = True
 
     def _configure_state(self, state: DirectoryState) -> None:
-        state.session_cache_size = self.config.session_cache_size
         state.dedup_enabled = self.config.dedup_enabled
 
     def adopt_state(self, state: DirectoryState) -> None:

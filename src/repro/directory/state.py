@@ -43,6 +43,10 @@ from repro.directory.session import SessionEntry, decode_reply, encode_reply
 from repro.errors import CapabilityError, DirectoryError, NotEmpty, NotFound
 
 ROOT_OBJECT = 1
+#: Bound on the exactly-once session table: at most this many clients'
+#: (last seqno, cached reply) entries are kept, LRU-evicted. Must not
+#: exceed ``repro.directory.admin.SESSION_BLOCKS``.
+SESSION_CACHE_SIZE = 32
 
 
 @dataclass
@@ -81,9 +85,6 @@ class DirectoryState:
         #: Per-client exactly-once session table (replicated: it rides
         #: the total order, snapshots, and the object table on disk).
         self.sessions: dict[str, SessionEntry] = {}
-        #: Bound on the session table (LRU-evicted); servers overwrite
-        #: this from ``ServiceConfig.session_cache_size``.
-        self.session_cache_size = 32
         #: When False, duplicates re-execute (chaos uses this to prove
         #: the linearizability checker is not vacuous).
         self.dedup_enabled = True
@@ -213,7 +214,7 @@ class DirectoryState:
         ``update_seqno``, so trimming after every insert and trimming
         once over a restored table keep identical survivor sets.
         """
-        while len(self.sessions) > self.session_cache_size:
+        while len(self.sessions) > SESSION_CACHE_SIZE:
             victim = min(
                 self.sessions, key=lambda cid: (self.sessions[cid].last_active, cid)
             )

@@ -74,7 +74,7 @@ from repro.errors import (
 )
 from repro.sim.primitives import Mutex
 from repro.storage.bullet import SERVER_THREADS, BulletClient
-from repro.storage.nvram import Nvram, NvramRecord
+from repro.storage.nvram import WRITE_MS, Nvram, NvramRecord
 
 #: Flush when the server has seen no update for this long.
 IDLE_FLUSH_MS = 200.0
@@ -84,6 +84,9 @@ FLUSH_POLL_MS = 50.0
 #: board). Calibrated so the Fig. 9 NVRAM ceiling lands near the
 #: paper's 45 pairs/s.
 ANNIHILATION_CPU_MS = 4.0
+#: Period of the background scrub pass (only deployments with
+#: ``integrity`` on run one).
+SCRUB_INTERVAL_MS = 1_000.0
 
 
 @dataclasses.dataclass
@@ -399,8 +402,7 @@ class DirectoryStore:
     def spawn_background(self) -> list:
         """Start the store's background processes (the periodic
         scrubber when the deployment has one); the caller owns them."""
-        config = self.server.config
-        if config.integrity and config.scrub_interval_ms > 0:
+        if self.server.config.integrity:
             return [self.sim.spawn(self._scrubber(), f"{self._label}.scrub")]
         return []
 
@@ -417,7 +419,7 @@ class DirectoryStore:
         mirrors; anything that disagrees is rewritten in place. A pass
         never fences the replica — storage failures here are left for
         the group thread's fail-stop rule to observe."""
-        interval = self.server.config.scrub_interval_ms
+        interval = SCRUB_INTERVAL_MS
         while self.server.alive:
             yield self.sim.sleep(interval)
             yield from self.scrub_once()
@@ -588,7 +590,7 @@ class NvramLog:
                         yield from self.nvram.append(
                             record, charge_time=False, lineage=lineage
                         )
-                        owed_cpu_ms += self.nvram.write_ms
+                        owed_cpu_ms += WRITE_MS
                         break
                     except NvramFull:
                         # Pay what the cut owes so far, then a

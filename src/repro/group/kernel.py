@@ -35,7 +35,7 @@ from repro.errors import GroupFailure
 from repro.rpc.transport import Transport
 from repro.sim.future import Future
 from repro.sim.primitives import Condition
-from repro.group.timings import SEND_RETRIES, GroupTimings
+from repro.group.timings import SEND_RETRIES, SEND_RETRY_MS, GroupTimings
 
 CONTROL_SIZE = 64
 HEADER_SIZE = 64
@@ -377,7 +377,7 @@ class GroupKernel:
                 self._transmit_request(pending)
             self._arm_send_watchdog(pending)
 
-        self.sim.schedule(self.timings.send_retry_ms, check)
+        self.sim.schedule(SEND_RETRY_MS, check)
 
     def _fail_pending(self, pending: PendingSend) -> None:
         self.pending_sends.pop(pending.msg_id, None)
@@ -582,7 +582,7 @@ class GroupKernel:
         now = self.sim.now
         if (
             self._retrans_requested_at is not None
-            and now - self._retrans_requested_at < self.timings.send_retry_ms
+            and now - self._retrans_requested_at < SEND_RETRY_MS
         ):
             return
         self._retrans_requested_at = now
@@ -628,7 +628,7 @@ class GroupKernel:
         # ordinary member without an intervening view adoption.
         self._note_heartbeat()
         self._prune_history()
-        timeout = self.timings.echo_timeout_ms
+        timeout = self.timings.heartbeat_timeout_ms
         for member in list(self.view):
             if member == self.me:
                 continue

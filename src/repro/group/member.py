@@ -34,8 +34,11 @@ from repro.group.kernel import (
     GroupKernel,
 )
 from repro.group.timings import (
+    JOIN_ATTEMPTS,
+    JOIN_TIMEOUT_MS,
     RESET_BACKOFF_MAX_MS,
     RESET_BACKOFF_MIN_MS,
+    RESET_ROUNDS,
     RESET_VOTE_WINDOW_MS,
     GroupTimings,
 )
@@ -87,7 +90,6 @@ class GroupMember:
         self.sim = transport.sim
         self.group = group
         self.kernel = GroupKernel(transport, group, timings)
-        self.timings = self.kernel.timings
         self._applied = None  # the progress counter wait_applied was given
 
     # -- introspection ------------------------------------------------------
@@ -129,25 +131,22 @@ class GroupMember:
         """CreateGroup: start a new group containing only this member."""
         self.kernel.create(resilience)
 
-    def join(self, attempts: int | None = None):
+    def join(self):
         """JoinGroup: broadcast until an existing sequencer admits us.
 
         Returns the new view; raises GroupFailure when no group
         answered (the caller may then CreateGroup, as the recovery
         protocol in the paper's Fig. 6 does).
         """
-        rounds = attempts if attempts is not None else self.timings.join_attempts
-        for _ in range(rounds):
+        for _ in range(JOIN_ATTEMPTS):
             fut = self.kernel.start_join()
             try:
-                view = yield self.sim.timeout(
-                    fut, self.timings.join_timeout_ms, "join timeout"
-                )
+                view = yield self.sim.timeout(fut, JOIN_TIMEOUT_MS, "join timeout")
                 return view
             except SimTimeout:
                 continue
         self.kernel.stop_join()
-        raise GroupFailure(f"no sequencer answered {rounds} join broadcasts")
+        raise GroupFailure(f"no sequencer answered {JOIN_ATTEMPTS} join broadcasts")
 
     def leave(self):
         """LeaveGroup: graceful departure (waits for the view change)."""
@@ -214,17 +213,17 @@ class GroupMember:
 
     # -- reset ------------------------------------------------------------------
 
-    def reset(self, max_rounds: int = 8):
+    def reset(self):
         """ResetGroup: rebuild from surviving members after a failure.
 
         Returns the new view. Concurrent resetters arbitrate by
         (incarnation, address); losers adopt the winner's view. Raises
-        GroupResetFailed when no view forms within *max_rounds*.
+        GroupResetFailed when no view forms within ``RESET_ROUNDS``.
         """
         kernel = self.kernel
         rng = self.sim.rng.stream(f"grp.reset.{kernel.me}")
         cand_inc = kernel.incarnation + 1
-        for _ in range(max_rounds):
+        for _ in range(RESET_ROUNDS):
             if kernel.state == STATE_MEMBER:
                 return list(kernel.view)  # someone else's reset included us
             key = kernel.begin_reset_round(cand_inc)
@@ -256,7 +255,7 @@ class GroupMember:
         if kernel.state == STATE_MEMBER:
             return list(kernel.view)
         raise GroupResetFailed(
-            f"reset of group {self.group!r} failed after {max_rounds} rounds"
+            f"reset of group {self.group!r} failed after {RESET_ROUNDS} rounds"
         )
 
     def _await(self, done, bound_ms: float, what: str):

@@ -6,6 +6,14 @@ from dataclasses import dataclass
 
 #: Retransmission attempts before a sender declares group failure.
 SEND_RETRIES = 3
+#: A sender retransmits its request if not sequenced within this time.
+SEND_RETRY_MS = 60.0
+#: How long one join broadcast waits for a sequencer's answer.
+JOIN_TIMEOUT_MS = 40.0
+#: Join broadcast attempts before JoinGroup gives up.
+JOIN_ATTEMPTS = 3
+#: Reset rounds before ResetGroup gives up.
+RESET_ROUNDS = 8
 #: The longest a reset coordinator collects votes before forming a view
 #: (it stops sooner once every unsuspected member has voted).
 RESET_VOTE_WINDOW_MS = 25.0
@@ -27,13 +35,6 @@ class GroupTimings:
 
     #: Sequencer heartbeat period (heartbeats carry the commit horizon).
     heartbeat_interval_ms: float = 25.0
-    #: A member declares the sequencer dead after this much silence.
+    #: A member declares the sequencer dead after this much heartbeat
+    #: silence, and the sequencer a member after this much echo silence.
     heartbeat_timeout_ms: float = 120.0
-    #: The sequencer declares a member dead after this much echo silence.
-    echo_timeout_ms: float = 120.0
-    #: Sender retransmits its request if not sequenced within this time.
-    send_retry_ms: float = 60.0
-    #: How long one join broadcast waits for a sequencer's answer.
-    join_timeout_ms: float = 40.0
-    #: Join broadcast attempts before JoinGroup gives up.
-    join_attempts: int = 3

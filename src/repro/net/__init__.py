@@ -5,10 +5,10 @@ the hardware multicast capability so a ``SendToGroup`` costs one packet
 on the wire regardless of group size. This package models exactly
 that: point-to-point frames, true multicast/broadcast frames, clean
 network partitions (any two nodes in the same partition communicate;
-across partitions nothing does), per-packet loss injection, and
-counters used by the message-count benchmarks.
+across partitions nothing does), and counters used by the
+message-count benchmarks.
 
-Adversarial link faults — asymmetric drop, per-receiver multicast
+Link faults — random or asymmetric drop, per-receiver multicast
 loss, duplication, bounded reordering, delay spikes — are injected via
 the :mod:`repro.net.policy` interceptor chain (``network.add_policy``).
 """

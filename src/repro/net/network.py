@@ -30,14 +30,14 @@ scheduled for it (DESIGN.md §5, "What a schedule change may move").
 Failure model, mirroring the paper's assumptions:
 
 * fail-stop machines — a down NIC neither sends nor receives;
-* clean partitions via :class:`~repro.net.partition.PartitionController`;
-* optional uniform packet loss (off by default; the group protocol's
-  retransmission machinery is exercised with it on).
+* clean partitions via :class:`~repro.net.partition.PartitionController`.
 
 Beyond the paper's assumptions, an adversarial per-*delivery*
-interceptor chain (:mod:`repro.net.policy`) can drop, duplicate, delay,
-and reorder individual frames per (src, dst) link and per frame kind —
-the chaos layer (:mod:`repro.chaos`) drives it.
+interceptor chain (:mod:`repro.net.policy`, installed with
+:meth:`Network.add_policy`) can drop, duplicate, delay, and reorder
+individual frames per (src, dst) link and per frame kind — the chaos
+layer (:mod:`repro.chaos`) drives it, and a ``Drop`` policy is the one
+way to lose a frame at random.
 
 Reachability is evaluated at *delivery* time, so a partition that
 forms while a frame is in flight drops the frame.
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from functools import partial
 from random import Random
-from typing import Any, Callable, Container, Hashable, Iterable
+from typing import Any, Callable, Container, Hashable
 
 from repro.errors import NetworkError
 from repro.net.partition import PartitionController
@@ -149,14 +149,11 @@ class Network:
         self,
         sim: Simulator,
         latency: LatencyModel | None = None,
-        loss_probability: float = 0.0,
-        link_policies: Iterable[LinkPolicy] | None = None,
     ):
         self.sim = sim
         self.latency = latency or LatencyModel.paper_testbed()
         self._wire = self.latency.network
-        self.loss_probability = loss_probability
-        self.link_policies: list[LinkPolicy] = list(link_policies or [])
+        self.link_policies: list[LinkPolicy] = []
         self.partitions = PartitionController()
         # Segment-wide registry counters under the pseudo-node "net".
         registry = sim.obs.registry
@@ -286,15 +283,6 @@ class Network:
         rng = link.rng
         if rng is None:
             rng = link.rng = self.sim.rng.stream(f"net.link({src}->{dst})")
-        loss = self.loss_probability
-        if loss > 0.0 and rng.random() < loss:
-            self._c_dropped.value += 1
-            if tracer.enabled:
-                tracer.emit(
-                    str(src), "net", "net.drop",
-                    dst=str(dst), kind=kind, reason="loss",
-                )
-            return
         wire = self._wire
         wire_ms = wire.packet_overhead_ms + size * wire.per_byte_ms
         self._c_wire.value += wire_ms

@@ -1,17 +1,17 @@
 """Link-level fault injection: the adversarial failure model.
 
 The base :class:`~repro.net.network.Network` models the paper's polite
-assumptions — fail-stop machines, clean partitions, uniform whole-frame
-loss. Real networks (and Jepsen-style chaos testing) also exhibit
-*asymmetric* faults: one direction of a link lossy while the other is
-fine, a multicast reaching some receivers but not others, duplicated
-frames, bounded reordering, and delay spikes. This module supplies a
+assumptions — fail-stop machines, clean partitions. Real networks (and
+Jepsen-style chaos testing) also lose frames, and exhibit *asymmetric*
+faults: one direction of a link lossy while the other is fine, a
+multicast reaching some receivers but not others, duplicated frames,
+bounded reordering, and delay spikes. This module supplies a
 pluggable per-delivery interceptor chain for exactly those.
 
 A :class:`LinkPolicy` inspects each (src, dst) *delivery* — a multicast
 fans out into one delivery per receiver, so per-receiver multicast loss
 falls out naturally — and folds its effect into a
-:class:`LinkDecision`. Policies are chained on
+:class:`LinkDecision`. ``Network.add_policy`` chains policies on
 ``Network.link_policies``; every policy draws randomness from its own
 named :mod:`repro.sim.randomness` stream (``net.link.<name>``), so
 adding or removing one policy never perturbs the draws of another and

@@ -30,12 +30,36 @@ from repro.rpc.kernel import (
 from repro.rpc.transport import Transport
 
 
+#: How long one locate round waits for a HEREIS before rebroadcasting.
+LOCATE_TIMEOUT_MS = 30.0
+#: Base backoff before retrying when a server bounced or refused us;
+#: doubles per retry up to the cap, with deterministic jitter.
+RETRY_BACKOFF_MS = 2.0
+RETRY_BACKOFF_CAP_MS = 256.0
+#: Relative jitter: each backoff is scaled by a factor drawn uniformly
+#: from [1 - jitter, 1 + jitter] out of the *seeded* simulation RNG
+#: (stream "rpc.backoff.<machine>"), so retry storms decorrelate
+#: without breaking determinism.
+RETRY_JITTER = 0.5
+#: Port-cache entries populated by an actual locate go stale after
+#: this long: the next _pick_server forgets the port and re-locates,
+#: so restarted/recovered replicas re-enter the cache and the
+#: first-HEREIS responder pin stops skewing load forever. Entries
+#: pinned directly into the kernel's port_cache (tests, benches) carry
+#: no locate stamp and never age.
+LOCATE_TTL_MS = 20_000.0
+#: On a NOTHERE bounce, accelerate the entry's expiry to at most this
+#: far away — a bouncing deployment re-locates within ~1 s instead of
+#: waiting out the full TTL (rate-limited by being an expiry, not an
+#: immediate flush: at most one extra locate per refresh interval
+#: however many NOTHEREs arrive).
+NOTHERE_REFRESH_MS = 1_000.0
+
+
 @dataclass
 class RpcTimings:
     """Client-side RPC tunables (simulated milliseconds)."""
 
-    #: How long one locate round waits for a HEREIS before rebroadcasting.
-    locate_timeout_ms: float = 30.0
     #: Locate rounds before giving up with LocateError.
     locate_attempts: int = 5
     #: How long to wait for a reply whatever the server's kernel says
@@ -43,31 +67,6 @@ class RpcTimings:
     reply_timeout_ms: float = 4000.0
     #: Distinct servers tried (via NOTHERE/timeout fail-over) per trans.
     max_attempts: int = 8
-    #: Base backoff before retrying when a server bounced or refused
-    #: us; doubles per retry (capped), with deterministic jitter.
-    retry_backoff_ms: float = 2.0
-    #: Ceiling of the exponential backoff.
-    retry_backoff_cap_ms: float = 256.0
-    #: Growth factor per retry.
-    retry_backoff_factor: float = 2.0
-    #: Relative jitter: each backoff is scaled by a factor drawn
-    #: uniformly from [1 - jitter, 1 + jitter] out of the *seeded*
-    #: simulation RNG (stream "rpc.backoff.<machine>"), so retry
-    #: storms decorrelate without breaking determinism.
-    retry_jitter: float = 0.5
-    #: Port-cache entries populated by an actual locate go stale after
-    #: this long: the next _pick_server forgets the port and
-    #: re-locates, so restarted/recovered replicas re-enter the cache
-    #: and the first-HEREIS responder pin stops skewing load forever.
-    #: 0 disables aging. Entries pinned directly into the kernel's
-    #: port_cache (tests, benches) carry no locate stamp and never age.
-    locate_ttl_ms: float = 20_000.0
-    #: On a NOTHERE bounce, accelerate the entry's expiry to at most
-    #: this far away — a bouncing deployment re-locates within ~1 s
-    #: instead of waiting out the full TTL (rate-limited by being an
-    #: expiry, not an immediate flush: at most one extra locate per
-    #: refresh interval however many NOTHEREs arrive).
-    nothere_refresh_ms: float = 1_000.0
 
 
 class RpcClient:
@@ -190,18 +189,12 @@ class RpcClient:
 
     def _backoff_ms(self, attempt: int) -> float:
         """Capped exponential backoff with deterministic jitter."""
-        t = self.timings
-        delay = min(
-            t.retry_backoff_cap_ms,
-            t.retry_backoff_ms * t.retry_backoff_factor**attempt,
+        delay = min(RETRY_BACKOFF_CAP_MS, RETRY_BACKOFF_MS * 2.0**attempt)
+        return delay * self.sim.rng.uniform(
+            f"rpc.backoff.{self.transport.address}",
+            1.0 - RETRY_JITTER,
+            1.0 + RETRY_JITTER,
         )
-        if t.retry_jitter > 0.0:
-            delay *= self.sim.rng.uniform(
-                f"rpc.backoff.{self.transport.address}",
-                1.0 - t.retry_jitter,
-                1.0 + t.retry_jitter,
-            )
-        return delay
 
     def forget_port(self, port: Port) -> None:
         """Drop all cached servers for *port* (forces a fresh locate)."""
@@ -216,7 +209,7 @@ class RpcClient:
 
     def _pick_server(self, port: Port, spread: bool = False):
         """The preferred server for *port*, locating if the cache is
-        empty or its locate stamp has aged past ``locate_ttl_ms``
+        empty or its locate stamp has aged past ``LOCATE_TTL_MS``
         (the staleness bugfix: the first-HEREIS pin used to live until
         a hard failure, so one replica absorbed a client's whole
         lifetime of reads and restarted replicas never came back)."""
@@ -241,8 +234,6 @@ class RpcClient:
         return servers[0]
 
     def _cache_expired(self, port: Port) -> bool:
-        if self.timings.locate_ttl_ms <= 0:
-            return False
         stamp = self._kernel.port_expiry.get(port)
         # No stamp: the entry was pinned directly (tests/benches) and
         # never ages.
@@ -251,14 +242,11 @@ class RpcClient:
     def _accelerate_relocate(self, port: Port) -> None:
         """A NOTHERE bounce hints the cached responder order is stale
         (busy or reconfiguring deployment); pull the entry's expiry in
-        so the next pick after ``nothere_refresh_ms`` re-locates."""
-        t = self.timings
-        if t.locate_ttl_ms <= 0:
-            return
+        so the next pick after ``NOTHERE_REFRESH_MS`` re-locates."""
         stamp = self._kernel.port_expiry.get(port)
         if stamp is None:
             return  # pinned entry: leave it alone
-        target = self.sim.now + t.nothere_refresh_ms
+        target = self.sim.now + NOTHERE_REFRESH_MS
         if target < stamp:
             self._kernel.port_expiry[port] = target
 
@@ -266,13 +254,8 @@ class RpcClient:
         for _ in range(self.timings.locate_attempts):
             locate_id, fut = self._kernel.start_locate(port)
             try:
-                yield self.sim.timeout(
-                    fut, self.timings.locate_timeout_ms, f"locate {port}"
-                )
-                if self.timings.locate_ttl_ms > 0:
-                    self._kernel.port_expiry[port] = (
-                        self.sim.now + self.timings.locate_ttl_ms
-                    )
+                yield self.sim.timeout(fut, LOCATE_TIMEOUT_MS, f"locate {port}")
+                self._kernel.port_expiry[port] = self.sim.now + LOCATE_TTL_MS
                 return
             except SimTimeout:
                 continue

@@ -35,10 +35,10 @@ from repro.sim.scheduler import Simulator
 class Transport:
     """Dispatches incoming packets by kind; survives NIC restarts."""
 
-    def __init__(self, sim: Simulator, nic: Nic, cpu: Cpu | None = None):
+    def __init__(self, sim: Simulator, nic: Nic):
         self.sim = sim
         self.nic = nic
-        self.cpu = cpu or Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
+        self.cpu = Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
         self._handlers: dict[str, Callable[[Packet], None]] = {}
         nic.interest = self._handlers  # live: see the module docstring
         nic.sink = self._dispatch

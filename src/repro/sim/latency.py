@@ -105,8 +105,6 @@ class CpuLatency:
     write_processing_ms: float = 7.0
     #: Client-side request marshalling / kernel entry per RPC.
     client_overhead_ms: float = 0.35
-    #: NVRAM log append (bus write to battery-backed SRAM).
-    nvram_write_ms: float = 0.25
     #: SunOS/NFS server-side processing of a directory update (the
     #: NFS baseline bundles its own storage behaviour).
     nfs_update_ms: float = 41.5
@@ -135,12 +133,3 @@ class LatencyModel:
     def paper_testbed(cls) -> "LatencyModel":
         """The default calibration (Sun3/60 + Ethernet + Wren IV)."""
         return cls()
-
-    @classmethod
-    def instant(cls) -> "LatencyModel":
-        """All-zero latencies — used by unit tests that only check logic."""
-        return cls(
-            network=NetworkLatency(0.0, 0.0, 0.0),
-            disk=DiskLatency(0.0, 0.0, 0.0, 0.0),
-            cpu=CpuLatency(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        )

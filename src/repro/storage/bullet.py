@@ -47,15 +47,12 @@ class BulletServer:
         transport: Transport,
         disk,
         instance: str,
-        server_threads: int = SERVER_THREADS,
-        cache_files: bool = True,
     ):
         self.transport = transport
         self.sim = transport.sim
         self.disk = disk
         self.instance = instance
         self.port = Port.for_service(f"bullet.{instance}")
-        self.cache_files = cache_files
         self._obs = self.sim.obs
         registry = self.sim.obs.registry
         node = f"bullet.{instance}"
@@ -69,7 +66,7 @@ class BulletServer:
         self._rpc = RpcServer(transport, self.port, f"bullet.{instance}")
         self._threads = [
             self.sim.spawn(self._serve(), f"bullet.{instance}.t{i}")
-            for i in range(server_threads)
+            for i in range(SERVER_THREADS)
         ]
         self._recover_from_disk()
 
@@ -143,8 +140,7 @@ class BulletServer:
             0, b"", kind="sequential", lineage=lineage
         )  # inode log
         self._table[obj] = check
-        if self.cache_files:
-            self._cache[obj] = bytes(data)
+        self._cache[obj] = bytes(data)
         self._c_creates.inc()
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
@@ -178,8 +174,7 @@ class BulletServer:
             self._extent_key(obj), 1024, kind="random", lineage=lineage
         )
         data = check_and_data[1]
-        if self.cache_files:
-            self._cache[obj] = data
+        self._cache[obj] = data
         return data
 
     def _size(self, cap: Capability, cpu):

@@ -25,6 +25,8 @@ PAPER_NVRAM_BYTES = 24 * 1024
 
 #: Log-record header overhead (sequence number, op code, lengths).
 RECORD_OVERHEAD = 32
+#: Sim-time the board takes to absorb one record write.
+WRITE_MS = 3.0
 
 
 @dataclass
@@ -46,11 +48,9 @@ class Nvram:
     """A bounded, battery-backed log of modification records."""
 
     def __init__(self, sim: Simulator, capacity_bytes: int = PAPER_NVRAM_BYTES,
-                 write_ms: float = 3.0, name: str = "nvram",
-                 integrity: bool = False):
+                 name: str = "nvram", integrity: bool = False):
         self.sim = sim
         self.capacity_bytes = capacity_bytes
-        self.write_ms = write_ms
         self.name = name
         #: Records carry per-record checksums and replay skips (and
         #: counts) damaged ones; off by default for paper fidelity.
@@ -66,7 +66,7 @@ class Nvram:
         self._c_flushed_records = registry.counter(name, "nvram.flushed_records")
         self._c_corrupt_records = registry.counter(name, "nvram.corrupt_records")
         self._c_corrupt_replayed = registry.counter(name, "nvram.corrupt_replayed")
-        #: Sim-time the board spent absorbing writes (write_ms per
+        #: Sim-time the board spent absorbing writes (WRITE_MS per
         #: append, whether the caller charged it as board time or as
         #: CPU-held programmed I/O) — the capacity attributor's rho.
         self._c_busy = registry.counter(name, "nvram.busy_ms")
@@ -106,14 +106,14 @@ class Nvram:
                 f"{self.name}: record of {needed} B does not fit "
                 f"({self.free_bytes} B free)"
             )
-        if charge_time and self.write_ms > 0:
-            yield self.sim.sleep(self.write_ms)
+        if charge_time:
+            yield self.sim.sleep(WRITE_MS)
         record.seqno = self._next_seqno
         self._next_seqno += 1
         self._records.append(record)
         self._used += needed
         self._c_appends.inc()
-        self._c_busy.inc(self.write_ms)
+        self._c_busy.inc(WRITE_MS)
         self._g_used.set(self._used)
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(

@@ -1,10 +1,10 @@
 """Retry-safe round accounting (the off-by-one bugfix).
 
-``retry_rounds`` now means what it says: the number of end-to-end
+``RETRY_SAFE_ROUNDS`` means what it says: the number of end-to-end
 *resends* on top of one initial send, so the RPC layer is asked
-``1 + retry_rounds`` times, and every failed attempt — including the
-final one — is followed by exactly one backoff sleep. Historically
-``retry_rounds`` silently meant "total attempts" and the last failure
+``1 + RETRY_SAFE_ROUNDS`` times, and every failed attempt — including
+the final one — is followed by exactly one backoff sleep. Historically
+the round count silently meant "total attempts" and the last failure
 consumed no sleep, so an ambiguous timeout surfaced before in-flight
 applies had a chance to land.
 """
@@ -12,8 +12,13 @@ applies had a chance to land.
 import pytest
 
 from repro.cluster import GroupServiceCluster
+from repro.directory import client as directory_client
 from repro.directory.operations import AppendRow
 from repro.errors import RpcError
+
+
+def resends(monkeypatch, rounds):
+    monkeypatch.setattr(directory_client, "RETRY_SAFE_ROUNDS", rounds)
 
 
 def make_cluster(seed=7):
@@ -44,9 +49,10 @@ def instrument(client, calls, sleeps, fail=True):
 
 class TestRoundAccounting:
     @pytest.mark.parametrize("rounds", [0, 1, 3])
-    def test_attempts_are_one_plus_rounds(self, rounds):
+    def test_attempts_are_one_plus_rounds(self, rounds, monkeypatch):
+        resends(monkeypatch, rounds)
         cluster = make_cluster()
-        client = cluster.add_client("c", retry_safe=True, retry_rounds=rounds)
+        client = cluster.add_client("c", retry_safe=True)
         calls, sleeps = [], []
         instrument(client, calls, sleeps)
         op = AppendRow(cluster.root_capability, "x", (cluster.root_capability,))
@@ -59,12 +65,13 @@ class TestRoundAccounting:
         assert f"{1 + rounds} attempts" in str(err.value)
         assert f"{rounds} resends" in str(err.value)
 
-    def test_every_failure_backs_off_including_the_last(self):
+    def test_every_failure_backs_off_including_the_last(self, monkeypatch):
         """The final round's failure must still sleep once before the
         ambiguous error surfaces — the window in which a may-have-
         committed apply lands (see _request_retry_safe)."""
+        resends(monkeypatch, 2)
         cluster = make_cluster()
-        client = cluster.add_client("c", retry_safe=True, retry_rounds=2)
+        client = cluster.add_client("c", retry_safe=True)
         calls, sleeps = [], []
         instrument(client, calls, sleeps)
         op = AppendRow(cluster.root_capability, "x", (cluster.root_capability,))
@@ -76,9 +83,10 @@ class TestRoundAccounting:
         assert sleeps == [1, 2, 3]  # one per failure, rounds numbered from 1
         assert cluster.sim.now > start  # the sleeps were really taken
 
-    def test_success_uses_no_resends_and_no_backoff(self):
+    def test_success_uses_no_resends_and_no_backoff(self, monkeypatch):
+        resends(monkeypatch, 3)
         cluster = make_cluster()
-        client = cluster.add_client("c", retry_safe=True, retry_rounds=3)
+        client = cluster.add_client("c", retry_safe=True)
         sleeps = []
         real_backoff = client.sim_sleep_backoff
         client.sim_sleep_backoff = lambda n: sleeps.append(n) or real_backoff(n)
@@ -93,12 +101,13 @@ class TestRoundAccounting:
         assert client.resends == 0
         assert sleeps == []
 
-    def test_session_stamp_is_stable_across_resends(self):
+    def test_session_stamp_is_stable_across_resends(self, monkeypatch):
         """Every resend must reuse the same (client_id, seqno) stamp —
         that identity is what lets a server answer a duplicate from
         its reply cache instead of applying twice."""
+        resends(monkeypatch, 2)
         cluster = make_cluster()
-        client = cluster.add_client("c", retry_safe=True, retry_rounds=2)
+        client = cluster.add_client("c", retry_safe=True)
         calls, sleeps = [], []
         instrument(client, calls, sleeps)
         op = AppendRow(cluster.root_capability, "x", (cluster.root_capability,))

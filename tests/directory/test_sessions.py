@@ -14,6 +14,8 @@ import pytest
 
 from repro.amoeba import Port, new_check
 from repro.amoeba.capability import owner_capability
+from repro.directory import state as state_module
+from repro.directory.admin import SESSION_BLOCKS
 from repro.directory.operations import (
     AppendRow,
     CreateDir,
@@ -113,18 +115,24 @@ class TestDedup:
 
 
 class TestLruBound:
-    def test_table_is_bounded(self):
+    def test_every_tracked_client_has_a_session_block(self):
+        """Each persisted session entry takes one reserved admin block:
+        a table bound above the reservation would let persisted entries
+        lag the replicated table."""
+        assert state_module.SESSION_CACHE_SIZE <= SESSION_BLOCKS
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(state_module, "SESSION_CACHE_SIZE", 4)
         state, rng = make_state()
-        state.session_cache_size = 4
         for i in range(10):
             state.apply(SessionOp(CreateDir(check=new_check(rng)), f"c{i}", 1))
         assert len(state.sessions) == 4
         # The most recently active clients survive.
         assert set(state.sessions) == {"c6", "c7", "c8", "c9"}
 
-    def test_eviction_prefers_least_recently_active(self):
+    def test_eviction_prefers_least_recently_active(self, monkeypatch):
+        monkeypatch.setattr(state_module, "SESSION_CACHE_SIZE", 2)
         state, rng = make_state()
-        state.session_cache_size = 2
         state.apply(SessionOp(CreateDir(check=new_check(rng)), "a", 1))
         state.apply(SessionOp(CreateDir(check=new_check(rng)), "b", 1))
         state.apply(SessionOp(CreateDir(check=new_check(rng)), "a", 2))  # touch a

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import GroupFailure
 from repro.group import GroupMember, GroupTimings
+from repro.group import member as group_member
 from repro.sim import LatencyModel
 
 from tests.helpers import TestBed, wire_count
@@ -43,13 +44,11 @@ class TestFormation:
             assert sorted(member.info().view) == ["a", "b", "c"]
             assert member.is_member
 
-    def test_join_without_group_raises(self):
+    def test_join_without_group_raises(self, monkeypatch):
+        monkeypatch.setattr(group_member, "JOIN_TIMEOUT_MS", 10.0)
+        monkeypatch.setattr(group_member, "JOIN_ATTEMPTS", 2)
         bed = TestBed(["a"])
-        member = GroupMember(
-            bed["a"].transport,
-            "g",
-            GroupTimings(join_timeout_ms=10.0, join_attempts=2),
-        )
+        member = GroupMember(bed["a"].transport, "g")
 
         def run():
             try:

@@ -55,7 +55,7 @@ class TestDeadline:
         kernel = members["a"].kernel
         failed = failure_instants(bed, members)
         crash_machine(bed, members, "b")
-        deadline = kernel.last_echo["b"] + kernel.timings.echo_timeout_ms
+        deadline = kernel.last_echo["b"] + kernel.timings.heartbeat_timeout_ms
         bed.run(until=deadline + 100.0)
         # The sequencer's check rides its heartbeat tick.
         assert deadline < failed["a"] <= deadline + kernel.timings.heartbeat_interval_ms

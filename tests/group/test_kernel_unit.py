@@ -4,6 +4,7 @@ send watchdog, and required-ack degradation."""
 import pytest
 
 from repro.group import GroupMember, GroupTimings
+from repro.group import kernel as group_kernel
 from repro.group.kernel import GroupKernel
 
 from tests.group.test_basic import build_group
@@ -89,11 +90,11 @@ class TestSequencerDedup:
 
 
 class TestSendWatchdog:
-    def test_lost_request_is_retransmitted(self):
+    def test_lost_request_is_retransmitted(self, monkeypatch):
         """Drop the first req packet; the watchdog re-sends and the
         message still commits."""
-        timings = GroupTimings(send_retry_ms=30.0)
-        bed, members = build_group(["a", "b", "c"], timings=timings)
+        monkeypatch.setattr(group_kernel, "SEND_RETRY_MS", 30.0)
+        bed, members = build_group(["a", "b", "c"])
         kernel_b = members["b"].kernel
         # Sabotage exactly one request by monkeypatching _send once.
         original = kernel_b._send
@@ -260,7 +261,7 @@ class TestEvictionBaseline:
         # record for c, and the fallback baseline is long stale.
         kernel.last_echo.pop("c", None)
         kernel.last_heartbeat = (
-            bed.sim.now - 10 * kernel.timings.echo_timeout_ms
+            bed.sim.now - 10 * kernel.timings.heartbeat_timeout_ms
         )
         kernel._sequencer_tick()
         assert kernel.state == "member"  # no spurious eviction
@@ -279,30 +280,18 @@ class TestEvictionBaseline:
         kernel = members["a"].kernel
         bed["c"].crash()
         kernel.last_echo.pop("c", None)  # worst case: no stamp at all
-        bed.run(until=bed.sim.now + 4 * kernel.timings.echo_timeout_ms)
+        bed.run(until=bed.sim.now + 4 * kernel.timings.heartbeat_timeout_ms)
         assert kernel.state != "member"
         assert "stopped echoing" in (kernel.failure_reason or "")
 
     def test_joiner_first_echo_just_inside_window(self):
-        # Heartbeats almost as slow as the echo timeout: the first
-        # echo a joiner can produce lands only just inside
-        # echo_timeout_ms of the moment the sequencer first saw it.
-        timings = GroupTimings(
-            heartbeat_interval_ms=100.0,
-            heartbeat_timeout_ms=350.0,
-            echo_timeout_ms=120.0,
-        )
+        # Heartbeats almost as slow as the detection timeout: the
+        # first echo a joiner can produce lands only just inside
+        # heartbeat_timeout_ms of the moment the sequencer first saw it.
+        timings = GroupTimings(heartbeat_interval_ms=100.0, heartbeat_timeout_ms=120.0)
         bed, members = build_group(["a", "b"], timings=timings)
         kernel = members["a"].kernel
-        joiner = GroupMember(
-            _attach(bed, "c"),
-            "g",
-            GroupTimings(
-                heartbeat_interval_ms=100.0,
-                heartbeat_timeout_ms=350.0,
-                echo_timeout_ms=120.0,
-            ),
-        )
+        joiner = GroupMember(_attach(bed, "c"), "g", timings)
 
         def join():
             yield from joiner.join()
@@ -311,7 +300,7 @@ class TestEvictionBaseline:
         # Force the regression's shape: the sequencer has no echo
         # record for the joiner and a stale fallback baseline.
         kernel.last_echo.pop("c", None)
-        kernel.last_heartbeat = bed.sim.now - 10 * timings.echo_timeout_ms
+        kernel.last_heartbeat = bed.sim.now - 10 * timings.heartbeat_timeout_ms
         kernel._sequencer_tick()
         assert kernel.state == "member"
         stamp = kernel.last_echo["c"]

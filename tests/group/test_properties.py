@@ -26,7 +26,9 @@ ADDRESSES = ("a", "b", "c")
 
 def build(seed, loss=0.0, resilience=2):
     sim = Simulator(seed=seed)
-    network = Network(sim, loss_probability=loss)
+    network = Network(sim)
+    if loss:
+        network.add_policy(Drop("loss", probability=loss))
     transports = {x: Transport(sim, network.attach(x)) for x in ADDRESSES}
     members = {x: GroupMember(t, "g") for x, t in transports.items()}
     members["a"].create(resilience)

@@ -226,11 +226,7 @@ class TestStaleTraffic:
 
 #: Heartbeats far apart: nothing restamps a member after it enters a
 #: view, and no detector fires (the resets below fail survivors by hand).
-QUIET = GroupTimings(
-    heartbeat_interval_ms=60_000.0,
-    heartbeat_timeout_ms=180_000.0,
-    echo_timeout_ms=180_000.0,
-)
+QUIET = GroupTimings(heartbeat_interval_ms=60_000.0, heartbeat_timeout_ms=180_000.0)
 
 
 def assert_entered_alike(members, triggers, announcer=None):

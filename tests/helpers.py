@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.net import Network
+from repro.net.policy import Drop
 from repro.rpc import Transport
 from repro.sim import LatencyModel, Simulator
 from repro.storage.disk import DISK_OP_KINDS
@@ -34,9 +35,9 @@ class TestBed:
 
     def __init__(self, addresses, seed=0, latency=None, loss=0.0):
         self.sim = Simulator(seed=seed)
-        self.network = Network(
-            self.sim, latency or LatencyModel.paper_testbed(), loss_probability=loss
-        )
+        self.network = Network(self.sim, latency or LatencyModel.paper_testbed())
+        if loss:
+            self.network.add_policy(Drop("loss", probability=loss))
         self.machines = {a: Machine(self.network, a) for a in addresses}
 
     def __getitem__(self, address) -> Machine:

@@ -56,10 +56,7 @@ class _DiskReader:
     def __init__(self, cluster, site, rpc):
         self.sim, self.config, self.me = cluster.sim, cluster.config, "reader"
         self.state = DirectoryState(self.config.port, self.config.root_check)
-        self.admin = AdminPartition(
-            site.partition, site.index, self.config.n_servers,
-            session_blocks=self.config.session_blocks,
-        )
+        self.admin = AdminPartition(site.partition, site.index, self.config.n_servers)
         self.store = DirectoryStore(
             self, self.admin, BulletClient(rpc, site.bullet.port), "reader"
         )

@@ -12,19 +12,25 @@ The scenarios the session layer exists for:
 import pytest
 
 from repro.cluster import GroupServiceCluster, NvramServiceCluster
+from repro.directory import client as directory_client
 from repro.errors import AlreadyExists
 from repro.net.policy import Drop, LinkFilter
 from repro.rpc.client import RpcTimings
 
 
-def make_retry_client(cluster, name="c1", retry_rounds=40):
+@pytest.fixture(autouse=True)
+def patient_resends(monkeypatch):
+    """Every retry-safe client here resends for 40 rounds."""
+    monkeypatch.setattr(directory_client, "RETRY_SAFE_ROUNDS", 40)
+
+
+def make_retry_client(cluster, name="c1"):
     return cluster.add_client(
         name,
         rpc_timings=RpcTimings(
             reply_timeout_ms=500.0, max_attempts=4, locate_attempts=8
         ),
         retry_safe=True,
-        retry_rounds=retry_rounds,
     )
 
 

@@ -148,7 +148,6 @@ class TestPlainClientPinnedToASurvivor:
         timings = GroupTimings(
             heartbeat_interval_ms=max(10.0, heartbeat_timeout_ms / 5.0),
             heartbeat_timeout_ms=heartbeat_timeout_ms,
-            echo_timeout_ms=heartbeat_timeout_ms,
         )
         cluster = GroupServiceCluster(seed=0, group_timings=timings)
         cluster.start()

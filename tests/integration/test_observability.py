@@ -51,13 +51,6 @@ class TestReport:
             assert site["disk_ops"]["random"] >= 4  # 2 shadow commits
             assert site["disk_ops"]["sequential"] >= 2  # bullet writes
 
-    def test_format_report_is_readable(self, cluster):
-        text = cluster.format_report()
-        assert "deployment" in text
-        assert "wire:" in text
-        assert "site 0:" in text
-        assert "server 0:" in text
-
     def test_frame_kinds_include_group_traffic(self, cluster):
         client = cluster.add_client("c")
         root = cluster.root_capability

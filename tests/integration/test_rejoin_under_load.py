@@ -8,14 +8,23 @@ byte-identical to the incumbents, including the session/reply-cache
 tables that exactly-once semantics depend on.
 """
 
+import pytest
+
 from repro.cluster import (
     ADMIN_PARTITION_BLOCKS,
     ADMIN_PARTITION_START,
     GroupServiceCluster,
 )
+from repro.directory import client as directory_client
 from repro.errors import ReproError
 from repro.rpc.client import RpcTimings
 from repro.storage import Disk, RawPartition
+
+
+@pytest.fixture(autouse=True)
+def patient_resends(monkeypatch):
+    """Every retry-safe client here resends for 40 rounds."""
+    monkeypatch.setattr(directory_client, "RETRY_SAFE_ROUNDS", 40)
 
 
 def retry_client(cluster, name):
@@ -25,7 +34,6 @@ def retry_client(cluster, name):
             reply_timeout_ms=500.0, max_attempts=4, locate_attempts=8
         ),
         retry_safe=True,
-        retry_rounds=40,
     )
 
 

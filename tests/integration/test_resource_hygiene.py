@@ -15,7 +15,7 @@ from repro.cluster import (
 )
 from repro.errors import NoMajority, ReproError, ServiceDown
 from repro.group import GroupTimings
-from repro.group.timings import RESET_BACKOFF_MAX_MS, RESET_VOTE_WINDOW_MS
+from repro.group.timings import RESET_BACKOFF_MAX_MS, RESET_ROUNDS, RESET_VOTE_WINDOW_MS
 
 from tests.helpers import count, counter_total, pin_to_server
 
@@ -191,10 +191,10 @@ class TestHeldRequestsLeaveNothingBehind:
             sim.run_until_complete(process)
 
         # Refused, as Fig. 5 says — and by the reset's verdict, not by
-        # a client-side timeout: detection plus at most the eight
+        # a client-side timeout: detection plus at most the
         # arbitration rounds a reset may take.
         timings = GroupTimings()
-        bound = timings.echo_timeout_ms + timings.heartbeat_interval_ms + 8 * (
+        bound = timings.heartbeat_timeout_ms + timings.heartbeat_interval_ms + RESET_ROUNDS * (
             2 * RESET_VOTE_WINDOW_MS + RESET_BACKOFF_MAX_MS
         )
         assert len(outcomes) == 3

@@ -9,6 +9,7 @@ from a damaged disk quarantines the loss and heals from a donor.
 import pytest
 
 from repro.cluster import GroupServiceCluster
+from repro.directory import store
 
 
 def make_cluster(seed=7, **overrides):
@@ -85,10 +86,12 @@ class TestScrubber:
         assert scrub_repairs(cluster, 2) >= 1
         assert cluster.replicas_consistent()
 
-    def test_scrub_now_repairs_without_the_periodic_pass(self):
-        """The remediation hook: with the periodic scrubber disabled,
-        scrub_now() is the only repair path and it must suffice."""
-        cluster = make_cluster(scrub_interval_ms=0.0)
+    def test_scrub_now_repairs_without_the_periodic_pass(self, monkeypatch):
+        """The remediation hook: with the periodic pass due only after
+        the test ends, scrub_now() is the only repair path and it must
+        suffice."""
+        monkeypatch.setattr(store, "SCRUB_INTERVAL_MS", 1e9)
+        cluster = make_cluster()
         seed_rows(cluster)
         site = cluster.sites[0]
         rng = cluster.sim.rng.stream("test.rot-now")

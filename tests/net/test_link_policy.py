@@ -17,9 +17,9 @@ from tests.helpers import wire_count
 
 def make_network(seed=1, policies=None):
     sim = Simulator(seed=seed)
-    net = Network(
-        sim, LatencyModel.paper_testbed(), link_policies=policies or []
-    )
+    net = Network(sim, LatencyModel.paper_testbed())
+    for policy in policies or []:
+        net.add_policy(policy)
     return sim, net
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net import BROADCAST, Network
+from repro.net import BROADCAST, Drop, LinkFilter, Network
 from repro.sim import LatencyModel, Simulator
 
 from tests.helpers import wire_count
@@ -11,7 +11,9 @@ from tests.helpers import wire_count
 
 def make_network(loss=0.0, latency=None):
     sim = Simulator(seed=1)
-    net = Network(sim, latency or LatencyModel.paper_testbed(), loss_probability=loss)
+    net = Network(sim, latency or LatencyModel.paper_testbed())
+    if loss:
+        net.add_policy(Drop("loss", probability=loss))
     return sim, net
 
 
@@ -128,13 +130,16 @@ class TestUnicast:
 
 
 class TestLinksAreIndependent:
-    """Each (src, dst) link — a multicast: each sender — draws its loss
-    and jitter from its own stream: traffic on one link cannot re-time
-    a frame on another."""
+    """Each (src, dst) link — a multicast: each sender — draws its
+    jitter from its own stream, and a loss policy on one link draws only
+    for the deliveries it matches: traffic on one link cannot re-time or
+    re-lose a frame on another."""
 
     @staticmethod
     def arrivals_on_c_to_d(extra_a_to_b, loss=0.0):
-        sim, net = make_network(loss=loss)
+        sim, net = make_network()
+        if loss:
+            net.add_policy(Drop("loss", LinkFilter(src="c", dst="d"), probability=loss))
         for address in "abc":
             net.attach(address)
         d = net.attach("d")
@@ -244,7 +249,8 @@ class TestPartitionsAndLoss:
     def test_partial_loss_is_deterministic_per_seed(self):
         def delivered(seed):
             sim = Simulator(seed=seed)
-            net = Network(sim, loss_probability=0.5)
+            net = Network(sim)
+            net.add_policy(Drop("loss", probability=0.5))
             net.attach("a")
             b = net.attach("b")
             for _ in range(100):

@@ -12,6 +12,7 @@ import pytest
 from repro.amoeba import Port
 from repro.errors import RpcError
 from repro.rpc import RpcClient, RpcServer
+from repro.rpc import client as rpc_client
 from repro.rpc.client import RpcTimings
 
 from tests.helpers import TestBed
@@ -21,24 +22,18 @@ ECHO = Port.for_service("echo")
 
 
 class TestBackoff:
-    def test_backoff_grows_and_caps(self):
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "RETRY_BACKOFF_CAP_MS", 16.0)
+        monkeypatch.setattr(rpc_client, "RETRY_JITTER", 0.0)
         bed = TestBed(["client"])
-        client = RpcClient(
-            bed["client"].transport,
-            RpcTimings(
-                retry_backoff_ms=2.0,
-                retry_backoff_cap_ms=16.0,
-                retry_backoff_factor=2.0,
-                retry_jitter=0.0,
-            ),
-        )
+        client = RpcClient(bed["client"].transport)
         delays = [client._backoff_ms(n) for n in range(6)]
         assert delays == [2.0, 4.0, 8.0, 16.0, 16.0, 16.0]
 
     def test_jitter_is_bounded_and_deterministic(self):
         def sample(seed):
             bed = TestBed(["client"], seed=seed)
-            client = RpcClient(bed["client"].transport, RpcTimings(retry_jitter=0.5))
+            client = RpcClient(bed["client"].transport)
             return [client._backoff_ms(n) for n in range(8)]
 
         first, again = sample(7), sample(7)
@@ -48,15 +43,14 @@ class TestBackoff:
             assert 0.5 * base <= delay <= 1.5 * base
         assert sample(8) != first  # the seed actually matters
 
-    def test_nothere_bounce_sleeps_before_failover(self):
+    def test_nothere_bounce_sleeps_before_failover(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "RETRY_JITTER", 0.0)
+        monkeypatch.setattr(rpc_client, "RETRY_BACKOFF_MS", 50.0)
         bed = TestBed(["client", "busy", "idle"])
         # "busy" registers the port but never listens -> bounces NOTHERE.
         RpcServer(bed["busy"].transport, ECHO, "busy")
         start_echo_server(bed["idle"], name="idle")
-        client = RpcClient(
-            bed["client"].transport,
-            RpcTimings(retry_jitter=0.0, retry_backoff_ms=50.0),
-        )
+        client = RpcClient(bed["client"].transport)
 
         def run():
             yield from client.trans(ECHO, "warm")
@@ -79,7 +73,7 @@ class TestConnectionRefused:
         start_echo_server(bed["server"])
         client = RpcClient(
             bed["client"].transport,
-            RpcTimings(reply_timeout_ms=4000.0, max_attempts=2, retry_jitter=0.0),
+            RpcTimings(reply_timeout_ms=4000.0, max_attempts=2),
         )
 
         def warm():
@@ -104,7 +98,7 @@ class TestConnectionRefused:
         bed = TestBed(["client", "s1", "s2"])
         start_echo_server(bed["s1"], name="s1")
         start_echo_server(bed["s2"], name="s2")
-        client = RpcClient(bed["client"].transport, RpcTimings(retry_jitter=0.0))
+        client = RpcClient(bed["client"].transport)
 
         def run():
             yield from client.trans(ECHO, "warm")
@@ -125,12 +119,7 @@ class TestConnectionRefused:
         start_echo_server(bed["server"])
         client = RpcClient(
             bed["client"].transport,
-            RpcTimings(
-                reply_timeout_ms=200.0,
-                max_attempts=1,
-                locate_attempts=1,
-                retry_jitter=0.0,
-            ),
+            RpcTimings(reply_timeout_ms=200.0, max_attempts=1, locate_attempts=1),
         )
 
         def warm():

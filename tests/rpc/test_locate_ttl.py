@@ -3,7 +3,7 @@
 Historically a port-cache entry lived until a hard failure: the first
 replica to answer a locate absorbed a client's whole lifetime of
 requests, and a restarted replica never re-entered the cache. Entries
-filled by a locate now carry an expiry stamp: past ``locate_ttl_ms``
+filled by a locate now carry an expiry stamp: past ``LOCATE_TTL_MS``
 the client forgets the port and re-locates (pulling recovered
 replicas back in), and a NOTHERE bounce accelerates the expiry.
 Entries pinned directly into the kernel (tests, benches) carry no
@@ -12,7 +12,7 @@ stamp and never age; spread mode fans reads over every cached server.
 
 from repro.amoeba import Port
 from repro.rpc import RpcClient
-from repro.rpc.client import RpcTimings
+from repro.rpc import client as rpc_client
 
 from tests.helpers import TestBed
 from tests.rpc.test_rpc import start_echo_server
@@ -20,16 +20,16 @@ from tests.rpc.test_rpc import start_echo_server
 ECHO = Port.for_service("echo")
 
 
-def make_client(bed, **timing_overrides):
-    timings = RpcTimings(retry_jitter=0.0, **timing_overrides)
-    return RpcClient(bed["client"].transport, timings)
+def make_client(bed):
+    return RpcClient(bed["client"].transport)
 
 
 class TestLocateTtl:
-    def test_expired_entry_triggers_relocate(self):
+    def test_expired_entry_triggers_relocate(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "LOCATE_TTL_MS", 5_000.0)
         bed = TestBed(["client", "a", "b"])
         start_echo_server(bed["a"], name="a")
-        client = make_client(bed, locate_ttl_ms=5_000.0)
+        client = make_client(bed)
 
         def work():
             yield from client.trans(ECHO, "one")
@@ -45,10 +45,11 @@ class TestLocateTtl:
         servers = bed.run_until(bed.sim.spawn(work()))
         assert "b" in servers  # the re-locate saw the new replica
 
-    def test_fresh_entry_does_not_relocate(self):
+    def test_fresh_entry_does_not_relocate(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "LOCATE_TTL_MS", 60_000.0)
         bed = TestBed(["client", "a"])
         start_echo_server(bed["a"], name="a")
-        client = make_client(bed, locate_ttl_ms=60_000.0)
+        client = make_client(bed)
 
         def work():
             yield from client.trans(ECHO, "one")
@@ -60,10 +61,11 @@ class TestLocateTtl:
         first, second = bed.run_until(bed.sim.spawn(work()))
         assert first == second == 1  # exactly the one initial locate
 
-    def test_pinned_entries_never_age(self):
+    def test_pinned_entries_never_age(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "LOCATE_TTL_MS", 5.0)
         bed = TestBed(["client", "a"])
         start_echo_server(bed["a"], name="a")
-        client = make_client(bed, locate_ttl_ms=5.0)
+        client = make_client(bed)
 
         def work():
             # The test/bench idiom: pin the cache directly. No locate
@@ -75,25 +77,11 @@ class TestLocateTtl:
 
         assert bed.run_until(bed.sim.spawn(work())) == 0  # never located at all
 
-    def test_ttl_zero_disables_aging(self):
+    def test_nothere_pulls_expiry_in(self, monkeypatch):
+        monkeypatch.setattr(rpc_client, "LOCATE_TTL_MS", 60_000.0)
         bed = TestBed(["client", "a"])
         start_echo_server(bed["a"], name="a")
-        client = make_client(bed, locate_ttl_ms=0.0)
-
-        def work():
-            yield from client.trans(ECHO, "one")
-            yield bed.sim.sleep(1_000_000.0)
-            yield from client.trans(ECHO, "two")
-            return client._kernel._next_locate
-
-        assert bed.run_until(bed.sim.spawn(work())) == 1
-
-    def test_nothere_pulls_expiry_in(self):
-        bed = TestBed(["client", "a"])
-        start_echo_server(bed["a"], name="a")
-        client = make_client(
-            bed, locate_ttl_ms=60_000.0, nothere_refresh_ms=1_000.0
-        )
+        client = make_client(bed)
 
         def work():
             yield from client.trans(ECHO, "one")

@@ -123,7 +123,7 @@ class TestLocate:
         bed = TestBed(["client"])
         client = RpcClient(
             bed["client"].transport,
-            RpcTimings(locate_timeout_ms=5.0, locate_attempts=2),
+            RpcTimings(locate_attempts=2),
         )
 
         def run():
@@ -140,7 +140,7 @@ class TestLocate:
         RpcServer(bed["server"].transport, ECHO)
         client = RpcClient(
             bed["client"].transport,
-            RpcTimings(locate_timeout_ms=5.0, locate_attempts=2),
+            RpcTimings(locate_attempts=2),
         )
 
         def run():
@@ -215,7 +215,6 @@ class TestNotHereFailover:
             bed["client"].transport,
             RpcTimings(
                 reply_timeout_ms=50.0,
-                locate_timeout_ms=5.0,
                 locate_attempts=2,
                 max_attempts=2,
             ),

@@ -280,13 +280,6 @@ class TestLatencyModel:
         model = LatencyModel.paper_testbed()
         assert model.disk.access_time(1024, cached=True) < 5.0
 
-    def test_instant_model_is_all_zero(self):
-        from repro.sim import LatencyModel
-
-        model = LatencyModel.instant()
-        assert model.disk.access_time(4096) == 0.0
-        assert model.network.transmit_time(1000) == 0.0
-
     def test_network_transmit_scales_with_size(self):
         from repro.sim import LatencyModel
 

@@ -1,4 +1,4 @@
-"""Additional Bullet server coverage: cache modes and concurrency."""
+"""Additional Bullet server coverage: cache misses and concurrency."""
 
 import pytest
 
@@ -8,37 +8,37 @@ from repro.storage import BulletClient, BulletServer, Disk
 from tests.helpers import TestBed, disk_ops
 
 
-def make(cache_files=True, seed=0):
+def make(seed=0):
     bed = TestBed(["client", "bullet"], seed=seed)
     disk = Disk(bed.sim, "d")
-    server = BulletServer(
-        bed["bullet"].transport, disk, "x", cache_files=cache_files
-    )
+    server = BulletServer(bed["bullet"].transport, disk, "x")
     client = BulletClient(RpcClient(bed["client"].transport), server.port)
     return bed, disk, server, client
 
 
 class TestCacheModes:
     def test_uncached_server_reads_from_disk_every_time(self):
-        bed, disk, server, client = make(cache_files=False)
+        bed, disk, server, client = make()
 
         def work():
             cap = yield from client.create(b"data")
             before = disk_ops(disk)["random"]
-            yield from client.read(cap)
-            yield from client.read(cap)
+            for _ in range(2):
+                server._cache.clear()  # force a miss
+                yield from client.read(cap)
             return disk_ops(disk)["random"] - before
 
         assert bed.run_until(bed.sim.spawn(work())) == 2
 
     def test_cached_reads_faster_than_uncached(self):
-        def read_time(cache_files):
-            bed, _, server, client = make(cache_files=cache_files)
+        def read_time(cached):
+            bed, _, server, client = make()
             out = {}
 
             def work():
                 cap = yield from client.create(b"data")
-                server._cache.clear() if not cache_files else None
+                if not cached:
+                    server._cache.clear()
                 start = bed.sim.now
                 yield from client.read(cap)
                 out["t"] = bed.sim.now - start
@@ -49,10 +49,11 @@ class TestCacheModes:
         assert read_time(True) < read_time(False)
 
     def test_size_served_from_disk_when_uncached(self):
-        bed, disk, _, client = make(cache_files=False)
+        bed, disk, server, client = make()
 
         def work():
             cap = yield from client.create(b"12345678")
+            server._cache.clear()  # force a miss
             n = yield from client.size(cap)
             return n
 

@@ -10,9 +10,9 @@ from repro.storage.nvram import RECORD_OVERHEAD
 from tests.helpers import count
 
 
-def make_nvram(capacity=1024, write_ms=3.0):
+def make_nvram(capacity=1024):
     sim = Simulator(seed=0)
-    return sim, Nvram(sim, capacity_bytes=capacity, write_ms=write_ms)
+    return sim, Nvram(sim, capacity_bytes=capacity)
 
 
 def run(sim, gen):

@@ -200,7 +200,82 @@ DEPRECATED_NAMES = (
     "membership.resilience_changes",
     "remediate.scale_",
     "NotGroupMember",
+    # Options one value served: module constants beside the code that
+    # reads them (repro/rpc/client.py, repro/group/timings.py,
+    # repro/directory/{state,admin,store}.py, repro/storage/nvram.py,
+    # repro/directory/client.py). Spelled so that what stays does not
+    # match: _free_session_blocks, cached_write_ms, the client_id field.
+    "locate_timeout_ms",
+    "retry_backoff_ms",
+    "retry_backoff_cap_ms",
+    "retry_backoff_factor",
+    "retry_jitter",
+    "locate_ttl_ms",
+    "nothere_refresh_ms",
+    "echo_timeout_ms",
+    "send_retry_ms",
+    "join_timeout_ms",
+    "join_attempts",
+    "session_cache_size",
+    "session_blocks=",
+    "DEFAULT_SESSION_BLOCKS",
+    "scrub_interval_ms",
+    "retry_rounds",
+    "client_id=",
+    "cache_files",
+    ".write_ms",
+    "nvram_write_ms",
+    "max_rounds",
+    # A Drop policy is the one way to lose a frame, add_policy the one
+    # way to install a policy.
+    "loss_probability=",
+    ".loss_probability",
+    "link_policies=",
+    # Dead code: LatencyModel.instant, BaseCluster.format_report, and
+    # the second count of a dedup hit (session.cache_hits is the one).
+    ".instant()",
+    "format_report()",
+    "dir.dedup_hits",
+    "_note_dedup_hit",
 )
+
+
+#: Config fields that name a deployment or are its credential: kept as
+#: fields whatever value the drivers here give them.
+DEPLOYMENT_FIELDS = {"name", "server_addresses", "root_check"}
+
+
+def test_every_option_is_set_by_some_caller():
+    """A config field that no caller under src/ or benchmarks/ sets —
+    by a call keyword or a config-dict key — takes one value: it
+    belongs beside the code that reads it as a module constant (which
+    a test can still monkeypatch), not among the options every test
+    and benchmark configuration must cover."""
+    import dataclasses
+
+    from repro.directory.config import ServiceConfig
+    from repro.group.timings import GroupTimings
+    from repro.rpc.client import RpcTimings
+
+    set_somewhere = set(DEPLOYMENT_FIELDS)
+    for top in ("src", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    set_somewhere.update(k.arg for k in node.keywords if k.arg)
+                elif isinstance(node, ast.Dict):
+                    set_somewhere.update(
+                        k.value
+                        for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
+    unset = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (ServiceConfig, RpcTimings, GroupTimings)
+        for f in dataclasses.fields(cls)
+        if f.name not in set_somewhere
+    ]
+    assert not unset, f"options no src or benchmark caller sets: {unset}"
 
 
 def test_deprecated_names_do_not_resurface():
