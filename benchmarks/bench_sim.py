@@ -43,9 +43,8 @@ SCENARIO = "mixed"
 #: One-time before/after record of the event-loop quick wins this
 #: benchmark's first version landed with (measured on one host, both
 #: numbers in the same process — the ratio is what matters):
-#: 1. ``_post``/``_post_in`` fast paths — process wakeups, sleeps, and
-#:    spawns skip the per-event Timer allocation (they are never
-#:    cancelled);
+#: 1. Timer-less heap entries — process wakeups, sleeps, and spawns
+#:    skip the per-event Timer allocation (they are never cancelled);
 #: 2. process resumption via a stashed-payload bound method instead of
 #:    a fresh ``lambda`` closure per generator step;
 #: 3. precomputed debug names for sleep/timeout futures and the

@@ -60,21 +60,30 @@ class Rights(IntFlag):
 ALL_RIGHTS = Rights(0xFF)
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(bytes):
     """A 48-bit service port.
 
     Ports are sparse names: knowing a service's port is what lets a
     client address it (the RPC locate machinery broadcasts the port).
     We derive the 6 bytes from a human-readable service name so logs
     and tests stay legible.
+
+    A port *is* its six bytes: every RPC looks ports up in its kernel's
+    tables several times, and as a ``bytes`` it hashes and compares
+    there in C.
     """
 
-    id: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.id) != 6:
-            raise CapabilityError(f"port must be 6 bytes, got {len(self.id)}")
+    def __new__(cls, id: bytes) -> "Port":
+        if len(id) != 6:
+            raise CapabilityError(f"port must be 6 bytes, got {len(id)}")
+        return super().__new__(cls, id)
+
+    @property
+    def id(self) -> bytes:
+        """The six bytes, as plain ``bytes``."""
+        return bytes(self)
 
     @classmethod
     def for_service(cls, name: str) -> "Port":
@@ -82,7 +91,10 @@ class Port:
         return cls(hashlib.sha256(f"port:{name}".encode()).digest()[:6])
 
     def __str__(self) -> str:
-        return self.id.hex()
+        return self.hex()
+
+    def __repr__(self) -> str:
+        return f"Port(id={bytes(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,7 @@ class Capability:
     def to_bytes(self) -> bytes:
         """The canonical 16-byte wire encoding."""
         return (
-            self.port.id
+            self.port
             + self.object_number.to_bytes(3, "big")
             + int(self.rights).to_bytes(1, "big")
             + self.check.to_bytes(6, "big")

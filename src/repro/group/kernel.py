@@ -128,6 +128,10 @@ class GroupKernel:
 
         # Message stream.
         self.history: dict[int, BcRecord] = {}
+        #: The prune mark: no seqno below it is in the history. Pruning
+        #: walks up from it; holding an older record lowers it
+        #: (``_hold``), restarting the stream resets it (``_rebase``).
+        self._pruned = 0
         self.received = -1  # highest contiguous seqno held
         self.committed = -1  # highest seqno safe to deliver
         self.taken = -1  # highest seqno the application consumed
@@ -164,6 +168,10 @@ class GroupKernel:
         self._dead = False
         self._ticker = None
         self._silence_timer = None
+        #: Frame kind per suffix and the name of every submit's future,
+        #: formatted once rather than per frame and per send.
+        self._kinds: dict[str, str] = {}
+        self._send_name = f"send({group}@{self.me})"
         self._register_handlers()
 
     # ------------------------------------------------------------------
@@ -171,7 +179,10 @@ class GroupKernel:
     # ------------------------------------------------------------------
 
     def _kind(self, suffix: str) -> str:
-        return f"grp.{self.group}.{suffix}"
+        kind = self._kinds.get(suffix)
+        if kind is None:
+            kind = self._kinds[suffix] = f"grp.{self.group}.{suffix}"
+        return kind
 
     def _register_handlers(self) -> None:
         for suffix, handler in [
@@ -328,7 +339,7 @@ class GroupKernel:
         emitted *before* the submit, e.g. the directory's request-
         received marker) pass it in; everyone else gets a fresh one.
         """
-        fut = Future(f"send({self.group}@{self.me})")
+        fut = Future(self._send_name)
         if self.state != STATE_MEMBER:
             fut.fail(GroupFailure(f"not a group member ({self.state})"))
             return fut
@@ -430,11 +441,14 @@ class GroupKernel:
         need = self._required_acks()
         if need == 0:
             return self.received
-        acks = sorted(
-            (self.ack_progress.get(m, -1) for m in self.view if m != self.me),
-            reverse=True,
-        )
-        return min(acks[need - 1], self.received)
+        acks = [self.ack_progress.get(m, -1) for m in self.view if m != self.me]
+        if need == 1:
+            point = max(acks)
+        elif need == len(acks):
+            point = min(acks)
+        else:
+            point = sorted(acks, reverse=True)[need - 1]
+        return min(point, self.received)
 
     def _advance_commit(self) -> None:
         if self.me != self.sequencer or self.state != STATE_MEMBER:
@@ -473,10 +487,13 @@ class GroupKernel:
 
     def _hold(self, record: BcRecord) -> bool:
         """Keep *record* unless its seqno is held already; True if kept."""
-        if record.seqno in self.history:
+        seqno = record.seqno
+        if seqno in self.history:
             return False
-        self.history[record.seqno] = record
-        self.sequenced_ids[record.msg_id] = record.seqno
+        if seqno < self._pruned:
+            self._pruned = seqno  # the next prune walks down to it
+        self.history[seqno] = record
+        self.sequenced_ids[record.msg_id] = seqno
         return True
 
     def _held_after(self, base: int) -> list[BcRecord]:
@@ -687,12 +704,17 @@ class GroupKernel:
           `received`, which commit guarantees is at least `committed`
           for every member — so `committed` bounds what peers may ask
           of us, with HISTORY_MARGIN of slack for stragglers.
+
+        Nothing below the prune mark is held, so only the seqnos from
+        the mark up to the new floor are looked at.
         """
         floor = min(self.taken, self.committed - HISTORY_MARGIN)
         if self.me == self.sequencer and self.ack_progress:
             floor = min(floor, min(self.ack_progress.values()))
-        if floor > 0:
-            self._forget([s for s in self.history if s < floor])
+        if floor > self._pruned:
+            history = self.history
+            self._forget([s for s in range(self._pruned, floor) if s in history])
+            self._pruned = floor
 
     def _on_hb(self, packet) -> None:
         payload = packet.payload
@@ -892,6 +914,7 @@ class GroupKernel:
     def _rebase(self, base: int) -> None:
         """Start the message stream afresh at *base* (create and join)."""
         self.history.clear()
+        self._pruned = base + 1
         self.sequenced_ids.clear()
         self._votes_cast = {}
         self.received = self.committed = self.taken = base

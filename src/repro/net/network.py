@@ -43,14 +43,18 @@ Reachability is evaluated at *delivery* time, so a partition that
 forms while a frame is in flight drops the frame.
 
 Every frame goes through :meth:`Network.transmit` and every receiver
-of it through :meth:`Network._deliver`, so both are written for the
+of it through :meth:`Packet._deliver`, so both are written for the
 host: :class:`Packet` is a slotted class, the counters are bumped in
-place, and a delivery checks reachability inline.
+place, and a delivery checks reachability inline. The delivery event
+is the bound ``_deliver`` of the packet built for that receiver, and a
+unicast frame with no link policy goes straight to
+:meth:`Network._launch`, the one place a delivery is metered, held
+FIFO and scheduled.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from heapq import heappush
 from random import Random
 from typing import Any, Callable, Container, Hashable
 
@@ -68,9 +72,10 @@ BROADCAST = "<broadcast>"
 
 
 class Packet:
-    """One frame as seen by a receiving NIC (read-only by convention)."""
+    """One frame as seen by a receiving NIC (read-only by convention);
+    its bound :meth:`_deliver` is its delivery event."""
 
-    __slots__ = ("src", "dst", "kind", "payload", "size", "multicast")
+    __slots__ = ("src", "dst", "kind", "payload", "size", "multicast", "network")
 
     def __init__(
         self,
@@ -80,6 +85,7 @@ class Packet:
         payload: Any,
         size: int,
         multicast: bool = False,
+        network: "Network | None" = None,
     ):
         self.src = src
         self.dst = dst  # the NIC it was delivered to (not BROADCAST)
@@ -87,6 +93,41 @@ class Packet:
         self.payload = payload
         self.size = size  # bytes, for wire-time accounting
         self.multicast = multicast
+        self.network = network
+
+    def _deliver(self) -> None:
+        """The delivery event: hand the frame to its NIC's sink if both
+        ends are up and connected, else drop it (and maybe refuse it)."""
+        network = self.network
+        src = self.src
+        dst = self.dst
+        nics = network._nics
+        nic = nics.get(dst)  # None: a unicast to an address never attached
+        # Network.reachable(), inline: both NICs up and, unless the
+        # segment is whole, in the same partition component.
+        components = network.partitions._component
+        tracer = network._obs.tracer
+        if not (
+            nic is not None
+            and nic.up
+            and nics[src].up
+            and (not components or components.get(src, 0) == components.get(dst, 0))
+        ):
+            network._c_dropped.value += 1
+            if tracer.enabled:
+                tracer.emit(
+                    str(src), "net", "net.drop",
+                    dst=str(dst), kind=self.kind,
+                    reason="unreachable",
+                )
+            network._maybe_refuse(self)
+            return
+        if tracer.enabled:
+            tracer.emit(
+                str(dst), "net", "net.deliver",
+                src=str(src), kind=self.kind,
+            )
+        nic.sink(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Packet {self.kind} {self.src!r}->{self.dst!r} {self.payload!r}>"
@@ -290,9 +331,9 @@ class Network:
         if wire.jitter_ms > 0.0:
             # The same bits as rng.uniform(0.0, jitter_ms).
             delay += wire.jitter_ms * rng.random()
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         horizon = self._multicast_horizon.get(src, 0.0)
+        policies = self.link_policies
         multicast = dst == BROADCAST
         if multicast:
             receivers = self._listeners.get(kind)
@@ -303,12 +344,15 @@ class Network:
                     if nic.listens(kind)
                 ]
             self._multicast_horizon[src] = max(horizon, now + delay)
+        elif not policies:
+            # The common frame: one receiver, nothing to decide.
+            self._launch(
+                link, Packet(src, dst, kind, payload, size, False, self),
+                wire_ms, now, now + delay, horizon, 1, False,
+            )
+            return
         else:
             receivers = (dst,)
-        policies = self.link_policies
-        post_in = sim._post_in
-        deliver = self._deliver
-        bind = partial
         for receiver in receivers:
             if multicast:
                 if receiver == src:
@@ -316,7 +360,9 @@ class Network:
                 link = links.get((src, receiver))
                 if link is None:
                     link = links[src, receiver] = _Link()
-            decision = None
+            arrival = now + delay
+            copies = 1
+            reorder = False
             if policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
                 if decision.drop:
@@ -331,68 +377,51 @@ class Network:
                             dst=str(receiver), kind=kind, reason=name,
                         )
                     continue
-            arrival = now + delay
-            copies = 1
-            if decision is not None:
                 if decision.extra_delay_ms > 0.0:
                     arrival += decision.extra_delay_ms
                     self._c_delayed.inc()
                 copies += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
-            if link.bytes is None:
-                link_node = f"link({src}->{receiver})"
-                link.bytes = self._registry.counter(link_node, "net.bytes")
-                link.busy = self._registry.counter(link_node, "net.busy_ms")
-            link.bytes.value += size
-            link.busy.value += wire_ms
-            previous = max(link.last_arrival, horizon)
-            if decision is not None and decision.allow_reorder:
-                # Exempt from per-pair FIFO: this delivery may be
-                # overtaken by later frames (bounded by the policy's
-                # delay ceiling). Do not advance the FIFO horizon.
-                if arrival < previous:
-                    self._c_reordered.inc()
-            else:
-                if arrival < previous:
-                    arrival = previous  # keep per-pair delivery FIFO
-                link.last_arrival = arrival
-            # A delivery is never cancelled (crash and partition are
-            # judged at arrival), so it needs no Timer handle.
-            fn = bind(deliver, Packet(src, receiver, kind, payload, size, multicast))
-            for _ in range(copies):
-                post_in(arrival - now, fn)
-
-    def _deliver(self, packet: Packet) -> None:
-        src = packet.src
-        dst = packet.dst
-        nics = self._nics
-        nic = nics.get(dst)  # None: a unicast to an address never attached
-        # reachable(), inline: both NICs up and, unless the segment is
-        # whole, in the same partition component.
-        components = self.partitions._component
-        tracer = self._obs.tracer
-        if not (
-            nic is not None
-            and nic.up
-            and nics[src].up
-            and (not components or components.get(src, 0) == components.get(dst, 0))
-        ):
-            self._c_dropped.value += 1
-            if tracer.enabled:
-                tracer.emit(
-                    str(src), "net", "net.drop",
-                    dst=str(dst), kind=packet.kind,
-                    reason="unreachable",
-                )
-            self._maybe_refuse(packet)
-            return
-        if tracer.enabled:
-            tracer.emit(
-                str(dst), "net", "net.deliver",
-                src=str(src), kind=packet.kind,
+                reorder = decision.allow_reorder
+            self._launch(
+                link, Packet(src, receiver, kind, payload, size, multicast, self),
+                wire_ms, now, arrival, horizon, copies, reorder,
             )
-        nic.sink(packet)
+
+    def _launch(self, link: _Link, packet: Packet, wire_ms: float, now: float,
+                arrival: float, horizon: float, copies: int, reorder: bool) -> None:
+        """Meter one delivery on its link, hold it FIFO behind the
+        link's last arrival and the sender's last multicast, and
+        schedule *copies* of it."""
+        if link.bytes is None:
+            link_node = f"link({packet.src}->{packet.dst})"
+            link.bytes = self._registry.counter(link_node, "net.bytes")
+            link.busy = self._registry.counter(link_node, "net.busy_ms")
+        link.bytes.value += packet.size
+        link.busy.value += wire_ms
+        previous = max(link.last_arrival, horizon)
+        if reorder:
+            # Exempt from per-pair FIFO: this delivery may be overtaken
+            # by later frames (bounded by the policy's delay ceiling).
+            # Do not advance the FIFO horizon.
+            if arrival < previous:
+                self._c_reordered.inc()
+        else:
+            if arrival < previous:
+                arrival = previous  # keep per-pair delivery FIFO
+            link.last_arrival = arrival
+        # A delivery is never cancelled (crash and partition are judged
+        # at arrival), so it needs no Timer handle. The key is the
+        # delay added back to now, as a scheduled delay is: it can
+        # differ from *arrival* in the last bit.
+        when = now + (arrival - now)
+        sim = self.sim
+        heap = sim._heap
+        deliver = packet._deliver
+        for _ in range(copies):
+            heappush(heap, (when, sim._sequence, None, deliver))
+            sim._sequence += 1
 
     def _maybe_refuse(self, packet: Packet) -> None:
         """Connection refused: an RPC request — or an enquiry about
@@ -484,7 +513,7 @@ class Nic:
         """Bring the NIC (back) up with a fresh, empty inbox as its sink."""
         self.up = True
         self.inbox = Channel(f"nic({self.address}).inbox")
-        #: Where :meth:`Network._deliver` hands an arriving frame.
+        #: Where :meth:`Packet._deliver` hands an arriving frame.
         self.sink: Callable[[Packet], None] = self.inbox.send
 
     # -- sending ----------------------------------------------------------

@@ -142,7 +142,7 @@ class RpcKernel:
     def send_request(self, server, port: Port, txid, body, size: int) -> Future:
         """Fire a request at *server*; the future settles with the reply
         body, a :class:`NotHereBounce`, or the server-raised exception."""
-        fut = Future(f"trans({port} -> {server})")
+        fut = Future("trans")
         self._pending[txid] = fut
         self.transport.send(
             server,

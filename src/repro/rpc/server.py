@@ -51,6 +51,7 @@ class RpcServer:
         self.transport = transport
         self.port = port
         self.name = name or f"server({port})"
+        self._getreq_name = f"{self.name}.getreq"
         self._kernel = rpc_kernel(transport)
         self._waiting: Deque[Future] = deque()
         #: Cleared while the service behind the port cannot take
@@ -82,7 +83,7 @@ class RpcServer:
 
     def getreq(self) -> Future:
         """Future resolving with ``(request_body, ReplyHandle)``."""
-        fut = Future(f"{self.name}.getreq")
+        fut = Future(self._getreq_name)
         self._waiting.append(fut)
         return fut
 

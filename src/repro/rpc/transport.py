@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.net.network import Nic, Packet
+from repro.net.network import BROADCAST, Nic, Packet
 from repro.sim.resources import Cpu
 from repro.sim.scheduler import Simulator
 
@@ -43,6 +43,9 @@ class Transport:
         nic.interest = self._handlers  # live: see the module docstring
         nic.sink = self._dispatch
         self.dropped_unroutable = 0
+        # Frames go straight onto the wire; the NIC's up check is the
+        # network's (a down NIC refuses to transmit).
+        self._transmit = nic.network.transmit
 
     @property
     def address(self):
@@ -98,9 +101,9 @@ class Transport:
     # -- convenience -----------------------------------------------------------
 
     def send(self, dst, kind: str, payload, size: int = 128) -> None:
-        """Unicast via this machine's NIC."""
-        self.nic.send(dst, kind, payload, size)
+        """Unicast from this machine's NIC."""
+        self._transmit(self.nic.address, dst, kind, payload, size)
 
     def broadcast(self, kind: str, payload, size: int = 128) -> None:
-        """Multicast via this machine's NIC."""
-        self.nic.broadcast(kind, payload, size)
+        """Multicast from this machine's NIC."""
+        self._transmit(self.nic.address, BROADCAST, kind, payload, size)

@@ -9,12 +9,16 @@ exception escaped the generator — so processes can ``yield`` on each
 other to join.
 
 A process that yields a bare ``sim.sleep()`` is resumed by the timer's
-own event (:class:`Sleep`); every other wakeup is posted as a fresh
-event behind whatever is already scheduled for that instant.
+own event (:class:`Sleep`); every other wakeup is a fresh event behind
+whatever is already scheduled for that instant, which the settle
+callback pushes onto the simulator's heap itself: its callable is the
+process's one bound :meth:`Process._step_pending`, made when the
+process is, and the settled value waits on the process's own slots.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import Interrupted, SimulationError
@@ -32,7 +36,8 @@ class Process(Future):
     """
 
     __slots__ = (
-        "sim", "_gen", "_waiting_on", "_pending_value", "_pending_exc", "_settled",
+        "sim", "_gen", "_waiting_on", "_pending_value", "_pending_exc",
+        "_settled", "_resume",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator[Future, Any, Any], name: str):
@@ -47,8 +52,10 @@ class Process(Future):
         self._waiting_on: Future | None = None
         self._pending_value: Any = None
         self._pending_exc: BaseException | None = None
-        # Every yield hands the awaited future this one bound method.
+        # Every yield hands the awaited future this one bound method,
+        # and every posted wakeup runs that one.
         self._settled = self._on_future_settled
+        self._resume = self._step_pending
 
     # -- lifecycle -------------------------------------------------------
 
@@ -94,7 +101,7 @@ class Process(Future):
         # Resume on a fresh event so callback chains cannot reorder the
         # process ahead of same-instant events scheduled earlier. The
         # wakeup payload is stashed on the process itself so the heap
-        # entry is a plain bound method, not a fresh closure per step.
+        # entry is a bound method made once, not a fresh one per step.
         exc = fut._exception
         if exc is not None:
             self._pending_value = None
@@ -102,7 +109,9 @@ class Process(Future):
         else:
             self._pending_value = fut._value
             self._pending_exc = None
-        self.sim._post(self._step_pending)
+        sim = self.sim
+        heapq.heappush(sim._heap, (sim.now, sim._sequence, None, self._resume))
+        sim._sequence += 1
 
     def _step_pending(self) -> None:
         value, exc = self._pending_value, self._pending_exc

@@ -78,9 +78,11 @@ class Simulator:
         self.now: float = 0.0
         self.seed = seed
         self.rng = RngStreams(seed)
-        # Heap entries are (when, seq, timer, fn); timer is None for the
-        # non-cancellable fast path (_post/_post_in), which skips the
-        # per-event Timer allocation entirely.
+        # Heap entries are (when, seq, timer, fn); timer is None for an
+        # event nothing can cancel (a wakeup, a sleep, a delivery), which
+        # skips the per-event Timer allocation entirely. Such entries are
+        # pushed inline by their makers: :meth:`spawn`, :meth:`sleep`,
+        # ``Process._on_future_settled`` and ``Network._launch``.
         self._heap: list[tuple[float, int, Timer | None, Callable[[], None]]] = []
         self._sequence = 0
         # Upper bound on the cancelled entries still in the heap: the
@@ -124,26 +126,13 @@ class Simulator:
         """Run ``fn()`` at the current instant, after pending same-time events."""
         return self.schedule(0.0, fn)
 
-    def _post(self, fn: Callable[[], None]) -> None:
-        """``call_soon`` without the Timer handle (hot path).
-
-        Process wakeups dominate the heap; none of them are ever
-        cancelled, so they skip the Timer allocation.
-        """
-        heapq.heappush(self._heap, (self.now, self._sequence, None, fn))
-        self._sequence += 1
-
-    def _post_in(self, delay: float, fn: Callable[[], None]) -> None:
-        """Non-cancellable ``schedule`` (hot path; caller validates delay)."""
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, None, fn))
-        self._sequence += 1
-
     def sleep(self, delay: float) -> Future:
         """A future that resolves after *delay* simulated milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
         fut = Sleep("sleep")
-        self._post_in(delay, fut._fire)
+        heapq.heappush(self._heap, (self.now + delay, self._sequence, None, fut._fire))
+        self._sequence += 1
         return fut
 
     def timeout(self, fut: Future, delay: float, reason: str = "timeout") -> Future:
@@ -176,7 +165,8 @@ class Simulator:
         process = Process(self, gen, name)
         self._processes[process] = None
         process.add_callback(self._processes.pop)
-        self._post(process._step_initial)
+        heapq.heappush(self._heap, (self.now, self._sequence, None, process._step_initial))
+        self._sequence += 1
         return process
 
     # -- running ---------------------------------------------------------
@@ -203,7 +193,12 @@ class Simulator:
 
     def _loop(self, until: float | None, process: Process | None, max_events: int) -> None:
         """Run events in ``(when, seq)`` order until the heap drains, the
-        next one lies past *until*, or *process* has settled."""
+        next one lies past *until*, or *process* has settled.
+
+        Each event is popped once; the one entry found past *until* is
+        pushed back unchanged. ``(when, seq)`` is unique, so it returns
+        to the same place in the order and no sequence number is spent.
+        """
         events = 0
         heap = self._heap
         while heap:
@@ -211,11 +206,12 @@ class Simulator:
                 process._value is not _PENDING or process._exception is not None
             ):
                 return
-            when, _, timer, fn = heap[0]
+            entry = heapq.heappop(heap)
+            when, _, timer, fn = entry
             if until is not None and when > until:
+                heapq.heappush(heap, entry)
                 self.now = until
                 return
-            heapq.heappop(heap)
             if timer is not None and timer.cancelled:
                 continue
             self.now = when

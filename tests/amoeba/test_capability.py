@@ -34,6 +34,22 @@ class TestPort:
         with pytest.raises(CapabilityError):
             Port(b"short")
 
+    def test_a_port_hashes_and_compares_as_its_bytes(self):
+        # Every RPC looks its port up in the kernel's port-keyed tables;
+        # bytes' own slots do that in C.
+        assert Port.__hash__ is bytes.__hash__
+        assert Port.__eq__ is bytes.__eq__
+        port = Port.for_service("dir")
+        assert port.id == bytes(port) and type(port.id) is bytes
+        assert str(port) == f"{port}" == port.id.hex()
+
+    def test_a_decoded_port_is_the_same_key(self):
+        cap = make_owner(obj=7)
+        decoded = Capability.from_bytes(cap.to_bytes()).port
+        assert type(decoded) is Port
+        assert decoded == cap.port and hash(decoded) == hash(cap.port)
+        assert {cap.port: "served"}[decoded] == "served"
+
 
 class TestCapability:
     def test_object_number_range(self):

@@ -54,6 +54,13 @@ class TestSafePoint:
         kernel.ack_progress = {"b": 9, "c": 9}  # acks ahead of us?!
         assert kernel._safe_point() == 3
 
+    def test_r2_of_three_others_takes_the_second_fastest(self):
+        bed, members = build_group(["a", "b", "c", "d"], resilience=2)
+        kernel = members["a"].kernel
+        kernel.received = 9
+        kernel.ack_progress = {"b": 4, "c": 8, "d": 6}
+        assert kernel._safe_point() == 6
+
 
 class TestSequencerDedup:
     def test_duplicate_request_does_not_reassign(self):
@@ -174,6 +181,46 @@ class TestHistoryGc:
             return got
 
         assert bed.run_until(bed.sim.spawn(drain())) == list(range(100))
+
+    @staticmethod
+    def floor(kernel):
+        """What _prune_history's docstring says may go: everything
+        strictly below this seqno."""
+        floor = min(kernel.taken, kernel.committed - group_kernel.HISTORY_MARGIN)
+        if kernel.me == kernel.sequencer and kernel.ack_progress:
+            floor = min(floor, min(kernel.ack_progress.values()))
+        return floor
+
+    def test_no_seqno_below_the_floor_survives_a_prune(self):
+        bed, members = build_group(["a", "b", "c"])
+        n_messages = 3 * group_kernel.HISTORY_MARGIN
+
+        def sender():
+            for i in range(n_messages):
+                yield from members["a"].send_to_group(i, size=16)
+
+        def receiver(addr):
+            for _ in range(n_messages):
+                yield from members[addr].receive()
+
+        for addr in ("a", "b", "c"):
+            bed.sim.spawn(receiver(addr), f"r-{addr}")
+        bed.sim.spawn(sender(), "s")
+        bed.run(until=bed.sim.now + 120_000.0)
+        for addr in ("a", "b", "c"):
+            kernel = members[addr].kernel
+            kernel._prune_history()
+            floor = self.floor(kernel)
+            assert floor > group_kernel.HISTORY_MARGIN
+            assert min(kernel.history) >= floor
+            # A record older than everything pruned arrives late (a
+            # straggler's retransmission, a vote tail): it is held, and
+            # the next prune drops it with its dedup entry.
+            late = group_kernel.BcRecord(3, ("late", addr), "a", None, 16)
+            assert kernel._hold(late)
+            kernel._prune_history()
+            assert min(kernel.history) >= floor
+            assert ("late", addr) not in kernel.sequenced_ids
 
 
 class TestInfo:

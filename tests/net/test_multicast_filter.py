@@ -318,7 +318,7 @@ class TestListenerIndex:
                 first = sim._sequence
                 net.nic(src).broadcast(kind, step)
                 got = sorted(
-                    (seq, fn.args[0].dst)
+                    (seq, fn.__self__.dst)
                     for _, seq, _, fn in sim._heap
                     if seq >= first
                 )

@@ -28,6 +28,25 @@ class TestScheduling:
         sim.run()
         assert order == list(range(10))
 
+    def test_run_until_runs_the_instant_and_keeps_what_lies_past_it(self):
+        sim = Simulator()
+        order = []
+        for when, tag in [(1.0, "a"), (2.0, "at"), (3.0, "b"), (3.0, "c"), (5.0, "d")]:
+            sim.schedule(when, lambda tag=tag: order.append(tag))
+        scheduled = sim._sequence
+        entries = sorted(sim._heap)
+        assert sim.run(until=2.0) == 2.0
+        assert order == ["a", "at"]  # an event at exactly `until` runs
+        # The first event past `until` went back as it was: same key,
+        # same entry, and no sequence number spent on the push-back.
+        assert sim._sequence == scheduled
+        assert sorted(sim._heap) == entries[2:]
+        assert sim.run(until=2.5) == 2.5
+        assert sim._sequence == scheduled and order == ["a", "at"]
+        sim.schedule(0.5, lambda: order.append("later"))  # also at 3.0
+        sim.run()
+        assert order == ["a", "at", "b", "c", "later", "d"]
+
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)

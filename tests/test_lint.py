@@ -515,12 +515,15 @@ def test_what_is_built_per_frame_or_per_settle_is_slotted():
     per-instance ``__dict__`` (or a frozen dataclass's guarded
     ``__setattr__``) was a measurable share of host time per op. A
     sequenced message is one BcRecord, built once by the sequencer and
-    shared by every member's history, so it is frozen as well."""
+    shared by every member's history, so it is frozen as well. A Port
+    keys the RPC kernel's tables on every transaction: it is its bytes,
+    with no ``__dict__`` beside them."""
     import importlib
     import inspect
     import pkgutil
 
     import repro.sim
+    from repro.amoeba.capability import Port
     from repro.group.kernel import BcRecord
     from repro.net.network import Packet
     from repro.sim.future import Future
@@ -534,7 +537,7 @@ def test_what_is_built_per_frame_or_per_settle_is_slotted():
                 futures.add(cls)
     unslotted = sorted(
         cls.__qualname__
-        for cls in futures | {Packet, Timer, BcRecord}
+        for cls in futures | {Packet, Timer, BcRecord, Port}
         if "__slots__" not in vars(cls)
     )
     assert not unslotted, "per-frame/per-settle classes without __slots__: " + (
