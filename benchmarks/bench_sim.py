@@ -48,7 +48,7 @@ SCENARIO = "mixed"
 #: 2. process resumption via a stashed-payload bound method instead of
 #:    a fresh ``lambda`` closure per generator step;
 #: 3. precomputed debug names for sleep/timeout futures and the
-#:    Condition/Semaphore/Channel wait futures (no f-string per call).
+#:    Condition/Semaphore wait futures (no f-string per call).
 QUICK_WIN = {
     "description": (
         "no-Timer fast path for wakeups/sleeps + bound-method process "

@@ -151,12 +151,6 @@ class BaseCluster:
         self.obs.tracer.enable(capacity)
         return self.obs.tracer
 
-    # -- adversarial link faults (see repro.net.policy) -----------------
-
-    def add_link_policy(self, policy):
-        """Install a link-fault policy on this deployment's network."""
-        return self.network.add_policy(policy)
-
     def add_client(
         self,
         client_name: str,

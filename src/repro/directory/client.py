@@ -30,7 +30,7 @@ from repro.directory.operations import (
     ReplaceSet,
     SessionOp,
 )
-from repro.errors import LocateError, NoMajority, PathError, RpcError, ServiceDown
+from repro.errors import LocateError, NoMajority, RpcError, ServiceDown
 from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.transport import Transport
 
@@ -347,86 +347,3 @@ class DirectoryClient:
         """Whether the named row exists (visible columns only)."""
         rows = yield from self.list_dir(cap)
         return any(row.name == name for row in rows)
-
-    # -- hierarchical names -------------------------------------------------
-
-    def resolve_path(self, start: Capability, path: str):
-        """Walk a '/'-separated path of directory rows.
-
-        Amoeba's directory graph is built by storing directory
-        capabilities inside directories; ``resolve_path(root,
-        "home/ast/thesis")`` performs one lookup per component and
-        returns the final capability (which may name a directory, a
-        file, or any other object), or None if any component is
-        missing.
-
-        Path grammar (see :func:`_components`): empty separators
-        collapse, so ``""`` and ``"/"`` resolve to *start* itself and
-        ``"//a///b/"`` equals ``"a/b"``. Malformed paths (non-string,
-        or a ``"."``/``".."`` component — the graph has no self/parent
-        links) raise :class:`~repro.errors.PathError`.
-        """
-        current = start
-        for component in _components(path):
-            if current is None:
-                return None
-            current = yield from self.lookup(current, component)
-        return current
-
-    def make_path(self, start: Capability, path: str):
-        """Create any missing directories along *path*; returns the
-        capability of the final directory.
-
-        Each missing component costs one create_dir plus one
-        append_row (two indivisible operations — a concurrent racer
-        may win the append, in which case we adopt its directory).
-
-        Follows the same path grammar as :meth:`resolve_path`: empty
-        separators collapse (``make_path(root, "//a///")`` creates
-        just ``a``; ``""`` and ``"/"`` create nothing and return
-        *start*), and malformed paths raise
-        :class:`~repro.errors.PathError` before any operation is sent.
-        """
-        from repro.errors import AlreadyExists
-
-        current = start
-        for component in _components(path):
-            found = yield from self.lookup(current, component)
-            if found is None:
-                created = yield from self.create_dir()
-                try:
-                    yield from self.append_row(current, component, (created,))
-                    found = created
-                except AlreadyExists:
-                    # Lost a race: someone else created it; use theirs
-                    # and discard ours.
-                    yield from self.delete_dir(created)
-                    found = yield from self.lookup(current, component)
-            current = found
-        return current
-
-
-def _components(path: str) -> list[str]:
-    """Split a '/'-separated path into its non-empty components.
-
-    The grammar, previously implicit, now pinned by unit tests:
-
-    * ``""`` and ``"/"`` have no components — they name the starting
-      directory itself;
-    * runs of separators and leading/trailing slashes collapse, so
-      ``"//a///b/"`` == ``"a/b"`` (there are no empty row names);
-    * ``"."`` and ``".."`` are not path operators in Amoeba's
-      directory graph (a directory does not know its parents — it may
-      have many) and raise :class:`~repro.errors.PathError`, as does a
-      non-string path.
-    """
-    if not isinstance(path, str):
-        raise PathError(f"path must be a string, not {type(path).__name__}")
-    parts = [part for part in path.split("/") if part]
-    for part in parts:
-        if part in (".", ".."):
-            raise PathError(
-                f"{part!r} is not a valid path component: the directory "
-                "graph has no self/parent links"
-            )
-    return parts

@@ -111,17 +111,6 @@ class NoMajority(DirectoryError):
     """
 
 
-class PathError(DirectoryError):
-    """A slash-separated path string is malformed.
-
-    Raised by the client-side path helpers (``resolve_path`` /
-    ``make_path``) for inputs that cannot name anything: non-string
-    paths and the reserved ``"."`` / ``".."`` components (the directory
-    graph has no notion of self/parent links — see
-    ``repro.directory.client._components`` for the full path grammar).
-    """
-
-
 class NotFound(DirectoryError):
     """The named directory or row does not exist."""
 

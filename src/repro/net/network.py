@@ -9,23 +9,24 @@ multicast address: ``grp.<group>.*`` kinds are a FLIP group address,
 ``rpc.locate`` is the address every machine with a server endpoint
 listens on. A NIC that does not listen costs the sender, the wire and
 the simulator nothing — no delivery event, no link meter, no policy
-draw. A raw :class:`Nic` nobody has put a demultiplexer on is
-promiscuous and takes every multicast. The receivers of a multicast
-are read, in attach order, from an index of the listening addresses
-per kind; anything that changes what a NIC listens for (attaching one,
-assigning :attr:`Nic.interest`, a :class:`~repro.rpc.transport.Transport`
-registering, withdrawing or clearing a handler) drops that index, and
-the next multicast of each kind rebuilds its entry.
+draw. A bare :class:`Nic` nobody has put a demultiplexer on listens
+for nothing. The receivers of a multicast are read, in attach order,
+from an index of the listening addresses per kind; anything that
+changes what a NIC listens for (attaching one, assigning
+:attr:`Nic.interest`, a :class:`~repro.rpc.transport.Transport`
+registering or clearing a handler) drops that index, and the next
+multicast of each kind rebuilds its entry.
 
 A frame that arrives is handed to the receiving NIC's one *sink*
-inside the delivery event itself — on a machine that is
+inside the delivery event itself: the machine's
 :meth:`repro.rpc.transport.Transport._dispatch`, which runs the
 protocol handler there and then, as FLIP hands a packet to the RPC or
-group code inside the Amoeba kernel; on a raw NIC it is the inbox.
-Frames arriving at one NIC in one instant therefore reach their
-handlers in the order their deliveries were scheduled, and whatever a
-handler schedules for that instant runs after everything already
-scheduled for it (DESIGN.md §5, "What a schedule change may move").
+group code inside the Amoeba kernel; there is no second receive path
+(no queue a process drains). Frames arriving at one NIC in one instant
+therefore reach their handlers in the order their deliveries were
+scheduled, and whatever a handler schedules for that instant runs after
+everything already scheduled for it (DESIGN.md §5, "What a schedule
+change may move").
 
 Failure model, mirroring the paper's assumptions:
 
@@ -62,7 +63,6 @@ from repro.errors import NetworkError
 from repro.net.partition import PartitionController
 from repro.net.policy import LinkContext, LinkDecision, LinkPolicy
 from repro.sim.latency import LatencyModel
-from repro.sim.primitives import Channel
 from repro.sim.scheduler import Simulator
 
 Address = Hashable
@@ -278,9 +278,6 @@ class Network:
             if p is not policy and p.name != policy
         ]
 
-    def clear_policies(self) -> None:
-        self.link_policies.clear()
-
     def _intercept(
         self, src: Address, dst: Address, kind: str, size: int, multicast: bool
     ) -> LinkDecision:
@@ -472,66 +469,41 @@ class Network:
 class Nic:
     """One machine's network interface.
 
-    An arriving frame is handed to :attr:`sink`. A raw NIC's sink is
-    its :attr:`inbox` (a :class:`Channel` of :class:`Packet` that a
-    protocol layer or a test drains with :meth:`recv`); a machine's
-    demultiplexer (:mod:`repro.rpc.transport`) binds its dispatcher
-    there instead. Unicast frames addressed to the NIC always arrive;
-    multicast frames arrive only for the kinds in :attr:`interest`.
+    An arriving frame is handed to :attr:`sink`, which the machine's
+    demultiplexer (:mod:`repro.rpc.transport`) binds to its dispatcher
+    once; a bare NIC drops what it is sent. Unicast frames addressed to
+    the NIC always arrive; multicast frames arrive only for the kinds
+    in :attr:`interest`.
     """
 
     def __init__(self, network: Network, address: Address):
         self.network = network
         self.address = address
-        self._interest: Container[str] | None = None
-        self.restart()
+        self.up = True
+        self._interest: Container[str] = ()
+        #: Where :meth:`Packet._deliver` hands an arriving frame.
+        self.sink: Callable[[Packet], None] = _drop
 
     @property
-    def interest(self) -> Container[str] | None:
+    def interest(self) -> Container[str]:
         """The frame kinds this NIC takes off the wire when they are
-        multicast — its multicast address filter. ``None`` (a raw NIC)
-        is promiscuous. A demultiplexer installs its *live* handler
-        table here, so registering a handler is what joins the
-        multicast address; whoever changes that table in place tells
-        the network (:meth:`Network.interest_changed`), assigning a
-        new filter here does it itself."""
+        multicast — its multicast address filter (a bare NIC's is
+        empty). A demultiplexer installs its *live* handler table here,
+        so registering a handler is what joins the multicast address;
+        whoever changes that table in place tells the network
+        (:meth:`Network.interest_changed`), assigning a new filter here
+        does it itself."""
         return self._interest
 
     @interest.setter
-    def interest(self, kinds: Container[str] | None) -> None:
+    def interest(self, kinds: Container[str]) -> None:
         self._interest = kinds
         self.network.interest_changed()
 
-    # -- lifecycle --------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Take the NIC down (machine crash); pending frames are lost."""
-        self.up = False
-        self.inbox.close(NetworkError(f"NIC {self.address!r} went down"))
-
-    def restart(self) -> None:
-        """Bring the NIC (back) up with a fresh, empty inbox as its sink."""
-        self.up = True
-        self.inbox = Channel(f"nic({self.address}).inbox")
-        #: Where :meth:`Packet._deliver` hands an arriving frame.
-        self.sink: Callable[[Packet], None] = self.inbox.send
-
-    # -- sending ----------------------------------------------------------
-
-    def send(self, dst: Address, kind: str, payload: Any, size: int = 128) -> None:
-        """Unicast one frame to *dst*."""
-        self.network.transmit(self.address, dst, kind, payload, size)
-
-    def broadcast(self, kind: str, payload: Any, size: int = 128) -> None:
-        """Multicast one frame to every other NIC listening for *kind*."""
-        self.network.transmit(self.address, BROADCAST, kind, payload, size)
-
-    # -- receiving ---------------------------------------------------------
-
     def listens(self, kind: str) -> bool:
         """Whether a multicast frame of *kind* is taken by this NIC."""
-        return self._interest is None or kind in self._interest
+        return kind in self._interest
 
-    def recv(self):
-        """Future resolving with the next delivered :class:`Packet`."""
-        return self.inbox.recv()
+
+def _drop(packet: Packet) -> None:
+    """A bare NIC's sink: the frame arrives and nothing takes it."""

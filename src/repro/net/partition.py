@@ -40,15 +40,6 @@ class PartitionController:
             for address in group:
                 self._component[address] = component
 
-    def isolate(self, address: Address) -> None:
-        """Cut a single address off from the rest of the network."""
-        new_component = max(self._component.values(), default=0) + 1
-        self._component[address] = new_component
-
-    def rejoin(self, address: Address) -> None:
-        """Bring a single address back into the main component."""
-        self._component.pop(address, None)
-
     def heal(self) -> None:
         """Repair all partitions: everyone back in component 0."""
         self._component = {}

@@ -33,9 +33,8 @@ The *host-time* layer sits beside the sim-time one:
 * :mod:`repro.obs.hostprof` — ``cProfile`` self time and calls per
   layer (the ledger's layer names) and per function of a
   :func:`repro.bench.harness.run_loop` run (``python -m repro perf``);
-  imported by the CLI, not here;
-* :mod:`repro.obs.overhead` — the disabled-path cost of the obs hot
-  paths, pinned by tests/obs/test_overhead.py.
+  imported by the CLI, not here. What the disabled obs hot paths
+  cost is pinned by tests/obs/test_overhead.py.
 """
 
 from repro.obs.export import to_chrome_trace, to_jsonl, to_text, write_trace

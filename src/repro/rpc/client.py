@@ -196,11 +196,6 @@ class RpcClient:
             1.0 + RETRY_JITTER,
         )
 
-    def forget_port(self, port: Port) -> None:
-        """Drop all cached servers for *port* (forces a fresh locate)."""
-        self._kernel.port_cache.pop(port, None)
-        self._kernel.port_expiry.pop(port, None)
-
     def cached_servers(self, port: Port) -> list:
         """Snapshot of the current port-cache entry (first = preferred)."""
         return list(self._kernel.cached_servers(port))

@@ -99,7 +99,7 @@ class RpcKernel:
         #: directly by tests/benches) never age. Maintained by
         #: RpcClient (locate stamps it, TTL expiry clears it).
         self.port_expiry: dict[Port, float] = {}
-        self._servers: dict[Port, "ServerEndpoint"] = {}
+        self._servers: dict[Port, ServerEndpoint] = {}
         self._pending: dict[tuple, Future] = {}
         #: Client half of the enquiry: per overdue transaction, how
         #: many enquiries have gone out since the last ``rpc.alive``.
@@ -124,7 +124,7 @@ class RpcKernel:
 
     # -- server registry ---------------------------------------------------
 
-    def register_server(self, port: Port, endpoint: "ServerEndpoint") -> None:
+    def register_server(self, port: Port, endpoint: ServerEndpoint) -> None:
         # Only a machine that serves some port listens on the locate
         # multicast address; pure clients never see locate broadcasts.
         self.transport.register(KIND_LOCATE, self._on_locate)

@@ -18,9 +18,9 @@ The handler table is also the NIC's multicast address filter
 (:attr:`repro.net.network.Nic.interest`): a multicast frame reaches
 this machine only if some handler is registered for its kind, so
 ``dropped_unroutable`` counts unicast frames (and multicasts whose
-handler was withdrawn while they were in flight). The table is changed
-in place, so every change tells the network to drop its multicast
-listener index.
+handler a restart cleared while they were in flight). The table is
+changed in place, so every change tells the network to drop its
+multicast listener index.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Transport:
         self.cpu = Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
         self._handlers: dict[str, Callable[[Packet], None]] = {}
         nic.interest = self._handlers  # live: see the module docstring
-        nic.sink = self._dispatch
+        nic.sink = self._dispatch  # for good: a restart keeps it
         self.dropped_unroutable = 0
         # Frames go straight onto the wire; the NIC's up check is the
         # network's (a down NIC refuses to transmit).
@@ -54,8 +54,8 @@ class Transport:
 
     @property
     def alive(self) -> bool:
-        """True while the NIC is up and hands its frames to us."""
-        return self.nic.up and self.nic.sink == self._dispatch
+        """True while the machine's NIC is up."""
+        return self.nic.up
 
     # -- handler registry ---------------------------------------------------
 
@@ -67,17 +67,12 @@ class Transport:
         self._handlers[kind] = handler
         self.nic.network.interest_changed()
 
-    def unregister(self, kind: str) -> None:
-        """Stop routing packets of *kind* (and taking its multicasts)."""
-        self._handlers.pop(kind, None)
-        self.nic.network.interest_changed()
-
     # -- lifecycle ------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Crash the machine's network stack (with its NIC)."""
-        if self.nic.up:
-            self.nic.shutdown()
+        """Crash the machine's network stack (with its NIC): it neither
+        sends nor receives, and frames in flight to it are lost."""
+        self.nic.up = False
 
     def restart(self) -> None:
         """Bring the stack back up after a crash. Handlers must be
@@ -87,8 +82,7 @@ class Transport:
         kernel = getattr(self, "_rpc_kernel", None)
         if kernel is not None:
             kernel.attached = False  # force a fresh RPC kernel after reboot
-        self.nic.restart()
-        self.nic.sink = self._dispatch
+        self.nic.up = True
 
     def _dispatch(self, packet: Packet) -> None:
         """The NIC's sink: run the handler for *packet*'s kind, now."""

@@ -21,12 +21,11 @@ the test-suite asserts.
 from repro.sim.future import Future
 from repro.sim.latency import LatencyModel
 from repro.sim.process import Process
-from repro.sim.primitives import Channel, Condition, Mutex, Semaphore
+from repro.sim.primitives import Condition, Mutex, Semaphore
 from repro.sim.randomness import RngStreams
 from repro.sim.scheduler import Simulator
 
 __all__ = [
-    "Channel",
     "Condition",
     "Future",
     "LatencyModel",

@@ -15,7 +15,7 @@ API for everyone else.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import Interrupted, SimulationError
 
@@ -118,58 +118,3 @@ class Future:
         else:
             state = "pending"
         return f"<Future {self.name!r} {state}>"
-
-
-def all_of(futures: Iterable[Future], name: str = "all_of") -> Future:
-    """A future resolving with a list of values once *all* inputs resolve.
-
-    Fails as soon as any input fails (remaining results are discarded).
-    """
-    futures = list(futures)
-    result = Future(name)
-    if not futures:
-        result.resolve([])
-        return result
-    remaining = {"count": len(futures)}
-
-    def on_done(_: Future) -> None:
-        if result.resolved:
-            return
-        failed = next((f for f in futures if f.exception is not None), None)
-        if failed is not None:
-            result.fail(failed.exception)  # type: ignore[arg-type]
-            return
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            result.resolve([f.value for f in futures])
-
-    for fut in futures:
-        fut.add_callback(on_done)
-    return result
-
-
-def any_of(futures: Iterable[Future], name: str = "any_of") -> Future:
-    """A future that settles like the *first* input future to settle.
-
-    Resolves with an ``(index, value)`` pair so the caller can tell
-    which input won the race.
-    """
-    futures = list(futures)
-    if not futures:
-        raise SimulationError("any_of() requires at least one future")
-    result = Future(name)
-
-    def make_callback(index: int) -> Callable[[Future], None]:
-        def on_done(fut: Future) -> None:
-            if result.resolved:
-                return
-            if fut.exception is not None:
-                result.fail(fut.exception)
-            else:
-                result.resolve((index, fut.value))
-
-        return on_done
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(make_callback(i))
-    return result

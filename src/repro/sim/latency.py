@@ -86,12 +86,6 @@ class DiskLatency:
         blocks cost one arm movement instead of n."""
         return self.seek_ms + self.rotation_ms + (size_bytes / 1024.0) * self.per_kb_ms
 
-    def access_time(self, size_bytes: int, cached: bool = False) -> float:
-        """Back-compat helper: random access, or cached when asked."""
-        if cached:
-            return self.cached_ms(size_bytes)
-        return self.random_ms(size_bytes)
-
 
 @dataclass
 class CpuLatency:

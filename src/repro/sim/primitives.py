@@ -2,7 +2,7 @@
 
 These mirror the facilities the Amoeba servers use: condition-style
 wakeups (a group thread blocking until the kernel has a message to
-deliver), bounded mailboxes between kernel and threads, and
+deliver), semaphores (a CPU, the disk arm) and
 mutual exclusion for the RPC service's conflict detection.
 """
 
@@ -232,73 +232,3 @@ class Mutex(Semaphore):
     def held(self) -> bool:
         """True while some process holds the mutex."""
         return self._value == 0
-
-    def locked(self):
-        """Generator context helper: ``yield from mutex.locked()`` is not
-        supported in Python generators; use acquire/release explicitly."""
-        raise SimulationError("use acquire()/release() explicitly")
-
-
-class Channel:
-    """Unbounded FIFO mailbox between processes.
-
-    ``recv()`` returns a future for the next item; sends never block.
-    A channel can be *closed*, after which pending and future receives
-    fail with the provided exception — this is how NIC shutdown and
-    server crashes propagate to blocked reader threads.
-    """
-
-    def __init__(self, name: str = "channel"):
-        self.name = name
-        self._recv_name = name + ".recv"
-        self._items: Deque[Any] = deque()
-        self._waiters: Deque[Future] = deque()
-        self._closed: BaseException | None = None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        """True once close() has been called."""
-        return self._closed is not None
-
-    def send(self, item: Any) -> None:
-        """Enqueue *item*, waking the oldest receiver if one is blocked."""
-        if self._closed is not None:
-            return  # messages to a dead endpoint vanish silently
-        while self._waiters:
-            fut = self._waiters.popleft()
-            if fut.resolve_if_pending(item):
-                return
-        self._items.append(item)
-
-    def recv(self) -> Future:
-        """Future resolving with the next item (FIFO)."""
-        fut = Future(self._recv_name)
-        if self._items:
-            fut.resolve(self._items.popleft())
-        elif self._closed is not None:
-            fut.fail(self._closed)
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def try_recv(self) -> tuple[bool, Any]:
-        """Non-blocking receive: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items without consuming them."""
-        return list(self._items)
-
-    def close(self, exc: BaseException | None = None) -> None:
-        """Close the channel; blocked and future receivers get *exc*."""
-        from repro.errors import Interrupted
-
-        self._closed = exc or Interrupted(f"channel {self.name} closed")
-        waiters, self._waiters = self._waiters, deque()
-        for fut in waiters:
-            fut.fail_if_pending(self._closed)

@@ -145,8 +145,8 @@ class Sleep(Future):
     so when the one thing waiting on it is a process that yielded it,
     the timer resumes that process there and then rather than posting
     a second event for the same instant. A sleep raced under
-    ``timeout``/``any_of``, or with any second callback, settles like
-    any other future and its waiters get the posted wakeup.
+    ``timeout``, or with any second callback, settles like any other
+    future and its waiters get the posted wakeup.
     """
 
     __slots__ = ()

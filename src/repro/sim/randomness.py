@@ -32,19 +32,3 @@ class RngStreams:
     def uniform(self, name: str, low: float, high: float) -> float:
         """One uniform draw from the named stream."""
         return self.stream(name).uniform(low, high)
-
-    def expovariate(self, name: str, rate: float) -> float:
-        """One exponential draw (mean ``1/rate``) from the named stream."""
-        return self.stream(name).expovariate(rate)
-
-    def choice(self, name: str, seq):
-        """One uniform choice from *seq* using the named stream."""
-        return self.stream(name).choice(seq)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        """One integer draw in [low, high] from the named stream."""
-        return self.stream(name).randint(low, high)
-
-    def bytes(self, name: str, n: int) -> bytes:
-        """*n* random bytes from the named stream."""
-        return self.stream(name).randbytes(n)

@@ -225,13 +225,6 @@ class Simulator:
 
     # -- introspection ----------------------------------------------------
 
-    def pending_events(self) -> int:
-        """Number of scheduled, uncancelled events."""
-        return sum(
-            1 for _, _, timer, _ in self._heap
-            if timer is None or not timer.cancelled
-        )
-
     def alive_processes(self) -> Iterable[Process]:
         """Processes that have not yet finished."""
         return list(self._processes)

@@ -21,6 +21,15 @@ class Machine:
     def cpu(self):
         return self.transport.cpu
 
+    def listen(self, *kinds) -> list:
+        """Take frames of *kinds* through the transport — the one
+        receive path a machine has — and return the list each arriving
+        :class:`~repro.net.network.Packet` is appended to."""
+        frames = []
+        for kind in kinds:
+            self.transport.register(kind, frames.append)
+        return frames
+
     def crash(self):
         self.transport.shutdown()
 

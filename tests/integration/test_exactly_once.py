@@ -55,7 +55,7 @@ class TestSameServerReplyTimeout:
             LinkFilter(dst=("solo.client.c1",), kind="rpc.reply"),
             max_drops=1,
         )
-        cluster.add_link_policy(lose_one)
+        cluster.network.add_policy(lose_one)
 
         assert cluster.run_process(client.append_row(root, "pinned", (sub,))) is True
         assert lose_one.dropped == 1  # the first reply really was lost
@@ -72,7 +72,7 @@ class TestSameServerReplyTimeout:
             LinkFilter(dst=("solo.client.c1",), kind="rpc.reply"),
             max_drops=1,
         )
-        cluster.add_link_policy(lose_one)
+        cluster.network.add_policy(lose_one)
 
         assert cluster.run_process(client.delete_row(root, "pinned")) is True
         assert lose_one.dropped == 1
@@ -91,7 +91,7 @@ class TestSameServerReplyTimeout:
             LinkFilter(dst=("solo.client.c1",), kind="rpc.reply"),
             max_drops=1,
         )
-        cluster.add_link_policy(lose_one)
+        cluster.network.add_policy(lose_one)
 
         with pytest.raises(AlreadyExists):
             cluster.run_process(client.append_row(root, "pinned", (sub,)))
@@ -115,7 +115,7 @@ class TestCrashRestartExactlyOnce:
             "test.blackout",
             LinkFilter(dst=(str(client.transport.address),), kind="rpc.reply"),
         )
-        cluster.add_link_policy(blackout)
+        cluster.network.add_policy(blackout)
         proc = cluster.sim.spawn(
             client.append_row(root, "once", (sub,)), "blackout-append"
         )

@@ -1,37 +1,15 @@
 """Unit tests for the per-link fault-injection policy chain."""
 
-from repro.net import (
-    BROADCAST,
-    Delay,
-    Drop,
-    Duplicate,
-    LinkContext,
-    LinkFilter,
-    Network,
-    Reorder,
-)
-from repro.sim import LatencyModel, Simulator
-
-from tests.helpers import wire_count
+from repro.net import Delay, Drop, Duplicate, LinkContext, LinkFilter, Reorder
+from tests.helpers import TestBed, wire_count
 
 
-def make_network(seed=1, policies=None):
-    sim = Simulator(seed=seed)
-    net = Network(sim, LatencyModel.paper_testbed())
+def make_network(seed=1, policies=None, addresses=("a", "b")):
+    """A bed of machines on one segment with *policies* installed."""
+    bed = TestBed(addresses, seed=seed)
     for policy in policies or []:
-        net.add_policy(policy)
-    return sim, net
-
-
-def collect(nic, out):
-    """Drain every packet arriving at *nic* into *out* (spawned process)."""
-
-    def loop():
-        while True:
-            packet = yield nic.recv()
-            out.append(packet)
-
-    return loop
+        bed.network.add_policy(policy)
+    return bed
 
 
 def ctx(src="a", dst="b", kind="test", size=64, multicast=False, now=0.0):
@@ -70,146 +48,111 @@ class TestLinkFilter:
 
 class TestDrop:
     def test_certain_drop_eats_unicast(self):
-        sim, net = make_network(
-            policies=[Drop("d", LinkFilter(src="a", dst="b"))]
-        )
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
-        net.nic("a").send("b", "test", 1)
-        sim.run(until=50.0)
+        bed = make_network(policies=[Drop("d", LinkFilter(src="a", dst="b"))])
+        got = bed["b"].listen("test")
+        bed["a"].transport.send("b", "test", 1)
+        bed.run(until=50.0)
         assert got == []
-        assert net.stats.policy_drops == {"d": 1}
-        assert wire_count(net, "net.frames_dropped") == 1
+        assert bed.network.stats.policy_drops == {"d": 1}
+        assert wire_count(bed.network, "net.frames_dropped") == 1
 
     def test_asymmetric_reverse_direction_clean(self):
-        sim, net = make_network(
-            policies=[Drop("d", LinkFilter(src="a", dst="b"))]
-        )
-        a, b = net.attach("a"), net.attach("b")
-        got_a, got_b = [], []
-        sim.spawn(collect(a, got_a)(), "rxa")
-        sim.spawn(collect(b, got_b)(), "rxb")
+        bed = make_network(policies=[Drop("d", LinkFilter(src="a", dst="b"))])
+        got_a, got_b = bed["a"].listen("test"), bed["b"].listen("test")
         for _ in range(5):
-            net.nic("a").send("b", "test", 1)
-            net.nic("b").send("a", "test", 2)
-        sim.run(until=100.0)
+            bed["a"].transport.send("b", "test", 1)
+            bed["b"].transport.send("a", "test", 2)
+        bed.run(until=100.0)
         assert got_b == []
         assert len(got_a) == 5
 
     def test_per_receiver_multicast_loss(self):
         # One receiver misses the multicast; the other still gets it.
-        sim, net = make_network(
-            policies=[Drop("d", LinkFilter(dst="b", multicast=True))]
+        bed = make_network(
+            policies=[Drop("d", LinkFilter(dst="b", multicast=True))],
+            addresses=("a", "b", "c"),
         )
-        net.attach("a")
-        b, c = net.attach("b"), net.attach("c")
-        got_b, got_c = [], []
-        sim.spawn(collect(b, got_b)(), "rxb")
-        sim.spawn(collect(c, got_c)(), "rxc")
-        net.nic("a").broadcast("test", 1)
-        sim.run(until=50.0)
+        got_b, got_c = bed["b"].listen("test"), bed["c"].listen("test")
+        bed["a"].transport.broadcast("test", 1)
+        bed.run(until=50.0)
         assert got_b == []
         assert len(got_c) == 1
 
     def test_max_drops_budget_then_inert(self):
         policy = Drop("d", LinkFilter(src="a"), max_drops=2)
-        sim, net = make_network(policies=[policy])
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
+        bed = make_network(policies=[policy])
+        got = bed["b"].listen("test")
         for _ in range(5):
-            net.nic("a").send("b", "test", 1)
-        sim.run(until=100.0)
+            bed["a"].transport.send("b", "test", 1)
+        bed.run(until=100.0)
         assert len(got) == 3
         assert policy.dropped == 2
         assert not policy.enabled
 
     def test_probability_zero_never_drops(self):
-        sim, net = make_network(policies=[Drop("d", probability=0.0)])
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
+        bed = make_network(policies=[Drop("d", probability=0.0)])
+        got = bed["b"].listen("test")
         for _ in range(10):
-            net.nic("a").send("b", "test", 1)
-        sim.run(until=100.0)
+            bed["a"].transport.send("b", "test", 1)
+        bed.run(until=100.0)
         assert len(got) == 10
 
 
 class TestDuplicate:
     def test_extra_copies_delivered(self):
-        sim, net = make_network(policies=[Duplicate("dup", copies=2)])
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
-        net.nic("a").send("b", "test", 1)
-        sim.run(until=50.0)
+        bed = make_network(policies=[Duplicate("dup", copies=2)])
+        got = bed["b"].listen("test")
+        bed["a"].transport.send("b", "test", 1)
+        bed.run(until=50.0)
         assert len(got) == 3  # original + 2 copies
-        assert wire_count(net, "net.frames_duplicated") == 2
+        assert wire_count(bed.network, "net.frames_duplicated") == 2
 
 
 class TestDelayAndReorder:
     def test_delay_preserves_fifo(self):
         # The delayed frame stalls the link: later frames queue behind.
-        sim, net = make_network(
+        bed = make_network(
             policies=[Delay("spike", probability=1.0, min_ms=30.0, max_ms=30.0)]
         )
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
+        got = bed["b"].listen("test")
         for i in range(4):
-            net.nic("a").send("b", "test", i)
-        sim.run(until=500.0)
+            bed["a"].transport.send("b", "test", i)
+        bed.run(until=500.0)
         assert [p.payload for p in got] == [0, 1, 2, 3]
-        assert wire_count(net, "net.frames_delayed") == 4
+        assert wire_count(bed.network, "net.frames_delayed") == 4
 
     def test_reorder_lets_later_frames_overtake(self):
         # Only the first frame is held back (drop-budget style gate via
         # probability 1.0 on a src filter and a large delay); with the
         # FIFO exemption the remaining frames arrive first.
         policy = Reorder("ro", LinkFilter(kind="slow"), max_delay_ms=40.0)
-        sim, net = make_network(policies=[policy])
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
-        net.nic("a").send("b", "slow", "late", size=64)
-        net.nic("a").send("b", "fast", "early", size=64)
-        sim.run(until=500.0)
+        bed = make_network(policies=[policy])
+        got = bed["b"].listen("slow", "fast")
+        bed["a"].transport.send("b", "slow", "late", size=64)
+        bed["a"].transport.send("b", "fast", "early", size=64)
+        bed.run(until=500.0)
         kinds = [p.kind for p in got]
         assert sorted(kinds) == ["fast", "slow"]
         if policy.matched and kinds == ["fast", "slow"]:
-            assert wire_count(net, "net.frames_reordered") >= 0  # counter exists
+            assert wire_count(bed.network, "net.frames_reordered") >= 0  # counter exists
 
     def test_reorder_bound_is_respected(self):
         # A reordered frame arrives within max_delay_ms of its nominal
         # arrival, bounding the reordering depth.
-        sim, net = make_network(
-            policies=[Reorder("ro", max_delay_ms=10.0)]
-        )
-        net.attach("a")
-        b = net.attach("b")
+        bed = make_network(policies=[Reorder("ro", max_delay_ms=10.0)])
         arrivals = []
-
-        def rx():
-            packet = yield b.recv()
-            arrivals.append((sim.now, packet))
-
-        sim.spawn(rx(), "rx")
-        net.nic("a").send("b", "test", 1, size=64)
-        sim.run(until=500.0)
+        bed["b"].transport.register(
+            "test", lambda packet: arrivals.append((bed.sim.now, packet))
+        )
+        bed["a"].transport.send("b", "test", 1, size=64)
+        bed.run(until=500.0)
         assert len(arrivals) == 1
         assert arrivals[0][0] < 20.0
 
 
 class TestChainManagement:
     def test_add_remove_by_name_and_instance(self):
-        _, net = make_network()
+        net = make_network().network
         drop = net.add_policy(Drop("d1"))
         net.add_policy(Drop("d2"))
         net.remove_policy("d2")
@@ -218,20 +161,12 @@ class TestChainManagement:
         assert net.link_policies == []
         net.remove_policy("ghost")  # unknown name is a no-op
 
-    def test_clear_policies(self):
-        _, net = make_network(policies=[Drop("d1"), Drop("d2")])
-        net.clear_policies()
-        assert net.link_policies == []
-
     def test_empty_chain_leaves_fifo_path_untouched(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        sim.spawn(collect(b, got)(), "rx")
+        bed = make_network()
+        got = bed["b"].listen("test")
         for i in range(5):
-            net.nic("a").send("b", "test", i)
-        sim.run(until=100.0)
+            bed["a"].transport.send("b", "test", i)
+        bed.run(until=100.0)
         assert [p.payload for p in got] == [0, 1, 2, 3, 4]
 
     def test_policies_draw_from_named_streams(self):
@@ -240,25 +175,21 @@ class TestChainManagement:
         # independent per policy name.
         def run(extra):
             policies = [Drop("shared", probability=0.5)] + extra
-            sim, net = make_network(seed=7, policies=policies)
-            net.attach("a")
-            net.attach("b")
+            bed = make_network(seed=7, policies=policies)
             for _ in range(50):
-                net.nic("a").send("b", "test", 1)
-            sim.run(until=1_000.0)
-            return net.stats.policy_drops.get("shared", 0)
+                bed["a"].transport.send("b", "test", 1)
+            bed.run(until=1_000.0)
+            return bed.network.stats.policy_drops.get("shared", 0)
 
         assert run([]) == run([Duplicate("noise", probability=0.5)])
 
 
 class TestStats:
     def test_full_snapshot_includes_policy_counters(self):
-        sim, net = make_network(policies=[Drop("d")])
-        net.attach("a")
-        net.attach("b")
-        net.nic("a").send("b", "test", 1)
-        sim.run(until=50.0)
-        snap = net.stats.full_snapshot()
+        bed = make_network(policies=[Drop("d")])
+        bed["a"].transport.send("b", "test", 1)
+        bed.run(until=50.0)
+        snap = bed.network.stats.full_snapshot()
         assert snap["policy_drops"] == {"d": 1}
         for key in (
             "frames_sent",

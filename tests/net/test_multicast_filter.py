@@ -10,7 +10,7 @@ callbacks ever scheduled — so "got no event" means exactly that.
 import random
 
 from repro.cluster import GroupServiceCluster
-from repro.net import Drop, LinkFilter, Network
+from repro.net import BROADCAST, Drop, LinkFilter, Network
 from repro.rpc import RpcClient, RpcServer, Transport
 from repro.rpc.kernel import KIND_LOCATE, rpc_kernel
 from repro.sim import LatencyModel, Simulator
@@ -56,14 +56,12 @@ class TestInterestFilter:
             ("member", 7, True)
         ]
 
-    def test_raw_nic_is_promiscuous(self):
+    def test_a_bare_nic_listens_for_nothing(self):
         bed = TestBed(["src", "bystander"])
-        raw = bed.network.attach("raw")
+        bare = bed.network.attach("bare")
         settle(bed)
-        assert raw.interest is None and raw.listens(KIND)
-        events = events_of(bed, lambda: bed["src"].transport.broadcast(KIND, 1))
-        assert events == 1  # the delivery; nobody drains a raw inbox
-        assert [p.kind for p in raw.inbox.peek_all()] == [KIND]
+        assert not bare.interest and not bare.listens(KIND)
+        assert events_of(bed, lambda: bed["src"].transport.broadcast(KIND, 1)) == 0
 
     def test_sender_never_hears_itself(self):
         bed = TestBed(["src"])
@@ -101,14 +99,6 @@ class TestInterestFilter:
         bed["src"].transport.broadcast(KIND, "rejoined")
         bed.run(until=bed.sim.now + 10.0)
         assert [p.payload for p in got] == ["joined", "rejoined"]
-
-    def test_unregister_leaves_the_address(self):
-        bed = TestBed(["src", "m"])
-        bed["m"].transport.register(KIND, lambda packet: None)
-        assert bed["m"].nic.listens(KIND)
-        bed["m"].transport.unregister(KIND)
-        settle(bed)
-        assert events_of(bed, lambda: bed["src"].transport.broadcast(KIND, 1)) == 0
 
     def test_crashed_listener_still_costs_a_dropped_delivery(self):
         """Crash is judged at arrival, as before: the dead machine's
@@ -171,26 +161,18 @@ class TestFifoHorizon:
     a unicast sent right behind it is not delivered ahead of it."""
 
     def reply_arrival(self, broadcast_from):
-        latency = LatencyModel.paper_testbed()
-        sim = Simulator(seed=5)
-        net = Network(sim, latency)
-        for name in ("a", "b", "dst"):
-            net.attach(name)
-        net.nic("dst").interest = ()  # takes no multicast, like an idle client
-        if broadcast_from is not None:
-            net.nic(broadcast_from).broadcast(KIND, None, size=1400)
-        net.nic("a").send("dst", "rpc.reply", None, size=64)
+        bed = TestBed(["a", "b", "dst"], seed=5)
         arrived = []
-
-        def rx():
-            while True:
-                packet = yield net.nic("dst").recv()
-                arrived.append((packet.kind, sim.now))
-
-        sim.spawn(rx())
-        sim.run()
+        # dst takes no multicast, like an idle client.
+        bed["dst"].transport.register(
+            "rpc.reply", lambda packet: arrived.append((packet.kind, bed.sim.now))
+        )
+        if broadcast_from is not None:
+            bed[broadcast_from].transport.broadcast(KIND, None, size=1400)
+        bed["a"].transport.send("dst", "rpc.reply", None, size=64)
+        bed.run()
         assert [kind for kind, _ in arrived] == ["rpc.reply"]
-        return arrived[0][1], latency.network
+        return arrived[0][1], bed.network.latency.network
 
     def test_unicast_behind_a_broadcast_the_receiver_ignored(self):
         alone, wire = self.reply_arrival(broadcast_from=None)
@@ -272,8 +254,8 @@ class TestListenerIndex:
         def noop(packet):
             pass
 
-        def attach_raw():
-            net.attach(f"raw{len(net.addresses())}")
+        def attach_bare():
+            net.attach(f"bare{len(net.addresses())}")
 
         def attach_transport():
             transports.append(Transport(sim, net.attach(f"m{len(net.addresses())}")))
@@ -281,42 +263,38 @@ class TestListenerIndex:
         def register():
             rng.choice(transports).register(rng.choice(self.KINDS), noop)
 
-        def unregister():
-            rng.choice(transports).unregister(rng.choice(self.KINDS))
-
         def restart():
             rng.choice(transports).restart()
 
         def shutdown():
-            net.nic(rng.choice(net.addresses())).shutdown()
+            net.nic(rng.choice(net.addresses())).up = False
 
         def assign_interest():
             nic = net.nic(rng.choice(net.addresses()))
             nic.interest = rng.choice(
-                [None, (), set(rng.sample(self.KINDS, 2)), [self.KINDS[0]]]
+                [(), set(rng.sample(self.KINDS, 2)), [self.KINDS[0]]]
             )
 
-        steps = [attach_raw, attach_transport, register, register, register,
-                 unregister, restart, shutdown, assign_interest]
-        attach_raw()
+        steps = [attach_bare, attach_transport, register, register, register,
+                 restart, shutdown, assign_interest]
+        attach_bare()
         attach_transport()
         for step in range(400):
             action = rng.choice(steps)
             action()
             senders = [a for a in net.addresses() if net.nic(a).up]
             if not senders:
-                net.nic(net.addresses()[0]).restart()
+                net.nic(net.addresses()[0]).up = True
                 continue
             src = rng.choice(senders)
             for kind in self.KINDS:
                 scan = [
                     address
                     for address, nic in net._nics.items()
-                    if address != src
-                    and (nic.interest is None or kind in nic.interest)
+                    if address != src and kind in nic.interest
                 ]
                 first = sim._sequence
-                net.nic(src).broadcast(kind, step)
+                net.transmit(src, BROADCAST, kind, step, 128)
                 got = sorted(
                     (seq, fn.__self__.dst)
                     for _, seq, _, fn in sim._heap

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net import BROADCAST, Drop, LinkFilter, Network
+from repro.net import Drop, LinkFilter, Network
 from repro.sim import LatencyModel, Simulator
 
-from tests.helpers import wire_count
+from tests.helpers import TestBed, wire_count
 
 
 def make_network(loss=0.0, latency=None):
@@ -15,6 +15,12 @@ def make_network(loss=0.0, latency=None):
     if loss:
         net.add_policy(Drop("loss", probability=loss))
     return sim, net
+
+
+def pair(loss=0.0):
+    """Machines "a" and "b" on one segment; b takes frames of kind "t"."""
+    bed = TestBed(["a", "b"], seed=1, loss=loss)
+    return bed, bed["b"].listen("t")
 
 
 class TestTopology:
@@ -36,97 +42,98 @@ class TestTopology:
             net.nic("ghost")
 
     def test_reachability_requires_both_up(self):
-        _, net = make_network()
-        a, b = net.attach("a"), net.attach("b")
+        bed = TestBed(["a", "b"])
+        net = bed.network
         assert net.reachable("a", "b")
-        b.shutdown()
+        bed["b"].crash()
         assert not net.reachable("a", "b")
-        b.restart()
+        bed["b"].restart()
         assert net.reachable("a", "b")
-        a.shutdown()
+        bed["a"].crash()
         assert not net.reachable("a", "b")
+
+    def test_a_bare_nic_drops_what_it_is_sent(self):
+        """A NIC no transport took is not a second receive path: a
+        unicast reaches it and nothing takes it (multicasts do not reach
+        it at all; test_multicast_filter.py)."""
+        bed = TestBed(["a"])
+        bed.network.attach("bare")
+        bed["a"].transport.send("bare", "t", 2)
+        bed.run()
+        assert wire_count(bed.network, "net.frames_sent") == 1
+        assert wire_count(bed.network, "net.frames_dropped") == 0
 
 
 class TestUnicast:
     def test_packet_arrives_with_latency(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        fut = b.recv()
-        net.nic("a").send("b", "test", {"x": 1}, size=100)
-        sim.run()
-        packet = fut.value
+        bed = TestBed("ab", seed=1)
+        arrived = []
+        bed["b"].transport.register(
+            "t", lambda packet: arrived.append((packet, bed.sim.now))
+        )
+        bed["a"].transport.send("b", "t", {"x": 1}, size=100)
+        bed.run()
+        [(packet, when)] = arrived
         assert packet.src == "a" and packet.dst == "b"
         assert packet.payload == {"x": 1}
         assert not packet.multicast
-        assert sim.now > 0.0  # latency was charged
+        assert when > 0.0  # latency was charged
 
     def test_larger_packets_take_longer(self):
         def arrival_time(size):
-            sim, net = make_network(latency=LatencyModel.paper_testbed())
-            # zero jitter for a deterministic comparison
-            net.latency.network.jitter_ms = 0.0
-            net.attach("a")
-            b = net.attach("b")
-            fut = b.recv()
-            net.nic("a").send("b", "t", None, size=size)
-            sim.run()
-            assert fut.resolved
-            return sim.now
+            latency = LatencyModel.paper_testbed()
+            latency.network.jitter_ms = 0.0  # for a deterministic comparison
+            bed = TestBed(["a", "b"], seed=1, latency=latency)
+            arrived = []
+            bed["b"].transport.register("t", lambda packet: arrived.append(bed.sim.now))
+            bed["a"].transport.send("b", "t", None, size=size)
+            bed.run()
+            [when] = arrived
+            return when
 
         assert arrival_time(10_000) > arrival_time(100)
 
     def test_send_from_down_nic_raises(self):
-        _, net = make_network()
-        a = net.attach("a")
-        net.attach("b")
-        a.shutdown()
+        bed, _ = pair()
+        bed["a"].crash()
         with pytest.raises(NetworkError):
-            a.send("b", "t", None)
+            bed["a"].transport.send("b", "t", None)
 
     def test_packet_to_down_nic_dropped(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        b.shutdown()
-        net.nic("a").send("b", "t", None)
-        sim.run()
-        assert wire_count(net, "net.frames_dropped") == 1
+        bed, got = pair()
+        bed["b"].crash()
+        bed["a"].transport.send("b", "t", None)
+        bed.run()
+        assert got == []
+        assert wire_count(bed.network, "net.frames_dropped") == 1
 
     def test_packet_in_flight_during_crash_is_lost(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        net.nic("a").send("b", "t", None)
-        b.shutdown()  # crash before delivery event fires
-        sim.run()
-        assert wire_count(net, "net.frames_dropped") == 1
+        bed, got = pair()
+        bed["a"].transport.send("b", "t", None)
+        bed["b"].crash()  # crash before delivery event fires
+        bed.run()
+        assert got == []
+        assert wire_count(bed.network, "net.frames_dropped") == 1
 
     def test_fifo_between_same_pair(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
+        bed, got = pair()
         for i in range(5):
-            net.nic("a").send("b", "t", i, size=64)
-        sim.run()
-        got = [b.inbox.recv().value.payload for _ in range(5)]
-        assert got == [0, 1, 2, 3, 4]
+            bed["a"].transport.send("b", "t", i, size=64)
+        bed.run()
+        assert [p.payload for p in got] == [0, 1, 2, 3, 4]
 
-
-    def test_restart_gives_a_raw_nic_a_fresh_inbox_sink(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        stale = b.recv()  # a reader blocked on the old inbox
-        old_inbox = b.inbox
-        b.shutdown()
-        assert isinstance(stale.exception, NetworkError)
+    def test_restart_keeps_the_transport_as_the_sink(self):
+        bed, got = pair()
+        b = bed["b"]
+        b.crash()
+        bed["a"].transport.send("b", "t", "lost")
+        bed.run()
         b.restart()
-        assert b.inbox is not old_inbox and b.sink == b.inbox.send
-        net.nic("a").send("b", "t", "after")
-        sim.run()
-        assert [p.payload for p in b.inbox.peek_all()] == ["after"]
-        assert len(old_inbox) == 0
+        assert b.nic.sink == b.transport._dispatch and b.transport.alive
+        again = b.listen("t")  # a restarted service registers again
+        bed["a"].transport.send("b", "t", "after")
+        bed.run()
+        assert got == [] and [p.payload for p in again] == ["after"]
 
 
 class TestLinksAreIndependent:
@@ -137,28 +144,23 @@ class TestLinksAreIndependent:
 
     @staticmethod
     def arrivals_on_c_to_d(extra_a_to_b, loss=0.0):
-        sim, net = make_network()
+        bed = TestBed("abcd", seed=1)
+        sim, net = bed.sim, bed.network
         if loss:
             net.add_policy(Drop("loss", LinkFilter(src="c", dst="d"), probability=loss))
-        for address in "abc":
-            net.attach(address)
-        d = net.attach("d")
+        for address in "bcd":
+            bed[address].listen("noise")  # so the multicasts are delivered
         arrivals = []
-
-        def reader():
-            while True:
-                packet = yield d.recv()
-                if packet.kind == "t":  # a raw NIC hears the multicasts too
-                    arrivals.append((packet.payload, sim.now))
-
-        sim.spawn(reader())
+        bed["d"].transport.register(
+            "t", lambda packet: arrivals.append((packet.payload, sim.now))
+        )
 
         def chatter():
             for n in range(20):
                 for _ in range(extra_a_to_b // 20):
-                    net.nic("a").send("b", "noise", None)
-                net.nic("a").broadcast("noise", None)
-                net.nic("c").send("d", "t", n)
+                    bed["a"].transport.send("b", "noise", None)
+                bed["a"].transport.broadcast("noise", None)
+                bed["c"].transport.send("d", "t", n)
                 yield sim.sleep(3.0)
 
         sim.spawn(chatter())
@@ -178,85 +180,74 @@ class TestLinksAreIndependent:
 
 class TestBroadcast:
     def test_broadcast_reaches_all_others(self):
-        sim, net = make_network()
-        a = net.attach("a")
-        receivers = [net.attach(x) for x in ("b", "c", "d")]
-        futures = [r.recv() for r in receivers]
-        a.broadcast("hello", 42)
-        sim.run()
-        assert all(f.value.payload == 42 for f in futures)
-        assert all(f.value.multicast for f in futures)
+        bed = TestBed("abcd")
+        got = [bed[x].listen("hello") for x in "abcd"]
+        bed["a"].transport.broadcast("hello", 42)
+        bed.run()
+        sender, *receivers = got
+        assert sender == []  # the sender never hears itself
+        assert [[(p.payload, p.multicast) for p in r] for r in receivers] == [
+            [(42, True)]
+        ] * 3
 
     def test_broadcast_not_delivered_to_sender(self):
-        sim, net = make_network()
-        a = net.attach("a")
-        net.attach("b")
-        a.broadcast("hello", None)
-        sim.run()
-        assert len(a.inbox) == 0
+        bed = TestBed("ab")
+        got = bed["a"].listen("hello")
+        bed["a"].transport.broadcast("hello", None)
+        bed.run()
+        assert got == []
 
     def test_broadcast_counts_as_one_frame(self):
-        sim, net = make_network()
-        a = net.attach("a")
-        for x in ("b", "c", "d"):
-            net.attach(x)
-        a.broadcast("grp.bc", None, size=256)
-        sim.run()
-        assert wire_count(net, "net.frames_sent") == 1
-        assert net.stats.frames_by_kind == {"grp.bc": 1}
+        bed = TestBed("abcd")
+        for x in "bcd":
+            bed[x].listen("grp.bc")
+        bed["a"].transport.broadcast("grp.bc", None, size=256)
+        bed.run()
+        assert wire_count(bed.network, "net.frames_sent") == 1
+        assert bed.network.stats.frames_by_kind == {"grp.bc": 1}
 
     def test_broadcast_respects_partitions(self):
-        sim, net = make_network()
-        a = net.attach("a")
-        b, c = net.attach("b"), net.attach("c")
-        net.partitions.split([["a", "b"], ["c"]])
-        a.broadcast("hello", None)
-        sim.run()
-        assert len(b.inbox) == 1
-        assert len(c.inbox) == 0
+        bed = TestBed("abc")
+        got_b, got_c = bed["b"].listen("hello"), bed["c"].listen("hello")
+        bed.network.partitions.split([["a", "b"], ["c"]])
+        bed["a"].transport.broadcast("hello", None)
+        bed.run()
+        assert len(got_b) == 1
+        assert len(got_c) == 0
 
 
 class TestPartitionsAndLoss:
     def test_unicast_across_partition_dropped(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        net.partitions.split([["a"], ["b"]])
-        net.nic("a").send("b", "t", None)
-        sim.run()
-        assert len(b.inbox) == 0
-        assert wire_count(net, "net.frames_dropped") == 1
+        bed, got = pair()
+        bed.network.partitions.split([["a"], ["b"]])
+        bed["a"].transport.send("b", "t", None)
+        bed.run()
+        assert len(got) == 0
+        assert wire_count(bed.network, "net.frames_dropped") == 1
 
     def test_heal_restores_delivery(self):
-        sim, net = make_network()
-        net.attach("a")
-        b = net.attach("b")
-        net.partitions.split([["a"], ["b"]])
-        net.partitions.heal()
-        net.nic("a").send("b", "t", None)
-        sim.run()
-        assert len(b.inbox) == 1
+        bed, got = pair()
+        bed.network.partitions.split([["a"], ["b"]])
+        bed.network.partitions.heal()
+        bed["a"].transport.send("b", "t", None)
+        bed.run()
+        assert len(got) == 1
 
     def test_loss_probability_drops_packets(self):
-        sim, net = make_network(loss=1.0)
-        net.attach("a")
-        b = net.attach("b")
-        net.nic("a").send("b", "t", None)
-        sim.run()
-        assert len(b.inbox) == 0
-        assert wire_count(net, "net.frames_dropped") == 1
+        bed, got = pair(loss=1.0)
+        bed["a"].transport.send("b", "t", None)
+        bed.run()
+        assert len(got) == 0
+        assert wire_count(bed.network, "net.frames_dropped") == 1
 
     def test_partial_loss_is_deterministic_per_seed(self):
         def delivered(seed):
-            sim = Simulator(seed=seed)
-            net = Network(sim)
-            net.add_policy(Drop("loss", probability=0.5))
-            net.attach("a")
-            b = net.attach("b")
+            bed = TestBed("ab", seed=seed, loss=0.5)
+            got = bed["b"].listen("t")
             for _ in range(100):
-                net.nic("a").send("b", "t", None)
-            sim.run()
-            return len(b.inbox)
+                bed["a"].transport.send("b", "t", None)
+            bed.run()
+            return len(got)
 
         assert delivered(42) == delivered(42)
         assert 20 < delivered(42) < 80  # loss is actually happening
@@ -264,13 +255,12 @@ class TestPartitionsAndLoss:
 
 class TestStats:
     def test_bytes_and_kind_accounting(self):
-        sim, net = make_network()
-        net.attach("a")
-        net.attach("b")
-        net.nic("a").send("b", "rpc.request", None, size=100)
-        net.nic("a").send("b", "rpc.request", None, size=50)
-        net.nic("a").send("b", "rpc.reply", None, size=25)
-        sim.run()
+        bed, _ = pair()
+        net = bed.network
+        bed["a"].transport.send("b", "rpc.request", None, size=100)
+        bed["a"].transport.send("b", "rpc.request", None, size=50)
+        bed["a"].transport.send("b", "rpc.reply", None, size=25)
+        bed.run()
         assert wire_count(net, "net.frames_sent") == 3
         assert wire_count(net, "net.bytes_sent") == 175
         assert net.stats.frames_by_kind == {"rpc.request": 2, "rpc.reply": 1}

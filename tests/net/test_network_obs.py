@@ -1,38 +1,28 @@
 """NetworkStats.full_snapshot and the net.* registry counters under
 active link-fault policies."""
 
-from repro.net import Delay, Drop, Duplicate, LinkFilter, Network, Reorder
-from repro.sim import LatencyModel, Simulator
+from repro.net import Delay, Drop, Duplicate, LinkFilter, Reorder
+
+from tests.helpers import TestBed
 
 
-def make_network(seed=1, policies=None):
-    sim = Simulator(seed=seed)
-    net = Network(sim, LatencyModel.paper_testbed())
+def make_network(seed=1, policies=None, addresses=("a", "b")):
+    """Machines on one segment with *policies* installed; returns the
+    bed's simulator, network and the machines by address."""
+    bed = TestBed(addresses, seed=seed)
     for policy in policies or []:
-        net.add_policy(policy)
-    return sim, net
-
-
-def drain(sim, nic, out):
-    def loop():
-        while True:
-            packet = yield nic.recv()
-            out.append(packet)
-
-    sim.spawn(loop(), f"rx.{nic.address}")
+        bed.network.add_policy(policy)
+    return bed.sim, bed.network, bed
 
 
 class TestFullSnapshotUnderPolicies:
     def test_certain_drop_counts_frames_and_policy(self):
-        sim, net = make_network(
+        sim, net, bed = make_network(
             policies=[Drop("eat-ab", LinkFilter(src="a", dst="b"))]
         )
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        drain(sim, b, got)
+        got = bed["b"].listen("test")
         for _ in range(4):
-            net.nic("a").send("b", "test", 32)
+            bed["a"].transport.send("b", "test", 32)
         sim.run(until=100.0)
         snap = net.stats.full_snapshot()
         assert got == []
@@ -45,7 +35,7 @@ class TestFullSnapshotUnderPolicies:
         # probability=0.5 mixes FIFO and exempt frames so an overtake
         # actually happens (frames_reordered counts real overtakes,
         # not merely frames the policy touched); seed=1 produces one.
-        sim, net = make_network(
+        sim, net, bed = make_network(
             seed=1,
             policies=[
                 Duplicate("dup", probability=1.0),
@@ -53,12 +43,9 @@ class TestFullSnapshotUnderPolicies:
                 Reorder("shuffle", probability=0.5, max_delay_ms=10.0),
             ],
         )
-        net.attach("a")
-        b = net.attach("b")
-        got = []
-        drain(sim, b, got)
+        got = bed["b"].listen("test")
         for _ in range(10):
-            net.nic("a").send("b", "test", 16)
+            bed["a"].transport.send("b", "test", 16)
         sim.run(until=500.0)
         snap = net.stats.full_snapshot()
         assert snap["frames_sent"] == 10
@@ -69,10 +56,9 @@ class TestFullSnapshotUnderPolicies:
         assert len(got) == 20
 
     def test_snapshot_is_a_copy(self):
-        sim, net = make_network()
-        net.attach("a")
-        net.attach("b")
-        net.nic("a").send("b", "test", 8)
+        sim, net, bed = make_network()
+        bed["b"].listen("test")
+        bed["a"].transport.send("b", "test", 8)
         sim.run(until=10.0)
         snap = net.stats.full_snapshot()
         snap["frames_by_kind"]["test"] = 999
@@ -82,18 +68,16 @@ class TestFullSnapshotUnderPolicies:
 
     def test_deterministic_across_identical_runs(self):
         def run():
-            sim, net = make_network(
+            sim, net, bed = make_network(
                 seed=9,
                 policies=[
                     Drop("maybe", probability=0.3),
                     Duplicate("dup", probability=0.3),
                 ],
             )
-            net.attach("a")
-            b = net.attach("b")
-            drain(sim, b, [])
+            bed["b"].listen("test")
             for i in range(20):
-                net.nic("a").send("b", "test", 8 + i)
+                bed["a"].transport.send("b", "test", 8 + i)
             sim.run(until=500.0)
             return net.stats.full_snapshot()
 
@@ -105,17 +89,15 @@ class TestRegistryMirror:
         """The wire counts live in the registry alone; what NetworkStats
         keeps of its own (drops per policy) adds up to the registry's
         ``net.policy_drops``."""
-        sim, net = make_network(
+        sim, net, bed = make_network(
             seed=5,
             policies=[Drop("eat", LinkFilter(src="a", dst="b"))],
+            addresses=("a", "b", "c"),
         )
-        net.attach("a")
-        b = net.attach("b")
-        net.attach("c")
-        drain(sim, b, [])
+        bed["b"].listen("test")
         for _ in range(3):
-            net.nic("a").send("b", "test", 24)
-        net.nic("c").send("b", "test", 24)
+            bed["a"].transport.send("b", "test", 24)
+        bed["c"].transport.send("b", "test", 24)
         sim.run(until=100.0)
         counters = sim.obs.registry.snapshot()["net"]["counters"]
         assert counters["net.frames_sent"] == 4

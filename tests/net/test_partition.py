@@ -31,16 +31,16 @@ class TestPartitionController:
 
     def test_isolate_and_rejoin(self):
         pc = PartitionController()
-        pc.isolate("x")
+        pc.split([["x"]])
         assert not pc.connected("x", "y")
-        pc.rejoin("x")
+        pc.heal()
         assert pc.connected("x", "y")
 
     def test_isolate_two_nodes_separately(self):
         pc = PartitionController()
-        pc.isolate("x")
-        pc.isolate("y")
+        pc.split([["x"], ["y"]])
         assert not pc.connected("x", "y")
+        assert not pc.connected("x", "z") and not pc.connected("y", "z")
 
     def test_connected_is_symmetric(self):
         pc = PartitionController()

@@ -153,7 +153,7 @@ class TestDeadServerIsNot:
         start_server(bed["server"], hold_ms=60_000.0)
         client = one_attempt_client(bed["client"])
         bed.sim.schedule(
-            100.0, lambda: bed.network.partitions.isolate("server")
+            100.0, lambda: bed.network.partitions.split([["server"]])
         )
         outcome, ended = timed_trans(bed, client)
         assert isinstance(outcome, RpcError)
@@ -168,7 +168,7 @@ class TestDeadServerIsNot:
         start_server(bed["server"], hold_ms=60_000.0)
         client = one_attempt_client(bed["client"], reply_timeout_ms=2_500.0)
         bed.sim.schedule(
-            100.0, lambda: bed.network.partitions.isolate("server")
+            100.0, lambda: bed.network.partitions.split([["server"]])
         )
         outcome, ended = timed_trans(bed, client)
         assert isinstance(outcome, RpcError)

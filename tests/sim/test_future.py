@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import Interrupted, SimulationError
-from repro.sim.future import Future, all_of, any_of
+from repro.sim.future import Future
 
 
 class TestFuture:
@@ -90,64 +90,3 @@ class TestFuture:
         fut.add_callback(lambda f: seen.append(f.exception))
         fut.fail(KeyError("k"))
         assert isinstance(seen[0], KeyError)
-
-
-class TestAllOf:
-    def test_empty_resolves_immediately(self):
-        fut = all_of([])
-        assert fut.resolved
-        assert fut.value == []
-
-    def test_waits_for_all(self):
-        a, b = Future(), Future()
-        combined = all_of([a, b])
-        a.resolve(1)
-        assert not combined.resolved
-        b.resolve(2)
-        assert combined.value == [1, 2]
-
-    def test_preserves_input_order_not_resolution_order(self):
-        a, b = Future(), Future()
-        combined = all_of([a, b])
-        b.resolve("second")
-        a.resolve("first")
-        assert combined.value == ["first", "second"]
-
-    def test_fails_fast_on_first_failure(self):
-        a, b = Future(), Future()
-        combined = all_of([a, b])
-        a.fail(ValueError("boom"))
-        assert combined.resolved
-        assert isinstance(combined.exception, ValueError)
-
-    def test_already_resolved_inputs(self):
-        a, b = Future(), Future()
-        a.resolve(1)
-        b.resolve(2)
-        assert all_of([a, b]).value == [1, 2]
-
-
-class TestAnyOf:
-    def test_empty_raises(self):
-        with pytest.raises(SimulationError):
-            any_of([])
-
-    def test_first_winner_taken(self):
-        a, b = Future(), Future()
-        race = any_of([a, b])
-        b.resolve("bee")
-        assert race.value == (1, "bee")
-        a.resolve("unused")  # late resolution must not disturb the result
-        assert race.value == (1, "bee")
-
-    def test_failure_propagates(self):
-        a, b = Future(), Future()
-        race = any_of([a, b])
-        a.fail(KeyError("k"))
-        assert isinstance(race.exception, KeyError)
-
-    def test_pre_resolved_input_wins_immediately(self):
-        a = Future()
-        a.resolve("x")
-        race = any_of([a, Future()])
-        assert race.value == (0, "x")

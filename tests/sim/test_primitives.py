@@ -1,9 +1,9 @@
-"""Unit tests for Condition, Semaphore, Mutex and Channel."""
+"""Unit tests for Condition, Semaphore and Mutex."""
 
 import pytest
 
 from repro.errors import Interrupted, SimulationError
-from repro.sim import Channel, Condition, Mutex, Semaphore, Simulator
+from repro.sim import Condition, Mutex, Semaphore, Simulator
 
 
 class TestCondition:
@@ -204,81 +204,19 @@ class TestMutex:
         assert sim.now == 5.0
 
 
-class TestChannel:
-    def test_send_then_recv(self):
-        ch = Channel()
-        ch.send("a")
-        ch.send("b")
-        assert ch.recv().value == "a"
-        assert ch.recv().value == "b"
-
-    def test_recv_blocks_until_send(self):
-        ch = Channel()
-        fut = ch.recv()
-        assert not fut.resolved
-        ch.send("x")
-        assert fut.value == "x"
-
-    def test_blocked_receivers_served_fifo(self):
-        ch = Channel()
-        first, second = ch.recv(), ch.recv()
-        ch.send(1)
-        ch.send(2)
-        assert first.value == 1 and second.value == 2
-
-    def test_try_recv(self):
-        ch = Channel()
-        assert ch.try_recv() == (False, None)
-        ch.send(9)
-        assert ch.try_recv() == (True, 9)
-
-    def test_len_and_peek(self):
-        ch = Channel()
-        ch.send(1)
-        ch.send(2)
-        assert len(ch) == 2
-        assert ch.peek_all() == [1, 2]
-        assert len(ch) == 2  # peek must not consume
-
-    def test_close_fails_blocked_receivers(self):
-        ch = Channel("c")
-        fut = ch.recv()
-        ch.close()
-        assert isinstance(fut.exception, Interrupted)
-        assert isinstance(ch.recv().exception, Interrupted)
-
-    def test_close_with_custom_exception(self):
-        ch = Channel()
-        ch.close(ValueError("nic down"))
-        assert isinstance(ch.recv().exception, ValueError)
-
-    def test_send_after_close_is_dropped(self):
-        ch = Channel()
-        ch.close()
-        ch.send("lost")  # must not raise, message just vanishes
-        assert len(ch) == 0
-
-    def test_send_skips_interrupted_receiver(self):
-        ch = Channel()
-        dead, live = ch.recv(), ch.recv()
-        dead.interrupt()
-        ch.send("v")
-        assert live.value == "v"
-
-
 class TestLatencyModel:
     def test_paper_testbed_disk_write_is_tens_of_ms(self):
         from repro.sim import LatencyModel
 
         model = LatencyModel.paper_testbed()
-        t = model.disk.access_time(1024)
+        t = model.disk.random_ms(1024)
         assert 25.0 < t < 45.0
 
     def test_cached_write_is_fast(self):
         from repro.sim import LatencyModel
 
         model = LatencyModel.paper_testbed()
-        assert model.disk.access_time(1024, cached=True) < 5.0
+        assert model.disk.cached_ms(1024) < 5.0
 
     def test_network_transmit_scales_with_size(self):
         from repro.sim import LatencyModel

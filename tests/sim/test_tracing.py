@@ -1,7 +1,5 @@
 """Tests for the simulator's introspection surface."""
 
-from repro.sim import Simulator
-
 
 class TestTracing:
     def test_self_fencing_logged(self):
@@ -22,11 +20,3 @@ class TestTracing:
         cluster.run(until=cluster.sim.now + 30_000.0)
         counters = cluster.report()["metrics"]["grp.dir1"]["counters"]
         assert counters["dir.fenced"] == 1
-
-    def test_pending_events_counter(self):
-        sim = Simulator()
-        sim.schedule(10.0, lambda: None)
-        timer = sim.schedule(20.0, lambda: None)
-        assert sim.pending_events() == 2
-        timer.cancel()
-        assert sim.pending_events() == 1

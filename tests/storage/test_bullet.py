@@ -167,7 +167,6 @@ class TestCrashRecovery:
             server.crash()
             bed["bullet"].transport.restart()
             BulletServer(bed["bullet"].transport, disk, "b0")
-            rpc.forget_port(client.port)
             data = yield from client.read(cap)
             outcome["data"] = data
 
@@ -186,7 +185,6 @@ class TestCrashRecovery:
             server.crash()
             bed["bullet"].transport.restart()
             BulletServer(bed["bullet"].transport, disk, "b0")
-            rpc.forget_port(client.port)
             second = yield from client.create(b"two")
             return first, second
 

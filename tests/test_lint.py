@@ -8,6 +8,7 @@ downstream, so this sweep fails the build instead.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,6 +238,34 @@ DEPRECATED_NAMES = (
     "format_report()",
     "dir.dedup_hits",
     "_note_dedup_hit",
+    # What only tests called. A machine receives through its Transport
+    # alone (a bare NIC listens for nothing and has no inbox to drain,
+    # which was the per-machine pump's way back in); the future
+    # combinators, the client's path helpers and a handful of one-line
+    # conveniences went with it.
+    "Channel(",
+    ".inbox",
+    "nic.recv(",
+    "nic.send(",
+    "nic.broadcast(",
+    "peek_all",
+    "try_recv",
+    "all_of(",
+    "any_of(",
+    "resolve_path",
+    "make_path",
+    "PathError",
+    "clear_policies",
+    "add_link_policy",
+    "forget_port",
+    ".unregister(",
+    "pending_events",
+    "access_time",
+    "expovariate",
+    ".isolate(",
+    ".rejoin(",
+    ".locked()",
+    "obs.overhead",
 )
 
 
@@ -276,6 +305,117 @@ def test_every_option_is_set_by_some_caller():
         if f.name not in set_somewhere
     ]
     assert not unset, f"options no src or benchmark caller sets: {unset}"
+
+
+PROBE = "test probe: reads state a check asserts on"
+PAPER = "paper primitive the reproduction exposes"
+UNARMED_FAULT = "fault kind no chaos scenario arms yet (ROADMAP item 4(e))"
+
+#: Definitions under src/repro that nothing under src/, benchmarks/ or
+#: examples/ names, each kept for its reason. The list can only shrink:
+#: an entry that no longer exists, or that has gained a caller, fails
+#: test_every_function_has_a_caller_outside_tests.
+CALLERLESS = {
+    "repro.sim.scheduler.Simulator.alive_processes": PROBE,  # no zombie process
+    "repro.storage.bullet.BulletServer.file_count": PROBE,  # no orphan file
+    "repro.storage.nvram.Nvram.used_bytes": PROBE,
+    "repro.storage.nvram.Nvram.would_fit": PROBE,
+    "repro.storage.disk.Disk.has_extent": PROBE,
+    "repro.storage.disk.Disk.extent_corrupt": PROBE,
+    "repro.storage.disk.Disk.tainted_blocks": PROBE,
+    "repro.net.network.Network.reachable": PROBE,
+    "repro.group.member.GroupInfo.buffered": PROBE,
+    "repro.faults.plan.FaultPlan.fired": PROBE,
+    "repro.workloads.clients.ClosedLoopClient.finished": PROBE,
+    # The section 3.1 escape from a lost majority.
+    "repro.directory.group_server.GroupDirectoryServer.administrative_override": PAPER,
+    # Fig. 2's DeleteDir and ReplaceSet, and the group primitive LeaveGroup.
+    "repro.directory.client.DirectoryClient.delete_dir": PAPER,
+    "repro.directory.client.DirectoryClient.replace_set": PAPER,
+    "repro.group.member.GroupMember.leave": PAPER,
+    "repro.faults.plan.FaultPlan.disk_failure": UNARMED_FAULT,
+    "repro.faults.plan.FaultPlan.bit_rot": UNARMED_FAULT,
+    "repro.faults.plan.FaultPlan.extent_rot": UNARMED_FAULT,
+    "repro.faults.plan.FaultPlan.nvram_blip": UNARMED_FAULT,
+}
+
+
+def _callerless_definitions() -> tuple[set[str], set[str]]:
+    """(every definition under src/repro, those whose name nothing under
+    src/, benchmarks/ or examples/ references outside their own body),
+    each as ``module.qualname``. A reference is a name, an attribute,
+    or a from-import outside a package's ``__init__`` (a re-export
+    there calls nothing; an import anywhere else is used, or ruff's
+    F401 fails it)."""
+
+    def references(node: ast.AST) -> Counter:
+        names: Counter = Counter()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                names[child.id] += 1
+            elif isinstance(child, ast.Attribute):
+                names[child.attr] += 1
+        return names
+
+    everywhere: Counter = Counter()
+    definitions = []
+    package = ROOT / "src" / "repro"
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            everywhere.update(references(tree))
+            if path.name != "__init__.py":
+                everywhere.update(
+                    alias.name
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                )
+            if package in path.parents:
+                module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+                stack = [(tree, module)]
+                while stack:
+                    scope, prefix = stack.pop()
+                    for node in ast.iter_child_nodes(scope):
+                        if isinstance(
+                            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                        ):
+                            definitions.append((f"{prefix}.{node.name}", node))
+                            stack.append((node, f"{prefix}.{node.name}"))
+                        else:
+                            stack.append((node, prefix))
+    callerless = {
+        qualified
+        for qualified, node in definitions
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] == references(node)[node.name]
+    }
+    return {qualified for qualified, _ in definitions}, callerless
+
+
+def test_every_function_has_a_caller_outside_tests():
+    """A function or class under src/repro that only tests reach is a
+    second surface to keep working for nobody: the raw NIC's inbox, the
+    future combinators and the client's path helpers each sat here for
+    dozens of PRs with their own tests and no caller. Every definition
+    must be named somewhere under src/, benchmarks/ or examples/
+    outside its own body, or be in CALLERLESS with its reason.
+
+    Known blind spot: the census is by name, so a dead method that
+    shares its name with a live one (a second ``send``, a second
+    ``restart``) passes."""
+    defined, callerless = _callerless_definitions()
+    assert len(defined) > 1000  # the walk still finds the definitions
+    unlisted = sorted(callerless - set(CALLERLESS))
+    assert not unlisted, (
+        "defined under src/repro, called by nothing but tests (delete "
+        "them, or list them in CALLERLESS with a reason): " + ", ".join(unlisted)
+    )
+    stale = sorted(
+        f"{name} ({'gone' if name not in defined else 'has a caller now'})"
+        for name in set(CALLERLESS) - callerless
+    )
+    assert not stale, "CALLERLESS entries to drop: " + ", ".join(stale)
 
 
 def test_deprecated_names_do_not_resurface():
@@ -484,28 +624,6 @@ def test_the_registry_is_differenced_in_one_module():
     assert not offenders, (
         "registry captures taken outside repro/obs/registry.py: "
         + ", ".join(offenders)
-    )
-
-
-def test_a_frame_reaches_its_handler_without_a_queue():
-    """A NIC hands an arriving frame to its one sink. The inbox is a raw
-    NIC's default sink and nothing else: protocol code that drains
-    ``nic.inbox`` (or ``nic.recv()``) in a process of its own is the
-    per-machine pump again, one wakeup per packet."""
-    package = ROOT / "src" / "repro"
-    network = package / "net" / "network.py"
-    offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path == network:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and (
-                node.attr == "inbox"
-                or (node.attr == "recv" and getattr(node.value, "attr", "") == "nic")
-            ):
-                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert not offenders, "a NIC's inbox is read outside net/network.py: " + ", ".join(
-        offenders
     )
 
 
@@ -754,9 +872,13 @@ _HELPER_READERS = ("counter_total", "wire_count", "count")
 def _metric_names_read_by_tests() -> dict[str, str]:
     """Every literal metric name a test reads through
     ``registry.counter/gauge/histogram`` or a tests/helpers.py reader,
-    with one place it is read. The registry's own tests (and the obs
-    bundle's plumbing test) are exempt: they run on synthetic names."""
-    exempt = {ROOT / "tests" / "obs" / name for name in ("test_registry.py", "test_trace.py")}
+    with one place it is read. The registry's own tests, the obs
+    bundle's plumbing test and the disabled-path micro-benchmark are
+    exempt: they run on synthetic names."""
+    exempt = {
+        ROOT / "tests" / "obs" / name
+        for name in ("test_registry.py", "test_trace.py", "test_overhead.py")
+    }
     names: dict[str, str] = {}
     for path in sorted((ROOT / "tests").rglob("*.py")):
         if path in exempt:
@@ -818,8 +940,7 @@ def test_no_metric_is_read_that_nothing_registers():
 
 #: Trace kinds named at run time, by the module whose emit builds them
 #: (docs/OBSERVABILITY.md §2 lists each). The trace module's own
-#: passthrough names nothing, and obs/overhead.py times the disabled
-#: path with a placeholder name.
+#: passthrough names nothing.
 RUNTIME_TRACE_KINDS = {
     "storage/disk.py": ("disk.random", "disk.sequential", "disk.cached", "disk.batch"),
     "obs/monitor.py": ("mon.alert", "mon.clear"),
@@ -843,8 +964,6 @@ def test_every_emitted_trace_kind_is_documented():
     unlisted = []
     for path in sorted(package.rglob("*.py")):
         module = path.relative_to(package).as_posix()
-        if module == "obs/overhead.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (
                 isinstance(node, ast.Call)
@@ -923,3 +1042,32 @@ def test_every_scenario_field_is_documented_and_every_documented_one_exists():
         f"undocumented: {sorted(fields - documented)}; "
         f"documented but gone: {sorted(documented - fields)}"
     )
+
+
+def test_the_design_inventory_names_every_module():
+    """DESIGN.md §3 is the map a reader opens first. It named two
+    modules that never existed (``object_table``, ``commit_block``)
+    and left out seven that did. Every module under src/repro must be
+    named there, itself or through its package's row, and every
+    ``repro.…`` name there must be a module or a package."""
+    import re
+
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## 3."):text.index("\n## 4.")]
+    named = set(re.findall(r"\brepro(?:\.\w+)+", section))
+    src = ROOT / "src"
+    missing = [
+        module
+        for path in sorted((src / "repro").rglob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+        for module in [".".join(path.relative_to(src).with_suffix("").parts)]
+        if module not in named and module.rpartition(".")[0] not in named
+    ]
+    assert not missing, "modules DESIGN.md §3 does not name: " + ", ".join(missing)
+    phantom = sorted(
+        name
+        for name in named
+        if not (src / (name.replace(".", "/") + ".py")).is_file()
+        and not (src / name.replace(".", "/") / "__init__.py").is_file()
+    )
+    assert not phantom, "DESIGN.md §3 names what does not exist: " + ", ".join(phantom)
