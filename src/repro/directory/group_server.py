@@ -153,6 +153,9 @@ class GroupDirectoryServer:
         #: applies the record carrying that msg_id. A record whose
         #: writer is gone finds no slot, so nothing is left behind.
         self._reply_slots: dict[tuple, list] = {}
+        #: The commit-block write of the configuration vector the last
+        #: reset issued (a process; see _vector_landed).
+        self._vector_write: Future | None = None
         self._processes = []
         #: Client cache coherence (docs/PROTOCOL.md); None when the
         #: deployment has it off — every request path is then untouched.
@@ -377,6 +380,7 @@ class GroupDirectoryServer:
                 self._c_refused.inc()
                 handle.error(NoMajority("group failed while read was waiting"))
                 return
+        yield from self._vector_landed()
         yield from self.transport.cpu.use(self._latency().cpu.read_processing_ms)
         try:
             result = self.state.query(op)
@@ -484,6 +488,7 @@ class GroupDirectoryServer:
                     self._c_refused.inc()
                     handle.error(exc)
                     return
+        yield from self._vector_landed()
         if isinstance(result, Exception):
             handle.error(result)
         else:
@@ -746,11 +751,15 @@ class GroupDirectoryServer:
         majority = present >= self.config.majority
         if majority:
             # Majority rebuilt: persist the new configuration vector
-            # and return to normal operation.
-            yield from self.admin.write_commit_block(
-                config_vector=self.config_vector(),
-                lineage=("life", str(self.me)),
+            # and return to normal operation. The write is issued now,
+            # so it is on the disk arm's FIFO ahead of any cut's
+            # blocks, and runs beside this thread, which goes back to
+            # applying; every reply waits for it (_vector_landed).
+            self._vector_write = self.sim.spawn(
+                self._write_vector(self.config_vector()),
+                f"dir.{self.index}.vector",
             )
+            self._processes.append(self._vector_write)
             self.operational = True
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
@@ -762,6 +771,26 @@ class GroupDirectoryServer:
         self.member.kernel.wakeup.notify_all()
         if not majority:
             yield from self._recover()
+
+    def _vector_landed(self):
+        """Wait until the configuration vector of this replica's view
+        is on its disk (``yield from``). Every reply waits here: none
+        leaves in a new view before that view's vector is durable."""
+        while (vector := self._vector_write) is not None and not vector.resolved:
+            yield vector
+
+    def _write_vector(self, config_vector):
+        """Write the configuration vector of the view a reset just
+        built to the commit block (``spawn``)."""
+        try:
+            yield from self.admin.write_commit_block(
+                config_vector=config_vector, lineage=("life", str(self.me))
+            )
+        except (RpcError, LocateError, StorageError) as exc:
+            # Fenced as the group thread would be. The crash is queued
+            # ahead of the wakeups of the replies waiting on this write,
+            # so none of them leaves.
+            self._self_destruct(f"storage subsystem failed: {exc!r}")
 
     def _recover(self):
         # Fig. 6 runs with the service port shut. The server threads

@@ -95,10 +95,6 @@ class Directory:
         except KeyError:
             raise NotFound(f"no row {name!r}") from None
 
-    def rows(self) -> list[DirRow]:
-        """All rows in insertion order."""
-        return list(self._rows.values())
-
     def names(self) -> list[str]:
         """All row names in insertion order."""
         return list(self._rows)
@@ -200,12 +196,6 @@ class Directory:
         return 2 + len(self._header()) + 3 + sum(
             len(row.encoded) for row in self._rows.values()
         )
-
-    def copy(self) -> "Directory":
-        """Deep-enough copy (rows are frozen, so the two share them)."""
-        dup = Directory(self.columns)
-        dup._rows = dict(self._rows)
-        return dup
 
     def __eq__(self, other) -> bool:
         return (

@@ -43,8 +43,3 @@ class PartitionController:
     def heal(self) -> None:
         """Repair all partitions: everyone back in component 0."""
         self._component = {}
-
-    @property
-    def partitioned(self) -> bool:
-        """True while at least two components exist."""
-        return len(set(self._component.values()) | {0}) > 1 and bool(self._component)

@@ -264,14 +264,6 @@ class MetricsRegistry:
             instrument = self._histograms[key] = Histogram()
         return instrument
 
-    # -- one-shot conveniences (non-hot paths) ----------------------------
-
-    def inc(self, node: str, name: str, amount: float = 1) -> None:
-        self.counter(node, name).inc(amount)
-
-    def observe(self, node: str, name: str, value: float, weight: float = 1.0) -> None:
-        self.histogram(node, name).observe(value, weight)
-
     # -- introspection ----------------------------------------------------
 
     def find_counters(self, name: str) -> list[tuple[str, Counter]]:

@@ -41,8 +41,3 @@ class Cpu:
             yield self.sim.sleep(duration)
         finally:
             self._mutex.release()
-
-    @property
-    def idle(self) -> bool:
-        """True when no process currently holds the CPU."""
-        return self._mutex.value > 0

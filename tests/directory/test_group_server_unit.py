@@ -198,7 +198,7 @@ class TestApplyResultLeak:
         # The updates were r-safe when abandoned, so every replica
         # (including the abandoning one) still applied them.
         for replica in cluster.servers:
-            names = {row.name for row in replica.state.directories[1].rows()}
+            names = set(replica.state.directories[1].names())
             assert {"r0", "r1", "r2"} <= names
         assert cluster.replicas_consistent()
 

@@ -146,14 +146,17 @@ class TestNoEntryOutlivesItsProcess:
         assert kernel.apply_waiters == []
 
         survivors = [s for s in cluster.servers if s.alive]
-        resets_seen = False
+        resets = [
+            cluster.obs.registry.counter(str(s.me), "dir.resets")
+            for s in survivors
+        ]
+        before = [counter.value for counter in resets]
         stop["at"] = sim.now + 4_000.0
         while sim.now < stop["at"]:
             cluster.run(until=sim.now + 20.0)
             for server in survivors:
-                resets_seen |= server._resetting
                 assert_every_entry_has_a_live_owner(server.member.kernel)
-        assert resets_seen
+        assert all(c.value > b for c, b in zip(resets, before))
         for process in writers:
             sim.run_until_complete(process)
         cluster.run(until=sim.now + 500.0)

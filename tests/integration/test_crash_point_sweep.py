@@ -14,7 +14,10 @@ twice, both times by rebuilding a state from that disk alone:
 * at rest right after the cut — every directory is its old image or
   every one its new image (a session record never leads the update it
   acknowledges), or the commit block's recovering flag says "mixture"
-  and the disk claims sequence number zero;
+  and the disk claims sequence number zero; and, for the first pass
+  after a reset, the commit block holds the new view's configuration
+  vector (the reset's write of it was queued ahead of the pass on the
+  arm, so it lands whatever the cut);
 * after the replica has restarted and recovered — the disk is the
   live state of the other replicas, every acknowledged row is on every
   operational replica and every disk, and no Bullet file is orphaned
@@ -33,7 +36,7 @@ import sys
 import pytest
 
 from repro.cluster import GroupServiceCluster
-from repro.directory.admin import AdminPartition
+from repro.directory.admin import COMMIT_BLOCK, AdminPartition, CommitBlock
 from repro.directory.state import DirectoryState
 from repro.directory.store import DirectoryStore
 from repro.faults.plan import CrashPoint
@@ -256,6 +259,91 @@ def install_trial(cut_after):
         cluster, checker, setup_client, subs[0], acked, in_flight=4)
 
 
+def post_reset_trial(cut_after):
+    """Cut the victim *cut_after* blocks into its first write-out after
+    a reset that kept the majority: the sequencer crashes, a DeleteDir
+    held at the third replica across the reset is applied at both
+    survivors, and the victim's pass (no Bullet file to write first)
+    runs with the reset's commit-block write of the new configuration
+    vector queued ahead of it on the arm. Returns ``(blocks,
+    problems)``."""
+    cluster = boot()
+    sim = cluster.sim
+    [sequencer] = [
+        i for i, s in enumerate(cluster.servers) if s.member.is_sequencer
+    ]
+    assert sequencer != VICTIM
+    front = 3 - VICTIM - sequencer
+    client = cluster.add_client("c", retry_safe=True)
+    pin_to_server(client, cluster, front)
+    checker = cluster.add_client("checker").rpc
+    victim, victim_site = cluster.servers[VICTIM], cluster.sites[VICTIM]
+    acked, passes, vector_ahead = [], [], []
+
+    def setup():
+        sub = yield from client.create_dir()
+        doomed = yield from client.create_dir()
+        yield from client.append_row(cluster.root_capability, "sub", (sub,))
+        yield from client.append_row(sub, "pre", ())
+        acked.extend([(1, "sub"), (sub.object_number, "pre")])
+        yield sim.sleep(500.0)
+        return sub, doomed
+
+    sub, doomed = cluster.run_process(setup())
+    old = disk_image(cluster, victim_site, checker)
+    start, end = victim_site.partition.region
+    write_blocks = victim_site.disk.write_blocks
+
+    def first_pass(writes, lineage=None):
+        if not passes:
+            vector = victim._vector_write
+            vector_ahead.append(vector is not None and not vector.resolved)
+            # Armed past the commit block: the vector write still on
+            # the arm must land, the pass behind it is what is cut.
+            victim_site.disk.arm_crash_point(
+                lambda: cluster.crash_server(VICTIM), cut_after,
+                region=(start + 1, end),
+            )
+        passes.append(len(writes))
+        return write_blocks(writes, lineage=lineage)
+
+    victim_site.disk.write_blocks = first_pass
+    cluster.crash_server(sequencer)
+
+    deleted = []
+
+    def the_update():
+        yield from client.delete_dir(doomed)
+        deleted.append(doomed.object_number)
+
+    sim.spawn(the_update(), "update")
+    cluster.run(until=sim.now + 3_000.0)
+    if victim.alive:
+        return passes[0] if passes else 0, ["the crash point never fired"]
+    problems = []
+    if vector_ahead != [True]:
+        problems.append("the vector write was not queued ahead of the pass")
+    new = live_image(cluster.servers[front])
+    cut = disk_image(cluster, victim_site, checker)
+    if cut[0] not in (old[0], new[0]):
+        problems.append("directories are a mixture of old and new")
+    if cut[1] not in (old[1], new[1]):
+        problems.append("sessions are a mixture of old and new")
+    if cut[1] != old[1] and cut[0] != new[0]:
+        problems.append("a session record leads the update it acknowledges")
+    raw = victim_site.partition.peek_block(COMMIT_BLOCK)
+    if CommitBlock.from_bytes(raw, 3).config_vector[sequencer]:
+        problems.append("the new view's vector is not on the victim's disk")
+    cluster.restart_server(sequencer)
+    after = cluster.add_client("after")
+    pin_to_server(after, cluster, front)
+    problems += restart_and_check(cluster, checker, after, sub, acked, in_flight=1)
+    for server in cluster.servers:
+        if [obj for obj in deleted if obj in server.state.directories]:
+            problems.append(f"site {server.index}: an acknowledged delete undone")
+    return passes[0], problems
+
+
 def sweep(trial):
     """Every boundary of one pass: before its first block, after each
     one, after the last. Yields ``(cut_after, blocks, problems)``."""
@@ -287,11 +375,20 @@ def test_install_cut(cut_after):
     assert blocks == 10
 
 
+@pytest.mark.parametrize("cut_after", [0, 2])
+def test_first_write_out_after_a_reset_cut(cut_after):
+    blocks, problems = post_reset_trial(cut_after)
+    assert problems == []
+    # Blanked home + the commit block + the session record.
+    assert blocks == 3
+
+
 if __name__ == "__main__":
     bad = total = 0
     trials = {case: (lambda k, case=case: one_record_trial(case, k))
               for case in ONE_RECORD_CASES}
     trials["install"] = install_trial
+    trials["reset, delete_dir"] = post_reset_trial
     for case, trial in trials.items():
         for cut_after, blocks, problems in sweep(trial):
             total += 1

@@ -7,14 +7,12 @@ class TestPartitionController:
     def test_initially_whole(self):
         pc = PartitionController()
         assert pc.connected("a", "b")
-        assert not pc.partitioned
 
     def test_split_separates_groups(self):
         pc = PartitionController()
         pc.split([["a", "b"], ["c"]])
         assert pc.connected("a", "b")
         assert not pc.connected("a", "c")
-        assert pc.partitioned
 
     def test_unmentioned_addresses_stay_in_component_zero(self):
         pc = PartitionController()
@@ -27,7 +25,6 @@ class TestPartitionController:
         pc.split([["a"], ["b"]])
         pc.heal()
         assert pc.connected("a", "b")
-        assert not pc.partitioned
 
     def test_isolate_and_rejoin(self):
         pc = PartitionController()

@@ -24,13 +24,13 @@ class TestCounter:
         a = registry.counter("n0", "ops")
         b = registry.counter("n0", "ops")
         assert a is b
-        registry.inc("n0", "ops", 2)
+        registry.counter("n0", "ops").inc(2)
         assert a.value == 2
 
     def test_nodes_are_independent(self):
         registry = MetricsRegistry()
-        registry.inc("n0", "ops")
-        registry.inc("n1", "ops", 3)
+        registry.counter("n0", "ops").inc()
+        registry.counter("n1", "ops").inc(3)
         assert registry.counter("n0", "ops").value == 1
         assert registry.counter("n1", "ops").value == 3
 
@@ -185,9 +185,9 @@ class TestHistogram:
 class TestSnapshot:
     def test_snapshot_is_deterministic_and_sorted(self):
         registry = MetricsRegistry()
-        registry.inc("b", "z")
-        registry.inc("a", "y")
-        registry.inc("a", "x", 2)
+        registry.counter("b", "z").inc()
+        registry.counter("a", "y").inc()
+        registry.counter("a", "x").inc(2)
         snap = registry.snapshot()
         assert list(snap) == ["a", "b"]
         assert list(snap["a"]["counters"]) == ["x", "y"]
@@ -195,7 +195,7 @@ class TestSnapshot:
 
     def test_empty_sections_omitted(self):
         registry = MetricsRegistry()
-        registry.inc("n0", "ops")
+        registry.counter("n0", "ops").inc()
         snap = registry.snapshot()
         assert "gauges" not in snap["n0"]
         assert "histograms" not in snap["n0"]

@@ -60,7 +60,7 @@ class TestSimIntegration:
     def test_every_simulator_carries_an_obs_bundle(self):
         sim = Simulator(seed=0)
         assert sim.obs.tracer.enabled is False
-        sim.obs.registry.inc("n0", "ops")
+        sim.obs.registry.counter("n0", "ops").inc()
         assert sim.obs.registry.counter("n0", "ops").value == 1
 
     def test_obs_clock_follows_simulated_time(self):

@@ -11,6 +11,13 @@ def make():
     return sim, Cpu(sim, "cpu0")
 
 
+def grants_at_once(sim, cpu) -> bool:
+    """Nothing holds *cpu*: a 1 ms use asked for now ends 1 ms later."""
+    asked = sim.now
+    sim.run_until_complete(sim.spawn(cpu.use(1.0)))
+    return sim.now == asked + 1.0
+
+
 class TestCpu:
     def test_single_use_charges_time(self):
         sim, cpu = make()
@@ -49,16 +56,15 @@ class TestCpu:
 
     def test_idle_flag(self):
         sim, cpu = make()
-        assert cpu.idle
+        assert grants_at_once(sim, cpu)
 
         def work():
             yield from cpu.use(2.0)
 
         sim.spawn(work())
-        sim.run(until=1.0)
-        assert not cpu.idle
-        sim.run()
-        assert cpu.idle
+        sim.run(until=sim.now + 1.0)
+        assert not grants_at_once(sim, cpu)
+        assert grants_at_once(sim, cpu)
 
     def test_utilization(self):
         sim, cpu = make()
@@ -120,7 +126,7 @@ class TestCpu:
         sim.spawn(killer())
         sim.run()
         assert done == ["later ran"]
-        assert cpu.idle
+        assert grants_at_once(sim, cpu)
 
 
 class TestCpuMetrics:
