@@ -1,8 +1,8 @@
-"""Quickstart: a fault-tolerant directory service in ~40 lines.
+"""Quickstart: a fault-tolerant directory service in ~60 lines.
 
 Builds the paper's triplicated group directory service on a simulated
-machine room, performs the basic operations, crashes a server, and
-keeps working.
+machine room, performs the basic operations (Fig. 2's ReplaceSet and
+DeleteDir among them), crashes a server, and keeps working.
 
 Run:  python examples/quickstart.py
 """
@@ -33,6 +33,25 @@ def main() -> None:
         found = yield from client.lookup(projects, "thesis")
         assert found == thesis
         print("lookup('thesis') ->", found)
+
+        # Swap the capabilities of two rows in one indivisible step.
+        draft = yield from client.create_dir()
+        yield from client.append_row(projects, "draft", (draft,))
+        yield from client.replace_set(
+            [(projects, "thesis", (draft,)), (projects, "draft", (thesis,))]
+        )
+        swapped = yield from client.lookup_set(
+            [(projects, "thesis"), (projects, "draft")]
+        )
+        assert swapped == [draft, thesis]
+        print("replace_set swapped 'thesis' and 'draft'")
+
+        # Unlink a directory, then delete it (it must be empty).
+        yield from client.delete_row(projects, "draft")
+        yield from client.delete_dir(thesis)
+        rows = yield from client.list_dir(projects)
+        assert [row.name for row in rows] == ["thesis"]
+        print("delete_dir removed the old thesis directory")
 
         # List what the root sees.
         rows = yield from client.list_dir(root)

@@ -9,8 +9,7 @@ Usage::
     python -m repro demo            # the narrated fault-tolerance tour
     python -m repro chaos --seeds 25   # adversarial chaos suite
     python -m repro chaos --json       # ... machine-readable verdicts
-    python -m repro trace update       # traced run + phase breakdown
-    python -m repro profile update     # per-operation latency budget
+    python -m repro trace update       # phase table + per-operation latency budget
     python -m repro perf mixed         # host-time budget (sim-events/s)
     python -m repro capacity update    # bottleneck attribution report
     python -m repro capacity update --scale   # writer sweep + ceiling fit
@@ -147,7 +146,7 @@ def cmd_chaos(args) -> int:
 def _run(args, command: str):
     """The run a lens reads: its scenario, a row of
     ``repro.bench.harness.SCENARIOS``, in the lens's shape — the solo
-    run for `trace` and `profile`, the closed loop for `perf`, the
+    run for `trace`, the closed loop for `perf`, the
     `capacity` report. None, after saying why, for a scenario that has
     no such run (the caller exits 2)."""
     from repro.bench import harness
@@ -157,7 +156,7 @@ def _run(args, command: str):
         print(f"error: unknown {command} scenario {name!r}")
         print(f"known scenarios: {', '.join(sorted(harness.SCENARIOS))}")
         return None
-    if command in ("trace", "profile"):
+    if command == "trace":
         if harness.SCENARIOS[name][1] not in harness.FIG7_TEST:
             print(f"error: {command} scenario {name!r} has no solo test")
             return None
@@ -187,6 +186,7 @@ def _run(args, command: str):
 
 
 def cmd_trace(args) -> int:
+    import json
     import pathlib
 
     from repro.obs import spans
@@ -195,27 +195,40 @@ def cmd_trace(args) -> int:
     run = _run(args, "trace")
     if run is None:
         return 2
-    summary = spans.aggregate(run.spans)
-    print(spans.format_table(summary, run.scenario, run.impl))
-    dropped = run.sim.obs.tracer.dropped
-    if dropped:
-        print(f"(ring buffer dropped {dropped} early events)")
+    report = spans.budget(run.spans, top=args.top)
+    check = spans.check_against_benchmark(run, report)
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{run.scenario}-seed{run.seed}"
-    extensions = {"jsonl": ".jsonl", "chrome": ".trace.json", "text": ".txt"}
-    formats = (
-        ("jsonl", "chrome", "text") if args.format == "all" else (args.format,)
-    )
-    print()
-    for fmt in formats:
-        path = out_dir / (stem + extensions[fmt])
-        write_trace(run.events, path, fmt)
-        note = "  (open in https://ui.perfetto.dev)" if fmt == "chrome" else ""
-        print(f"wrote {path}{note}")
+    stem = out_dir / f"{run.scenario}-seed{run.seed}"
+    files = {
+        ".jsonl": (run.events, "jsonl"),
+        ".trace.json": (run.events + spans.span_track_events(run.spans), "chrome"),
+        ".txt": (run.events, "text"),
+    }
+    for suffix, (events, fmt) in files.items():
+        write_trace(events, f"{stem}{suffix}", fmt)
 
-    check = spans.check_against_benchmark(run)
+    if args.json:
+        print(json.dumps({
+            "scenario": run.scenario,
+            "impl": run.impl,
+            "seed": run.seed,
+            "iterations": run.iterations,
+            "events": len(run.events),
+            "report": report,
+            "check": check,
+        }, indent=2, sort_keys=True))
+        return 0 if check["ok"] else 1
+
+    print(spans.format_report(report, run.scenario, run.impl))
+    print()
+    for suffix in files:
+        print(f"wrote {stem}{suffix}")
+    print(
+        "(open the .trace.json in https://ui.perfetto.dev: the machines' "
+        "events, and one track per operation under the 'profile' process)"
+    )
     print(
         f"\nphase sums vs untraced benchmark: traced="
         f"{check['traced_ms']:.3f} ms, benchmark={check['benchmark_ms']:.3f} "
@@ -228,45 +241,6 @@ def cmd_trace(args) -> int:
         )
         return 1
     print("OK: the phase sums equal the untraced Fig. 7 latency.")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    import json
-    import pathlib
-
-    from repro.obs import spans
-    from repro.obs.export import write_trace
-
-    run = _run(args, "profile")
-    if run is None:
-        return 2
-    report = spans.budget(run.spans, top=args.top)
-
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / f"{run.scenario}-seed{run.seed}-profile.trace.json"
-    write_trace(
-        run.events + spans.span_track_events(run.spans), trace_path, "chrome"
-    )
-
-    if args.json:
-        result = {
-            "scenario": run.scenario,
-            "impl": run.impl,
-            "seed": run.seed,
-            "iterations": run.iterations,
-            "events": len(run.events),
-            "report": report,
-        }
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(spans.format_report(report, run.scenario, run.impl))
-        print()
-        print(
-            f"wrote {trace_path}  (open in https://ui.perfetto.dev — one "
-            "track per operation under the 'profile' process)"
-        )
     return 0
 
 
@@ -360,7 +334,8 @@ def cmd_demo(args) -> int:
     return 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line: one positional command, its target, and flags."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the ICDCS'93 fault-tolerant directory "
@@ -394,7 +369,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="chaos: print structured verdicts as JSON",
+        help="chaos/trace/capacity/perf: print the report as JSON",
     )
     parser.add_argument(
         "--trace-dir",
@@ -402,21 +377,15 @@ def main(argv=None) -> int:
         help="chaos: directory for failing seeds' flight-recorder dumps",
     )
     parser.add_argument(
-        "--format",
-        choices=["jsonl", "chrome", "text", "all"],
-        default="all",
-        help="trace: which exporter(s) to write",
-    )
-    parser.add_argument(
         "--out",
         default="traces",
-        help="trace/profile: output directory for exported traces",
+        help="trace: output directory for exported traces",
     )
     parser.add_argument(
         "--top",
         type=int,
         default=3,
-        help="profile/perf: how many slowest operations/functions to show",
+        help="trace/perf: how many slowest operations/functions to show",
     )
     parser.add_argument(
         "--scale",
@@ -436,8 +405,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "command",
         choices=[
-            "fig7", "fig8", "fig9", "all", "demo", "chaos", "trace",
-            "profile", "perf", "capacity",
+            "fig7", "fig8", "fig9", "all", "demo", "chaos", "trace", "perf",
+            "capacity",
         ],
         help="which artifact to regenerate",
     )
@@ -445,11 +414,14 @@ def main(argv=None) -> int:
         "target",
         nargs="?",
         default=None,
-        help="trace/profile/capacity/perf: scenario to run "
-        "(update | nvram-update | lookup | mixed; trace and profile "
-        "have no mixed)",
+        help="trace/capacity/perf: scenario to run "
+        "(update | nvram-update | lookup | mixed; trace has no mixed)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     handler = {
         "fig7": cmd_fig7,
         "fig8": cmd_fig8,
@@ -458,7 +430,6 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
         "chaos": cmd_chaos,
         "trace": cmd_trace,
-        "profile": cmd_profile,
         "perf": cmd_perf,
         "capacity": cmd_capacity,
     }[args.command]

@@ -80,11 +80,6 @@ class Port(bytes):
             raise CapabilityError(f"port must be 6 bytes, got {len(id)}")
         return super().__new__(cls, id)
 
-    @property
-    def id(self) -> bytes:
-        """The six bytes, as plain ``bytes``."""
-        return bytes(self)
-
     @classmethod
     def for_service(cls, name: str) -> "Port":
         """Deterministic port for a named service."""

@@ -7,7 +7,7 @@ each wait for their reply before sending again (Figs. 8 and 9). Every
 other driver in the repository builds a deployment and calls one of
 the two.
 
-The lenses — ``trace``, ``profile``, ``capacity`` and ``perf`` — name
+The lenses — ``trace``, ``capacity`` and ``perf`` — name
 a run by one table, :data:`SCENARIOS`, and read the one record,
 :class:`Run`, that :func:`run_solo` or :func:`run_loop` returns.
 
@@ -75,7 +75,7 @@ PAPER_SATURATION = {
 #: The paper's server: one record per apply/persist loop and the
 #: classic two-write commit (docs/PROTOCOL.md "Group commit"). Every
 #: driver that reproduces a paper number — Figs. 7/8/9, the E4 message
-#: and disk-op counts, ``trace``/``profile`` — builds its deployment
+#: and disk-op counts, ``trace`` — builds its deployment
 #: with this; :func:`build_deployment` alone boots the engineered
 #: default (group commit), which ``perf``, Fig. 9b and the ledger
 #: measure on purpose.
@@ -128,15 +128,14 @@ def build_deployment(impl: str, seed: int = 0, **kwargs) -> Deployment:
 SOLO_TESTS = tuple(PAPER_FIG7)
 
 
-def solo_run(deployment, test: str, iterations: int, trace_capacity=False) -> list:
+def solo_run(deployment, test: str, iterations: int, trace: bool = False) -> list:
     """One unloaded client runs *test* *iterations* times; returns one
     :class:`~repro.obs.spans.OpWindow` per client operation.
 
     An append-delete iteration is two windows sharing a pair index; the
     tmp-file sequence, which also talks to the file service, is one.
-    Unless *trace_capacity* is False the flight recorder is switched on
-    (ring of that many events, None for unbounded) once set-up is done,
-    so a trace holds the measured operations only.
+    With *trace* the flight recorder is switched on, unbounded, once
+    set-up is done, so a trace holds the measured operations only.
     """
     if test not in SOLO_TESTS:
         raise ValueError(f"unknown test {test!r}")
@@ -159,8 +158,8 @@ def solo_run(deployment, test: str, iterations: int, trace_capacity=False) -> li
             # Warm the file service's port cache outside the window.
             warm = yield from file_service.create(b"warm")
             yield from file_service.read(warm)
-        if trace_capacity is not False:
-            deployment.cluster.enable_tracing(trace_capacity)
+        if trace:
+            deployment.cluster.enable_tracing()
         for i in range(iterations):
             if test == "append_delete":
                 yield from timed(
@@ -333,8 +332,8 @@ def update_throughput(
 # ----------------------------------------------------------------------
 
 #: Lens scenario -> (implementation, :data:`WORKLOADS` entry). ``trace``
-#: and ``profile`` run a scenario's solo shape, ``capacity`` and
-#: ``perf`` its closed loop.
+#: runs a scenario's solo shape, ``capacity`` and ``perf`` its closed
+#: loop.
 SCENARIOS = {
     "update": ("group", "update"),
     "nvram-update": ("nvram", "update"),
@@ -425,8 +424,7 @@ def run_solo(name: str, iterations: int = 15, seed: int = 0) -> Run:
         raise ValueError(f"scenario {name!r} has no solo test")
     t0 = perf_counter_ns()
     deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
-    windows = solo_run(
-        deployment, FIG7_TEST[workload], iterations, trace_capacity=None)
+    windows = solo_run(deployment, FIG7_TEST[workload], iterations, trace=True)
     return Run(name, impl, seed, deployment, perf_counter_ns() - t0,
                windows=windows)
 

@@ -19,8 +19,7 @@ Coherence itself — leases, epochs, invalidation acknowledgements —
 lives in :mod:`repro.directory.client` (client half) and
 :mod:`repro.directory.coherence` (server half); this module is just
 the data structure plus its observability counters (cache.hits /
-cache.misses / cache.fills / cache.invalidations / cache.flushes,
-docs/OBSERVABILITY.md).
+cache.misses / cache.fills / cache.invalidations, docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -50,13 +49,8 @@ class LookupCache:
             self._c_misses = registry.counter(node, "cache.misses")
             self._c_fills = registry.counter(node, "cache.fills")
             self._c_invalidations = registry.counter(node, "cache.invalidations")
-            self._c_flushes = registry.counter(node, "cache.flushes")
         else:  # pragma: no cover - unit-test convenience
-            self._c_hits = self._c_misses = self._c_fills = None
-            self._c_invalidations = self._c_flushes = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
+            self._c_hits = self._c_misses = self._c_fills = self._c_invalidations = None
 
     def get(self, key):
         """``(value, server)`` for *key*, or :data:`MISS`.
@@ -134,13 +128,3 @@ class LookupCache:
             del self._entries[key]
             self._unindex(key)
         return len(doomed)
-
-    def flush(self) -> int:
-        """Drop everything (lease lapse, connection loss). Returns the
-        number of entries dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._by_row.clear()
-        if dropped and self._c_flushes is not None:
-            self._c_flushes.inc()
-        return dropped

@@ -342,8 +342,3 @@ class DirectoryClient:
         """Single-name lookup; returns the capability or None."""
         [result] = yield from self.lookup_set([(cap, name)])
         return result
-
-    def exists(self, cap: Capability, name: str):
-        """Whether the named row exists (visible columns only)."""
-        rows = yield from self.list_dir(cap)
-        return any(row.name == name for row in rows)

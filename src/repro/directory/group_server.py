@@ -40,16 +40,15 @@ from __future__ import annotations
 import collections
 import dataclasses
 
-from repro.amoeba.capability import new_check
 from repro.directory.admin import AdminPartition
 from repro.directory.coherence import CoherenceManager
 from repro.directory.config import ServiceConfig
 from repro.directory.operations import (
     CoherentLookup,
-    CreateDir,
     DirectoryOp,
     SessionOp,
     invalidation_keys,
+    mint_check,
 )
 from repro.directory.recovery import RecoveryOutcome, run_recovery
 from repro.directory.state import DirectoryState
@@ -104,6 +103,8 @@ class GroupDirectoryServer:
     ):
         self.config = config
         self.index = index
+        #: The RNG stream this server mints new directories' checks from.
+        self.check_stream = f"dir.{config.name}.check.{index}"
         self.transport = transport
         self.sim = transport.sim
         self.me = transport.address
@@ -424,7 +425,7 @@ class GroupDirectoryServer:
                 str(self.me), "dir", "dir.write.recv",
                 lineage=msg_id, op=type(op).__name__,
             )
-        op = self._inject_check_fields(op)
+        op = mint_check(op, self.sim.rng, self.check_stream)
         slot = self._reply_slots[msg_id] = [None, None]
         seqno = None
         try:
@@ -499,19 +500,6 @@ class GroupDirectoryServer:
                     lineage=msg_id, seqno=seqno,
                 )
             handle.reply(result, size=_result_size(result))
-
-    def _inject_check_fields(self, op: DirectoryOp) -> DirectoryOp:
-        """The initiator mints the check field for a new directory so
-        every replica creates it identically (section 3.1)."""
-        if isinstance(op, SessionOp):
-            inner = self._inject_check_fields(op.op)
-            if inner is not op.op:
-                return dataclasses.replace(op, op=inner)
-            return op
-        if isinstance(op, CreateDir) and op.check is None:
-            rng = self.sim.rng.stream(f"dir.{self.config.name}.check.{self.index}")
-            return dataclasses.replace(op, check=new_check(rng))
-        return op
 
     # ------------------------------------------------------------------
     # state configuration (exactly-once sessions)

@@ -78,9 +78,6 @@ class Directory:
 
     # -- queries ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def __contains__(self, name: str) -> bool:
         return name in self._rows
 
@@ -195,13 +192,6 @@ class Directory:
         (``len(self.to_bytes())``, without building the image)."""
         return 2 + len(self._header()) + 3 + sum(
             len(row.encoded) for row in self._rows.values()
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Directory)
-            and self.columns == other.columns
-            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

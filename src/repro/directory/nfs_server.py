@@ -11,11 +11,9 @@ Amoeba's) plus a small file service for the tmp-file experiment.
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.amoeba.capability import Port, new_check
+from repro.amoeba.capability import Port
 from repro.directory.config import ServiceConfig
-from repro.directory.operations import CreateDir, DirectoryOp, SessionOp
+from repro.directory.operations import mint_check
 from repro.directory.state import DirectoryState
 from repro.errors import CapabilityError, DirectoryError, Interrupted, NoSuchFile, ServiceDown
 from repro.rpc.server import RpcServer
@@ -73,7 +71,7 @@ class NfsDirectoryServer:
                     self._c_reads.inc()
                     handle.reply(result, size=96)
                 else:
-                    op = self._prepare(op)
+                    op = mint_check(op, self.sim.rng, f"nfsdir.{self.config.name}.check")
                     yield from self._disk.acquire_gen()
                     try:
                         yield self.sim.sleep(latency.nfs_update_ms)
@@ -94,17 +92,6 @@ class NfsDirectoryServer:
                 raise
             except Exception as exc:
                 handle.error(ServiceDown(f"internal error: {exc!r}"))
-
-    def _prepare(self, op: DirectoryOp) -> DirectoryOp:
-        if isinstance(op, SessionOp):
-            inner = self._prepare(op.op)
-            if inner is not op.op:
-                return dataclasses.replace(op, op=inner)
-            return op
-        if isinstance(op, CreateDir) and op.check is None:
-            rng = self.sim.rng.stream(f"nfsdir.{self.config.name}.check")
-            return dataclasses.replace(op, check=new_check(rng))
-        return op
 
 
 class NfsFileServer:

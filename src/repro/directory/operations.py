@@ -12,9 +12,9 @@ or the write path (SendToGroup / intentions RPC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.amoeba.capability import Capability
+from repro.amoeba.capability import Capability, new_check
 from repro.directory.model import DEFAULT_COLUMNS
 
 
@@ -207,6 +207,24 @@ class SessionOp(DirectoryOp):
     def wire_size(self) -> int:
         # client id + 64-bit seqno + framing.
         return self.op.wire_size() + 24
+
+
+def mint_check(op: DirectoryOp, rng, stream: str, allocate=None) -> DirectoryOp:
+    """*op*, or a copy whose CreateDir (bare or in a session envelope)
+    carries a fresh check field where it had none. The initiating
+    server draws it from its RNG *stream* (``sim.rng``) and ships it, so
+    every replica creates the new directory identically (section 3.1);
+    *allocate*, when given, also picks its object number (the RPC
+    pair's disjoint numbering)."""
+    if isinstance(op, SessionOp):
+        inner = mint_check(op.op, rng, stream, allocate)
+        return op if inner is op.op else replace(op, op=inner)
+    if not isinstance(op, CreateDir) or op.check is not None:
+        return op
+    check = new_check(rng.stream(stream))
+    if allocate is None:
+        return replace(op, check=check)
+    return replace(op, check=check, object_number=allocate())
 
 
 def unwrap(op: DirectoryOp) -> DirectoryOp:

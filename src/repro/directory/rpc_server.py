@@ -32,13 +32,11 @@ lazy replica mints the identical capability.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 
-from repro.amoeba.capability import new_check
 from repro.directory.admin import AdminPartition
 from repro.directory.config import ServiceConfig
-from repro.directory.operations import CreateDir, DirectoryOp, SessionOp
+from repro.directory.operations import DirectoryOp, mint_check
 from repro.directory.state import DirectoryState
 from repro.directory.store import Change, DirectoryStore
 from repro.errors import (
@@ -73,6 +71,8 @@ class RpcDirectoryServer:
     ):
         self.config = config
         self.index = index
+        #: The RNG stream this server mints new directories' checks from.
+        self.check_stream = f"rpcdir.{config.name}.check.{index}"
         self.transport = transport
         self.sim = transport.sim
         self.me = transport.address
@@ -208,7 +208,7 @@ class RpcDirectoryServer:
             tracer.emit(
                 str(self.me), "dir", "dir.write.recv", op=type(op).__name__
             )
-        op = self._prepare_write(op)
+        op = mint_check(op, self.sim.rng, self.check_stream, self._allocate_object)
         yield from self._update_mutex.acquire_gen()
         try:
             accepted = yield from self._notify_peer_with_retry(op)
@@ -243,18 +243,10 @@ class RpcDirectoryServer:
         finally:
             self._update_mutex.release()
 
-    def _prepare_write(self, op: DirectoryOp) -> DirectoryOp:
-        if isinstance(op, SessionOp):
-            inner = self._prepare_write(op.op)
-            if inner is not op.op:
-                return dataclasses.replace(op, op=inner)
-            return op
-        if isinstance(op, CreateDir) and op.check is None:
-            rng = self.sim.rng.stream(f"rpcdir.{self.config.name}.check.{self.index}")
-            obj = self._next_alloc
-            self._next_alloc += 2
-            return dataclasses.replace(op, check=new_check(rng), object_number=obj)
-        return op
+    def _allocate_object(self) -> int:
+        obj = self._next_alloc
+        self._next_alloc += 2
+        return obj
 
     # ------------------------------------------------------------------
     # intentions protocol

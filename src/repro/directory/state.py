@@ -99,11 +99,6 @@ class DirectoryState:
 
     # -- capabilities ------------------------------------------------------
 
-    @property
-    def root_capability(self) -> Capability:
-        """Owner capability of the root directory."""
-        return owner_capability(self.port, ROOT_OBJECT, self.checks[ROOT_OBJECT])
-
     def _resolve(self, cap: Capability, rights: Rights) -> int:
         """Validate *cap* and return the directory object it names."""
         if cap.port != self.port:

@@ -238,17 +238,6 @@ class Network:
         self.interest_changed()
         return nic
 
-    def nic(self, address: Address) -> "Nic":
-        """Look up an attached NIC."""
-        try:
-            return self._nics[address]
-        except KeyError:
-            raise NetworkError(f"no NIC at address {address!r}") from None
-
-    def addresses(self) -> list[Address]:
-        """All attached addresses, in attach order."""
-        return list(self._nics)
-
     def interest_changed(self) -> None:
         """Drop the multicast listener index: some NIC's filter changed."""
         self._listeners = {}

@@ -13,10 +13,9 @@ The subsystem has three parts:
 Two consumers sit on top:
 
 * :mod:`repro.obs.spans` — stitches lineage-stamped trace events into
-  per-operation causal span trees, a deterministic latency-budget
-  report (``python -m repro profile``) and, from the same segments,
-  the wire/sequencer/compute/disk attribution of a Fig. 7 run
-  (``python -m repro trace``); the run is
+  per-operation causal span trees and folds them into one report of a
+  Fig. 7 run (``python -m repro trace``): the wire/sequencer/compute/
+  disk phase table, then the per-segment latency budget; the run is
   :func:`repro.bench.harness.run_solo`'s, and this module is imported
   lazily by the CLI, not here, to keep this package import-cycle-free;
 * :mod:`repro.obs.saturation` — the one periodic sampler over the

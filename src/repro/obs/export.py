@@ -132,7 +132,7 @@ def to_text(events: Iterable[TraceEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_trace(events: Iterable[TraceEvent], path: str, fmt: str = "jsonl") -> str:
+def write_trace(events: Iterable[TraceEvent], path: str, fmt: str = "jsonl") -> None:
     """Write events to *path* in *fmt* (``jsonl``/``chrome``/``text``)."""
     events = list(events)
     if fmt == "jsonl":
@@ -145,4 +145,3 @@ def write_trace(events: Iterable[TraceEvent], path: str, fmt: str = "jsonl") -> 
         raise ValueError(f"unknown trace format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
-    return path

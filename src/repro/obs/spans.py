@@ -1,5 +1,5 @@
-"""Per-operation span trees, the latency-budget profiler and the
-Fig. 7 phase table — one stitcher for all three.
+"""Per-operation span trees and the one report of a traced Fig. 7 run
+(``python -m repro trace``).
 
 Given the flight-recorder trace of a run and one :class:`OpWindow` per
 client-observed operation, this module answers *for each individual
@@ -14,18 +14,17 @@ every hop took:
   segments** (:data:`SEGMENT_ORDER`) measured between consecutive
   markers on the handling server's critical path, so the segments sum
   to the client-observed latency *exactly*;
-* :func:`budget` aggregates spans into a deterministic latency-budget
-  report: p50/p95/p99 per segment, the top-K slowest operations with
-  their full trees, and stragglers whose segment *mix* deviates from
-  their kind's profile (not merely slow — differently shaped);
 * :func:`phases_from_span` folds the segments into the paper's four
-  cost components (section 4, discussion of Fig. 7) and
-  :func:`aggregate` / :func:`format_table` average them per operation
-  kind and per benchmark iteration — the ``python -m repro trace``
-  table;
+  cost components (section 4, discussion of Fig. 7);
+* :func:`budget` aggregates spans into the one deterministic report:
+  the phases averaged per operation kind and per benchmark iteration,
+  p50/p95/p99 per segment, the top-K slowest operations with their
+  full trees, and stragglers whose segment *mix* deviates from their
+  kind's profile (not merely slow — differently shaped);
+  :func:`format_report` renders it, phase table first;
 * :func:`span_track_events` renders the spans as synthetic trace
   events on a ``profile`` pseudo-node, one Chrome-trace track per
-  operation lineage (open next to the raw events in Perfetto).
+  operation lineage (exported beside the raw events, for Perfetto).
 
 Fan-in is modelled, not hidden: a group-commit batch (PR 3) persists
 many operations under one disk operation, so their spans share the
@@ -219,17 +218,21 @@ def _stitch_read(inside, window, recv) -> OpSpan:
         "service": reply.ts - recv.ts,
         "wire_reply": window.end - reply.ts,
     }
-    root = Span(f"{window.op} #{window.pair}", node, window.start, window.end)
-    cursor = window.start
-    for name in READ_SEGMENTS:
-        root.children.append(
-            Span(name, node, cursor, cursor + segments[name])
-        )
-        cursor += segments[name]
     return OpSpan(
         window.op, window.pair, recv.lineage, node,
-        window.start, window.end, root, segments,
+        window.start, window.end, _segment_tree(window, node, segments), segments,
     )
+
+
+def _segment_tree(window, node, segments: dict) -> Span:
+    """The operation's root span over one child per segment, laid end
+    to end in the order *segments* lists them."""
+    root = Span(f"{window.op} #{window.pair}", node, window.start, window.end)
+    cursor = window.start
+    for name, dur in segments.items():
+        root.children.append(Span(name, node, cursor, cursor + dur))
+        cursor += dur
+    return root
 
 
 def _stitch_write(events, inside, window, recv) -> OpSpan:
@@ -300,14 +303,8 @@ def _stitch_write(events, inside, window, recv) -> OpSpan:
         "wire_reply": window.end - reply.ts,
     }
 
-    root = Span(f"{window.op} #{window.pair}", node, window.start, window.end)
-    cursor = window.start
-    by_name = {}
-    for name in SEGMENT_ORDER:
-        child = Span(name, node, cursor, cursor + segments[name])
-        by_name[name] = child
-        root.children.append(child)
-        cursor += segments[name]
+    root = _segment_tree(window, node, segments)
+    by_name = {child.name: child for child in root.children}
 
     # Group-protocol sub-spans: the kernel hops (on whichever node
     # they happened) nested under the sequencer segment.
@@ -382,15 +379,21 @@ def _dist(values) -> dict:
 
 
 def budget(spans, top: int = 3) -> dict:
-    """Aggregate spans into the deterministic latency-budget report.
+    """Aggregate spans into the solo lens's deterministic report.
 
-    Returns a JSON-safe dict: per-op-kind totals and per-segment
-    p50/p95/p99 + mean share, the *top* slowest operations with their
-    full span trees, straggler flags, and fan-in/dedup counts.
+    Returns a JSON-safe dict: the paper's phases
+    (:func:`phases_from_span`) averaged per op kind and per benchmark
+    iteration (the ops of one pair summed, e.g. append + delete, which
+    is what :func:`repro.bench.harness.fig7_cell` measures);
+    per-op-kind totals and per-segment p50/p95/p99 + mean share; the
+    *top* slowest operations with their full span trees, straggler
+    flags, and fan-in/dedup counts.
     """
     by_op: dict = {}
+    by_pair: dict = {}
     for s in spans:
         by_op.setdefault(s.op, []).append(s)
+        by_pair.setdefault(s.pair, []).append(s)
 
     ops = {}
     shares: dict = {}  # (op, segment) -> mean share of total
@@ -435,6 +438,13 @@ def budget(spans, top: int = 3) -> dict:
     slowest = sorted(spans, key=lambda s: (-s.total, s.op, s.pair))[:top]
     return {
         "operations": len(spans),
+        "phases": {
+            "ops": {
+                op: _phase_means([s] for s in items)
+                for op, items in sorted(by_op.items())
+            },
+            "iteration": _phase_means(group for _, group in sorted(by_pair.items())),
+        },
         "ops": ops,
         "top": [s.as_dict() for s in slowest],
         "stragglers": stragglers,
@@ -477,68 +487,23 @@ def phases_from_span(span: OpSpan) -> dict:
     return phases
 
 
-def aggregate(spans) -> dict:
-    """Mean per-phase costs, per op kind and for the full iteration.
-
-    Returns ``{"ops": {op: {"count", "total_ms", phases...}},
-    "iteration": {...}}`` where *iteration* sums every op of one
-    benchmark iteration (e.g. append + delete of one pair), matching
-    what :func:`repro.bench.harness.fig7_cell` measures.
-    """
-    by_op: dict = {}
-    by_pair: dict = {}
-    for span in spans:
-        item = (span.total, phases_from_span(span))
-        by_op.setdefault(span.op, []).append(item)
-        by_pair.setdefault(span.pair, []).append(item)
-
-    def mean_block(items) -> dict:
-        n = len(items)
-        block = {"count": n, "total_ms": sum(total for total, _ in items) / n}
-        for key in sorted({k for _, phases in items for k in phases}):
-            block[key] = sum(phases.get(key, 0.0) for _, phases in items) / n
-        return block
-
-    iterations = []
-    for _pair, items in sorted(by_pair.items()):
+def _phase_means(groups) -> dict:
+    """Count, mean total and mean of each phase over *groups* of spans,
+    each group's totals and phases summed first (a group is one span
+    for an op kind's row, one pair's ops for the iteration row). Left
+    unrounded: the benchmark cross-check reads the iteration total."""
+    rows = []
+    for group in groups:
         summed: dict = {}
-        for _, phases in items:
-            for key, value in phases.items():
+        for span in group:
+            for key, value in phases_from_span(span).items():
                 summed[key] = summed.get(key, 0.0) + value
-        iterations.append((sum(total for total, _ in items), summed))
-    return {
-        "ops": {op: mean_block(items) for op, items in sorted(by_op.items())},
-        "iteration": mean_block(iterations),
-    }
-
-
-def format_table(summary: dict, scenario: str, impl: str) -> str:
-    """Render :func:`aggregate`'s output as a fixed-width table."""
-    rows = dict(summary["ops"])
-    if len(rows) > 1:
-        rows["iteration"] = summary["iteration"]
-    keys = [
-        k
-        for k in PHASE_ORDER
-        if any(k in block for block in rows.values())
-    ]
-    lines = [
-        f"Per-phase latency breakdown — scenario={scenario} impl={impl}",
-        "(simulated ms, mean over iterations; phases sum to total)",
-        "",
-    ]
-    header = f"{'op':<12} {'n':>3} {'total':>9}" + "".join(
-        f" {k:>10}" for k in keys
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for op, block in rows.items():
-        line = f"{op:<12} {block['count']:>3} {block['total_ms']:>9.3f}"
-        for key in keys:
-            value = block.get(key)
-            line += f" {value:>10.3f}" if value is not None else f" {'-':>10}"
-        lines.append(line)
-    return "\n".join(lines)
+        rows.append((sum(span.total for span in group), summed))
+    n = len(rows)
+    block = {"count": n, "total_ms": sum(total for total, _ in rows) / n}
+    for key in sorted({k for _, phases in rows for k in phases}):
+        block[key] = sum(phases.get(key, 0.0) for _, phases in rows) / n
+    return block
 
 
 # ----------------------------------------------------------------------
@@ -577,26 +542,26 @@ def span_track_events(spans) -> list:
 
 
 def format_report(report: dict, scenario: str, impl: str) -> str:
-    """Human-readable latency-budget report (byte-stable)."""
-    lines = [
+    """:func:`budget`'s report as text (byte-stable): the phase table,
+    then each op kind's segment budget, the stragglers and the slowest
+    operations' trees."""
+    lines = _phase_table(report["phases"], scenario, impl) + [
+        "",
         f"Per-operation latency budget — scenario={scenario} impl={impl}",
         f"({report['operations']} operations; segments sum to the "
         "client-observed latency exactly)",
         "",
     ]
+    header = f"  {'segment':<14}{'mean':>9}{'p50':>9}{'p95':>9}{'p99':>9}{'share':>8}"
     for op, block in report["ops"].items():
         total = block["total_ms"]
-        lines.append(
+        lines += [
             f"{op}  n={block['count']}  total p50={total['p50']:.3f} "
             f"p95={total['p95']:.3f} p99={total['p99']:.3f} "
-            f"mean={total['mean']:.3f} ms"
-        )
-        header = (
-            f"  {'segment':<14}{'mean':>9}{'p50':>9}{'p95':>9}{'p99':>9}"
-            f"{'share':>8}"
-        )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
+            f"mean={total['mean']:.3f} ms",
+            header,
+            "  " + "-" * (len(header) - 2),
+        ]
         for name, seg in block["segments_ms"].items():
             lines.append(
                 f"  {name:<14}{seg['mean']:>9.3f}{seg['p50']:>9.3f}"
@@ -619,24 +584,38 @@ def format_report(report: dict, scenario: str, impl: str) -> str:
             )
     else:
         lines.append("stragglers: none")
-    lines.append("")
-    lines.append(f"top {len(report['top'])} slowest operations:")
+    lines += ["", f"top {len(report['top'])} slowest operations:"]
     for entry in report["top"]:
-        lines.append("")
-        lines.extend(_render_entry(entry))
+        lines += [
+            "",
+            f"{entry['op']} #{entry['pair']}  {entry['total_ms']:.3f} ms  "
+            f"node={entry['node']} fan_in={entry['fan_in']} "
+            f"dedup={entry['dedup']} lineage={entry['lineage']}",
+            *_tree_lines(entry["tree"], 1),
+            "  critical path: " + " -> ".join(entry["critical_path"]),
+        ]
     return "\n".join(lines)
 
 
-def _render_entry(entry: dict) -> list:
+def _phase_table(phases: dict, scenario: str, impl: str) -> list:
+    rows = dict(phases["ops"])
+    if len(rows) > 1:
+        rows["iteration"] = phases["iteration"]
+    keys = [k for k in PHASE_ORDER if any(k in block for block in rows.values())]
+    header = f"{'op':<12} {'n':>3} {'total':>9}" + "".join(f" {k:>10}" for k in keys)
     lines = [
-        f"{entry['op']} #{entry['pair']}  {entry['total_ms']:.3f} ms  "
-        f"node={entry['node']} fan_in={entry['fan_in']} "
-        f"dedup={entry['dedup']} lineage={entry['lineage']}"
+        f"Per-phase latency breakdown — scenario={scenario} impl={impl}",
+        "(simulated ms, mean over iterations; phases sum to total)",
+        "",
+        header,
+        "-" * len(header),
     ]
-    lines.extend(_tree_lines(entry["tree"], 1))
-    lines.append(
-        "  critical path: " + " -> ".join(entry["critical_path"])
-    )
+    for op, block in rows.items():
+        line = f"{op:<12} {block['count']:>3} {block['total_ms']:>9.3f}"
+        for key in keys:
+            value = block.get(key)
+            line += f" {value:>10.3f}" if value is not None else f" {'-':>10}"
+        lines.append(line)
     return lines
 
 
@@ -666,10 +645,10 @@ def _tree_lines(tree: dict, indent: int) -> list:
 TRACED_VS_UNTRACED_TOLERANCE = 1e-9
 
 
-def check_against_benchmark(run) -> dict:
-    """Compare a :func:`~repro.bench.harness.run_solo` run's traced
-    per-iteration phase sums against an untraced :func:`fig7_cell` run
-    of the same cell.
+def check_against_benchmark(run, report: dict) -> dict:
+    """Compare the per-iteration total of *report* (:func:`budget` of a
+    :func:`~repro.bench.harness.run_solo` run's spans) against an
+    untraced :func:`fig7_cell` run of the same cell.
 
     Returns ``{"benchmark_ms", "traced_ms", "relative_error", "ok"}``.
     The benchmark runs fresh (same seed/iterations), so this verifies
@@ -682,7 +661,7 @@ def check_against_benchmark(run) -> dict:
         run.impl, FIG7_TEST[SCENARIOS[run.scenario][1]],
         iterations=run.iterations, seed=run.seed,
     )
-    traced = aggregate(run.spans)["iteration"]["total_ms"]
+    traced = report["phases"]["iteration"]["total_ms"]
     error = abs(traced - benchmark) / benchmark if benchmark else 0.0
     return {
         "benchmark_ms": round(benchmark, 6),

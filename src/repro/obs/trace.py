@@ -62,26 +62,15 @@ class TraceRecorder:
     def __init__(self, clock: Clock):
         self._clock = clock
         self.enabled: bool = False
-        self.capacity: int | None = None
-        self.dropped: int = 0
         self._buffer: deque[TraceEvent] | None = None
 
     # -- lifecycle --------------------------------------------------------
 
     def enable(self, capacity: int | None = None) -> None:
-        """Start recording; *capacity* bounds the buffer (flight recorder)."""
+        """Start recording; *capacity* bounds the buffer (flight
+        recorder: the oldest events fall out)."""
         self._buffer = deque(maxlen=capacity)
-        self.capacity = capacity
-        self.dropped = 0
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        if self._buffer is not None:
-            self._buffer.clear()
-        self.dropped = 0
 
     # -- recording --------------------------------------------------------
 
@@ -97,10 +86,8 @@ class TraceRecorder:
         **args: Any,
     ) -> None:
         """Record one event. Call sites must guard on :attr:`enabled`."""
-        if not self.enabled or self._buffer is None:
+        if not self.enabled:
             return
-        if self.capacity is not None and len(self._buffer) == self.capacity:
-            self.dropped += 1
         self._buffer.append(
             TraceEvent(
                 self._clock() if ts is None else ts,
@@ -119,9 +106,6 @@ class TraceRecorder:
     def events(self) -> list[TraceEvent]:
         """Snapshot of the buffered events, oldest first."""
         return list(self._buffer) if self._buffer is not None else []
-
-    def __len__(self) -> int:
-        return len(self._buffer) if self._buffer is not None else 0
 
 
 class Observability:

@@ -196,10 +196,6 @@ class RpcClient:
             1.0 + RETRY_JITTER,
         )
 
-    def cached_servers(self, port: Port) -> list:
-        """Snapshot of the current port-cache entry (first = preferred)."""
-        return list(self._kernel.cached_servers(port))
-
     # -- locate ------------------------------------------------------------
 
     def _pick_server(self, port: Port, spread: bool = False):

@@ -52,11 +52,6 @@ class Transport:
         """The machine's network address."""
         return self.nic.address
 
-    @property
-    def alive(self) -> bool:
-        """True while the machine's NIC is up."""
-        return self.nic.up
-
     # -- handler registry ---------------------------------------------------
 
     def register(self, kind: str, handler: Callable[[Packet], None]) -> None:

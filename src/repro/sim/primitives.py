@@ -143,11 +143,6 @@ class Semaphore:
         # attribute test so unmetered semaphores stay as cheap as before.
         self.meter: SemaphoreMeter | None = None
 
-    @property
-    def value(self) -> int:
-        """Current count (0 means the next acquire blocks)."""
-        return self._value
-
     def acquire(self) -> Future:
         """Future resolving once a unit is held."""
         fut = Future(self._acquire_name)

@@ -40,8 +40,7 @@ class TestPort:
         assert Port.__hash__ is bytes.__hash__
         assert Port.__eq__ is bytes.__eq__
         port = Port.for_service("dir")
-        assert port.id == bytes(port) and type(port.id) is bytes
-        assert str(port) == f"{port}" == port.id.hex()
+        assert str(port) == f"{port}" == bytes(port).hex()
 
     def test_a_decoded_port_is_the_same_key(self):
         cap = make_owner(obj=7)

@@ -47,13 +47,13 @@ class TestLru:
         assert cache.get(k(1, "a")) == (1, "s0")
         assert cache.get(k(1, "b")) is MISS
         assert cache.get(k(1, "c")) == (3, "s0")
-        assert len(cache) == 2
+        assert len(cache._entries) == 2
 
     def test_refill_refreshes_instead_of_growing(self):
         cache = LookupCache(2)
         cache.put(k(1, "a"), 1, "s0")
         cache.put(k(1, "a"), 2, "s1")
-        assert len(cache) == 1
+        assert len(cache._entries) == 1
         assert cache.get(k(1, "a")) == (2, "s1")
 
 
@@ -73,7 +73,7 @@ class TestInvalidation:
         cache.put(k(1, "b"), 2, "s0")
         cache.put(k(2, "a"), 3, "s0")
         assert cache.invalidate(1, None) == 2
-        assert len(cache) == 1
+        assert len(cache._entries) == 1
         assert cache.get(k(2, "a")) == (3, "s0")
 
     def test_no_match_returns_zero(self):
@@ -83,14 +83,16 @@ class TestInvalidation:
         assert cache.invalidate(1, "z") == 0
 
     def test_drop_and_flush(self):
+        """One entry goes, or every entry of one lapsed lease."""
         cache = LookupCache(8)
         cache.put(k(1, "a"), 1, "s0")
         cache.put(k(1, "b"), 2, "s1")
+        cache.put(k(2, "c"), 3, "s1")
         cache.drop(k(1, "a"))
         cache.drop(k(1, "never-cached"))  # no-op
         assert cache.get(k(1, "a")) is MISS
-        assert cache.flush() == 1
-        assert len(cache) == 0
+        assert cache.drop_server("s1") == 2
+        assert len(cache._entries) == 0
 
 
 class TestRowIndex:
@@ -117,7 +119,7 @@ class TestRowIndex:
             for _ in range(300):
                 action = rng.choice(
                     ("put", "put", "put", "get", "row", "row", "dir",
-                     "drop", "drop_server", "flush")
+                     "drop", "drop_server")
                 )
                 if action == "put":
                     cache.put(key(), rng.random(), rng.choice(("s0", "s1")))
@@ -131,10 +133,8 @@ class TestRowIndex:
                     assert scan(obj, name) == 0
                 elif action == "drop":
                     cache.drop(key())
-                elif action == "drop_server":
-                    cache.drop_server(rng.choice(("s0", "s1")))
                 else:
-                    cache.flush()
+                    cache.drop_server(rng.choice(("s0", "s1")))
                 grouped = {}
                 for entry in cache._entries:
                     grouped.setdefault((entry[0], entry[2]), set()).add(entry)

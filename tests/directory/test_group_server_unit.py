@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import GroupServiceCluster
-from repro.directory.operations import AppendRow, CreateDir
+from repro.directory.operations import AppendRow, CreateDir, SessionOp, mint_check
 from repro.errors import CapabilityError, GroupFailure, NoMajority, ServiceDown
 from repro.group.kernel import BcRecord
 
@@ -18,22 +18,33 @@ def cluster():
     return c
 
 
+def _inject(server, op):
+    """What the initiator does to a write before it broadcasts it."""
+    return mint_check(op, server.sim.rng, server.check_stream)
+
+
 class TestCheckFieldInjection:
     def test_initiator_injects_check(self, cluster):
         server = cluster.servers[0]
         op = CreateDir()
-        injected = server._inject_check_fields(op)
+        injected = _inject(server, op)
         assert injected.check is not None
         assert op.check is None
+
+    def test_a_session_envelope_is_minted_inside(self, cluster):
+        op = SessionOp(CreateDir(), "c", 1)
+        minted = _inject(cluster.servers[0], op)
+        assert minted.op.check is not None and minted.session_seqno == 1
+        assert op.op.check is None
 
     def test_existing_check_untouched(self, cluster):
         server = cluster.servers[0]
         op = CreateDir(check=777)
-        assert server._inject_check_fields(op) is op
+        assert _inject(server, op) is op
 
     def test_different_servers_inject_different_checks(self, cluster):
         checks = {
-            s._inject_check_fields(CreateDir()).check for s in cluster.servers
+            _inject(s, CreateDir()).check for s in cluster.servers
         }
         assert len(checks) == 3
 
@@ -42,7 +53,7 @@ class TestCheckFieldInjection:
             c = GroupServiceCluster(seed=seed, name=f"ck{seed}")
             c.start()
             c.wait_operational()
-            return c.servers[0]._inject_check_fields(CreateDir()).check
+            return _inject(c.servers[0], CreateDir()).check
 
         assert first_check(3) == first_check(3)
 

@@ -12,6 +12,11 @@ from repro.directory.model import DEFAULT_COLUMNS, Directory, DirRow
 from repro.errors import AlreadyExists, DirectoryError, NotFound
 
 
+def same(a, b) -> bool:
+    """Same columns and the same rows, in order."""
+    return a.columns == b.columns and list(a._rows.items()) == list(b._rows.items())
+
+
 def cap(obj=1, seed=0):
     rng = random.Random(seed)
     return owner_capability(Port.for_service("dir"), obj, new_check(rng))
@@ -20,7 +25,7 @@ def cap(obj=1, seed=0):
 class TestDirectoryBasics:
     def test_new_directory_is_empty(self):
         d = Directory()
-        assert d.empty and len(d) == 0
+        assert d.empty and d.names() == []
         assert d.columns == DEFAULT_COLUMNS
 
     def test_column_count_bounds(self):
@@ -121,14 +126,14 @@ class TestColumnMasking:
 class TestSerialization:
     def test_roundtrip_empty(self):
         d = Directory(("only",))
-        assert Directory.from_bytes(d.to_bytes()) == d
+        assert same(Directory.from_bytes(d.to_bytes()), d)
 
     def test_roundtrip_with_rows(self):
         d = Directory()
         d.append_row("alpha", (cap(1), cap(2), None))
         d.append_row("beta", (None, cap(3), None))
         restored = Directory.from_bytes(d.to_bytes())
-        assert restored == d
+        assert same(restored, d)
         assert restored.names() == ["alpha", "beta"]
 
     def test_serialization_is_deterministic(self):
@@ -181,7 +186,7 @@ class TestSerialization:
             )
             d.append_row(name, caps)
         restored = Directory.from_bytes(d.to_bytes())
-        assert restored == d
+        assert same(restored, d)
 
     def test_roundtrip_with_separator_like_bytes(self):
         """Regression: capabilities whose wire bytes contain 0x1E (or
@@ -193,7 +198,7 @@ class TestSerialization:
         tricky_check = int.from_bytes(b"\x1e" * 6, "big")
         tricky = owner_capability(Port.for_service("dir"), 0x1E1E1E, tricky_check)
         d.append_row("\x1e-ish name", (tricky, tricky, tricky))
-        assert Directory.from_bytes(d.to_bytes()) == d
+        assert same(Directory.from_bytes(d.to_bytes()), d)
 
 
 def reference_bytes(directory):
@@ -202,7 +207,7 @@ def reference_bytes(directory):
     parts = [
         len(header).to_bytes(2, "big"),
         header,
-        len(directory).to_bytes(3, "big"),
+        len(directory.names()).to_bytes(3, "big"),
     ]
     for row in map(directory.row, directory.names()):
         name = row.name.encode()

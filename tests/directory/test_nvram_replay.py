@@ -22,6 +22,7 @@ from repro.directory.operations import (
 )
 from repro.directory.state import DirectoryState
 from repro.errors import CapabilityError, DirectoryError
+from tests.helpers import root_capability
 
 PORT = Port.for_service("dir.replay")
 
@@ -30,7 +31,7 @@ def random_ops(seed, count):
     """A reproducible random operation sequence with valid targets."""
     rng = random.Random(seed)
     state = DirectoryState(PORT, 0xABC)
-    caps = [state.root_capability]
+    caps = [root_capability(state)]
     ops = []
     from repro.amoeba.capability import owner_capability
 

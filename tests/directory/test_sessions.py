@@ -32,6 +32,7 @@ from repro.directory.session import (
 )
 from repro.directory.state import DirectoryState
 from repro.errors import AlreadyExists, DirectoryError, NotFound
+from tests.helpers import root_capability
 
 PORT = Port.for_service("dir.sess.test")
 
@@ -45,7 +46,7 @@ def make_state(seed=0):
 class TestDedup:
     def test_duplicate_append_replays_cached_reply(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         target = owner_capability(Port.for_service("x"), 7, new_check(rng))
         op = SessionOp(AppendRow(root, "n", (target,)), "c1", 1)
         first, effects = state.apply(op)
@@ -62,7 +63,7 @@ class TestDedup:
 
     def test_failed_execution_is_cached_too(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         target = owner_capability(Port.for_service("x"), 7, new_check(rng))
         state.apply(SessionOp(AppendRow(root, "n", (target,)), "c1", 1))
         dup_append = SessionOp(AppendRow(root, "n", (target,)), "c2", 1)
@@ -80,7 +81,7 @@ class TestDedup:
 
     def test_stale_seqno_suppressed_with_error(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         target = owner_capability(Port.for_service("x"), 7, new_check(rng))
         state.apply(SessionOp(AppendRow(root, "a", (target,)), "c1", 1))
         state.apply(SessionOp(AppendRow(root, "b", (target,)), "c1", 2))
@@ -101,7 +102,7 @@ class TestDedup:
 
     def test_failed_session_op_still_bumps_update_seqno(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         before = state.update_seqno
         result, _ = state.apply(SessionOp(DeleteRow(root, "ghost"), "c1", 1))
         assert isinstance(result, NotFound)
@@ -109,7 +110,7 @@ class TestDedup:
 
     def test_non_session_ops_unaffected(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         with pytest.raises(NotFound):
             state.apply(DeleteRow(root, "ghost"))
 
@@ -143,7 +144,7 @@ class TestLruBound:
 class TestSnapshotAndFingerprint:
     def test_sessions_survive_snapshot_roundtrip(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         target = owner_capability(Port.for_service("x"), 7, new_check(rng))
         state.apply(SessionOp(AppendRow(root, "n", (target,)), "c1", 3))
         state.apply(SessionOp(AppendRow(root, "n", (target,)), "c2", 1))  # fails

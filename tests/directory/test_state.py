@@ -23,6 +23,7 @@ from repro.errors import (
     NotEmpty,
     NotFound,
 )
+from tests.helpers import root_capability
 
 PORT = Port.for_service("dir.test")
 
@@ -41,7 +42,7 @@ def file_cap(rng, obj=99):
 class TestCreateDelete:
     def test_root_exists(self):
         state, _ = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         assert root.object_number == ROOT_OBJECT
         assert state.query(ListDir(root)) == []
 
@@ -84,7 +85,7 @@ class TestCreateDelete:
     def test_root_cannot_be_deleted(self):
         state, _ = make_state()
         with pytest.raises(DirectoryError):
-            state.apply(DeleteDir(state.root_capability))
+            state.apply(DeleteDir(root_capability(state)))
 
     def test_update_seqno_increments_per_write(self):
         state, rng = make_state()
@@ -106,7 +107,7 @@ class TestCreateDelete:
 class TestRowOperations:
     def test_append_lookup_delete(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         target = file_cap(rng)
         state.apply(AppendRow(root, "prog", (target,)))
         [found] = state.query(LookupSet(((root, "prog"),)))
@@ -117,7 +118,7 @@ class TestRowOperations:
 
     def test_chmod_row(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         a, b = file_cap(rng, 1), file_cap(rng, 2)
         state.apply(AppendRow(root, "f", (a, None, None)))
         state.apply(ChmodRow(root, "f", 0b010, (None, b, None)))
@@ -126,7 +127,7 @@ class TestRowOperations:
 
     def test_replace_set_is_atomic(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         a, b = file_cap(rng, 1), file_cap(rng, 2)
         state.apply(AppendRow(root, "x", (a,)))
         before = state.fingerprint()
@@ -142,7 +143,7 @@ class TestRowOperations:
 
     def test_lookup_set_spans_directories(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         sub, _ = state.apply(CreateDir(check=new_check(rng)))
         f1, f2 = file_cap(rng, 1), file_cap(rng, 2)
         state.apply(AppendRow(root, "a", (f1,)))
@@ -170,7 +171,7 @@ class TestProtection:
         """The paper's sharing example: a third-column capability gives
         no access to the stronger capabilities in columns one and two."""
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         strong, weak_target = file_cap(rng, 1), file_cap(rng, 2)
         state.apply(AppendRow(root, "f", (strong, None, weak_target)))
         third_col = restrict(root, Rights.READ | Rights.COL_3)
@@ -181,7 +182,7 @@ class TestProtection:
         state, _ = make_state()
         from dataclasses import replace
 
-        forged = replace(state.root_capability, check=12345)
+        forged = replace(root_capability(state), check=12345)
         with pytest.raises(CapabilityError):
             state.query(ListDir(forged))
 
@@ -201,7 +202,7 @@ class TestProtection:
 class TestSnapshots:
     def test_snapshot_roundtrip(self):
         state, rng = make_state()
-        root = state.root_capability
+        root = root_capability(state)
         sub, _ = state.apply(CreateDir(check=new_check(rng)))
         state.apply(AppendRow(root, "s", (sub,)))
         state.apply(AppendRow(sub, "f", (file_cap(rng),)))
@@ -229,7 +230,7 @@ class TestDeterminism:
         def run():
             state, _ = make_state(seed=1)
             rng = random.Random(seed)
-            root = state.root_capability
+            root = root_capability(state)
             caps = [root]
             for i in range(12):
                 choice = rng.randrange(4)

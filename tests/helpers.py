@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.amoeba.capability import owner_capability
+from repro.directory.state import ROOT_OBJECT
 from repro.net import Network
 from repro.net.policy import Drop
 from repro.rpc import Transport
@@ -92,3 +94,8 @@ def count(device, name):
     """Registry counter *name* of a :class:`Disk` or :class:`Nvram`
     (its node is the device's name)."""
     return device.sim.obs.registry.counter(device.name, name).value
+
+
+def root_capability(state):
+    """Owner capability of a :class:`DirectoryState`'s root directory."""
+    return owner_capability(state.port, ROOT_OBJECT, state.checks[ROOT_OBJECT])

@@ -148,7 +148,7 @@ class TestRestartIsAReboot:
         # One live sink on the machine, and it routes to the successor:
         # the replaced server's kernels are out of the handler table.
         transport = cluster.sites[index].dir_transport
-        assert transport.alive
+        assert transport.nic.up
         owners = {
             getattr(handler, "__self__", None)
             for handler in transport._handlers.values()

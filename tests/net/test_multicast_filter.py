@@ -255,10 +255,10 @@ class TestListenerIndex:
             pass
 
         def attach_bare():
-            net.attach(f"bare{len(net.addresses())}")
+            net.attach(f"bare{len(list(net._nics))}")
 
         def attach_transport():
-            transports.append(Transport(sim, net.attach(f"m{len(net.addresses())}")))
+            transports.append(Transport(sim, net.attach(f"m{len(list(net._nics))}")))
 
         def register():
             rng.choice(transports).register(rng.choice(self.KINDS), noop)
@@ -267,10 +267,10 @@ class TestListenerIndex:
             rng.choice(transports).restart()
 
         def shutdown():
-            net.nic(rng.choice(net.addresses())).up = False
+            net._nics.get(rng.choice(list(net._nics))).up = False
 
         def assign_interest():
-            nic = net.nic(rng.choice(net.addresses()))
+            nic = net._nics.get(rng.choice(list(net._nics)))
             nic.interest = rng.choice(
                 [(), set(rng.sample(self.KINDS, 2)), [self.KINDS[0]]]
             )
@@ -282,9 +282,9 @@ class TestListenerIndex:
         for step in range(400):
             action = rng.choice(steps)
             action()
-            senders = [a for a in net.addresses() if net.nic(a).up]
+            senders = [a for a in list(net._nics) if net._nics.get(a).up]
             if not senders:
-                net.nic(net.addresses()[0]).up = True
+                net._nics.get(list(net._nics)[0]).up = True
                 continue
             src = rng.choice(senders)
             for kind in self.KINDS:
@@ -302,7 +302,7 @@ class TestListenerIndex:
                 )
                 assert [dst for _, dst in got] == scan, (step, action.__name__, kind)
                 sim.run()
-        assert len(transports) > 10 and len(net.addresses()) > 30
+        assert len(transports) > 10 and len(list(net._nics)) > 30
 
 
 class TestEventBudget:

@@ -27,8 +27,7 @@ class TestTopology:
     def test_attach_and_lookup(self):
         _, net = make_network()
         nic = net.attach("a")
-        assert net.nic("a") is nic
-        assert net.addresses() == ["a"]
+        assert net._nics == {"a": nic}
 
     def test_duplicate_attach_rejected(self):
         _, net = make_network()
@@ -39,7 +38,7 @@ class TestTopology:
     def test_unknown_nic_lookup_raises(self):
         _, net = make_network()
         with pytest.raises(NetworkError):
-            net.nic("ghost")
+            net.transmit("ghost", "a", "t", None, 64)
 
     def test_reachability_requires_both_up(self):
         bed = TestBed(["a", "b"])
@@ -129,7 +128,7 @@ class TestUnicast:
         bed["a"].transport.send("b", "t", "lost")
         bed.run()
         b.restart()
-        assert b.nic.sink == b.transport._dispatch and b.transport.alive
+        assert b.nic.sink == b.transport._dispatch and b.nic.up
         again = b.listen("t")  # a restarted service registers again
         bed["a"].transport.send("b", "t", "after")
         bed.run()

@@ -40,11 +40,11 @@ class TestAttribution:
             spans.stitch_window([], window)
 
     def test_aggregate_iteration_sums_pair(self, update_run):
-        summary = spans.aggregate(update_run.spans)
-        ops = summary["ops"]
+        phases = spans.budget(update_run.spans)["phases"]
+        ops = phases["ops"]
         assert set(ops) == {"append", "delete"}
         assert math.isclose(
-            summary["iteration"]["total_ms"],
+            phases["iteration"]["total_ms"],
             ops["append"]["total_ms"] + ops["delete"]["total_ms"],
         )
 
@@ -83,9 +83,13 @@ class TestAttribution:
             )
 
 
+def _check(run) -> dict:
+    return spans.check_against_benchmark(run, spans.budget(run.spans))
+
+
 class TestBenchmarkAgreement:
     def test_traced_total_matches_untraced_benchmark(self, update_run):
-        check = spans.check_against_benchmark(update_run)
+        check = _check(update_run)
         assert check["ok"], check
         # Tracing must not perturb the simulation at all.
         assert check["relative_error"] < 1e-9
@@ -99,7 +103,7 @@ class TestBenchmarkAgreement:
             windows=update_run.windows[:-1]
             + [dataclasses.replace(last, end=last.end + 1.0)],
         )
-        check = spans.check_against_benchmark(stretched)
+        check = _check(stretched)
         assert not check["ok"], check
         assert 1e-9 < check["relative_error"] < 0.05
 
@@ -107,24 +111,23 @@ class TestBenchmarkAgreement:
         run = run_solo("nvram-update", 2)
         phases = phases_from_span(run.spans[0])
         assert "nvram" in phases and "disk" not in phases
-        check = spans.check_against_benchmark(run)
+        check = _check(run)
         assert check["ok"], check
 
     def test_lookup_scenario_has_no_storage_phase(self):
         run = run_solo("lookup", 2)
         for span in run.spans:
             assert set(phases_from_span(span)) == {"wire", "compute"}
-        assert spans.check_against_benchmark(run)["ok"]
+        assert _check(run)["ok"]
 
 
 class TestFormatting:
     def test_table_lists_every_phase_column(self, update_run):
-        table = spans.format_table(
-            spans.aggregate(update_run.spans), "update", "group"
-        )
-        for column in ("wire", "sequencer", "compute", "disk"):
-            assert column in table
-        assert "iteration" in table
+        text = spans.format_report(spans.budget(update_run.spans), "update", "group")
+        table = text.split("\n\n")[1]  # the report opens with the phase table
+        header, rule, *rows = table.splitlines()
+        assert header.split() == ["op", "n", "total", "wire", "sequencer", "compute", "disk"]
+        assert [row.split()[0] for row in rows] == ["append", "delete", "iteration"]
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,7 @@ class TestAggregation:
         spans = stitch(events, [OpWindow("append", 10.0, 23.0, 0)])
         report = budget(spans)
         text = format_report(report, "update", "group")
+        assert text.startswith("Per-phase latency breakdown")
         assert "Per-operation latency budget" in text
         assert "append" in text and "persist" in text
         assert text == format_report(budget(spans), "update", "group")

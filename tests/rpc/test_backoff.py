@@ -103,14 +103,14 @@ class TestConnectionRefused:
         def run():
             yield from client.trans(ECHO, "warm")
             yield bed.sim.sleep(10.0)  # let both HEREIS replies land
-            first = client.cached_servers(ECHO)[0]
+            first = client._kernel.port_cache[ECHO][0]
             bed[first].crash()
             reply = yield from client.trans(ECHO, "failover")
             return first, reply
 
         crashed, reply = bed.run_until(bed.sim.spawn(run()))
         assert reply == {"echo": "failover"}
-        assert crashed not in client.cached_servers(ECHO)
+        assert crashed not in client._kernel.port_cache.get(ECHO, ())
 
     def test_partition_still_times_out(self):
         """A partition is indistinguishable from slowness: no active

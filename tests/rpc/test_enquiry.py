@@ -192,7 +192,7 @@ class TestDeadServerIsNot:
         reply, ended = bed.run_until(bed.sim.spawn(run()))
         assert reply == {"echo": "x"}
         assert ended < ENQUIRY_MS + 20.0
-        assert client.cached_servers(SLOW) == ["live"]
+        assert list(client._kernel.port_cache.get(SLOW, ())) == ["live"]
 
 
 class TestHarmlessWhenNothingIsWrong:

@@ -33,14 +33,14 @@ class TestLocateTtl:
 
         def work():
             yield from client.trans(ECHO, "one")
-            assert client.cached_servers(ECHO) == ["a"]
+            assert list(client._kernel.port_cache.get(ECHO, ())) == ["a"]
             # "b" comes up after the first locate. HEREIS only appends
             # servers the cache doesn't hold, so without TTL aging the
             # client would never consult a fresh responder order.
             start_echo_server(bed["b"], name="b")
             yield bed.sim.sleep(6_000.0)  # past the TTL
             yield from client.trans(ECHO, "two")
-            return client.cached_servers(ECHO)
+            return list(client._kernel.port_cache.get(ECHO, ()))
 
         servers = bed.run_until(bed.sim.spawn(work()))
         assert "b" in servers  # the re-locate saw the new replica

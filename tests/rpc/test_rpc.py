@@ -160,7 +160,7 @@ class TestLocate:
         def run():
             yield from client.trans(ECHO, "x")
             yield bed.sim.sleep(10.0)  # let the slower HEREIS replies land
-            return client.cached_servers(ECHO)
+            return list(client._kernel.port_cache.get(ECHO, ()))
 
         cached = bed.run_until(bed.sim.spawn(run()))
         assert sorted(cached) == ["s1", "s2", "s3"]
@@ -189,7 +189,7 @@ class TestNotHereFailover:
         assert reply == {"echo": "bounced"}
         assert client.bounces == 1
         # After the bounce the client must have dropped the busy server.
-        assert "busy" not in client.cached_servers(ECHO)
+        assert "busy" not in client._kernel.port_cache.get(ECHO, ())
 
     def test_failover_to_cached_alternative(self):
         bed = TestBed(["client", "s1", "s2"])
@@ -200,7 +200,7 @@ class TestNotHereFailover:
         def run():
             yield from client.trans(ECHO, "warm")
             yield bed.sim.sleep(10.0)
-            first = client.cached_servers(ECHO)[0]
+            first = client._kernel.port_cache[ECHO][0]
             bed[first].crash()
             reply = yield from client.trans(ECHO, "after crash")
             return reply

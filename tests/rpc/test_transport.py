@@ -56,7 +56,7 @@ class TestDispatch:
         bed["b"].crash()  # before the frame arrives
         bed.sim.run()
         assert got == [] and wire_count(bed.network, "net.frames_dropped") == 1
-        assert not bed["b"].transport.alive
+        assert not bed["b"].nic.up
 
     def test_restart_rebinds_the_sink_and_empties_the_handler_table(self):
         bed = TestBed(["a", "b"])
@@ -65,7 +65,7 @@ class TestDispatch:
         transport.register(KIND, old.append)
         bed["b"].crash()
         bed["b"].restart()
-        assert transport.alive
+        assert transport.nic.up
         bed["a"].transport.send("b", KIND, 1)
         bed.sim.run()
         assert old == [] and transport.dropped_unroutable == 1

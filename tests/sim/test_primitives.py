@@ -80,7 +80,7 @@ class TestSemaphore:
     def test_release_without_waiters_increments(self):
         sem = Semaphore(0)
         sem.release()
-        assert sem.value == 1
+        assert sem._value == 1
 
     def test_release_skips_interrupted_waiters(self):
         sem = Semaphore(0)
@@ -102,14 +102,14 @@ class TestSemaphore:
         held = sem.acquire()
         assert held.resolved
         sem.abandon(held)  # holder died between grant and its next step
-        assert sem.value == 1
+        assert sem._value == 1
 
     def test_abandon_failed_future_returns_nothing(self):
         sem = Semaphore(0)
         fut = sem.acquire()
         fut.interrupt()
         sem.abandon(fut)
-        assert sem.value == 0
+        assert sem._value == 0
 
     def test_killed_waiter_does_not_leak_the_unit(self):
         # Regression: a process killed while queued in acquire() left a
@@ -151,7 +151,7 @@ class TestSemaphore:
         sim.spawn(killer())
         sim.run_until_complete(last)
         assert order == ["survivor ran"]
-        assert sem.value == 1
+        assert sem._value == 1
 
     def test_killed_holder_still_releases_via_finally(self):
         sim = Simulator()
@@ -172,7 +172,7 @@ class TestSemaphore:
 
         sim.spawn(killer())
         sim.run()
-        assert sem.value == 1
+        assert sem._value == 1
 
 
 class TestMutex:
@@ -334,7 +334,7 @@ class TestAcquireInPlace:
         gen = sem.acquire_gen()
         with pytest.raises(StopIteration):
             next(gen)  # granted on the spot: the generator never yields
-        assert sem.value == 0
+        assert sem._value == 0
 
     def test_a_mix_of_free_and_contended_grants_is_metered_exactly(self):
         from repro.sim.primitives import SemaphoreMeter

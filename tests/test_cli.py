@@ -8,7 +8,6 @@ from repro.bench.harness import FIG7_TEST, SCENARIOS
 #: Each lens at its smoke size.
 LENSES = {
     "trace": ["--iterations", "2", "trace"],
-    "profile": ["--iterations", "2", "--json", "profile"],
     "capacity": ["--smoke", "--json", "--writers", "2", "capacity"],
     "perf": ["--json", "perf"],
 }
@@ -25,6 +24,11 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_profile_is_not_a_command(self):
+        """Its report is the second half of `trace`'s."""
+        with pytest.raises(SystemExit):
+            main(["profile", "update"])
 
     def test_seed_flag_changes_nothing_structural(self, capsys):
         status = main(["--iterations", "2", "--seed", "5", "fig7"])
@@ -87,17 +91,29 @@ class TestTraceCli:
         jsonl = (out_dir / "update-seed0.jsonl").read_text().splitlines()
         assert jsonl and json.loads(jsonl[0])
 
-    def test_single_format_flag(self, capsys, tmp_path):
+    def test_json_report_and_three_files_with_span_tracks(self, capsys, tmp_path):
+        import json
+
         out_dir = tmp_path / "traces"
         status = main(
             [
-                "--iterations", "2", "trace", "lookup",
-                "--format", "text", "--out", str(out_dir),
+                "--iterations", "2", "--json", "trace", "lookup",
+                "--out", str(out_dir),
             ]
         )
         assert status == 0
-        assert (out_dir / "lookup-seed0.txt").exists()
-        assert not (out_dir / "lookup-seed0.jsonl").exists()
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"]["ok"]
+        assert doc["report"]["phases"]["ops"]["lookup"]["count"] == 2
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "lookup-seed0.jsonl", "lookup-seed0.trace.json", "lookup-seed0.txt",
+        ]
+        chrome = json.loads((out_dir / "lookup-seed0.trace.json").read_text())
+        tracks = {
+            e["cat"] for e in chrome["traceEvents"]
+            if e.get("ph") == "X" and e.get("name") == "op"
+        }
+        assert tracks == {"lookup #0", "lookup #1"}
 
     def test_unknown_scenario_rejected(self, capsys, tmp_path):
         status = main(["trace", "bogus", "--out", str(tmp_path)])
@@ -164,7 +180,7 @@ class TestCapacityCli:
 def test_every_lens_runs_every_scenario_its_shape_has(lens, scenario, capsys, tmp_path):
     status = main([*LENSES[lens], scenario, "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    if lens in ("trace", "profile") and SCENARIOS[scenario][1] not in FIG7_TEST:
+    if lens == "trace" and SCENARIOS[scenario][1] not in FIG7_TEST:
         assert status == 2
         assert f"{lens} scenario {scenario!r} has no solo test" in out
     else:

@@ -3,7 +3,7 @@
 ``tests/golden/driver_outputs.json`` holds what each experiment driver
 printed the last time somebody looked: the Fig. 7 cells, one Fig. 8 and
 one Fig. 9 point per implementation, the ``perf`` fingerprints,
-digests of the ``capacity``, ``profile`` and ``trace`` reports,
+digests of the ``capacity`` and ``trace`` reports,
 digests of the chaos verdicts of six smoke runs, and digests of the
 paper's server's (``batch_max=1``) full trace of a solo script. The
 simulation is deterministic, so any difference is a code change — a PR
@@ -114,20 +114,11 @@ def _capacity() -> dict:
     return out
 
 
-def _profile() -> dict:
+def _trace() -> dict:
     return {
         scenario: _sha(spans.budget(run_solo(scenario, 3).spans))
         for scenario in TRACED
     }
-
-
-def _phase_tables() -> dict:
-    out = {}
-    for scenario in TRACED:
-        run = run_solo(scenario, 3)
-        summary = spans.aggregate(run.spans)
-        out[scenario] = _sha(spans.format_table(summary, run.scenario, run.impl))
-    return out
 
 
 def _smoke_run(name: str, seed: int):
@@ -183,8 +174,7 @@ SECTIONS = {
     "fig9": _fig9,
     "perf": _perf,
     "capacity": _capacity,
-    "profile": _profile,
-    "phase_tables": _phase_tables,
+    "trace": _trace,
     "chaos": _chaos,
     "paper_server": _paper_server,
 }

@@ -266,6 +266,12 @@ DEPRECATED_NAMES = (
     ".rejoin(",
     ".locked()",
     "obs.overhead",
+    # One solo lens: `trace` prints spans.budget's one report (phase
+    # table first) and writes one Perfetto file with the span tracks.
+    "cmd_profile",
+    "aggregate(",
+    "format_table(",
+    '"--format"',
 )
 
 
@@ -329,9 +335,7 @@ CALLERLESS = {
     "repro.workloads.clients.ClosedLoopClient.finished": PROBE,
     # The section 3.1 escape from a lost majority.
     "repro.directory.group_server.GroupDirectoryServer.administrative_override": PAPER,
-    # Fig. 2's DeleteDir and ReplaceSet, and the group primitive LeaveGroup.
-    "repro.directory.client.DirectoryClient.delete_dir": PAPER,
-    "repro.directory.client.DirectoryClient.replace_set": PAPER,
+    # The group primitive LeaveGroup.
     "repro.group.member.GroupMember.leave": PAPER,
     "repro.faults.plan.FaultPlan.disk_failure": UNARMED_FAULT,
     "repro.faults.plan.FaultPlan.bit_rot": UNARMED_FAULT,
