@@ -3,7 +3,9 @@
 ``tests/golden/driver_outputs.json`` holds what each experiment driver
 printed the last time somebody looked: the Fig. 7 cells, one Fig. 8 and
 one Fig. 9 point per implementation, the ``perf`` fingerprints,
-digests of the ``capacity`` and ``trace`` reports,
+digests of the ``capacity`` report and of the ``trace`` lens's report
+(``profile`` its JSON, ``phase_tables`` its text, which opens with the
+Fig. 7 phase table),
 digests of the chaos verdicts of six smoke runs, and digests of the
 paper's server's (``batch_max=1``) full trace of a solo script. The
 simulation is deterministic, so any difference is a code change — a PR
@@ -114,11 +116,20 @@ def _capacity() -> dict:
     return out
 
 
-def _trace() -> dict:
+def _profile() -> dict:
     return {
         scenario: _sha(spans.budget(run_solo(scenario, 3).spans))
         for scenario in TRACED
     }
+
+
+def _phase_tables() -> dict:
+    out = {}
+    for scenario in TRACED:
+        run = run_solo(scenario, 3)
+        report = spans.budget(run.spans)
+        out[scenario] = _sha(spans.format_report(report, run.scenario, run.impl))
+    return out
 
 
 def _smoke_run(name: str, seed: int):
@@ -174,7 +185,8 @@ SECTIONS = {
     "fig9": _fig9,
     "perf": _perf,
     "capacity": _capacity,
-    "trace": _trace,
+    "profile": _profile,
+    "phase_tables": _phase_tables,
     "chaos": _chaos,
     "paper_server": _paper_server,
 }
