@@ -11,10 +11,8 @@ services sustain hundreds of mixed ops/s even though pure-write
 throughput is only ~10 ops/s.
 """
 
-from repro.bench.harness import PAPER_SERVER, build_deployment
-from repro.workloads.clients import ClosedLoopClient, run_closed_loop
+from repro.bench.harness import PAPER_SERVER, build_deployment, drive
 from repro.workloads.generators import mixed_once
-from repro.workloads.metrics import Metrics
 
 from conftest import write_result
 
@@ -24,7 +22,6 @@ def mixed_throughput(impl: str, read_fraction: float, n_clients: int = 4,
     deployment = build_deployment(impl, seed=seed, **PAPER_SERVER)
     sim = deployment.sim
     root = deployment.root
-    metrics = Metrics()
 
     setup_client = deployment.add_client("setup")
     shared = {"names": [], "target": None}
@@ -38,21 +35,17 @@ def mixed_throughput(impl: str, read_fraction: float, n_clients: int = 4,
 
     deployment.cluster.run_process(setup())
 
-    clients = []
+    iterations = []
     for i in range(n_clients):
         directory_client = deployment.add_client(f"mix{i}")
         rng = sim.rng.stream(f"mix.{i}")
-
-        def iteration(_n, c=directory_client, r=rng, tag=i):
-            kind = yield from mixed_once(
+        iterations.append(
+            lambda _n, c=directory_client, r=rng, tag=f"c{i}": mixed_once(
                 c, root, r, shared["names"], shared["target"],
-                read_fraction=read_fraction, tag=f"c{tag}",
+                read_fraction=read_fraction, tag=tag,
             )
-            return kind
-
-        clients.append(ClosedLoopClient(sim, f"mix{i}", iteration, metrics, "op"))
-    window = run_closed_loop(sim, clients, 2_000.0, measure_ms)
-    return metrics.throughput_per_second("op", window)
+        )
+    return drive(sim, iterations, 2_000.0, measure_ms)[0].per_second
 
 
 def test_production_mix(benchmark, results_dir):

@@ -251,6 +251,9 @@ def cmd_capacity(args) -> int:
     from repro.obs import capacity
     from repro.obs.export import write_trace
 
+    if args.scale not in (None, "sweep"):  # "sweep": the bare flag's const
+        print(f"error: capacity takes a bare --scale, not --scale {args.scale!r}")
+        return 2
     report = _run(args, "capacity")
     if report is None:
         return 2

@@ -2,10 +2,10 @@
 
 The evaluation has two experiment shapes and this module has one
 function for each: :func:`solo_run`, one unloaded client timing a fixed
-operation sequence (Fig. 7), and :func:`closed_loop`, N clients that
-each wait for their reply before sending again (Figs. 8 and 9). Every
-other driver in the repository builds a deployment and calls one of
-the two.
+operation sequence (Fig. 7), and :func:`drive`, N clients that each
+wait for their reply before sending again (Figs. 8 and 9), which
+:func:`closed_loop` runs for the paper's workloads. Every other driver
+in the repository builds a deployment and calls one of them.
 
 The lenses — ``trace``, ``capacity`` and ``perf`` — name
 a run by one table, :data:`SCENARIOS`, and read the one record,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter_ns
@@ -36,18 +36,17 @@ from repro.cluster import (
     RpcServiceCluster,
 )
 from repro.directory.nfs_server import NfsFileClient
+from repro.errors import ReproError
 from repro.obs.monitor import HealthMonitor
 from repro.obs.registry import Window
 from repro.obs.saturation import Sampler
 from repro.obs.spans import OpWindow, stitch
 from repro.storage.bullet import BulletClient
-from repro.workloads.clients import ClosedLoopClient, run_closed_loop
 from repro.workloads.generators import (
     append_delete_once,
     lookup_once,
     tmp_file_once,
 )
-from repro.workloads.metrics import Metrics
 
 #: impl -> (cluster class, default deployment name). The one place a
 #: deployment is picked by name: :func:`build_deployment` is how every
@@ -240,11 +239,53 @@ WORKLOADS = {
 
 
 class LoopResult(NamedTuple):
-    """What one :func:`closed_loop` run measured."""
+    """What one :func:`drive` run measured."""
 
     per_second: float  # iterations completed inside the window, per sim-second
     ops: int  # every completed iteration, warm-up and drain included
     errors: int
+
+
+def drive(sim, iterations, warmup_ms: float, measure_ms: float, window=None):
+    """One client process per ``n -> generator`` factory in *iterations*
+    (``n``: its completed iterations), spawned in list order, each
+    running iterations back to back through a warm-up, the measurement
+    window and a 2 s drain; it backs off 5 ms after a
+    :class:`~repro.errors.ReproError` and starts none after the window.
+    An iteration that starts and ends inside the window counts toward
+    ``per_second``. *window*, a context manager, brackets the window
+    (resuming ``sim.run`` there does not change the schedule). Returns
+    the :class:`LoopResult` and the processes."""
+    opens = sim.now + warmup_ms
+    closes = opens + measure_ms
+    in_window = completed = errors = 0
+
+    def client(make_iteration):
+        nonlocal in_window, completed, errors
+        n = 0
+        while sim.now <= closes:
+            start = sim.now
+            try:
+                yield from make_iteration(n)
+            except ReproError:
+                errors += 1
+                yield sim.sleep(5.0)  # brief backoff after failure
+                continue
+            n += 1
+            completed += 1
+            if start >= opens and sim.now <= closes:
+                in_window += 1
+
+    processes = [
+        sim.spawn(client(make_iteration), f"loop-{i}")
+        for i, make_iteration in enumerate(iterations)
+    ]
+    sim.run(until=opens)
+    with window if window is not None else nullcontext():
+        sim.run(until=closes)
+    sim.run(until=sim.now + 2_000.0)
+    per_second = in_window * 1000.0 / measure_ms if measure_ms > 0 else 0.0
+    return LoopResult(per_second, completed, errors), processes
 
 
 def closed_loop(
@@ -256,17 +297,12 @@ def closed_loop(
     window=None,
 ) -> LoopResult:
     """*n_clients* closed-loop clients run *workload* against a booted
-    deployment: set-up, warm-up, a measurement window, drain.
-
-    *window* is handed to
-    :func:`~repro.workloads.clients.run_closed_loop`: a context manager
-    that brackets the measurement window.
-    """
+    deployment: set-up, then :func:`drive` (which *window* is handed
+    to)."""
     if workload not in WORKLOADS:
         raise ValueError(
             f"unknown workload {workload!r}; pick from {sorted(WORKLOADS)}")
     needs_hot_name, make_iteration = WORKLOADS[workload]
-    sim = deployment.sim
     root = deployment.root
     setup_client = deployment.add_client("setup")
 
@@ -277,23 +313,11 @@ def closed_loop(
         return target
 
     target = deployment.cluster.run_process(setup())
-    metrics = Metrics()
-    clients = [
-        ClosedLoopClient(
-            sim,
-            f"load{i}",
-            make_iteration(deployment.add_client(f"load{i}"), root, target, i),
-            metrics,
-            "op",
-        )
+    iterations = [
+        make_iteration(deployment.add_client(f"load{i}"), root, target, i)
         for i in range(n_clients)
     ]
-    run_closed_loop(sim, clients, warmup_ms, measure_ms, window)
-    return LoopResult(
-        metrics.throughput_per_second("op", measure_ms),
-        sum(c.iterations for c in clients),
-        sum(c.errors for c in clients),
-    )
+    return drive(deployment.sim, iterations, warmup_ms, measure_ms, window)[0]
 
 
 def lookup_throughput(

@@ -16,7 +16,8 @@ for recoverable ones), or ``violation``. ``python -m repro chaos``
 runs seeds round-robin over the registry and exits non-zero on any
 unexpected verdict.
 
-Every run drives the same client, :func:`chaos_client`. It follows the
+Every run drives the same client, :func:`chaos_client`, through the
+harness's closed loop (:func:`repro.bench.harness.drive`). It follows the
 paper's caveat that operations are not failure-free by recording it
 rather than waiting it out: the client is retry-safe (exactly-once
 sessions, blind resends), and a write whose retries ran out enters the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Callable
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import build_deployment, drive
 from repro.chaos import nemesis
 from repro.errors import DirectoryError, ReproError, SimulationError
 from repro.faults.plan import FaultPlan
@@ -468,9 +469,10 @@ def client_keys(cluster_kind: str, index: int) -> tuple[str, ...]:
 
 
 def chaos_client(
-    cluster, history, index, keys, deadline, cache_size=0, cache_nocoherence=False
+    cluster, history, index, keys, cache_size=0, cache_nocoherence=False
 ):
-    """Client ``c<index>``: random operations on *keys* until *deadline*.
+    """Client ``c<index>``'s iteration for :func:`~repro.bench.harness.drive`:
+    one random operation on *keys*, recorded in *history*.
 
     The reply timeout is aggressive: under request lag many first
     attempts commit after the client has given up and resent — exactly
@@ -484,35 +486,39 @@ def chaos_client(
     root = cluster.root_capability
     tag = f"c{index}"
     cached = bool(cache_size)
-    client = cluster.add_client(
-        tag,
-        rpc_timings=RpcTimings(
-            reply_timeout_ms=4_000.0 if cached else 1_000.0,
-            max_attempts=8 if cached else 4,
-            locate_attempts=10,
-        ),
-        retry_safe=True,
-        cache_size=cache_size,
-        cache_nocoherence=cache_nocoherence,
-    )
     kinds = ["append", "delete", "lookup", "lookup"]
     if cached:
         kinds += ["lookup", "lookup"]
-    crng = sim.rng.stream(f"chaos.client.{tag}")
-    counter = 0
-    while sim.now < deadline:
+    client = crng = None
+
+    def iteration(n):
+        nonlocal client, crng
+        if client is None:
+            # Made in the process's first step, between the other
+            # clients' first operations.
+            client = cluster.add_client(
+                tag,
+                rpc_timings=RpcTimings(
+                    reply_timeout_ms=4_000.0 if cached else 1_000.0,
+                    max_attempts=8 if cached else 4,
+                    locate_attempts=10,
+                ),
+                retry_safe=True,
+                cache_size=cache_size,
+                cache_nocoherence=cache_nocoherence,
+            )
+            crng = sim.rng.stream(f"chaos.client.{tag}")
         name = keys[crng.randrange(len(keys))]
         key = (1, name)
         kind = crng.choice(kinds)
         t0 = sim.now
-        counter += 1
         try:
             if kind == "append":
                 # A unique capability per append: reads can then
                 # attribute every observed value to one recorded write
                 # (or to nothing — the violation).
                 value = dataclasses.replace(
-                    root, check=(index + 1) * 1_000_000 + counter
+                    root, check=(index + 1) * 1_000_000 + n + 1
                 )
                 yield from client.append_row(root, name, (value,))
                 history.record(tag, "append", key, value, t0, sim.now)
@@ -538,6 +544,8 @@ def chaos_client(
                 ambiguous = value if kind == "append" else None
                 history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
             yield sim.sleep(500.0)
+
+    return iteration
 
 
 def closing_reads(cluster, history, keys):
@@ -577,16 +585,12 @@ def _run(scenario, seed, window_ms, n_clients, cluster, host_t0):
     host_built = perf_counter_ns()
 
     keys = [client_keys(scenario.cluster_kind, i) for i in range(n_clients)]
-    processes = [
-        sim.spawn(
-            chaos_client(
-                cluster, history, i, keys[i], deadline,
-                scenario.cache_size, scenario.cache_nocoherence,
-            ),
-            f"chaos-client-{i}",
-        )
+    clients = [
+        chaos_client(cluster, history, i, keys[i],
+                     scenario.cache_size, scenario.cache_nocoherence)
         for i in range(n_clients)
     ]
+    _, processes = drive(sim, clients, 0.0, window_ms)
     cluster.run(until=deadline + SETTLE_MS)
     problems: list[str] = []
     if not all(p.resolved for p in processes):

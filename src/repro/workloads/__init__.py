@@ -1,4 +1,4 @@
-"""Workload generators and metrics for the paper's experiments.
+"""Workload bodies for the paper's experiments.
 
 The three benchmark workloads of section 4:
 
@@ -10,12 +10,11 @@ The three benchmark workloads of section 4:
 * **lookup** — pure directory lookups (98% of production traffic per
   the paper's three-week trace).
 
-Closed-loop clients drive these against any of the service
-implementations; :class:`~repro.workloads.metrics.Metrics` collects
-latency and throughput over a measurement window.
+Each is one iteration against any of the service implementations;
+:func:`repro.bench.harness.drive` runs them in a closed loop and counts
+what completes inside its measurement window.
 """
 
-from repro.workloads.clients import ClosedLoopClient
 from repro.workloads.generators import (
     ZipfianNames,
     append_delete_once,
@@ -23,11 +22,8 @@ from repro.workloads.generators import (
     mixed_once,
     tmp_file_once,
 )
-from repro.workloads.metrics import Metrics
 
 __all__ = [
-    "ClosedLoopClient",
-    "Metrics",
     "ZipfianNames",
     "append_delete_once",
     "lookup_once",

@@ -3,7 +3,8 @@
 Each generator performs ONE iteration against a
 :class:`~repro.directory.client.DirectoryClient` (plus, for the
 tmp-file test, a file-service client with BulletClient's API) and
-returns nothing; closed-loop drivers run them repeatedly.
+returns nothing; :func:`repro.bench.harness.drive` runs them back to
+back.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ declared shape and durability.
 
 import pytest
 
+from repro.bench.harness import drive
 from repro.chaos.runner import (
     TRACE_RING_CAPACITY,
     chaos_client,
@@ -52,13 +53,12 @@ def run_chaos(
     plan.arm(cluster)
 
     keys = client_keys("group", 0)
-    processes = [
-        sim.spawn(
-            chaos_client(cluster, history, i, keys, start + window_ms),
-            f"chaos-client-{i}",
-        )
-        for i in range(n_clients)
-    ]
+    _, processes = drive(
+        sim,
+        [chaos_client(cluster, history, i, keys) for i in range(n_clients)],
+        0.0,
+        window_ms,
+    )
     cluster.run(until=start + window_ms + 30_000.0)
     assert all(p.resolved for p in processes), "a chaos client hung"
     # Let every restarted server finish recovery.

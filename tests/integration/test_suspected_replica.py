@@ -16,6 +16,7 @@ the other's vote. One view with a majority forms, not two.
 
 from collections import Counter
 
+from repro.bench.harness import drive
 from repro.chaos.nemesis import sequencer_index
 from repro.chaos.runner import (
     TRACE_RING_CAPACITY,
@@ -48,10 +49,9 @@ def run_with_faults(seed, name, policies, run_ms):
 
     history = HistoryRecorder()
     keys = client_keys("group", 0)
-    clients = [
-        sim.spawn(chaos_client(cluster, history, i, keys, start + run_ms))
-        for i in range(2)
-    ]
+    _, clients = drive(
+        sim, [chaos_client(cluster, history, i, keys) for i in range(2)], 0.0, run_ms
+    )
     cluster.run(until=start + run_ms + 12_000.0)
     assert all(p.resolved for p in clients), "a client hung"
     cluster.wait_operational(timeout_ms=60_000.0)

@@ -168,6 +168,12 @@ class TestCapacityCli:
         assert status == 2
         assert "unknown capacity scenario" in out
 
+    def test_capacity_scale_takes_no_value(self, capsys):
+        status = main(["capacity", "update", "--scale", "small", "--smoke"])
+        out = capsys.readouterr().out
+        assert status == 2
+        assert "capacity takes a bare --scale" in out
+
     def test_perf_scale_still_validates(self, capsys):
         status = main(["perf", "lookup", "--scale", "galactic"])
         out = capsys.readouterr().out

@@ -134,6 +134,15 @@ DEPRECATED_NAMES = (
     "shared_keys=",
     "check_shared_key_linearizability",
     "_resync",
+    # One closed loop: repro.bench.harness.drive spawns the clients and
+    # counts what completes, for Figs. 8/9, the lenses, the chaos runner
+    # and E11. (Not a bare "ClosedLoopClient": the frozen ledger's
+    # comments name it.)
+    "ClosedLoopClient(",
+    "run_closed_loop",
+    "workloads.clients",
+    "workloads.metrics",
+    "Metrics(",
     # One run record behind every lens: trace, profile, capacity and
     # perf name their run in repro.bench.harness.SCENARIOS and read the
     # Run that run_solo or run_loop returns. What obs-on costs is the
@@ -332,7 +341,6 @@ CALLERLESS = {
     "repro.net.network.Network.reachable": PROBE,
     "repro.group.member.GroupInfo.buffered": PROBE,
     "repro.faults.plan.FaultPlan.fired": PROBE,
-    "repro.workloads.clients.ClosedLoopClient.finished": PROBE,
     # The section 3.1 escape from a lost majority.
     "repro.directory.group_server.GroupDirectoryServer.administrative_override": PAPER,
     # The group primitive LeaveGroup.
@@ -549,32 +557,64 @@ def test_directories_become_durable_in_one_module():
     )
 
 
+def _directory_operations() -> set[str]:
+    """The public methods of repro.directory.client.DirectoryClient."""
+    tree = ast.parse(
+        (ROOT / "src" / "repro" / "directory" / "client.py").read_text(
+            encoding="utf-8"))
+    client = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "DirectoryClient"
+    )
+    return {
+        item.name for item in client.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
 def test_the_closed_loop_is_driven_from_one_module():
     """The paper has one closed-loop experiment shape (Figs. 8/9), and
-    repro/bench/harness.py's closed_loop is it: set-up, clients,
-    warm-up, window, drain. A second driver under src/repro that
-    builds its own ClosedLoopClients or calls run_closed_loop is a
-    copy, and the copies have drifted before (a set-up row nothing
-    read; a window re-inlined to reach its edges)."""
-    package = ROOT / "src" / "repro"
-    harness = package / "bench" / "harness.py"
+    repro/bench/harness.py's drive is it: clients, warm-up, window,
+    drain. A generator elsewhere that loops on the simulated clock
+    (``while sim.now < deadline``) issuing DirectoryClient operations
+    is a second copy, and the copies have drifted before (a set-up row
+    nothing read; a window re-inlined to reach its edges; a chaos
+    client and E11 each with a stop rule of its own).
+    benchmarks/ledger/ is exempt: it is frozen, and its recorder keeps
+    a loop of its own until a change to the benchmark moves it."""
+    operations = _directory_operations()
+    harness = ROOT / "src" / "repro" / "bench" / "harness.py"
+    ledger = ROOT / "benchmarks" / "ledger"
+    paths = sorted((ROOT / "src" / "repro").rglob("*.py")) + sorted(
+        (ROOT / "benchmarks").rglob("*.py"))
     offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path == harness:
+    for path in paths:
+        if path == harness or ledger in path.parents:
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef):
                 continue
-            called = getattr(node.func, "attr", None) or getattr(
-                node.func, "id", None
-            )
-            if called in ("run_closed_loop", "ClosedLoopClient"):
-                offenders.append(
-                    f"{path.relative_to(ROOT)}:{node.lineno} calls {called}()"
+            body = list(ast.walk(function))
+            if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in body):
+                continue
+            for loop in body:
+                on_clock = isinstance(loop, ast.While) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "now"
+                    for n in ast.walk(loop.test)
                 )
+                if on_clock and any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in operations
+                    for statement in loop.body for n in ast.walk(statement)
+                ):
+                    offenders.append(
+                        f"{path.relative_to(ROOT)}:{loop.lineno} "
+                        f"({function.name})"
+                    )
     assert not offenders, (
-        "closed-loop drivers outside repro/bench/harness.py: "
-        + ", ".join(offenders)
+        "closed loops on the simulated clock outside "
+        "repro/bench/harness.py's drive: " + ", ".join(offenders)
     )
 
 
