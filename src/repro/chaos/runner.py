@@ -471,8 +471,9 @@ def client_keys(cluster_kind: str, index: int) -> tuple[str, ...]:
 def chaos_client(
     cluster, history, index, keys, cache_size=0, cache_nocoherence=False
 ):
-    """Client ``c<index>``'s iteration for :func:`~repro.bench.harness.drive`:
-    one random operation on *keys*, recorded in *history*.
+    """Client ``c<index>`` and its iteration for
+    :func:`~repro.bench.harness.drive`: one random operation on *keys*,
+    recorded in *history*.
 
     The reply timeout is aggressive: under request lag many first
     attempts commit after the client has given up and resent — exactly
@@ -486,28 +487,23 @@ def chaos_client(
     root = cluster.root_capability
     tag = f"c{index}"
     cached = bool(cache_size)
+    client = cluster.add_client(
+        tag,
+        rpc_timings=RpcTimings(
+            reply_timeout_ms=4_000.0 if cached else 1_000.0,
+            max_attempts=8 if cached else 4,
+            locate_attempts=10,
+        ),
+        retry_safe=True,
+        cache_size=cache_size,
+        cache_nocoherence=cache_nocoherence,
+    )
     kinds = ["append", "delete", "lookup", "lookup"]
     if cached:
         kinds += ["lookup", "lookup"]
-    client = crng = None
+    crng = sim.rng.stream(f"chaos.client.{tag}")
 
     def iteration(n):
-        nonlocal client, crng
-        if client is None:
-            # Made in the process's first step, between the other
-            # clients' first operations.
-            client = cluster.add_client(
-                tag,
-                rpc_timings=RpcTimings(
-                    reply_timeout_ms=4_000.0 if cached else 1_000.0,
-                    max_attempts=8 if cached else 4,
-                    locate_attempts=10,
-                ),
-                retry_safe=True,
-                cache_size=cache_size,
-                cache_nocoherence=cache_nocoherence,
-            )
-            crng = sim.rng.stream(f"chaos.client.{tag}")
         name = keys[crng.randrange(len(keys))]
         key = (1, name)
         kind = crng.choice(kinds)
