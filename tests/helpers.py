@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.amoeba.capability import owner_capability
 from repro.directory.state import ROOT_OBJECT
+from repro.errors import ReproError
 from repro.net import Network
 from repro.net.policy import Drop
 from repro.rpc import Transport
@@ -99,3 +100,16 @@ def count(device, name):
 def root_capability(state):
     """Owner capability of a :class:`DirectoryState`'s root directory."""
     return owner_capability(state.port, ROOT_OBJECT, state.checks[ROOT_OBJECT])
+
+
+def sleeper(sim, op_ms, fail_every, calls):
+    """A closed-loop iteration that sleeps *op_ms*, noting ``(n, start)``
+    in *calls*; every *fail_every*-th call raises after its sleep."""
+
+    def iteration(n):
+        calls.append((n, sim.now))
+        yield sim.sleep(op_ms)
+        if fail_every and len(calls) % fail_every == 0:
+            raise ReproError("injected")
+
+    return iteration

@@ -11,9 +11,9 @@ import pytest
 
 from repro.bench import build_deployment, fig7_cell, lookup_throughput
 from repro.bench.harness import PAPER_FIG7, LoopResult, drive
-from repro.errors import ReproError
 from repro.sim import Simulator
 from repro.bench.tables import format_fig7, format_throughput_curve, shape_check_fig7
+from tests.helpers import sleeper
 
 
 class TestBuildDeployment:
@@ -103,31 +103,10 @@ class TestCalibrationStability:
         assert all(22.0 < v < 35.0 for v in values), values
 
 
-def _sleeper(sim, op_ms, fail_every, calls):
-    """An iteration that sleeps *op_ms*, noting ``(n, start)`` in
-    *calls*; every *fail_every*-th call raises after its sleep."""
-
-    def iteration(n):
-        calls.append((n, sim.now))
-        yield sim.sleep(op_ms)
-        if fail_every and len(calls) % fail_every == 0:
-            raise ReproError("injected")
-
-    return iteration
-
-
 class TestDrive:
     @pytest.mark.parametrize(
         "clients, op_ms, fail_every, warmup_ms, measure_ms, per_second, ops, errors",
         [
-            # Ten 10 ms iterations fill the window; the one started at
-            # its close ends in the drain.
-            pytest.param(1, 10.0, None, 0.0, 100.0, 100.0, 11, 0, id="back-to-back"),
-            # Two successes, one failure and a 5 ms backoff: 20 ms a round.
-            pytest.param(1, 5.0, 3, 0.0, 100.0, 100.0, 11, 5, id="errors-back-off"),
-            # The window is [15, 65]: 10-20 started in the warm-up and
-            # 60-70 ends after the close, so four of seven count.
-            pytest.param(1, 10.0, None, 15.0, 50.0, 80.0, 7, 0, id="window-edges"),
             pytest.param(3, 10.0, None, 0.0, 100.0, 300.0, 33, 0, id="clients-one-count"),
             pytest.param(1, 10.0, None, 0.0, 0.0, 0.0, 1, 0, id="empty-window"),
         ],
@@ -143,7 +122,7 @@ class TestDrive:
             yield
             edges.append(sim.now)
 
-        iterations = [_sleeper(sim, op_ms, fail_every, []) for _ in range(clients)]
+        iterations = [sleeper(sim, op_ms, fail_every, []) for _ in range(clients)]
         result, processes = drive(sim, iterations, warmup_ms, measure_ms, window())
         assert result == LoopResult(per_second, ops, errors)
         assert edges == [warmup_ms, warmup_ms + measure_ms]
@@ -155,7 +134,7 @@ class TestDrive:
     def test_a_failed_iteration_is_retried_with_its_n_after_5_ms(self):
         sim = Simulator(seed=0)
         calls = []
-        drive(sim, [_sleeper(sim, 5.0, 3, calls)], 0.0, 40.0)
+        drive(sim, [sleeper(sim, 5.0, 3, calls)], 0.0, 40.0)
         assert calls[:5] == [(0, 0.0), (1, 5.0), (2, 10.0), (2, 20.0), (3, 25.0)]
 
 

@@ -137,9 +137,10 @@ DEPRECATED_NAMES = (
     # One closed loop: repro.bench.harness.drive spawns the clients and
     # counts what completes, for Figs. 8/9, the lenses, the chaos runner
     # and E11. (Not a bare "ClosedLoopClient": the frozen ledger's
-    # comments name it.)
+    # comments name it; not a bare "run_closed_loop": a test of drive's
+    # window keeps that name.)
     "ClosedLoopClient(",
-    "run_closed_loop",
+    "run_closed_loop(",
     "workloads.clients",
     "workloads.metrics",
     "Metrics(",

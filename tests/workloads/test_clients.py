@@ -1,62 +1,47 @@
-"""Unit tests for the closed-loop workload driver."""
+"""Unit tests for the closed loop that workload clients run in,
+:func:`repro.bench.harness.drive`."""
 
-import pytest
+from contextlib import contextmanager
 
-from repro.errors import ReproError
+from repro.bench.harness import LoopResult, drive
 from repro.sim import Simulator
-from repro.workloads import ClosedLoopClient, Metrics
-from repro.workloads.clients import run_closed_loop
-
-
-def make_client(sim, metrics, op_ms=5.0, fail_every=None):
-    state = {"n": 0}
-
-    def iteration(_n):
-        state["n"] += 1
-        if fail_every and state["n"] % fail_every == 0:
-            yield sim.sleep(op_ms)
-            raise ReproError("injected")
-        yield sim.sleep(op_ms)
-
-    return ClosedLoopClient(sim, "c", iteration, metrics, "op")
+from tests.helpers import sleeper
 
 
 class TestClosedLoop:
     def test_back_to_back_iterations(self):
         sim = Simulator(seed=0)
-        metrics = Metrics()
-        client = make_client(sim, metrics, op_ms=10.0)
-        client.start()
-        sim.run(until=100.0)
-        client.stop()
-        sim.run(until=200.0)
-        assert client.iterations == pytest.approx(10, abs=1)
-        assert client.finished
+        calls = []
+        result, (process,) = drive(sim, [sleeper(sim, 10.0, None, calls)], 0.0, 100.0)
+        # Ten 10 ms iterations fill the window; the one started at its
+        # close ends in the drain, and the client stops.
+        assert calls == [(n, 10.0 * n) for n in range(11)]
+        assert result == LoopResult(100.0, 11, 0)
+        assert process.resolved
 
     def test_errors_counted_and_loop_continues(self):
         sim = Simulator(seed=0)
-        metrics = Metrics()
-        client = make_client(sim, metrics, op_ms=5.0, fail_every=3)
-        client.start()
-        sim.run(until=300.0)
-        client.stop()
-        sim.run(until=400.0)
-        assert client.errors > 0
-        assert client.iterations > 0
-        assert metrics.errors.get("op", 0) == client.errors
+        calls = []
+        result, (process,) = drive(sim, [sleeper(sim, 5.0, 3, calls)], 0.0, 100.0)
+        # Two successes, one failure and a 5 ms backoff: 20 ms a round,
+        # and the loop keeps going after every failure.
+        assert result == LoopResult(100.0, 11, 5)
+        assert calls[-1] == (10, 100.0)
+        assert process.resolved
 
     def test_run_closed_loop_window(self):
         sim = Simulator(seed=0)
-        metrics = Metrics()
-        clients = [make_client(sim, metrics, op_ms=10.0)]
-        window = run_closed_loop(sim, clients, warmup_ms=50.0, measure_ms=200.0)
-        assert window == 200.0
-        # ~20 ops fit in the 200 ms window; warmup ops are excluded.
-        assert 17 <= metrics.count("op") <= 21
+        edges = []
 
-    def test_run_closed_loop_multiple_clients_share_metrics(self):
-        sim = Simulator(seed=0)
-        metrics = Metrics()
-        clients = [make_client(sim, metrics, op_ms=10.0) for _ in range(3)]
-        run_closed_loop(sim, clients, warmup_ms=0.0, measure_ms=100.0)
-        assert metrics.count("op") == pytest.approx(30, abs=3)
+        @contextmanager
+        def window():
+            edges.append(sim.now)
+            yield
+            edges.append(sim.now)
+
+        result, _ = drive(sim, [sleeper(sim, 10.0, None, [])], 15.0, 50.0, window())
+        # The window is [15, 65]: 10-20 started in the warm-up and 60-70
+        # ends after the close, so four of seven count.
+        assert edges == [15.0, 65.0]
+        assert result == LoopResult(80.0, 7, 0)
+        assert sim.now == 65.0 + 2_000.0

@@ -1,46 +1,53 @@
-"""Unit tests for workload metrics."""
-
-import math
+"""Unit tests for what :func:`repro.bench.harness.drive` counts: an
+iteration inside the measurement window, every completed iteration and
+every error."""
 
 import pytest
 
-from repro.workloads import Metrics
+from repro.bench.harness import LoopResult, drive
+from repro.errors import ReproError
+from repro.sim import Simulator
+
+
+def timed(sim, durations_ms):
+    """An iteration whose *n*-th run sleeps ``durations_ms[n]`` (the
+    last entry once the list runs out)."""
+
+    def iteration(n):
+        yield sim.sleep(durations_ms[min(n, len(durations_ms) - 1)])
+
+    return iteration
 
 
 class TestRecording:
     def test_basic_record_and_count(self):
-        m = Metrics()
-        m.record("op", 0.0, 5.0)
-        m.record("op", 5.0, 11.0)
-        assert m.count("op") == 2
-        assert m.mean("op") == pytest.approx(5.5)
+        sim = Simulator(seed=0)
+        # 0-5 and 5-11 end in the 11 ms window; 11-111 ends in the drain.
+        result, _ = drive(sim, [timed(sim, [5.0, 6.0, 100.0])], 0.0, 11.0)
+        assert result.ops == 3
+        assert result.per_second == pytest.approx(2 * 1000.0 / 11.0)
 
     def test_window_excludes_warmup(self):
-        m = Metrics(window_start=100.0)
-        m.record("op", 50.0, 60.0)  # before the window: dropped
-        m.record("op", 150.0, 160.0)
-        assert m.count("op") == 1
+        sim = Simulator(seed=0)
+        # The window is [50, 150]: 0-60 started in the warm-up, 60-70 up
+        # to 140-150 count, 150-160 ends after the close.
+        result, _ = drive(sim, [timed(sim, [60.0, 10.0])], 50.0, 100.0)
+        assert result == LoopResult(90.0, 11, 0)
 
     def test_window_excludes_overrun(self):
-        m = Metrics(window_start=0.0, window_end=100.0)
-        m.record("op", 90.0, 110.0)  # finishes after the window
-        assert m.count("op") == 0
+        sim = Simulator(seed=0)
+        # 0-90 counts; 90-110 finishes after the window closes at 100.
+        result, _ = drive(sim, [timed(sim, [90.0, 20.0])], 0.0, 100.0)
+        assert result == LoopResult(10.0, 2, 0)
 
     def test_errors_counted_separately(self):
-        m = Metrics()
-        m.record_error("op")
-        m.record_error("op")
-        assert m.errors == {"op": 2}
-        assert m.count("op") == 0
+        sim = Simulator(seed=0)
 
+        def failing(_n):
+            yield sim.sleep(0.0)
+            raise ReproError("injected")
 
-class TestStatistics:
-    def test_mean_of_empty_is_nan(self):
-        assert math.isnan(Metrics().mean("ghost"))
-
-    def test_throughput(self):
-        m = Metrics()
-        for i in range(50):
-            m.record("op", i * 10.0, i * 10.0 + 1.0)
-        assert m.throughput_per_second("op", 1_000.0) == pytest.approx(50.0)
-        assert m.throughput_per_second("op", 0.0) == 0.0
+        # A failure at 0, 5, ..., 100 ms, each followed by the backoff:
+        # 21 errors and not one completion.
+        result, _ = drive(sim, [failing], 0.0, 100.0)
+        assert result == LoopResult(0.0, 0, 21)
