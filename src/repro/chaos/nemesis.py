@@ -6,8 +6,10 @@ sequencer dying with uncommitted messages in flight, a partition
 forming while a replica is mid-recovery, a server crashing again
 before its restart finishes. The nemesis builders here return a
 :class:`~repro.faults.plan.FaultPlan` aimed at one such moment, using
-:class:`~repro.faults.plan.Intervention` events to inspect *live*
-protocol state at fire time (e.g. "whoever is sequencer right now").
+its ``intervene`` events to inspect *live* protocol state at fire time
+(e.g. "whoever is sequencer right now"); the gauntlet's rot goes
+through the same :func:`~repro.faults.plan.rot_blocks` and
+:func:`~repro.faults.plan.rot_extents` as the plan's own builders.
 The link-fault builders install drop/duplicate/delay/reorder policies
 (:mod:`repro.net.policy`) for the window, and two of them ride on a
 nemesis plan.
@@ -28,7 +30,7 @@ builder directly.
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultPlan, RandomFaultPlan
+from repro.faults.plan import FaultPlan, RandomFaultPlan, rot_blocks, rot_extents
 from repro.net.policy import Delay, Drop, Duplicate, LinkFilter, Reorder
 
 
@@ -252,45 +254,24 @@ def _restart_if_down(index: int):
     return fire
 
 
-def _crash_and_rot(index: int, blocks: int, extents: int):
-    """Crash one site's directory server, rot its admin partition and
-    Bullet extents while it is down, and bounce its Bullet server so
-    the file cache is cold when recovery reads the damage."""
+def _rot_site(index: int, blocks: int, extents: int, crash: bool):
+    """Rot one site's admin partition and Bullet extents and bounce its
+    Bullet server so the file cache is cold when the damage is read.
+    With *crash* the directory server dies first and recovery meets the
+    damage; without, the scrubber of the RUNNING replica must find and
+    repair everything."""
 
     def fire(cluster):
+        if crash:
+            cluster.crash_server(index)
+        hit = rot_blocks(cluster, index, blocks, area="admin")
+        rotted = rot_extents(cluster, index, extents)
         site = cluster.sites[index]
-        cluster.crash_server(index)
-        rng = cluster.sim.rng.stream(f"fault.bitrot.{index}")
-        hit = site.disk.inject_bit_rot(rng, blocks, region=site.partition.region)
-        erng = cluster.sim.rng.stream(f"fault.extentrot.{index}")
-        rotted = site.disk.corrupt_extent(erng, extents)
         site.crash_bullet_server()
         site.restart_bullet_server()
-        return (
-            f"crash server {index} + rot blocks {hit} + "
-            f"{len(rotted)} extent(s), bullet cache dropped"
-        )
-
-    return fire
-
-
-def _rot_live_site(index: int, blocks: int, extents: int):
-    """Rot a RUNNING replica's storage: admin-partition bit rot plus
-    Bullet extent rot with a bullet-server bounce (cold cache), so the
-    scrubber — not a restart — must find and repair everything."""
-
-    def fire(cluster):
-        site = cluster.sites[index]
-        rng = cluster.sim.rng.stream(f"fault.bitrot.{index}")
-        hit = site.disk.inject_bit_rot(rng, blocks, region=site.partition.region)
-        erng = cluster.sim.rng.stream(f"fault.extentrot.{index}")
-        rotted = site.disk.corrupt_extent(erng, extents)
-        site.crash_bullet_server()
-        site.restart_bullet_server()
-        return (
-            f"live rot at site {index}: blocks {hit}, "
-            f"{len(rotted)} extent(s), bullet cache dropped"
-        )
+        head = (f"crash server {index} + rot blocks {hit} + " if crash
+                else f"live rot at site {index}: blocks {hit}, ")
+        return f"{head}{len(rotted)} extent(s), bullet cache dropped"
 
     return fire
 
@@ -350,7 +331,7 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     plan.intervene(
         start_ms + window_ms * 0.50,
         f"crash server {rot_victim} and rot its storage",
-        _crash_and_rot(rot_victim, blocks=3, extents=2),
+        _rot_site(rot_victim, blocks=3, extents=2, crash=True),
     )
     plan.intervene(
         start_ms + window_ms * 0.65,
@@ -362,7 +343,7 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     plan.intervene(
         start_ms + window_ms * 0.80,
         f"rot live server {live}'s storage",
-        _rot_live_site(live, blocks=2, extents=1),
+        _rot_site(live, blocks=2, extents=1, crash=False),
     )
     return plan
 

@@ -1,52 +1,15 @@
 """Composable fault injection for whole-cluster scenarios.
 
-A :class:`~repro.faults.plan.FaultPlan` is a timed script of crash,
-restart, partition, heal, disk-failure, and storage-corruption events
-applied to a cluster — the tool behind the chaos tests and the recovery
-benchmarks. :class:`~repro.faults.plan.RandomFaultPlan` generates seeded
-random schedules for property-style soak testing. The storage-fault
-catalogue (bit rot, torn/lost/misdirected writes, NVRAM blips, crash
-points) is documented in docs/CHAOS.md.
+A :class:`~repro.faults.plan.FaultPlan` is a timed script of
+:class:`~repro.faults.plan.FaultEvent` records, one per builder call —
+crash, restart, partition, heal, disk failure, the storage faults (bit
+and extent rot, torn/lost/misdirected writes, NVRAM blips, crash
+points; docs/CHAOS.md), link policies and live interventions — and is
+the tool behind the chaos tests and the recovery benchmarks.
+:class:`~repro.faults.plan.RandomFaultPlan` generates seeded random
+schedules for property-style soak testing.
 """
 
-from repro.faults.plan import (
-    BitRot,
-    Crash,
-    CrashPoint,
-    DiskFailure,
-    ExtentRot,
-    FaultEvent,
-    FaultPlan,
-    Heal,
-    InstallLinkPolicy,
-    Intervention,
-    LostWrites,
-    MisdirectedWrites,
-    NvramBlip,
-    Partition,
-    RandomFaultPlan,
-    RemoveLinkPolicy,
-    Restart,
-    TornWrite,
-)
+from repro.faults.plan import FaultEvent, FaultPlan, RandomFaultPlan, rot_blocks, rot_extents
 
-__all__ = [
-    "BitRot",
-    "Crash",
-    "CrashPoint",
-    "DiskFailure",
-    "ExtentRot",
-    "FaultEvent",
-    "FaultPlan",
-    "Heal",
-    "InstallLinkPolicy",
-    "Intervention",
-    "LostWrites",
-    "MisdirectedWrites",
-    "NvramBlip",
-    "Partition",
-    "RandomFaultPlan",
-    "RemoveLinkPolicy",
-    "Restart",
-    "TornWrite",
-]
+__all__ = ["FaultEvent", "FaultPlan", "RandomFaultPlan", "rot_blocks", "rot_extents"]

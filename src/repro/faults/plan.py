@@ -1,9 +1,11 @@
 """Timed fault schedules.
 
-Events are dataclasses naming a simulated time and a target; a
-:class:`FaultPlan` arms them all against a cluster (any of the cluster
-classes in :mod:`repro.cluster` that expose ``crash_server`` /
-``restart_server`` / ``partition_network`` / ``heal_network``).
+Each :class:`FaultPlan` builder is the one definition of its fault
+kind: it appends a :class:`FaultEvent` whose ``kind`` is the builder's
+name and whose ``apply`` does the fault. A plan arms its events against
+a cluster (any of the cluster classes in :mod:`repro.cluster` that
+expose ``crash_server`` / ``restart_server`` / ``partition_network`` /
+``heal_network``).
 
 The plan records what it did and when, so tests can correlate observed
 client anomalies with injected faults.
@@ -12,235 +14,41 @@ client anomalies with injected faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """Base class: one scheduled fault."""
+    """One scheduled fault. *kind* is the name of the builder that made
+    it; *target* is its server or site index (the partition groups, the
+    link policy or the intervention label for the other kinds);
+    *apply(cluster)* injects it and returns the log description."""
 
     at_ms: float
-
-    def apply(self, cluster) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Crash(FaultEvent):
-    """Fail-stop crash of one directory server."""
-
-    server: int = 0
-
-    def apply(self, cluster) -> str:
-        cluster.crash_server(self.server)
-        return f"crash server {self.server}"
+    kind: str
+    target: Any
+    apply: Callable[[Any], str] = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Restart(FaultEvent):
-    """Reboot a crashed directory server (it re-runs recovery)."""
-
-    server: int = 0
-
-    def apply(self, cluster) -> str:
-        cluster.restart_server(self.server)
-        return f"restart server {self.server}"
-
-
-@dataclass(frozen=True)
-class Partition(FaultEvent):
-    """Split the network into server-index groups (clients ride with
-    the first group)."""
-
-    groups: tuple = ((0, 1), (2,))
-
-    def apply(self, cluster) -> str:
-        cluster.partition_network(*[list(g) for g in self.groups])
-        return f"partition {self.groups}"
+def rot_blocks(cluster, site: int, blocks: int, area: str = "any") -> list[int]:
+    """Rot up to *blocks* stored blocks on one site's disk; returns the
+    hit indexes. ``area="admin"`` hits the directory service's admin
+    partition, ``"any"`` any written block. The indexes are drawn from
+    the cluster RNG stream ``fault.bitrot.<site>``."""
+    machine = cluster.sites[site]
+    region = machine.partition.region if area == "admin" else None
+    rng = cluster.sim.rng.stream(f"fault.bitrot.{site}")
+    return machine.disk.inject_bit_rot(rng, blocks, region=region)
 
 
-@dataclass(frozen=True)
-class Heal(FaultEvent):
-    """Repair all partitions."""
-
-    def apply(self, cluster) -> str:
-        cluster.heal_network()
-        return "heal network"
-
-
-@dataclass(frozen=True)
-class DiskFailure(FaultEvent):
-    """Head crash of one site's disk (data irrecoverably lost)."""
-
-    site: int = 0
-
-    def apply(self, cluster) -> str:
-        cluster.sites[self.site].disk.fail()
-        return f"disk failure at site {self.site}"
-
-
-@dataclass(frozen=True)
-class BitRot(FaultEvent):
-    """Rot stored blocks on one site's disk (seeded, self-describing).
-
-    *area* narrows the target: ``"admin"`` hits the directory service's
-    admin partition, ``"any"`` any written block. The damaged indexes
-    are chosen with the cluster RNG stream ``fault.bitrot.<site>``.
-    """
-
-    site: int = 0
-    blocks: int = 1
-    area: str = "any"
-
-    def apply(self, cluster) -> str:
-        site = cluster.sites[self.site]
-        region = site.partition.region if self.area == "admin" else None
-        rng = cluster.sim.rng.stream(f"fault.bitrot.{self.site}")
-        hit = site.disk.inject_bit_rot(rng, self.blocks, region=region)
-        return f"bit rot at site {self.site}: blocks {hit}"
-
-
-@dataclass(frozen=True)
-class ExtentRot(FaultEvent):
-    """Rot stored extents (Bullet files) on one site's disk."""
-
-    site: int = 0
-    extents: int = 1
-
-    def apply(self, cluster) -> str:
-        site = cluster.sites[self.site]
-        rng = cluster.sim.rng.stream(f"fault.extentrot.{self.site}")
-        hit = site.disk.corrupt_extent(rng, self.extents)
-        return f"extent rot at site {self.site}: {len(hit)} extent(s)"
-
-
-@dataclass(frozen=True)
-class TornWrite(FaultEvent):
-    """Arm a torn write: the next multi-block admin flush on the site
-    persists only its first *keep_blocks* blocks but reports success."""
-
-    site: int = 0
-    keep_blocks: int = 1
-
-    def apply(self, cluster) -> str:
-        site = cluster.sites[self.site]
-        site.disk.arm_torn_write(self.keep_blocks, region=site.partition.region)
-        return f"armed torn write at site {self.site} (keep {self.keep_blocks})"
-
-
-@dataclass(frozen=True)
-class LostWrites(FaultEvent):
-    """Arm lost writes: the next *count* single-block writes into the
-    site's admin partition report success without persisting anything."""
-
-    site: int = 0
-    count: int = 1
-
-    def apply(self, cluster) -> str:
-        site = cluster.sites[self.site]
-        site.disk.arm_lost_writes(self.count, region=site.partition.region)
-        return f"armed {self.count} lost write(s) at site {self.site}"
-
-
-@dataclass(frozen=True)
-class MisdirectedWrites(FaultEvent):
-    """Arm misdirected writes: the next *count* single-block writes into
-    the site's admin partition land one block away from their target."""
-
-    site: int = 0
-    count: int = 1
-
-    def apply(self, cluster) -> str:
-        site = cluster.sites[self.site]
-        site.disk.arm_misdirected_writes(
-            self.count, region=site.partition.region
-        )
-        return f"armed {self.count} misdirected write(s) at site {self.site}"
-
-
-@dataclass(frozen=True)
-class NvramBlip(FaultEvent):
-    """Battery blip: corrupt the newest *records* records on the site's
-    NVRAM board (no-op on sites without one)."""
-
-    site: int = 0
-    records: int = 1
-
-    def apply(self, cluster) -> str:
-        nvram = getattr(cluster.sites[self.site], "nvram", None)
-        if nvram is None:
-            return f"nvram blip at site {self.site}: no board (no-op)"
-        hit = nvram.blip(self.records)
-        return f"nvram blip at site {self.site}: corrupted {hit} record(s)"
-
-
-@dataclass(frozen=True)
-class CrashPoint(FaultEvent):
-    """Power-cut the site inside its next admin-partition flush.
-
-    *cut_after* blocks of the flush persist, then the whole machine
-    dies (``crash_server``) before the server can update its RAM
-    mirrors — the restarted server must reconcile the torn intention
-    from disk alone (the paper's Fig. 5/6 recovery argument, exercised
-    mid-write).
-    """
-
-    site: int = 0
-    cut_after: int = 1
-
-    def apply(self, cluster) -> str:
-        site_index = self.site
-        site = cluster.sites[site_index]
-        site.disk.arm_crash_point(
-            lambda: cluster.crash_server(site_index),
-            cut_after=self.cut_after,
-            region=site.partition.region,
-        )
-        return (
-            f"armed crash point at site {site_index} "
-            f"(power cut after {self.cut_after} block(s))"
-        )
-
-
-@dataclass(frozen=True)
-class InstallLinkPolicy(FaultEvent):
-    """Insert a :class:`~repro.net.policy.LinkPolicy` into the
-    network's interceptor chain (adversarial message faults)."""
-
-    policy: Any = None
-
-    def apply(self, cluster) -> str:
-        cluster.network.add_policy(self.policy)
-        return f"install link policy {self.policy.name!r}"
-
-
-@dataclass(frozen=True)
-class RemoveLinkPolicy(FaultEvent):
-    """Remove a link policy (by name or instance) from the chain."""
-
-    policy: Any = None
-
-    def apply(self, cluster) -> str:
-        cluster.network.remove_policy(self.policy)
-        name = getattr(self.policy, "name", self.policy)
-        return f"remove link policy {name!r}"
-
-
-@dataclass(frozen=True)
-class Intervention(FaultEvent):
-    """A dynamic fault: *fn(cluster)* runs at fire time and may inspect
-    live protocol state (e.g. crash whichever server is currently the
-    sequencer). *fn* returns the log description, or None to use
-    *label*. The nemesis scenarios are built from these."""
-
-    label: str = "intervention"
-    fn: Any = None
-
-    def apply(self, cluster) -> str:
-        result = self.fn(cluster)
-        return result if isinstance(result, str) else self.label
+def rot_extents(cluster, site: int, extents: int) -> list:
+    """Rot up to *extents* stored extents (Bullet files) on one site's
+    disk, drawn from the stream ``fault.extentrot.<site>``; returns
+    their keys."""
+    rng = cluster.sim.rng.stream(f"fault.extentrot.{site}")
+    return cluster.sites[site].disk.corrupt_extent(rng, extents)
 
 
 @dataclass
@@ -250,61 +58,177 @@ class FaultPlan:
     events: list = field(default_factory=list)
     log: list = field(default_factory=list)  # (time, description)
 
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        self.events.append(event)
+    def _add(self, at_ms: float, kind: str, target, apply) -> "FaultPlan":
+        self.events.append(FaultEvent(at_ms, kind, target, apply))
         return self
 
     def crash(self, at_ms: float, server: int) -> "FaultPlan":
-        return self.add(Crash(at_ms, server))
+        """Fail-stop crash of one directory server."""
+
+        def apply(cluster):
+            cluster.crash_server(server)
+            return f"crash server {server}"
+
+        return self._add(at_ms, "crash", server, apply)
 
     def restart(self, at_ms: float, server: int) -> "FaultPlan":
-        return self.add(Restart(at_ms, server))
+        """Reboot a crashed directory server (it re-runs recovery)."""
+
+        def apply(cluster):
+            cluster.restart_server(server)
+            return f"restart server {server}"
+
+        return self._add(at_ms, "restart", server, apply)
 
     def partition(self, at_ms: float, *groups) -> "FaultPlan":
-        return self.add(Partition(at_ms, tuple(tuple(g) for g in groups)))
+        """Split the network into server-index groups (clients ride with
+        the first group)."""
+        groups = tuple(tuple(g) for g in groups)
+
+        def apply(cluster):
+            cluster.partition_network(*[list(g) for g in groups])
+            return f"partition {groups}"
+
+        return self._add(at_ms, "partition", groups, apply)
 
     def heal(self, at_ms: float) -> "FaultPlan":
-        return self.add(Heal(at_ms))
+        """Repair all partitions."""
+
+        def apply(cluster):
+            cluster.heal_network()
+            return "heal network"
+
+        return self._add(at_ms, "heal", None, apply)
 
     def disk_failure(self, at_ms: float, site: int) -> "FaultPlan":
-        return self.add(DiskFailure(at_ms, site))
+        """Head crash of one site's disk (data irrecoverably lost)."""
+
+        def apply(cluster):
+            cluster.sites[site].disk.fail()
+            return f"disk failure at site {site}"
+
+        return self._add(at_ms, "disk_failure", site, apply)
 
     def bit_rot(self, at_ms: float, site: int, blocks: int = 1,
                 area: str = "any") -> "FaultPlan":
-        return self.add(BitRot(at_ms, site, blocks, area))
+        """Rot stored blocks on one site's disk (:func:`rot_blocks`)."""
+
+        def apply(cluster):
+            hit = rot_blocks(cluster, site, blocks, area)
+            return f"bit rot at site {site}: blocks {hit}"
+
+        return self._add(at_ms, "bit_rot", site, apply)
 
     def extent_rot(self, at_ms: float, site: int, extents: int = 1) -> "FaultPlan":
-        return self.add(ExtentRot(at_ms, site, extents))
+        """Rot stored extents on one site's disk (:func:`rot_extents`)."""
+
+        def apply(cluster):
+            hit = rot_extents(cluster, site, extents)
+            return f"extent rot at site {site}: {len(hit)} extent(s)"
+
+        return self._add(at_ms, "extent_rot", site, apply)
+
+    def _arm_disk(self, at_ms, kind, site, text, **params) -> "FaultPlan":
+        """Arm a one-shot write fault on the site's admin partition."""
+
+        def apply(cluster):
+            machine = cluster.sites[site]
+            machine.disk.arm_fault(kind, region=machine.partition.region, **params)
+            return text
+
+        return self._add(at_ms, kind, site, apply)
 
     def torn_write(self, at_ms: float, site: int, keep_blocks: int = 1) -> "FaultPlan":
-        return self.add(TornWrite(at_ms, site, keep_blocks))
+        """The next multi-block admin flush on the site persists only its
+        first *keep_blocks* blocks but reports success."""
+        text = f"armed torn write at site {site} (keep {keep_blocks})"
+        return self._arm_disk(at_ms, "torn_write", site, text, keep_blocks=keep_blocks)
 
     def lost_writes(self, at_ms: float, site: int, count: int = 1) -> "FaultPlan":
-        return self.add(LostWrites(at_ms, site, count))
+        """The next *count* single-block writes into the site's admin
+        partition report success without persisting anything."""
+        text = f"armed {count} lost write(s) at site {site}"
+        return self._arm_disk(at_ms, "lost_writes", site, text, count=count)
 
     def misdirected_writes(self, at_ms: float, site: int, count: int = 1) -> "FaultPlan":
-        return self.add(MisdirectedWrites(at_ms, site, count))
-
-    def nvram_blip(self, at_ms: float, site: int, records: int = 1) -> "FaultPlan":
-        return self.add(NvramBlip(at_ms, site, records))
+        """The next *count* single-block writes into the site's admin
+        partition land one block away from their target."""
+        text = f"armed {count} misdirected write(s) at site {site}"
+        return self._arm_disk(at_ms, "misdirected_writes", site, text, count=count)
 
     def crash_point(self, at_ms: float, site: int, cut_after: int = 1) -> "FaultPlan":
-        return self.add(CrashPoint(at_ms, site, cut_after))
+        """Power-cut the site inside its next admin-partition flush.
+
+        *cut_after* blocks of the flush persist, then the whole machine
+        dies (``crash_server``) before the server can update its RAM
+        mirrors — the restarted server must reconcile the torn
+        intention from disk alone (the paper's Fig. 5/6 recovery
+        argument, exercised mid-write).
+        """
+
+        def apply(cluster):
+            machine = cluster.sites[site]
+            machine.disk.arm_fault(
+                "crash_point", region=machine.partition.region,
+                hook=lambda: cluster.crash_server(site), cut_after=cut_after,
+            )
+            return (
+                f"armed crash point at site {site} "
+                f"(power cut after {cut_after} block(s))"
+            )
+
+        return self._add(at_ms, "crash_point", site, apply)
+
+    def nvram_blip(self, at_ms: float, site: int, records: int = 1) -> "FaultPlan":
+        """Battery blip: corrupt the newest *records* records on the
+        site's NVRAM board (no-op on sites without one)."""
+
+        def apply(cluster):
+            nvram = getattr(cluster.sites[site], "nvram", None)
+            if nvram is None:
+                return f"nvram blip at site {site}: no board (no-op)"
+            hit = nvram.blip(records)
+            return f"nvram blip at site {site}: corrupted {hit} record(s)"
+
+        return self._add(at_ms, "nvram_blip", site, apply)
 
     def install_policy(self, at_ms: float, policy) -> "FaultPlan":
-        return self.add(InstallLinkPolicy(at_ms, policy))
+        """Insert a :class:`~repro.net.policy.LinkPolicy` into the
+        network's interceptor chain (adversarial message faults)."""
+
+        def apply(cluster):
+            cluster.network.add_policy(policy)
+            return f"install link policy {policy.name!r}"
+
+        return self._add(at_ms, "install_policy", policy, apply)
 
     def remove_policy(self, at_ms: float, policy) -> "FaultPlan":
-        return self.add(RemoveLinkPolicy(at_ms, policy))
+        """Remove a link policy (by name or instance) from the chain."""
+
+        def apply(cluster):
+            cluster.network.remove_policy(policy)
+            return f"remove link policy {getattr(policy, 'name', policy)!r}"
+
+        return self._add(at_ms, "remove_policy", policy, apply)
 
     def intervene(self, at_ms: float, label: str, fn) -> "FaultPlan":
-        return self.add(Intervention(at_ms, label, fn))
+        """A dynamic fault: *fn(cluster)* runs at fire time and may
+        inspect live protocol state (e.g. crash whichever server is
+        currently the sequencer). *fn* returns the log description, or
+        None to use *label*. The nemesis scenarios are built from these."""
+
+        def apply(cluster):
+            result = fn(cluster)
+            return result if isinstance(result, str) else label
+
+        return self._add(at_ms, "intervene", label, apply)
 
     def arm(self, cluster) -> None:
         """Schedule every event on the cluster's simulator clock.
 
         Times are absolute simulated ms; events already in the past
-        are rejected (arm the plan before running the window).
+        are rejected (arm the plan before running the window). The sort
+        is stable: same-instant events fire in insertion order.
         """
         sim = cluster.sim
         for event in sorted(self.events, key=lambda e: e.at_ms):

@@ -27,10 +27,9 @@ and reads of damaged or misdirected blocks raise
 the on-disk layout is byte-identical to the original and injected rot
 is only *tainted* (tracked, and counted as ``disk.corrupt_served`` when
 read) so the non-vacuity control can prove what silent corruption would
-have cost. Storage faults are armed through :meth:`Disk.inject_bit_rot`,
-:meth:`Disk.corrupt_extent`, :meth:`Disk.arm_torn_write`,
-:meth:`Disk.arm_lost_writes`, :meth:`Disk.arm_misdirected_writes` and
-:meth:`Disk.arm_crash_point` — see docs/CHAOS.md for the catalogue.
+have cost. Storage faults are injected through :meth:`Disk.inject_bit_rot`
+and :meth:`Disk.corrupt_extent`, or armed for a later write through
+:meth:`Disk.arm_fault` — see docs/CHAOS.md for the catalogue.
 """
 
 from __future__ import annotations
@@ -48,6 +47,10 @@ BLOCK_SIZE = 1024
 #: Access classes, each counted as a ``disk.<kind>`` registry counter
 #: under the disk's name.
 DISK_OP_KINDS = ("random", "sequential", "cached", "batch")
+
+#: The write faults :meth:`Disk.arm_fault` takes, named after their
+#: :class:`~repro.faults.plan.FaultPlan` builders.
+ARMED_FAULTS = ("crash_point", "torn_write", "lost_writes", "misdirected_writes")
 
 
 class Disk:
@@ -84,11 +87,9 @@ class Disk:
         #: ``disk.corrupt_served`` accounting.
         self._tainted: set[int] = set()
         self._tainted_extents: set[Hashable] = set()
-        # Armed write faults (chaos injection; see docs/CHAOS.md).
-        self._torn: list[dict] = []
-        self._crash_point: dict | None = None
-        self._lost_writes: list = []  # one armed region per lost write
-        self._misdirected_writes: list = []
+        #: Armed write faults, ``(kind, region, params)`` in arming
+        #: order (chaos injection; see docs/CHAOS.md).
+        self._armed: list[tuple] = []
         self._obs = sim.obs
         registry = sim.obs.registry
         self._c_ops = {
@@ -117,10 +118,7 @@ class Disk:
         self._extents.clear()
         self._tainted.clear()
         self._tainted_extents.clear()
-        self._torn.clear()
-        self._crash_point = None
-        self._lost_writes.clear()
-        self._misdirected_writes.clear()
+        self._armed.clear()
 
     def _check(self) -> None:
         if self.failed:
@@ -230,35 +228,20 @@ class Disk:
             self._c_corrupt_served.inc()
         return raw
 
-    def _writes_in_region(self, writes, region) -> bool:
-        if region is None:
-            return True
-        start, end = region
-        return any(start <= index < end for index, _ in writes)
-
-    def _take_crash_point(self, writes):
-        """Return the armed crash point if this batch triggers it."""
-        cp = self._crash_point
-        if cp is None or not self._writes_in_region(writes, cp["region"]):
-            return None
-        self._crash_point = None
-        return cp
-
-    def _take_torn(self, writes):
-        """Return the first armed torn-write matching this batch."""
-        for fault in self._torn:
-            if len(writes) >= 2 and self._writes_in_region(writes, fault["region"]):
-                self._torn.remove(fault)
-                return fault
-        return None
-
-    def _take_armed(self, armed: list, index: int) -> bool:
-        """Consume the first armed single-block fault covering *index*."""
-        for i, region in enumerate(armed):
-            if region is None or region[0] <= index < region[1]:
-                armed.pop(i)
-                return True
-        return False
+    def _take_armed(self, writes, kinds):
+        """Consume the armed fault this write fires: the first of
+        *kinds*, in that order, with an entry (the earliest armed)
+        whose region one of *writes* touches. Returns ``(kind,
+        params)``, or ``(None, None)``."""
+        for kind in kinds:
+            for i, (armed, region, params) in enumerate(self._armed):
+                if armed == kind and (
+                    region is None
+                    or any(region[0] <= index < region[1] for index, _ in writes)
+                ):
+                    del self._armed[i]
+                    return kind, params
+        return None, None
 
     def _power_cut(self, cp, persisted: int, total: int):
         """Fire an armed crash point: the machine dies at a block
@@ -266,7 +249,7 @@ class Disk:
         scheduled and the writing process is failed so it can never
         update its RAM mirrors — recovery must reconcile the torn
         flush from disk alone (the paper's Fig. 5/6 argument)."""
-        if cp["hook"] is not None:
+        if cp.get("hook") is not None:
             self.sim.call_soon(cp["hook"])
         raise DiskFailure(
             f"{self.name}: power cut after {persisted}/{total} blocks of a flush"
@@ -284,27 +267,30 @@ class Disk:
             kind, max(len(data), BLOCK_SIZE),
             lineage=lineage, errors=self._c_write_errors,
         )
-        cp = self._take_crash_point([(index, data)])
-        if cp is not None:
-            persisted = min(max(cp["cut_after"], 0), 1)
-            if persisted:
-                self._store(index, self._sealed(index, data))
-            self._c_write_errors.inc()
-            self._power_cut(cp, persisted, 1)
-        raw = self._sealed(index, data)
-        if self._take_armed(self._lost_writes, index):
-            # Reported success, never reached the platter.
-            return
-        if self._take_armed(self._misdirected_writes, index):
-            # Lands one block over: self-identifying envelopes catch
-            # this on read (identity mismatch); without integrity the
-            # foreign bytes are tainted as silently-served corruption.
-            wrong = index + 1 if index + 1 < self.block_count else index - 1
-            self._blocks[wrong] = raw
-            if not self.integrity:
-                self._tainted.add(wrong)
-            return
-        self._store(index, raw)
+        if self._armed:
+            fault, params = self._take_armed(
+                [(index, data)], ("crash_point", "lost_writes", "misdirected_writes"))
+            if fault == "crash_point":
+                persisted = min(max(params.get("cut_after", 1), 0), 1)
+                if persisted:
+                    self._store(index, self._sealed(index, data))
+                self._c_write_errors.inc()
+                self._power_cut(params, persisted, 1)
+            if fault == "lost_writes":
+                # Reported success, never reached the platter (the
+                # envelope's write number is spent all the same).
+                self._sealed(index, data)
+                return
+            if fault == "misdirected_writes":
+                # Lands one block over: self-identifying envelopes catch
+                # this on read (identity mismatch); without integrity the
+                # foreign bytes are tainted as silently-served corruption.
+                wrong = index + 1 if index + 1 < self.block_count else index - 1
+                self._blocks[wrong] = self._sealed(index, data)
+                if not self.integrity:
+                    self._tainted.add(wrong)
+                return
+        self._store(index, self._sealed(index, data))
 
     def write_blocks(self, writes, lineage=None):
         """Group-commit write of several blocks in one arm operation.
@@ -331,21 +317,22 @@ class Disk:
         yield from self._occupy(
             "batch", total, lineage=lineage, errors=self._c_write_errors,
         )
-        cp = self._take_crash_point(writes)
-        if cp is not None:
-            persisted = min(max(cp["cut_after"], 0), len(writes))
-            for index, data in writes[:persisted]:
-                self._store(index, self._sealed(index, data))
-            self._c_write_errors.inc()
-            self._power_cut(cp, persisted, len(writes))
-        torn = self._take_torn(writes)
-        if torn is not None:
-            # Reported success; the tail of the batch silently never
-            # persisted. The caller's RAM mirrors now lead the disk.
-            kept = min(max(torn["keep_blocks"], 0), len(writes) - 1)
-            for index, data in writes[:kept]:
-                self._store(index, self._sealed(index, data))
-            return
+        if self._armed:
+            fault, params = self._take_armed(
+                writes, ("crash_point", "torn_write") if len(writes) >= 2 else ("crash_point",))
+            if fault == "crash_point":
+                persisted = min(max(params.get("cut_after", 1), 0), len(writes))
+                for index, data in writes[:persisted]:
+                    self._store(index, self._sealed(index, data))
+                self._c_write_errors.inc()
+                self._power_cut(params, persisted, len(writes))
+            if fault == "torn_write":
+                # Reported success; the tail of the batch silently never
+                # persisted. The caller's RAM mirrors now lead the disk.
+                kept = min(max(params.get("keep_blocks", 1), 0), len(writes) - 1)
+                for index, data in writes[:kept]:
+                    self._store(index, self._sealed(index, data))
+                return
         for index, data in writes:
             self._store(index, self._sealed(index, data))
 
@@ -470,29 +457,31 @@ class Disk:
             hit.append(key)
         return hit
 
-    def arm_torn_write(self, keep_blocks: int = 1, region=None) -> None:
-        """The next multi-block :meth:`write_blocks` batch (touching
-        *region*, if given) persists only its first *keep_blocks* blocks
-        but still reports success — a torn write."""
-        self._torn.append({"keep_blocks": keep_blocks, "region": region})
+    def arm_fault(self, kind: str, region=None, **params) -> None:
+        """Arm a one-shot write fault for the next write touching
+        *region* (any write, if None). *kind* is one of
+        :data:`ARMED_FAULTS`:
 
-    def arm_lost_writes(self, count: int = 1, region=None) -> None:
-        """The next *count* single-block writes (targeting *region*, if
-        given) report success without ever reaching the platter."""
-        self._lost_writes.extend([region] * count)
-
-    def arm_misdirected_writes(self, count: int = 1, region=None) -> None:
-        """The next *count* single-block writes (targeting *region*, if
-        given) land one block away from their intended address."""
-        self._misdirected_writes.extend([region] * count)
-
-    def arm_crash_point(self, hook, cut_after: int = 1, region=None) -> None:
-        """Power-cut the machine at a block boundary inside the next
-        write (touching *region*, if given): *cut_after* blocks persist,
-        *hook* is scheduled (normally the cluster's ``crash_server``),
-        and the writing process fails so its RAM mirrors are never
-        updated."""
-        self._crash_point = {"hook": hook, "cut_after": cut_after, "region": region}
+        * ``crash_point`` (``cut_after``, ``hook``): power-cut the
+          machine at a block boundary inside the next write, block or
+          batch: *cut_after* blocks persist, *hook* is scheduled
+          (normally the cluster's ``crash_server``), and the writing
+          process fails so its RAM mirrors are never updated. It is
+          checked first, and arming one replaces any armed before;
+        * ``torn_write`` (``keep_blocks``): the next batch of two or
+          more blocks persists only its first *keep_blocks* blocks but
+          still reports success;
+        * ``lost_writes`` / ``misdirected_writes`` (``count``): the next
+          *count* single-block writes report success without reaching
+          the platter / land one block away from their address. Lost
+          writes are taken before misdirected ones.
+        """
+        if kind not in ARMED_FAULTS:
+            raise StorageError(f"unknown armed fault {kind!r}")
+        if kind == "crash_point":
+            self._armed = [f for f in self._armed if f[0] != "crash_point"]
+        count = params.pop("count", 1)
+        self._armed.extend([(kind, region, params)] * count)
 
     def extent_corrupt(self, key: Hashable) -> bool:
         """Zero-time taint check (scrubber / restart audits)."""

@@ -7,7 +7,6 @@ import pytest
 from repro.chaos import SCENARIOS, nemesis, run_suite
 from repro.chaos.nemesis import sequencer_index
 from repro.cluster import GroupServiceCluster
-from repro.faults.plan import Crash, Heal, Intervention, Partition, Restart
 
 
 def operational_cluster(seed=1):
@@ -78,19 +77,19 @@ class TestRecoverableBuilders:
         plan = getattr(nemesis, name)(cluster, random.Random(3), start, window)
         assert plan.events, name
         assert all(e.at_ms >= start for e in plan.events), name
-        # Static events must leave the world repaired; Interventions
+        # Static events must leave the world repaired; interventions
         # are checked live by the chaos suite (they pair crash/restart
         # via closures, invisible to static replay).
         down, partitioned = set(), False
         for event in sorted(plan.events, key=lambda e: e.at_ms):
             assert event.at_ms <= start + window, name
-            if isinstance(event, Crash):
-                down.add(event.server)
-            elif isinstance(event, Restart):
-                down.discard(event.server)
-            elif isinstance(event, Partition):
+            if event.kind == "crash":
+                down.add(event.target)
+            elif event.kind == "restart":
+                down.discard(event.target)
+            elif event.kind == "partition":
                 partitioned = True
-            elif isinstance(event, Heal):
+            elif event.kind == "heal":
                 partitioned = False
         assert down == set(), name
         assert not partitioned, name
@@ -102,7 +101,7 @@ class TestRecoverableBuilders:
             cluster, random.Random(1), start, 30_000.0
         )
         kinds = [
-            e.label for e in plan.events if isinstance(e, Intervention)
+            e.target for e in plan.events if e.kind == "intervene"
         ]
         assert kinds.count("crash sequencer") == kinds.count("restart sequencer")
         assert kinds.count("crash sequencer") >= 1
@@ -119,13 +118,13 @@ class TestRollingFaults:
         assert all(
             start <= e.at_ms <= start + window for e in plan.events
         )
-        crashes = [e for e in plan.events if isinstance(e, Crash)]
-        restarts = [e for e in plan.events if isinstance(e, Restart)]
+        crashes = [e for e in plan.events if e.kind == "crash"]
+        restarts = [e for e in plan.events if e.kind == "restart"]
         assert len(crashes) == 1 and not restarts  # remediation's job
         # Both lossy phases are bounded: each installed policy is
         # removed again inside the window.
-        installs = [e for e in plan.events if type(e).__name__ == "InstallLinkPolicy"]
-        removes = [e for e in plan.events if type(e).__name__ == "RemoveLinkPolicy"]
+        installs = [e for e in plan.events if e.kind == "install_policy"]
+        removes = [e for e in plan.events if e.kind == "remove_policy"]
         assert len(installs) == 2 and len(removes) == 2
 
 
@@ -136,7 +135,7 @@ class TestMajorityLost:
         plan = nemesis.majority_lost(
             cluster, random.Random(2), start, 20_000.0
         )
-        crashes = [e for e in plan.events if isinstance(e, Crash)]
-        restarts = [e for e in plan.events if isinstance(e, Restart)]
+        crashes = [e for e in plan.events if e.kind == "crash"]
+        restarts = [e for e in plan.events if e.kind == "restart"]
         assert len(crashes) > len(cluster.sites) // 2
         assert restarts == []

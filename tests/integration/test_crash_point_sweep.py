@@ -39,7 +39,7 @@ from repro.cluster import GroupServiceCluster
 from repro.directory.admin import COMMIT_BLOCK, AdminPartition, CommitBlock
 from repro.directory.state import DirectoryState
 from repro.directory.store import DirectoryStore
-from repro.faults.plan import CrashPoint
+from repro.faults.plan import FaultPlan
 from repro.storage.bullet import BulletClient
 
 from tests.helpers import pin_to_server
@@ -109,7 +109,7 @@ def arm(cluster, cut_after, passes):
         return write_blocks(writes, lineage=lineage)
 
     site.disk.write_blocks = counting
-    CrashPoint(0.0, VICTIM, cut_after).apply(cluster)
+    FaultPlan().crash_point(0.0, VICTIM, cut_after).events[0].apply(cluster)
 
 
 def restart_and_check(cluster, rpc, client, target, acked, in_flight):
@@ -300,9 +300,9 @@ def post_reset_trial(cut_after):
             vector_ahead.append(vector is not None and not vector.resolved)
             # Armed past the commit block: the vector write still on
             # the arm must land, the pass behind it is what is cut.
-            victim_site.disk.arm_crash_point(
-                lambda: cluster.crash_server(VICTIM), cut_after,
-                region=(start + 1, end),
+            victim_site.disk.arm_fault(
+                "crash_point", region=(start + 1, end),
+                hook=lambda: cluster.crash_server(VICTIM), cut_after=cut_after,
             )
         passes.append(len(writes))
         return write_blocks(writes, lineage=lineage)

@@ -438,7 +438,7 @@ class TestBitRot:
 class TestTornWrite:
     def test_torn_batch_keeps_prefix_and_reports_success(self):
         sim, disk = make_disk()
-        disk.arm_torn_write(keep_blocks=1)
+        disk.arm_fault("torn_write", keep_blocks=1)
 
         def work():
             yield from disk.write_blocks([(0, b"a"), (1, b"b"), (2, b"c")])
@@ -451,7 +451,7 @@ class TestTornWrite:
 
     def test_torn_write_ignores_single_block_writes(self):
         sim, disk = make_disk()
-        disk.arm_torn_write(keep_blocks=0)
+        disk.arm_fault("torn_write", keep_blocks=0)
 
         def work():
             yield from disk.write_block(0, b"solo")
@@ -464,7 +464,7 @@ class TestTornWrite:
 
     def test_torn_write_respects_region(self):
         sim, disk = make_disk()
-        disk.arm_torn_write(keep_blocks=0, region=(100, 200))
+        disk.arm_fault("torn_write", keep_blocks=0, region=(100, 200))
 
         def work():
             yield from disk.write_blocks([(0, b"a"), (1, b"b")])
@@ -480,7 +480,7 @@ class TestTornWrite:
 class TestLostAndMisdirectedWrites:
     def test_lost_write_reports_success_without_persisting(self):
         sim, disk = make_disk()
-        disk.arm_lost_writes(1)
+        disk.arm_fault("lost_writes", count=1)
 
         def work():
             yield from disk.write_block(5, b"vanishes")
@@ -492,7 +492,7 @@ class TestLostAndMisdirectedWrites:
 
     def test_lost_write_region_scoping(self):
         sim, disk = make_disk()
-        disk.arm_lost_writes(1, region=(50, 60))
+        disk.arm_fault("lost_writes", count=1, region=(50, 60))
 
         def work():
             yield from disk.write_block(5, b"outside")  # must not consume
@@ -504,7 +504,7 @@ class TestLostAndMisdirectedWrites:
 
     def test_misdirected_write_detected_by_identity(self):
         sim, disk = make_disk(integrity=True)
-        disk.arm_misdirected_writes(1)
+        disk.arm_fault("misdirected_writes", count=1)
 
         def work():
             yield from disk.write_block(5, b"strays")
@@ -529,7 +529,7 @@ class TestLostAndMisdirectedWrites:
 
     def test_misdirected_write_without_integrity_taints_neighbor(self):
         sim, disk = make_disk()
-        disk.arm_misdirected_writes(1)
+        disk.arm_fault("misdirected_writes", count=1)
 
         def work():
             yield from disk.write_block(5, b"strays")
@@ -544,7 +544,7 @@ class TestCrashPoint:
     def test_crash_point_cuts_batch_at_block_boundary(self):
         sim, disk = make_disk()
         hook_fired = []
-        disk.arm_crash_point(lambda: hook_fired.append(sim.now), cut_after=2)
+        disk.arm_fault("crash_point", hook=lambda: hook_fired.append(sim.now), cut_after=2)
 
         def work():
             yield from disk.write_blocks([(0, b"a"), (1, b"b"), (2, b"c")])
@@ -560,7 +560,7 @@ class TestCrashPoint:
 
     def test_crash_point_fires_on_single_block_write(self):
         sim, disk = make_disk()
-        disk.arm_crash_point(lambda: None, cut_after=0)
+        disk.arm_fault("crash_point", hook=lambda: None, cut_after=0)
 
         def work():
             yield from disk.write_block(7, b"torn")
@@ -572,7 +572,7 @@ class TestCrashPoint:
 
     def test_crash_point_respects_region(self):
         sim, disk = make_disk()
-        disk.arm_crash_point(lambda: None, cut_after=0, region=(100, 200))
+        disk.arm_fault("crash_point", hook=lambda: None, cut_after=0, region=(100, 200))
 
         def work():
             yield from disk.write_block(7, b"safe")
@@ -583,6 +583,52 @@ class TestCrashPoint:
         assert isinstance(process.exception, DiskFailure)
         assert disk.peek_block(7) == b"safe"  # out-of-region write landed
         assert disk.peek_block(150) == b""
+
+
+class TestArmedQueue:
+    """One queue of armed write faults, consumed in arming order."""
+
+    def test_lost_write_is_taken_before_a_misdirected_one(self):
+        sim, disk = make_disk()
+        disk.arm_fault("misdirected_writes", count=1)
+        disk.arm_fault("lost_writes", count=1)
+
+        def work():
+            yield from disk.write_block(5, b"vanishes")
+            yield from disk.write_block(8, b"strays")
+
+        run(sim, work())
+        assert disk.peek_block(5) == b""
+        assert disk.peek_block(8) == b""
+        assert disk.peek_block(9) == b"strays"
+        assert disk._armed == []
+
+    def test_a_second_crash_point_replaces_the_first(self):
+        sim, disk = make_disk()
+        disk.arm_fault("crash_point", cut_after=0, region=(100, 200))
+        disk.arm_fault("crash_point", cut_after=0, region=(300, 400))
+
+        def work():
+            yield from disk.write_block(150, b"lands")
+            yield from disk.write_block(350, b"boom")
+
+        process = sim.spawn(work())
+        sim.run()
+        assert isinstance(process.exception, DiskFailure)
+        assert disk.peek_block(150) == b"lands"
+        assert disk.peek_block(350) == b""
+
+    def test_head_crash_clears_the_queue(self):
+        sim, disk = make_disk()
+        disk.arm_fault("torn_write")
+        disk.arm_fault("lost_writes", count=2)
+        disk.fail()
+        assert disk._armed == []
+
+    def test_unknown_kind_is_refused(self):
+        sim, disk = make_disk()
+        with pytest.raises(StorageError):
+            disk.arm_fault("torn")
 
 
 class TestExtentRot:

@@ -17,7 +17,7 @@ SWEEP_DIRS = ("src", "tests", "benchmarks", "examples")
 #: Names that used to exist and were deliberately removed. Add an entry
 #: here whenever an alias is retired so it can never quietly return.
 DEPRECATED_NAMES = (
-    "DiskFailure_",  # pre-1.0 alias of repro.faults.DiskFailure
+    "DiskFailure_",  # pre-1.0 alias of the disk-failure fault, FaultPlan.disk_failure now
     # The NVRAM variant was a server subclass selected by two class
     # flags; it is a log in front of repro.directory.store now.
     "NvramDirectoryServer",
@@ -134,6 +134,27 @@ DEPRECATED_NAMES = (
     "shared_keys=",
     "check_shared_key_linearizability",
     "_resync",
+    # One fault vocabulary: a FaultPlan builder appends one FaultEvent
+    # (kind = the builder's name), and a disk arms every write fault
+    # through Disk.arm_fault. (Not "Partition(": RawPartition and
+    # AdminPartition are live; not "DiskFailure(": repro.errors has it.)
+    "Crash(",
+    "Restart(",
+    "Heal(",
+    "BitRot(",
+    "ExtentRot(",
+    "TornWrite(",
+    "LostWrites(",
+    "MisdirectedWrites(",
+    "NvramBlip(",
+    "CrashPoint(",
+    "InstallLinkPolicy(",
+    "RemoveLinkPolicy(",
+    "Intervention(",
+    "arm_torn_write",
+    "arm_lost_writes",
+    "arm_misdirected_writes",
+    "arm_crash_point",
     # One closed loop: repro.bench.harness.drive spawns the clients and
     # counts what completes, for Figs. 8/9, the lenses, the chaos runner
     # and E11. (Not a bare "ClosedLoopClient": the frozen ledger's
