@@ -109,6 +109,18 @@ class Capability:
         if not 0 <= self.check <= _CHECK_MASK:
             raise CapabilityError("check field out of 48-bit range")
 
+    def __eq__(self, other):
+        # The dataclass's comparison without its two tuples per call
+        # (lookup results are compared); __hash__ stays the dataclass's.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.check == other.check
+            and self.object_number == other.object_number
+            and self.rights == other.rights
+            and self.port == other.port
+        )
+
     @property
     def is_owner(self) -> bool:
         """True for the all-rights (owner) capability."""

@@ -157,6 +157,8 @@ class GroupDirectoryServer:
         #: The commit-block write of the configuration vector the last
         #: reset issued (a process; see _vector_landed).
         self._vector_write: Future | None = None
+        #: members_present()'s count and the view list it counted.
+        self._counted_view, self._present = None, 0
         self._processes = []
         #: Client cache coherence (docs/PROTOCOL.md); None when the
         #: deployment has it off — every request path is then untouched.
@@ -247,9 +249,13 @@ class GroupDirectoryServer:
     # ------------------------------------------------------------------
 
     def members_present(self) -> int:
-        """Directory servers in the current group view."""
+        """Directory servers in the current group view, counted once
+        per view list (the kernel replaces its list, never edits it)."""
         view = self.member.kernel.view
-        return sum(1 for a in self.config.server_addresses if a in view)
+        if view is not self._counted_view:
+            self._present = sum(1 for a in self.config.server_addresses if a in view)
+            self._counted_view = view
+        return self._present
 
     def has_majority(self) -> bool:
         """Fig. 5's first check: refuse everything without a majority.
@@ -381,7 +387,8 @@ class GroupDirectoryServer:
                 self._c_refused.inc()
                 handle.error(NoMajority("group failed while read was waiting"))
                 return
-        yield from self._vector_landed()
+        if self._vector_write is not None:
+            yield from self._vector_landed()
         yield from self.transport.cpu.use(self._latency().cpu.read_processing_ms)
         try:
             result = self.state.query(op)
@@ -489,7 +496,8 @@ class GroupDirectoryServer:
                     self._c_refused.inc()
                     handle.error(exc)
                     return
-        yield from self._vector_landed()
+        if self._vector_write is not None:
+            yield from self._vector_landed()
         if isinstance(result, Exception):
             handle.error(result)
         else:

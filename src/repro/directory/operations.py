@@ -13,6 +13,7 @@ or the write path (SendToGroup / intentions RPC).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.amoeba.capability import Capability, new_check
 from repro.directory.model import DEFAULT_COLUMNS
@@ -22,9 +23,8 @@ from repro.directory.model import DEFAULT_COLUMNS
 class DirectoryOp:
     """Base class for all requests."""
 
-    @property
-    def is_read(self) -> bool:
-        raise NotImplementedError
+    #: Whether the operation reads (a class constant of each op).
+    is_read: ClassVar[bool]
 
     def wire_size(self) -> int:
         """Approximate request size in bytes (for network accounting)."""
@@ -50,9 +50,7 @@ class CreateDir(DirectoryOp):
     #: makes counter-based allocation deterministic).
     object_number: int | None = None
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,7 @@ class DeleteDir(DirectoryOp):
     cap: Capability
     force: bool = False  # allow deleting a non-empty directory
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
 
 @dataclass(frozen=True)
@@ -73,9 +69,7 @@ class ListDir(DirectoryOp):
 
     cap: Capability
 
-    @property
-    def is_read(self) -> bool:
-        return True
+    is_read = True
 
 
 @dataclass(frozen=True)
@@ -86,9 +80,7 @@ class AppendRow(DirectoryOp):
     name: str
     capabilities: tuple
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
     def wire_size(self) -> int:
         return 96 + len(self.name) + 16 * len(self.capabilities)
@@ -103,9 +95,7 @@ class ChmodRow(DirectoryOp):
     column_mask: int
     capabilities: tuple
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
     def wire_size(self) -> int:
         return 96 + len(self.name) + 16 * len(self.capabilities)
@@ -118,9 +108,7 @@ class DeleteRow(DirectoryOp):
     cap: Capability
     name: str
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
     def wire_size(self) -> int:
         return 96 + len(self.name)
@@ -136,9 +124,7 @@ class LookupSet(DirectoryOp):
 
     items: tuple  # of (Capability, str)
 
-    @property
-    def is_read(self) -> bool:
-        return True
+    is_read = True
 
     def wire_size(self) -> int:
         return 64 + sum(24 + len(name) for _, name in self.items)
@@ -175,9 +161,7 @@ class ReplaceSet(DirectoryOp):
 
     items: tuple  # of (Capability, str, tuple[Capability | None, ...])
 
-    @property
-    def is_read(self) -> bool:
-        return False
+    is_read = False
 
     def wire_size(self) -> int:
         return 64 + sum(

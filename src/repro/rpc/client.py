@@ -42,7 +42,7 @@ RETRY_BACKOFF_CAP_MS = 256.0
 #: without breaking determinism.
 RETRY_JITTER = 0.5
 #: Port-cache entries populated by an actual locate go stale after
-#: this long: the next _pick_server forgets the port and re-locates,
+#: this long: the next pick forgets the port and re-locates,
 #: so restarted/recovered replicas re-enter the cache and the
 #: first-HEREIS responder pin stops skewing load forever. Entries
 #: pinned directly into the kernel's port_cache (tests, benches) carry
@@ -114,7 +114,9 @@ class RpcClient:
             yield self.sim.sleep(overhead)
         last_error: Exception | None = None
         for attempt in range(self.timings.max_attempts):
-            server = yield from self._pick_server(port, spread=spread)
+            server = self._cached_server(port, spread)
+            if server is None:
+                server = yield from self._pick_server(port, spread)
             txid = self._kernel.new_txid()
             fut = self._kernel.send_request(server, port, txid, body, size)
             try:
@@ -153,7 +155,9 @@ class RpcClient:
     def _await_reply(self, fut, server, txid, timeout: float):
         """The reply to *txid*, or the exception that ends the attempt.
 
-        Every ENQUIRY_MS of silence the kernel asks *server*'s kernel
+        Each wait is one entry in the kernel's deadline table
+        (:meth:`RpcKernel.expect`), not a timer of its own. Every
+        ENQUIRY_MS of silence the kernel asks *server*'s kernel
         about the transaction. ``rpc.alive`` keeps us waiting (a slow
         server — say a write held by the cache fence — is not a dead
         one); a down NIC refuses the enquiry (HostUnreachable, as for
@@ -166,18 +170,22 @@ class RpcClient:
         # The two counters below are made on first use: a run in which
         # no reply is ever overdue keeps the registry (and the recorded
         # digests of it) as it was.
+        kernel = self._kernel
         asked = False
         left = timeout
         while True:
             wait = min(ENQUIRY_MS, left)
             left -= wait
+            kernel.expect(txid, server, wait)
             try:
-                reply = yield self.sim.timeout(fut, wait, f"rpc to {server}")
+                reply = yield fut
                 return reply
             except SimTimeout:
-                if left <= 0.0 or fut.resolved:
+                # The wait ran out. A reply or a bounce that came
+                # since, before we resumed, still ends the attempt.
+                if left <= 0.0 or (fut := kernel.renew(txid)) is None:
                     raise
-                if not self._kernel.enquire(server, txid):
+                if not kernel.enquire(server, txid):
                     self._registry.counter(self._node, "rpc.enquiry_failed").inc()
                     raise
                 self._registry.counter(self._node, "rpc.enquiries").inc()
@@ -185,6 +193,9 @@ class RpcClient:
             except (HostUnreachable, TransactionLost):
                 if asked:
                     self._registry.counter(self._node, "rpc.enquiry_failed").inc()
+                raise
+            except GeneratorExit:  # killed while waiting: the entries go too
+                kernel.forget_transaction(txid)
                 raise
 
     def _backoff_ms(self, attempt: int) -> float:
@@ -198,25 +209,26 @@ class RpcClient:
 
     # -- locate ------------------------------------------------------------
 
-    def _pick_server(self, port: Port, spread: bool = False):
-        """The preferred server for *port*, locating if the cache is
-        empty or its locate stamp has aged past ``LOCATE_TTL_MS``
-        (the staleness bugfix: the first-HEREIS pin used to live until
-        a hard failure, so one replica absorbed a client's whole
-        lifetime of reads and restarted replicas never came back)."""
-        servers = self._kernel.cached_servers(port)
-        if servers and self._cache_expired(port):
+    def _cached_server(self, port: Port, spread: bool = False):
+        """The preferred cached server for *port*, or None when the
+        cache is empty or its locate stamp has aged past
+        ``LOCATE_TTL_MS`` (the staleness bugfix: the first-HEREIS pin
+        used to live until a hard failure, so one replica absorbed a
+        client's whole lifetime of reads and restarted replicas never
+        came back). An entry pinned directly (tests/benches) has no
+        stamp and never ages."""
+        kernel = self._kernel
+        servers = kernel.port_cache.get(port)
+        if not servers:
+            return None
+        stamp = kernel.port_expiry.get(port)
+        if stamp is not None and self.sim.now >= stamp:
             # Forget before re-locating: HEREIS only appends servers
             # the cache doesn't already hold, so without the forget a
             # re-locate could never refresh the responder order.
-            self._kernel.port_cache.pop(port, None)
-            self._kernel.port_expiry.pop(port, None)
-            servers = []
-        if not servers:
-            yield from self._locate(port)
-            servers = self._kernel.cached_servers(port)
-            if not servers:
-                raise LocateError(f"locate for port {port} found no servers")
+            del kernel.port_cache[port]
+            del kernel.port_expiry[port]
+            return None
         if spread and len(servers) > 1:
             index = self.sim.rng.stream(
                 f"rpc.spread.{self.transport.address}"
@@ -224,11 +236,16 @@ class RpcClient:
             return servers[index]
         return servers[0]
 
-    def _cache_expired(self, port: Port) -> bool:
-        stamp = self._kernel.port_expiry.get(port)
-        # No stamp: the entry was pinned directly (tests/benches) and
-        # never ages.
-        return stamp is not None and self.sim.now >= stamp
+    def _pick_server(self, port: Port, spread: bool = False):
+        """The preferred server for *port* (``yield from``), locating
+        when :meth:`_cached_server` has none."""
+        server = self._cached_server(port, spread)
+        if server is None:
+            yield from self._locate(port)
+            server = self._cached_server(port, spread)
+            if server is None:
+                raise LocateError(f"locate for port {port} found no servers")
+        return server
 
     def _accelerate_relocate(self, port: Port) -> None:
         """A NOTHERE bounce hints the cached responder order is stale

@@ -16,15 +16,21 @@ Amoeba's kernel plays in the paper's section 4.2:
   answers a client kernel's **ENQUIRY** about one with **ALIVE** — so
   a client whose reply is overdue can tell a slow server (wait) from
   a dead or rebooted one (give up now) instead of sitting out its
-  whole reply timeout.
+  whole reply timeout;
+* bounds every wait for a reply with one **deadline table** and one
+  timer, armed for the earliest deadline and never cancelled: a reply
+  takes its entry out of the table, so one that arrives in time (nearly
+  every one) costs the scheduler nothing for its deadline.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Any
 
 from repro.amoeba.capability import Port
-from repro.errors import HostUnreachable
+from repro.errors import HostUnreachable, TimeoutError as SimTimeout
 from repro.net.network import Packet
 from repro.rpc.transport import Transport
 from repro.sim.future import Future
@@ -101,6 +107,11 @@ class RpcKernel:
         self.port_expiry: dict[Port, float] = {}
         self._servers: dict[Port, ServerEndpoint] = {}
         self._pending: dict[tuple, Future] = {}
+        #: Per transaction whose current wait has not ended: the
+        #: instant it ends, and the server waited on.
+        self._deadlines: dict[tuple, tuple[float, Any]] = {}
+        #: When the earliest of this kernel's timers fires (inf: none).
+        self._alarm_at = math.inf
         #: Client half of the enquiry: per overdue transaction, how
         #: many enquiries have gone out since the last ``rpc.alive``.
         self._unanswered: dict[tuple, int] = {}
@@ -141,15 +152,33 @@ class RpcKernel:
 
     def send_request(self, server, port: Port, txid, body, size: int) -> Future:
         """Fire a request at *server*; the future settles with the reply
-        body, a :class:`NotHereBounce`, or the server-raised exception."""
-        fut = Future("trans")
-        self._pending[txid] = fut
+        body, a :class:`NotHereBounce`, the server-raised exception, or
+        — once :meth:`expect`'s wait runs out — a
+        :class:`repro.errors.TimeoutError`."""
+        fut = self._pending[txid] = Future("trans")
         self.transport.send(
             server,
             KIND_REQUEST,
             {"txid": txid, "port": port, "body": body},
             size,
         )
+        return fut
+
+    def expect(self, txid, server, wait: float) -> None:
+        """Fail *txid*'s pending future with a timeout *wait* ms from
+        now unless it settles first."""
+        sim = self.sim
+        when = sim.now + wait
+        self._deadlines[txid] = (when, server)
+        if when < self._alarm_at:
+            self._arm(when)
+
+    def renew(self, txid) -> Future | None:
+        """A fresh future for *txid* after its wait ran out; None when
+        a reply or a bounce has settled the transaction since."""
+        if txid not in self._pending:
+            return None
+        fut = self._pending[txid] = Future("trans")
         return fut
 
     def forget_transaction(self, txid) -> None:
@@ -159,7 +188,29 @@ class RpcKernel:
     def _settle(self, txid) -> Future | None:
         """Take a transaction out of the pending table."""
         self._unanswered.pop(txid, None)
+        self._deadlines.pop(txid, None)
         return self._pending.pop(txid, None)
+
+    def _arm(self, when: float) -> None:
+        """Put the timer in the heap for exactly *when*."""
+        self._alarm_at = when
+        sim = self.sim
+        heapq.heappush(sim._heap, (when, sim._sequence, None, self._on_alarm))
+        sim._sequence += 1
+
+    def _on_alarm(self) -> None:
+        """The timer: fail the waits that are due, in the order they
+        began, then re-arm for the earliest deadline left."""
+        now = self.sim.now
+        if now < self._alarm_at:
+            return  # stale: the timer before it re-armed for later
+        deadlines = self._deadlines
+        for txid in [t for t, (when, _) in deadlines.items() if when <= now]:
+            _, server = deadlines.pop(txid)
+            self._pending[txid].fail_if_pending(SimTimeout(f"rpc to {server}"))
+        self._alarm_at = math.inf
+        if deadlines:
+            self._arm(min(when for when, _ in deadlines.values()))
 
     def enquire(self, server, txid) -> bool:
         """Ask *server*'s kernel whether it still holds *txid*.
@@ -195,10 +246,6 @@ class RpcKernel:
     def end_locate(self, locate_id: int) -> None:
         self._locate_waiters.pop(locate_id, None)
 
-    def cached_servers(self, port: Port) -> list:
-        """Mutable list of cached server addresses for *port*."""
-        return self.port_cache.setdefault(port, [])
-
     def drop_cached_server(self, port: Port, server) -> None:
         servers = self.port_cache.get(port)
         if servers and server in servers:
@@ -224,7 +271,7 @@ class RpcKernel:
 
     def _on_hereis(self, packet: Packet) -> None:
         payload = packet.payload
-        servers = self.cached_servers(payload["port"])
+        servers = self.port_cache.setdefault(payload["port"], [])
         if payload["server"] not in servers:
             servers.append(payload["server"])
         waiter = self._locate_waiters.get(payload["locate_id"])

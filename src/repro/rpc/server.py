@@ -68,8 +68,12 @@ class RpcServer:
     @property
     def listening(self) -> bool:
         """True while the port is open and at least one thread is
-        blocked in getreq()."""
-        return self.open and any(not fut.resolved for fut in self._waiting)
+        blocked in getreq(). Settled (interrupted) futures leave from
+        the head, so a pending head answers for the whole queue."""
+        waiting = self._waiting
+        while waiting and waiting[0].resolved:
+            waiting.popleft()
+        return self.open and bool(waiting)
 
     def deliver(self, body, client, txid) -> None:
         while self._waiting:

@@ -82,7 +82,8 @@ class Simulator:
         # event nothing can cancel (a wakeup, a sleep, a delivery), which
         # skips the per-event Timer allocation entirely. Such entries are
         # pushed inline by their makers: :meth:`spawn`, :meth:`sleep`,
-        # ``Process._on_future_settled`` and ``Network._launch``.
+        # ``Process._on_future_settled``, ``Network._launch`` and
+        # ``RpcKernel._arm`` (the reply-deadline timer).
         self._heap: list[tuple[float, int, Timer | None, Callable[[], None]]] = []
         self._sequence = 0
         # Upper bound on the cancelled entries still in the heap: the

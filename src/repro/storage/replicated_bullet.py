@@ -77,9 +77,7 @@ class ReadFile(DirectoryOp):
 
     cap: Capability
 
-    @property
-    def is_read(self) -> bool:
-        return True
+    is_read = True
 
 
 class FileSize(ReadFile):

@@ -1,6 +1,7 @@
 """Unit and property tests for Amoeba capabilities."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +96,25 @@ class TestCapability:
 
     def test_str_is_compact(self):
         assert ":" in str(make_owner())
+
+    def test_equality_and_hash_are_the_dataclass_forms(self):
+        """Set and dict orders depend on the hash: it stays the one the
+        dataclass computed from the four fields."""
+        owner = make_owner(obj=7)
+        twin = Capability.from_bytes(owner.to_bytes())
+        for cap in (owner, twin, restrict(owner, Rights.READ)):
+            assert hash(cap) == hash((cap.port, cap.object_number, cap.rights, cap.check))
+            assert hash(cap) == hash(cap)  # and again, from the stored value
+        assert twin == owner and twin is not owner and hash(twin) == hash(owner)
+        for field, value in (
+            ("port", Port.for_service("other")),
+            ("object_number", 8),
+            ("rights", Rights.READ),
+            ("check", owner.check ^ 1),
+        ):
+            changed = replace(owner, **{field: value})
+            assert changed != owner and not changed == owner
+        assert owner != (owner.port, owner.object_number, owner.rights, owner.check)
 
 
 class TestRestriction:

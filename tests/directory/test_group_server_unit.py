@@ -259,6 +259,28 @@ class TestMajorityAccounting:
         assert server.config_vector() == (True, True, False)
         assert server.has_majority()
 
+    def test_majority_follows_a_reset_to_a_minority_and_back(self, cluster):
+        """members_present() counts each view list once; a reset into a
+        minority view, the recovery after it and the rejoin each hand
+        the server a new list, so the count follows."""
+        server = cluster.servers[0]
+
+        def recount():
+            view = server.member.kernel.view
+            return sum(a in view for a in cluster.config.server_addresses)
+
+        assert server.has_majority() and server.members_present() == 3
+        cluster.crash_server(1)
+        cluster.crash_server(2)
+        cluster.run(until=cluster.sim.now + 2_500.0)
+        assert not server.has_majority()
+        assert server.members_present() == recount() < cluster.config.majority
+        cluster.restart_server(1)
+        cluster.restart_server(2)
+        cluster.wait_operational()
+        assert server.has_majority()
+        assert server.members_present() == recount() == 3
+
     def test_mourned_set_tracks_config_vector(self, cluster):
         server = cluster.servers[0]
         assert server.mourned_set() == set()

@@ -171,9 +171,11 @@ class TestHeldRequestsLeaveNothingBehind:
         sim, root = cluster.sim, cluster.root_capability
         survivor = cluster.servers[0]
         outcomes = []
+        clients = []
 
         def writer(i):
             client = cluster.add_client(f"w{i}")
+            clients.append(client)
             pin_to_server(client, cluster, 0)
             started = sim.now
             try:
@@ -206,11 +208,15 @@ class TestHeldRequestsLeaveNothingBehind:
 
         # Nothing is left behind: every server thread is back in
         # getreq (none parked on the reset), no apply result waits for
-        # a writer that is gone, no send is pending in the kernel.
+        # a writer that is gone, no send is pending in the group kernel,
+        # and no RPC kernel holds a transaction or a wait for a reply.
         cluster.run(until=sim.now + 3_000.0)
         assert not survivor.operational
         assert survivor._reply_slots == {}
         assert survivor.member.kernel.pending_sends == {}
+        assert not survivor.rpc_server._kernel._in_progress
+        for kernel in [survivor.rpc_server._kernel] + [c.rpc._kernel for c in clients]:
+            assert not kernel._pending and not kernel._deadlines
         assert not survivor._resetting
         waiting = [f for f in survivor.rpc_server._waiting if not f.resolved]
         assert len(waiting) == cluster.config.server_threads

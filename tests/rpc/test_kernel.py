@@ -140,6 +140,26 @@ class TestServerThreadPool:
         fut.interrupt()
         assert not server.listening
 
+    def test_interrupted_getreqs_stop_counting_wherever_they_queue(self):
+        """An interrupted getreq in the middle of the queue or at its
+        head counts for nothing, and is handed no request."""
+        bed = TestBed(["m"])
+        server = RpcServer(bed["m"].transport, ECHO)
+        head, middle, tail = (server.getreq() for _ in range(3))
+        middle.interrupt()
+        assert server.listening
+        server.deliver("first", "client", ("client", 1))
+        assert head.value[0] == "first"
+        assert server.listening  # the tail waits behind the interrupted one
+        server.deliver("second", "client", ("client", 2))
+        assert tail.value[0] == "second"
+        assert not server.listening and not server._waiting
+        first, second = server.getreq(), server.getreq()
+        first.interrupt()
+        assert server.listening
+        second.interrupt()
+        assert not server.listening and not server._waiting
+
     def test_concurrent_requests_need_concurrent_threads(self):
         """With one thread, the second simultaneous request bounces;
         with two threads both are served."""

@@ -815,6 +815,41 @@ def test_only_the_group_kernel_writes_its_state():
     )
 
 
+#: List methods that change a list in place.
+LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+
+
+def _names_a_view(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "view") or (
+        isinstance(node, ast.Name) and node.id.endswith("view")
+    )
+
+
+def test_a_group_view_is_replaced_never_edited():
+    """``GroupDirectoryServer.members_present`` counts a view once per
+    list object, so a kernel must install a new list on every view
+    change. Nothing edits a view in place: no list method that mutates,
+    no item or slice assignment or deletion, no augmented assignment."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                edited = [node.func.value] if node.func.attr in LIST_EDITS else []
+            elif isinstance(node, ast.AugAssign):
+                edited = [node.target]
+            elif isinstance(node, (ast.Assign, ast.Delete)):
+                edited = [t.value for t in node.targets if isinstance(t, ast.Subscript)]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(ROOT)}:{node.lineno}"
+                for target in edited
+                if _names_a_view(target)
+            ]
+    assert not offenders, "a view list edited in place: " + ", ".join(offenders)
+
+
 #: The deployment surface: BaseCluster owns each of these outright.
 LIFECYCLE = (
     "start", "wait_operational", "crash_server", "restart_server",
