@@ -22,9 +22,9 @@ where *rng* is a named-stream handle (``random.Random``-like) owned by
 the caller, *start_ms* is the absolute simulated time faults may begin,
 and the plan leaves the world repaired (all servers restarted,
 partitions healed, policies removed) before ``start_ms + window_ms``.
-Two builders do not, on purpose: ``rolling_faults`` leaves the repair
-to the remediation controller and ``majority_lost`` destroys the
-majority. A scenario of :data:`repro.chaos.runner.SCENARIOS` names its
+Three builders do not, on purpose: ``rolling_faults`` leaves the repair
+to the remediation controller, ``bitrot_gauntlet`` leaves it the
+restarts, and ``majority_lost`` destroys the majority. A scenario of :data:`repro.chaos.runner.SCENARIOS` names its
 builder directly.
 """
 
@@ -241,19 +241,6 @@ def rolling_faults(cluster, rng, start_ms, window_ms) -> FaultPlan:
     return plan
 
 
-def _restart_if_down(index: int):
-    """Guarded restart: no-op when the server is already up (the
-    remediation controller may have beaten the schedule to it)."""
-
-    def fire(cluster):
-        if cluster.servers[index].alive:
-            return f"restart server {index}: already up (no-op)"
-        cluster.restart_server(index)
-        return f"restart server {index}"
-
-    return fire
-
-
 def _rot_site(index: int, blocks: int, extents: int, crash: bool):
     """Rot one site's admin partition and Bullet extents and bounce its
     Bullet server so the file cache is cold when the damage is read.
@@ -276,7 +263,7 @@ def _rot_site(index: int, blocks: int, extents: int, crash: bool):
     return fire
 
 
-def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
+def bitrot_gauntlet(cluster, rng, start_ms, window_ms, restarts=False) -> FaultPlan:
     """The storage-corruption gauntlet: every silent-storage fault in
     the catalogue (docs/CHAOS.md), aimed at all three repair paths.
 
@@ -299,11 +286,13 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     4. late **live rot** (admin blocks + a Bullet extent) hits the
        first replica again, closing with pure scrub-and-repair.
 
-    Guarded restarts make the schedule cooperate with remediation:
-    whoever gets there first wins, the other no-ops. The plan leaves
-    every machine restarted; with ``integrity=True`` the run must end
-    with every acknowledged block back on disk (``check_durability``),
-    while the ``bitrot_integrity_off`` control must provably fail it.
+    The remediation controller restarts both crashed replicas
+    (phases 2 and 3) long before a scheduled restart could, so the plan
+    schedules none unless *restarts* is set
+    (:func:`bitrot_unremediated`). With ``integrity=True`` the run must
+    end with every acknowledged block back on disk
+    (``check_durability``), while the ``bitrot_integrity_off`` control
+    must provably fail it.
     """
     plan = FaultPlan()
     n = len(cluster.sites)
@@ -315,29 +304,25 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
     plan.torn_write(start_ms + window_ms * 0.06, live, keep_blocks=1)
 
     # Phase 2: power-cut inside a flush; recovery's own single-block
-    # writes then get lost/misdirected (armed now, consumed at restart).
+    # writes then get lost/misdirected (armed now, consumed when the
+    # remediation controller restarts the replica).
     t_cut = start_ms + window_ms * 0.20
     plan.crash_point(t_cut, cut_victim, cut_after=1)
     plan.lost_writes(t_cut + 10.0, cut_victim, count=1)
     plan.misdirected_writes(t_cut + 10.0, cut_victim, count=1)
-    plan.intervene(
-        start_ms + window_ms * 0.38,
-        f"restart server {cut_victim}",
-        _restart_if_down(cut_victim),
-    )
+    if restarts:
+        plan.restart(start_ms + window_ms * 0.38, cut_victim)
 
-    # Phase 3: crash + rot-while-down + cold bullet cache; the guarded
-    # restart forces the quarantine/donor-transfer recovery path.
+    # Phase 3: crash + rot-while-down + cold bullet cache; the
+    # controller's restart meets the damage and forces the
+    # quarantine/donor-transfer recovery path.
     plan.intervene(
         start_ms + window_ms * 0.50,
         f"crash server {rot_victim} and rot its storage",
         _rot_site(rot_victim, blocks=3, extents=2, crash=True),
     )
-    plan.intervene(
-        start_ms + window_ms * 0.65,
-        f"restart server {rot_victim}",
-        _restart_if_down(rot_victim),
-    )
+    if restarts:
+        plan.restart(start_ms + window_ms * 0.65, rot_victim)
 
     # Phase 4: late live rot — scrub-and-repair with no restart at all.
     plan.intervene(
@@ -346,6 +331,13 @@ def bitrot_gauntlet(cluster, rng, start_ms, window_ms) -> FaultPlan:
         _rot_site(live, blocks=2, extents=1, crash=False),
     )
     return plan
+
+
+def bitrot_unremediated(cluster, rng, start_ms, window_ms) -> FaultPlan:
+    """The gauntlet for a cluster with no remediation controller (the
+    ``bitrot_integrity_off`` control): the same faults at the same
+    instants, and the plan itself restarts the two crashed replicas."""
+    return bitrot_gauntlet(cluster, rng, start_ms, window_ms, restarts=True)
 
 
 def majority_lost(cluster, rng, start_ms, window_ms) -> FaultPlan:

@@ -370,7 +370,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         "NEGATIVE: the same gauntlet on the legacy unchecksummed "
         "layout with no scrubber or remediation — check_durability "
         "must catch the silently-served corruption",
-        nemesis.bitrot_gauntlet,
+        nemesis.bitrot_unremediated,
         n_clients=3,
         window_ms=35_000.0,
         integrity=False,

@@ -501,7 +501,7 @@ class GroupDirectoryServer:
         if isinstance(result, Exception):
             handle.error(result)
         else:
-            self._c_writes.inc()
+            self._c_writes.value += 1
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
                     str(self.me), "dir", "dir.write.reply",
@@ -592,8 +592,8 @@ class GroupDirectoryServer:
                 batch.append((yield from self._apply_one(record)))
         applied = len(batch)
         yield from self._cut(batch)
-        self._c_apply_busy.inc(self.sim.now - started)
-        self._c_applied.inc(applied)
+        self._c_apply_busy.value += self.sim.now - started
+        self._c_applied.value += applied
 
     def _note_batch(self, batch) -> None:
         """Record a batch's size at the cut (what its flush carries)."""
@@ -644,11 +644,11 @@ class GroupDirectoryServer:
             # seqno once per message whatever the outcome, keeping the
             # counters aligned.
             self.state.update_seqno += 1
-            self._note_coherent_apply(record, ())  # changed nothing
+            self._note_coherent_apply(record)  # changed nothing
             return _Applied(
                 record, exc, self.state.dedup_hits > hits_before, Change(op, None)
             )
-        self._note_coherent_apply(record, invalidation_keys(op))
+        self._note_coherent_apply(record, op)
         return _Applied(
             record, result, self.state.dedup_hits > hits_before,
             Change(op, effects, self.state.update_seqno, self.state.next_object),
@@ -685,7 +685,7 @@ class GroupDirectoryServer:
             else:
                 [change] = cut
                 yield from self.store.commit_classic(change, lineage=lineage)
-            self._c_persist_busy.inc(self.sim.now - started)
+            self._c_persist_busy.value += self.sim.now - started
             if tracer.enabled:
                 tracer.emit(
                     str(self.me), "dir", "dir.persist.end",
@@ -695,13 +695,16 @@ class GroupDirectoryServer:
             self._finish_apply(applied.record, applied.result, applied.dedup)
         batch.clear()
 
-    def _note_coherent_apply(self, record, keys) -> None:
+    def _note_coherent_apply(self, record, op=None) -> None:
         """Coherence hooks at one record's apply point: push the
-        invalidation record to leased clients (overlapping the ack
-        round trip with the persist I/O that follows), and capture the
-        write's update seqno for the initiator's barrier target."""
+        invalidation record of *op* (None: the apply failed and changed
+        nothing) to leased clients, overlapping the ack round trip with
+        the persist I/O that follows, and capture the write's update
+        seqno for the initiator's barrier target. A deployment without
+        coherence computes no keys."""
         if self.coherence is None:
             return
+        keys = () if op is None else invalidation_keys(op)
         self.coherence.note_apply(
             self.state.update_seqno, keys, lineage=record.msg_id
         )

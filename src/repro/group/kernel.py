@@ -24,6 +24,15 @@ implements:
 The kernel is deliberately passive: all its logic runs inside packet
 handlers and timer callbacks. The blocking primitives live in
 :class:`repro.group.member.GroupMember`, which wraps this class.
+
+Every write crosses this file several times per member (a request, a
+multicast, acks, a commit, an apply), so its hot paths pay only for
+what changed: each frame is one dict literal carrying its stamp
+(instance and incarnation) and its kind comes from a table built when
+the handlers register; the r-safe horizon (:meth:`GroupKernel._safe_point`)
+scans the view in place on every ack and echo rather than sorting;
+a commit walks the pending sends only when some are in flight; and the
+hot counters are bumped in place.
 """
 
 from __future__ import annotations
@@ -178,12 +187,6 @@ class GroupKernel:
     # wiring
     # ------------------------------------------------------------------
 
-    def _kind(self, suffix: str) -> str:
-        kind = self._kinds.get(suffix)
-        if kind is None:
-            kind = self._kinds[suffix] = f"grp.{self.group}.{suffix}"
-        return kind
-
     def _register_handlers(self) -> None:
         for suffix, handler in [
             ("req", self._on_req),
@@ -201,7 +204,8 @@ class GroupKernel:
             ("withdraw", self._on_withdraw),
             ("leave", self._on_leave),
         ]:
-            self.transport.register(self._kind(suffix), handler)
+            kind = self._kinds[suffix] = f"grp.{self.group}.{suffix}"
+            self.transport.register(kind, handler)
 
     def crash(self) -> None:
         """Tear the kernel down with its machine."""
@@ -214,20 +218,18 @@ class GroupKernel:
     def _send(self, dst, suffix: str, payload: dict, size: int = CONTROL_SIZE) -> None:
         if self._dead or not self.transport.nic.up:
             return
-        self.transport.send(dst, self._kind(suffix), payload, size)
+        self.transport.send(dst, self._kinds[suffix], payload, size)
 
     def _broadcast(self, suffix: str, payload: dict, size: int = CONTROL_SIZE) -> None:
         if self._dead or not self.transport.nic.up:
             return
-        self.transport.broadcast(self._kind(suffix), payload, size)
-
-    def _stamp(self) -> dict:
-        return {"instance": self.instance, "inc": self.incarnation}
+        self.transport.broadcast(self._kinds[suffix], payload, size)
 
     def _send_record(self, record: BcRecord, dst=None) -> None:
         """One ``grp.bc`` frame: the record itself, the stamp and the
         commit horizon; multicast unless *dst* names one member."""
-        frame = {**self._stamp(), "record": record, "committed": self.committed}
+        frame = {"instance": self.instance, "inc": self.incarnation,
+                 "record": record, "committed": self.committed}
         if dst is None:
             self._broadcast("bc", frame, record.size + HEADER_SIZE)
         else:
@@ -300,7 +302,8 @@ class GroupKernel:
         if self.me == self.sequencer:
             self._sequencer_remove_member(self.me)
         else:
-            self._send(self.sequencer, "leave", {**self._stamp(), "member": self.me})
+            frame = {"instance": self.instance, "inc": self.incarnation, "member": self.me}
+            self._send(self.sequencer, "leave", frame)
 
     def _log_view(self, trigger: str, view=None, sequencer=None) -> None:
         """Append one membership-history entry for the current view."""
@@ -356,7 +359,7 @@ class GroupKernel:
             if seqno is not None and seqno <= self.committed:
                 fut.resolve(seqno)
                 return fut
-        self._c_submitted.inc()
+        self._c_submitted.value += 1
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.submit",
@@ -372,7 +375,8 @@ class GroupKernel:
         if self.me == self.sequencer:
             self._sequence(pending.msg_id, self.me, pending.payload, pending.size)
         else:
-            request = {**self._stamp(), "msg_id": pending.msg_id, "sender": self.me,
+            request = {"instance": self.instance, "inc": self.incarnation,
+                       "msg_id": pending.msg_id, "sender": self.me,
                        "payload": pending.payload, "size": pending.size}
             self._send(self.sequencer, "req", request, pending.size + HEADER_SIZE)
 
@@ -412,7 +416,7 @@ class GroupKernel:
         record = BcRecord(seqno, msg_id, sender, payload, size)
         self.history[seqno] = record
         self.sequenced_ids[msg_id] = seqno
-        self._c_sequenced.inc()
+        self._c_sequenced.value += 1
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "group", "grp.sequence",
@@ -437,18 +441,40 @@ class GroupKernel:
         return min(self.resilience, others)
 
     def _safe_point(self) -> int:
-        """Highest seqno held by enough members to be r-safe."""
-        need = self._required_acks()
+        """Highest seqno held by enough members to be r-safe: the
+        ``need``-th highest acknowledgement among the other members (a
+        member with none counts -1), capped at our own ``received``.
+
+        Called on every ack and echo, so the two common cases — every
+        other member must hold it (r >= view size - 1) and any one
+        will do (r = 1) — scan the view in place; only 1 < need <
+        others sorts. ``tests/group/test_safe_point.py`` holds this to
+        the sorted definition."""
+        view = self.view
+        others = len(view) - 1
+        need = self.resilience if self.resilience < others else others
+        point = self.received
         if need == 0:
-            return self.received
-        acks = [self.ack_progress.get(m, -1) for m in self.view if m != self.me]
-        if need == 1:
-            point = max(acks)
-        elif need == len(acks):
-            point = min(acks)
-        else:
-            point = sorted(acks, reverse=True)[need - 1]
-        return min(point, self.received)
+            return point
+        me = self.me
+        acked = self.ack_progress.get
+        if need == others:  # the lowest acknowledgement
+            for member in view:
+                if member != me:
+                    ack = acked(member, -1)
+                    if ack < point:
+                        point = ack
+            return point
+        if need == 1:  # the highest acknowledgement
+            highest = -1
+            for member in view:
+                if member != me:
+                    ack = acked(member, -1)
+                    if ack > highest:
+                        highest = ack
+            return highest if highest < point else point
+        acks = sorted((acked(m, -1) for m in view if m != me), reverse=True)
+        return min(acks[need - 1], point)
 
     def _advance_commit(self) -> None:
         if self.me != self.sequencer or self.state != STATE_MEMBER:
@@ -456,7 +482,7 @@ class GroupKernel:
         safe = self._safe_point()
         if safe > self.committed:
             self.committed = safe
-            self._c_commits.inc()
+            self._c_commits.value += 1
             if self._obs.tracer.enabled:
                 frontier = self.history.get(self.committed)
                 self._obs.tracer.emit(
@@ -464,21 +490,26 @@ class GroupKernel:
                     lineage=frontier.msg_id if frontier else ("commit", str(self.me)),
                     committed=self.committed,
                 )
-            self._broadcast("commit", {**self._stamp(), "committed": self.committed})
+            self._broadcast("commit", {
+                "instance": self.instance, "inc": self.incarnation,
+                "committed": self.committed,
+            })
             self._after_commit_advance()
 
     def _after_commit_advance(self) -> None:
-        """Resolve local sends covered by the new commit horizon."""
-        for msg_id, pending in list(self.pending_sends.items()):
-            seqno = self.sequenced_ids.get(msg_id)
-            if seqno is not None and seqno <= self.committed:
-                self.pending_sends.pop(msg_id, None)
-                if self._obs.tracer.enabled:
-                    self._obs.tracer.emit(
-                        str(self.me), "group", "grp.send.committed",
-                        lineage=msg_id, seqno=seqno,
-                    )
-                pending.future.resolve_if_pending(seqno)
+        """Resolve local sends covered by the new commit horizon (a
+        member with none in flight — most commits — skips the walk)."""
+        if self.pending_sends:
+            for msg_id, pending in list(self.pending_sends.items()):
+                seqno = self.sequenced_ids.get(msg_id)
+                if seqno is not None and seqno <= self.committed:
+                    self.pending_sends.pop(msg_id, None)
+                    if self._obs.tracer.enabled:
+                        self._obs.tracer.emit(
+                            str(self.me), "group", "grp.send.committed",
+                            lineage=msg_id, seqno=seqno,
+                        )
+                    pending.future.resolve_if_pending(seqno)
         self.wakeup.notify_all()
 
     # ------------------------------------------------------------------
@@ -513,7 +544,7 @@ class GroupKernel:
         record = self.history.get(self.taken + 1)
         if record is not None:
             self.taken += 1
-            self._c_delivered.inc()
+            self._c_delivered.value += 1
             self._update_backlog()
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
@@ -545,7 +576,7 @@ class GroupKernel:
             return
         record = payload["record"]
         if self._hold(record):
-            self._c_bc_rx.inc()
+            self._c_bc_rx.value += 1
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(
                     str(self.me), "group", "grp.bc.rx",
@@ -576,7 +607,8 @@ class GroupKernel:
     def _ack(self, suffix: str) -> None:
         """Tell the sequencer how far we hold the stream contiguously
         (``grp.ack`` after a multicast, ``grp.echo`` after a heartbeat)."""
-        acked = {**self._stamp(), "member": self.me, "acked": self.received}
+        acked = {"instance": self.instance, "inc": self.incarnation,
+                 "member": self.me, "acked": self.received}
         self._send(self.sequencer, suffix, acked)
 
     def _on_ack(self, packet) -> None:
@@ -611,7 +643,8 @@ class GroupKernel:
                     lineage=("life", str(self.me)),
                     missing_from=self.received + 1,
                 )
-            missing = {**self._stamp(), "member": self.me, "from": self.received + 1}
+            missing = {"instance": self.instance, "inc": self.incarnation,
+                       "member": self.me, "from": self.received + 1}
             self._send(self.sequencer, "retrans", missing)
 
     def _on_retrans(self, packet) -> None:
@@ -637,9 +670,10 @@ class GroupKernel:
         self._ticker = None
 
     def _sequencer_tick(self) -> None:
-        self._broadcast(
-            "hb", {**self._stamp(), "committed": self.committed, "next_assign": self.next_assign}
-        )
+        self._broadcast("hb", {
+            "instance": self.instance, "inc": self.incarnation,
+            "committed": self.committed, "next_assign": self.next_assign,
+        })
         # The sequencer's own heartbeat traffic is this tick; keeping
         # the stamp fresh matters if this kernel later demotes to an
         # ordinary member without an intervening view adoption.
@@ -747,7 +781,10 @@ class GroupKernel:
                 suspect=None if suspect is None else str(suspect),
             )
         if announce:
-            self._broadcast("fail", {**self._stamp(), "reason": reason, "suspect": suspect})
+            self._broadcast("fail", {
+                "instance": self.instance, "inc": self.incarnation,
+                "reason": reason, "suspect": suspect,
+            })
         for pending in list(self.pending_sends.values()):
             self._fail_pending(pending)
         waiters, self.apply_waiters = self.apply_waiters, []

@@ -298,14 +298,17 @@ class GroupMember:
 
     def notify_progress(self) -> None:
         """Resume the :meth:`wait_applied` callers whose target is reached,
-        in registration order (call after applying a received message)."""
+        in registration order (call after applying a received message).
+        Most applies reach no waiter's target: they pay one pass."""
         kernel = self.kernel
-        if kernel.apply_waiters:
+        waiters = kernel.apply_waiters
+        if waiters:
             applied = self._applied()
-            ready = [fut for target, fut in kernel.apply_waiters if target <= applied]
-            kernel.apply_waiters = [e for e in kernel.apply_waiters if e[0] > applied]
-            for fut in ready:
-                fut.resolve_if_pending()
+            ready = [fut for target, fut in waiters if target <= applied]
+            if ready:
+                kernel.apply_waiters = [e for e in waiters if e[0] > applied]
+                for fut in ready:
+                    fut.resolve_if_pending()
 
     def crash(self) -> None:
         """Tear down with the machine (kills the kernel ticker)."""

@@ -329,7 +329,8 @@ class Network:
                     for address, nic in self._nics.items()
                     if nic.listens(kind)
                 ]
-            self._multicast_horizon[src] = max(horizon, now + delay)
+            if now + delay > horizon:
+                self._multicast_horizon[src] = now + delay
         elif not policies:
             # The common frame: one receiver, nothing to decide.
             self._launch(
@@ -352,8 +353,8 @@ class Network:
             if policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
                 if decision.drop:
-                    self._c_dropped.inc()
-                    self._c_policy_drops.inc()
+                    self._c_dropped.value += 1
+                    self._c_policy_drops.value += 1
                     name = decision.dropped_by or "?"
                     drops = self.stats.policy_drops
                     drops[name] = drops.get(name, 0) + 1
@@ -365,10 +366,9 @@ class Network:
                     continue
                 if decision.extra_delay_ms > 0.0:
                     arrival += decision.extra_delay_ms
-                    self._c_delayed.inc()
+                    self._c_delayed.value += 1
                 copies += decision.duplicates
-                if decision.duplicates:
-                    self._c_duplicated.inc(decision.duplicates)
+                self._c_duplicated.value += decision.duplicates
                 reorder = decision.allow_reorder
             self._launch(
                 link, Packet(src, receiver, kind, payload, size, multicast, self),
@@ -386,13 +386,15 @@ class Network:
             link.busy = self._registry.counter(link_node, "net.busy_ms")
         link.bytes.value += packet.size
         link.busy.value += wire_ms
-        previous = max(link.last_arrival, horizon)
+        previous = link.last_arrival
+        if horizon > previous:
+            previous = horizon
         if reorder:
             # Exempt from per-pair FIFO: this delivery may be overtaken
             # by later frames (bounded by the policy's delay ceiling).
             # Do not advance the FIFO horizon.
             if arrival < previous:
-                self._c_reordered.inc()
+                self._c_reordered.value += 1
         else:
             if arrival < previous:
                 arrival = previous  # keep per-pair delivery FIFO
@@ -403,11 +405,13 @@ class Network:
         # differ from *arrival* in the last bit.
         when = now + (arrival - now)
         sim = self.sim
-        heap = sim._heap
         deliver = packet._deliver
-        for _ in range(copies):
-            heappush(heap, (when, sim._sequence, None, deliver))
+        heappush(sim._heap, (when, sim._sequence, None, deliver))
+        sim._sequence += 1
+        while copies > 1:  # the duplicates a link policy added
+            heappush(sim._heap, (when, sim._sequence, None, deliver))
             sim._sequence += 1
+            copies -= 1
 
     def _maybe_refuse(self, packet: Packet) -> None:
         """Connection refused: an RPC request — or an enquiry about

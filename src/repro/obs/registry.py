@@ -12,7 +12,9 @@ Instruments are created on first use and cached, so hot paths hold a
 direct reference (``self._c_foo = registry.counter(node, name)``) and
 pay one attribute bump per event. Everything is deterministic: the
 registry never consults wall-clock time or RNGs — gauges integrate
-over *simulated* time via the clock callable handed to the registry.
+over *simulated* time read from the clock handed to the registry: the
+simulator itself, whose ``now`` attribute each gauge update reads
+directly (no closure call per update).
 """
 
 from __future__ import annotations
@@ -20,9 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Tuple
+from types import SimpleNamespace
+from typing import Dict, Protocol, Tuple
 
-Clock = Callable[[], float]
+
+class Clock(Protocol):
+    """Where the registry reads simulated time: the simulator itself,
+    or any object with a ``now`` in ms (a test's stand-in)."""
+
+    now: float
 
 
 class Counter:
@@ -49,7 +57,7 @@ class Gauge:
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
-        now = clock()
+        now = clock.now
         self.value: float = 0.0
         self.maximum: float = 0.0
         self.minimum: float = 0.0
@@ -58,7 +66,7 @@ class Gauge:
         self._start: float = now
 
     def set(self, value: float) -> None:
-        now = self._clock()
+        now = self._clock.now
         self._area += self.value * (now - self._last)
         self._last = now
         self.value = value
@@ -68,7 +76,7 @@ class Gauge:
             self.minimum = value
 
     def add(self, delta: float) -> None:
-        now = self._clock()  # set(self.value + delta), in place
+        now = self._clock.now  # set(self.value + delta), in place
         self._area += self.value * (now - self._last)
         self._last = now
         self.value = value = self.value + delta
@@ -78,7 +86,7 @@ class Gauge:
             self.minimum = value
 
     def time_weighted_mean(self) -> float:
-        now = self._clock()
+        now = self._clock.now
         elapsed = now - self._start
         if elapsed <= 0.0:
             return self.value
@@ -93,7 +101,7 @@ class Gauge:
         the final level over [10,100]). Window means over [a,b] are
         ``(area_at_b - area_at_a) / (b - a)`` — :meth:`Window.mean`.
         """
-        return self._area + self.value * (self._clock() - self._last)
+        return self._area + self.value * (self._clock.now - self._last)
 
 
 class Histogram:
@@ -236,7 +244,10 @@ class MetricsRegistry:
     """All instruments for one simulated world, keyed by (node, name)."""
 
     def __init__(self, clock: Clock | None = None):
-        self._clock: Clock = clock or (lambda: 0.0)
+        #: The simulated clock every gauge (and every
+        #: :class:`~repro.sim.primitives.SemaphoreMeter`) reads; without
+        #: one, time stands at zero.
+        self.clock: Clock = clock if clock is not None else SimpleNamespace(now=0.0)
         self._counters: Dict[Tuple[str, str], Counter] = {}
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
@@ -254,7 +265,7 @@ class MetricsRegistry:
         key = (node, name)
         instrument = self._gauges.get(key)
         if instrument is None:
-            instrument = self._gauges[key] = Gauge(self._clock)
+            instrument = self._gauges[key] = Gauge(self.clock)
         return instrument
 
     def histogram(self, node: str, name: str) -> Histogram:
@@ -277,7 +288,7 @@ class MetricsRegistry:
         """Capture every counter and gauge now (gauge integrals
         extended to now)."""
         return Mark(
-            t_ms=self._clock(),
+            t_ms=self.clock.now,
             counters={key: c.value for key, c in self._counters.items()},
             areas={key: g.area() for key, g in self._gauges.items()},
             levels={key: g.value for key, g in self._gauges.items()},

@@ -17,11 +17,9 @@ is exactly what you want next to a failed invariant.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
-from repro.obs.registry import MetricsRegistry
-
-Clock = Callable[[], float]
+from repro.obs.registry import Clock, MetricsRegistry
 
 
 class TraceEvent:
@@ -90,7 +88,7 @@ class TraceRecorder:
             return
         self._buffer.append(
             TraceEvent(
-                self._clock() if ts is None else ts,
+                self._clock.now if ts is None else ts,
                 node,
                 cat,
                 name,
@@ -115,10 +113,9 @@ class Observability:
     never imports :mod:`repro.sim`, avoiding an import cycle).
     """
 
-    def __init__(self, sim: Any):
-        clock: Clock = lambda: sim.now  # noqa: E731 - tiny closure over sim
-        self.registry = MetricsRegistry(clock)
-        self.tracer = TraceRecorder(clock)
+    def __init__(self, sim: Clock):
+        self.registry = MetricsRegistry(sim)
+        self.tracer = TraceRecorder(sim)
 
     def emit(self, node: str, cat: str, name: str, **kwargs: Any) -> None:
         """Convenience passthrough for cold paths (hot paths guard first)."""

@@ -38,14 +38,17 @@ class SemaphoreMeter:
     Abandoned waiters (process killed while queued) leave the queue
     without being granted; their partial wait is dropped, which keeps
     the wait counter meaning "wait of completed grants".
+
+    Time is read from the registry's clock (the simulator's ``now``),
+    and the counters are bumped in place: a grant or release costs no
+    call beyond the depth gauge's.
     """
 
     __slots__ = ("_clock", "busy", "wait", "grants", "depth",
                  "_in_use", "_busy_since", "_waiting")
 
-    def __init__(self, registry: "MetricsRegistry", node: str, prefix: str,
-                 clock: Callable[[], float]):
-        self._clock = clock
+    def __init__(self, registry: "MetricsRegistry", node: str, prefix: str):
+        self._clock = registry.clock
         self.busy = registry.counter(node, prefix + ".busy_ms")
         self.wait = registry.counter(node, prefix + ".wait_ms")
         self.grants = registry.counter(node, prefix + ".grants")
@@ -56,14 +59,14 @@ class SemaphoreMeter:
 
     def note_granted(self) -> None:
         """A free unit was taken immediately (no queueing)."""
-        self.grants.inc()
+        self.grants.value += 1
         if self._in_use == 0:
-            self._busy_since = self._clock()
+            self._busy_since = self._clock.now
         self._in_use += 1
         self.depth.add(1)
 
     def note_enqueued(self, fut: Future) -> None:
-        self._waiting[fut] = self._clock()
+        self._waiting[fut] = self._clock.now
         self.depth.add(1)
 
     def note_handoff(self, fut: Future) -> None:
@@ -75,15 +78,15 @@ class SemaphoreMeter:
         """
         started = self._waiting.pop(fut, None)
         if started is not None:
-            self.wait.inc(self._clock() - started)
-        self.grants.inc()
+            self.wait.value += self._clock.now - started
+        self.grants.value += 1
         self.depth.add(-1)
 
     def note_released(self) -> None:
         """A unit went back to the free pool (no waiter took it)."""
         self._in_use -= 1
         if self._in_use == 0:
-            self.busy.inc(self._clock() - self._busy_since)
+            self.busy.value += self._clock.now - self._busy_since
         self.depth.add(-1)
 
     def note_abandoned(self, fut: Future) -> None:
@@ -115,6 +118,8 @@ class Condition:
 
     def notify_all(self, value: Any = None) -> int:
         """Wake every current waiter; returns how many were woken."""
+        if not self._waiters:
+            return 0
         waiters, self._waiters = self._waiters, []
         for fut in waiters:
             fut.resolve_if_pending(value)

@@ -26,8 +26,7 @@ class Cpu:
         self.name = name
         self.node = node or name
         self._mutex = Semaphore(1, f"{name}.mutex")
-        self._mutex.meter = SemaphoreMeter(
-            sim.obs.registry, self.node, "cpu", clock=lambda: sim.now)
+        self._mutex.meter = SemaphoreMeter(sim.obs.registry, self.node, "cpu")
 
     def use(self, duration: float):
         """Occupy the CPU for *duration* ms (``yield from cpu.use(3.0)``)."""

@@ -105,8 +105,7 @@ class Disk:
         # The arm's meter is the disk's one busy/queue meter
         # (docs/OBSERVABILITY.md §10): disk.arm.busy_ms over a window is
         # the arm's utilization rho.
-        self._arm.meter = SemaphoreMeter(
-            registry, name, "disk.arm", clock=lambda: sim.now)
+        self._arm.meter = SemaphoreMeter(registry, name, "disk.arm")
 
     # -- failure ---------------------------------------------------------
 
@@ -179,7 +178,7 @@ class Disk:
                 if errors is not None:
                     errors.inc()
                 raise
-            self._c_ops[kind].inc()
+            self._c_ops[kind].value += 1
             self._h_op_ms.observe(delay)
             self._h_queue_ms.observe(queue_ms)
             if self._obs.tracer.enabled:

@@ -112,8 +112,8 @@ class Nvram:
         self._next_seqno += 1
         self._records.append(record)
         self._used += needed
-        self._c_appends.inc()
-        self._c_busy.inc(WRITE_MS)
+        self._c_appends.value += 1
+        self._c_busy.value += WRITE_MS
         self._g_used.set(self._used)
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
@@ -139,7 +139,7 @@ class Nvram:
         if removed:
             self._records = [r for r in self._records if not predicate(r)]
             self._used -= sum(self.record_size(r) for r in removed)
-            self._c_annihilations.inc(len(removed))
+            self._c_annihilations.value += len(removed)
             self._g_used.set(self._used)
             if self._obs.tracer.enabled:
                 self._obs.tracer.emit(

@@ -11,6 +11,8 @@ must FAIL the check, proving it can actually fire.
 
 import json
 
+import pytest
+
 from repro.chaos.runner import SCENARIOS, run_scenario
 from repro.storage.disk import Disk
 
@@ -21,16 +23,15 @@ def scenario(name):
 
 #: What the gauntlet fires on smoke seed 0: the instants, the armed
 #: faults, the rotted block indexes and extent counts. No golden section
-#: covers the rot strings or the block draws, so this pins both.
+#: covers the rot strings or the block draws, so this pins both. The
+#: plan schedules no restart: the remediation controller makes both.
 SEED_0_FAULT_LOG = [
     (6300.0, "armed torn write at site 1 (keep 1)"),
     (9240.0, "armed crash point at site 2 (power cut after 1 block(s))"),
     (9250.0, "armed 1 lost write(s) at site 2"),
     (9250.0, "armed 1 misdirected write(s) at site 2"),
-    (13020.0, "restart server 2: already up (no-op)"),
     (15540.0, "crash server 0 + rot blocks [2050, 2048, 2049] + 2 extent(s), "
               "bullet cache dropped"),
-    (18690.0, "restart server 0: already up (no-op)"),
     (21840.0, "live rot at site 1: blocks [3009, 3008], 1 extent(s), "
               "bullet cache dropped"),
 ]
@@ -39,6 +40,27 @@ SEED_0_FAULT_LOG = [
 class TestBitrotGauntlet:
     def test_seed_0_fires_the_recorded_fault_log(self, smoke_verdict):
         assert smoke_verdict("bitrot_gauntlet", 0).fault_log == SEED_0_FAULT_LOG
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_the_controller_restarts_both_crashed_replicas(self, smoke_verdict, seed):
+        """Phases 2 and 3 crash two replicas and the plan restarts
+        neither: the remediation controller restarts each after its
+        crash, and those restarts run the recoveries the gauntlet aims
+        at (the misfiring admin writes, the quarantine and the donor
+        transfer)."""
+        d = smoke_verdict("bitrot_gauntlet", seed).as_dict()
+        crashed = {}
+        for fault in d["fault_log"]:
+            words = fault["description"].split()
+            if fault["description"].startswith("armed crash point at site"):
+                crashed[int(words[5])] = fault["at_ms"]
+            elif fault["description"].startswith("crash server"):
+                crashed[int(words[2])] = fault["at_ms"]
+        assert len(crashed) == 2, d["fault_log"]
+        restarts = [a for a in d["remediation_actions"] if a["action"] == "restart"]
+        assert sorted(a["server"] for a in restarts) == sorted(crashed)
+        for action in restarts:
+            assert action["at_ms"] > crashed[action["server"]]
 
     def test_checksums_and_scrubbing_keep_every_byte_durable(self, smoke_verdict):
         verdict = smoke_verdict("bitrot_gauntlet", 0)

@@ -17,7 +17,9 @@ def operational_cluster(seed=1):
 
 
 # majority_lost is unrecoverable on purpose; rolling_faults leaves the
-# world broken for the remediation controller to repair.
+# world broken for the remediation controller to repair. bitrot_gauntlet
+# crashes by intervention and leaves the restarts to the controller too,
+# but its static events repair what they break.
 RECOVERABLE = [
     "sequencer_crash",
     "partition_during_recovery",

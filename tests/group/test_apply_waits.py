@@ -66,6 +66,31 @@ class TestResumeOnlyTheSatisfied:
         assert resumed == [1, 0, 3, 2, 4, 5, 6, 7]
         assert kernel.apply_waiters == []
 
+    def test_wakeups_take_sequence_numbers_in_registration_order(self):
+        """Resolve order is event order: one notify that reaches every
+        target posts the wakeups with ascending sequence numbers in
+        registration order, not target order; a notify that reaches
+        none posts nothing and keeps every entry."""
+        bed, member, progress, resumed, _ = parked_waiters()
+        sim = bed.sim
+        processes = {p._resume: p.name for p in sim.alive_processes()}
+
+        progress["applied"] = min(TARGETS) - 1
+        before = sim._sequence
+        member.notify_progress()
+        assert sim._sequence == before
+        assert [t for t, _ in member.kernel.apply_waiters] == TARGETS
+
+        progress["applied"] = max(TARGETS)
+        member.notify_progress()
+        posted = sorted(
+            (seq, processes[wake]) for _, seq, _, wake in sim._heap if seq >= before
+        )
+        assert [name for _, name in posted] == [f"waiter-{t}" for t in TARGETS]
+        assert member.kernel.apply_waiters == []
+        bed.run(until=sim.now + 1.0)
+        assert resumed == TARGETS
+
     def test_a_reached_target_does_not_park(self):
         bed, member, progress, _, _ = parked_waiters()
         progress["applied"] = 3

@@ -187,7 +187,7 @@ class TestStaleTraffic:
             # Forge a packet from an old incarnation.
             bed["a"].transport.send(
                 "b",
-                kernel_b._kind("bc"),
+                kernel_b._kinds["bc"],
                 {
                     "instance": kernel_b.instance,
                     "inc": kernel_b.incarnation - 1,
@@ -209,7 +209,7 @@ class TestStaleTraffic:
         def scenario():
             bed["a"].transport.send(
                 "b",
-                kernel_b._kind("bc"),
+                kernel_b._kinds["bc"],
                 {
                     "instance": ("bogus", 1, 0.0),
                     "inc": kernel_b.incarnation,

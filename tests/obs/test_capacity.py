@@ -1,6 +1,7 @@
 """Unit + smoke tests for the queueing-theoretic capacity attributor."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +17,8 @@ from repro.obs.capacity import (
 
 def make_marked_registry():
     """A registry with one metered CPU's worth of synthetic counters."""
-    holder = {"now": 0.0}
-    registry = MetricsRegistry(clock=lambda: holder["now"])
+    holder = SimpleNamespace(now=0.0)
+    registry = MetricsRegistry(clock=holder)
     return holder, registry
 
 
@@ -35,9 +36,9 @@ class TestWindowStats:
         busy.inc(500.0)
         grants.inc(10)
         wait.inc(500.0)
-        holder["now"] = 500.0
+        holder.now = 500.0
         depth.set(2.0)
-        holder["now"] = 1_000.0
+        holder.now = 1_000.0
         depth.set(0.0)
         rows = window_stats(registry.window(opened))
         assert len(rows) == 1
@@ -58,7 +59,7 @@ class TestWindowStats:
         registry.counter("n0", "cpu.busy_ms").inc(500.0)
         registry.counter("n0", "cpu.grants").inc(10)
         registry.counter("n0", "cpu.wait_ms").inc(500.0)
-        holder["now"] = 1_000.0
+        holder.now = 1_000.0
         (row,) = window_stats(registry.window(opened))
         assert row.queue_depth == pytest.approx(3.0)
         assert row.little_residual == pytest.approx(2.0 / 3.0)
@@ -74,7 +75,7 @@ class TestWindowStats:
         registry.counter("n0", "dir.applied_records").inc(9)
         registry.counter("n1", "dir.apply_busy_ms").inc(400.0)
         registry.counter("n1", "dir.applied_records").inc(4)
-        holder["now"] = 1_000.0
+        holder.now = 1_000.0
         rows = window_stats(registry.window(opened))
         # apply, cpu and disk tie at rho 0.9; the second apply row
         # trails at 0.4. A tie breaks by kind priority: apply < cpu <
@@ -87,7 +88,7 @@ class TestWindowStats:
 
     def test_empty_window_yields_no_rows(self):
         holder, registry = make_marked_registry()
-        holder["now"] = 5.0
+        holder.now = 5.0
         assert window_stats(registry.window(registry.mark())) == []
 
 
@@ -97,7 +98,7 @@ class TestUtilizationSummary:
         registry.counter("a", "cpu.busy_ms").inc(100.0)
         registry.counter("b", "cpu.busy_ms").inc(900.0)
         registry.counter("d", "disk.arm.busy_ms").inc(250.0)
-        holder["now"] = 1_000.0
+        holder.now = 1_000.0
         summary = utilization_summary(registry.window())
         assert summary["cpu"] == pytest.approx(0.9)
         assert summary["disk"] == pytest.approx(0.25)

@@ -37,7 +37,7 @@ class FakeSim:
 
     def __init__(self):
         self.now = 0.0
-        self.obs = FakeObs(MetricsRegistry(clock=lambda: self.now))
+        self.obs = FakeObs(MetricsRegistry(clock=self))
 
     @property
     def registry(self):

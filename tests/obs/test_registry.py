@@ -1,14 +1,14 @@
 """Unit tests for the per-node metrics registry."""
 
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import MetricsRegistry
-
-
-def make_clock(holder):
-    return lambda: holder["now"]
+from repro.sim import Semaphore, Simulator
+from repro.sim.primitives import SemaphoreMeter
 
 
 class TestCounter:
@@ -47,13 +47,13 @@ class TestGauge:
         assert gauge.minimum == 0.0
 
     def test_time_weighted_mean_is_the_area_integral(self):
-        holder = {"now": 0.0}
-        registry = MetricsRegistry(clock=make_clock(holder))
+        holder = SimpleNamespace(now=0.0)
+        registry = MetricsRegistry(clock=holder)
         gauge = registry.gauge("n0", "depth")
         gauge.set(1.0)  # value 0 for [0, 0] then 1 from t=0
-        holder["now"] = 2.0
+        holder.now = 2.0
         gauge.set(3.0)  # 1 * 2ms so far
-        holder["now"] = 3.0
+        holder.now = 3.0
         # area = 1*2 + 3*1 = 5 over 3 ms
         assert math.isclose(gauge.time_weighted_mean(), 5.0 / 3.0)
 
@@ -61,30 +61,30 @@ class TestGauge:
         """Reading the integral must charge the current level up to
         *now*, not stop at the last ``set`` — a gauge set once at t=10
         and read at t=100 held its level for the whole [10, 100]."""
-        holder = {"now": 10.0}
-        registry = MetricsRegistry(clock=make_clock(holder))
+        holder = SimpleNamespace(now=10.0)
+        registry = MetricsRegistry(clock=holder)
         gauge = registry.gauge("n0", "depth")
         gauge.set(4.0)
-        holder["now"] = 100.0
+        holder.now = 100.0
         assert math.isclose(gauge.area(), 4.0 * 90.0)
         assert math.isclose(gauge.time_weighted_mean(), 4.0)
         # Reading is idempotent: it must not double-charge the window.
         assert math.isclose(gauge.area(), 4.0 * 90.0)
-        holder["now"] = 110.0
+        holder.now = 110.0
         assert math.isclose(gauge.area(), 4.0 * 100.0)
 
     def test_area_differencing_gives_window_means(self):
         """The sampler's primitive: the mean over a window is
         (area(b) - area(a)) / (b - a)."""
-        holder = {"now": 0.0}
-        registry = MetricsRegistry(clock=make_clock(holder))
+        holder = SimpleNamespace(now=0.0)
+        registry = MetricsRegistry(clock=holder)
         gauge = registry.gauge("n0", "depth")
         opened = registry.mark()
-        holder["now"] = 100.0
+        holder.now = 100.0
         gauge.set(10.0)  # spike...
-        holder["now"] = 200.0
+        holder.now = 200.0
         gauge.set(0.0)  # ...drained mid-window
-        holder["now"] = 500.0
+        holder.now = 500.0
         window_mean = registry.window(opened).mean("n0", "depth")
         assert math.isclose(window_mean, 10.0 * 100.0 / 500.0)
 
@@ -122,18 +122,70 @@ WINDOW_CASES = {
 }
 
 
+class TestTheSimulatorIsTheClock:
+    """Gauges and semaphore meters read ``sim.now`` straight off the
+    simulator (no clock closure). Driven by a real simulator at
+    binary-exact instants, every number they publish is the
+    hand-integrated one."""
+
+    def test_gauge_area_mean_and_extremes(self):
+        sim = Simulator(seed=0)
+        registry = sim.obs.registry
+        gauge = registry.gauge("n0", "level")
+        for at, step in [(1.5, ("set", 4.0)), (4.0, ("add", -1.0)),
+                         (4.0, ("set", -2.0)), (10.0, ("add", 5.0))]:
+            how, amount = step
+            sim.schedule(at, partial(getattr(gauge, how), amount))
+        sim.run(until=12.0)
+        # 0 over [0, 1.5], 4 over [1.5, 4], -2 over [4, 10], 3 over [10, 12].
+        assert gauge.area() == 4.0 * 2.5 - 2.0 * 6.0 + 3.0 * 2.0
+        assert gauge.time_weighted_mean() == 4.0 / 12.0
+        assert (gauge.value, gauge.maximum, gauge.minimum) == (3.0, 4.0, -2.0)
+        mark = registry.mark()
+        assert mark.t_ms == 12.0
+        assert mark.areas[("n0", "level")] == 4.0
+
+    def test_semaphore_meter_across_handoff_and_abandon(self):
+        sim = Simulator(seed=0)
+        sem = Semaphore(1, "res")
+        meter = sem.meter = SemaphoreMeter(sim.obs.registry, "n0", "res")
+
+        def user(start, hold):
+            yield sim.sleep(start)
+            yield from sem.acquire_gen()
+            try:
+                yield sim.sleep(hold)
+            finally:
+                sem.release()
+
+        sim.spawn(user(0.0, 3.0))  # free grant, released at 3
+        sim.spawn(user(1.0, 2.0))  # queued; handed the unit at 3, out at 5
+        doomed = sim.spawn(user(2.0, 1.0))  # queued, killed at 2.5
+        sim.schedule(2.5, partial(doomed.kill, "crash"))
+        sim.spawn(user(6.0, 1.0))  # free grant at 6, released at 7
+        sim.run(until=8.0)
+        assert meter.grants.value == 3
+        assert meter.busy.value == 5.0 + 1.0  # [0, 5] and [6, 7]
+        assert meter.wait.value == 2.0  # the handoff's; the abandoned wait is dropped
+        # Depth 1, 2, 3, 2 (abandon), 1 (handoff), 0, 1, 0.
+        depth = meter.depth
+        assert depth.area() == 1.0 + 2.0 + 1.5 + 1.0 + 2.0 + 1.0
+        assert depth.time_weighted_mean() == 8.5 / 8.0
+        assert (depth.value, depth.maximum, depth.minimum) == (0.0, 3.0, 0.0)
+
+
 class TestWindow:
     @pytest.mark.parametrize(
         "how,before,inside,expected",
         WINDOW_CASES.values(), ids=WINDOW_CASES.keys(),
     )
     def test_a_window_answers(self, how, before, inside, expected):
-        holder = {"now": 0.0}
-        registry = MetricsRegistry(clock=make_clock(holder))
+        holder = SimpleNamespace(now=0.0)
+        registry = MetricsRegistry(clock=holder)
 
         def play(steps):
             for at_ms, value in steps:
-                holder["now"] = at_ms
+                holder.now = at_ms
                 if value is None:
                     continue
                 if how in ("mean", "since"):
@@ -149,11 +201,11 @@ class TestWindow:
         assert getattr(window, how)("n0", "x") == pytest.approx(expected)
 
     def test_the_default_window_is_the_whole_run(self):
-        holder = {"now": 0.0}
-        registry = MetricsRegistry(clock=make_clock(holder))
+        holder = SimpleNamespace(now=0.0)
+        registry = MetricsRegistry(clock=holder)
         registry.counter("b", "busy_ms").inc(100.0)
         registry.counter("a", "busy_ms").inc(900.0)
-        holder["now"] = 1_000.0
+        holder.now = 1_000.0
         window = registry.window()
         assert window.dt_ms == 1_000.0
         assert window.nodes("busy_ms") == ["a", "b"]

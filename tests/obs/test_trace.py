@@ -1,12 +1,14 @@
 """Unit tests for the trace recorder and the sim.obs bundle."""
 
+from types import SimpleNamespace
+
 from repro.obs import TraceRecorder
 from repro.sim import Simulator
 
 
 def make_tracer(start=0.0):
-    holder = {"now": start}
-    tracer = TraceRecorder(lambda: holder["now"])
+    holder = SimpleNamespace(now=start)
+    tracer = TraceRecorder(holder)
     return holder, tracer
 
 
@@ -35,7 +37,7 @@ class TestRecorder:
         holder, tracer = make_tracer()
         tracer.enable()
         tracer.emit("n0", "net", "a")
-        holder["now"] = 7.5
+        holder.now = 7.5
         tracer.emit("n0", "net", "b")
         tracer.emit("n0", "disk", "span", ph="X", dur=2.0, ts=1.25)
         a, b, span = tracer.events()

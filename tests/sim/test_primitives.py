@@ -1,5 +1,7 @@
 """Unit tests for Condition, Semaphore and Mutex."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import Interrupted, SimulationError
@@ -233,19 +235,17 @@ class TestSemaphoreMeter:
         from repro.obs import MetricsRegistry
         from repro.sim.primitives import SemaphoreMeter
 
-        holder = {"now": 0.0}
-        registry = MetricsRegistry(clock=lambda: holder["now"])
+        holder = SimpleNamespace(now=0.0)
+        registry = MetricsRegistry(clock=holder)
         sem = Semaphore(capacity, "res")
-        sem.meter = SemaphoreMeter(
-            registry, "n0", "res", clock=lambda: holder["now"]
-        )
+        sem.meter = SemaphoreMeter(registry, "n0", "res")
         return holder, sem, sem.meter
 
     def test_uncontended_hold_charges_busy_time(self):
         holder, sem, meter = self.make_metered()
         assert sem.acquire().resolved
         assert meter.depth.value == 1
-        holder["now"] = 4.0
+        holder.now = 4.0
         sem.release()
         assert meter.busy.value == 4.0
         assert meter.wait.value == 0.0
@@ -255,7 +255,7 @@ class TestSemaphoreMeter:
     def test_try_acquire_is_metered(self):
         holder, sem, meter = self.make_metered()
         assert sem.try_acquire()
-        holder["now"] = 2.0
+        holder.now = 2.0
         sem.release()
         assert meter.busy.value == 2.0
         assert meter.grants.value == 1
@@ -266,7 +266,7 @@ class TestSemaphoreMeter:
         queued = sem.acquire()
         assert not queued.resolved
         assert meter.depth.value == 2  # one holder + one waiter
-        holder["now"] = 3.0
+        holder.now = 3.0
         sem.release()  # handoff: the unit never goes free
         assert queued.resolved
         assert meter.wait.value == 3.0
@@ -274,7 +274,7 @@ class TestSemaphoreMeter:
         # Regression: the departing holder must leave the gauge — a
         # handoff changes WHO holds the unit, not how many are queued.
         assert meter.depth.value == 1
-        holder["now"] = 7.0
+        holder.now = 7.0
         sem.release()
         # One continuous busy interval 0..7, not two fragments.
         assert meter.busy.value == 7.0
@@ -283,10 +283,10 @@ class TestSemaphoreMeter:
     def test_abandoned_waiter_leaves_the_queue_without_a_grant(self):
         holder, sem, meter = self.make_metered()
         sem.acquire()
-        holder["now"] = 1.0
+        holder.now = 1.0
         queued = sem.acquire()
         assert meter.depth.value == 2
-        holder["now"] = 5.0
+        holder.now = 5.0
         sem.abandon(queued)
         assert meter.depth.value == 1
         assert meter.grants.value == 1  # no grant for the corpse
@@ -298,12 +298,12 @@ class TestSemaphoreMeter:
     def test_capacity_two_busy_is_the_interval_union(self):
         holder, sem, meter = self.make_metered(capacity=2)
         sem.acquire()
-        holder["now"] = 1.0
+        holder.now = 1.0
         sem.acquire()
-        holder["now"] = 3.0
+        holder.now = 3.0
         sem.release()  # one unit still held: interval continues
         assert meter.busy.value == 0.0
-        holder["now"] = 5.0
+        holder.now = 5.0
         sem.release()
         assert meter.busy.value == 5.0  # union 0..5, not 3 + 4
 
@@ -341,9 +341,7 @@ class TestAcquireInPlace:
 
         sim = Simulator(seed=0)
         sem = Semaphore(1, "res")
-        meter = sem.meter = SemaphoreMeter(
-            sim.obs.registry, "n0", "res", clock=lambda: sim.now
-        )
+        meter = sem.meter = SemaphoreMeter(sim.obs.registry, "n0", "res")
 
         def user(start, hold):
             yield sim.sleep(start)

@@ -818,18 +818,27 @@ def test_only_the_group_kernel_writes_its_state():
 #: List methods that change a list in place.
 LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
 
+#: State a value is cached against by object identity, and who caches
+#: it. Each is replaced on every change and never edited in place, or
+#: the cache would keep answering for the old contents.
+REPLACED_NEVER_EDITED = {
+    "view": "GroupDirectoryServer.members_present counts a view once per list",
+}
 
-def _names_a_view(node) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "view") or (
-        isinstance(node, ast.Name) and node.id.endswith("view")
+
+def _names_guarded(node, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
+        isinstance(node, ast.Name) and node.id.endswith(name)
     )
 
 
 def test_a_group_view_is_replaced_never_edited():
     """``GroupDirectoryServer.members_present`` counts a view once per
     list object, so a kernel must install a new list on every view
-    change. Nothing edits a view in place: no list method that mutates,
-    no item or slice assignment or deletion, no augmented assignment."""
+    change. Nothing edits a view — or any other state
+    ``REPLACED_NEVER_EDITED`` names — in place: no list method that
+    mutates, no item or slice assignment or deletion, no augmented
+    assignment."""
     offenders = []
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -843,11 +852,75 @@ def test_a_group_view_is_replaced_never_edited():
             else:
                 continue
             offenders += [
-                f"{path.relative_to(ROOT)}:{node.lineno}"
+                f"{path.relative_to(ROOT)}:{node.lineno} edits a {name}"
                 for target in edited
-                if _names_a_view(target)
+                for name in REPLACED_NEVER_EDITED
+                if _names_guarded(target, name)
             ]
-    assert not offenders, "a view list edited in place: " + ", ".join(offenders)
+    assert not offenders, "guarded state edited in place: " + ", ".join(offenders)
+
+
+def _identity_caches(function: ast.FunctionDef):
+    """``(line, key attribute)`` for each identity cache in *function*:
+    ``if key is not self._seen:`` whose body sets ``self._seen = key``.
+    The key attribute is the one the key was read from (``key`` may be
+    a local assigned from an attribute); None when it is not one."""
+    read_from = {}
+    for node in ast.walk(function):
+        if (
+            isinstance(node, (ast.Assign, ast.NamedExpr))
+            and isinstance(node.value, ast.Attribute)
+        ):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    read_from[target.id] = node.value.attr
+    for node in ast.walk(function):
+        test = getattr(node, "test", None)
+        if not (
+            isinstance(node, ast.If)
+            and isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.IsNot)
+        ):
+            continue
+        key, seen = test.left, test.comparators[0]
+        remembered = any(
+            isinstance(stmt, ast.Assign)
+            and any(ast.unparse(t) == ast.unparse(seen) for t in stmt.targets)
+            and ast.unparse(stmt.value) == ast.unparse(key)
+            for stmt in ast.walk(node)
+        )
+        if not remembered:
+            continue
+        if isinstance(key, ast.Attribute):
+            yield node.lineno, key.attr
+        else:
+            yield node.lineno, read_from.get(getattr(key, "id", None))
+
+
+def test_every_identity_cache_is_keyed_on_replaced_state():
+    """A value cached by object identity — recomputed only when the
+    object it was computed from is another one — is right only while
+    that object is replaced on every change. So every such cache under
+    src/repro must be keyed on state ``REPLACED_NEVER_EDITED`` names,
+    which the guard above keeps from being edited in place. The group
+    write path's ``_safe_point`` and ``notify_progress`` cache nothing:
+    they read ``ack_progress`` and ``apply_waiters`` afresh each call."""
+    caches, offenders = [], []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for line, key in _identity_caches(node):
+                    where = f"{path.relative_to(ROOT)}:{line}"
+                    caches.append(where)
+                    if key not in REPLACED_NEVER_EDITED:
+                        offenders.append(f"{where} (keyed on {key!r})")
+    assert caches, "the identity-cache scan found nothing: members_present is one"
+    assert not offenders, (
+        "identity cache keyed on state that may be edited in place: "
+        + ", ".join(offenders)
+    )
 
 
 #: The deployment surface: BaseCluster owns each of these outright.
