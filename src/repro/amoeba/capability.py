@@ -24,12 +24,12 @@ third-column example in the paper).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from enum import IntFlag
 from typing import Hashable
 
 from repro.errors import CapabilityError
+from repro.hashing import sha256
 
 _CHECK_BITS = 48
 _CHECK_MASK = (1 << _CHECK_BITS) - 1
@@ -83,7 +83,7 @@ class Port(bytes):
     @classmethod
     def for_service(cls, name: str) -> "Port":
         """Deterministic port for a named service."""
-        return cls(hashlib.sha256(f"port:{name}".encode()).digest()[:6])
+        return cls(sha256(f"port:{name}".encode()).digest()[:6])
 
     def __str__(self) -> str:
         return self.hex()
@@ -176,7 +176,7 @@ def new_check(rng) -> int:
 def _one_way(check: int, rights: Rights) -> int:
     """The public one-way function F(check, rights)."""
     material = check.to_bytes(6, "big") + int(rights).to_bytes(1, "big")
-    digest = hashlib.sha256(b"amoeba-F:" + material).digest()
+    digest = sha256(b"amoeba-F:" + material).digest()
     return int.from_bytes(digest[:6], "big")
 
 

@@ -21,7 +21,6 @@ Implementations are addressed by name (:data:`IMPLEMENTATIONS`):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from repro.cluster import (
 )
 from repro.directory.nfs_server import NfsFileClient
 from repro.errors import ReproError
+from repro.hashing import sha256
 from repro.obs.monitor import HealthMonitor
 from repro.obs.registry import Window
 from repro.obs.saturation import Sampler
@@ -428,7 +428,7 @@ class Run:
             "errors": self.loop.errors,
             "sim_ms": round(self.sim.now, 6),
             "scheduled_events": self.sim._sequence,
-            "registry_digest": hashlib.sha256(snapshot.encode()).hexdigest()[:16],
+            "registry_digest": sha256(snapshot.encode()).hexdigest()[:16],
         }
 
 

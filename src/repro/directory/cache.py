@@ -76,7 +76,7 @@ class LookupCache:
         if len(entries) > self.capacity:
             self._unindex(entries.popitem(last=False)[0])
         if self._c_fills is not None:
-            self._c_fills.inc()
+            self._c_fills.value += 1
 
     def _unindex(self, key) -> None:
         """Take a key that just left ``_entries`` out of the index."""
@@ -88,11 +88,11 @@ class LookupCache:
 
     def count_hit(self) -> None:
         if self._c_hits is not None:
-            self._c_hits.inc()
+            self._c_hits.value += 1
 
     def count_miss(self) -> None:
         if self._c_misses is not None:
-            self._c_misses.inc()
+            self._c_misses.value += 1
 
     def invalidate(self, object_number: int, name) -> int:
         """Drop entries matching an invalidation record.

@@ -339,6 +339,11 @@ class DirectoryClient:
     # -- conveniences ----------------------------------------------------------
 
     def lookup(self, cap: Capability, name: str):
-        """Single-name lookup; returns the capability or None."""
-        [result] = yield from self.lookup_set([(cap, name)])
+        """Single-name lookup; returns the capability or None.
+        (:meth:`lookup_set` of one pair, without its generator frame.)"""
+        items = ((cap, name),)
+        if self.cache is None:
+            [result] = yield from self.request(LookupSet(items))
+        else:
+            [result] = yield from self._lookup_coherent(items)
         return result

@@ -172,7 +172,7 @@ class CoherenceManager:
             return
         payload = packet.payload
         seqno = payload["seqno"]
-        self._c_acks.inc()
+        self._c_acks.value += 1
         waiting = self.pending.get(seqno)
         if waiting is None:
             return

@@ -395,7 +395,7 @@ class GroupDirectoryServer:
         except (DirectoryError, CapabilityError) as exc:
             handle.error(exc)
             return
-        self._c_reads.inc()
+        self._c_reads.value += 1
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "dir", "dir.read.reply", lineage=lineage

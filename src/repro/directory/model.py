@@ -19,7 +19,7 @@ rows changed since the last write-out, and the image is a join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 
 from repro.amoeba.capability import Capability
 from repro.errors import AlreadyExists, DirectoryError, NotFound
@@ -33,6 +33,23 @@ MAX_COLUMNS = 4  # the capability rights field has four column bits
 _EMPTY_CELL = b"\x00" * 16
 
 
+class _computed_once:
+    """``functools.cached_property`` without its lock (Python 3.11 takes
+    one per read of an uncached value): the first read stores the value
+    in the instance's ``__dict__``, which every later read finds first."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class DirRow:
     """One (name, capability-per-column) row. Frozen: its cached
@@ -41,7 +58,7 @@ class DirRow:
     name: str
     capabilities: tuple  # Capability | None, one slot per column
 
-    @cached_property
+    @_computed_once
     def encoded(self) -> bytes:
         """The row's part of the Bullet image: 2-byte name length, the
         name, then 16 bytes per cell (zeros for an empty one)."""
@@ -62,6 +79,10 @@ class DirRow:
             for i, cap in enumerate(self.capabilities)
         )
         return DirRow(self.name, visible)
+
+
+#: A row's :attr:`DirRow.encoded` (joined without a Python frame per row).
+_ENCODED = attrgetter("encoded")
 
 
 class Directory:
@@ -158,7 +179,7 @@ class Directory:
             len(header).to_bytes(2, "big"),
             header,
             len(self._rows).to_bytes(3, "big"),
-            *(row.encoded for row in self._rows.values()),
+            *map(_ENCODED, self._rows.values()),
         ])
 
     @classmethod
@@ -191,7 +212,7 @@ class Directory:
         """Byte size of the Bullet file this directory occupies
         (``len(self.to_bytes())``, without building the image)."""
         return 2 + len(self._header()) + 3 + sum(
-            len(row.encoded) for row in self._rows.values()
+            map(len, map(_ENCODED, self._rows.values()))
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -127,7 +127,11 @@ class LookupSet(DirectoryOp):
     is_read = True
 
     def wire_size(self) -> int:
-        return 64 + sum(24 + len(name) for _, name in self.items)
+        items = self.items
+        size = 64 + 24 * len(items)
+        for _, name in items:
+            size += len(name)
+        return size
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ rewrite after an apply is reported via :class:`ApplyEffects`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.amoeba.capability import (
     Capability,
@@ -49,16 +49,22 @@ ROOT_OBJECT = 1
 SESSION_CACHE_SIZE = 32
 
 
-@dataclass
 class ApplyEffects:
-    """Which directory objects an apply touched (storage follow-up)."""
+    """Which directory objects an apply touched (storage follow-up).
 
-    created: list[int] = field(default_factory=list)
-    modified: list[int] = field(default_factory=list)
-    deleted: list[int] = field(default_factory=list)
-    #: Client ids whose session entries this apply (re)wrote; the
-    #: server persists them alongside the object-table entries.
-    sessions: list[str] = field(default_factory=list)
+    Built once per applied write, so a slotted class whose lists are
+    literals rather than a dataclass with four ``default_factory`` calls.
+    """
+
+    __slots__ = ("created", "modified", "deleted", "sessions")
+
+    def __init__(self, created=None, modified=None, deleted=None):
+        self.created: list[int] = [] if created is None else created
+        self.modified: list[int] = [] if modified is None else modified
+        self.deleted: list[int] = [] if deleted is None else deleted
+        #: Client ids whose session entries this apply (re)wrote; the
+        #: server persists them alongside the object-table entries.
+        self.sessions: list[str] = []
 
     @property
     def touched(self) -> list[int]:
@@ -136,21 +142,10 @@ class DirectoryState:
         Raises a (deterministic) :class:`DirectoryError` subclass when
         the operation is invalid; the state is unchanged in that case.
         """
-        if isinstance(op, SessionOp):
-            return self._apply_session(op)
-        if isinstance(op, CreateDir):
-            return self._apply_create(op)
-        if isinstance(op, DeleteDir):
-            return self._apply_delete_dir(op)
-        if isinstance(op, AppendRow):
-            return self._apply_append(op)
-        if isinstance(op, ChmodRow):
-            return self._apply_chmod(op)
-        if isinstance(op, DeleteRow):
-            return self._apply_delete_row(op)
-        if isinstance(op, ReplaceSet):
-            return self._apply_replace_set(op)
-        raise DirectoryError(f"{type(op).__name__} is not a write operation")
+        applier = _APPLIERS.get(type(op))
+        if applier is None:
+            applier = _applier_for(type(op))
+        return applier(self, op)
 
     def _bump(self) -> None:
         self.update_seqno += 1
@@ -349,3 +344,29 @@ class DirectoryState:
                 for obj in sorted(self.directories)
             ),
         )
+
+
+#: Write operation class -> the :class:`DirectoryState` method that
+#: applies it (a subclass changes what a write does through hooks such
+#: as ``_new_object``, not by overriding these). A subclass of an
+#: operation (``CreateFile`` is a ``CreateDir``) is applied by its
+#: nearest base's method: :func:`_applier_for`.
+_APPLIERS: dict[type, Callable] = {
+    SessionOp: DirectoryState._apply_session,
+    CreateDir: DirectoryState._apply_create,
+    DeleteDir: DirectoryState._apply_delete_dir,
+    AppendRow: DirectoryState._apply_append,
+    ChmodRow: DirectoryState._apply_chmod,
+    DeleteRow: DirectoryState._apply_delete_row,
+    ReplaceSet: DirectoryState._apply_replace_set,
+}
+
+
+def _applier_for(op_type: type) -> Callable:
+    """The applier of the nearest base of *op_type* that has one; a read
+    (or any other class) is refused."""
+    for base in op_type.__mro__[1:]:
+        applier = _APPLIERS.get(base)
+        if applier is not None:
+            return applier
+    raise DirectoryError(f"{op_type.__name__} is not a write operation")

@@ -38,6 +38,7 @@ hot counters are bumped in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any
 
 from repro.errors import GroupFailure
@@ -244,18 +245,21 @@ class GroupKernel:
         self.last_heartbeat = self.sim.now
         self._g_last_hb.set(self.sim.now)
 
-    def _current(self, payload: dict) -> bool:
-        """Is this packet from our group instance and incarnation?"""
-        if payload.get("instance") != self.instance:
-            return False
+    def _off_stamp(self, payload: dict) -> None:
+        """A frame not stamped with our instance and incarnation: every
+        handler checks the stamp inline and drops such a frame after
+        this. One from a later incarnation of our instance means we are
+        out of sync."""
         inc = payload.get("inc")
-        if inc == self.incarnation:
-            return True
-        if inc is not None and inc > self.incarnation and self.state == STATE_MEMBER:
+        if (
+            payload.get("instance") == self.instance
+            and inc is not None
+            and inc > self.incarnation
+            and self.state == STATE_MEMBER
+        ):
             # Traffic from a future view we never saw (its grp.view got
             # lost, or we were excluded): we are out of sync.
             self.fail_group(f"saw incarnation {inc} > {self.incarnation}")
-        return False
 
     # ------------------------------------------------------------------
     # lifecycle: create / join / leave
@@ -392,7 +396,11 @@ class GroupKernel:
                 self._transmit_request(pending)
             self._arm_send_watchdog(pending)
 
-        self.sim.schedule(SEND_RETRY_MS, check)
+        # Never cancelled, so no Timer: the heap entry sim.schedule
+        # would push, pushed inline (same instant, same sequence number).
+        sim = self.sim
+        heappush(sim._heap, (sim.now + SEND_RETRY_MS, sim._sequence, None, check))
+        sim._sequence += 1
 
     def _fail_pending(self, pending: PendingSend) -> None:
         self.pending_sends.pop(pending.msg_id, None)
@@ -564,7 +572,9 @@ class GroupKernel:
 
     def _on_req(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.state != STATE_MEMBER:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.state != STATE_MEMBER:
             return
         if self.me != self.sequencer:
             return  # stale sender view; its watchdog will retarget
@@ -572,7 +582,9 @@ class GroupKernel:
 
     def _on_bc(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.state != STATE_MEMBER:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.state != STATE_MEMBER:
             return
         record = payload["record"]
         if self._hold(record):
@@ -613,7 +625,9 @@ class GroupKernel:
 
     def _on_ack(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.me != self.sequencer:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.me != self.sequencer:
             return
         member, acked = payload["member"], payload["acked"]
         if acked > self.ack_progress.get(member, -1):
@@ -623,7 +637,9 @@ class GroupKernel:
 
     def _on_commit(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.state != STATE_MEMBER:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.state != STATE_MEMBER:
             return
         self._note_commit(payload["committed"])
 
@@ -649,7 +665,9 @@ class GroupKernel:
 
     def _on_retrans(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.me != self.sequencer:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.me != self.sequencer:
             return
         self._c_retrans_srv.inc()
         for record in self._held_after(payload["from"] - 1):
@@ -752,7 +770,9 @@ class GroupKernel:
 
     def _on_hb(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.state != STATE_MEMBER:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.state != STATE_MEMBER:
             return
         self._note_heartbeat()
         if payload["next_assign"] - 1 > self.received:
@@ -794,8 +814,8 @@ class GroupKernel:
 
     def _on_fail(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload):
-            return
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
         self.fail_group(f"peer reported: {payload['reason']}", suspect=payload["suspect"])
 
     # ------------------------------------------------------------------
@@ -849,7 +869,9 @@ class GroupKernel:
 
     def _on_leave(self, packet) -> None:
         payload = packet.payload
-        if not self._current(payload) or self.me != self.sequencer:
+        if payload.get("inc") != self.incarnation or payload.get("instance") != self.instance:
+            return self._off_stamp(payload)
+        if self.me != self.sequencer:
             return
         if payload["member"] in self.view:
             self._sequencer_remove_member(payload["member"])

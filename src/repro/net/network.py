@@ -17,14 +17,16 @@ changes what a NIC listens for (attaching one, assigning
 registering or clearing a handler) drops that index, and the next
 multicast of each kind rebuilds its entry.
 
-A frame that arrives is handed to the receiving NIC's one *sink*
-inside the delivery event itself: the machine's
-:meth:`repro.rpc.transport.Transport._dispatch`, which runs the
-protocol handler there and then, as FLIP hands a packet to the RPC or
-group code inside the Amoeba kernel; there is no second receive path
-(no queue a process drains). Frames arriving at one NIC in one instant
-therefore reach their handlers in the order their deliveries were
-scheduled, and whatever a handler schedules for that instant runs after
+A frame that arrives runs its protocol handler inside the delivery
+event itself, straight from the receiving NIC's handler table (the
+machine's :class:`~repro.rpc.transport.Transport` installs its table
+there; it is also the NIC's multicast filter), as FLIP hands a packet to
+the RPC or group code inside the Amoeba kernel; a frame of a kind no
+handler takes goes to the NIC's *sink*
+(:meth:`repro.rpc.transport.Transport._dispatch`, which counts it).
+There is no second receive path (no queue a process drains). Frames
+arriving at one NIC in one instant therefore reach their handlers in
+the order their deliveries were scheduled, and whatever a handler schedules for that instant runs after
 everything already scheduled for it (DESIGN.md §5, "What a schedule
 change may move").
 
@@ -43,12 +45,14 @@ way to lose a frame at random.
 Reachability is evaluated at *delivery* time, so a partition that
 forms while a frame is in flight drops the frame.
 
-Every frame goes through :meth:`Network.transmit` and every receiver
-of it through :meth:`Packet._deliver`, so both are written for the
-host: :class:`Packet` is a slotted class, the counters are bumped in
-place, and a delivery checks reachability inline. The delivery event
-is the bound ``_deliver`` of the packet built for that receiver, and a
-unicast frame with no link policy goes straight to
+Every frame goes through :meth:`Network.transmit` (a machine's
+``send`` and ``broadcast`` are it, partially applied) and every
+receiver of it through :meth:`Packet._deliver`, so both are written for
+the host: :class:`Packet` is a slotted class, the counters are bumped in
+place, and a delivery checks reachability and finds its handler
+inline. The delivery event is the bound ``_deliver`` of the packet
+built for that receiver, and a unicast frame with no link policy goes
+straight to
 :meth:`Network._launch`, the one place a delivery is metered, held
 FIFO and scheduled.
 """
@@ -96,8 +100,10 @@ class Packet:
         self.network = network
 
     def _deliver(self) -> None:
-        """The delivery event: hand the frame to its NIC's sink if both
-        ends are up and connected, else drop it (and maybe refuse it)."""
+        """The delivery event: if both ends are up and connected, run
+        the receiving machine's handler for the frame's kind, or hand
+        the frame to its NIC's sink when it has none; else drop it (and
+        maybe refuse it)."""
         network = self.network
         src = self.src
         dst = self.dst
@@ -127,10 +133,18 @@ class Packet:
                 str(dst), "net", "net.deliver",
                 src=str(src), kind=self.kind,
             )
-        nic.sink(self)
+        handler = nic.handlers.get(self.kind)
+        if handler is None:
+            nic.sink(self)
+        else:
+            handler(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Packet {self.kind} {self.src!r}->{self.dst!r} {self.payload!r}>"
+
+
+#: Builds a :class:`Packet` without running its ``__init__``.
+_new_packet = object.__new__
 
 
 class _Link:
@@ -221,11 +235,6 @@ class Network:
         # order (the sender included; transmit skips it). Built on first
         # use, dropped whole by interest_changed().
         self._listeners: dict[str, list[Address]] = {}
-        # Per sender: latest arrival time of any multicast it put on
-        # the wire. A multicast occupies the cable whether or not a
-        # given NIC takes it, so a later frame from the same sender is
-        # FIFO behind it even at a NIC that ignored it.
-        self._multicast_horizon: dict[Address, float] = {}
 
     # -- topology --------------------------------------------------------
 
@@ -285,12 +294,15 @@ class Network:
         dst: Address,
         kind: str,
         payload: Any,
-        size: int,
+        size: int = 128,
     ) -> None:
-        """Put one frame on the wire (unicast, or BROADCAST)."""
-        src_nic = self._nics.get(src)
-        if src_nic is None:
-            raise NetworkError(f"no NIC at address {src!r}")
+        """Put one frame on the wire (unicast, or BROADCAST). A
+        machine's :meth:`Transport.send <repro.rpc.transport.Transport>`
+        and ``broadcast`` are this method with *src* (and *dst*) bound."""
+        try:
+            src_nic = self._nics[src]
+        except KeyError:
+            raise NetworkError(f"no NIC at address {src!r}") from None
         if not src_nic.up:
             raise NetworkError(f"NIC {src!r} is down")
         by_kind = self.stats.frames_by_kind
@@ -304,8 +316,9 @@ class Network:
                 dst=str(dst), kind=kind, size=size,
             )
         links = self._links
-        link = links.get((src, dst))
-        if link is None:
+        try:
+            link = links[src, dst]
+        except KeyError:
             link = links[src, dst] = _Link()
         rng = link.rng
         if rng is None:
@@ -318,7 +331,7 @@ class Network:
             # The same bits as rng.uniform(0.0, jitter_ms).
             delay += wire.jitter_ms * rng.random()
         now = self.sim.now
-        horizon = self._multicast_horizon.get(src, 0.0)
+        horizon = src_nic.multicast_horizon
         policies = self.link_policies
         multicast = dst == BROADCAST
         if multicast:
@@ -330,13 +343,19 @@ class Network:
                     if nic.listens(kind)
                 ]
             if now + delay > horizon:
-                self._multicast_horizon[src] = now + delay
+                src_nic.multicast_horizon = now + delay
         elif not policies:
-            # The common frame: one receiver, nothing to decide.
-            self._launch(
-                link, Packet(src, dst, kind, payload, size, False, self),
-                wire_ms, now, now + delay, horizon, 1, False,
-            )
+            # The common frame: one receiver, nothing to decide. Its
+            # Packet is built slot by slot, without an __init__ call.
+            packet = _new_packet(Packet)
+            packet.src = src
+            packet.dst = dst
+            packet.kind = kind
+            packet.payload = payload
+            packet.size = size
+            packet.multicast = False
+            packet.network = self
+            self._launch(link, packet, wire_ms, now, now + delay, horizon, 1, False)
             return
         else:
             receivers = (dst,)
@@ -462,19 +481,27 @@ class Network:
 class Nic:
     """One machine's network interface.
 
-    An arriving frame is handed to :attr:`sink`, which the machine's
-    demultiplexer (:mod:`repro.rpc.transport`) binds to its dispatcher
-    once; a bare NIC drops what it is sent. Unicast frames addressed to
-    the NIC always arrive; multicast frames arrive only for the kinds
-    in :attr:`interest`.
+    An arriving frame goes to the handler :attr:`handlers` holds for its
+    kind, else to :attr:`sink`; the machine's demultiplexer
+    (:mod:`repro.rpc.transport`) installs its handler table and its
+    dispatcher there once, and a bare NIC drops what it is sent.
+    Unicast frames addressed to the NIC always arrive; multicast frames
+    arrive only for the kinds in :attr:`interest`.
     """
 
     def __init__(self, network: Network, address: Address):
         self.network = network
         self.address = address
         self.up = True
+        #: Latest arrival time of any multicast this NIC put on the
+        #: wire. A multicast occupies the cable whether or not a given
+        #: NIC takes it, so a later frame from the same sender is FIFO
+        #: behind it even at a NIC that ignored it.
+        self.multicast_horizon = 0.0
         self._interest: Container[str] = ()
-        #: Where :meth:`Packet._deliver` hands an arriving frame.
+        #: Frame kind -> the handler :meth:`Packet._deliver` runs.
+        self.handlers: dict[str, Callable[[Packet], None]] = {}
+        #: Where :meth:`Packet._deliver` hands a frame no handler takes.
         self.sink: Callable[[Packet], None] = _drop
 
     @property

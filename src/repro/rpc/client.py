@@ -85,6 +85,9 @@ class RpcClient:
         self._registry = self.sim.obs.registry
         self._node = str(transport.address)
         self._c_retries = self._registry.counter(self._node, "rpc.retries")
+        #: The ``rpc.spread.<address>`` stream, drawn from at the first
+        #: spread pick (a named stream is one object for the whole run).
+        self._spread_rng = None
 
     # -- public API -------------------------------------------------------
 
@@ -230,10 +233,12 @@ class RpcClient:
             del kernel.port_expiry[port]
             return None
         if spread and len(servers) > 1:
-            index = self.sim.rng.stream(
-                f"rpc.spread.{self.transport.address}"
-            ).randrange(len(servers))
-            return servers[index]
+            rng = self._spread_rng
+            if rng is None:
+                rng = self._spread_rng = self.sim.rng.stream(
+                    f"rpc.spread.{self.transport.address}"
+                )
+            return servers[rng.randrange(len(servers))]
         return servers[0]
 
     def _pick_server(self, port: Port, spread: bool = False):

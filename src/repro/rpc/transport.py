@@ -1,11 +1,11 @@
 """Per-machine packet demultiplexer (the FLIP layer stand-in).
 
-One :class:`Transport` serves each simulated machine. It is the sink of
-the machine's NIC: the network hands it every arriving packet inside
-the delivery event, and :meth:`Transport._dispatch` calls the handler
-registered for the packet's ``kind`` there and then — no process, no
-queue, as FLIP hands a packet to the RPC or group code inside the
-Amoeba kernel. The RPC client, RPC server, and group-communication
+One :class:`Transport` serves each simulated machine. Its handler table
+is the NIC's: the network runs the handler registered for an arriving
+packet's ``kind`` inside the delivery event, there and then — no
+process, no queue, as FLIP hands a packet to the RPC or group code
+inside the Amoeba kernel — and hands a packet no handler takes to
+:meth:`Transport._dispatch`, the NIC's sink, which counts it. The RPC client, RPC server, and group-communication
 kernel all register handlers on the same transport, exactly as they
 share one FLIP instance.
 
@@ -21,10 +21,16 @@ this machine only if some handler is registered for its kind, so
 handler a restart cleared while they were in flight). The table is
 changed in place, so every change tells the network to drop its
 multicast listener index.
+
+Sending is the network's :meth:`~repro.net.network.Network.transmit`
+with this machine's address bound (``functools.partial``): ``send(dst,
+kind, payload, size=128)`` and ``broadcast(kind, payload, size=128)``
+cost no call of their own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.net.network import BROADCAST, Nic, Packet
@@ -39,18 +45,21 @@ class Transport:
         self.sim = sim
         self.nic = nic
         self.cpu = Cpu(sim, f"cpu({nic.address})", node=str(nic.address))
+        #: The machine's network address.
+        self.address = nic.address
         self._handlers: dict[str, Callable[[Packet], None]] = {}
-        nic.interest = self._handlers  # live: see the module docstring
-        nic.sink = self._dispatch  # for good: a restart keeps it
+        # Live, and for good (a restart keeps them): see the module
+        # docstring.
+        nic.interest = nic.handlers = self._handlers
+        nic.sink = self._dispatch
         self.dropped_unroutable = 0
         # Frames go straight onto the wire; the NIC's up check is the
         # network's (a down NIC refuses to transmit).
-        self._transmit = nic.network.transmit
-
-    @property
-    def address(self):
-        """The machine's network address."""
-        return self.nic.address
+        transmit = nic.network.transmit
+        #: Unicast from this machine's NIC.
+        self.send = partial(transmit, self.address)
+        #: Multicast from this machine's NIC.
+        self.broadcast = partial(transmit, self.address, BROADCAST)
 
     # -- handler registry ---------------------------------------------------
 
@@ -80,19 +89,11 @@ class Transport:
         self.nic.up = True
 
     def _dispatch(self, packet: Packet) -> None:
-        """The NIC's sink: run the handler for *packet*'s kind, now."""
+        """The NIC's sink: run the handler for *packet*'s kind, now, or
+        count it unroutable (a delivery calls a registered handler
+        itself, so a frame lands here when there is none)."""
         handler = self._handlers.get(packet.kind)
         if handler is None:
             self.dropped_unroutable += 1
         else:
             handler(packet)
-
-    # -- convenience -----------------------------------------------------------
-
-    def send(self, dst, kind: str, payload, size: int = 128) -> None:
-        """Unicast from this machine's NIC."""
-        self._transmit(self.nic.address, dst, kind, payload, size)
-
-    def broadcast(self, kind: str, payload, size: int = 128) -> None:
-        """Multicast from this machine's NIC."""
-        self._transmit(self.nic.address, BROADCAST, kind, payload, size)

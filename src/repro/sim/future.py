@@ -84,17 +84,24 @@ class Future:
             fn(self)
 
     def resolve_if_pending(self, value: Any = None) -> bool:
-        """Resolve unless already settled; returns True if it resolved."""
+        """Resolve unless already settled; returns True if it resolved.
+        (:meth:`resolve`'s body, inline: most settles come through here.)"""
         if self._value is not _PENDING or self._exception is not None:
             return False
-        self.resolve(value)
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, _SETTLED
+        for fn in callbacks:
+            fn(self)
         return True
 
     def fail_if_pending(self, exc: BaseException) -> bool:
         """Fail unless already settled; returns True if it failed."""
         if self._value is not _PENDING or self._exception is not None:
             return False
-        self.fail(exc)
+        self._exception = exc
+        callbacks, self._callbacks = self._callbacks, _SETTLED
+        for fn in callbacks:
+            fn(self)
         return True
 
     def interrupt(self, reason: str = "interrupted") -> bool:

@@ -17,6 +17,10 @@ from repro.sim.future import Future
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
 
+#: What :meth:`Semaphore.acquire_gen` returns for a free unit: an
+#: iterator that is already exhausted (so sharing one is safe).
+_GRANTED = iter(())
+
 
 class SemaphoreMeter:
     """Busy/wait accounting for a semaphore-guarded resource.
@@ -41,7 +45,9 @@ class SemaphoreMeter:
 
     Time is read from the registry's clock (the simulator's ``now``),
     and the counters are bumped in place: a grant or release costs no
-    call beyond the depth gauge's.
+    call beyond the depth gauge's. :meth:`Semaphore.acquire_gen` books
+    a free grant and :meth:`Semaphore.release` a unit going back free
+    inline, on the meter's own slots.
     """
 
     __slots__ = ("_clock", "busy", "wait", "grants", "depth",
@@ -80,13 +86,6 @@ class SemaphoreMeter:
         if started is not None:
             self.wait.value += self._clock.now - started
         self.grants.value += 1
-        self.depth.add(-1)
-
-    def note_released(self) -> None:
-        """A unit went back to the free pool (no waiter took it)."""
-        self._in_use -= 1
-        if self._in_use == 0:
-            self.busy.value += self._clock.now - self._busy_since
         self.depth.add(-1)
 
     def note_abandoned(self, fut: Future) -> None:
@@ -180,8 +179,12 @@ class Semaphore:
                     self.meter.note_handoff(fut)
                 return
         self._value += 1
-        if self.meter is not None:
-            self.meter.note_released()
+        meter = self.meter
+        if meter is not None:  # SemaphoreMeter.note_released, inline
+            meter._in_use -= 1
+            if meter._in_use == 0:
+                meter.busy.value += meter._clock.now - meter._busy_since
+            meter.depth.add(-1)
 
     def abandon(self, fut: Future) -> None:
         """Disown an acquire whose process was killed (processor crash).
@@ -203,18 +206,30 @@ class Semaphore:
     def acquire_gen(self):
         """Crash-safe acquire for generator processes.
 
-        ``yield from sem.acquire_gen()`` takes a free unit in place (no
-        future, no yield) and otherwise queues like yielding
-        :meth:`acquire`, but if the waiting process is killed — its
-        generator is closed, raising GeneratorExit at the yield — the
-        grant is disowned via :meth:`abandon` instead of leaking.
-        Use this whenever the acquiring process can be crashed while
-        the semaphore guards state that outlives it (the disk arm, a
-        machine CPU).
+        ``yield from sem.acquire_gen()`` takes a free unit in place and
+        returns an exhausted iterator (no future, no generator, no
+        yield), and otherwise queues like yielding :meth:`acquire`, but
+        if the waiting process is killed — its generator is closed, raising
+        GeneratorExit at the yield — the grant is disowned via
+        :meth:`abandon` instead of leaking. Use this whenever the
+        acquiring process can be crashed while the semaphore guards
+        state that outlives it (the disk arm, a machine CPU).
         """
-        if self.try_acquire():
-            return
-        fut = self.acquire()
+        if self._value > 0:
+            # The common case of every CPU burst and disk operation.
+            self._value -= 1
+            meter = self.meter
+            if meter is not None:  # SemaphoreMeter.note_granted, inline
+                meter.grants.value += 1
+                if meter._in_use == 0:
+                    meter._busy_since = meter._clock.now
+                meter._in_use += 1
+                meter.depth.add(1)
+            return _GRANTED
+        return self._queued(self.acquire())
+
+    def _queued(self, fut: Future):
+        """Wait for a queued grant, disowning it if killed meanwhile."""
         try:
             yield fut
         except GeneratorExit:

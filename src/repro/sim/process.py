@@ -9,17 +9,19 @@ exception escaped the generator — so processes can ``yield`` on each
 other to join.
 
 A process that yields a bare ``sim.sleep()`` is resumed by the timer's
-own event (:class:`Sleep`); every other wakeup is a fresh event behind
-whatever is already scheduled for that instant, which the settle
-callback pushes onto the simulator's heap itself: its callable is the
-process's one bound :meth:`Process._step_pending`, made when the
-process is, and the settled value waits on the process's own slots.
+own event (:class:`Sleep`): the sleep records it in a slot, not in a
+callback list. Every other wakeup is a fresh event behind whatever is
+already scheduled for that instant, which the settle callback pushes
+onto the simulator's heap itself: its callable is the process's one
+bound :meth:`Process._step_pending`, made when the process is, and the
+settled value waits on the process's own slots. A yielded future that
+is still pending gets that callback appended to its list in place.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.errors import Interrupted, SimulationError
 from repro.sim.future import _PENDING, Future
@@ -89,7 +91,14 @@ class Process(Future):
             )
             return
         self._waiting_on = target
-        target.add_callback(self._settled)
+        if target._value is not _PENDING or target._exception is not None:
+            self._on_future_settled(target)  # settled already: wake now
+        elif type(target) is not Sleep:
+            target._callbacks.append(self._settled)
+        elif target._process is None and not target._callbacks:
+            target._process = self  # a fresh sleep: its timer resumes us
+        else:
+            target.add_callback(self._settled)
 
     def _on_future_settled(self, fut: Future) -> None:
         if (
@@ -141,38 +150,65 @@ class Process(Future):
 class Sleep(Future):
     """The future behind :meth:`Simulator.sleep`.
 
-    Its timer event is :meth:`_fire`. Nothing else can settle a sleep,
-    so when the one thing waiting on it is a process that yielded it,
-    the timer resumes that process there and then rather than posting
-    a second event for the same instant. A sleep raced under
-    ``timeout``, or with any second callback, settles like any other
-    future and its waiters get the posted wakeup.
+    Its timer event is :meth:`_fire`. Nothing else settles a sleep in
+    practice, so a process that yields a fresh one is kept in the
+    :attr:`_process` slot rather than in the callback list, and the
+    timer resumes it there and then instead of posting a second event
+    for the same instant. A sleep raced under ``timeout``, or given any second
+    callback, turns that process back into its *first* callback and
+    settles like any other future: its waiters get the posted wakeup.
+    A sleep starts with the shared empty callback tuple; the first
+    callback makes it a list. Settled early by anything else, a sleep
+    wakes its process like any waiter and its timer then does nothing.
     """
 
-    __slots__ = ()
+    __slots__ = ("_process",)
 
-    def _sleeper(self) -> Process | None:
-        """The process the timer will resume itself: the only waiter."""
-        callbacks = self._callbacks
-        if (
-            len(callbacks) == 1
-            and getattr(callbacks[0], "__func__", None) is _ON_SETTLED
-        ):
-            return callbacks[0].__self__
-        return None
+    def add_callback(self, fn: Callable[[Future], None]) -> None:
+        if self._value is not _PENDING or self._exception is not None:
+            fn(self)
+            return
+        self._unslot()
+        if self._callbacks:
+            self._callbacks.append(fn)
+        else:
+            self._callbacks = [fn]
+
+    # Settled by anything but its timer, a sleep first turns its slotted
+    # process into an ordinary callback.
+
+    def resolve(self, value: Any = None) -> None:
+        self._unslot()
+        Future.resolve(self, value)
+
+    def fail(self, exc: BaseException) -> None:
+        self._unslot()
+        Future.fail(self, exc)
+
+    def resolve_if_pending(self, value: Any = None) -> bool:
+        self._unslot()
+        return Future.resolve_if_pending(self, value)
+
+    def fail_if_pending(self, exc: BaseException) -> bool:
+        self._unslot()
+        return Future.fail_if_pending(self, exc)
+
+    def _unslot(self) -> None:
+        """Move a pending sleep's slotted process into its callbacks."""
+        process = self._process
+        if process is not None and self._value is _PENDING and self._exception is None:
+            self._process = None
+            self._callbacks = [process._settled]
 
     def _fire(self) -> None:
-        process = self._sleeper()
+        process = self._process
         if process is None:
-            self.resolve()
+            if self._value is _PENDING and self._exception is None:
+                Future.resolve(self)  # else settled early: nothing to do
             return
-        self._callbacks.clear()
         self._value = None
         if process._waiting_on is self:  # not killed meanwhile
             process._step(None, None)
-
-
-_ON_SETTLED = Process._on_future_settled
 
 
 def _dead_generator() -> Generator[Future, Any, Any]:

@@ -9,8 +9,9 @@ streams — crucial for keeping regression benchmarks stable.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.hashing import sha256
 
 
 class RngStreams:
@@ -24,7 +25,7 @@ class RngStreams:
         """The RNG stream for *name* (created on first use)."""
         rng = self._streams.get(name)
         if rng is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            digest = sha256(f"{self.seed}:{name}".encode()).digest()
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng

@@ -25,9 +25,13 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import SimulationError
 from repro.errors import TimeoutError as SimTimeout
 from repro.obs.trace import Observability
-from repro.sim.future import _PENDING, Future
+from repro.sim.future import _PENDING, _SETTLED, Future
 from repro.sim.process import Process, Sleep
 from repro.sim.randomness import RngStreams
+
+#: Builds a :class:`Sleep` without running ``Future.__init__``.
+_new_sleep = object.__new__
+
 
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
@@ -82,8 +86,9 @@ class Simulator:
         # event nothing can cancel (a wakeup, a sleep, a delivery), which
         # skips the per-event Timer allocation entirely. Such entries are
         # pushed inline by their makers: :meth:`spawn`, :meth:`sleep`,
-        # ``Process._on_future_settled``, ``Network._launch`` and
-        # ``RpcKernel._arm`` (the reply-deadline timer).
+        # ``Process._on_future_settled``, ``Network._launch``,
+        # ``RpcKernel._arm`` (the reply-deadline timer) and
+        # ``GroupKernel._arm_send_watchdog``.
         self._heap: list[tuple[float, int, Timer | None, Callable[[], None]]] = []
         self._sequence = 0
         # Upper bound on the cancelled entries still in the heap: the
@@ -131,7 +136,14 @@ class Simulator:
         """A future that resolves after *delay* simulated milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
-        fut = Sleep("sleep")
+        # Built slot by slot: no Future.__init__ call, no callback list
+        # (a process that yields it waits in its _process slot).
+        fut = _new_sleep(Sleep)
+        fut._value = _PENDING
+        fut._exception = None
+        fut._callbacks = _SETTLED
+        fut.name = "sleep"
+        fut._process = None
         heapq.heappush(self._heap, (self.now + delay, self._sequence, None, fut._fire))
         self._sequence += 1
         return fut

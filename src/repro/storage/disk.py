@@ -352,8 +352,14 @@ class Disk:
         reads, so boot-time table scans and the scrubber's audits see
         corruption the moment they look at it.
         """
-        self._check()
-        return self._unseal(index, self._blocks.get(index, b""))
+        if self.failed:  # _check, inline: a boot scan peeks every block
+            raise DiskFailure(f"disk {self.name} has failed")
+        raw = self._blocks.get(index)
+        if raw is None:
+            if self.integrity:
+                return b""  # what _unseal makes of an absent block
+            raw = b""
+        return self._unseal(index, raw)
 
     # -- extent store ------------------------------------------------------------
 
@@ -549,4 +555,6 @@ class RawPartition:
 
     def peek_block(self, index: int) -> bytes:
         """Zero-time inspection."""
-        return self.disk.peek_block(self._translate(index))
+        if not 0 <= index < self.length:  # _translate, inline
+            raise StorageError(f"block {index} out of partition {self.name}")
+        return self.disk.peek_block(self.start + index)

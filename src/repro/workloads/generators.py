@@ -9,6 +9,10 @@ back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
+from repro.amoeba.capability import ALL_RIGHTS, Capability, Port
+
 FOUR_BYTES = b"tmp!"
 
 
@@ -40,8 +44,6 @@ class ZipfianNames:
 
     def pick(self, rng) -> str:
         """One draw, using a single ``rng.random()`` (bisect on the CDF)."""
-        from bisect import bisect_left
-
         return self.names[bisect_left(self._cdf, rng.random())]
 
 
@@ -97,12 +99,8 @@ def mixed_once(client, directory_cap, rng, names: list, target_cap,
 def _as_registrable(file_ref, client):
     """Bullet returns a Capability; the NFS stand-in returns an int
     handle. Directories store capabilities, so wrap plain handles."""
-    from repro.amoeba.capability import Capability
-
     if isinstance(file_ref, Capability):
         return file_ref
-    from repro.amoeba.capability import ALL_RIGHTS, Port
-
     return Capability(
         Port.for_service("nfs.file.handle"), int(file_ref) & 0xFFFFFF, ALL_RIGHTS, 1
     )

@@ -259,3 +259,34 @@ class TestDeterminism:
             return state.fingerprint()
 
         assert run() == run()
+
+
+class TestApplyDispatch:
+    """``DirectoryState.apply`` finds a write's applier by the op's
+    class, falling back along its MRO: a subclass op (the replicated
+    Bullet service's ``CreateFile`` is a ``CreateDir``) runs its base's
+    applier, and a read is still refused by name."""
+
+    def test_a_subclass_op_runs_its_base_applier(self):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class TaggedCreate(CreateDir):
+            tag: str = "t"
+
+        state, rng = make_state()
+        cap, effects = state.apply(TaggedCreate(check=new_check(rng)))
+        assert cap.is_owner and effects.created == [cap.object_number]
+        assert state.query(ListDir(cap)) == []
+        again, _ = state.apply(TaggedCreate(check=new_check(rng)))
+        assert again.object_number == cap.object_number + 1
+
+    @pytest.mark.parametrize("read", ["list", "lookup"])
+    def test_a_read_is_not_a_write(self, read):
+        state, _ = make_state()
+        root = root_capability(state)
+        op = ListDir(root) if read == "list" else LookupSet(((root, "x"),))
+        with pytest.raises(DirectoryError) as raised:
+            state.apply(op)
+        assert str(raised.value) == f"{type(op).__name__} is not a write operation"
+        assert state.update_seqno == 0

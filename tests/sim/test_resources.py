@@ -164,3 +164,74 @@ class TestCpuMetrics:
         # The second process queued behind the first for its whole slice.
         assert registry.counter("cpu0", "cpu.wait_ms").value == pytest.approx(3.0)
         assert registry.gauge("cpu0", "cpu.queue_depth").value == 0
+
+
+
+
+class TestKillWhileHolding:
+    """A process killed while it *holds* a metered unit (the CPU, the
+    disk arm) gives it back at the kill instant: its ``finally``
+    releases it, the next queued waiter is granted then, and the meter
+    reads as if the holder had finished at that instant. A free unit is
+    taken in place by ``Semaphore.acquire_gen``, which books the meter
+    inline; these pin that bookkeeping."""
+
+    @staticmethod
+    def _run(sim, hold, node, prefix):
+        """A 10 ms holder from 0 ms, a 3 ms waiter queued at 1 ms, the
+        holder killed at 4 ms; returns the waiter's end and the meter."""
+        ends = []
+
+        def waiter():
+            yield sim.sleep(1.0)
+            yield from hold(3.0)
+            ends.append(sim.now)
+
+        holder = sim.spawn(hold(10.0))
+        sim.spawn(waiter())
+
+        def killer():
+            yield sim.sleep(4.0)
+            holder.kill("machine crash")
+
+        sim.spawn(killer())
+        sim.run()
+        registry = sim.obs.registry
+        return ends, {
+            "busy_ms": registry.counter(node, prefix + ".busy_ms").value,
+            "wait_ms": registry.counter(node, prefix + ".wait_ms").value,
+            "grants": registry.counter(node, prefix + ".grants").value,
+            "depth": registry.gauge(node, prefix + ".queue_depth"),
+        }
+
+    @staticmethod
+    def _check(ends, meter, service_ms):
+        assert ends == [pytest.approx(4.0 + service_ms)]  # granted at the kill
+        assert meter["busy_ms"] == pytest.approx(4.0 + service_ms)
+        assert meter["wait_ms"] == pytest.approx(3.0)
+        assert meter["grants"] == 2
+        depth = meter["depth"]
+        assert depth.value == 0 and depth.maximum == 2
+        # Depth 1 on [0, 1], 2 on [1, 4], 1 while the waiter is served.
+        assert depth.area() == pytest.approx(1.0 + 6.0 + service_ms)
+
+    def test_cpu(self):
+        sim, cpu = make()
+        ends, meter = self._run(sim, cpu.use, "cpu0", "cpu")
+        self._check(ends, meter, 3.0)
+        assert grants_at_once(sim, cpu)
+
+    def test_disk_arm(self):
+        from repro.storage.disk import BLOCK_SIZE, Disk
+
+        sim = Simulator(seed=0)
+        disk = Disk(sim, "d0")
+        # Every write below takes the disk's own service time, and the
+        # kill at 4 ms lands inside the holder's.
+        service_ms = disk.latency.random_ms(BLOCK_SIZE)
+        assert service_ms > 4.0
+        ends, meter = self._run(
+            sim, lambda _ms: disk.write_block(0, b"x"), "d0", "disk.arm"
+        )
+        self._check(ends, meter, service_ms)
+        assert disk.peek_block(0) == b"x"  # the waiter's write landed

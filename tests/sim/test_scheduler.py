@@ -186,6 +186,31 @@ class TestSleepAndTimeout:
         assert order == ["watcher", "later", "sleeper", "sleeper"]
         assert raced.resolved and shared.value is None
 
+    @pytest.mark.parametrize("settle", [
+        lambda fut: fut.resolve("early"),
+        lambda fut: fut.resolve_if_pending("early"),
+        lambda fut: fut.fail(ValueError("early")),
+        lambda fut: fut.interrupt("early"),
+    ])
+    def test_a_sleep_settled_early_still_wakes_its_process(self, settle):
+        """The process a sleep holds in its slot, not its callback list,
+        is woken by whatever settles the sleep, as any waiter is."""
+        sim = Simulator()
+        seen = []
+
+        def sleeper(fut):
+            try:
+                value = yield fut
+                seen.append((sim.now, value))
+            except Exception as exc:
+                seen.append((sim.now, type(exc).__name__))
+
+        nap = sim.sleep(5.0)
+        sim.spawn(sleeper(nap))
+        sim.schedule(1.0, lambda: settle(nap))
+        sim.run()
+        assert seen in ([(1.0, "early")], [(1.0, "ValueError")], [(1.0, "Interrupted")])
+
     def test_timeout_fires_when_future_is_slow(self):
         sim = Simulator()
         slow = Future("slow")
