@@ -26,9 +26,9 @@ handler takes goes to the NIC's *sink*
 (:meth:`repro.rpc.transport.Transport._dispatch`, which counts it).
 There is no second receive path (no queue a process drains). Frames
 arriving at one NIC in one instant therefore reach their handlers in
-the order their deliveries were scheduled, and whatever a handler schedules for that instant runs after
-everything already scheduled for it (DESIGN.md §5, "What a schedule
-change may move").
+the order their deliveries were scheduled, and whatever a handler
+schedules for that instant runs after everything already scheduled for
+it (DESIGN.md §5, "What a schedule change may move").
 
 Failure model, mirroring the paper's assumptions:
 

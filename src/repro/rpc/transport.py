@@ -5,9 +5,10 @@ is the NIC's: the network runs the handler registered for an arriving
 packet's ``kind`` inside the delivery event, there and then — no
 process, no queue, as FLIP hands a packet to the RPC or group code
 inside the Amoeba kernel — and hands a packet no handler takes to
-:meth:`Transport._dispatch`, the NIC's sink, which counts it. The RPC client, RPC server, and group-communication
-kernel all register handlers on the same transport, exactly as they
-share one FLIP instance.
+:meth:`Transport._dispatch`, the NIC's sink, which counts it. The RPC
+client, RPC server, and group-communication kernel all register
+handlers on the same transport, exactly as they share one FLIP
+instance.
 
 A handler runs on the simulator's own stack, so one that raises is
 loud: the exception propagates out of ``sim.run`` (it is a bug in

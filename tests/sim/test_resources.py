@@ -166,8 +166,6 @@ class TestCpuMetrics:
         assert registry.gauge("cpu0", "cpu.queue_depth").value == 0
 
 
-
-
 class TestKillWhileHolding:
     """A process killed while it *holds* a metered unit (the CPU, the
     disk arm) gives it back at the kill instant: its ``finally``
