@@ -111,7 +111,7 @@ class LookupCache:
         for key in doomed:
             del self._entries[key]
         if doomed and self._c_invalidations is not None:
-            self._c_invalidations.inc(len(doomed))
+            self._c_invalidations.value += len(doomed)
         return len(doomed)
 
     def drop(self, key) -> None:

@@ -242,11 +242,17 @@ class DirectoryClient:
         results = yield from self._lookup_coherent(items)
         return results
 
-    def _lookup_coherent(self, items):
+    def _lookup_coherent(self, items, one: bool = False):
+        """:meth:`lookup_set` through the cache; with *one*, the single
+        pair's result instead of the list."""
         sim = self.transport.sim
-        keys = [
-            (cap.object_number, cap.rights, name) for cap, name in items
-        ]
+        if one:
+            ((cap, name),) = items
+            keys = ((cap.object_number, cap.rights, name),)
+        else:
+            keys = [
+                (cap.object_number, cap.rights, name) for cap, name in items
+            ]
         values = self._serve_from_cache(keys)
         if values is not None:
             self.cache.count_hit()
@@ -255,16 +261,21 @@ class DirectoryClient:
             # A local probe, but still a yield point: closed-loop
             # callers must not monopolize the event loop on hits.
             yield sim.sleep(CACHE_HIT_COST_MS)
-            return values
+            return values[0] if one else values
         self.cache.count_miss()
         self.last_lookup_from_cache = False
         sent_at = sim.now
-        reply = yield from self.request(CoherentLookup(items), spread=True)
+        # request(op, spread=True), inline: a read is never wrapped.
+        op = CoherentLookup(items)
+        self.operations_sent += 1
+        reply = yield from self.rpc.trans(
+            self.port, op, size=op.wire_size(), spread=True
+        )
         if not isinstance(reply, dict):
             # Talking to a server without coherence enabled: behave
             # like an uncached client (never fill from a reply that
             # grants no lease).
-            return reply
+            return reply[0] if one else reply
         results = reply["results"]
         server = reply["server"]
         expiry = sent_at + reply["lease_ms"]
@@ -285,7 +296,7 @@ class DirectoryClient:
             # Skipping the fill costs a future miss, never correctness.
             for key, value in zip(keys, results):
                 self.cache.put(key, value, server)
-        return list(results)
+        return results[0] if one else list(results)
 
     def _serve_from_cache(self, keys):
         """Values for *keys* if all are cached under live leases."""
@@ -339,11 +350,17 @@ class DirectoryClient:
     # -- conveniences ----------------------------------------------------------
 
     def lookup(self, cap: Capability, name: str):
-        """Single-name lookup; returns the capability or None.
-        (:meth:`lookup_set` of one pair, without its generator frame.)"""
+        """Single-name lookup (``yield from``); returns the capability or
+        None. :meth:`lookup_set` of one pair, but not a generator itself:
+        it hands back the one generator that does the work."""
         items = ((cap, name),)
         if self.cache is None:
-            [result] = yield from self.request(LookupSet(items))
-        else:
-            [result] = yield from self._lookup_coherent(items)
+            return self._lookup_remote(LookupSet(items))
+        return self._lookup_coherent(items, one=True)
+
+    def _lookup_remote(self, op: LookupSet):
+        """The single result of an uncached *op* (``request``, inline:
+        a read is never wrapped)."""
+        self.operations_sent += 1
+        [result] = yield from self.rpc.trans(self.port, op, size=op.wire_size())
         return result

@@ -74,6 +74,9 @@ class CoherenceManager:
         #: Writes may not complete before this time (view-change fence).
         self.fence_until = 0.0
         self._last_members: frozenset | None = None
+        # The view list _last_members was taken from (the kernel
+        # replaces its list, never edits it).
+        self._observed_view = None
         self._clean_sent = -1
         registry = self.sim.obs.registry
         node = str(server.me)
@@ -208,6 +211,9 @@ class CoherenceManager:
         if not self.server.member.is_member:
             return
         view = self.server.member.kernel.view
+        if view is self._observed_view:
+            return  # the same view list: the same members, none departed
+        self._observed_view = view
         members = frozenset(
             a for a in self.config.server_addresses if a in view
         )

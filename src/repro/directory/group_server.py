@@ -65,7 +65,7 @@ from repro.errors import (
     ServiceDown,
     StorageError,
 )
-from repro.group.kernel import STATE_FAILED
+from repro.group.kernel import STATE_FAILED, STATE_MEMBER
 from repro.group.member import GroupMember
 from repro.rpc.client import RpcClient, RpcTimings
 from repro.rpc.server import RpcServer
@@ -102,6 +102,8 @@ class GroupDirectoryServer:
         state_class=DirectoryState,
     ):
         self.config = config
+        #: ``config.majority``, read per request (the config is frozen).
+        self._majority = config.majority
         self.index = index
         #: The RNG stream this server mints new directories' checks from.
         self.check_stream = f"dir.{config.name}.check.{index}"
@@ -265,11 +267,11 @@ class GroupDirectoryServer:
         waives the rule — use :meth:`administrative_override` only when
         the missing servers' disks are known to be unrecoverable.
         """
-        if not (self.operational and self.member.is_member):
+        if not (self.operational and self.member.kernel.state == STATE_MEMBER):
             return False
         if self._admin_override:
             return True
-        return self.members_present() >= self.config.majority
+        return self.members_present() >= self._majority
 
     def administrative_override(self) -> None:
         """Let this server serve without a majority (operator action).
@@ -364,11 +366,11 @@ class GroupDirectoryServer:
         # Reads never enter the group, so they carry a synthetic
         # per-server lineage pairing their recv/reply markers.
         self._read_seq += 1
-        lineage = ("read", str(self.me), self._read_seq)
+        read_seq = self._read_seq
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 str(self.me), "dir", "dir.read.recv",
-                lineage=lineage, op=type(op).__name__,
+                lineage=("read", str(self.me), read_seq), op=type(op).__name__,
             )
         # Fig. 5: before reading, make sure every message this kernel
         # has buffered is applied — otherwise a client could delete a
@@ -398,7 +400,8 @@ class GroupDirectoryServer:
         self._c_reads.value += 1
         if self._obs.tracer.enabled:
             self._obs.tracer.emit(
-                str(self.me), "dir", "dir.read.reply", lineage=lineage
+                str(self.me), "dir", "dir.read.reply",
+                lineage=("read", str(self.me), read_seq),
             )
         if self.coherence is not None and isinstance(op, CoherentLookup):
             # Coherent read: piggyback this replica's applied update

@@ -11,15 +11,15 @@ of the paper).
 Directories serialize to bytes for storage in Bullet files; the
 serialization is deterministic so that every replica produces an
 identical file for the same logical state. A row is never edited, only
-replaced, so each :class:`DirRow` carries its own encoding, built the
-first time it is asked for: writing a directory out encodes only the
-rows changed since the last write-out, and the image is a join.
+replaced, so each :class:`DirRow` carries its own encoding, and a
+:class:`Directory` keeps its rows' encodings beside the rows, in row
+order: an image encodes only the rows changed since the last one and
+is one join over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.amoeba.capability import Capability
 from repro.errors import AlreadyExists, DirectoryError, NotFound
@@ -81,10 +81,6 @@ class DirRow:
         return DirRow(self.name, visible)
 
 
-#: A row's :attr:`DirRow.encoded` (joined without a Python frame per row).
-_ENCODED = attrgetter("encoded")
-
-
 class Directory:
     """One directory: ordered rows keyed by name."""
 
@@ -96,6 +92,13 @@ class Directory:
             )
         self.columns = columns
         self._rows: dict[str, DirRow] = {}
+        #: Each row's :attr:`DirRow.encoded`, in row order (kept beside
+        #: ``_rows`` so an image joins them without a lookup per row).
+        #: A row changed since the last image holds its place with
+        #: ``b""`` and is named in ``_unencoded``: a row deleted before
+        #: the next image is never encoded.
+        self._encoded: dict[str, bytes] = {}
+        self._unencoded: set[str] = set()
 
     # -- queries ---------------------------------------------------------
 
@@ -142,13 +145,13 @@ class Directory:
         """Add a new row; raises AlreadyExists on a duplicate name."""
         if name in self._rows:
             raise AlreadyExists(f"row {name!r} already exists")
-        self._rows[name] = DirRow(name, self._normalize(capabilities))
+        self._put(DirRow(name, self._normalize(capabilities)))
 
     def replace_row(self, name: str, capabilities) -> None:
         """Replace the capabilities of an existing row."""
         if name not in self._rows:
             raise NotFound(f"no row {name!r}")
-        self._rows[name] = DirRow(name, self._normalize(capabilities))
+        self._put(DirRow(name, self._normalize(capabilities)))
 
     def chmod_row(self, name: str, column_mask: int, capabilities) -> None:
         """Change protection: replace only the masked columns' cells."""
@@ -158,13 +161,30 @@ class Directory:
             new_caps[i] if column_mask & (1 << i) else existing.capabilities[i]
             for i in range(len(self.columns))
         )
-        self._rows[name] = DirRow(name, merged)
+        self._put(DirRow(name, merged))
 
     def delete_row(self, name: str) -> None:
         """Remove a row; raises NotFound."""
         if name not in self._rows:
             raise NotFound(f"no row {name!r}")
         del self._rows[name]
+        del self._encoded[name]
+        self._unencoded.discard(name)
+
+    def _put(self, row: DirRow) -> None:
+        """Add *row*, or replace the row of its name in place."""
+        self._rows[row.name] = row
+        self._encoded[row.name] = b""
+        self._unencoded.add(row.name)
+
+    def _encodings(self):
+        """Every row's encoding, in row order."""
+        if self._unencoded:
+            rows = self._rows
+            for name in self._unencoded:
+                self._encoded[name] = rows[name].encoded
+            self._unencoded.clear()
+        return self._encoded.values()
 
     # -- serialization ----------------------------------------------------------
 
@@ -179,7 +199,7 @@ class Directory:
             len(header).to_bytes(2, "big"),
             header,
             len(self._rows).to_bytes(3, "big"),
-            *map(_ENCODED, self._rows.values()),
+            *self._encodings(),
         ])
 
     @classmethod
@@ -205,15 +225,13 @@ class Directory:
                 caps.append(
                     None if cell == _EMPTY_CELL else Capability.from_bytes(cell)
                 )
-            directory._rows[name] = DirRow(name, tuple(caps))
+            directory._put(DirRow(name, tuple(caps)))
         return directory
 
     def serialized_size(self) -> int:
         """Byte size of the Bullet file this directory occupies
         (``len(self.to_bytes())``, without building the image)."""
-        return 2 + len(self._header()) + 3 + sum(
-            map(len, map(_ENCODED, self._rows.values()))
-        )
+        return 2 + len(self._header()) + 3 + sum(map(len, self._encodings()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Directory cols={self.columns} rows={list(self._rows)}>"

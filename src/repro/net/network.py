@@ -50,9 +50,12 @@ Every frame goes through :meth:`Network.transmit` (a machine's
 receiver of it through :meth:`Packet._deliver`, so both are written for
 the host: :class:`Packet` is a slotted class, the counters are bumped in
 place, and a delivery checks reachability and finds its handler
-inline. The delivery event is the bound ``_deliver`` of the packet
-built for that receiver, and a unicast frame with no link policy goes
-straight to
+inline. Each directed link is one :class:`_Link` record kept by the
+sending :class:`Nic` under the destination address (no tuple key is
+built per frame); it also remembers the receiving NIC, which the
+packet carries with the sender's, so a delivery looks neither up. The
+delivery event is the bound ``_deliver`` of the packet built for that
+receiver, and a unicast frame with no link policy goes straight to
 :meth:`Network._launch`, the one place a delivery is metered, held
 FIFO and scheduled.
 """
@@ -79,7 +82,10 @@ class Packet:
     """One frame as seen by a receiving NIC (read-only by convention);
     its bound :meth:`_deliver` is its delivery event."""
 
-    __slots__ = ("src", "dst", "kind", "payload", "size", "multicast", "network")
+    __slots__ = (
+        "src", "dst", "kind", "payload", "size", "multicast", "network",
+        "src_nic", "nic",
+    )
 
     def __init__(
         self,
@@ -98,6 +104,9 @@ class Packet:
         self.size = size  # bytes, for wire-time accounting
         self.multicast = multicast
         self.network = network
+        # The two ends' NICs, when the sender knew them (transmit does).
+        self.src_nic = None
+        self.nic = None
 
     def _deliver(self) -> None:
         """The delivery event: if both ends are up and connected, run
@@ -105,33 +114,35 @@ class Packet:
         the frame to its NIC's sink when it has none; else drop it (and
         maybe refuse it)."""
         network = self.network
-        src = self.src
-        dst = self.dst
-        nics = network._nics
-        nic = nics.get(dst)  # None: a unicast to an address never attached
+        nic = self.nic
+        if nic is None:  # unknown when sent: attached since, or never
+            nic = network._nics.get(self.dst)
         # Network.reachable(), inline: both NICs up and, unless the
         # segment is whole, in the same partition component.
         components = network.partitions._component
-        tracer = network._obs.tracer
+        tracer = network._tracer
         if not (
             nic is not None
             and nic.up
-            and nics[src].up
-            and (not components or components.get(src, 0) == components.get(dst, 0))
+            and self.src_nic.up
+            and (
+                not components
+                or components.get(self.src, 0) == components.get(self.dst, 0)
+            )
         ):
             network._c_dropped.value += 1
             if tracer.enabled:
                 tracer.emit(
-                    str(src), "net", "net.drop",
-                    dst=str(dst), kind=self.kind,
+                    str(self.src), "net", "net.drop",
+                    dst=str(self.dst), kind=self.kind,
                     reason="unreachable",
                 )
             network._maybe_refuse(self)
             return
         if tracer.enabled:
             tracer.emit(
-                str(dst), "net", "net.deliver",
-                src=str(src), kind=self.kind,
+                str(self.dst), "net", "net.deliver",
+                src=str(self.src), kind=self.kind,
             )
         handler = nic.handlers.get(self.kind)
         if handler is None:
@@ -148,14 +159,16 @@ _new_packet = object.__new__
 
 
 class _Link:
-    """One directed link: its own jitter/loss stream (made at its first
-    frame; a frame on one link never re-times another), its meters (made
-    at its first delivery) and its last arrival (one segment: FIFO)."""
+    """One directed link, kept by its sending NIC: its own jitter/loss
+    stream (made at its first frame; a frame on one link never re-times
+    another), the receiving NIC (once attached), its meters (made at its
+    first delivery) and its last arrival (one segment: FIFO)."""
 
-    __slots__ = ("rng", "bytes", "busy", "last_arrival")
+    __slots__ = ("rng", "nic", "bytes", "busy", "last_arrival")
 
     def __init__(self):
         self.rng: Random | None = None
+        self.nic: "Nic | None" = None
         self.bytes = None
         self.busy = None
         self.last_arrival = 0.0
@@ -212,7 +225,7 @@ class Network:
         self.partitions = PartitionController()
         # Segment-wide registry counters under the pseudo-node "net".
         registry = sim.obs.registry
-        self._obs = sim.obs
+        self._tracer = sim.obs.tracer
         self._c_frames = registry.counter("net", "net.frames_sent")
         self._c_bytes = registry.counter("net", "net.bytes_sent")
         self._c_dropped = registry.counter("net", "net.frames_dropped")
@@ -221,6 +234,7 @@ class Network:
         self._c_reordered = registry.counter("net", "net.frames_reordered")
         self._c_policy_drops = registry.counter("net", "net.policy_drops")
         self.stats = NetworkStats(registry)
+        self._frames_by_kind = self.stats.frames_by_kind
         # Segment occupancy: transmit_time (size-proportional, jitter
         # excluded) summed over every frame put on the wire. A window
         # delta over the window length is the segment's offered-load
@@ -228,8 +242,6 @@ class Network:
         # senders contend for the cable (docs/OBSERVABILITY.md §10).
         self._c_wire = registry.counter("net", "net.wire_ms")
         self._registry = registry
-        # (src, dst) -> _Link; a multicast draws on (src, BROADCAST).
-        self._links: dict[tuple, _Link] = {}
         self._nics: dict[Address, "Nic"] = {}
         # Per multicast kind: the addresses listening for it, in attach
         # order (the sender included; transmit skips it). Built on first
@@ -305,21 +317,21 @@ class Network:
             raise NetworkError(f"no NIC at address {src!r}") from None
         if not src_nic.up:
             raise NetworkError(f"NIC {src!r} is down")
-        by_kind = self.stats.frames_by_kind
+        by_kind = self._frames_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
         self._c_frames.value += 1
         self._c_bytes.value += size
-        tracer = self._obs.tracer
+        tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
                 str(src), "net", "net.send",
                 dst=str(dst), kind=kind, size=size,
             )
-        links = self._links
+        links = src_nic.links
         try:
-            link = links[src, dst]
+            link = links[dst]
         except KeyError:
-            link = links[src, dst] = _Link()
+            link = links[dst] = _Link()
         rng = link.rng
         if rng is None:
             rng = link.rng = self.sim.rng.stream(f"net.link({src}->{dst})")
@@ -347,6 +359,9 @@ class Network:
         elif not policies:
             # The common frame: one receiver, nothing to decide. Its
             # Packet is built slot by slot, without an __init__ call.
+            nic = link.nic
+            if nic is None:
+                nic = link.nic = self._nics.get(dst)
             packet = _new_packet(Packet)
             packet.src = src
             packet.dst = dst
@@ -355,6 +370,8 @@ class Network:
             packet.size = size
             packet.multicast = False
             packet.network = self
+            packet.src_nic = src_nic
+            packet.nic = nic
             self._launch(link, packet, wire_ms, now, now + delay, horizon, 1, False)
             return
         else:
@@ -363,9 +380,9 @@ class Network:
             if multicast:
                 if receiver == src:
                     continue  # the sender never hears itself
-                link = links.get((src, receiver))
+                link = links.get(receiver)
                 if link is None:
-                    link = links[src, receiver] = _Link()
+                    link = links[receiver] = _Link()
             arrival = now + delay
             copies = 1
             reorder = False
@@ -389,10 +406,12 @@ class Network:
                 copies += decision.duplicates
                 self._c_duplicated.value += decision.duplicates
                 reorder = decision.allow_reorder
-            self._launch(
-                link, Packet(src, receiver, kind, payload, size, multicast, self),
-                wire_ms, now, arrival, horizon, copies, reorder,
-            )
+            packet = Packet(src, receiver, kind, payload, size, multicast, self)
+            packet.src_nic = src_nic
+            if link.nic is None:
+                link.nic = self._nics.get(receiver)
+            packet.nic = link.nic
+            self._launch(link, packet, wire_ms, now, arrival, horizon, copies, reorder)
 
     def _launch(self, link: _Link, packet: Packet, wire_ms: float, now: float,
                 arrival: float, horizon: float, copies: int, reorder: bool) -> None:
@@ -498,6 +517,9 @@ class Nic:
         #: NIC takes it, so a later frame from the same sender is FIFO
         #: behind it even at a NIC that ignored it.
         self.multicast_horizon = 0.0
+        #: Destination -> the :class:`_Link` from this NIC to it; a
+        #: multicast draws on the entry for BROADCAST.
+        self.links: dict[Address, _Link] = {}
         self._interest: Container[str] = ()
         #: Frame kind -> the handler :meth:`Packet._deliver` runs.
         self.handlers: dict[str, Callable[[Packet], None]] = {}

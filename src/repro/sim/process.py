@@ -13,9 +13,12 @@ own event (:class:`Sleep`): the sleep records it in a slot, not in a
 callback list. Every other wakeup is a fresh event behind whatever is
 already scheduled for that instant, which the settle callback pushes
 onto the simulator's heap itself: its callable is the process's one
-bound :meth:`Process._step_pending`, made when the process is, and the
-settled value waits on the process's own slots. A yielded future that
-is still pending gets that callback appended to its list in place.
+bound :meth:`Process._step`, made when the process is, and the settled
+value waits on the process's own slots, which ``_step`` reads (a first
+step and a sleep's timer find them empty). A yielded future that is
+still pending gets that callback appended to its list in place. The
+step tells a sleep and a plain future by ``type()``; only any other
+yielded object costs it an ``isinstance`` check.
 """
 
 from __future__ import annotations
@@ -55,16 +58,20 @@ class Process(Future):
         self._pending_value: Any = None
         self._pending_exc: BaseException | None = None
         # Every yield hands the awaited future this one bound method,
-        # and every posted wakeup runs that one.
+        # and every posted wakeup (the first step included) runs that one.
         self._settled = self._on_future_settled
-        self._resume = self._step_pending
+        self._resume = self._step
 
     # -- lifecycle -------------------------------------------------------
 
-    def _step_initial(self) -> None:
-        self._step(None, None)
-
-    def _step(self, value: Any, exc: BaseException | None) -> None:
+    def _step(self) -> None:
+        """Resume the generator with what the pending slots hold: the
+        settled value or exception a wakeup stashed, else None (the
+        first step, a sleep's timer)."""
+        value = self._pending_value
+        exc = self._pending_exc
+        self._pending_value = None
+        self._pending_exc = None
         if self._value is not _PENDING or self._exception is not None:
             return
         self._waiting_on = None
@@ -82,7 +89,17 @@ class Process(Future):
         except Exception as error:
             self.fail(error)
             return
-        if not isinstance(target, Future):
+        cls = type(target)
+        if cls is Sleep:
+            self._waiting_on = target
+            if target._value is not _PENDING or target._exception is not None:
+                self._on_future_settled(target)  # settled already: wake now
+            elif target._process is None and not target._callbacks:
+                target._process = self  # a fresh sleep: its timer resumes us
+            else:
+                target.add_callback(self._settled)
+            return
+        if cls is not Future and not isinstance(target, Future):
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
@@ -93,12 +110,8 @@ class Process(Future):
         self._waiting_on = target
         if target._value is not _PENDING or target._exception is not None:
             self._on_future_settled(target)  # settled already: wake now
-        elif type(target) is not Sleep:
-            target._callbacks.append(self._settled)
-        elif target._process is None and not target._callbacks:
-            target._process = self  # a fresh sleep: its timer resumes us
         else:
-            target.add_callback(self._settled)
+            target._callbacks.append(self._settled)
 
     def _on_future_settled(self, fut: Future) -> None:
         if (
@@ -121,12 +134,6 @@ class Process(Future):
         sim = self.sim
         heapq.heappush(sim._heap, (sim.now, sim._sequence, None, self._resume))
         sim._sequence += 1
-
-    def _step_pending(self) -> None:
-        value, exc = self._pending_value, self._pending_exc
-        self._pending_value = None
-        self._pending_exc = None
-        self._step(value, exc)
 
     # -- control ----------------------------------------------------------
 
@@ -208,7 +215,7 @@ class Sleep(Future):
             return
         self._value = None
         if process._waiting_on is self:  # not killed meanwhile
-            process._step(None, None)
+            process._step()
 
 
 def _dead_generator() -> Generator[Future, Any, Any]:

@@ -178,7 +178,7 @@ class Simulator:
         process = Process(self, gen, name)
         self._processes[process] = None
         process.add_callback(self._processes.pop)
-        heapq.heappush(self._heap, (self.now, self._sequence, None, process._step_initial))
+        heapq.heappush(self._heap, (self.now, self._sequence, None, process._resume))
         self._sequence += 1
         return process
 

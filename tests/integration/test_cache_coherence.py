@@ -11,6 +11,7 @@ pre-cache wire behaviour byte for byte.
 import pytest
 
 from repro.cluster import GroupServiceCluster, NvramServiceCluster
+from repro.group.kernel import STATE_MEMBER
 from repro.net.policy import Drop, LinkFilter
 from tests.helpers import pin_to_server
 
@@ -173,6 +174,35 @@ class TestCachedReads:
         cluster.run_process(work())
         assert out["hit"]
         assert out["after_delete"] is None
+
+
+class TestViewChangeFence:
+    def test_a_replica_leaving_the_view_fences_writes_once(self):
+        """A survivor that sees a replica leave fences writes for a
+        lease plus slack (that replica may still be serving cached
+        reads it will no longer invalidate); later looks at the same
+        view fence nothing more."""
+        cluster = make_cluster()
+        survivor = cluster.servers[0].coherence
+        gone = cluster.config.server_addresses[2]
+        survivor.observe_view()
+        assert survivor._c_fences.value == 0
+        cluster.crash_server(2)
+        kernel = cluster.servers[0].member.kernel
+        deadline = cluster.sim.now + 30_000.0
+        while (gone in kernel.view or kernel.state != STATE_MEMBER) and (
+            cluster.sim.now < deadline
+        ):
+            cluster.run(until=cluster.sim.now + 10.0)
+        assert gone not in kernel.view and kernel.state == STATE_MEMBER
+        survivor.observe_view()
+        assert survivor._c_fences.value == 1
+        fenced_until = survivor.fence_until
+        assert fenced_until > cluster.sim.now
+        cluster.run(until=cluster.sim.now + 200.0)  # sweeper passes
+        survivor.observe_view()
+        assert survivor._c_fences.value == 1
+        assert survivor.fence_until == fenced_until
 
 
 class TestNoCoherenceControl:

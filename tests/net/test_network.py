@@ -6,7 +6,7 @@ from repro.errors import NetworkError
 from repro.net import Drop, LinkFilter, Network
 from repro.sim import LatencyModel, Simulator
 
-from tests.helpers import TestBed, wire_count
+from tests.helpers import Machine, TestBed, wire_count
 
 
 def make_network(loss=0.0, latency=None):
@@ -61,6 +61,26 @@ class TestTopology:
         bed.run()
         assert wire_count(bed.network, "net.frames_sent") == 1
         assert wire_count(bed.network, "net.frames_dropped") == 0
+
+    def test_a_link_finds_a_nic_attached_after_its_first_frame(self):
+        """A link remembers its receiving NIC only once it exists: a
+        frame sent to an address nobody holds is dropped, and a frame
+        that arrives after the address was attached, or is sent after,
+        is delivered."""
+        bed = TestBed(["a"])
+        net = bed.network
+        send = bed["a"].transport.send
+        send("late", "t", "lost")
+        bed.run()
+        assert wire_count(net, "net.frames_dropped") == 1
+        send("late", "t", "in flight")  # attached while this one flies
+        late = Machine(net, "late")
+        got = late.listen("t")
+        bed.run()
+        send("late", "t", "after")
+        bed.run()
+        assert [p.payload for p in got] == ["in flight", "after"]
+        assert wire_count(net, "net.frames_dropped") == 1
 
 
 class TestUnicast:

@@ -211,6 +211,21 @@ class TestSleepAndTimeout:
         sim.run()
         assert seen in ([(1.0, "early")], [(1.0, "ValueError")], [(1.0, "Interrupted")])
 
+    def test_a_sleep_settled_before_it_is_yielded_resumes_at_once(self):
+        """Yielding a sleep something has already settled wakes the
+        process at that instant with its value, not at the timer."""
+        sim = Simulator()
+        seen = []
+        nap = sim.sleep(5.0)
+        nap.resolve("early")
+
+        def sleeper():
+            seen.append((sim.now, (yield nap)))
+
+        sim.spawn(sleeper())
+        sim.run()
+        assert seen == [(0.0, "early")]
+
     def test_timeout_fires_when_future_is_slow(self):
         sim = Simulator()
         slow = Future("slow")
